@@ -23,21 +23,17 @@ from .liegroup import (
     TangentElement,
     att_dist,
     pa,
-    pack_nav,
     reorthonormalize,
     se23_exp,
     skew,
     so3_exp,
-    unpack_nav,
     vex,
 )
 from .observer import (
-    Correction,
     ErrorMetrics,
     GainReport,
     Gains,
     ObserverState,
-    compute_correction,
     error_metrics,
     lyapunov_l1,
     step,
@@ -46,7 +42,6 @@ from .observer import (
 from .replay import (
     ConfigError,
     DataError,
-    DatasetFrame,
     GroundTruthRecord,
     ReplayResult,
     derive_velocity,
@@ -102,8 +97,6 @@ __all__ = [
     "vex",
     "pa",
     "att_dist",
-    "pack_nav",
-    "unpack_nav",
     "so3_exp",
     "se23_exp",
     "reorthonormalize",
@@ -130,10 +123,8 @@ __all__ = [
     # observer
     "Gains",
     "ObserverState",
-    "Correction",
     "ErrorMetrics",
     "GainReport",
-    "compute_correction",
     "step",
     "error_metrics",
     "lyapunov_l1",
@@ -151,7 +142,6 @@ __all__ = [
     # replay
     "ConfigError",
     "DataError",
-    "DatasetFrame",
     "GroundTruthRecord",
     "ReplayResult",
     "load_dataset",

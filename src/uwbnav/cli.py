@@ -26,6 +26,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +50,16 @@ __all__ = ["main", "DEFAULT_CONFIG", "load_config", "apply_overrides"]
 
 log = logging.getLogger("uwbnav")
 
+
+def _fields(obj) -> dict:
+    """A dataclass instance's fields as plain JSON values (arrays become lists)."""
+    return {k: np.asarray(v).tolist() for k, v in asdict(obj).items()}
+
+
 DEFAULT_CONFIG = {
     "seed": 0,
-    "gains": {"k_omega": 3.0, "k_v": 2.0, "k_a": 70.0, "gamma_omega": 0.1, "gamma_a": 2.0},
-    "ref": {"gravity": [0.0, 0.0, -9.8], "mag_ref": [-1.7, 0.0, 1.2]},
+    "gains": _fields(Gains()),
+    "ref": _fields(ReferenceVectors()),
     "settle_threshold": 0.5,
     "settle_dwell": 5.0,
     "sim": {
@@ -60,7 +67,7 @@ DEFAULT_CONFIG = {
         "duration": None,
         "imu_rate": 100.0,
         "tdoa_rate": 10.0,
-        "noise": {"gyro_sd": 0.0, "accel_sd": 0.0, "mag_sd": 0.2, "tdoa_sd": 0.0},
+        "noise": _fields(SensorNoise()),
         "b_omega": [0.0, 0.0, 0.0],
         "b_a": [0.0, 0.0, 0.0],
         "estimate_pos": [-3.0, -1.0, 0.0],
@@ -188,6 +195,21 @@ def _estimate_state(section: dict) -> ObserverState:
     return ObserverState(nav=nav, b_omega_hat=np.zeros(3), b_a_hat=np.zeros(3))
 
 
+def _write_artifacts(out: Path, result) -> None:
+    """metrics.csv and summary.json of one sim or replay run."""
+    write_metrics_csv(
+        out / "metrics.csv",
+        result.t,
+        result.att_err,
+        result.pos_err,
+        result.vel_err,
+        result.truth_pos,
+        result.est_pos,
+        result.raw_pos,
+    )
+    write_summary_json(out / "summary.json", result.summary)
+
+
 def _run_sim_job(cfg: dict, seed: int, outdir: str) -> dict:
     """Run one sim seed and write its artifacts; top-level so --jobs can fork it."""
     sim_cfg = cfg["sim"]
@@ -216,17 +238,7 @@ def _run_sim_job(cfg: dict, seed: int, outdir: str) -> dict:
         settle_dwell=cfg["settle_dwell"],
     )
     out = Path(outdir)
-    write_metrics_csv(
-        out / "metrics.csv",
-        result.t,
-        result.att_err,
-        result.pos_err,
-        result.vel_err,
-        result.truth_pos,
-        result.est_pos,
-        result.raw_pos,
-    )
-    write_summary_json(out / "summary.json", result.summary)
+    _write_artifacts(out, result)
     if sim_cfg["export_dataset"]:
         export_dataset(result, out / "dataset")
     log.info("wrote %s and summary.json", out / "metrics.csv")
@@ -299,17 +311,7 @@ def cmd_replay(args) -> int:
         settle_dwell=cfg["settle_dwell"],
     )
     out = Path(args.out)
-    write_metrics_csv(
-        out / "metrics.csv",
-        result.t,
-        result.att_err,
-        result.pos_err,
-        result.vel_err,
-        result.truth_pos,
-        result.est_pos,
-        result.raw_pos,
-    )
-    write_summary_json(out / "summary.json", result.summary)
+    _write_artifacts(out, result)
     s = result.summary
     settle = s["settling_time"]
     settle_txt = "never" if math.isnan(settle) else f"{settle:.2f} s"
@@ -385,7 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("replay", help="replay the observer over a recorded dataset")
     add_common(p_rep)
-    p_rep.add_argument("--jobs", type=int, default=1, help="accepted for symmetry; replay is sequential")
     p_rep.set_defaults(func=cmd_replay)
 
     p_tdoa = sub.add_parser("tdoa-solve", help="solve one TDOA frame against an anchor file")
@@ -397,9 +398,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tdoa.set_defaults(func=cmd_tdoa_solve)
 
     p_val = sub.add_parser("validate-gains", help="check the closed-form stability certificate")
-    p_val.add_argument("--k-omega", type=float, default=3.0, help="attitude gain (default 3)")
-    p_val.add_argument("--k-v", type=float, default=2.0, help="position gain (default 2)")
-    p_val.add_argument("--k-a", type=float, default=70.0, help="velocity gain (default 70)")
+    gains = Gains()
+    for flag, name, what in (
+        ("--k-omega", "k_omega", "attitude"),
+        ("--k-v", "k_v", "position"),
+        ("--k-a", "k_a", "velocity"),
+    ):
+        default = getattr(gains, name)
+        p_val.add_argument(flag, type=float, default=default, help=f"{what} gain (default {default:g})")
     p_val.add_argument("--delta", type=float, required=True, help="certificate parameter")
     p_val.set_defaults(func=cmd_validate_gains)
     return parser

@@ -35,8 +35,6 @@ __all__ = [
     "vex",
     "pa",
     "att_dist",
-    "pack_nav",
-    "unpack_nav",
     "so3_exp",
     "se23_exp",
     "reorthonormalize",
@@ -187,29 +185,13 @@ def att_dist(R, M=None) -> float:
     return 0.25 * np.trace(M - M @ R)
 
 
-def pack_nav(s: NavState) -> np.ndarray:
-    """Pack a NavState into its 5x5 homogeneous matrix."""
-    return _pack(s.rot.m, s.pos, s.vel)
-
-
 def _pack(R: np.ndarray, P: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The 5x5 homogeneous matrix of attitude R, position P and velocity V."""
     X = np.eye(5)
     X[:3, :3] = R
     X[:3, 3] = P
     X[:3, 4] = V
     return X
-
-
-def unpack_nav(X) -> NavState:
-    """Inverse of :func:`pack_nav`; validates the homogeneous bottom rows."""
-    X = np.asarray(X, dtype=float)
-    if X.shape != (5, 5):
-        raise ValueError(f"expected a 5x5 matrix, got {X.shape}")
-    bottom = np.array([[0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]])
-    err = np.max(np.abs(X[3:, :] - bottom))
-    if not err <= ROTATION_TOL:
-        raise ValueError(f"malformed homogeneous bottom rows (max error {err:.3e})")
-    return NavState(Rotation(X[:3, :3]), X[:3, 3].copy(), X[:3, 4].copy())
 
 
 def so3_exp(omega, dt: float = 1.0) -> np.ndarray:

@@ -54,10 +54,8 @@ from .tdoa import AnchorSet, GeometryDegenerate, TdoaFrame, solve_frame
 __all__ = [
     "Gains",
     "ObserverState",
-    "Correction",
     "ErrorMetrics",
     "GainReport",
-    "compute_correction",
     "step",
     "error_metrics",
     "lyapunov_l1",
@@ -119,17 +117,6 @@ class ObserverState:
 
 
 @dataclass(frozen=True)
-class Correction:
-    """Correction terms and bias-update rates for one step."""
-
-    w_omega: np.ndarray
-    w_v: np.ndarray
-    w_a: np.ndarray
-    b_omega_dot: np.ndarray
-    b_a_dot: np.ndarray
-
-
-@dataclass(frozen=True)
 class ErrorMetrics:
     """Estimation errors against a known truth."""
 
@@ -164,21 +151,6 @@ def _correction_terms(R, P, V, triads: TriadPair | None, p_y, gains: Gains):
         w_a = np.zeros(3)
         b_a_dot = np.zeros(3)
     return w_omega, w_v, w_a, b_omega_dot, b_a_dot
-
-
-def compute_correction(
-    state: ObserverState, triads: TriadPair, p_y, gains: Gains
-) -> Correction:
-    """Correction terms at the state's current attitude/position/velocity.
-
-    ``p_y`` is the reconstructed position or None (dead reckoning: w_v, w_a
-    and the accelerometer-bias rate are zero).
-    """
-    nav = state.nav
-    w_omega, w_v, w_a, b_omega_dot, b_a_dot = _correction_terms(
-        nav.rot.m, nav.pos, nav.vel, triads, p_y, gains
-    )
-    return Correction(w_omega, w_v, w_a, b_omega_dot, b_a_dot)
 
 
 def step(

@@ -1,7 +1,7 @@
 """Dataset ingestion, ground-truth benchmarks, and observer replay.
 
 A recorded trial arrives as three CSV streams — IMU, UWB, and ground truth —
-plus an anchor JSON file.  This module loads and merges the streams, derives
+plus an anchor JSON file.  This module loads each stream in time order, derives
 a benchmark velocity from the ground-truth positions (local least-squares
 polynomial differentiation), runs the observer sample-by-sample, and reports
 the same error metrics and summary statistics as the simulator, so synthetic
@@ -36,13 +36,12 @@ from scipy.spatial.transform import Slerp
 from .liegroup import Rotation
 from .observer import Gains, ObserverState, step
 from .sensors import ImuSample, ReferenceVectors
-from .sim import SimResult, settling_time
+from .sim import SimResult, error_summary
 from .tdoa import GeometryDegenerate, TdoaFrame, solve_frame
 
 __all__ = [
     "ConfigError",
     "DataError",
-    "DatasetFrame",
     "GroundTruthRecord",
     "LoadReport",
     "LoadedDataset",
@@ -95,21 +94,6 @@ class GroundTruthRecord:
         object.__setattr__(self, "pos", p)
 
 
-@dataclass(frozen=True)
-class DatasetFrame:
-    """One merged-stream event: an IMU, TDOA, or ground-truth record."""
-
-    timestamp: float
-    kind: str
-    payload: object
-
-    _KINDS = ("ground_truth", "imu", "tdoa")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"kind must be one of {self._KINDS}, got {self.kind!r}")
-
-
 @dataclass
 class LoadReport:
     """Ingestion accounting: rows read/skipped and reorders per stream."""
@@ -135,9 +119,15 @@ class LoadReport:
 
 @dataclass
 class LoadedDataset:
-    """Merged, time-sorted dataset frames plus the ingestion report."""
+    """The three streams, each sorted by time, plus the ingestion report.
 
-    frames: list
+    ``imu`` holds ImuSamples, ``tdoa`` TdoaFrames and ``gt`` GroundTruthRecords
+    (empty when no ground-truth file was given).
+    """
+
+    imu: list
+    tdoa: list
+    gt: list
     report: LoadReport
     has_mag: bool
     n_uwb_values: int
@@ -211,7 +201,7 @@ def _parse_stream(path, header, rows, indices, builder, stream, report):
 
 
 def load_dataset(paths: dict, column_map: dict | None = None) -> LoadedDataset:
-    """Load imu/uwb/gt CSV files into one merged, time-sorted frame stream.
+    """Load imu/uwb/gt CSV files into three time-sorted streams.
 
     ``paths`` maps stream names ("imu", "uwb", "gt") to file paths; "gt" is
     optional at load time (replay will refuse to run without it).  Malformed
@@ -221,9 +211,6 @@ def load_dataset(paths: dict, column_map: dict | None = None) -> LoadedDataset:
     if "imu" not in paths or "uwb" not in paths:
         raise ConfigError("paths must include 'imu' and 'uwb'")
     report = LoadReport()
-    frames = []
-    has_mag = False
-    n_uwb = 0
 
     imu_map = cmap["imu"]
     header, rows = _read_rows(paths["imu"])
@@ -241,8 +228,7 @@ def load_dataset(paths: dict, column_map: dict | None = None) -> LoadedDataset:
         mag = np.array(v[7:10]) if len(v) == 10 else None
         return ImuSample(timestamp=v[0], gyro=np.array(v[1:4]), accel=np.array(v[4:7]), mag=mag)
 
-    imu_records = _parse_stream(paths["imu"], header, rows, all_idx, build_imu, "imu", report)
-    frames.extend(DatasetFrame(r.timestamp, "imu", r) for r in imu_records)
+    imu = _parse_stream(paths["imu"], header, rows, all_idx, build_imu, "imu", report)
 
     uwb_map = cmap["uwb"]
     header, rows = _read_rows(paths["uwb"])
@@ -253,7 +239,6 @@ def load_dataset(paths: dict, column_map: dict | None = None) -> LoadedDataset:
     if not value_names:
         raise ConfigError(f"{Path(paths['uwb']).name}: no UWB value columns")
     val_idx = _column_indices(header, value_names, paths["uwb"])
-    n_uwb = len(value_names)
     as_ranges = uwb_map["mode"] == "range"
 
     def build_uwb(v):
@@ -262,9 +247,9 @@ def load_dataset(paths: dict, column_map: dict | None = None) -> LoadedDataset:
             d = np.roll(d, -1) - d  # cyclic pairwise differences r[k+1] - r[k]
         return TdoaFrame(timestamp=v[0], d=d)
 
-    uwb_records = _parse_stream(paths["uwb"], header, rows, t_idx + val_idx, build_uwb, "uwb", report)
-    frames.extend(DatasetFrame(r.timestamp, "tdoa", r) for r in uwb_records)
+    tdoa = _parse_stream(paths["uwb"], header, rows, t_idx + val_idx, build_uwb, "uwb", report)
 
+    gt = []
     if "gt" in paths:
         gt_map = cmap["gt"]
         header, rows = _read_rows(paths["gt"])
@@ -274,14 +259,13 @@ def load_dataset(paths: dict, column_map: dict | None = None) -> LoadedDataset:
         def build_gt(v):
             return GroundTruthRecord(timestamp=v[0], quat=np.array(v[1:5]), pos=np.array(v[5:8]))
 
-        gt_records = _parse_stream(paths["gt"], header, rows, idx, build_gt, "gt", report)
-        frames.extend(DatasetFrame(r.timestamp, "ground_truth", r) for r in gt_records)
+        gt = _parse_stream(paths["gt"], header, rows, idx, build_gt, "gt", report)
 
-    if not frames:
+    if not (imu or tdoa or gt):
         raise DataError("dataset contains no usable rows")
-    rank = {"ground_truth": 0, "imu": 1, "tdoa": 2}
-    frames.sort(key=lambda f: (f.timestamp, rank[f.kind]))
-    return LoadedDataset(frames=frames, report=report, has_mag=has_mag, n_uwb_values=n_uwb)
+    return LoadedDataset(
+        imu=imu, tdoa=tdoa, gt=gt, report=report, has_mag=has_mag, n_uwb_values=len(value_names)
+    )
 
 
 def quat_to_rotation(q) -> Rotation:
@@ -390,34 +374,30 @@ class ReplayResult:
     summary: dict = field(default_factory=dict)
 
 
-class _TruthInterpolator:
-    """Attitude/position/velocity benchmark interpolated at query times.
+def _interpolate_truth(gt_records, t, window: int, poly_order: int):
+    """Attitude/position/velocity benchmark at the times ``t``.
 
     Attitude uses spherical linear interpolation, position and the derived
-    velocity are linear.  Queries outside the ground-truth time range return
-    None — the benchmark never extrapolates.
+    velocity are linear.  Rows outside the ground-truth time range hold NaN —
+    the benchmark never extrapolates.  Returns (inside, rot, pos, vel).
     """
-
-    def __init__(self, gt_records, window: int, poly_order: int):
-        if len(gt_records) < 2:
-            raise DataError("need at least 2 ground-truth records")
-        self.t = np.array([r.timestamp for r in gt_records])
-        self.pos = np.array([r.pos for r in gt_records])
-        self.vel = derive_velocity(gt_records, window, poly_order)
+    if len(gt_records) < 2:
+        raise DataError("need at least 2 ground-truth records")
+    t_gt = np.array([r.timestamp for r in gt_records])
+    pos_gt = np.array([r.pos for r in gt_records])
+    vel_gt = derive_velocity(gt_records, window, poly_order)
+    inside = (t >= t_gt[0]) & (t <= t_gt[-1])
+    rot = np.full((len(t), 3, 3), np.nan)
+    pos = np.full((len(t), 3), np.nan)
+    vel = np.full((len(t), 3), np.nan)
+    if inside.any():
         quats_wxyz = np.array([r.quat for r in gt_records])
-        self._slerp = Slerp(self.t, _SpRotation.from_quat(quats_wxyz[:, [1, 2, 3, 0]]))
-
-    def in_range(self, time: float) -> bool:
-        return self.t[0] <= time <= self.t[-1]
-
-    def rot(self, time: float) -> np.ndarray:
-        return self._slerp([time]).as_matrix()[0]
-
-    def pos_at(self, time: float) -> np.ndarray:
-        return np.array([np.interp(time, self.t, self.pos[:, i]) for i in range(3)])
-
-    def vel_at(self, time: float) -> np.ndarray:
-        return np.array([np.interp(time, self.t, self.vel[:, i]) for i in range(3)])
+        slerp = Slerp(t_gt, _SpRotation.from_quat(quats_wxyz[:, [1, 2, 3, 0]]))
+        rot[inside] = slerp(t[inside]).as_matrix()
+        for i in range(3):
+            pos[inside, i] = np.interp(t[inside], t_gt, pos_gt[:, i])
+            vel[inside, i] = np.interp(t[inside], t_gt, vel_gt[:, i])
+    return inside, rot, pos, vel
 
 
 def run_replay(
@@ -445,9 +425,7 @@ def run_replay(
     """
     ref = ReferenceVectors() if ref is None else ref
     tag_offset = np.asarray(tag_offset, dtype=float)
-    imu = [f.payload for f in dataset.frames if f.kind == "imu"]
-    tdoa = [f.payload for f in dataset.frames if f.kind == "tdoa"]
-    gt = [f.payload for f in dataset.frames if f.kind == "ground_truth"]
+    imu, tdoa, gt = dataset.imu, dataset.tdoa, dataset.gt
     if len(imu) < 2:
         raise DataError(f"need at least 2 IMU samples to step, got {len(imu)}")
     if not gt:
@@ -456,9 +434,10 @@ def run_replay(
         raise ConfigError(
             f"dataset provides {tdoa[0].d.shape[0]} TDOA values but anchor set has {anchors.n}"
         )
-    truth = _TruthInterpolator(gt, velocity_window, velocity_poly_order)
-
     t_imu = np.array([s.timestamp for s in imu])
+    inside, truth_rot, truth_pos, truth_vel = _interpolate_truth(
+        gt, t_imu, velocity_window, velocity_poly_order
+    )
     n_steps = len(imu) - 1
     # Map each TDOA frame onto the step that starts at or just before it.
     frame_for_step: dict = {}
@@ -476,8 +455,6 @@ def run_replay(
     att = np.full(m, np.nan)
     pos = np.full(m, np.nan)
     vel = np.full(m, np.nan)
-    truth_pos = np.full((m, 3), np.nan)
-    truth_vel = np.full((m, 3), np.nan)
     est_pos = np.empty((m, 3))
     est_vel = np.empty((m, 3))
     raw_pos = np.full((m, 3), np.nan)
@@ -488,16 +465,10 @@ def run_replay(
     def record(k: int):
         est_pos[k] = state.nav.pos
         est_vel[k] = state.nav.vel
-        tk = float(t_imu[k])
-        if truth.in_range(tk):
-            R_true = truth.rot(tk)
-            p_true = truth.pos_at(tk)
-            v_true = truth.vel_at(tk)
-            truth_pos[k] = p_true
-            truth_vel[k] = v_true
-            att[k] = 0.25 * (3.0 - np.trace(R_true @ state.nav.rot.m.T))
-            pos[k] = np.linalg.norm(p_true - state.nav.pos)
-            vel[k] = np.linalg.norm(v_true - state.nav.vel)
+        if inside[k]:
+            att[k] = 0.25 * (3.0 - np.trace(truth_rot[k] @ state.nav.rot.m.T))
+            pos[k] = np.linalg.norm(truth_pos[k] - state.nav.pos)
+            vel[k] = np.linalg.norm(truth_vel[k] - state.nav.vel)
 
     record(0)
     skipped_steps = 0
@@ -508,8 +479,8 @@ def run_replay(
             record(k + 1)
             continue
         sample = imu[k]
-        if sample.mag is None and truth.in_range(sample.timestamp):
-            mag = truth.rot(sample.timestamp).T @ ref.mag_ref
+        if sample.mag is None and inside[k]:
+            mag = truth_rot[k].T @ ref.mag_ref
             if mag_noise_sd > 0.0:
                 rng = np.random.default_rng((int(seed), _STREAM_MAG, k))
                 mag = mag + rng.normal(0.0, mag_noise_sd, 3)
@@ -519,7 +490,7 @@ def run_replay(
             try:
                 fix = solve_frame(anchors, frame)
                 raw_pos[k] = fix.p
-                if np.all(np.isfinite(truth_pos[k])):
+                if inside[k]:
                     raw_err[k] = float(np.linalg.norm(fix.p - truth_pos[k]))
             except (GeometryDegenerate, ValueError):
                 pass
@@ -527,13 +498,6 @@ def run_replay(
         record(k + 1)
 
     duration = float(t_imu[-1] - t_imu[0])
-    ss_mask = (t_imu - t_imu[0]) >= (2.0 / 3.0) * duration
-    valid = np.isfinite(pos)
-    ss_pos = pos[ss_mask & valid]
-    ss_vel = vel[ss_mask & np.isfinite(vel)]
-    raw_window = raw_err[ss_mask]
-    raw_window = raw_window[np.isfinite(raw_window)]
-    finite_pos = pos[valid]
     summary = {
         "duration": duration,
         "steps": n_steps,
@@ -542,17 +506,7 @@ def run_replay(
         "tdoa_frames": len(tdoa),
         "dropped_tdoa_frames": dropped_frames,
         "gt_records": len(gt),
-        "initial_pos_err": float(finite_pos[0]) if finite_pos.size else float("nan"),
-        "final_att_err": float(att[valid][-1]) if valid.any() else float("nan"),
-        "final_pos_err": float(finite_pos[-1]) if finite_pos.size else float("nan"),
-        "final_vel_err": float(vel[np.isfinite(vel)][-1]) if np.isfinite(vel).any() else float("nan"),
-        "settling_time": settling_time(t_imu[valid], finite_pos, settle_threshold, settle_dwell)
-        if finite_pos.size
-        else float("nan"),
-        "settle_threshold": settle_threshold,
-        "ss_pos_rms": float(np.sqrt(np.mean(ss_pos**2))) if ss_pos.size else float("nan"),
-        "ss_vel_rms": float(np.sqrt(np.mean(ss_vel**2))) if ss_vel.size else float("nan"),
-        "raw_pos_rms": float(np.sqrt(np.mean(raw_window**2))) if raw_window.size else float("nan"),
+        **error_summary(t_imu, att, pos, vel, raw_err, duration, settle_threshold, settle_dwell),
         "tdoa_failures": state.tdoa_failures,
         "triad_failures": state.triad_failures,
     }
@@ -628,13 +582,19 @@ def write_metrics_csv(path, t, att_err, pos_err, vel_err, truth_pos, est_pos, ra
 
 
 def write_summary_json(path, summary: dict):
+    """Strict JSON: non-finite floats, at any depth, are written as null."""
+
     def clean(v):
+        if isinstance(v, dict):
+            return {k: clean(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [clean(x) for x in v]
         if isinstance(v, float) and not math.isfinite(v):
             return None
         return v
 
     with atomic_writer(path) as fh:
-        json.dump({k: clean(v) for k, v in summary.items()}, fh, indent=2, sort_keys=True)
+        json.dump(clean(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

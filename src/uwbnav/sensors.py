@@ -27,7 +27,6 @@ __all__ = [
     "TriadDegenerate",
     "build_triads",
     "weighted_matrix",
-    "body_weighted_matrix",
     "predicted_body_vectors",
     "attitude_innovation",
 ]
@@ -157,12 +156,6 @@ def weighted_matrix(triads: TriadPair) -> np.ndarray:
     """Inertial-frame confidence matrix M_r = sum_i s_i r_i r_i^T."""
     r = triads.r
     return (triads.s[:, None] * r).T @ r
-
-
-def body_weighted_matrix(triads: TriadPair) -> np.ndarray:
-    """Body-frame counterpart M_B = sum_i s_i v_i v_i^T (computed, unused by the observer)."""
-    v = triads.v
-    return (triads.s[:, None] * v).T @ v
 
 
 def predicted_body_vectors(Rhat: np.ndarray, triads: TriadPair) -> np.ndarray:

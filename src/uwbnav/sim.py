@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .liegroup import NavState, Rotation, TangentElement, se23_exp, so3_exp
+from .liegroup import NavState, Rotation, TangentElement, _pack, se23_exp, so3_exp
 from .observer import Gains, ObserverState, error_metrics, step
 from .sensors import ImuSample, ReferenceVectors
 from .tdoa import Anchor, AnchorSet, GeometryDegenerate, solve_frame, synthesize_tdoa
@@ -39,6 +39,7 @@ __all__ = [
     "preset_scenario",
     "run_scenario",
     "settling_time",
+    "error_summary",
     "PRESET_NAMES",
 ]
 
@@ -101,11 +102,7 @@ def propagate_truth(t: TruthModel, dt: float) -> TruthModel:
     mid = t.time + 0.5 * dt
     U = TangentElement(t.omega_fn(mid), np.zeros(3), t.accel_fn(mid), 1.0)
     G = TangentElement(np.zeros(3), np.zeros(3), -t.gravity, 1.0)
-    X = np.eye(5)
-    X[:3, :3] = t.nav.rot.m
-    X[:3, 3] = t.nav.pos
-    X[:3, 4] = t.nav.vel
-    X = se23_exp(G, -dt) @ X @ se23_exp(U, dt)
+    X = se23_exp(G, -dt) @ _pack(t.nav.rot.m, t.nav.pos, t.nav.vel) @ se23_exp(U, dt)
     nav = NavState(Rotation(X[:3, :3]), X[:3, 3], X[:3, 4])
     return replace(t, nav=nav, time=t.time + dt)
 
@@ -394,6 +391,42 @@ def settling_time(t, pos_err, threshold: float, dwell: float) -> float:
     return float("nan")
 
 
+def error_summary(
+    t, att_err, pos_err, vel_err, raw_err, duration: float, settle_threshold: float, settle_dwell: float
+) -> dict:
+    """Summary statistics shared by simulated and replayed runs.
+
+    Final and initial errors, settling time, and the steady-state RMS of the
+    estimate and of the raw TDOA fix over the last third of ``duration``
+    (measured from t[0]).  NaN rows (no benchmark, no fix) are ignored; a
+    statistic with no rows to draw on is NaN.
+    """
+    ss_mask = (t - t[0]) >= (2.0 / 3.0) * duration
+
+    def finite(x):
+        return x[np.isfinite(x)]
+
+    def rms(x):
+        return float(np.sqrt(np.mean(x**2))) if x.size else float("nan")
+
+    def last(x):
+        return float(x[-1]) if x.size else float("nan")
+
+    valid = np.isfinite(pos_err)
+    pos = pos_err[valid]
+    return {
+        "initial_pos_err": float(pos[0]) if pos.size else float("nan"),
+        "final_att_err": last(att_err[valid]),
+        "final_pos_err": last(pos),
+        "final_vel_err": last(finite(vel_err)),
+        "settling_time": settling_time(t[valid], pos, settle_threshold, settle_dwell),
+        "settle_threshold": settle_threshold,
+        "ss_pos_rms": rms(finite(pos_err[ss_mask])),
+        "ss_vel_rms": rms(finite(vel_err[ss_mask])),
+        "raw_pos_rms": rms(finite(raw_err[ss_mask])),
+    }
+
+
 def _log_error_slope(t, total_err, t_end: float) -> float:
     # Exact-to-machine-zero samples carry no slope information; drop them.
     mask = (t <= t_end) & (total_err > 0.0)
@@ -482,27 +515,15 @@ def run_scenario(
     # One trailing sample so dataset exports carry the final step length.
     imu_stream.append(synthesize_imu(truth, float(t[n]), sc.ref))
 
-    total = att + pos + vel
-    ss_mask = t >= (2.0 / 3.0) * sc.duration
-    raw_window = raw_err[ss_mask]
-    raw_window = raw_window[np.isfinite(raw_window)]
     summary = {
         "scenario": sc.name,
         "seed": sc.truth.seed,
         "duration": sc.duration,
         "steps": n,
-        "final_att_err": float(att[-1]),
-        "final_pos_err": float(pos[-1]),
-        "final_vel_err": float(vel[-1]),
         "final_b_omega_err": float(b_om[-1]),
         "final_b_a_err": float(b_a[-1]),
-        "initial_pos_err": float(pos[0]),
-        "settling_time": settling_time(t, pos, settle_threshold, settle_dwell),
-        "settle_threshold": settle_threshold,
-        "ss_pos_rms": float(np.sqrt(np.mean(pos[ss_mask] ** 2))),
-        "ss_vel_rms": float(np.sqrt(np.mean(vel[ss_mask] ** 2))),
-        "raw_pos_rms": float(np.sqrt(np.mean(raw_window**2))) if raw_window.size else float("nan"),
-        "log_error_slope": _log_error_slope(t, total, 0.5 * sc.duration),
+        "log_error_slope": _log_error_slope(t, att + pos + vel, 0.5 * sc.duration),
+        **error_summary(t, att, pos, vel, raw_err, sc.duration, settle_threshold, settle_dwell),
         "tdoa_frames": len(frames),
         "tdoa_failures": est.tdoa_failures,
         "triad_failures": est.triad_failures,

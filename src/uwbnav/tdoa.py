@@ -29,6 +29,7 @@ __all__ = [
     "GeometryDegenerate",
     "build_system",
     "solve_position",
+    "solve_frame",
     "synthesize_tdoa",
     "load_anchors",
 ]

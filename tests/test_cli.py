@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import uwbnav
-from uwbnav.cli import main
-from uwbnav.sim import default_anchors
+from uwbnav.cli import DEFAULT_CONFIG, _build_parser, main
+from uwbnav.observer import Gains
+from uwbnav.sensors import ReferenceVectors
+from uwbnav.sim import SensorNoise, default_anchors
 from uwbnav.tdoa import synthesize_tdoa
 
 
@@ -138,6 +140,51 @@ def test_sim_parallel_runs_match_serial_runs(capsys, tmp_path):
     assert (tmp_path / "serial" / "summary.json").read_bytes() == (
         tmp_path / "parallel" / "summary.json"
     ).read_bytes()
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_sim_sweep_summary_is_strict_json(capsys, tmp_path):
+    # Two seconds cannot hold the five-second settling dwell, so every
+    # per-seed settling_time is NaN; the roll-up must carry it as null.
+    argv = ["sim", "--scenario", "static", "--runs", "2", "--set", "sim.duration=2"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rollup = json.loads((tmp_path / "summary.json").read_text(), parse_constant=_reject_constant)
+    assert [run["seed"] for run in rollup["runs"]] == [0, 1]
+    assert [run["settling_time"] for run in rollup["runs"]] == [None, None]
+
+
+def test_config_defaults_come_from_the_dataclasses():
+    gains, ref, noise = Gains(), ReferenceVectors(), SensorNoise()
+    assert DEFAULT_CONFIG["gains"] == {
+        "k_omega": gains.k_omega,
+        "k_v": gains.k_v,
+        "k_a": gains.k_a,
+        "gamma_omega": gains.gamma_omega,
+        "gamma_a": gains.gamma_a,
+    }
+    assert DEFAULT_CONFIG["ref"] == {"gravity": list(ref.gravity), "mag_ref": list(ref.mag_ref)}
+    assert DEFAULT_CONFIG["sim"]["noise"] == {
+        "gyro_sd": noise.gyro_sd,
+        "accel_sd": noise.accel_sd,
+        "mag_sd": noise.mag_sd,
+        "tdoa_sd": noise.tdoa_sd,
+    }
+    # The config stays plain JSON.
+    assert json.loads(json.dumps(DEFAULT_CONFIG)) == DEFAULT_CONFIG
+    args = _build_parser().parse_args(["validate-gains", "--delta", "0.01"])
+    assert (args.k_omega, args.k_v, args.k_a) == (gains.k_omega, gains.k_v, gains.k_a)
+
+
+def test_package_exports_are_listed_by_their_modules():
+    for name in uwbnav.__all__:
+        if name == "__version__":
+            continue
+        module = sys.modules[getattr(uwbnav, name).__module__]
+        assert name in module.__all__, f"{name} missing from {module.__name__}.__all__"
 
 
 def test_config_file_merges_and_cli_overrides_win(capsys, tmp_path):
@@ -282,6 +329,13 @@ def test_replay_cli_runs_an_exported_dataset(capsys, tmp_path, exported_dataset)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["steps"] == 200
     assert summary["gt_records"] == 201
+
+
+def test_replay_cli_has_no_jobs_flag(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--jobs", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_replay_cli_requires_dataset_paths(capsys, tmp_path):

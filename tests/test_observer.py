@@ -6,11 +6,10 @@ import pytest
 from helpers import random_rotation
 from uwbnav.liegroup import NavState, Rotation, att_dist, pa, vex
 from uwbnav.observer import (
-    Correction,
     ErrorMetrics,
     Gains,
     ObserverState,
-    compute_correction,
+    _correction_terms,
     error_metrics,
     lyapunov_l1,
     step,
@@ -51,7 +50,13 @@ def test_gains_must_be_positive(field, bad):
         Gains(**{field: bad})
 
 
-# --- compute_correction -----------------------------------------------------------
+# --- correction terms -------------------------------------------------------------
+
+
+def correction(state, triads, p_y, gains):
+    """(w_omega, w_v, w_a, b_omega_dot, b_a_dot) at the state's attitude/position/velocity."""
+    nav = state.nav
+    return _correction_terms(nav.rot.m, nav.pos, nav.vel, triads, p_y, gains)
 
 
 def test_correction_zero_at_truth():
@@ -59,8 +64,7 @@ def test_correction_zero_at_truth():
     pos = np.array([1.237, 0.124, 1.534])
     state = ObserverState.cold_start(pos=pos)
     triads = build_triads(hover_imu(np.eye(3), ref), ref)
-    corr = compute_correction(state, triads, pos, Gains())
-    for term in (corr.w_omega, corr.w_v, corr.w_a, corr.b_omega_dot, corr.b_a_dot):
+    for term in correction(state, triads, pos, Gains()):
         assert np.max(np.abs(term)) < 1e-13
 
 
@@ -71,11 +75,11 @@ def test_correction_position_terms_scale_with_gains():
     ref = ReferenceVectors()
     state = ObserverState.cold_start()
     triads = build_triads(hover_imu(np.eye(3), ref), ref)
-    corr = compute_correction(state, triads, np.array([1.0, 0.0, 0.0]), Gains())
-    np.testing.assert_allclose(corr.w_omega, np.zeros(3), atol=1e-13)
-    np.testing.assert_allclose(corr.w_v, [-2.0, 0.0, 0.0], atol=1e-13)
-    np.testing.assert_allclose(corr.w_a, [-70.0, 0.0, 0.0], atol=1e-13)
-    np.testing.assert_allclose(corr.b_a_dot, [-2.0, 0.0, 0.0], atol=1e-13)
+    w_omega, w_v, w_a, _, b_a_dot = correction(state, triads, np.array([1.0, 0.0, 0.0]), Gains())
+    np.testing.assert_allclose(w_omega, np.zeros(3), atol=1e-13)
+    np.testing.assert_allclose(w_v, [-2.0, 0.0, 0.0], atol=1e-13)
+    np.testing.assert_allclose(w_a, [-70.0, 0.0, 0.0], atol=1e-13)
+    np.testing.assert_allclose(b_a_dot, [-2.0, 0.0, 0.0], atol=1e-13)
 
 
 def test_correction_attitude_term_matches_matrix_form():
@@ -89,16 +93,13 @@ def test_correction_attitude_term_matches_matrix_form():
         Rhat = random_rotation(rng)
         state = ObserverState.cold_start(rot=Rotation(Rhat))
         triads = build_triads(hover_imu(R, ref), ref)
-        corr = compute_correction(state, triads, None, gains)
+        w_omega, w_v, w_a, b_omega_dot, b_a_dot = correction(state, triads, None, gains)
         axis = vex(pa(weighted_matrix(triads) @ (R @ Rhat.T)))
-        np.testing.assert_allclose(corr.w_omega, -gains.k_omega * axis, atol=1e-11)
-        np.testing.assert_allclose(
-            corr.b_omega_dot, -gains.gamma_omega * (Rhat.T @ axis), atol=1e-11
-        )
-        np.testing.assert_allclose(corr.w_v, np.zeros(3))
-        np.testing.assert_allclose(corr.w_a, np.zeros(3))
-        np.testing.assert_allclose(corr.b_a_dot, np.zeros(3))
-    assert isinstance(corr, Correction)
+        np.testing.assert_allclose(w_omega, -gains.k_omega * axis, atol=1e-11)
+        np.testing.assert_allclose(b_omega_dot, -gains.gamma_omega * (Rhat.T @ axis), atol=1e-11)
+        np.testing.assert_allclose(w_v, np.zeros(3))
+        np.testing.assert_allclose(w_a, np.zeros(3))
+        np.testing.assert_allclose(b_a_dot, np.zeros(3))
 
 
 # --- step ------------------------------------------------------------------------

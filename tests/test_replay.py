@@ -12,7 +12,6 @@ from uwbnav.observer import Gains, ObserverState
 from uwbnav.replay import (
     ConfigError,
     DataError,
-    DatasetFrame,
     GroundTruthRecord,
     atomic_writer,
     derive_velocity,
@@ -80,24 +79,23 @@ def identity_gt(times, positions):
 # --- load_dataset ------------------------------------------------------------------
 
 
-def test_load_dataset_merges_streams_sorted_by_time(tmp_path):
+def test_load_dataset_keeps_each_stream_sorted_by_time(tmp_path):
     paths = hover_dataset(tmp_path, imu_times=(0.0, 0.01, 0.02), uwb_times=(0.005,))
     ds = load_dataset(paths)
-    kinds = [f.kind for f in ds.frames]
-    assert kinds.count("imu") == 3
-    assert kinds.count("ground_truth") == 3
-    assert kinds.count("tdoa") == 1
-    times = [f.timestamp for f in ds.frames]
-    assert times == sorted(times)
+    assert [type(r).__name__ for r in ds.imu] == ["ImuSample"] * 3
+    assert [type(r).__name__ for r in ds.tdoa] == ["TdoaFrame"]
+    assert [type(r).__name__ for r in ds.gt] == ["GroundTruthRecord"] * 3
+    for stream in (ds.imu, ds.tdoa, ds.gt):
+        times = [r.timestamp for r in stream]
+        assert times == sorted(times)
     assert ds.has_mag is True
     assert ds.n_uwb_values == 8
 
 
-def test_load_dataset_orders_equal_timestamps_truth_imu_tdoa(tmp_path):
-    paths = hover_dataset(tmp_path, imu_times=(0.0, 0.01), uwb_times=(0.0,))
-    ds = load_dataset(paths)
-    at_zero = [f.kind for f in ds.frames if f.timestamp == 0.0]
-    assert at_zero == ["ground_truth", "imu", "tdoa"]
+def test_load_dataset_with_no_usable_rows_raises(tmp_path):
+    paths = hover_dataset(tmp_path, imu_times=(), gt_times=())
+    with pytest.raises(DataError, match="no usable rows"):
+        load_dataset(paths)
 
 
 def test_load_dataset_sorts_out_of_order_rows_and_counts_them(tmp_path):
@@ -109,8 +107,7 @@ def test_load_dataset_sorts_out_of_order_rows_and_counts_them(tmp_path):
     ds = load_dataset(
         {"imu": tmp_path / "imu.csv", "uwb": tmp_path / "uwb.csv", "gt": tmp_path / "gt.csv"}
     )
-    imu_times = [f.timestamp for f in ds.frames if f.kind == "imu"]
-    assert imu_times == [0.0, 0.01, 0.02]
+    assert [s.timestamp for s in ds.imu] == [0.0, 0.01, 0.02]
     assert ds.report.reordered["imu"] == 1
     assert ds.report.reordered["gt"] == 0
 
@@ -131,7 +128,7 @@ def test_load_dataset_skips_malformed_rows_and_reports_locations(tmp_path):
     )
     assert ds.report.rows_read["imu"] == 5
     assert ds.report.rows_skipped["imu"] == 3
-    assert len([f for f in ds.frames if f.kind == "imu"]) == 2
+    assert len(ds.imu) == 2
     messages = ds.report.skipped_rows
     assert any(m.startswith("imu.csv row 3") for m in messages)
     assert any(m.startswith("imu.csv row 4") for m in messages)
@@ -183,7 +180,7 @@ def test_column_map_renames_columns(tmp_path):
     }
     ds = load_dataset({"imu": tmp_path / "imu.csv", "uwb": tmp_path / "uwb.csv"}, column_map=cmap)
     assert ds.has_mag is False
-    sample = next(f.payload for f in ds.frames if f.kind == "imu")
+    sample = ds.imu[0]
     assert sample.timestamp == 0.5
     np.testing.assert_array_equal(sample.gyro, [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(sample.accel, [4.0, 5.0, 6.0])
@@ -197,8 +194,7 @@ def test_uwb_value_columns_can_be_selected_explicitly(tmp_path):
     cmap = {"uwb": {"values": ["d1", "d2", "d3", "d4"]}}
     ds = load_dataset(paths, column_map=cmap)
     assert ds.n_uwb_values == 4
-    frame = next(f.payload for f in ds.frames if f.kind == "tdoa")
-    np.testing.assert_array_equal(frame.d, [0.1, 0.2, 0.3, -0.6])
+    np.testing.assert_array_equal(ds.tdoa[0].d, [0.1, 0.2, 0.3, -0.6])
 
 
 def test_uwb_range_mode_matches_native_differences(tmp_path):
@@ -212,8 +208,7 @@ def test_uwb_range_mode_matches_native_differences(tmp_path):
         tmp_path / "uwb.csv", header, [["0.0"] + [repr(float(r)) for r in ranges]]
     )
     ds = load_dataset(paths, column_map={"uwb": {"mode": "range"}})
-    frame = next(f.payload for f in ds.frames if f.kind == "tdoa")
-    np.testing.assert_array_equal(frame.d, expected)
+    np.testing.assert_array_equal(ds.tdoa[0].d, expected)
 
 
 def test_uwb_mode_must_be_diff_or_range(tmp_path):
@@ -235,11 +230,6 @@ def test_uwb_file_with_no_value_columns_raises(tmp_path):
     write_csv(tmp_path / "uwb.csv", ["t"], [])
     with pytest.raises(ConfigError, match="no UWB value columns"):
         load_dataset(paths)
-
-
-def test_dataset_frame_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="kind"):
-        DatasetFrame(0.0, "lidar", None)
 
 
 # --- GroundTruthRecord / quaternion conversions --------------------------------------

@@ -11,7 +11,6 @@ from uwbnav.sensors import (
     TriadDegenerate,
     TriadPair,
     attitude_innovation,
-    body_weighted_matrix,
     build_triads,
     predicted_body_vectors,
     weighted_matrix,
@@ -136,10 +135,10 @@ def test_weighted_matrix_matches_outer_product_sum():
         assert np.trace(weighted_matrix(triads)) == pytest.approx(3.0)
 
 
-def test_body_weighted_matrix_is_symmetric_psd():
+def test_weighted_matrix_is_symmetric_psd():
     rng = np.random.default_rng(43)
     triads = build_triads(hover_sample(random_rotation(rng)), ReferenceVectors())
-    M = body_weighted_matrix(triads)
+    M = weighted_matrix(triads)
     np.testing.assert_allclose(M, M.T, atol=1e-14)
     assert np.min(np.linalg.eigvalsh(M)) >= -1e-14
 
