@@ -21,6 +21,7 @@ pure function of its inputs; no mutable state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +49,21 @@ ROTATION_TOL = 1e-9
 SMALL_ANGLE = 1e-8
 
 
+_EYE3 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # row-major entries of I
+_ZERO3 = np.zeros(3)
+_ZERO3.setflags(write=False)
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """True when no entry of the float array is inf or NaN (cheap for small arrays)."""
+    return all(map(math.isfinite, a.ravel().tolist()))
+
+
 def _as_vec3(x, name: str = "vector") -> np.ndarray:
     v = np.asarray(x, dtype=float).reshape(-1)
     if v.shape != (3,):
         raise ValueError(f"{name} must have 3 components, got shape {np.shape(x)}")
-    if not np.all(np.isfinite(v)):
+    if not _all_finite(v):
         raise ValueError(f"{name} must be finite, got {v}")
     return v
 
@@ -76,10 +87,18 @@ class Rotation:
         if m.shape != (3, 3):
             raise ValueError(f"rotation matrix must be 3x3, got {m.shape}")
         object.__setattr__(self, "m", m)
-        err = np.linalg.norm(m.T @ m - np.eye(3))
+        # ||m^T m - I||_F and det(m) from the columns x, y, z of m.
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = m.tolist()
+        xx = x0 * x0 + x1 * x1 + x2 * x2 - 1.0
+        yy = y0 * y0 + y1 * y1 + y2 * y2 - 1.0
+        zz = z0 * z0 + z1 * z1 + z2 * z2 - 1.0
+        xy = x0 * y0 + x1 * y1 + x2 * y2
+        xz = x0 * z0 + x1 * z1 + x2 * z2
+        yz = y0 * z0 + y1 * z1 + y2 * z2
+        err = math.sqrt(xx * xx + yy * yy + zz * zz + 2.0 * (xy * xy + xz * xz + yz * yz))
         if not err <= ROTATION_TOL:
             raise ValueError(f"matrix is not orthogonal (residual {err:.3e})")
-        det = np.linalg.det(m)
+        det = x0 * (y1 * z2 - y2 * z1) - y0 * (x1 * z2 - x2 * z1) + z0 * (x1 * y2 - x2 * y1)
         if not abs(det - 1.0) <= ROTATION_TOL:
             raise ValueError(f"matrix is not a proper rotation (det {det:.12f})")
 
@@ -140,14 +159,8 @@ class TangentElement:
 
 def skew(y) -> np.ndarray:
     """Map a 3-vector to the skew-symmetric matrix with skew(y) @ x = y x x."""
-    y = np.asarray(y, dtype=float)
-    return np.array(
-        [
-            [0.0, -y[2], y[1]],
-            [y[2], 0.0, -y[0]],
-            [-y[1], y[0], 0.0],
-        ]
-    )
+    y0, y1, y2 = np.asarray(y, dtype=float).tolist()
+    return np.array([[0.0, -y2, y1], [y2, 0.0, -y0], [-y1, y0, 0.0]])
 
 
 def vex(S, tol: float = 1e-9) -> np.ndarray:
@@ -238,10 +251,11 @@ def _exp_coefficients(theta: float):
         d2 = 1.0 / 24.0 - t2 / 720.0 + t4 / 40320.0 - t6 / 3628800.0
         return s1, c1, c2, d2
     t2 = theta * theta
-    s1 = np.sin(theta) / theta
-    c1 = (1.0 - np.cos(theta)) / t2
-    c2 = (theta - np.sin(theta)) / (t2 * theta)
-    d2 = (np.cos(theta) - 1.0 + 0.5 * t2) / (t2 * t2)
+    sin, cos = float(np.sin(theta)), float(np.cos(theta))
+    s1 = sin / theta
+    c1 = (1.0 - cos) / t2
+    c2 = (theta - sin) / (t2 * theta)
+    d2 = (cos - 1.0 + 0.5 * t2) / (t2 * t2)
     return s1, c1, c2, d2
 
 
@@ -259,20 +273,44 @@ def se23_exp(u: TangentElement, dt: float = 1.0) -> np.ndarray:
     with J = dt (I + c1 S' + c2 S'^2), K = dt^2 (I/2 + c2 S' + d2 S'^2) and
     S' = S dt.  Validated against a 30-term scaled power series (see tests).
     """
-    S = skew(u.omega) * dt
-    theta = float(np.linalg.norm(u.omega)) * abs(dt)
+    return _se23_exp(u.omega, u.vcol, u.acol, u.rho, dt)
+
+
+def _se23_exp(omega, vcol, acol, rho: float, dt: float) -> np.ndarray:
+    """:func:`se23_exp` of the element (omega, vcol, acol, rho), built from its blocks.
+
+    The blocks are float 3-vectors and ``rho`` a float; nothing is
+    validated.  Callers on the hot path check their inputs once instead of
+    wrapping them in a :class:`TangentElement`.
+
+    Matrix products go through BLAS as in the matrix form above (``dot`` on
+    the C-ordered arrays built here computes what ``@`` does).  The entrywise
+    sums and scalings are done on Python floats with the same operations in
+    the same order, so the result is bit for bit that of the matrix
+    expressions.
+    """
+    w0, w1, w2 = omega.tolist()
+    z = 0.0 * dt
+    S = (z, -w2 * dt, w1 * dt, w2 * dt, z, -w0 * dt, -w1 * dt, w0 * dt, z)
+    theta = math.sqrt(omega.dot(omega)) * abs(dt)
     s1, c1, c2, d2 = _exp_coefficients(theta)
-    S2 = S @ S
-    I3 = np.eye(3)
-    R = I3 + s1 * S + c1 * S2
-    J = dt * (I3 + c1 * S + c2 * S2)
-    K = dt * dt * (0.5 * I3 + c2 * S + d2 * S2)
-    E = np.eye(5)
-    E[:3, :3] = R
-    E[:3, 3] = J @ u.vcol + u.rho * (K @ u.acol)
-    E[:3, 4] = J @ u.acol
-    E[4, 3] = u.rho * dt
-    return E
+    Sm = np.array(S).reshape(3, 3)
+    S2 = Sm.dot(Sm).ravel().tolist()
+    dt2 = dt * dt
+    R = [i + s1 * s + c1 * q for i, s, q in zip(_EYE3, S, S2)]
+    J = np.array([dt * (i + c1 * s + c2 * q) for i, s, q in zip(_EYE3, S, S2)]).reshape(3, 3)
+    K = np.array([dt2 * (0.5 * i + c2 * s + d2 * q) for i, s, q in zip(_EYE3, S, S2)]).reshape(3, 3)
+    p0, p1, p2 = [x + rho * y for x, y in zip(J.dot(vcol).tolist(), K.dot(acol).tolist())]
+    v0, v1, v2 = J.dot(acol).tolist()
+    return np.array(
+        [
+            R[0], R[1], R[2], p0, v0,
+            R[3], R[4], R[5], p1, v1,
+            R[6], R[7], R[8], p2, v2,
+            0.0, 0.0, 0.0, 1.0, 0.0,
+            0.0, 0.0, 0.0, rho * dt, 1.0,
+        ]
+    ).reshape(5, 5)
 
 
 def reorthonormalize(R) -> np.ndarray:

@@ -21,6 +21,20 @@ bias update are suspended while the attitude correction and gyro-bias update
 keep running (gravity is still integrated through the correction element's
 acceleration column).  A TDOA solve failure degrades to the same
 dead-reckoning behaviour and is counted, never raised.
+
+``step`` runs on the raw blocks of the state: R, P and V are packed into one
+5x5 matrix, both exponentials are built from their (omega, v, a, rho) blocks
+by ``liegroup._se23_exp``, and no ``TangentElement`` or intermediate state is
+made.  Validation sits at the boundary.  On entry: the step length, a frame
+needing an anchor set, and a finite bias-corrected IMU element.  On the
+measurements, the checks of ``TdoaFrame``/``solve_frame`` and of the
+``TriadPair`` that ``build_triads`` returns (unit rows, v3 orthogonal to v1
+and v2, weights non-negative and summing to 3).  On the result, the
+constructors of the returned state: the rotation on SO(3), finite position,
+velocity and biases.  A state that diverges therefore surfaces as a
+ValueError.  The kernel performs the floating-point operations of the
+dataclass composition in the same order, so its states are bit-identical to
+it (see tests/test_observer.py).
 """
 
 from __future__ import annotations
@@ -32,11 +46,13 @@ import numpy as np
 from .liegroup import (
     NavState,
     Rotation,
-    TangentElement,
+    _ZERO3,
+    _all_finite,
     _pack,
+    _se23_exp,
     att_dist,
     reorthonormalize,
-    se23_exp,
+    se23_exp,  # noqa: F401  step runs _se23_exp; navbench traces calls at this name
     skew,
 )
 from .sensors import (
@@ -102,7 +118,7 @@ class ObserverState:
     def __post_init__(self):
         object.__setattr__(self, "b_omega_hat", np.asarray(self.b_omega_hat, dtype=float))
         object.__setattr__(self, "b_a_hat", np.asarray(self.b_a_hat, dtype=float))
-        if not (np.all(np.isfinite(self.b_omega_hat)) and np.all(np.isfinite(self.b_a_hat))):
+        if not (_all_finite(self.b_omega_hat) and _all_finite(self.b_a_hat)):
             raise ValueError("bias estimates must be finite")
 
     @classmethod
@@ -143,8 +159,9 @@ def _correction_terms(R, P, V, triads: TriadPair | None, p_y, gains: Gains):
         b_omega_dot = np.zeros(3)
     if p_y is not None:
         e = p_y - P
-        w_v = -gains.k_v * e - skew(w_omega) @ P
-        w_a = -gains.k_a * e - skew(w_omega) @ V
+        W = skew(w_omega)
+        w_v = -gains.k_v * e - W.dot(P)
+        w_a = -gains.k_a * e - W.dot(V)
         b_a_dot = -gains.gamma_a * (R.T @ e)
     else:
         w_v = np.zeros(3)
@@ -180,29 +197,35 @@ def step(
 
     A failed TDOA solve or a degenerate triad never raises; the affected
     correction is suspended for this step and the failure is counted on the
-    returned state.
+    returned state.  Raises ValueError for a bad ``dt``, a frame without
+    anchors, invalid ``weights``, a non-finite bias-corrected IMU element, or
+    a result that is not a valid state (rotation off SO(3), non-finite
+    position, velocity or bias).
     """
     if not 0.0 < dt <= 0.1:
         raise ValueError(f"dt must be in (0, 0.1] s, got {dt}")
+    if frame is not None and anchors is None:
+        raise ValueError("a TDOA frame was supplied without an anchor set")
     nav = state.nav
     R, P, V = nav.rot.m, nav.pos, nav.vel
+    b_omega_hat, b_a_hat = state.b_omega_hat, state.b_a_hat
+    omega = imu.gyro - b_omega_hat
+    acc = imu.accel - b_a_hat
+    if not (_all_finite(omega) and _all_finite(acc)):
+        raise ValueError(f"bias-corrected IMU element must be finite, got {omega}, {acc}")
 
-    # Predict with bias-corrected IMU measurements.
-    U = TangentElement(imu.gyro - state.b_omega_hat, np.zeros(3), imu.accel - state.b_a_hat, 1.0)
-    Xp = _pack(R, P, V) @ se23_exp(U, dt)
+    # Predict with the bias-corrected IMU element u([omega]_x, 0, acc, 1).
+    Xp = _pack(R, P, V).dot(_se23_exp(omega, _ZERO3, acc, 1.0, dt))
 
     # Position fix, if a frame arrived and solves.
     p_y = None
     tdoa_failures = state.tdoa_failures
     if frame is not None:
-        if anchors is None:
-            raise ValueError("a TDOA frame was supplied without an anchor set")
         try:
             p_y = solve_frame(anchors, frame).p
         except (GeometryDegenerate, ValueError):
             tdoa_failures += 1
 
-    # Vector triads at the predicted attitude.
     triad_failures = state.triad_failures
     try:
         triads = build_triads(imu, ref, weights)
@@ -213,13 +236,11 @@ def step(
     w_omega, w_v, w_a, b_omega_dot, b_a_dot = _correction_terms(
         R, P, V, triads, p_y, gains
     )
-    b_omega = state.b_omega_hat + dt * b_omega_dot
-    b_a = state.b_a_hat + dt * b_a_dot
 
-    # Correct; the acceleration column carries w_a - g so gravity is always
-    # integrated, with or without a position fix.
-    W = TangentElement(-w_omega, -w_v, -(w_a - ref.gravity), -1.0)
-    X = se23_exp(W, dt) @ Xp
+    # Correct with u(-[w_omega]_x, -w_V, -(w_a - g), -1); the acceleration
+    # column carries g so gravity is always integrated, with or without a
+    # position fix.
+    X = _se23_exp(-w_omega, -w_v, -(w_a - ref.gravity), -1.0, dt).dot(Xp)
 
     count = state.step_count + 1
     Rnew = X[:3, :3]
@@ -227,8 +248,8 @@ def step(
         Rnew = reorthonormalize(Rnew)
     return ObserverState(
         nav=NavState(Rotation(Rnew), X[:3, 3], X[:3, 4]),
-        b_omega_hat=b_omega,
-        b_a_hat=b_a,
+        b_omega_hat=b_omega_hat + dt * b_omega_dot,
+        b_a_hat=b_a_hat + dt * b_a_dot,
         step_count=count,
         tdoa_failures=tdoa_failures,
         triad_failures=triad_failures,

@@ -61,6 +61,7 @@ __all__ = [
 _QUAT_NORM_TOL = 1e-6
 _STREAM_MAG = 2  # rng stream tag for synthesized magnetometer noise
 _MAX_STEP_DT = 0.1
+_VELOCITY_CHUNK = 512  # samples per batch of local fits in derive_velocity (bounds memory)
 
 
 class ConfigError(Exception):
@@ -320,9 +321,12 @@ def derive_velocity(gt_records, window: int = 11, poly_order: int = 2) -> np.nda
     """Benchmark velocity from ground-truth positions.
 
     Each point gets the derivative of a local least-squares polynomial fit
-    (the Gaussian-noise maximum-likelihood smoother): Savitzky-Golay when the
-    timestamps are uniform, an explicit windowed polyfit otherwise.  Exact on
-    position series that are polynomials of degree <= poly_order.
+    (the Gaussian-noise maximum-likelihood smoother) over ``window`` samples
+    centred on it; within half a window of either end the window is clamped
+    to the first or last ``window`` samples.  On uniform timestamps this is
+    the Savitzky-Golay derivative with ``mode="interp"``; the timestamps need
+    not be uniform.  Exact on position series that are polynomials of degree
+    <= poly_order.
     """
     if window % 2 == 0 or window < 3:
         raise ValueError(f"window must be an odd integer >= 3, got {window}")
@@ -333,21 +337,21 @@ def derive_velocity(gt_records, window: int = 11, poly_order: int = 2) -> np.nda
     n = len(t)
     if n < window:
         raise DataError(f"need at least {window} ground-truth samples, got {n}")
-    dt = np.diff(t)
-    if np.any(dt <= 0.0):
+    if np.any(np.diff(t) <= 0.0):
         raise DataError("ground-truth timestamps must be strictly increasing")
-    if np.allclose(dt, dt[0], rtol=1e-6, atol=1e-12):
-        from scipy.signal import savgol_filter
-
-        return savgol_filter(pos, window, poly_order, deriv=1, delta=float(dt[0]), axis=0, mode="interp")
-    half = window // 2
+    lo = np.clip(np.arange(n) - window // 2, 0, n - window)
+    powers = np.arange(poly_order + 1)
     vel = np.empty_like(pos)
-    for i in range(n):
-        lo = min(max(i - half, 0), n - window)
-        sel = slice(lo, lo + window)
-        ts = t[sel] - t[i]
-        coeffs = np.polyfit(ts, pos[sel], poly_order)
-        vel[i] = coeffs[-2]  # linear coefficient = derivative at t[i]
+    for start in range(0, n, _VELOCITY_CHUNK):
+        i = np.arange(start, min(start + _VELOCITY_CHUNK, n))
+        idx = lo[i, None] + np.arange(window)
+        span = t[idx[:, -1]] - t[idx[:, 0]]
+        # Vandermonde rows in the local time (t - t_i) / span, one matrix per
+        # sample; row 1 of its pseudo-inverse maps the window's positions to
+        # the fitted slope at t_i.
+        local = (t[idx] - t[i, None]) / span[:, None]
+        slope = np.linalg.pinv(local[..., None] ** powers)[:, 1, :] / span[:, None]
+        vel[i] = np.einsum("mw,mwk->mk", slope, pos[idx])
     return vel
 
 

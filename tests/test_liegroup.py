@@ -292,6 +292,57 @@ def test_se23_exp_negative_dt_inverts():
         np.testing.assert_allclose(X, np.eye(5), atol=1e-13)
 
 
+def se23_exp_matrix_form(u, dt):
+    """The closed form written with whole 3x3 matrices, as documented in se23_exp."""
+    S = skew(u.omega) * dt
+    theta = float(np.linalg.norm(u.omega)) * abs(dt)
+    if theta < 0.1:
+        t2 = theta * theta
+        t4 = t2 * t2
+        t6 = t4 * t2
+        s1 = 1.0 - t2 / 6.0 + t4 / 120.0 - t6 / 5040.0
+        c1 = 0.5 - t2 / 24.0 + t4 / 720.0 - t6 / 40320.0
+        c2 = 1.0 / 6.0 - t2 / 120.0 + t4 / 5040.0 - t6 / 362880.0
+        d2 = 1.0 / 24.0 - t2 / 720.0 + t4 / 40320.0 - t6 / 3628800.0
+    else:
+        t2 = theta * theta
+        s1 = np.sin(theta) / theta
+        c1 = (1.0 - np.cos(theta)) / t2
+        c2 = (theta - np.sin(theta)) / (t2 * theta)
+        d2 = (np.cos(theta) - 1.0 + 0.5 * t2) / (t2 * t2)
+    S2 = S @ S
+    I3 = np.eye(3)
+    E = np.eye(5)
+    E[:3, :3] = I3 + s1 * S + c1 * S2
+    J = dt * (I3 + c1 * S + c2 * S2)
+    K = dt * dt * (0.5 * I3 + c2 * S + d2 * S2)
+    E[:3, 3] = J @ u.vcol + u.rho * (K @ u.acol)
+    E[:3, 4] = J @ u.acol
+    E[4, 3] = u.rho * dt
+    return E
+
+
+def test_se23_exp_matches_the_matrix_form_bit_for_bit():
+    # Both coefficient branches, negative steps and zero blocks.
+    rng = np.random.default_rng(27)
+    for k in range(600):
+        u = _random_tangent(rng)
+        if k % 4 == 0:
+            u = TangentElement(u.omega, np.zeros(3), u.acol, 1.0)
+        dt = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 0.5))
+        assert np.array_equal(se23_exp(u, dt), se23_exp_matrix_form(u, dt))
+
+
+def test_rotation_check_tolerance():
+    rng = np.random.default_rng(28)
+    R = random_rotation(rng)
+    Rotation(R * (1.0 + 1e-10))  # residual ~3.5e-10: accepted
+    with pytest.raises(ValueError, match="orthogonal"):
+        Rotation(R * (1.0 + 1e-9))  # residual ~3.5e-9
+    with pytest.raises(ValueError, match="proper rotation"):
+        Rotation(-R)
+
+
 def test_se23_exp_continuous_across_taylor_switch():
     # theta = |omega| * dt straddles the series/closed-form branch point; the
     # two branches must agree to near round-off where they meet.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_rotation
+from helpers import assert_states_identical, random_rotation, reference_step
 from uwbnav.liegroup import NavState, Rotation, att_dist, pa, vex
 from uwbnav.observer import (
     ErrorMetrics,
@@ -260,6 +260,128 @@ def test_step_reorthonormalizes_on_schedule():
     R = state.nav.rot.m
     assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-12
     assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
+
+
+def _random_step_inputs(rng, k, anchors, ref):
+    """The k-th input of the kernel-equivalence walk: an IMU sample, a frame and weights.
+
+    Cycles through frames that solve, no frame, degenerate, out-of-range and
+    wrongly sized frames; magnetometers present, missing and collinear with
+    the accelerometer; default and custom triad weights.
+    """
+    gyro = rng.normal(scale=0.3, size=3)
+    accel = -ref.gravity + rng.normal(scale=1.0, size=3)
+    mag_case = k % 7
+    if mag_case == 0:
+        mag = None
+    elif mag_case == 1:
+        mag = 0.2 * accel  # collinear with the accelerometer
+    else:
+        mag = ref.mag_ref + rng.normal(scale=0.3, size=3)
+    imu = ImuSample(timestamp=0.01 * k, gyro=gyro, accel=accel, mag=mag)
+    frame_case = k % 5
+    if frame_case in (0, 1):
+        p = rng.uniform([-3.0, -3.0, 0.5], [3.0, 3.0, 3.5])
+        frame = synthesize_tdoa(p, None, anchors, noise_sd=0.05, seed=k)
+    elif frame_case == 2:
+        frame = None
+    elif frame_case == 3:
+        frame = TdoaFrame(timestamp=0.0, d=np.zeros(8))  # rank deficient
+    else:
+        frame = TdoaFrame(timestamp=0.0, d=np.full(8 if k % 2 else 7, 50.0))  # too far / wrong size
+    weights = None if k % 3 else tuple(rng.dirichlet(np.ones(3)) * 3.0)
+    return imu, frame, weights
+
+
+@pytest.mark.parametrize("reorth_every", [1, 1000])
+def test_step_kernel_matches_the_dataclass_composition(reorth_every):
+    # The lean kernel against the step composed from se23_exp(TangentElement),
+    # build_triads, solve_frame, _correction_terms and _pack: bit for bit on
+    # R, P, V and both biases, and equal failure counters, at every step.
+    rng = np.random.default_rng(55)
+    anchors = box_anchors()
+    ref = ReferenceVectors()
+    gains = Gains()
+    state = ObserverState(
+        NavState(Rotation(random_rotation(rng)), rng.normal(size=3), rng.normal(size=3)),
+        rng.normal(scale=0.01, size=3),
+        rng.normal(scale=0.1, size=3),
+    )
+    kinds = {"fix": 0, "tdoa_failure": 0, "triad_failure": 0, "weights": 0}
+    for k in range(600):
+        imu, frame, weights = _random_step_inputs(rng, k, anchors, ref)
+        dt = float(rng.uniform(0.001, 0.1))
+        want = reference_step(
+            state, imu, frame, anchors, gains, dt, ref=ref, weights=weights, reorth_every=reorth_every
+        )
+        got = step(state, imu, frame, anchors, gains, dt, ref=ref, weights=weights, reorth_every=reorth_every)
+        assert_states_identical(got, want)
+        kinds["fix"] += frame is not None and got.tdoa_failures == state.tdoa_failures
+        kinds["tdoa_failure"] += got.tdoa_failures - state.tdoa_failures
+        kinds["triad_failure"] += got.triad_failures - state.triad_failures
+        kinds["weights"] += weights is not None
+        state = got
+    assert state.step_count == 600
+    assert all(count >= 50 for count in kinds.values()), kinds
+
+
+@pytest.mark.parametrize("with_frames", [True, False])
+def test_step_kernel_matches_the_dataclass_composition_on_a_steady_stream(with_frames):
+    # A solvable frame on every step, or none at all, with the default
+    # reference vectors; reorth_every=7 alternates strided and contiguous
+    # rotation matrices in the incoming state.
+    rng = np.random.default_rng(56)
+    anchors = box_anchors()
+    state = ObserverState.cold_start(pos=(-3.0, -1.0, 0.5), rot=Rotation(random_rotation(rng)))
+    for k in range(300):
+        imu = hover_imu(random_rotation(rng), ReferenceVectors(), t=0.01 * k)
+        frame = synthesize_tdoa(rng.uniform(-3.0, 3.0, 3), None, anchors, noise_sd=0.05, seed=k) if with_frames else None
+        want = reference_step(state, imu, frame, anchors, Gains(), 0.01, reorth_every=7)
+        got = step(state, imu, frame, anchors, Gains(), 0.01, reorth_every=7)
+        assert_states_identical(got, want)
+        state = got
+    assert state.tdoa_failures == 0
+
+
+def test_step_rejects_a_state_pushed_off_so3():
+    # The input state's rotation is scaled in place after construction; the
+    # step's result is validated and rejects it.
+    state = ObserverState.cold_start()
+    state.nav.rot.m[:] *= 1.001
+    imu = hover_imu(np.eye(3), ReferenceVectors())
+    with pytest.raises(ValueError, match="orthogonal"):
+        step(state, imu, None, None, Gains(), 0.01)
+
+
+@pytest.mark.parametrize(
+    "weights, message", [((1.0, 1.0, 2.0), "sum to 3"), ((3.5, -0.5, 0.0), "nonnegative")]
+)
+def test_step_rejects_invalid_weights(weights, message):
+    state = ObserverState.cold_start()
+    imu = hover_imu(np.eye(3), ReferenceVectors())
+    with pytest.raises(ValueError, match=message):
+        step(state, imu, None, None, Gains(), 0.01, weights=weights)
+
+
+def test_step_rejects_a_non_finite_bias_corrected_imu_element():
+    # Gyro and bias estimate are each finite; their difference overflows.
+    state = ObserverState(NavState(Rotation.identity(), np.zeros(3), np.zeros(3)), [-1e308, 0.0, 0.0], np.zeros(3))
+    imu = ImuSample(timestamp=0.0, gyro=[1e308, 0.0, 0.0], accel=[0.0, 0.0, 9.8], mag=[-1.7, 0.0, 1.2])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        step(state, imu, None, None, Gains(), 0.01)
+
+
+def test_step_divergence_surfaces_as_value_error():
+    # Absurd gains blow the state up within a few steps; the first non-finite
+    # result is rejected by the output validation, not returned.
+    ref = ReferenceVectors()
+    anchors = box_anchors()
+    frame = synthesize_tdoa([1.0, 0.5, 1.2], None, anchors)
+    gains = Gains(k_v=1e150, k_a=1e300)
+    state = ObserverState.cold_start()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        for _ in range(50):
+            state = step(state, hover_imu(np.eye(3), ref), frame, anchors, gains, 0.01, ref=ref)
 
 
 # --- metrics and Lyapunov value ------------------------------------------------------

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -335,6 +337,35 @@ def test_derive_velocity_tracks_sinusoid():
     )
     assert np.max(np.abs(vel - true)) < 0.05  # edge windows are one-sided
     assert np.max(np.abs(vel[5:-5] - true[5:-5])) < 0.02
+
+
+def test_derive_velocity_matches_savgol_filter_on_uniform_samples():
+    # On uniform timestamps the local fits are the Savitzky-Golay derivative
+    # with mode="interp" (edge windows clamped), on a noisy figure-eight.
+    from scipy.signal import savgol_filter
+
+    rng = np.random.default_rng(6)
+    t = 3.0 + np.arange(6001) * 0.01
+    pos = np.stack([2.0 * np.sin(0.5 * t), 1.5 * np.sin(t), 0.3 * np.sin(0.5 * t)], axis=1)
+    pos += rng.normal(scale=0.002, size=pos.shape)
+    for window, order in ((11, 2), (7, 3), (5, 1)):
+        vel = derive_velocity(identity_gt(t, pos), window, order)
+        ref = savgol_filter(pos, window, order, deriv=1, delta=0.01, axis=0, mode="interp")
+        np.testing.assert_allclose(vel, ref, rtol=0.0, atol=1e-11)
+
+
+def test_derive_velocity_does_not_import_scipy_signal():
+    # scipy.signal costs more to import than all of uwbnav; replay start-up
+    # should not pay for it.
+    code = (
+        "import sys, numpy as np\n"
+        "from uwbnav.replay import GroundTruthRecord, derive_velocity\n"
+        "t = np.arange(50) * 0.01\n"
+        "derive_velocity([GroundTruthRecord(x, np.array([1.0, 0, 0, 0]), np.array([x, 0, 0])) for x in t])\n"
+        "assert 'scipy.signal' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_derive_velocity_validates_window_and_data():

@@ -108,6 +108,41 @@ def test_triadpair_requires_orthogonal_third_vector():
         TriadPair(v=v, r=np.eye(3))
 
 
+def test_triads_and_innovation_match_the_np_cross_forms_bit_for_bit():
+    # The triad is built with written-out cross products and the reference
+    # rows are cached on ReferenceVectors; both must equal the np.cross forms.
+    rng = np.random.default_rng(43)
+    ref = ReferenceVectors(gravity=(0.1, -0.2, -9.81), mag_ref=(0.3, -1.6, 1.1))
+    g = ref.gravity
+    r1 = -g / np.linalg.norm(g)
+    r2 = ref.mag_ref / np.linalg.norm(ref.mag_ref)
+    cr = np.cross(r1, r2)
+    r = np.array([r1, r2, cr / np.linalg.norm(cr)])
+    for _ in range(500):
+        sample = ImuSample(0.0, np.zeros(3), rng.normal(scale=5.0, size=3), rng.normal(size=3))
+        triads = build_triads(sample, ref)
+        v1 = sample.accel / np.linalg.norm(sample.accel)
+        v2 = sample.mag / np.linalg.norm(sample.mag)
+        cv = np.cross(v1, v2)
+        assert np.array_equal(triads.v, np.array([v1, v2, cv / np.linalg.norm(cv)]))
+        assert np.array_equal(triads.r, r)
+        Rhat = random_rotation(rng)
+        vhat = predicted_body_vectors(Rhat, triads)
+        body_sum, inertial_sum = attitude_innovation(triads, vhat, Rhat)
+        expected = np.cross(triads.v, vhat).T @ triads.s
+        assert np.array_equal(body_sum, expected)
+        assert np.array_equal(inertial_sum, Rhat @ expected)
+
+
+def test_reference_vectors_are_frozen_copies():
+    gravity = np.array([0.0, 0.0, -9.8])
+    ref = ReferenceVectors(gravity=gravity)
+    gravity[2] = -1.0
+    assert ref.gravity[2] == -9.8
+    for arr in (ref.gravity, ref.mag_ref, ref.triad):
+        assert not arr.flags.writeable
+
+
 # --- confidence matrices ----------------------------------------------------------
 
 

@@ -63,6 +63,18 @@ def test_anchorset_diameter():
     assert a.diameter == pytest.approx(np.sqrt(48.0))
 
 
+def test_anchorset_caches_its_geometry_at_construction():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        pts = rng.uniform(-5.0, 5.0, (int(rng.integers(4, 12)), 3))
+        a = AnchorSet(tuple(Anchor(id=i, pos=p) for i, p in enumerate(pts)))
+        positions = np.array([anchor.pos for anchor in a.anchors])
+        diameter = float(np.max(np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=2)))
+        assert np.array_equal(a.positions, positions)
+        assert a.diameter == diameter
+        assert not a.positions.flags.writeable
+
+
 def test_anchor_rejects_non_finite_position():
     with pytest.raises(ValueError):
         Anchor(id=1, pos=np.array([np.inf, 0.0, 0.0]))
@@ -107,6 +119,38 @@ def test_build_system_algebraic_identity():
         A, B = build_system(anchors, frame)
         pbar = np.append(P, np.linalg.norm(P - anchors.positions[0]))
         assert np.max(np.abs(A @ pbar - B)) < 1e-9
+
+
+def build_system_rows(anchors, frame):
+    """The linear system assembled row by row on numpy scalars, as documented."""
+    pos = np.array([a.pos for a in anchors.anchors])
+    n = len(pos)
+    d = frame.d
+    A = np.zeros((n, 4))
+    B = np.zeros(n)
+    norms = np.sum(pos * pos, axis=1)
+    csum = 0.0
+    for k in range(n):
+        j = (k + 1) % n
+        A[k, :3] = pos[k] - pos[j]
+        A[k, 3] = -d[k]
+        B[k] = 0.5 * (d[k] ** 2 + norms[k] - norms[j] + 2.0 * d[k] * csum)
+        csum += d[k]
+    return A, B
+
+
+def test_build_system_matches_the_row_by_row_form_bit_for_bit():
+    # d_k**2 on a numpy scalar goes through pow(), which differs from d*d in
+    # the last bit on ~0.1 % of values; the vectorized system must not.
+    rng = np.random.default_rng(32)
+    for anchors in (box_anchors(), tetra_anchors(), box_anchors(side=8.0, origin=(-4.0, -4.0, 0.0))):
+        for k in range(300):
+            p = rng.uniform(-1.0, 5.0, 3)
+            frame = synthesize_tdoa(p, None, anchors, noise_sd=0.05, seed=k)
+            A, B = build_system(anchors, frame)
+            A_ref, B_ref = build_system_rows(anchors, frame)
+            assert np.array_equal(A, A_ref)
+            assert np.array_equal(B, B_ref)
 
 
 def test_build_system_rejects_length_mismatch():
