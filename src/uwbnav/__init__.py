@@ -66,11 +66,13 @@ from .sim import (
     SensorNoise,
     SimResult,
     TruthModel,
+    TruthTrack,
     default_anchors,
     preset_scenario,
     propagate_truth,
     run_scenario,
     synthesize_imu,
+    truth_track,
 )
 from .tdoa import (
     Anchor,
@@ -132,12 +134,14 @@ __all__ = [
     # sim
     "SensorNoise",
     "TruthModel",
+    "TruthTrack",
     "Scenario",
     "SimResult",
     "default_anchors",
     "propagate_truth",
     "synthesize_imu",
     "preset_scenario",
+    "truth_track",
     "run_scenario",
     # replay
     "ConfigError",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import inspect
 import json
 import logging
 import math
@@ -43,7 +44,16 @@ from .replay import (
     write_summary_json,
 )
 from .sensors import ReferenceVectors
-from .sim import PRESET_NAMES, SensorNoise, default_anchors, preset_scenario, run_scenario
+from .sim import (
+    PRESET_NAMES,
+    Scenario,
+    SensorNoise,
+    TruthTrack,
+    default_anchors,
+    preset_scenario,
+    run_scenario,
+    truth_track,
+)
 from .tdoa import GeometryDegenerate, TdoaFrame, load_anchors, solve_frame
 
 __all__ = ["main", "DEFAULT_CONFIG", "load_config", "apply_overrides"]
@@ -56,6 +66,12 @@ def _fields(obj) -> dict:
     return {k: np.asarray(v).tolist() for k, v in asdict(obj).items()}
 
 
+def _defaults(fn, *names) -> dict:
+    """The named keyword defaults of ``fn`` as plain JSON values."""
+    params = inspect.signature(fn).parameters
+    return {name: np.asarray(params[name].default).tolist() for name in names}
+
+
 DEFAULT_CONFIG = {
     "seed": 0,
     "gains": _fields(Gains()),
@@ -65,15 +81,17 @@ DEFAULT_CONFIG = {
     "sim": {
         "scenario": None,
         "duration": None,
-        "imu_rate": 100.0,
-        "tdoa_rate": 10.0,
+        **_defaults(preset_scenario, "imu_rate", "tdoa_rate"),
         "noise": _fields(SensorNoise()),
-        "b_omega": [0.0, 0.0, 0.0],
-        "b_a": [0.0, 0.0, 0.0],
-        "estimate_pos": [-3.0, -1.0, 0.0],
-        "estimate_vel": [0.0, 0.0, 0.0],
-        "estimate_rotvec": [0.0, 0.0, 0.0],
-        "tag_offset": [0.0, 0.0, 0.0],
+        **_defaults(
+            preset_scenario,
+            "b_omega",
+            "b_a",
+            "estimate_pos",
+            "estimate_vel",
+            "estimate_rotvec",
+            "tag_offset",
+        ),
         "anchors": None,
         "runs": 1,
         "export_dataset": False,
@@ -85,9 +103,7 @@ DEFAULT_CONFIG = {
         "anchors": None,
         "column_map": {},
         "tag_offset": [-0.012, 0.001, 0.091],
-        "mag_noise_sd": 0.2,
-        "velocity_window": 11,
-        "velocity_poly_order": 2,
+        **_defaults(run_replay, "mag_noise_sd", "velocity_window", "velocity_poly_order"),
         "estimate_pos": [-3.0, -1.0, 0.0],
         "estimate_vel": [0.0, 0.0, 0.0],
         "estimate_rotvec": [0.0, 0.0, 0.0],
@@ -210,12 +226,9 @@ def _write_artifacts(out: Path, result) -> None:
     write_summary_json(out / "summary.json", result.summary)
 
 
-def _run_sim_job(cfg: dict, seed: int, outdir: str) -> dict:
-    """Run one sim seed and write its artifacts; top-level so --jobs can fork it."""
+def _scenario(cfg: dict, seed: int) -> Scenario:
     sim_cfg = cfg["sim"]
-    ref = _ref(cfg)
-    anchors = load_anchors(sim_cfg["anchors"]) if sim_cfg["anchors"] else default_anchors()
-    scenario = preset_scenario(
+    return preset_scenario(
         sim_cfg["scenario"],
         seed=seed,
         duration=sim_cfg["duration"],
@@ -228,18 +241,26 @@ def _run_sim_job(cfg: dict, seed: int, outdir: str) -> dict:
         estimate_vel=sim_cfg["estimate_vel"],
         estimate_rotvec=sim_cfg["estimate_rotvec"],
         tag_offset=sim_cfg["tag_offset"],
-        anchors=anchors,
-        ref=ref,
+        anchors=load_anchors(sim_cfg["anchors"]) if sim_cfg["anchors"] else default_anchors(),
+        ref=_ref(cfg),
     )
+
+
+def _run_sim_job(cfg: dict, seed: int, outdir: str, track: TruthTrack) -> dict:
+    """Run one sim seed on the sweep's truth track and write its artifacts.
+
+    Top-level so that --jobs can send it to a worker process.
+    """
     result = run_scenario(
-        scenario,
+        _scenario(cfg, seed),
         _gains(cfg),
+        track=track,
         settle_threshold=cfg["settle_threshold"],
         settle_dwell=cfg["settle_dwell"],
     )
     out = Path(outdir)
     _write_artifacts(out, result)
-    if sim_cfg["export_dataset"]:
+    if cfg["sim"]["export_dataset"]:
         export_dataset(result, out / "dataset")
     log.info("wrote %s and summary.json", out / "metrics.csv")
     return result.summary
@@ -265,13 +286,15 @@ def cmd_sim(args) -> int:
     out = Path(args.out)
     seeds = [base_seed + i for i in range(runs)]
     jobs = [(seed, out if runs == 1 else out / f"seed-{seed:04d}") for seed in seeds]
+    # The truth does not depend on the seed: integrate it once for the sweep.
+    track = truth_track(_scenario(cfg, base_seed))
     summaries = []
     if args.jobs > 1 and runs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_run_sim_job, cfg, s, str(d)) for s, d in jobs]
+            futures = [pool.submit(_run_sim_job, cfg, s, str(d), track) for s, d in jobs]
             summaries = [f.result() for f in futures]
     else:
-        summaries = [_run_sim_job(cfg, s, str(d)) for s, d in jobs]
+        summaries = [_run_sim_job(cfg, s, str(d), track) for s, d in jobs]
     for summary, (seed, outdir) in zip(summaries, jobs):
         settle = summary["settling_time"]
         settle_txt = "never" if math.isnan(settle) else f"{settle:.2f} s"

@@ -574,15 +574,13 @@ def write_metrics_csv(path, t, att_err, pos_err, vel_err, truth_pos, est_pos, ra
         "py_raw",
         "pz_raw",
     ]
+    table = np.column_stack([t, att_err, pos_err, vel_err, truth_pos, est_pos, raw_pos])
     with atomic_writer(path) as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for k in range(len(t)):
-            row = [t[k], att_err[k], pos_err[k], vel_err[k]]
-            row.extend(truth_pos[k])
-            row.extend(est_pos[k])
-            row.extend(raw_pos[k])
-            w.writerow([_fmt(v) for v in row])
+        # Row by row, as _fmt writes each cell: shortest round-trip repr, NaN empty.
+        for row in table:
+            w.writerow(["" if math.isnan(x) else repr(x) for x in row.tolist()])
 
 
 def write_summary_json(path, summary: dict):

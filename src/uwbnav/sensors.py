@@ -119,8 +119,10 @@ class TriadPair:
         if v.shape != (3, 3) or r.shape != (3, 3):
             raise ValueError("v and r must be (3, 3) arrays of row vectors")
         weights = s.tolist()
-        if len(weights) != 3 or weights[0] < 0 or weights[1] < 0 or weights[2] < 0:
-            raise ValueError("s must be 3 nonnegative weights")
+        # NaN fails every ">=" and inf fails the finite sum.
+        w_ok = len(weights) == 3 and weights[0] >= 0.0 and weights[1] >= 0.0 and weights[2] >= 0.0
+        if not (w_ok and math.isfinite(sum(weights))):
+            raise ValueError(f"s must be 3 finite nonnegative weights, got {weights}")
         v1, v2, v3 = v.tolist()
         _check_unit_rows("v", (v1, v2, v3))
         _check_unit_rows("r", r.tolist())

@@ -14,12 +14,20 @@ and SO(3) is preserved to machine precision.
 Everything is deterministic: measurement noise is drawn from per-call
 generators seeded by (scenario seed, stream tag, sample time/index), so a
 run, and any CSV export of it, replays bit-identically.
+
+The truth depends on the trajectory alone, never on the seed.
+``truth_track`` steps it once over every IMU sample into a read-only
+``TruthTrack``, and ``run_scenario`` runs on a track (building one when none
+is given), adding per seed only what the seed changes: IMU and TDOA noise,
+biases, the magnetometer reading, the observer and its errors.  A seed
+sweep (``uwbnav sim --runs N``) therefore integrates its truth once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,12 +48,14 @@ from .tdoa import Anchor, AnchorSet, GeometryDegenerate, solve_frame, synthesize
 __all__ = [
     "SensorNoise",
     "TruthModel",
+    "TruthTrack",
     "Scenario",
     "SimResult",
     "default_anchors",
     "propagate_truth",
     "synthesize_imu",
     "preset_scenario",
+    "truth_track",
     "run_scenario",
     "settling_time",
     "error_summary",
@@ -104,6 +114,71 @@ class TruthModel:
         object.__setattr__(self, "gravity", np.asarray(self.gravity, dtype=float))
 
 
+@dataclass(frozen=True, eq=False)
+class TruthTrack:
+    """The noiseless truth of a trajectory at every IMU sample t_k = k / imu_rate.
+
+    ``rot`` (n+1, 3, 3), ``pos`` and ``vel`` (n+1, 3) are the true state, row 0
+    the initial one and each later row stepped from the one before by
+    ``propagate_truth``; ``omega`` and ``accel`` (n+1, 3) are ``omega_fn(t_k)``
+    and ``accel_fn(t_k)``.  The arrays are read-only copies.  ``omega_fn``,
+    ``accel_fn``, the initial state, ``gravity``, ``imu_rate`` and ``n`` are
+    the definition the track was built from; ``run_scenario`` refuses a track
+    whose definition differs from its scenario's.
+    """
+
+    omega_fn: object
+    accel_fn: object
+    gravity: np.ndarray
+    imu_rate: float
+    n: int
+    rot: np.ndarray
+    pos: np.ndarray
+    vel: np.ndarray
+    omega: np.ndarray
+    accel: np.ndarray
+
+    def __post_init__(self):
+        rows = int(self.n) + 1
+        shapes = {
+            "gravity": (3,),
+            "rot": (rows, 3, 3),
+            "pos": (rows, 3),
+            "vel": (rows, 3),
+            "omega": (rows, 3),
+            "accel": (rows, 3),
+        }
+        for name, shape in shapes.items():
+            arr = np.array(getattr(self, name), dtype=float)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "imu_rate", float(self.imu_rate))
+        object.__setattr__(self, "n", int(self.n))
+
+    def __reduce__(self):
+        # Unpickle through __init__, so that the copy a --jobs worker receives
+        # is read-only as well.
+        return (TruthTrack, tuple(getattr(self, f.name) for f in fields(self)))
+
+
+class _TrackRotation(NamedTuple):
+    m: np.ndarray
+
+
+class _TrackState(NamedTuple):
+    """A track's truth at one sample, read as a NavState is: ``rot.m``, ``pos``, ``vel``.
+
+    ``propagate_truth`` checked each rotation on SO(3) as it made it, so a
+    seed reads the track without building a ``Rotation`` again.
+    """
+
+    rot: _TrackRotation
+    pos: np.ndarray
+    vel: np.ndarray
+
+
 def propagate_truth(t: TruthModel, dt: float) -> TruthModel:
     """One exact Lie-group step of the true kinematics over [time, time+dt]."""
     if not 0.0 < dt <= 0.1:
@@ -134,13 +209,24 @@ def synthesize_imu(t: TruthModel, time: float, ref: ReferenceVectors | None = No
     repeated call is bit-identical.
     """
     ref = ReferenceVectors() if ref is None else ref
-    R = t.nav.rot.m
-    gyro = t.omega_fn(time) + t.b_omega
-    accel = t.accel_fn(time) + t.b_a
-    mag = R.T @ ref.mag_ref
-    noise = t.noise
+    return _noisy_imu(
+        t.noise,
+        t.seed,
+        time,
+        t.omega_fn(time) + t.b_omega,
+        t.accel_fn(time) + t.b_a,
+        t.nav.rot.m.T @ ref.mag_ref,
+    )
+
+
+def _noisy_imu(noise: SensorNoise, seed: int, time: float, gyro, accel, mag) -> ImuSample:
+    """The IMU sample at ``time``: the biased readings plus their seeded noise.
+
+    One generator keyed by (seed, time in ns) draws the gyro, accel and mag
+    noise in that order, each only when its sd is positive.
+    """
     if noise.gyro_sd > 0.0 or noise.accel_sd > 0.0 or noise.mag_sd > 0.0:
-        rng = _call_rng(t.seed, _STREAM_IMU, round(time * 1e9))
+        rng = _call_rng(seed, _STREAM_IMU, round(time * 1e9))
         if noise.gyro_sd > 0.0:
             gyro = gyro + rng.normal(0.0, noise.gyro_sd, 3)
         if noise.accel_sd > 0.0:
@@ -188,8 +274,28 @@ class Scenario:
 _G = np.array([0.0, 0.0, -9.8])
 
 
-class _StaticHover:
+class _Preset:
+    """A preset trajectory.  Each preset is one instance, held in ``_PRESETS``.
+
+    So the ``omega``/``accel`` methods bound into every seed's scenario
+    compare equal, and one ``TruthTrack`` fits every seed.  An instance
+    pickles as its preset name, so this holds in a ``--jobs`` worker too.
+    """
+
+    name = ""
+
+    def __reduce__(self):
+        return (_preset, (self.name,))
+
+
+def _preset(name: str) -> _Preset:
+    return _PRESETS[name]
+
+
+class _StaticHover(_Preset):
     """Omega = 0, specific force exactly cancelling gravity."""
+
+    name = "static"
 
     def __init__(self, R0: np.ndarray):
         self._f = -(R0.T @ _G)
@@ -201,8 +307,10 @@ class _StaticHover:
         return self._f.copy()
 
 
-class _YawCircle:
+class _YawCircle(_Preset):
     """Constant-rate yaw while flying a horizontal circle."""
+
+    name = "yaw_circle"
 
     def __init__(self, yaw_rate: float = 0.5, radius: float = 1.5, center=(0.0, 0.0, 1.5)):
         self.w = yaw_rate
@@ -229,13 +337,15 @@ class _YawCircle:
         return self.rot(t).T @ (vdot - _G)
 
 
-class _FigureEight:
+class _FigureEight(_Preset):
     """Lissajous figure-eight (x at nu, y at 2 nu) with a gentle yaw rate.
 
     The yaw rate is constant so the true attitude has the closed form
     R(t) = exp([0,0,yaw_rate]_x t), which makes the synthesized specific
     force exact.
     """
+
+    name = "figure8"
 
     def __init__(
         self,
@@ -287,7 +397,9 @@ class _FigureEight:
         return self.rot(t).T @ (self.vdot(t) - _G)
 
 
-PRESET_NAMES = ("static", "yaw_circle", "figure8")
+_PRESETS = {p.name: p for p in (_StaticHover(np.eye(3)), _YawCircle(), _FigureEight())}
+
+PRESET_NAMES = tuple(_PRESETS)
 
 _DEFAULT_DURATIONS = {"static": 10.0, "yaw_circle": 20.0, "figure8": 30.0}
 
@@ -315,23 +427,15 @@ def preset_scenario(
     ref = ReferenceVectors() if ref is None else ref
     noise = SensorNoise() if noise is None else noise
     anchors = default_anchors() if anchors is None else anchors
+    traj = _PRESETS[name]
     if name == "static":
-        pos0 = np.array([1.237, 0.124, 1.534])
-        traj = _StaticHover(np.eye(3))
-        nav0 = NavState(Rotation.identity(), pos0, np.zeros(3))
-        omega_fn, accel_fn = traj.omega, traj.accel
-    elif name == "yaw_circle":
-        traj = _YawCircle()
-        nav0 = NavState(Rotation(traj.rot(0.0)), traj.pos(0.0), traj.vel(0.0))
-        omega_fn, accel_fn = traj.omega, traj.accel
+        nav0 = NavState(Rotation.identity(), np.array([1.237, 0.124, 1.534]), np.zeros(3))
     else:
-        traj = _FigureEight()
         nav0 = NavState(Rotation(traj.rot(0.0)), traj.pos(0.0), traj.vel(0.0))
-        omega_fn, accel_fn = traj.omega, traj.accel
     truth = TruthModel(
         nav=nav0,
-        omega_fn=omega_fn,
-        accel_fn=accel_fn,
+        omega_fn=traj.omega,
+        accel_fn=traj.accel,
         b_omega=b_omega,
         b_a=b_a,
         noise=noise,
@@ -450,25 +554,96 @@ def _log_error_slope(t, total_err, t_end: float) -> float:
     return float(np.polyfit(t[mask], np.log(total_err[mask]), 1)[0])
 
 
+def _step_count(sc: Scenario) -> int:
+    n = int(round(sc.duration * sc.imu_rate))
+    if n < 1:
+        raise ValueError("duration too short for one IMU step")
+    return n
+
+
+def truth_track(sc: Scenario) -> TruthTrack:
+    """Step the scenario's truth once over every IMU sample of its run.
+
+    The track depends only on the trajectory (``omega_fn``, ``accel_fn``, the
+    initial state, gravity) and the sampling (``imu_rate``, the step count),
+    never on the seed, noise or biases, so one track serves every seed of a
+    sweep.  Each step is ``propagate_truth`` over [t_k, t_k+1]; its time
+    stays exactly t_k+1, because t_k+1 - t_k is exact (Sterbenz).
+    """
+    n = _step_count(sc)
+    t = np.arange(n + 1) / sc.imu_rate
+    truth = replace(sc.truth, time=0.0)
+    rot = np.empty((n + 1, 3, 3))
+    pos = np.empty((n + 1, 3))
+    vel = np.empty((n + 1, 3))
+    rot[0], pos[0], vel[0] = truth.nav.rot.m, truth.nav.pos, truth.nav.vel
+    for k in range(n):
+        truth = propagate_truth(truth, float(t[k + 1] - t[k]))
+        rot[k + 1], pos[k + 1], vel[k + 1] = truth.nav.rot.m, truth.nav.pos, truth.nav.vel
+    times = t.tolist()
+    return TruthTrack(
+        omega_fn=truth.omega_fn,
+        accel_fn=truth.accel_fn,
+        gravity=truth.gravity,
+        imu_rate=sc.imu_rate,
+        n=n,
+        rot=rot,
+        pos=pos,
+        vel=vel,
+        omega=[truth.omega_fn(tk) for tk in times],
+        accel=[truth.accel_fn(tk) for tk in times],
+    )
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _check_track(track: TruthTrack, sc: Scenario) -> None:
+    truth, nav = sc.truth, sc.truth.nav
+    same = {
+        "omega_fn": track.omega_fn == truth.omega_fn,
+        "accel_fn": track.accel_fn == truth.accel_fn,
+        "initial rotation": _same_bits(track.rot[0], nav.rot.m),
+        "initial position": _same_bits(track.pos[0], nav.pos),
+        "initial velocity": _same_bits(track.vel[0], nav.vel),
+        "gravity": _same_bits(track.gravity, truth.gravity),
+        "imu_rate": track.imu_rate == sc.imu_rate,
+        "n": track.n == _step_count(sc),
+    }
+    differ = [name for name, ok in same.items() if not ok]
+    if differ:
+        raise ValueError(f"truth track does not fit the scenario: {', '.join(differ)} differ")
+
+
 def run_scenario(
     sc: Scenario,
     gains: Gains,
     *,
+    track: TruthTrack | None = None,
     settle_threshold: float = 0.5,
     settle_dwell: float = 5.0,
 ) -> SimResult:
     """Run the observer closed-loop against the synthetic truth.
 
-    Deterministic: the result depends only on (scenario, gains).  The summary
-    reports final errors, settling time, steady-state RMS over the last third
-    of the run, the raw TDOA RMS over the same window, and the slope of
+    Deterministic: the result depends only on (scenario, gains).  The truth
+    comes from ``track``, built by ``truth_track(sc)`` when omitted; a sweep
+    builds it once and hands it to every seed.  A track whose definition
+    differs from the scenario's raises ValueError.  The summary reports final
+    errors, settling time, steady-state RMS over the last third of the run,
+    the raw TDOA RMS over the same window, and the slope of
     log(att+pos+vel error) over the first half (negative = converging).
     """
-    n = int(round(sc.duration * sc.imu_rate))
-    if n < 1:
-        raise ValueError("duration too short for one IMU step")
+    if track is None:
+        track = truth_track(sc)
+    else:
+        _check_track(track, sc)
+    n = track.n
     t = np.arange(n + 1) / sc.imu_rate
-    truth = replace(sc.truth, time=0.0)
+    times = t.tolist()
+    truth = sc.truth
+    noise = truth.noise
     est = sc.estimate
 
     att = np.empty(n + 1)
@@ -476,9 +651,6 @@ def run_scenario(
     vel = np.empty(n + 1)
     b_om = np.empty(n + 1)
     b_a = np.empty(n + 1)
-    truth_rot = np.empty((n + 1, 3, 3))
-    truth_pos = np.empty((n + 1, 3))
-    truth_vel = np.empty((n + 1, 3))
     est_pos = np.empty((n + 1, 3))
     est_vel = np.empty((n + 1, 3))
     raw_pos = np.full((n + 1, 3), np.nan)
@@ -486,30 +658,40 @@ def run_scenario(
     imu_stream: list = []
     frames: dict = {}
 
-    def record(k: int):
-        m = error_metrics(truth.nav, est, truth.b_omega, truth.b_a)
+    def true_state(k: int) -> _TrackState:
+        return _TrackState(_TrackRotation(track.rot[k]), track.pos[k], track.vel[k])
+
+    def imu_sample(k: int, true: _TrackState) -> ImuSample:
+        return _noisy_imu(
+            noise,
+            truth.seed,
+            times[k],
+            track.omega[k] + truth.b_omega,
+            track.accel[k] + truth.b_a,
+            true.rot.m.T @ sc.ref.mag_ref,
+        )
+
+    def record(k: int, true: _TrackState):
+        m = error_metrics(true, est, truth.b_omega, truth.b_a)
         att[k], pos[k], vel[k] = m.att_err, m.pos_err, m.vel_err
         b_om[k], b_a[k] = m.b_omega_err, m.b_a_err
-        truth_rot[k] = truth.nav.rot.m
-        truth_pos[k] = truth.nav.pos
-        truth_vel[k] = truth.nav.vel
         est_pos[k] = est.nav.pos
         est_vel[k] = est.nav.vel
 
-    record(0)
+    true = true_state(0)
+    record(0, true)
     tdoa_next = 0.0
     tdoa_period = 1.0 / sc.tdoa_rate
-    noise = sc.truth.noise
     for k in range(n):
-        tk = float(t[k])
-        sample = synthesize_imu(truth, tk, sc.ref)
+        tk = times[k]
+        sample = imu_sample(k, true)
         imu_stream.append(sample)
         frame = None
         if tk >= tdoa_next - 1e-9:
             tdoa_next += tdoa_period
             frame = synthesize_tdoa(
-                truth.nav.pos,
-                truth.nav.rot,
+                true.pos,
+                true.rot,
                 sc.anchors,
                 sc.tag_offset,
                 noise.tdoa_sd,
@@ -520,15 +702,15 @@ def run_scenario(
             try:
                 fix = solve_frame(sc.anchors, frame)
                 raw_pos[k] = fix.p
-                raw_err[k] = float(np.linalg.norm(fix.p - truth.nav.pos))
+                raw_err[k] = float(np.linalg.norm(fix.p - true.pos))
             except (GeometryDegenerate, ValueError):
                 pass
         dt = float(t[k + 1] - t[k])
         est = step(est, sample, frame, sc.anchors, gains, dt, ref=sc.ref)
-        truth = replace(propagate_truth(truth, dt), time=float(t[k + 1]))
-        record(k + 1)
+        true = true_state(k + 1)
+        record(k + 1, true)
     # One trailing sample so dataset exports carry the final step length.
-    imu_stream.append(synthesize_imu(truth, float(t[n]), sc.ref))
+    imu_stream.append(imu_sample(n, true))
 
     summary = {
         "scenario": sc.name,
@@ -551,9 +733,9 @@ def run_scenario(
         vel_err=vel,
         b_omega_err=b_om,
         b_a_err=b_a,
-        truth_rot=truth_rot,
-        truth_pos=truth_pos,
-        truth_vel=truth_vel,
+        truth_rot=track.rot,
+        truth_pos=track.pos,
+        truth_vel=track.vel,
         est_pos=est_pos,
         est_vel=est_vel,
         raw_pos=raw_pos,

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: config handling, artifacts, exit codes."""
 
+import inspect
 import json
 import os
 import shutil
@@ -15,7 +16,8 @@ import uwbnav
 from uwbnav.cli import DEFAULT_CONFIG, _build_parser, main
 from uwbnav.observer import Gains
 from uwbnav.sensors import ReferenceVectors
-from uwbnav.sim import SensorNoise, default_anchors
+from uwbnav.replay import run_replay
+from uwbnav.sim import SensorNoise, default_anchors, preset_scenario
 from uwbnav.tdoa import synthesize_tdoa
 
 
@@ -142,6 +144,37 @@ def test_sim_parallel_runs_match_serial_runs(capsys, tmp_path):
     ).read_bytes()
 
 
+def test_sim_sweep_integrates_its_truth_once(capsys, tmp_path, monkeypatch):
+    # One track per invocation, shared by every seed and by --jobs workers;
+    # none outlives the call, so a second sweep integrates its own.
+    import uwbnav.sim as sim_module
+
+    calls = []
+    real = sim_module.propagate_truth
+
+    def counting(truth, dt):
+        calls.append(dt)
+        return real(truth, dt)
+
+    monkeypatch.setattr(sim_module, "propagate_truth", counting)
+    argv = ["sim", "--scenario", "figure8", "--runs", "3", "--set", "sim.duration=1"]
+    for setting in ("sim.noise.tdoa_sd=0.05", "sim.noise.gyro_sd=0.005", "sim.export_dataset=true"):
+        argv += ["--set", setting]
+    assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+    assert len(calls) == 100
+    assert main(argv + ["--out", str(tmp_path / "again")]) == 0
+    assert len(calls) == 200
+    assert main(argv + ["--jobs", "2", "--out", str(tmp_path / "jobs")]) == 0
+    assert len(calls) == 300
+    capsys.readouterr()
+    serial = sorted(p.relative_to(tmp_path / "serial") for p in (tmp_path / "serial").rglob("*.*"))
+    assert len(serial) == 3 * 6 + 1  # per seed metrics, summary and four dataset files; one roll-up
+    for rel in serial:
+        want = (tmp_path / "serial" / rel).read_bytes()
+        assert (tmp_path / "again" / rel).read_bytes() == want, rel
+        assert (tmp_path / "jobs" / rel).read_bytes() == want, rel
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
@@ -173,6 +206,15 @@ def test_config_defaults_come_from_the_dataclasses():
         "mag_sd": noise.mag_sd,
         "tdoa_sd": noise.tdoa_sd,
     }
+    # The sim and replay keys come from the keyword defaults of the functions
+    # that take them.
+    sim_defaults = inspect.signature(preset_scenario).parameters
+    keys = ("imu_rate", "tdoa_rate", "estimate_pos", "estimate_vel", "estimate_rotvec", "tag_offset", "b_omega", "b_a")
+    for key in keys:
+        assert DEFAULT_CONFIG["sim"][key] == np.asarray(sim_defaults[key].default).tolist(), key
+    replay_defaults = inspect.signature(run_replay).parameters
+    for key in ("mag_noise_sd", "velocity_window", "velocity_poly_order"):
+        assert DEFAULT_CONFIG["replay"][key] == replay_defaults[key].default, key
     # The config stays plain JSON.
     assert json.loads(json.dumps(DEFAULT_CONFIG)) == DEFAULT_CONFIG
     args = _build_parser().parse_args(["validate-gains", "--delta", "0.01"])

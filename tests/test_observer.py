@@ -354,7 +354,12 @@ def test_step_rejects_a_state_pushed_off_so3():
 
 
 @pytest.mark.parametrize(
-    "weights, message", [((1.0, 1.0, 2.0), "sum to 3"), ((3.5, -0.5, 0.0), "nonnegative")]
+    "weights, message",
+    [
+        ((1.0, 1.0, 2.0), "sum to 3"),
+        ((3.5, -0.5, 0.0), "nonnegative"),
+        ((np.nan, np.nan, np.nan), "finite nonnegative weights"),
+    ],
 )
 def test_step_rejects_invalid_weights(weights, message):
     state = ObserverState.cold_start()

@@ -15,6 +15,7 @@ from uwbnav.replay import (
     ConfigError,
     DataError,
     GroundTruthRecord,
+    _fmt,
     atomic_writer,
     derive_velocity,
     export_dataset,
@@ -585,6 +586,32 @@ def test_write_metrics_csv_round_trips_floats_and_blanks_nan(tmp_path):
     assert rows[1][3] == ""  # NaN written as blank
     assert rows[2][1] == ""
     assert rows[2][4:] == [""] * 9
+
+
+def test_write_metrics_csv_matches_the_per_cell_form_byte_for_byte(tmp_path):
+    # The row-streaming writer against the form it replaced: every cell
+    # through _fmt, one csv row per sample.
+    rng = np.random.default_rng(71)
+    special = [np.nan, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, -np.inf, 0.1, -1.0 / 3.0]
+    values = np.concatenate([special, rng.normal(size=8)])
+    n = 40
+    t, att, pos, vel = (rng.choice(values, size=n) for _ in range(4))
+    truth_pos, est_pos, raw_pos = (rng.choice(values, size=(n, 3)) for _ in range(3))
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(path, t, att, pos, vel, truth_pos, est_pos, raw_pos)
+
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "att_err", "pos_err", "vel_err", "px_true", "py_true", "pz_true",
+                    "px_est", "py_est", "pz_est", "px_raw", "py_raw", "pz_raw"])
+        for k in range(n):
+            row = [t[k], att[k], pos[k], vel[k], *truth_pos[k], *est_pos[k], *raw_pos[k]]
+            w.writerow([_fmt(v) for v in row])
+    assert path.read_bytes() == reference.read_bytes()
+    text = path.read_text()
+    for token in ("-0.0", "5e-324", "1e+300", "-inf", ",,"):
+        assert token in text, token
 
 
 def test_write_summary_json_nulls_non_finite_values(tmp_path):

@@ -97,6 +97,14 @@ def test_triad_weights_must_sum_to_three():
         build_triads(hover_sample(np.eye(3)), ReferenceVectors(), s=(1.0, 1.0, 2.0))
 
 
+@pytest.mark.parametrize("s", [(np.nan, np.nan, np.nan), (np.nan, 1.5, 1.5), (np.inf, 1.0, 1.0)])
+def test_triad_weights_must_be_finite(s):
+    # NaN passes both "w < 0" and "|sum - 3| > tol" as false, so it must be
+    # rejected as a weight, not left to fail later as a non-orthogonal state.
+    with pytest.raises(ValueError, match="finite nonnegative weights"):
+        build_triads(hover_sample(np.eye(3)), ReferenceVectors(), s=s)
+
+
 def test_triadpair_rejects_non_unit_rows():
     with pytest.raises(ValueError, match="unit"):
         TriadPair(v=2.0 * np.eye(3), r=np.eye(3))

@@ -2,9 +2,13 @@
 
 import json
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import assert_states_identical, random_rotation, reference_propagate_truth, reference_step
 from uwbnav.liegroup import NavState, Rotation
@@ -21,6 +25,7 @@ from uwbnav.sim import (
     run_scenario,
     settling_time,
     synthesize_imu,
+    truth_track,
 )
 
 GRAVITY = np.array([0.0, 0.0, -9.8])
@@ -307,6 +312,97 @@ def test_run_scenario_is_bit_deterministic():
     assert json.dumps(a.summary) == json.dumps(b.summary)
     c = run_scenario(preset_scenario("figure8", **{**kw, "seed": 6}), Gains())
     assert not np.array_equal(a.est_pos, c.est_pos)
+
+
+# --- truth_track ---------------------------------------------------------------------
+
+
+def sweep_scenario(seed=0, **kwargs):
+    noise = SensorNoise(gyro_sd=0.005, accel_sd=0.02, mag_sd=0.2, tdoa_sd=0.05)
+    kwargs = {"duration": 2.0, "noise": noise, "tag_offset": (-0.012, 0.001, 0.091), **kwargs}
+    return preset_scenario(kwargs.pop("name", "figure8"), seed=seed, **kwargs)
+
+
+def test_one_truth_track_serves_every_seed():
+    # A track built from seed 0's scenario: seeds with their own noise draws,
+    # biases and initial estimates run on it exactly as on a track of their own.
+    track = truth_track(sweep_scenario(seed=0))
+    for sc in (
+        sweep_scenario(seed=1),
+        sweep_scenario(seed=2, b_omega=(0.01, -0.02, 0.005), b_a=(0.1, -0.05, 0.2), estimate_pos=(0.5, 0.2, 1.0)),
+    ):
+        shared = run_scenario(sc, Gains(), track=track)
+        own = run_scenario(sc, Gains())
+        for name in ("att_err", "pos_err", "vel_err", "b_omega_err", "b_a_err", "truth_rot", "est_pos", "est_vel"):
+            assert np.array_equal(getattr(shared, name), getattr(own, name)), name
+        assert np.array_equal(shared.raw_pos, own.raw_pos, equal_nan=True)
+        assert json.dumps(shared.summary) == json.dumps(own.summary)
+
+
+def test_run_scenario_imu_matches_synthesize_imu():
+    # run_scenario reads the track and synthesize_imu a TruthModel; both add
+    # the biases and the seeded noise through one helper.
+    sc = sweep_scenario(seed=4, b_omega=(0.01, -0.02, 0.005), b_a=(0.1, -0.05, 0.2))
+    result = run_scenario(sc, Gains())
+    for k in (0, 1, 77, len(result.imu) - 1):
+        nav = NavState(Rotation(result.truth_rot[k]), result.truth_pos[k], result.truth_vel[k])
+        want = synthesize_imu(replace(sc.truth, nav=nav), float(result.t[k]), sc.ref)
+        got = result.imu[k]
+        assert got.timestamp == want.timestamp
+        for name in ("gyro", "accel", "mag"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (k, name)
+
+
+@pytest.mark.parametrize(
+    "other, differ",
+    [
+        (dict(name="yaw_circle"), ": omega_fn, accel_fn, initial position, initial velocity differ"),
+        (dict(duration=3.0), ": n differ"),
+        (dict(imu_rate=200.0), ": imu_rate, n differ"),
+        (dict(ref=ReferenceVectors(gravity=(0.0, 0.0, -9.81))), ": gravity differ"),
+    ],
+    ids=["trajectory", "duration", "imu_rate", "gravity"],
+)
+def test_run_scenario_refuses_a_track_of_another_trajectory(other, differ):
+    track = truth_track(sweep_scenario(seed=0))
+    with pytest.raises(ValueError, match=differ):
+        run_scenario(sweep_scenario(seed=1, **other), Gains(), track=track)
+
+
+def test_run_scenario_refuses_a_track_from_another_initial_state():
+    sc = sweep_scenario(seed=0)
+    track = truth_track(sc)
+    nav = sc.truth.nav
+    moved = replace(sc, truth=replace(sc.truth, nav=NavState(nav.rot, nav.pos + [0.0, 0.0, 1e-12], nav.vel)))
+    with pytest.raises(ValueError, match=": initial position differ"):
+        run_scenario(moved, Gains(), track=track)
+
+
+def test_truth_track_is_read_only_and_pickles_for_jobs_workers():
+    sc = sweep_scenario(seed=0)
+    track = truth_track(sc)
+    copy = pickle.loads(pickle.dumps(track))
+    for tr in (track, copy):
+        for name in ("gravity", "rot", "pos", "vel", "omega", "accel"):
+            assert not getattr(tr, name).flags.writeable, name
+    with pytest.raises(ValueError, match="read-only"):
+        track.pos[0, 0] = 1.0
+    # A preset trajectory unpickles as the same instance, so the copy still
+    # fits the scenarios a worker builds.
+    assert copy.omega_fn == sc.truth.omega_fn and copy.accel_fn == sc.truth.accel_fn
+    assert np.array_equal(run_scenario(sc, Gains(), track=copy).est_pos, run_scenario(sc, Gains(), track=track).est_pos)
+
+
+@settings(max_examples=60, deadline=None)
+@given(imu_rate=st.floats(min_value=11.0, max_value=5000.0), n=st.integers(min_value=1, max_value=300))
+def test_propagate_truth_time_lands_on_the_sample_grid(imu_rate, n):
+    # t[k] + (t[k+1] - t[k]) == t[k+1]: the difference is exact (Sterbenz),
+    # so stepping the truth keeps its time on the sample grid.
+    t = np.arange(n + 1) / imu_rate
+    truth = TruthModel(nav=NavState.identity())
+    for k in range(n):
+        truth = propagate_truth(truth, float(t[k + 1] - t[k]))
+        assert truth.time == t[k + 1]
 
 
 def test_run_scenario_truth_initialized_estimate_stays_put():
