@@ -282,15 +282,19 @@ def cmd_sim(args) -> int:
     runs = int(cfg["sim"]["runs"])
     if runs < 1:
         raise ConfigError(f"sim.runs must be >= 1, got {runs}")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     base_seed = int(cfg["seed"])
     out = Path(args.out)
     seeds = [base_seed + i for i in range(runs)]
     jobs = [(seed, out if runs == 1 else out / f"seed-{seed:04d}") for seed in seeds]
     # The truth does not depend on the seed: integrate it once for the sweep.
     track = truth_track(_scenario(cfg, base_seed))
-    summaries = []
-    if args.jobs > 1 and runs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # A pool forks all its workers at the first submit: never more than there
+    # are seeds to run or CPUs to run them on.
+    workers = min(args.jobs, runs, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_sim_job, cfg, s, str(d), track) for s, d in jobs]
             summaries = [f.result() for f in futures]
     else:

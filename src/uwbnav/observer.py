@@ -35,6 +35,11 @@ velocity and biases.  A state that diverges therefore surfaces as a
 ValueError.  The kernel performs the floating-point operations of the
 dataclass composition in the same order, so its states are bit-identical to
 it (see tests/test_observer.py).
+
+``_run_stream`` is the one loop over a stream, shared by ``sim`` and
+``replay``: their inputs are built before it, it records the estimates as
+arrays, and the errors come after it from those arrays (``_nav_errors``,
+``_norms``; ``error_metrics`` is their one-row form).
 """
 
 from __future__ import annotations
@@ -256,18 +261,69 @@ def step(
     )
 
 
+def _run_stream(state, samples, frames, anchors, gains, dts, *, ref, step):
+    """Step the observer over a stream: the one loop that calls ``step``.
+
+    Step k takes ``samples[k]``, ``frames.get(k)`` and ``dts[k]``; a dt outside
+    (0, 0.1] keeps the state and is counted as skipped.  A taken step's frame
+    is solved here for the raw-fix column, and again inside ``step``, which is
+    the caller's own binding (the name the benchmark times).  Returns the final
+    state, the skipped count and the arrays (R, P, V, b_omega_hat, b_a_hat,
+    fix), one row per sample from the initial state on; ``fix`` is NaN where
+    no frame solved.
+    """
+    m = len(dts) + 1
+    R = np.empty((m, 3, 3))
+    P, V, b_omega_hat, b_a_hat = np.empty((4, m, 3))
+    fix = np.full((m, 3), np.nan)
+    skipped = 0
+    for k in range(m):
+        nav = state.nav
+        R[k], P[k], V[k] = nav.rot.m, nav.pos, nav.vel
+        b_omega_hat[k], b_a_hat[k] = state.b_omega_hat, state.b_a_hat
+        if k == m - 1:
+            break
+        dt = dts[k]
+        if not 0.0 < dt <= 0.1:
+            skipped += 1
+            continue
+        frame = frames.get(k)
+        if frame is not None:
+            try:
+                fix[k] = solve_frame(anchors, frame).p
+            except (GeometryDegenerate, ValueError):
+                pass
+        state = step(state, samples[k], frame, anchors, gains, dt, ref=ref)
+    return state, skipped, (R, P, V, b_omega_hat, b_a_hat, fix)
+
+
+def _norms(d):
+    """Row norms of d (m, 3), bit for bit those of ``np.linalg.norm`` on each row.
+
+    ``np.linalg.norm(d, axis=1)`` sums the squares in another order.
+    """
+    return np.sqrt((d[:, None, :] @ d[:, :, None]).reshape(-1))
+
+
+def _nav_errors(rot, pos, vel, R, P, V):
+    """Per-row attitude, position and velocity errors of (R, P, V) against truth.
+
+    Each row is bit for bit ``error_metrics`` (an ``einsum`` trace would not
+    be); a NaN truth row gives NaN errors.
+    """
+    att = 0.25 * (3.0 - np.trace(rot @ R.transpose(0, 2, 1), axis1=1, axis2=2))
+    return att, _norms(pos - P), _norms(vel - V)
+
+
 def error_metrics(truth: NavState, state: ObserverState, b_omega=None, b_a=None) -> ErrorMetrics:
     """Errors of the estimate against truth: Rtilde = R Rhat^T, norms elsewhere."""
-    Rtilde = truth.rot.m @ state.nav.rot.m.T
+    nav = state.nav
+    rows = (truth.rot.m, truth.pos, truth.vel, nav.rot.m, nav.pos, nav.vel)
+    att, pos, vel = _nav_errors(*(a[None] for a in rows))
     b_omega = np.zeros(3) if b_omega is None else np.asarray(b_omega, dtype=float)
     b_a = np.zeros(3) if b_a is None else np.asarray(b_a, dtype=float)
-    return ErrorMetrics(
-        att_err=float(att_dist(Rtilde)),
-        pos_err=float(np.linalg.norm(truth.pos - state.nav.pos)),
-        vel_err=float(np.linalg.norm(truth.vel - state.nav.vel)),
-        b_omega_err=float(np.linalg.norm(b_omega - state.b_omega_hat)),
-        b_a_err=float(np.linalg.norm(b_a - state.b_a_hat)),
-    )
+    b_err = _norms(np.array([b_omega - state.b_omega_hat, b_a - state.b_a_hat]))
+    return ErrorMetrics(*(float(x) for x in (att[0], pos[0], vel[0], *b_err)))
 
 
 def lyapunov_l1(triads: TriadPair, Rtilde, b_omega_err, gains: Gains) -> float:

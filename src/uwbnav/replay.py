@@ -5,7 +5,11 @@ plus an anchor JSON file.  This module loads each stream in time order, derives
 a benchmark velocity from the ground-truth positions (local least-squares
 polynomial differentiation), runs the observer sample-by-sample, and reports
 the same error metrics and summary statistics as the simulator, so synthetic
-and recorded runs are directly comparable.
+and recorded runs are directly comparable.  ``run_replay`` interpolates the
+truth once, maps the frames onto steps and builds the samples before the
+loop; the loop itself is ``observer._run_stream``, the one ``sim`` uses, and
+the errors come after it from the estimate arrays, NaN outside the truth
+range.
 
 File formats (canonical column names; remap via ``column_map``):
 
@@ -34,10 +38,11 @@ from scipy.spatial.transform import Rotation as _SpRotation
 from scipy.spatial.transform import Slerp
 
 from .liegroup import Rotation
-from .observer import Gains, ObserverState, step
+from .observer import Gains, ObserverState, _nav_errors, _norms, _run_stream, step
 from .sensors import ImuSample, ReferenceVectors
 from .sim import SimResult, error_summary
-from .tdoa import GeometryDegenerate, TdoaFrame, solve_frame
+from .tdoa import TdoaFrame
+from .tdoa import solve_frame  # noqa: F401  _run_stream solves the frames; navbench traces this name
 
 __all__ = [
     "ConfigError",
@@ -60,7 +65,6 @@ __all__ = [
 
 _QUAT_NORM_TOL = 1e-6
 _STREAM_MAG = 2  # rng stream tag for synthesized magnetometer noise
-_MAX_STEP_DT = 0.1
 _VELOCITY_CHUNK = 512  # samples per batch of local fits in derive_velocity (bounds memory)
 
 
@@ -455,51 +459,23 @@ def run_replay(
         else:
             dropped_frames += 1
 
-    m = n_steps + 1
-    att = np.full(m, np.nan)
-    pos = np.full(m, np.nan)
-    vel = np.full(m, np.nan)
-    est_pos = np.empty((m, 3))
-    est_vel = np.empty((m, 3))
-    raw_pos = np.full((m, 3), np.nan)
-    raw_err = np.full(m, np.nan)
-
-    state = init
-
-    def record(k: int):
-        est_pos[k] = state.nav.pos
-        est_vel[k] = state.nav.vel
-        if inside[k]:
-            att[k] = 0.25 * (3.0 - np.trace(truth_rot[k] @ state.nav.rot.m.T))
-            pos[k] = np.linalg.norm(truth_pos[k] - state.nav.pos)
-            vel[k] = np.linalg.norm(truth_vel[k] - state.nav.vel)
-
-    record(0)
-    skipped_steps = 0
-    for k in range(n_steps):
-        dt = float(t_imu[k + 1] - t_imu[k])
-        if not 0.0 < dt <= _MAX_STEP_DT:
-            skipped_steps += 1
-            record(k + 1)
-            continue
-        sample = imu[k]
-        if sample.mag is None and inside[k]:
+    # The magnetometer, when the file has none, is synthesised from the
+    # interpolated truth attitude inside the truth range.
+    samples = imu[:n_steps]
+    if not dataset.has_mag:
+        for k in np.flatnonzero(inside[:n_steps]).tolist():
             mag = truth_rot[k].T @ ref.mag_ref
             if mag_noise_sd > 0.0:
                 rng = np.random.default_rng((int(seed), _STREAM_MAG, k))
                 mag = mag + rng.normal(0.0, mag_noise_sd, 3)
-            sample = ImuSample(sample.timestamp, sample.gyro, sample.accel, mag)
-        frame = frame_for_step.get(k)
-        if frame is not None:
-            try:
-                fix = solve_frame(anchors, frame)
-                raw_pos[k] = fix.p
-                if inside[k]:
-                    raw_err[k] = float(np.linalg.norm(fix.p - truth_pos[k]))
-            except (GeometryDegenerate, ValueError):
-                pass
-        state = step(state, sample, frame, anchors, gains, dt, ref=ref)
-        record(k + 1)
+            s = samples[k]
+            samples[k] = ImuSample(s.timestamp, s.gyro, s.accel, mag)
+
+    state, skipped_steps, (R, P, V, _, _, raw_pos) = _run_stream(
+        init, samples, frame_for_step, anchors, gains, np.diff(t_imu).tolist(), ref=ref, step=step
+    )
+    att, pos, vel = _nav_errors(truth_rot, truth_pos, truth_vel, R, P, V)
+    raw_err = _norms(raw_pos - truth_pos)
 
     duration = float(t_imu[-1] - t_imu[0])
     summary = {
@@ -521,8 +497,8 @@ def run_replay(
         vel_err=vel,
         truth_pos=truth_pos,
         truth_vel=truth_vel,
-        est_pos=est_pos,
-        est_vel=est_vel,
+        est_pos=P,
+        est_vel=V,
         raw_pos=raw_pos,
         raw_err=raw_err,
         final_state=state,

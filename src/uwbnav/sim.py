@@ -21,6 +21,11 @@ The truth depends on the trajectory alone, never on the seed.
 is given), adding per seed only what the seed changes: IMU and TDOA noise,
 biases, the magnetometer reading, the observer and its errors.  A seed
 sweep (``uwbnav sim --runs N``) therefore integrates its truth once.
+
+Per seed, ``run_scenario`` builds the whole IMU stream and every TDOA frame
+before the loop, hands them to ``observer._run_stream`` (the loop that
+replay shares), and computes every error series after it, in one pass over
+the estimate arrays.
 """
 
 from __future__ import annotations
@@ -41,9 +46,11 @@ from .liegroup import (
     se23_exp,  # noqa: F401  propagate_truth runs _se23_exp; navbench traces calls at this name
     so3_exp,
 )
-from .observer import Gains, ObserverState, error_metrics, step
+from .observer import Gains, ObserverState, _nav_errors, _norms, _run_stream, step
+from .observer import error_metrics  # noqa: F401  run_scenario batches the errors; navbench traces this name
 from .sensors import ImuSample, ReferenceVectors
-from .tdoa import Anchor, AnchorSet, GeometryDegenerate, solve_frame, synthesize_tdoa
+from .tdoa import Anchor, AnchorSet, synthesize_tdoa
+from .tdoa import solve_frame  # noqa: F401  _run_stream solves the frames; navbench traces this name
 
 __all__ = [
     "SensorNoise",
@@ -164,19 +171,13 @@ class TruthTrack:
 
 
 class _TrackRotation(NamedTuple):
-    m: np.ndarray
-
-
-class _TrackState(NamedTuple):
-    """A track's truth at one sample, read as a NavState is: ``rot.m``, ``pos``, ``vel``.
+    """A track rotation read as a ``Rotation`` is, through ``.m``.
 
     ``propagate_truth`` checked each rotation on SO(3) as it made it, so a
     seed reads the track without building a ``Rotation`` again.
     """
 
-    rot: _TrackRotation
-    pos: np.ndarray
-    vel: np.ndarray
+    m: np.ndarray
 
 
 def propagate_truth(t: TruthModel, dt: float) -> TruthModel:
@@ -644,73 +645,27 @@ def run_scenario(
     times = t.tolist()
     truth = sc.truth
     noise = truth.noise
-    est = sc.estimate
-
-    att = np.empty(n + 1)
-    pos = np.empty(n + 1)
-    vel = np.empty(n + 1)
-    b_om = np.empty(n + 1)
-    b_a = np.empty(n + 1)
-    est_pos = np.empty((n + 1, 3))
-    est_vel = np.empty((n + 1, 3))
-    raw_pos = np.full((n + 1, 3), np.nan)
-    raw_err = np.full(n + 1, np.nan)
-    imu_stream: list = []
+    # n + 1 samples: the trailing one lets a dataset export carry the final step length.
+    imu_stream = [
+        _noisy_imu(noise, truth.seed, tk, w + truth.b_omega, f + truth.b_a, r.T @ sc.ref.mag_ref)
+        for tk, w, f, r in zip(times, track.omega, track.accel, track.rot)
+    ]
     frames: dict = {}
-
-    def true_state(k: int) -> _TrackState:
-        return _TrackState(_TrackRotation(track.rot[k]), track.pos[k], track.vel[k])
-
-    def imu_sample(k: int, true: _TrackState) -> ImuSample:
-        return _noisy_imu(
-            noise,
-            truth.seed,
-            times[k],
-            track.omega[k] + truth.b_omega,
-            track.accel[k] + truth.b_a,
-            true.rot.m.T @ sc.ref.mag_ref,
-        )
-
-    def record(k: int, true: _TrackState):
-        m = error_metrics(true, est, truth.b_omega, truth.b_a)
-        att[k], pos[k], vel[k] = m.att_err, m.pos_err, m.vel_err
-        b_om[k], b_a[k] = m.b_omega_err, m.b_a_err
-        est_pos[k] = est.nav.pos
-        est_vel[k] = est.nav.vel
-
-    true = true_state(0)
-    record(0, true)
-    tdoa_next = 0.0
-    tdoa_period = 1.0 / sc.tdoa_rate
+    tdoa_next, tdoa_period = 0.0, 1.0 / sc.tdoa_rate
     for k in range(n):
-        tk = times[k]
-        sample = imu_sample(k, true)
-        imu_stream.append(sample)
-        frame = None
-        if tk >= tdoa_next - 1e-9:
+        if times[k] >= tdoa_next - 1e-9:
             tdoa_next += tdoa_period
-            frame = synthesize_tdoa(
-                true.pos,
-                true.rot,
-                sc.anchors,
-                sc.tag_offset,
-                noise.tdoa_sd,
-                seed=(truth.seed, _STREAM_TDOA, k),
-                timestamp=tk,
+            frames[k] = synthesize_tdoa(
+                track.pos[k], _TrackRotation(track.rot[k]), sc.anchors, sc.tag_offset, noise.tdoa_sd,
+                seed=(truth.seed, _STREAM_TDOA, k), timestamp=times[k],
             )
-            frames[k] = frame
-            try:
-                fix = solve_frame(sc.anchors, frame)
-                raw_pos[k] = fix.p
-                raw_err[k] = float(np.linalg.norm(fix.p - true.pos))
-            except (GeometryDegenerate, ValueError):
-                pass
-        dt = float(t[k + 1] - t[k])
-        est = step(est, sample, frame, sc.anchors, gains, dt, ref=sc.ref)
-        true = true_state(k + 1)
-        record(k + 1, true)
-    # One trailing sample so dataset exports carry the final step length.
-    imu_stream.append(imu_sample(n, true))
+    est, _, (R, P, V, b_omega_hat, b_a_hat, raw_pos) = _run_stream(
+        sc.estimate, imu_stream, frames, sc.anchors, gains, np.diff(t).tolist(), ref=sc.ref, step=step
+    )
+    att, pos, vel = _nav_errors(track.rot, track.pos, track.vel, R, P, V)
+    b_om = _norms(truth.b_omega - b_omega_hat)
+    b_a = _norms(truth.b_a - b_a_hat)
+    raw_err = _norms(raw_pos - track.pos)
 
     summary = {
         "scenario": sc.name,
@@ -736,8 +691,8 @@ def run_scenario(
         truth_rot=track.rot,
         truth_pos=track.pos,
         truth_vel=track.vel,
-        est_pos=est_pos,
-        est_vel=est_vel,
+        est_pos=P,
+        est_vel=V,
         raw_pos=raw_pos,
         raw_err=raw_err,
         imu=imu_stream,

@@ -10,14 +10,16 @@ first.  The tracer is imported from its file and not modified.
 
 import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from uwbnav.observer import Gains, ObserverState, step
+from uwbnav.replay import export_dataset, load_dataset, run_replay
 from uwbnav.sensors import ImuSample, ReferenceVectors
 from uwbnav.sim import default_anchors, preset_scenario, run_scenario
-from uwbnav.tdoa import synthesize_tdoa
+from uwbnav.tdoa import load_anchors, synthesize_tdoa
 
 TRACER = Path(__file__).resolve().parents[1] / "navbench" / "tracer.py"
 
@@ -56,6 +58,32 @@ def test_run_scenario_calls_sim_step_once_per_imu_step(monkeypatch):
     result = run_scenario(preset_scenario("figure8", duration=1.0), Gains())
     assert len(calls) == 100
     assert result.final_state.step_count == 100
+
+
+def test_run_replay_calls_replay_step_once_per_taken_imu_step(monkeypatch, tmp_path):
+    # The replay twin of the test above, over an exported 1 s trial with a
+    # 0.21 s IMU gap cut into it: the step across the gap is skipped and
+    # makes no call.
+    import uwbnav.replay as replay_module
+
+    sim = run_scenario(preset_scenario("figure8", duration=1.0), Gains())
+    paths = export_dataset(sim, tmp_path)
+    dataset = load_dataset({k: paths[k] for k in ("imu", "uwb", "gt")})
+    dataset = replace(dataset, imu=dataset.imu[:40] + dataset.imu[60:])
+    calls = []
+    real = replay_module.step
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].timestamp)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(replay_module, "step", counting)
+    result = run_replay(dataset, load_anchors(paths["anchors"]), Gains(), ObserverState.cold_start())
+    summary = result.summary
+    assert (summary["steps"], summary["skipped_steps"]) == (80, 1)
+    assert len(calls) == 79
+    assert calls == [s.timestamp for k, s in enumerate(dataset.imu[:80]) if k != 39]
+    assert result.final_state.step_count == 79
 
 
 def test_step_solves_its_frame_through_the_observer_module(monkeypatch):

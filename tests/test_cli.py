@@ -144,6 +144,53 @@ def test_sim_parallel_runs_match_serial_runs(capsys, tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "runs, jobs, cpus, workers",
+    [(2, 100000, 8, 2), (6, 100000, 4, 4), (6, 3, 8, 3), (3, 2, None, None), (1, 5, 8, None)],
+)
+def test_sim_jobs_are_bounded_by_runs_and_cpus(capsys, tmp_path, monkeypatch, runs, jobs, cpus, workers):
+    # A pool forks all max_workers at its first submit, so --jobs must never
+    # reach it unbounded.  A stand-in pool records max_workers and runs the
+    # tasks inline; no process is started.  None: the sweep runs serially.
+    import concurrent.futures
+
+    import uwbnav.cli as cli_module
+
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: cpus)
+    argv = ["sim", "--scenario", "static", "--runs", str(runs), "--set", "sim.duration=0.5"]
+    assert main(argv + ["--jobs", str(jobs), "--out", str(tmp_path)]) == 0
+    assert pools == ([] if workers is None else [workers])
+    assert len(list(tmp_path.rglob("metrics.csv"))) == runs
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sim_rejects_a_job_count_below_one(capsys, tmp_path, jobs):
+    code, _, err = run_cli(
+        capsys, ["sim", "--scenario", "static", "--jobs", jobs, "--out", str(tmp_path)]
+    )
+    assert code == 2
+    assert "--jobs must be >= 1" in err
+    assert not tmp_path.joinpath("metrics.csv").exists()
+
+
 def test_sim_sweep_integrates_its_truth_once(capsys, tmp_path, monkeypatch):
     # One track per invocation, shared by every seed and by --jobs workers;
     # none outlives the call, so a second sweep integrates its own.

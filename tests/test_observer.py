@@ -10,13 +10,14 @@ from uwbnav.observer import (
     Gains,
     ObserverState,
     _correction_terms,
+    _run_stream,
     error_metrics,
     lyapunov_l1,
     step,
     validate_gains,
 )
 from uwbnav.sensors import ImuSample, ReferenceVectors, build_triads, weighted_matrix
-from uwbnav.tdoa import Anchor, AnchorSet, TdoaFrame, synthesize_tdoa
+from uwbnav.tdoa import Anchor, AnchorSet, TdoaFrame, solve_frame, synthesize_tdoa
 
 GRAVITY = np.array([0.0, 0.0, -9.8])
 
@@ -390,6 +391,31 @@ def test_step_divergence_surfaces_as_value_error():
 
 
 # --- metrics and Lyapunov value ------------------------------------------------------
+
+
+def test_run_stream_skips_steps_outside_the_dt_range():
+    # A step with dt outside (0, 0.1] keeps the state, is counted, and leaves
+    # its frame unsolved; every other frame is solved for the raw-fix column.
+    anchors = box_anchors()
+    ref = ReferenceVectors()
+    imu = hover_imu(np.eye(3), ref)
+    frame = synthesize_tdoa([1.0, 0.5, 1.2], None, anchors)
+    bad = TdoaFrame(timestamp=0.0, d=np.zeros(8))  # all anchors equidistant: no fix
+    dts = [0.01, 0.0, 0.2, 0.01, float("nan"), 0.01]
+    frames = {0: frame, 1: frame, 3: frame, 5: bad}
+    state = ObserverState.cold_start()
+    final, skipped, (R, P, V, b_omega_hat, b_a_hat, fix) = _run_stream(
+        state, [imu] * 6, frames, anchors, Gains(), dts, ref=ref, step=step
+    )
+    assert skipped == 3
+    assert final.step_count == 3 and final.tdoa_failures == 1
+    assert R.shape == (7, 3, 3) and P.shape == V.shape == b_omega_hat.shape == b_a_hat.shape == (7, 3)
+    assert np.array_equal(P[0], state.nav.pos) and np.array_equal(P[6], final.nav.pos)
+    for a in (R, P, V, b_omega_hat, b_a_hat):
+        assert np.array_equal(a[1], a[2]) and np.array_equal(a[2], a[3])  # kept across the skips
+        assert np.array_equal(a[4], a[5])
+    assert np.flatnonzero(np.isfinite(fix[:, 0])).tolist() == [0, 3]
+    assert np.array_equal(fix[0], solve_frame(anchors, frame).p)
 
 
 def test_error_metrics_zero_for_identical_states():

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_states_identical, random_rotation, reference_propagate_truth, reference_step
-from uwbnav.liegroup import NavState, Rotation
-from uwbnav.observer import Gains
+from uwbnav.liegroup import NavState, Rotation, att_dist
+from uwbnav.observer import Gains, error_metrics
 from uwbnav.sensors import ReferenceVectors
 from uwbnav.sim import (
     PRESET_NAMES,
@@ -159,6 +159,61 @@ def test_run_scenario_matches_the_dataclass_kernels(monkeypatch):
     for name in ("att_err", "pos_err", "vel_err", "b_omega_err", "b_a_err", "truth_rot", "est_pos", "est_vel"):
         assert np.array_equal(getattr(lean, name), getattr(ref, name)), name
     assert_states_identical(lean.final_state, ref.final_state)
+
+
+def test_batched_errors_match_error_metrics_row_by_row(monkeypatch):
+    # run_scenario computes every error series after the loop, in one pass
+    # over the estimate arrays.  Each row must keep the bits of the per-step
+    # forms: error_metrics, and the plain np.linalg.norm / att_dist of one
+    # row.  Two batched forms that look equivalent do not.  On this run
+    # np.linalg.norm(d, axis=1), which sums the squares in another order,
+    # differs on 87 of the 1 001 position rows and 77 velocity rows, and an
+    # einsum trace of the stacked products on 264 attitude rows.
+    import uwbnav.sim as sim_module
+
+    states = []
+    real = sim_module.step
+
+    def recording(state, *args, **kwargs):
+        out = real(state, *args, **kwargs)
+        states.append(out)
+        return out
+
+    monkeypatch.setattr(sim_module, "step", recording)
+    b_omega, b_a = np.array([0.01, -0.02, 0.005]), np.array([0.1, -0.05, 0.2])
+    sc = preset_scenario(
+        "figure8",
+        seed=5,
+        duration=10.0,
+        noise=SensorNoise(gyro_sd=0.005, accel_sd=0.02, mag_sd=0.2, tdoa_sd=0.05),
+        b_omega=b_omega,
+        b_a=b_a,
+        tag_offset=(-0.012, 0.001, 0.091),
+    )
+    res = run_scenario(sc, Gains())
+    states.insert(0, sc.estimate)
+    assert len(states) == len(res.t) == 1001
+    want = {name: np.empty(len(states)) for name in ("att_err", "pos_err", "vel_err", "b_omega_err", "b_a_err")}
+    plain = {name: np.empty(len(states)) for name in want}
+    raw_err = np.full(len(states), np.nan)
+    for k, state in enumerate(states):
+        truth = NavState(Rotation(res.truth_rot[k]), res.truth_pos[k], res.truth_vel[k])
+        m = error_metrics(truth, state, b_omega, b_a)
+        for name in want:
+            want[name][k] = getattr(m, name)
+        nav = state.nav
+        plain["att_err"][k] = att_dist(res.truth_rot[k] @ nav.rot.m.T)
+        plain["pos_err"][k] = np.linalg.norm(res.truth_pos[k] - nav.pos)
+        plain["vel_err"][k] = np.linalg.norm(res.truth_vel[k] - nav.vel)
+        plain["b_omega_err"][k] = np.linalg.norm(b_omega - state.b_omega_hat)
+        plain["b_a_err"][k] = np.linalg.norm(b_a - state.b_a_hat)
+        if np.isfinite(res.raw_pos[k, 0]):
+            raw_err[k] = np.linalg.norm(res.raw_pos[k] - res.truth_pos[k])
+    for name in want:
+        assert np.array_equal(getattr(res, name), want[name]), name
+        assert np.array_equal(getattr(res, name), plain[name]), name
+    assert np.count_nonzero(np.isfinite(raw_err)) == 100
+    assert np.array_equal(res.raw_err, raw_err, equal_nan=True)
 
 
 def test_propagate_matches_analytic_trajectory_second_order():
