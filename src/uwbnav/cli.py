@@ -10,8 +10,8 @@ Configuration is one JSON document (``--config``) merged over built-in
 defaults, with ``--set dotted.key=value`` overrides applied last.  Unknown
 keys are rejected.  Artifacts (metrics.csv, summary.json, exported datasets)
 are written atomically.  Exit codes: 0 success, 2 configuration or usage
-error, 3 runtime/data failure (including a failed gain certificate and
-degenerate TDOA geometry).
+error, 3 runtime/data failure (including a failed gain certificate,
+degenerate TDOA geometry and an observer that diverges during a run).
 
 The environment variable NAV_LOG sets the log level (DEBUG, INFO, ...).
 """
@@ -460,6 +460,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"runtime failure: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -267,7 +267,9 @@ def _run_stream(state, samples, frames, anchors, gains, dts, *, ref, step):
     Step k takes ``samples[k]``, ``frames.get(k)`` and ``dts[k]``; a dt outside
     (0, 0.1] keeps the state and is counted as skipped.  A taken step's frame
     is solved here for the raw-fix column, and again inside ``step``, which is
-    the caller's own binding (the name the benchmark times).  Returns the final
+    the caller's own binding (the name the benchmark times).  A ValueError
+    from ``step`` (a state that diverged) is raised again as a RuntimeError
+    naming the step index and the sample's timestamp.  Returns the final
     state, the skipped count and the arrays (R, P, V, b_omega_hat, b_a_hat,
     fix), one row per sample from the initial state on; ``fix`` is NaN where
     no frame solved.
@@ -293,7 +295,12 @@ def _run_stream(state, samples, frames, anchors, gains, dts, *, ref, step):
                 fix[k] = solve_frame(anchors, frame).p
             except (GeometryDegenerate, ValueError):
                 pass
-        state = step(state, samples[k], frame, anchors, gains, dt, ref=ref)
+        try:
+            state = step(state, samples[k], frame, anchors, gains, dt, ref=ref)
+        except ValueError as exc:
+            raise RuntimeError(
+                f"observer diverged at step {k} (t = {samples[k].timestamp!r} s): {exc}"
+            ) from exc
     return state, skipped, (R, P, V, b_omega_hat, b_a_hat, fix)
 
 

@@ -426,7 +426,9 @@ def run_replay(
     """Replay the observer over a loaded dataset against its ground truth.
 
     TDOA frames are consumed by the IMU step whose timestamp is closest at or
-    before them; when several frames land in one step the last wins.  When the
+    before them; when several frames land in one step the last wins.  A frame
+    that no step consumes (it lands outside the stream, is overwritten, or
+    lands on a step skipped for its dt) counts as dropped.  When the
     dataset has no magnetometer, one is synthesized from the interpolated
     ground-truth attitude with noise `mag_noise_sd` (draws keyed by the seed
     and sample index, so the replay is deterministic).
@@ -447,7 +449,9 @@ def run_replay(
         gt, t_imu, velocity_window, velocity_poly_order
     )
     n_steps = len(imu) - 1
-    # Map each TDOA frame onto the step that starts at or just before it.
+    dts = np.diff(t_imu).tolist()
+    # Map each TDOA frame onto the step that starts at or just before it;
+    # _run_stream skips a step whose dt is outside (0, 0.1] with its frame.
     frame_for_step: dict = {}
     dropped_frames = 0
     for fr in tdoa:
@@ -458,6 +462,7 @@ def run_replay(
             frame_for_step[k] = fr
         else:
             dropped_frames += 1
+    dropped_frames += sum(1 for k in frame_for_step if not 0.0 < dts[k] <= 0.1)
 
     # The magnetometer, when the file has none, is synthesised from the
     # interpolated truth attitude inside the truth range.
@@ -472,7 +477,7 @@ def run_replay(
             samples[k] = ImuSample(s.timestamp, s.gyro, s.accel, mag)
 
     state, skipped_steps, (R, P, V, _, _, raw_pos) = _run_stream(
-        init, samples, frame_for_step, anchors, gains, np.diff(t_imu).tolist(), ref=ref, step=step
+        init, samples, frame_for_step, anchors, gains, dts, ref=ref, step=step
     )
     att, pos, vel = _nav_errors(truth_rot, truth_pos, truth_vel, R, P, V)
     raw_err = _norms(raw_pos - truth_pos)

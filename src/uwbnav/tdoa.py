@@ -10,6 +10,11 @@ the first anchor as a fourth unknown gives an N x 4 least-squares system whose
 solution is the reconstructed position.  The chain structure means row k's
 constant term carries the cumulative sum d_{2,1} + ... + d_{k,k-1}, since
 ||P - h_k|| = ||P - h_1|| + sum of the differences along the chain.
+
+Every system is solved by one call to LAPACK ``dgelsd`` (SVD-based minimum-norm
+least squares) through ``scipy.linalg.lapack``: the routine and the singular
+value cutoff ``RANK_TOL`` that ``np.linalg.lstsq(A, B, rcond=RANK_TOL)`` uses,
+without its wrapper.  The optimal workspace is queried once per system shape.
 """
 
 from __future__ import annotations
@@ -17,8 +22,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import dgelsd, dgelsd_lwork
 
 from .liegroup import Rotation, _as_vec3
 
@@ -41,6 +48,21 @@ RANK_TOL = 1e-8
 # Allowed excess of |d_k| over the anchor-set diameter before a frame is
 # rejected as physically impossible (noise slack, meters).
 DIAMETER_SLACK = 1.0
+
+
+@lru_cache(maxsize=None)
+def _gelsd_workspace(m: int, n: int) -> np.ndarray:
+    """dgelsd's optimal (lwork, liwork) for an m x n system with one right-hand side.
+
+    The query ``np.linalg.lstsq`` makes before each solve, made once per shape;
+    the array is read-only because every caller shares it.
+    """
+    work, iwork, info = dgelsd_lwork(m, n, 1, RANK_TOL)
+    if info != 0:
+        raise ValueError(f"dgelsd workspace query failed (info {info})")
+    workspace = np.array([int(work), iwork])
+    workspace.setflags(write=False)
+    return workspace
 
 
 class GeometryDegenerate(Exception):
@@ -91,13 +113,15 @@ class AnchorSet:
         if not sv[2] > 1e-6 * sv[0]:
             raise ValueError("anchors are coplanar (or collinear); geometry is degenerate")
         # The geometry every frame is solved against, computed once: squared
-        # norms ||h_k||^2 and ||h_{k+1}||^2 and chain differences h_k - h_{k+1}.
+        # norms ||h_k||^2 and ||h_{k+1}||^2, chain differences h_k - h_{k+1}
+        # and the solver's workspace for the N x 4 system.
         norms = np.sum(pos * pos, axis=1)
         geometry = {
             "positions": pos,
             "_norms": norms,
             "_norms_next": np.roll(norms, -1),
             "_chain": pos - np.roll(pos, -1, axis=0),
+            "_workspace": _gelsd_workspace(len(anchors), 4),
         }
         for name, arr in geometry.items():
             arr.setflags(write=False)
@@ -165,49 +189,60 @@ def build_system(anchors: AnchorSet, frame: TdoaFrame):
         B[k] = (d_k^2 + ||h_k||^2 - ||h_j||^2 + 2 d_k * csum_k) / 2
 
     where csum_k is the cumulative sum of d_0..d_{k-1} (empty for k = 0).
+    B is built by exactly this recurrence, row by row on Python floats.
     """
     n = anchors.n
     d = frame.d
     if d.shape != (n,):
         raise ValueError(f"frame has {d.shape[0]} differences for {n} anchors")
+    dl = d.tolist()
     bound = anchors.diameter + DIAMETER_SLACK
-    if np.abs(d).max() > bound:
+    if max(map(abs, dl)) > bound:
         raise ValueError(
             f"range difference exceeds anchor-set diameter + slack ({bound:.3f} m)"
         )
-    csum = np.add.accumulate(np.concatenate(([0.0], d[:-1])))  # 0, d_0, d_0 + d_1, ...
     A = np.empty((n, 4))
     A[:, :3] = anchors._chain
     A[:, 3] = -d
-    # float_power, not d**2: the square goes through pow() as the scalar
-    # d_k**2 of the row-by-row form did, so B keeps its last bit.
-    B = 0.5 * (np.float_power(d, 2.0) + anchors._norms - anchors._norms_next + 2.0 * d * csum)
-    return A, B
+    # dk**2, not dk*dk: it goes through pow(), as the documented row form on
+    # numpy scalars does, and differs from dk*dk in the last bit on ~0.1 %
+    # of values.
+    B = []
+    csum = 0.0
+    for dk, nk, nj in zip(dl, anchors._norms.tolist(), anchors._norms_next.tolist()):
+        B.append(0.5 * (dk**2 + nk - nj + 2.0 * dk * csum))
+        csum += dk
+    return A, np.array(B)
 
 
-def solve_position(A, B, allow_reduced: bool = False) -> ReconstructedPosition:
-    """Solve the TDOA system by orthogonal-factorization least squares.
+def _lstsq(A, B, workspace):
+    """Solution, rank and singular values of min ||A x - B|| by one dgelsd call.
 
-    Raises :class:`GeometryDegenerate` when the 4-column system is rank
-    deficient (sigma_4/sigma_1 < 1e-8), e.g. for all-zero differences.  With
-    ``allow_reduced=True`` such frames fall back to the 3-unknown system that
-    drops the range column (usable when the differences are near zero); the
-    fallback cannot report ``range_to_h1``.
+    Singular values below ``RANK_TOL`` times the largest count as zero, as in
+    ``np.linalg.lstsq(A, B, rcond=RANK_TOL)``, which runs the same routine.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    sol, _, rank, sv = np.linalg.lstsq(A, B, rcond=RANK_TOL)
+    m, n = A.shape
+    if m < n:  # dgelsd returns x in B, so B needs max(m, n) rows
+        B = np.concatenate((B, np.zeros(n - m)))
+    x, sv, rank, info = dgelsd(A, B, workspace[0], workspace[1], RANK_TOL)
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    return x[:n], rank, sv
+
+
+def _solve(A, B, workspace, allow_reduced: bool, h1=None) -> ReconstructedPosition:
+    """The fix of ``solve_position``; with the first anchor ``h1`` also its consistency."""
+    sol, rank, sv = _lstsq(A, B, workspace)
     if rank < 4:
         if not allow_reduced:
             raise GeometryDegenerate(
-                f"TDOA system rank {rank} < 4 (singular values {sv})", rank=int(rank)
+                f"TDOA system rank {rank} < 4 (singular values {sv})", rank=rank
             )
-        sol3, _, rank3, _ = np.linalg.lstsq(A[:, :3], B, rcond=RANK_TOL)
+        A3 = A[:, :3]
+        sol3, rank3, _ = _lstsq(A3, B, _gelsd_workspace(A.shape[0], 3))
         if rank3 < 3:
-            raise GeometryDegenerate(
-                f"reduced TDOA system rank {rank3} < 3", rank=int(rank3)
-            )
-        residual = float(np.sqrt(np.mean((A[:, :3] @ sol3 - B) ** 2)))
+            raise GeometryDegenerate(f"reduced TDOA system rank {rank3} < 3", rank=rank3)
+        residual = float(np.sqrt(np.mean((A3 @ sol3 - B) ** 2)))
         return ReconstructedPosition(
             p=sol3,
             range_to_h1=float("nan"),
@@ -216,12 +251,35 @@ def solve_position(A, B, allow_reduced: bool = False) -> ReconstructedPosition:
         )
     r = A @ sol - B
     residual = math.sqrt(np.add.reduce(r * r) / r.size)  # the RMS, as np.mean sums it
+    p = sol[:3]
+    range_to_h1 = float(sol[3])
+    consistency = float("nan")
+    if h1 is not None:
+        offset = p - h1
+        consistency = abs(range_to_h1 - math.sqrt(offset.dot(offset)))
     return ReconstructedPosition(
-        p=sol[:3],
-        range_to_h1=float(sol[3]),
+        p=p,
+        range_to_h1=range_to_h1,
         residual=residual,
-        negative_range=bool(sol[3] < 0.0),
+        range_consistency=consistency,
+        negative_range=range_to_h1 < 0.0,
     )
+
+
+def solve_position(A, B, allow_reduced: bool = False) -> ReconstructedPosition:
+    """Solve the TDOA system by SVD least squares (LAPACK ``dgelsd``).
+
+    Raises :class:`GeometryDegenerate` when the 4-column system is rank
+    deficient: its rank counts the singular values above 1e-8 of the
+    largest, so all-zero differences, for one, give rank 3.  With
+    ``allow_reduced=True`` such frames fall back to the 3-unknown system that
+    drops the range column (usable when the differences are near zero),
+    solved the same way; the fallback cannot report ``range_to_h1``.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    m, n = A.shape  # a ValueError, as from np.linalg.lstsq, unless A is a matrix
+    return _solve(A, B, _gelsd_workspace(m, n), allow_reduced)
 
 
 def solve_frame(
@@ -229,18 +287,7 @@ def solve_frame(
 ) -> ReconstructedPosition:
     """build_system + solve_position, with the h_1 consistency diagnostic filled in."""
     A, B = build_system(anchors, frame)
-    fix = solve_position(A, B, allow_reduced=allow_reduced)
-    if not fix.reduced:
-        offset = fix.p - anchors.positions[0]
-        consistency = abs(fix.range_to_h1 - math.sqrt(offset.dot(offset)))
-        fix = ReconstructedPosition(
-            p=fix.p,
-            range_to_h1=fix.range_to_h1,
-            residual=fix.residual,
-            range_consistency=consistency,
-            negative_range=fix.negative_range,
-        )
-    return fix
+    return _solve(A, B, anchors._workspace, allow_reduced, anchors.positions[0])
 
 
 def synthesize_tdoa(

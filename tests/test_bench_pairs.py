@@ -4,6 +4,8 @@ The harness is loaded from its file; it runs nothing here.
 """
 
 import importlib.util
+import platform
+from importlib import metadata
 from pathlib import Path
 
 import pytest
@@ -71,3 +73,10 @@ def test_bounds_and_unresolved_spreads(bp):
 def test_parse_seeds(bp):
     assert bp.parse_seeds("531-535") == [531, 532, 533, 534, 535]
     assert bp.parse_seeds("1,4-5,9") == [1, 4, 5, 9]
+
+
+def test_machine_line_names_the_numpy_and_scipy_builds(bp):
+    line = bp.machine()
+    assert f"Python {platform.python_version()}" in line
+    assert f"numpy {metadata.version('numpy')}" in line
+    assert f"scipy {metadata.version('scipy')}" in line

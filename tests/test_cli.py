@@ -350,6 +350,20 @@ def test_tdoa_solve_degenerate_geometry_is_a_runtime_failure(capsys, tmp_path):
     assert "rank 3" in err
 
 
+def test_sim_divergence_is_a_runtime_failure_naming_the_step(capsys, tmp_path):
+    # A position gain this large blows the state up mid-run; step's ValueError
+    # surfaces as exit 3 with the step index and time, not as bad input.
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = run_cli(
+            capsys,
+            ["sim", "--scenario", "static", "--set", "sim.duration=10.0",
+             "--set", "gains.k_v=1000000", "--out", str(tmp_path / "out")],
+        )
+    assert code == 3
+    assert "runtime failure: observer diverged at step 760 (t = 7.6 s)" in err
+    assert "invalid input" not in err
+
+
 def test_tdoa_solve_rejects_bad_inputs(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, ["tdoa-solve", "--anchors", str(tmp_path / "nope.json"), "--d", "0,0,0"]

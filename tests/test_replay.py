@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
+import uwbnav.replay
 from uwbnav.liegroup import so3_exp
-from uwbnav.observer import Gains, ObserverState
+from uwbnav.observer import Gains, ObserverState, step
 from uwbnav.replay import (
     ConfigError,
     DataError,
@@ -539,6 +540,35 @@ def test_run_replay_synthesizes_deterministic_magnetometer(tmp_path):
     np.testing.assert_array_equal(a.est_pos, b.est_pos)
     assert not np.array_equal(a.est_pos, c.est_pos)
     assert a.summary["triad_failures"] == 0
+
+
+def test_run_replay_counts_frames_on_skipped_steps_as_dropped(tmp_path, monkeypatch):
+    # Cutting the IMU rows of t = 5.00 .. 5.19 s leaves one 0.21 s step, which
+    # is skipped; the frames at 5.0 and 5.1 s both land on it: one is
+    # overwritten by the other and the other never reaches the observer.
+    sc = preset_scenario("figure8", duration=20.0, noise=SensorNoise(0.005, 0.02, 0.2, 0.05))
+    paths = export_dataset(run_scenario(sc, Gains()), tmp_path)
+    with open(paths["imu"], newline="") as fh:
+        rows = list(csv.reader(fh))
+    kept = [rows[0]] + [row for row in rows[1:] if not 5.0 <= float(row[0]) < 5.195]
+    assert len(rows) - len(kept) == 20
+    with open(tmp_path / "imu_gap.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(kept)
+    ds = load_dataset(dict(paths, imu=tmp_path / "imu_gap.csv"))
+    received = []
+
+    def counting_step(state, imu, frame, *args, **kwargs):
+        received.append(frame is not None)
+        return step(state, imu, frame, *args, **kwargs)
+
+    monkeypatch.setattr(uwbnav.replay, "step", counting_step)
+    rep = run_replay(
+        ds, load_anchors(paths["anchors"]), Gains(), ObserverState.cold_start(pos=(-3.0, -1.0, 0.0))
+    )
+    assert rep.summary["tdoa_frames"] == 200
+    assert rep.summary["dropped_tdoa_frames"] == 2
+    assert rep.summary["skipped_steps"] == 1
+    assert sum(received) == 198 == rep.summary["tdoa_frames"] - rep.summary["dropped_tdoa_frames"]
 
 
 # --- artifact writing -----------------------------------------------------------------

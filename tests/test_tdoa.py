@@ -2,12 +2,17 @@
 
 import json
 
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgelsd_lwork
 
 from helpers import random_rotation
 from uwbnav.liegroup import Rotation
 from uwbnav.tdoa import (
+    DIAMETER_SLACK,
+    RANK_TOL,
     Anchor,
     AnchorSet,
     GeometryDegenerate,
@@ -73,6 +78,9 @@ def test_anchorset_caches_its_geometry_at_construction():
         assert np.array_equal(a.positions, positions)
         assert a.diameter == diameter
         assert not a.positions.flags.writeable
+        work, iwork, _ = dgelsd_lwork(a.n, 4, 1, RANK_TOL)
+        assert a._workspace.tolist() == [int(work), iwork]
+        assert not a._workspace.flags.writeable
 
 
 def test_anchor_rejects_non_finite_position():
@@ -211,6 +219,107 @@ def test_reduced_fallback_solves_equidistant_case():
     assert np.isnan(fix.range_to_h1)
     # All-zero differences mean equidistance: the box center.
     np.testing.assert_allclose(fix.p, [2.0, 2.0, 2.0], atol=1e-9)
+
+
+def lstsq_reference(A, B, allow_reduced, h1=None):
+    """The fix as np.linalg.lstsq computes it, as a (kind, values) pair.
+
+    np.linalg.lstsq runs LAPACK gelsd, the routine solve_position calls
+    directly, with the same singular value cutoff: the kinds must match
+    exactly and the values to rounding.
+    """
+    sol, _, rank, _ = np.linalg.lstsq(A, B, rcond=RANK_TOL)
+    if rank < 4:
+        if not allow_reduced:
+            return "degenerate", [rank]
+        sol3, _, rank3, _ = np.linalg.lstsq(A[:, :3], B, rcond=RANK_TOL)
+        if rank3 < 3:
+            return "degenerate", [rank3]
+        return "reduced", [*sol3, math.sqrt(np.mean((A[:, :3] @ sol3 - B) ** 2))]
+    values = [*sol, math.sqrt(np.mean((A @ sol - B) ** 2))]
+    if h1 is not None:
+        values.append(abs(sol[3] - np.linalg.norm(sol[:3] - h1)))
+    return "fix", values
+
+
+def classify(solve):
+    try:
+        fix = solve()
+    except GeometryDegenerate as exc:
+        return "degenerate", [exc.rank]
+    except ValueError:
+        return "invalid", []
+    if fix.reduced:
+        assert np.isnan(fix.range_to_h1) and np.isnan(fix.range_consistency)
+        return "reduced", [*fix.p, fix.residual]
+    assert fix.negative_range == (fix.range_to_h1 < 0.0)
+    values = [*fix.p, fix.range_to_h1, fix.residual]
+    if not np.isnan(fix.range_consistency):
+        values.append(fix.range_consistency)
+    return "fix", values
+
+
+def assert_same_fix(got, want):
+    assert got[0] == want[0]
+    # 1e-12 relative; the 1e-14 m floor covers residuals of exact fits, which
+    # are rounding noise.
+    np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=1e-14)
+
+
+def random_frames(rng, anchors):
+    """Noisy in- and out-of-hull frames plus the edge cases of the solver."""
+    pos, n = anchors.positions, anchors.n
+    for k in range(12):
+        ranges = np.linalg.norm(rng.uniform(-8.0, 8.0, 3) - pos, axis=1)
+        yield np.roll(ranges, -1) - ranges + rng.normal(0.0, 0.05, n)
+    yield np.zeros(n)  # rank 3: degenerate, or the reduced fallback
+    yield np.full(n, anchors.diameter + DIAMETER_SLACK + 0.5) * (-1.0) ** np.arange(n)  # range
+    yield np.zeros(n - 1)  # size
+
+
+def test_solve_frame_matches_numpy_lstsq_on_random_anchor_sets():
+    rng = np.random.default_rng(36)
+    kinds = set()
+    for _ in range(120):
+        pts = rng.uniform(-5.0, 5.0, (int(rng.integers(4, 13)), 3))
+        anchors = AnchorSet(tuple(Anchor(id=i, pos=p) for i, p in enumerate(pts)))
+        for d in random_frames(rng, anchors):
+            frame = TdoaFrame(timestamp=0.0, d=d)
+            for allow_reduced in (False, True):
+                got = classify(lambda: solve_frame(anchors, frame, allow_reduced))
+                valid = d.shape == (anchors.n,) and np.abs(d).max() <= anchors.diameter + DIAMETER_SLACK
+                if valid:
+                    want = lstsq_reference(
+                        *build_system_rows(anchors, frame), allow_reduced, anchors.positions[0]
+                    )
+                else:
+                    want = "invalid", []
+                assert_same_fix(got, want)
+                kinds.add(got[0])
+    assert kinds == {"fix", "reduced", "degenerate", "invalid"}
+
+
+def test_solve_position_matches_numpy_lstsq_including_rank_deficient_systems():
+    rng = np.random.default_rng(37)
+    kinds, ranks = set(), set()
+    for k in range(400):
+        n = int(rng.integers(2, 13))  # fewer rows than unknowns too
+        A = rng.normal(size=(n, 4))
+        B = rng.normal(size=n)
+        if k % 4 == 1:
+            A[:, 3] = 0.0  # rank 3: degenerate, or the reduced fallback
+        elif k % 4 == 2:
+            A[:, 2] = A[:, 1]
+            A[:, 3] = 0.0  # rank 2, and rank 2 again without the range column
+        elif k % 4 == 3:
+            A[:, 3] *= 1e-10  # rank 4 in exact arithmetic, 3 under the 1e-8 cutoff
+        for allow_reduced in (False, True):
+            got = classify(lambda: solve_position(A, B, allow_reduced))
+            assert_same_fix(got, lstsq_reference(A, B, allow_reduced))
+            kinds.add(got[0])
+            if got[0] == "degenerate":
+                ranks.add(got[1][0])
+    assert kinds == {"fix", "reduced", "degenerate"} and ranks == {2, 3}
 
 
 # --- synthesize_tdoa ---------------------------------------------------------------

@@ -12,7 +12,9 @@ least nine tenths of the pairs won (ties count for neither side) and medians
 that differ by more than the parent's interquartile range.  Every other
 metric is checked against its bound in BENCHMARK.json.  ``--trace 1`` runs
 the traced variant and reports the per-layer metrics the same way.  An
-existing output file keeps its other workloads.
+existing output file keeps its other workloads.  Its ``machine`` line names
+the numpy and scipy versions next to Python's: the step runs its products on
+numpy's BLAS and its TDOA solve on scipy's LAPACK.
 
 Standard library only.
 """
@@ -28,6 +30,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -121,6 +124,17 @@ def run_side(root: Path, workload: str, seed: int, seconds: float, trace: int) -
     }
 
 
+def machine() -> str:
+    """Platform, CPU count, and the Python, numpy and scipy versions of this interpreter."""
+    versions = [f"Python {platform.python_version()}"]
+    for dist in ("numpy", "scipy"):
+        try:
+            versions.append(f"{dist} {metadata.version(dist)}")
+        except metadata.PackageNotFoundError:
+            versions.append(f"{dist} not installed")
+    return f"{platform.platform()}, {os.cpu_count()} CPUs, " + ", ".join(versions)
+
+
 def git(*args) -> str:
     proc = subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True)
     return proc.stdout.strip()
@@ -188,7 +202,7 @@ def main(argv=None) -> int:
 
     out_path = Path(args.out)
     doc = json.loads(out_path.read_text()) if out_path.exists() else {}
-    doc.setdefault("machine", f"{platform.platform()}, {os.cpu_count()} CPUs, Python {platform.python_version()}")
+    doc.setdefault("machine", machine())
     doc["method"] = (
         "tools/bench_pairs.py: navbench/run.py --seconds S per seed, parent and change alternating"
         " which runs first; medians and inclusive quartiles over the seeds both sides completed"
