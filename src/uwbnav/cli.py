@@ -373,7 +373,7 @@ def cmd_tdoa_solve(args) -> int:
 
 
 def cmd_validate_gains(args) -> int:
-    gains = Gains(k_omega=args.k_omega, k_v=args.k_v, k_a=args.k_a)
+    gains = Gains(k_v=args.k_v, k_a=args.k_a)
     report = validate_gains(gains, args.delta)
     status = "PASS" if report.passed else "FAIL"
     print(f"{status}: delta={report.delta!r}, bound={report.bound!r}, margin={report.margin!r}")
@@ -427,7 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate-gains", help="check the closed-form stability certificate")
     gains = Gains()
     for flag, name, what in (
-        ("--k-omega", "k_omega", "attitude"),
         ("--k-v", "k_v", "position"),
         ("--k-a", "k_a", "velocity"),
     ):

@@ -17,6 +17,13 @@ elements u([omega]_x, v, a, rho):
 The scalar ``rho`` couples the velocity column into the position column
 (it is what turns "P-dot = V" into a group operation).  Everything here is a
 pure function of its inputs; no mutable state.
+
+Arithmetic contract of the hot-path kernels (``_se23_exp``, ``_pack``): every
+matrix or vector product is one numpy ``dot``/``@`` call, through BLAS, on the
+operands, shapes and memory layout of the matrix form; everything elementwise
+(sums, differences, scalings) runs on Python floats in the order the matrix
+form evaluates it, with each ``0.0 +`` that fixes the sign of a zero.  No
+product is unrolled: BLAS kernels with FMA round differently from Python.
 """
 
 from __future__ import annotations
@@ -49,7 +56,6 @@ ROTATION_TOL = 1e-9
 SMALL_ANGLE = 1e-8
 
 
-_EYE3 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # row-major entries of I
 _ZERO3 = np.zeros(3)
 _ZERO3.setflags(write=False)
 
@@ -199,12 +205,16 @@ def att_dist(R, M=None) -> float:
 
 
 def _pack(R: np.ndarray, P: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """The 5x5 homogeneous matrix of attitude R, position P and velocity V."""
-    X = np.eye(5)
-    X[:3, :3] = R
-    X[:3, 3] = P
-    X[:3, 4] = V
-    return X
+    """The 5x5 homogeneous matrix of attitude R, position P and velocity V (arrays)."""
+    (r0, r1, r2), (r3, r4, r5), (r6, r7, r8) = R.tolist()
+    (p0, p1, p2), (v0, v1, v2) = P.tolist(), V.tolist()
+    return np.array((
+        r0, r1, r2, p0, v0,
+        r3, r4, r5, p1, v1,
+        r6, r7, r8, p2, v2,
+        0.0, 0.0, 0.0, 1.0, 0.0,
+        0.0, 0.0, 0.0, 0.0, 1.0,
+    )).reshape(5, 5)
 
 
 def so3_exp(omega, dt: float = 1.0) -> np.ndarray:
@@ -281,13 +291,11 @@ def _se23_exp(omega, vcol, acol, rho: float, dt: float) -> np.ndarray:
 
     The blocks are float 3-vectors and ``rho`` a float; nothing is
     validated.  Callers on the hot path check their inputs once instead of
-    wrapping them in a :class:`TangentElement`.
-
-    Matrix products go through BLAS as in the matrix form above (``dot`` on
-    the C-ordered arrays built here computes what ``@`` does).  The entrywise
-    sums and scalings are done on Python floats with the same operations in
-    the same order, so the result is bit for bit that of the matrix
-    expressions.
+    wrapping them in a :class:`TangentElement`.  The arithmetic follows the
+    module's contract, so the result is bit for bit that of the matrix
+    expressions.  ``J @ vcol`` is skipped when ``vcol`` is the shared
+    ``_ZERO3``: that BLAS product is exactly +0.0 for a finite J, and the
+    ``0.0 +`` standing for it is kept.
     """
     w0, w1, w2 = omega.tolist()
     z = 0.0 * dt
@@ -295,22 +303,35 @@ def _se23_exp(omega, vcol, acol, rho: float, dt: float) -> np.ndarray:
     theta = math.sqrt(omega.dot(omega)) * abs(dt)
     s1, c1, c2, d2 = _exp_coefficients(theta)
     Sm = np.array(S).reshape(3, 3)
-    S2 = Sm.dot(Sm).ravel().tolist()
-    dt2 = dt * dt
-    R = [i + s1 * s + c1 * q for i, s, q in zip(_EYE3, S, S2)]
-    J = np.array([dt * (i + c1 * s + c2 * q) for i, s, q in zip(_EYE3, S, S2)]).reshape(3, 3)
-    K = np.array([dt2 * (0.5 * i + c2 * s + d2 * q) for i, s, q in zip(_EYE3, S, S2)]).reshape(3, 3)
-    p0, p1, p2 = [x + rho * y for x, y in zip(J.dot(vcol).tolist(), K.dot(acol).tolist())]
-    v0, v1, v2 = J.dot(acol).tolist()
-    return np.array(
-        [
-            R[0], R[1], R[2], p0, v0,
-            R[3], R[4], R[5], p1, v1,
-            R[6], R[7], R[8], p2, v2,
-            0.0, 0.0, 0.0, 1.0, 0.0,
-            0.0, 0.0, 0.0, rho * dt, 1.0,
-        ]
-    ).reshape(5, 5)
+    Q = Sm.dot(Sm).ravel().tolist()
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = _blend(1.0, 1.0, s1, c1, S, Q)
+    J = np.array(_blend(dt, 1.0, c1, c2, S, Q)).reshape(3, 3)
+    K = np.array(_blend(dt * dt, 0.5, c2, d2, S, Q)).reshape(3, 3)
+    j0, j1, j2 = (0.0, 0.0, 0.0) if vcol is _ZERO3 else J.dot(vcol).tolist()
+    k0, k1, k2 = K.dot(acol).tolist()
+    a0, a1, a2 = J.dot(acol).tolist()
+    return np.array((
+        r0, r1, r2, j0 + rho * k0, a0,
+        r3, r4, r5, j1 + rho * k1, a1,
+        r6, r7, r8, j2 + rho * k2, a2,
+        0.0, 0.0, 0.0, 1.0, 0.0,
+        0.0, 0.0, 0.0, rho * dt, 1.0,
+    )).reshape(5, 5)
+
+
+def _blend(h: float, d: float, u: float, v: float, S, Q) -> tuple:
+    """Row-major entries of h (d I + u S + v Q) for row-major 9-tuples S and Q.
+
+    Summed left to right as the matrix form sums them, the zeros of d I
+    included (``0.0 + u s`` turns -0.0 into +0.0).  h = 1.0 scales exactly.
+    """
+    s0, s1, s2, s3, s4, s5, s6, s7, s8 = S
+    q0, q1, q2, q3, q4, q5, q6, q7, q8 = Q
+    return (
+        h * (d + u * s0 + v * q0), h * (0.0 + u * s1 + v * q1), h * (0.0 + u * s2 + v * q2),
+        h * (0.0 + u * s3 + v * q3), h * (d + u * s4 + v * q4), h * (0.0 + u * s5 + v * q5),
+        h * (0.0 + u * s6 + v * q6), h * (0.0 + u * s7 + v * q7), h * (d + u * s8 + v * q8),
+    )
 
 
 def reorthonormalize(R) -> np.ndarray:

@@ -32,9 +32,12 @@ measurements, the checks of ``TdoaFrame``/``solve_frame`` and of the
 and v2, weights non-negative and summing to 3).  On the result, the
 constructors of the returned state: the rotation on SO(3), finite position,
 velocity and biases.  A state that diverges therefore surfaces as a
-ValueError.  The kernel performs the floating-point operations of the
-dataclass composition in the same order, so its states are bit-identical to
-it (see tests/test_observer.py).
+ValueError.  The kernel keeps ``liegroup``'s arithmetic contract: each product
+is one BLAS call on the arrays the matrix form multiplies, and the sums,
+differences and scalings between them run on Python floats in its order
+(``p_y - P``, itself a product's operand, stays one numpy subtraction, which
+rounds the same).  Its states are bit-identical to the dataclass composition
+(see tests/test_observer.py).
 
 ``_run_stream`` is the one loop over a stream, shared by ``sim`` and
 ``replay``: their inputs are built before it, it records the estimates as
@@ -58,7 +61,6 @@ from .liegroup import (
     att_dist,
     reorthonormalize,
     se23_exp,  # noqa: F401  step runs _se23_exp; navbench traces calls at this name
-    skew,
 )
 from .sensors import (
     ImuSample,
@@ -85,6 +87,8 @@ __all__ = [
 
 # How often (in steps) the attitude estimate is projected back onto SO(3).
 REORTH_INTERVAL = 1000
+
+_ZEROS = (0.0, 0.0, 0.0)  # a suspended correction term
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,7 @@ class ErrorMetrics:
 
 
 def _correction_terms(R, P, V, triads: TriadPair | None, p_y, gains: Gains):
-    """Raw correction vectors at the given state.
+    """Raw correction vectors at the given state, each a 3-tuple of floats.
 
     ``triads`` may be None (no usable accel/mag pair: attitude correction
     suspended); ``p_y`` may be None (no position fix: dead reckoning).
@@ -157,21 +161,25 @@ def _correction_terms(R, P, V, triads: TriadPair | None, p_y, gains: Gains):
     if triads is not None:
         vhat = predicted_body_vectors(R, triads)
         body_sum, inertial_sum = attitude_innovation(triads, vhat, R)
-        w_omega = -0.5 * gains.k_omega * inertial_sum
-        b_omega_dot = -0.5 * gains.gamma_omega * body_sum
+        k, (x0, x1, x2) = -0.5 * gains.k_omega, inertial_sum.tolist()
+        w_omega = (k * x0, k * x1, k * x2)
+        k, (x0, x1, x2) = -0.5 * gains.gamma_omega, body_sum.tolist()
+        b_omega_dot = (k * x0, k * x1, k * x2)
     else:
-        w_omega = np.zeros(3)
-        b_omega_dot = np.zeros(3)
-    if p_y is not None:
-        e = p_y - P
-        W = skew(w_omega)
-        w_v = -gains.k_v * e - W.dot(P)
-        w_a = -gains.k_a * e - W.dot(V)
-        b_a_dot = -gains.gamma_a * (R.T @ e)
-    else:
-        w_v = np.zeros(3)
-        w_a = np.zeros(3)
-        b_a_dot = np.zeros(3)
+        w_omega = b_omega_dot = _ZEROS
+    if p_y is None:
+        return w_omega, _ZEROS, _ZEROS, b_omega_dot, _ZEROS
+    e = p_y - P
+    e0, e1, e2 = e.tolist()
+    x0, x1, x2 = w_omega
+    W = np.array((0.0, -x2, x1, x2, 0.0, -x0, -x1, x0, 0.0)).reshape(3, 3)  # skew(w_omega)
+    k, (x0, x1, x2) = -gains.k_v, W.dot(P).tolist()
+    w_v = (k * e0 - x0, k * e1 - x1, k * e2 - x2)
+    k, (x0, x1, x2) = -gains.k_a, W.dot(V).tolist()
+    w_a = (k * e0 - x0, k * e1 - x1, k * e2 - x2)
+    # R.T @ e, not R.T.dot(e): on a strided R (a view of the last 5x5) they differ.
+    k, (x0, x1, x2) = -gains.gamma_a, (R.T @ e).tolist()
+    b_a_dot = (k * x0, k * x1, k * x2)
     return w_omega, w_v, w_a, b_omega_dot, b_a_dot
 
 
@@ -245,16 +253,26 @@ def step(
     # Correct with u(-[w_omega]_x, -w_V, -(w_a - g), -1); the acceleration
     # column carries g so gravity is always integrated, with or without a
     # position fix.
-    X = _se23_exp(-w_omega, -w_v, -(w_a - ref.gravity), -1.0, dt).dot(Xp)
+    (o0, o1, o2), (v0, v1, v2), (a0, a1, a2) = w_omega, w_v, w_a
+    g0, g1, g2 = ref.gravity.tolist()
+    X = _se23_exp(
+        np.array((-o0, -o1, -o2)),
+        np.array((-v0, -v1, -v2)),
+        np.array((-(a0 - g0), -(a1 - g1), -(a2 - g2))),
+        -1.0,
+        dt,
+    ).dot(Xp)
 
     count = state.step_count + 1
     Rnew = X[:3, :3]
     if reorth_every and count % reorth_every == 0:
         Rnew = reorthonormalize(Rnew)
+    (b0, b1, b2), (d0, d1, d2) = b_omega_hat.tolist(), b_omega_dot
+    (c0, c1, c2), (e0, e1, e2) = b_a_hat.tolist(), b_a_dot
     return ObserverState(
         nav=NavState(Rotation(Rnew), X[:3, 3], X[:3, 4]),
-        b_omega_hat=b_omega_hat + dt * b_omega_dot,
-        b_a_hat=b_a_hat + dt * b_a_dot,
+        b_omega_hat=np.array((b0 + dt * d0, b1 + dt * d1, b2 + dt * d2)),
+        b_a_hat=np.array((c0 + dt * e0, c1 + dt * e1, c2 + dt * e2)),
         step_count=count,
         tdoa_failures=tdoa_failures,
         triad_failures=triad_failures,
@@ -269,38 +287,40 @@ def _run_stream(state, samples, frames, anchors, gains, dts, *, ref, step):
     is solved here for the raw-fix column, and again inside ``step``, which is
     the caller's own binding (the name the benchmark times).  A ValueError
     from ``step`` (a state that diverged) is raised again as a RuntimeError
-    naming the step index and the sample's timestamp.  Returns the final
-    state, the skipped count and the arrays (R, P, V, b_omega_hat, b_a_hat,
-    fix), one row per sample from the initial state on; ``fix`` is NaN where
-    no frame solved.
+    naming the step index and the sample's timestamp.  numpy's overflow and
+    invalid-value warnings are off for the whole loop: that error is what
+    reports a non-finite state.  Returns the final state, the skipped count
+    and the arrays (R, P, V, b_omega_hat, b_a_hat, fix), one row per sample
+    from the initial state on; ``fix`` is NaN where no frame solved.
     """
     m = len(dts) + 1
     R = np.empty((m, 3, 3))
     P, V, b_omega_hat, b_a_hat = np.empty((4, m, 3))
     fix = np.full((m, 3), np.nan)
     skipped = 0
-    for k in range(m):
-        nav = state.nav
-        R[k], P[k], V[k] = nav.rot.m, nav.pos, nav.vel
-        b_omega_hat[k], b_a_hat[k] = state.b_omega_hat, state.b_a_hat
-        if k == m - 1:
-            break
-        dt = dts[k]
-        if not 0.0 < dt <= 0.1:
-            skipped += 1
-            continue
-        frame = frames.get(k)
-        if frame is not None:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(m):
+            nav = state.nav
+            R[k], P[k], V[k] = nav.rot.m, nav.pos, nav.vel
+            b_omega_hat[k], b_a_hat[k] = state.b_omega_hat, state.b_a_hat
+            if k == m - 1:
+                break
+            dt = dts[k]
+            if not 0.0 < dt <= 0.1:
+                skipped += 1
+                continue
+            frame = frames.get(k)
+            if frame is not None:
+                try:
+                    fix[k] = solve_frame(anchors, frame).p
+                except (GeometryDegenerate, ValueError):
+                    pass
             try:
-                fix[k] = solve_frame(anchors, frame).p
-            except (GeometryDegenerate, ValueError):
-                pass
-        try:
-            state = step(state, samples[k], frame, anchors, gains, dt, ref=ref)
-        except ValueError as exc:
-            raise RuntimeError(
-                f"observer diverged at step {k} (t = {samples[k].timestamp!r} s): {exc}"
-            ) from exc
+                state = step(state, samples[k], frame, anchors, gains, dt, ref=ref)
+            except ValueError as exc:
+                raise RuntimeError(
+                    f"observer diverged at step {k} (t = {samples[k].timestamp!r} s): {exc}"
+                ) from exc
     return state, skipped, (R, P, V, b_omega_hat, b_a_hat, fix)
 
 

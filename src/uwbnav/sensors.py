@@ -165,14 +165,16 @@ def build_triads(sample: ImuSample, ref: ReferenceVectors, s=None) -> TriadPair:
     nm = math.sqrt(mag.dot(mag))
     if na <= 1e-9 or nm <= 1e-9:
         raise TriadDegenerate(f"accel/mag norm too small ({na:.2e}, {nm:.2e})")
-    v1 = [x / na for x in accel.tolist()]
-    v2 = [x / nm for x in mag.tolist()]
-    cv = _cross(v1, v2)
+    a0, a1, a2 = accel.tolist()
+    m0, m1, m2 = mag.tolist()
+    v1 = (a0 / na, a1 / na, a2 / na)
+    v2 = (m0 / nm, m1 / nm, m2 / nm)
+    c0, c1, c2 = cv = _cross(v1, v2)
     cva = np.array(cv)
     ncv = math.sqrt(cva.dot(cva))
     if ncv <= COLLINEARITY_TOL:
         raise TriadDegenerate(f"accel and mag are collinear (cross norm {ncv:.2e})")
-    v = np.array([*v1, *v2, cv[0] / ncv, cv[1] / ncv, cv[2] / ncv]).reshape(3, 3)
+    v = np.array((*v1, *v2, c0 / ncv, c1 / ncv, c2 / ncv)).reshape(3, 3)
     return TriadPair(v=v, r=ref.triad, s=_UNIT_WEIGHTS if s is None else s)
 
 
@@ -191,7 +193,7 @@ def weighted_matrix(triads: TriadPair) -> np.ndarray:
 
 def predicted_body_vectors(Rhat: np.ndarray, triads: TriadPair) -> np.ndarray:
     """Rows vhat_i = Rhat^T r_i: the reference directions seen from the estimate."""
-    return triads.r @ Rhat
+    return triads.r.dot(Rhat)
 
 
 def attitude_innovation(triads: TriadPair, vhat: np.ndarray, Rhat: np.ndarray):
@@ -200,6 +202,8 @@ def attitude_innovation(triads: TriadPair, vhat: np.ndarray, Rhat: np.ndarray):
     body_sum = sum_i s_i (v_i x vhat_i); inertial_sum = Rhat @ body_sum.
     The inertial sum equals 2 vex(Pa(M_r Rtilde)) for Rtilde = R Rhat^T.
     """
-    crosses = [c for a, b in zip(triads.v.tolist(), vhat.tolist()) for c in _cross(a, b)]
-    body_sum = np.array(crosses).reshape(3, 3).T.dot(triads.s)
-    return body_sum, Rhat @ body_sum
+    v1, v2, v3 = triads.v.tolist()
+    w1, w2, w3 = vhat.tolist()
+    crosses = np.array((*_cross(v1, w1), *_cross(v2, w2), *_cross(v3, w3))).reshape(3, 3)
+    body_sum = crosses.T.dot(triads.s)
+    return body_sum, Rhat.dot(body_sum)

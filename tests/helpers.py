@@ -3,18 +3,122 @@
 These deliberately avoid the closed-form code paths under test: the matrix
 exponential is summed as a plain scaled Taylor series, and random rotations
 are built from axis-angle sampling.  The observer step and the truth
-propagation are also composed here from the validated public primitives, as
-the references the lean kernels must match bit for bit.
+propagation are also composed here, from validated ``TangentElement``s and
+frozen copies of the kernels' arithmetic, as the references the lean kernels
+must match bit for bit.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
-from uwbnav.liegroup import NavState, Rotation, TangentElement, _pack, reorthonormalize, se23_exp
-from uwbnav.observer import REORTH_INTERVAL, ObserverState, _correction_terms
-from uwbnav.sensors import ReferenceVectors, TriadDegenerate, build_triads
+from uwbnav.liegroup import NavState, Rotation, TangentElement, _exp_coefficients, reorthonormalize, skew
+from uwbnav.observer import REORTH_INTERVAL, ObserverState
+from uwbnav.sensors import COLLINEARITY_TOL, ReferenceVectors, TriadDegenerate, TriadPair, _cross
 from uwbnav.tdoa import GeometryDegenerate, solve_frame
+
+# --- frozen kernel arithmetic ---------------------------------------------------
+#
+# Verbatim copies of the kernels as they computed before their entrywise
+# arithmetic was unrolled onto Python floats: numpy vector operations, list
+# comprehensions over the 3x3 entries, and the same BLAS products.  The
+# references below are built from these copies and not from the package, so
+# a rewrite of _se23_exp, _correction_terms, build_triads or _pack is
+# compared with the arithmetic it replaced, never with itself.
+
+_EYE3 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # row-major entries of I
+_UNIT_WEIGHTS = np.ones(3)
+_UNIT_WEIGHTS.setflags(write=False)
+
+
+def frozen_pack(R, P, V):
+    X = np.eye(5)
+    X[:3, :3] = R
+    X[:3, 3] = P
+    X[:3, 4] = V
+    return X
+
+
+def frozen_se23_exp(omega, vcol, acol, rho, dt):
+    w0, w1, w2 = omega.tolist()
+    z = 0.0 * dt
+    S = (z, -w2 * dt, w1 * dt, w2 * dt, z, -w0 * dt, -w1 * dt, w0 * dt, z)
+    theta = math.sqrt(omega.dot(omega)) * abs(dt)
+    s1, c1, c2, d2 = _exp_coefficients(theta)
+    Sm = np.array(S).reshape(3, 3)
+    S2 = Sm.dot(Sm).ravel().tolist()
+    dt2 = dt * dt
+    R = [i + s1 * s + c1 * q for i, s, q in zip(_EYE3, S, S2)]
+    J = np.array([dt * (i + c1 * s + c2 * q) for i, s, q in zip(_EYE3, S, S2)]).reshape(3, 3)
+    K = np.array([dt2 * (0.5 * i + c2 * s + d2 * q) for i, s, q in zip(_EYE3, S, S2)]).reshape(3, 3)
+    p0, p1, p2 = [x + rho * y for x, y in zip(J.dot(vcol).tolist(), K.dot(acol).tolist())]
+    v0, v1, v2 = J.dot(acol).tolist()
+    return np.array(
+        [
+            R[0], R[1], R[2], p0, v0,
+            R[3], R[4], R[5], p1, v1,
+            R[6], R[7], R[8], p2, v2,
+            0.0, 0.0, 0.0, 1.0, 0.0,
+            0.0, 0.0, 0.0, rho * dt, 1.0,
+        ]
+    ).reshape(5, 5)
+
+
+def frozen_build_triads(sample, ref, s=None):
+    if sample.mag is None:
+        raise TriadDegenerate("sample has no magnetometer reading")
+    accel, mag = sample.accel, sample.mag
+    na = math.sqrt(accel.dot(accel))
+    nm = math.sqrt(mag.dot(mag))
+    if na <= 1e-9 or nm <= 1e-9:
+        raise TriadDegenerate(f"accel/mag norm too small ({na:.2e}, {nm:.2e})")
+    v1 = [x / na for x in accel.tolist()]
+    v2 = [x / nm for x in mag.tolist()]
+    cv = _cross(v1, v2)
+    cva = np.array(cv)
+    ncv = math.sqrt(cva.dot(cva))
+    if ncv <= COLLINEARITY_TOL:
+        raise TriadDegenerate(f"accel and mag are collinear (cross norm {ncv:.2e})")
+    v = np.array([*v1, *v2, cv[0] / ncv, cv[1] / ncv, cv[2] / ncv]).reshape(3, 3)
+    return TriadPair(v=v, r=ref.triad, s=_UNIT_WEIGHTS if s is None else s)
+
+
+def frozen_predicted_body_vectors(Rhat, triads):
+    return triads.r @ Rhat
+
+
+def frozen_attitude_innovation(triads, vhat, Rhat):
+    crosses = [c for a, b in zip(triads.v.tolist(), vhat.tolist()) for c in _cross(a, b)]
+    body_sum = np.array(crosses).reshape(3, 3).T.dot(triads.s)
+    return body_sum, Rhat @ body_sum
+
+
+def frozen_correction_terms(R, P, V, triads, p_y, gains):
+    if triads is not None:
+        vhat = frozen_predicted_body_vectors(R, triads)
+        body_sum, inertial_sum = frozen_attitude_innovation(triads, vhat, R)
+        w_omega = -0.5 * gains.k_omega * inertial_sum
+        b_omega_dot = -0.5 * gains.gamma_omega * body_sum
+    else:
+        w_omega = np.zeros(3)
+        b_omega_dot = np.zeros(3)
+    if p_y is not None:
+        e = p_y - P
+        W = skew(w_omega)
+        w_v = -gains.k_v * e - W.dot(P)
+        w_a = -gains.k_a * e - W.dot(V)
+        b_a_dot = -gains.gamma_a * (R.T @ e)
+    else:
+        w_v = np.zeros(3)
+        w_a = np.zeros(3)
+        b_a_dot = np.zeros(3)
+    return w_omega, w_v, w_a, b_omega_dot, b_a_dot
+
+
+def frozen_exp(u: TangentElement, dt):
+    """exp(u dt) of a validated element, by the frozen arithmetic."""
+    return frozen_se23_exp(u.omega, u.vcol, u.acol, u.rho, dt)
 
 
 def expm_series(A, terms: int = 30) -> np.ndarray:
@@ -63,17 +167,18 @@ def random_psd(rng, dim: int = 3, eig_low: float = 0.0, eig_high: float = 2.0) -
 def reference_step(state, imu, frame, anchors, gains, dt, *, ref=None, weights=None, reorth_every=None):
     """One observer step composed from the validated public primitives.
 
-    This is the dataclass form of ``observer.step``: both exponentials go
-    through ``TangentElement`` and ``se23_exp``, the predicted and corrected
-    states are 5x5 products, and every intermediate is validated.  The lean
-    kernel in ``step`` must reproduce it bit for bit.
+    This is the dataclass form of ``observer.step``: both exponentials are
+    built from validated ``TangentElement``s by the frozen arithmetic above,
+    the predicted and corrected states are 5x5 products, and every
+    intermediate is validated.  The lean kernel in ``step`` must reproduce it
+    bit for bit.
     """
     ref = ReferenceVectors() if ref is None else ref
     reorth_every = REORTH_INTERVAL if reorth_every is None else reorth_every
     nav = state.nav
     R, P, V = nav.rot.m, nav.pos, nav.vel
     U = TangentElement(imu.gyro - state.b_omega_hat, np.zeros(3), imu.accel - state.b_a_hat, 1.0)
-    Xp = _pack(R, P, V) @ se23_exp(U, dt)
+    Xp = frozen_pack(R, P, V) @ frozen_exp(U, dt)
     p_y = None
     tdoa_failures = state.tdoa_failures
     if frame is not None:
@@ -83,13 +188,13 @@ def reference_step(state, imu, frame, anchors, gains, dt, *, ref=None, weights=N
             tdoa_failures += 1
     triad_failures = state.triad_failures
     try:
-        triads = build_triads(imu, ref, weights)
+        triads = frozen_build_triads(imu, ref, weights)
     except TriadDegenerate:
         triads = None
         triad_failures += 1
-    w_omega, w_v, w_a, b_omega_dot, b_a_dot = _correction_terms(R, P, V, triads, p_y, gains)
+    w_omega, w_v, w_a, b_omega_dot, b_a_dot = frozen_correction_terms(R, P, V, triads, p_y, gains)
     W = TangentElement(-w_omega, -w_v, -(w_a - ref.gravity), -1.0)
-    X = se23_exp(W, dt) @ Xp
+    X = frozen_exp(W, dt) @ Xp
     count = state.step_count + 1
     Rnew = X[:3, :3]
     if reorth_every and count % reorth_every == 0:
@@ -110,7 +215,7 @@ def reference_propagate_truth(truth, dt):
     U = TangentElement(truth.omega_fn(mid), np.zeros(3), truth.accel_fn(mid), 1.0)
     G = TangentElement(np.zeros(3), np.zeros(3), -truth.gravity, 1.0)
     nav = truth.nav
-    X = se23_exp(G, -dt) @ _pack(nav.rot.m, nav.pos, nav.vel) @ se23_exp(U, dt)
+    X = frozen_exp(G, -dt) @ frozen_pack(nav.rot.m, nav.pos, nav.vel) @ frozen_exp(U, dt)
     return replace(truth, nav=NavState(Rotation(X[:3, :3]), X[:3, 3], X[:3, 4]), time=truth.time + dt)
 
 

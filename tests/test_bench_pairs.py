@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import uwbnav
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
 
@@ -80,3 +82,13 @@ def test_machine_line_names_the_numpy_and_scipy_builds(bp):
     assert f"Python {platform.python_version()}" in line
     assert f"numpy {metadata.version('numpy')}" in line
     assert f"scipy {metadata.version('scipy')}" in line
+
+
+def test_code_size_counts_source_lines_and_public_names(bp, tmp_path):
+    pkg = tmp_path / "src" / "uwbnav"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text('"""Doc."""\n\nfrom .a import f\n\n__all__ = [\n    "f",\n    # g\n    "g",\n]\n')
+    (pkg / "a.py").write_text("def f():\n    return 1\n")
+    (tmp_path / "src" / "notes.py").write_text("not in the package\n")
+    assert bp.code_size(tmp_path) == {"src_lines": 11, "public_names": 2}
+    assert bp.code_size(bp.ROOT)["public_names"] == len(uwbnav.__all__)

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -265,7 +266,7 @@ def test_config_defaults_come_from_the_dataclasses():
     # The config stays plain JSON.
     assert json.loads(json.dumps(DEFAULT_CONFIG)) == DEFAULT_CONFIG
     args = _build_parser().parse_args(["validate-gains", "--delta", "0.01"])
-    assert (args.k_omega, args.k_v, args.k_a) == (gains.k_omega, gains.k_v, gains.k_a)
+    assert (args.k_v, args.k_a) == (gains.k_v, gains.k_a)
 
 
 def test_package_exports_are_listed_by_their_modules():
@@ -352,8 +353,10 @@ def test_tdoa_solve_degenerate_geometry_is_a_runtime_failure(capsys, tmp_path):
 
 def test_sim_divergence_is_a_runtime_failure_naming_the_step(capsys, tmp_path):
     # A position gain this large blows the state up mid-run; step's ValueError
-    # surfaces as exit 3 with the step index and time, not as bad input.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # surfaces as exit 3 with the step index and time, not as bad input, and
+    # numpy's overflow and invalid-value warnings on the way are not printed.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code, _, err = run_cli(
             capsys,
             ["sim", "--scenario", "static", "--set", "sim.duration=10.0",
@@ -362,6 +365,8 @@ def test_sim_divergence_is_a_runtime_failure_naming_the_step(capsys, tmp_path):
     assert code == 3
     assert "runtime failure: observer diverged at step 760 (t = 7.6 s)" in err
     assert "invalid input" not in err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "RuntimeWarning" not in err
 
 
 def test_tdoa_solve_rejects_bad_inputs(capsys, tmp_path):
@@ -393,6 +398,14 @@ def test_validate_gains_passes_inside_the_bound(capsys):
     assert out.startswith("PASS")
     assert "bound=0.028169014084507043" in out
     assert "Q4 eigenvalues" in out and "Q6 eigenvalues" in out
+
+
+def test_validate_gains_rejects_the_attitude_gain_flag(capsys):
+    # The certificate reads k_v and k_a only, so there is no --k-omega to ignore.
+    with pytest.raises(SystemExit) as exc:
+        main(["validate-gains", "--k-omega", "3", "--delta", "0.01"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --k-omega" in capsys.readouterr().err
 
 
 def test_validate_gains_fails_outside_the_bound(capsys):

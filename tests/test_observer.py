@@ -296,9 +296,10 @@ def _random_step_inputs(rng, k, anchors, ref):
 
 @pytest.mark.parametrize("reorth_every", [1, 1000])
 def test_step_kernel_matches_the_dataclass_composition(reorth_every):
-    # The lean kernel against the step composed from se23_exp(TangentElement),
-    # build_triads, solve_frame, _correction_terms and _pack: bit for bit on
-    # R, P, V and both biases, and equal failure counters, at every step.
+    # The lean kernel against the step composed from validated TangentElements,
+    # solve_frame and the frozen copies of the kernels' earlier arithmetic in
+    # helpers.py: bit for bit on R, P, V and both biases, and equal failure
+    # counters, at every step.
     rng = np.random.default_rng(55)
     anchors = box_anchors()
     ref = ReferenceVectors()

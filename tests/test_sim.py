@@ -103,9 +103,10 @@ def test_propagate_rejects_bad_dt():
 
 
 def test_propagate_kernel_matches_the_dataclass_sandwich():
-    # propagate_truth against exp(-G dt) @ _pack(R, P, V) @ exp(U dt) built from
-    # validated TangentElements: bit for bit over a 600-step walk with
-    # time-varying inputs, random step lengths and a non-default gravity.
+    # propagate_truth against exp(-G dt) @ pack(R, P, V) @ exp(U dt) built from
+    # validated TangentElements by the frozen arithmetic in helpers.py: bit for
+    # bit over a 600-step walk with time-varying inputs, random step lengths
+    # and a non-default gravity.
     rng = np.random.default_rng(62)
     w = rng.normal(size=3)
     f = rng.normal(size=3)

@@ -14,7 +14,9 @@ metric is checked against its bound in BENCHMARK.json.  ``--trace 1`` runs
 the traced variant and reports the per-layer metrics the same way.  An
 existing output file keeps its other workloads.  Its ``machine`` line names
 the numpy and scipy versions next to Python's: the step runs its products on
-numpy's BLAS and its TDOA solve on scipy's LAPACK.
+numpy's BLAS and its TDOA solve on scipy's LAPACK.  Its ``code`` entry gives,
+for the parent and this tree, the ``wc -l src/uwbnav/*.py`` total and the
+number of names in ``uwbnav.__all__``.
 
 Standard library only.
 """
@@ -22,6 +24,7 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -135,6 +138,22 @@ def machine() -> str:
     return f"{platform.platform()}, {os.cpu_count()} CPUs, " + ", ".join(versions)
 
 
+def code_size(root: Path) -> dict:
+    """``src_lines``: the ``wc -l src/uwbnav/*.py`` total; ``public_names``: ``len(uwbnav.__all__)``.
+
+    ``__all__`` is read from the source of ``src/uwbnav/__init__.py``; nothing is imported.
+    """
+    pkg = root / "src" / "uwbnav"
+    lines = sum(path.read_bytes().count(b"\n") for path in sorted(pkg.glob("*.py")))
+    tree = ast.parse((pkg / "__init__.py").read_text())
+    names = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+    )
+    return {"src_lines": lines, "public_names": len(names)}
+
+
 def git(*args) -> str:
     proc = subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True)
     return proc.stdout.strip()
@@ -195,6 +214,7 @@ def main(argv=None) -> int:
         worktree = Path(tmp) / "parent"
         git("worktree", "add", "--detach", str(worktree), parent_sha)
         try:
+            code = {"parent": code_size(worktree), "change": code_size(ROOT)}
             runs = run_pairs(worktree, args.workload, args.seeds, args.seconds, args.trace,
                              log=lambda line: print(line, flush=True))
         finally:
@@ -209,6 +229,7 @@ def main(argv=None) -> int:
     )
     doc["parent"] = parent_sha
     doc["change"] = f"working tree at {git('rev-parse', 'HEAD')}"
+    doc["code"] = code
     section = "per_layer" if args.trace else "end_to_end"
     doc.setdefault(section, {})[args.workload] = {
         "seeds": args.seeds,
