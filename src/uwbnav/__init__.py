@@ -42,7 +42,6 @@ from .observer import (
 from .replay import (
     ConfigError,
     DataError,
-    GroundTruthRecord,
     ReplayResult,
     derive_velocity,
     export_dataset,
@@ -146,7 +145,6 @@ __all__ = [
     # replay
     "ConfigError",
     "DataError",
-    "GroundTruthRecord",
     "ReplayResult",
     "load_dataset",
     "quat_to_rotation",

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .liegroup import NavState, Rotation
+from .liegroup import Rotation
 from .observer import Gains, ObserverState, validate_gains
 from .replay import (
     ConfigError,
@@ -76,8 +76,7 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "gains": _fields(Gains()),
     "ref": _fields(ReferenceVectors()),
-    "settle_threshold": 0.5,
-    "settle_dwell": 5.0,
+    **_defaults(run_scenario, "settle_threshold", "settle_dwell"),
     "sim": {
         "scenario": None,
         "duration": None,
@@ -104,9 +103,7 @@ DEFAULT_CONFIG = {
         "column_map": {},
         "tag_offset": [-0.012, 0.001, 0.091],
         **_defaults(run_replay, "mag_noise_sd", "velocity_window", "velocity_poly_order"),
-        "estimate_pos": [-3.0, -1.0, 0.0],
-        "estimate_vel": [0.0, 0.0, 0.0],
-        "estimate_rotvec": [0.0, 0.0, 0.0],
+        **_defaults(preset_scenario, "estimate_pos", "estimate_vel", "estimate_rotvec"),
     },
 }
 
@@ -203,12 +200,11 @@ def _ref(cfg: dict) -> ReferenceVectors:
 
 
 def _estimate_state(section: dict) -> ObserverState:
-    nav = NavState(
-        Rotation.from_rotvec(section["estimate_rotvec"]),
+    return ObserverState.cold_start(
         section["estimate_pos"],
         section["estimate_vel"],
+        Rotation.from_rotvec(section["estimate_rotvec"]),
     )
-    return ObserverState(nav=nav, b_omega_hat=np.zeros(3), b_a_hat=np.zeros(3))
 
 
 def _write_artifacts(out: Path, result) -> None:

@@ -1,15 +1,17 @@
 """Dataset ingestion, ground-truth benchmarks, and observer replay.
 
 A recorded trial arrives as three CSV streams — IMU, UWB, and ground truth —
-plus an anchor JSON file.  This module loads each stream in time order, derives
-a benchmark velocity from the ground-truth positions (local least-squares
-polynomial differentiation), runs the observer sample-by-sample, and reports
-the same error metrics and summary statistics as the simulator, so synthetic
-and recorded runs are directly comparable.  ``run_replay`` interpolates the
-truth once, maps the frames onto steps and builds the samples before the
-loop; the loop itself is ``observer._run_stream``, the one ``sim`` uses, and
-the errors come after it from the estimate arrays, NaN outside the truth
-range.
+plus an anchor JSON file.  This module parses each stream once into a float
+table sorted by time (validation happens there, row by row, and nowhere
+after), derives a benchmark velocity from the ground-truth positions (local
+least-squares polynomial differentiation), runs the observer sample-by-sample,
+and reports the same error metrics and summary statistics as the simulator,
+so synthetic and recorded runs are directly comparable.  ``run_replay``
+interpolates the truth once from the gt table, maps the frames onto steps
+with one ``searchsorted`` and builds the samples, and a ``TdoaFrame`` for each
+frame a step takes, before the loop; the loop itself is
+``observer._run_stream``, the one ``sim`` uses, and the errors come after it
+from the estimate arrays, NaN outside the truth range.
 
 File formats (canonical column names; remap via ``column_map``):
 
@@ -47,7 +49,6 @@ from .tdoa import solve_frame  # noqa: F401  _run_stream solves the frames; navb
 __all__ = [
     "ConfigError",
     "DataError",
-    "GroundTruthRecord",
     "LoadReport",
     "LoadedDataset",
     "ReplayResult",
@@ -76,29 +77,6 @@ class DataError(Exception):
     """The dataset content is unusable (empty stream, degenerate records)."""
 
 
-@dataclass(frozen=True)
-class GroundTruthRecord:
-    """One ground-truth pose sample: unit quaternion (w, x, y, z) and position."""
-
-    timestamp: float
-    quat: np.ndarray
-    pos: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.quat, dtype=float).reshape(-1)
-        p = np.asarray(self.pos, dtype=float).reshape(-1)
-        if q.shape != (4,):
-            raise ValueError(f"quat must have 4 components, got shape {q.shape}")
-        if p.shape != (3,):
-            raise ValueError(f"pos must have 3 components, got shape {p.shape}")
-        if not np.all(np.isfinite(q)) or not np.all(np.isfinite(p)):
-            raise ValueError("ground-truth record contains non-finite values")
-        if abs(np.linalg.norm(q) - 1.0) > _QUAT_NORM_TOL:
-            raise ValueError(f"quaternion norm {np.linalg.norm(q):.8f} is not 1 +/- {_QUAT_NORM_TOL}")
-        object.__setattr__(self, "quat", q)
-        object.__setattr__(self, "pos", p)
-
-
 @dataclass
 class LoadReport:
     """Ingestion accounting: rows read/skipped and reorders per stream."""
@@ -124,18 +102,26 @@ class LoadReport:
 
 @dataclass
 class LoadedDataset:
-    """The three streams, each sorted by time, plus the ingestion report.
+    """The three streams as float tables, each sorted by time, plus the ingestion report.
 
-    ``imu`` holds ImuSamples, ``tdoa`` TdoaFrames and ``gt`` GroundTruthRecords
-    (empty when no ground-truth file was given).
+    ``imu`` is (n, 7): t, gx, gy, gz, ax, ay, az, or (n, 10) with mx, my, mz
+    after them.  ``tdoa`` is (m, 1 + N): t, then the N cyclic range
+    differences (a range file arrives converted).  ``gt`` is (k, 8): t, qw,
+    qx, qy, qz, px, py, pz, and (0, 8) when no ground-truth file was given.
     """
 
-    imu: list
-    tdoa: list
-    gt: list
+    imu: np.ndarray
+    tdoa: np.ndarray
+    gt: np.ndarray
     report: LoadReport
-    has_mag: bool
-    n_uwb_values: int
+
+    @property
+    def has_mag(self) -> bool:
+        return self.imu.shape[1] == 10
+
+    @property
+    def n_uwb_values(self) -> int:
+        return self.tdoa.shape[1] - 1
 
 
 DEFAULT_COLUMN_MAP = {
@@ -173,44 +159,63 @@ def _read_rows(path) -> tuple[list, list]:
     return header, rows
 
 
-def _column_indices(header, names, path, *, required=True):
-    indices = []
+def _column_indices(header, names, path):
     for name in names:
         if name not in header:
-            if required:
-                raise ConfigError(f"{Path(path).name}: missing required column {name!r}")
-            return None
-        indices.append(header.index(name))
-    return indices
+            raise ConfigError(f"{Path(path).name}: missing required column {name!r}")
+    return [header.index(name) for name in names]
 
 
-def _parse_stream(path, header, rows, indices, builder, stream, report):
-    """Parse rows into records, skipping and logging malformed ones."""
-    records = []
-    skipped = 0
+def _unit_quaternion(v):
+    """Row check of gt.csv: the quaternion (v[1:5]) has norm 1 +/- _QUAT_NORM_TOL."""
+    norm = np.linalg.norm(v[1:5])
+    if abs(norm - 1.0) > _QUAT_NORM_TOL:
+        raise ValueError(f"quaternion norm {norm:.8f} is not 1 +/- {_QUAT_NORM_TOL}")
+    return v
+
+
+def _range_differences(v):
+    """Row conversion of a range file: t, then the cyclic differences r[k+1] - r[k]."""
+    r = v[1:]
+    d = [b - a for a, b in zip(r, r[1:] + r[:1])]
+    if not all(map(math.isfinite, d)):
+        raise ValueError("range differences must be finite")
+    return v[:1] + d
+
+
+def _parse_stream(path, rows, indices, stream, report, check=None) -> np.ndarray:
+    """The rows' ``indices`` columns as one float table, sorted by time (column 0).
+
+    A row is skipped, and logged with its line number, when a column is missing
+    or not a finite number, or when ``check`` (given the row's floats, it
+    returns them, converted if need be) raises ValueError.
+    """
+    table = []
     for row_no, row in enumerate(rows, start=2):  # header is line 1
         try:
             values = [float(row[i]) for i in indices]
-            if not all(math.isfinite(v) for v in values):
+            if not all(map(math.isfinite, values)):
                 raise ValueError("non-finite value")
-            records.append(builder(values))
+            table.append(values if check is None else check(values))
         except (ValueError, IndexError) as exc:
-            skipped += 1
             report.skipped_rows.append(f"{Path(path).name} row {row_no}: {exc}")
     report.rows_read[stream] = len(rows)
-    report.rows_skipped[stream] = skipped
-    times = np.array([r.timestamp for r in records])
-    report.reordered[stream] = int(np.sum(np.diff(times) < 0)) if len(times) > 1 else 0
-    order = np.argsort(times, kind="stable")
-    return [records[i] for i in order]
+    report.rows_skipped[stream] = len(rows) - len(table)
+    table = np.array(table, dtype=float).reshape(len(table), len(indices))
+    times = table[:, 0]
+    report.reordered[stream] = int(np.sum(np.diff(times) < 0))
+    return table[np.argsort(times, kind="stable")]
 
 
 def load_dataset(paths: dict, column_map: dict | None = None) -> LoadedDataset:
-    """Load imu/uwb/gt CSV files into three time-sorted streams.
+    """Load imu/uwb/gt CSV files into three time-sorted float tables.
 
     ``paths`` maps stream names ("imu", "uwb", "gt") to file paths; "gt" is
-    optional at load time (replay will refuse to run without it).  Malformed
-    rows are skipped and counted in the report rather than aborting the load.
+    optional at load time (replay will refuse to run without it).  Each file
+    is parsed once, row by row; malformed rows (a missing or non-finite value,
+    a gt quaternion off unit norm, range differences that overflow) are
+    skipped and counted in the report rather than aborting the load.  See
+    ``LoadedDataset`` for the table layouts.
     """
     cmap = _merge_column_map(column_map)
     if "imu" not in paths or "uwb" not in paths:
@@ -219,58 +224,39 @@ def load_dataset(paths: dict, column_map: dict | None = None) -> LoadedDataset:
 
     imu_map = cmap["imu"]
     header, rows = _read_rows(paths["imu"])
-    base = [imu_map[c] for c in ("t", "gx", "gy", "gz", "ax", "ay", "az")]
-    idx = _column_indices(header, base, paths["imu"])
+    names = [imu_map[c] for c in ("t", "gx", "gy", "gz", "ax", "ay", "az")]
+    idx = _column_indices(header, names, paths["imu"])
     mag_names = [imu_map[c] for c in ("mx", "my", "mz")]
-    mag_idx = _column_indices(header, mag_names, paths["imu"], required=False)
-    n_mag_present = sum(name in header for name in mag_names)
-    if 0 < n_mag_present < 3:
+    n_mag = sum(name in header for name in mag_names)
+    if n_mag not in (0, 3):
         raise ConfigError(f"{Path(paths['imu']).name}: magnetometer columns incomplete")
-    has_mag = mag_idx is not None
-    all_idx = idx + (mag_idx or [])
-
-    def build_imu(v):
-        mag = np.array(v[7:10]) if len(v) == 10 else None
-        return ImuSample(timestamp=v[0], gyro=np.array(v[1:4]), accel=np.array(v[4:7]), mag=mag)
-
-    imu = _parse_stream(paths["imu"], header, rows, all_idx, build_imu, "imu", report)
+    if n_mag:
+        idx += _column_indices(header, mag_names, paths["imu"])
+    imu = _parse_stream(paths["imu"], rows, idx, "imu", report)
 
     uwb_map = cmap["uwb"]
     header, rows = _read_rows(paths["uwb"])
-    t_idx = _column_indices(header, [uwb_map["t"]], paths["uwb"])
+    idx = _column_indices(header, [uwb_map["t"]], paths["uwb"])
     value_names = uwb_map["values"]
     if value_names is None:
         value_names = [h for h in header if h != uwb_map["t"]]
     if not value_names:
         raise ConfigError(f"{Path(paths['uwb']).name}: no UWB value columns")
-    val_idx = _column_indices(header, value_names, paths["uwb"])
-    as_ranges = uwb_map["mode"] == "range"
+    idx += _column_indices(header, value_names, paths["uwb"])
+    check = _range_differences if uwb_map["mode"] == "range" else None
+    tdoa = _parse_stream(paths["uwb"], rows, idx, "uwb", report, check)
 
-    def build_uwb(v):
-        d = np.array(v[1:])
-        if as_ranges:
-            d = np.roll(d, -1) - d  # cyclic pairwise differences r[k+1] - r[k]
-        return TdoaFrame(timestamp=v[0], d=d)
-
-    tdoa = _parse_stream(paths["uwb"], header, rows, t_idx + val_idx, build_uwb, "uwb", report)
-
-    gt = []
+    gt = np.empty((0, 8))
     if "gt" in paths:
         gt_map = cmap["gt"]
         header, rows = _read_rows(paths["gt"])
         names = [gt_map[c] for c in ("t", "qw", "qx", "qy", "qz", "px", "py", "pz")]
         idx = _column_indices(header, names, paths["gt"])
+        gt = _parse_stream(paths["gt"], rows, idx, "gt", report, _unit_quaternion)
 
-        def build_gt(v):
-            return GroundTruthRecord(timestamp=v[0], quat=np.array(v[1:5]), pos=np.array(v[5:8]))
-
-        gt = _parse_stream(paths["gt"], header, rows, idx, build_gt, "gt", report)
-
-    if not (imu or tdoa or gt):
+    if not (len(imu) or len(tdoa) or len(gt)):
         raise DataError("dataset contains no usable rows")
-    return LoadedDataset(
-        imu=imu, tdoa=tdoa, gt=gt, report=report, has_mag=has_mag, n_uwb_values=len(value_names)
-    )
+    return LoadedDataset(imu=imu, tdoa=tdoa, gt=gt, report=report)
 
 
 def quat_to_rotation(q) -> Rotation:
@@ -321,8 +307,8 @@ def rotation_to_quat(R) -> np.ndarray:
     return q if q[0] >= 0.0 else -q
 
 
-def derive_velocity(gt_records, window: int = 11, poly_order: int = 2) -> np.ndarray:
-    """Benchmark velocity from ground-truth positions.
+def derive_velocity(t, pos, window: int = 11, poly_order: int = 2) -> np.ndarray:
+    """Benchmark velocity from ground-truth positions ``pos`` (n, 3) at times ``t`` (n,).
 
     Each point gets the derivative of a local least-squares polynomial fit
     (the Gaussian-noise maximum-likelihood smoother) over ``window`` samples
@@ -336,8 +322,10 @@ def derive_velocity(gt_records, window: int = 11, poly_order: int = 2) -> np.nda
         raise ValueError(f"window must be an odd integer >= 3, got {window}")
     if window < poly_order + 2:
         raise ValueError(f"window {window} too small for poly_order {poly_order}")
-    t = np.array([r.timestamp for r in gt_records], dtype=float)
-    pos = np.array([r.pos for r in gt_records], dtype=float)
+    t = np.asarray(t, dtype=float)
+    pos = np.asarray(pos, dtype=float)
+    if t.ndim != 1 or pos.shape[:1] != t.shape:
+        raise ValueError(f"need one position row per time, got {pos.shape} for {t.shape}")
     n = len(t)
     if n < window:
         raise DataError(f"need at least {window} ground-truth samples, got {n}")
@@ -382,25 +370,23 @@ class ReplayResult:
     summary: dict = field(default_factory=dict)
 
 
-def _interpolate_truth(gt_records, t, window: int, poly_order: int):
-    """Attitude/position/velocity benchmark at the times ``t``.
+def _interpolate_truth(gt, t, window: int, poly_order: int):
+    """Attitude/position/velocity benchmark at the times ``t`` from the gt table.
 
     Attitude uses spherical linear interpolation, position and the derived
     velocity are linear.  Rows outside the ground-truth time range hold NaN —
     the benchmark never extrapolates.  Returns (inside, rot, pos, vel).
     """
-    if len(gt_records) < 2:
+    if len(gt) < 2:
         raise DataError("need at least 2 ground-truth records")
-    t_gt = np.array([r.timestamp for r in gt_records])
-    pos_gt = np.array([r.pos for r in gt_records])
-    vel_gt = derive_velocity(gt_records, window, poly_order)
+    t_gt, pos_gt = gt[:, 0], gt[:, 5:8]
+    vel_gt = derive_velocity(t_gt, pos_gt, window, poly_order)
     inside = (t >= t_gt[0]) & (t <= t_gt[-1])
     rot = np.full((len(t), 3, 3), np.nan)
     pos = np.full((len(t), 3), np.nan)
     vel = np.full((len(t), 3), np.nan)
     if inside.any():
-        quats_wxyz = np.array([r.quat for r in gt_records])
-        slerp = Slerp(t_gt, _SpRotation.from_quat(quats_wxyz[:, [1, 2, 3, 0]]))
+        slerp = Slerp(t_gt, _SpRotation.from_quat(gt[:, [2, 3, 4, 1]]))  # scalar last
         rot[inside] = slerp(t[inside]).as_matrix()
         for i in range(3):
             pos[inside, i] = np.interp(t[inside], t_gt, pos_gt[:, i])
@@ -438,46 +424,45 @@ def run_replay(
     imu, tdoa, gt = dataset.imu, dataset.tdoa, dataset.gt
     if len(imu) < 2:
         raise DataError(f"need at least 2 IMU samples to step, got {len(imu)}")
-    if not gt:
+    if not len(gt):
         raise DataError("dataset has no ground-truth stream")
-    if tdoa and tdoa[0].d.shape[0] != anchors.n:
+    if len(tdoa) and dataset.n_uwb_values != anchors.n:
         raise ConfigError(
-            f"dataset provides {tdoa[0].d.shape[0]} TDOA values but anchor set has {anchors.n}"
+            f"dataset provides {dataset.n_uwb_values} TDOA values but anchor set has {anchors.n}"
         )
-    t_imu = np.array([s.timestamp for s in imu])
+    t_imu = imu[:, 0].copy()
     inside, truth_rot, truth_pos, truth_vel = _interpolate_truth(
         gt, t_imu, velocity_window, velocity_poly_order
     )
     n_steps = len(imu) - 1
     dts = np.diff(t_imu).tolist()
-    # Map each TDOA frame onto the step that starts at or just before it;
-    # _run_stream skips a step whose dt is outside (0, 0.1] with its frame.
-    frame_for_step: dict = {}
-    dropped_frames = 0
-    for fr in tdoa:
-        k = int(np.searchsorted(t_imu, fr.timestamp, side="right")) - 1
-        if 0 <= k < n_steps:
-            if k in frame_for_step:
-                dropped_frames += 1
-            frame_for_step[k] = fr
-        else:
-            dropped_frames += 1
-    dropped_frames += sum(1 for k in frame_for_step if not 0.0 < dts[k] <= 0.1)
+    # Map each TDOA frame onto the step that starts at or just before it, the
+    # last frame of a step winning; _run_stream skips a step whose dt is
+    # outside (0, 0.1] with its frame.
+    steps = np.searchsorted(t_imu, tdoa[:, 0], side="right") - 1
+    row_for_step = {k: i for i, k in enumerate(steps.tolist()) if 0 <= k < n_steps}
+    frames = {k: TdoaFrame(tdoa[i, 0], tdoa[i, 1:]) for k, i in row_for_step.items()}
+    dropped_frames = len(tdoa) - len(frames) + sum(1 for k in frames if not 0.0 < dts[k] <= 0.1)
 
-    # The magnetometer, when the file has none, is synthesised from the
-    # interpolated truth attitude inside the truth range.
-    samples = imu[:n_steps]
-    if not dataset.has_mag:
+    # One sample per step.  A file without a magnetometer gets one synthesised
+    # from the interpolated truth attitude inside the truth range.
+    if dataset.has_mag:
+        mags = imu[:n_steps, 7:10]
+    else:
+        mags = [None] * n_steps
         for k in np.flatnonzero(inside[:n_steps]).tolist():
             mag = truth_rot[k].T @ ref.mag_ref
             if mag_noise_sd > 0.0:
                 rng = np.random.default_rng((int(seed), _STREAM_MAG, k))
                 mag = mag + rng.normal(0.0, mag_noise_sd, 3)
-            s = samples[k]
-            samples[k] = ImuSample(s.timestamp, s.gyro, s.accel, mag)
+            mags[k] = mag
+    samples = [
+        ImuSample(tk, g, a, m)
+        for tk, g, a, m in zip(t_imu.tolist(), imu[:, 1:4], imu[:, 4:7], mags)
+    ]
 
     state, skipped_steps, (R, P, V, _, _, raw_pos) = _run_stream(
-        init, samples, frame_for_step, anchors, gains, dts, ref=ref, step=step
+        init, samples, frames, anchors, gains, dts, ref=ref, step=step
     )
     att, pos, vel = _nav_errors(truth_rot, truth_pos, truth_vel, R, P, V)
     raw_err = _norms(raw_pos - truth_pos)

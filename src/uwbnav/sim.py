@@ -443,10 +443,8 @@ def preset_scenario(
         seed=seed,
         gravity=ref.gravity,
     )
-    estimate = ObserverState(
-        nav=NavState(Rotation.from_rotvec(estimate_rotvec), estimate_pos, estimate_vel),
-        b_omega_hat=np.zeros(3),
-        b_a_hat=np.zeros(3),
+    estimate = ObserverState.cold_start(
+        estimate_pos, estimate_vel, Rotation.from_rotvec(estimate_rotvec)
     )
     return Scenario(
         name=name,

@@ -18,7 +18,7 @@ from uwbnav.cli import DEFAULT_CONFIG, _build_parser, main
 from uwbnav.observer import Gains
 from uwbnav.sensors import ReferenceVectors
 from uwbnav.replay import run_replay
-from uwbnav.sim import SensorNoise, default_anchors, preset_scenario
+from uwbnav.sim import SensorNoise, default_anchors, preset_scenario, run_scenario
 from uwbnav.tdoa import synthesize_tdoa
 
 
@@ -263,6 +263,14 @@ def test_config_defaults_come_from_the_dataclasses():
     replay_defaults = inspect.signature(run_replay).parameters
     for key in ("mag_noise_sd", "velocity_window", "velocity_poly_order"):
         assert DEFAULT_CONFIG["replay"][key] == replay_defaults[key].default, key
+    # The replay's initial estimate is the sim's; the settle keys are run_scenario's.
+    for key in ("estimate_pos", "estimate_vel", "estimate_rotvec"):
+        assert DEFAULT_CONFIG["replay"][key] == np.asarray(sim_defaults[key].default).tolist(), key
+    assert DEFAULT_CONFIG["replay"]["estimate_pos"] == [-3.0, -1.0, 0.0]
+    run_defaults = inspect.signature(run_scenario).parameters
+    for key in ("settle_threshold", "settle_dwell"):
+        assert DEFAULT_CONFIG[key] == run_defaults[key].default, key
+    assert (DEFAULT_CONFIG["settle_threshold"], DEFAULT_CONFIG["settle_dwell"]) == (0.5, 5.0)
     # The config stays plain JSON.
     assert json.loads(json.dumps(DEFAULT_CONFIG)) == DEFAULT_CONFIG
     args = _build_parser().parse_args(["validate-gains", "--delta", "0.01"])

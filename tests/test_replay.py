@@ -15,7 +15,6 @@ from uwbnav.observer import Gains, ObserverState, step
 from uwbnav.replay import (
     ConfigError,
     DataError,
-    GroundTruthRecord,
     _fmt,
     atomic_writer,
     derive_velocity,
@@ -73,25 +72,20 @@ def hover_dataset(tmp_path, imu_times, gt_times=None, uwb_times=()):
     return {"imu": tmp_path / "imu.csv", "uwb": tmp_path / "uwb.csv", "gt": tmp_path / "gt.csv"}
 
 
-def identity_gt(times, positions):
-    return [
-        GroundTruthRecord(float(t), np.array([1.0, 0.0, 0.0, 0.0]), p)
-        for t, p in zip(times, positions)
-    ]
-
-
 # --- load_dataset ------------------------------------------------------------------
 
 
 def test_load_dataset_keeps_each_stream_sorted_by_time(tmp_path):
     paths = hover_dataset(tmp_path, imu_times=(0.0, 0.01, 0.02), uwb_times=(0.005,))
     ds = load_dataset(paths)
-    assert [type(r).__name__ for r in ds.imu] == ["ImuSample"] * 3
-    assert [type(r).__name__ for r in ds.tdoa] == ["TdoaFrame"]
-    assert [type(r).__name__ for r in ds.gt] == ["GroundTruthRecord"] * 3
+    assert ds.imu.shape == (3, 10)
+    assert ds.tdoa.shape == (1, 9)
+    assert ds.gt.shape == (3, 8)
     for stream in (ds.imu, ds.tdoa, ds.gt):
-        times = [r.timestamp for r in stream]
+        assert stream.dtype == np.float64
+        times = stream[:, 0].tolist()
         assert times == sorted(times)
+    np.testing.assert_array_equal(ds.gt[0], [0.0, 1.0, 0.0, 0.0, 0.0, *HOVER_POS])
     assert ds.has_mag is True
     assert ds.n_uwb_values == 8
 
@@ -111,7 +105,7 @@ def test_load_dataset_sorts_out_of_order_rows_and_counts_them(tmp_path):
     ds = load_dataset(
         {"imu": tmp_path / "imu.csv", "uwb": tmp_path / "uwb.csv", "gt": tmp_path / "gt.csv"}
     )
-    assert [s.timestamp for s in ds.imu] == [0.0, 0.01, 0.02]
+    assert ds.imu[:, 0].tolist() == [0.0, 0.01, 0.02]
     assert ds.report.reordered["imu"] == 1
     assert ds.report.reordered["gt"] == 0
 
@@ -184,11 +178,8 @@ def test_column_map_renames_columns(tmp_path):
     }
     ds = load_dataset({"imu": tmp_path / "imu.csv", "uwb": tmp_path / "uwb.csv"}, column_map=cmap)
     assert ds.has_mag is False
-    sample = ds.imu[0]
-    assert sample.timestamp == 0.5
-    np.testing.assert_array_equal(sample.gyro, [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(sample.accel, [4.0, 5.0, 6.0])
-    assert sample.mag is None
+    # t, gyro, accel and no magnetometer columns
+    np.testing.assert_array_equal(ds.imu, [[0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
 
 
 def test_uwb_value_columns_can_be_selected_explicitly(tmp_path):
@@ -198,7 +189,7 @@ def test_uwb_value_columns_can_be_selected_explicitly(tmp_path):
     cmap = {"uwb": {"values": ["d1", "d2", "d3", "d4"]}}
     ds = load_dataset(paths, column_map=cmap)
     assert ds.n_uwb_values == 4
-    np.testing.assert_array_equal(ds.tdoa[0].d, [0.1, 0.2, 0.3, -0.6])
+    np.testing.assert_array_equal(ds.tdoa[0, 1:], [0.1, 0.2, 0.3, -0.6])
 
 
 def test_uwb_range_mode_matches_native_differences(tmp_path):
@@ -212,7 +203,21 @@ def test_uwb_range_mode_matches_native_differences(tmp_path):
         tmp_path / "uwb.csv", header, [["0.0"] + [repr(float(r)) for r in ranges]]
     )
     ds = load_dataset(paths, column_map={"uwb": {"mode": "range"}})
-    np.testing.assert_array_equal(ds.tdoa[0].d, expected)
+    np.testing.assert_array_equal(ds.tdoa[0, 1:], expected)
+
+
+def test_uwb_range_row_whose_differences_overflow_is_skipped_and_reported(tmp_path):
+    # Every range is finite, but 1e308 - (-1e308) is not: the row is skipped,
+    # not raised, and the next row is kept.
+    paths = hover_dataset(tmp_path, imu_times=(0.0, 0.01))
+    header = ["t"] + [f"r{i + 1}" for i in range(4)]
+    rows = [["0.0", "1.0", "1e308", "-1e308", "2.0"], ["0.1", "1.0", "2.0", "4.0", "8.0"]]
+    write_csv(tmp_path / "uwb.csv", header, rows)
+    ds = load_dataset(paths, column_map={"uwb": {"mode": "range"}})
+    assert ds.report.rows_read["uwb"] == 2
+    assert ds.report.rows_skipped["uwb"] == 1
+    assert ds.report.skipped_rows == ["uwb.csv row 2: range differences must be finite"]
+    np.testing.assert_array_equal(ds.tdoa, [[0.1, 1.0, 2.0, 4.0, -7.0]])
 
 
 def test_uwb_mode_must_be_diff_or_range(tmp_path):
@@ -236,20 +241,36 @@ def test_uwb_file_with_no_value_columns_raises(tmp_path):
         load_dataset(paths)
 
 
-# --- GroundTruthRecord / quaternion conversions --------------------------------------
+def test_load_dataset_skips_ground_truth_rows_off_unit_norm_or_malformed(tmp_path):
+    paths = hover_dataset(tmp_path, imu_times=(0.0, 0.01))
+    pos = [repr(float(x)) for x in HOVER_POS]
+    rows = [
+        gt_row(0.0),
+        ["0.01", repr(1.0 + 2e-6), "0.0", "0.0", "0.0", *pos],  # norm off by 2e-6
+        ["0.02", repr(1.0 + 5e-7), "0.0", "0.0", "0.0", *pos],  # within 1e-6: kept
+        ["0.03", "1.0", "0.0", "0.0", "nan", *pos],  # non-finite quaternion
+        ["0.04", "1.0", "0.0", "0.0", "0.0", *pos[:2], "nan"],  # non-finite position
+        ["0.05", "1.0", "0.0", "0.0", *pos],  # short row: one quaternion part missing
+        gt_row(0.06)[:7],  # short row: pz missing
+        gt_row(0.07),
+    ]
+    write_csv(tmp_path / "gt.csv", GT_HEADER, rows)
+    ds = load_dataset(paths)
+    assert ds.report.rows_read["gt"] == 8
+    assert ds.report.rows_skipped["gt"] == 5
+    assert ds.gt[:, 0].tolist() == [0.0, 0.02, 0.07]
+    assert ds.gt[1, 1] == 1.0 + 5e-7
+    messages = [m for m in ds.report.skipped_rows if m.startswith("gt.csv")]
+    assert messages == [
+        "gt.csv row 3: quaternion norm 1.00000200 is not 1 +/- 1e-06",
+        "gt.csv row 5: non-finite value",
+        "gt.csv row 6: non-finite value",
+        "gt.csv row 7: list index out of range",
+        "gt.csv row 8: list index out of range",
+    ]
 
 
-def test_ground_truth_record_validates_shapes_and_norm():
-    with pytest.raises(ValueError, match="4 components"):
-        GroundTruthRecord(0.0, np.array([1.0, 0.0, 0.0]), HOVER_POS)
-    with pytest.raises(ValueError, match="3 components"):
-        GroundTruthRecord(0.0, np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(4))
-    with pytest.raises(ValueError, match="non-finite"):
-        GroundTruthRecord(0.0, np.array([1.0, 0.0, 0.0, np.nan]), HOVER_POS)
-    with pytest.raises(ValueError, match="norm"):
-        GroundTruthRecord(0.0, np.array([1.0 + 2e-6, 0.0, 0.0, 0.0]), HOVER_POS)
-    # within tolerance is accepted
-    GroundTruthRecord(0.0, np.array([1.0 + 5e-7, 0.0, 0.0, 0.0]), HOVER_POS)
+# --- quaternion conversions -----------------------------------------------------------
 
 
 def test_quat_to_rotation_identity_and_quarter_turn():
@@ -315,7 +336,7 @@ def test_derive_velocity_exact_on_uniform_quadratic_including_edges():
     b = np.array([0.5, 1.5, -0.3])
     c = np.array([-0.2, 0.1, 0.4])
     pos = a + np.outer(t, b) + np.outer(t**2, c)
-    vel = derive_velocity(identity_gt(t, pos))
+    vel = derive_velocity(t, pos)
     np.testing.assert_allclose(vel, b + 2.0 * np.outer(t, c), atol=1e-12)
 
 
@@ -326,14 +347,14 @@ def test_derive_velocity_exact_on_nonuniform_quadratic():
     b = np.array([0.5, 1.5, -0.3])
     c = np.array([-0.2, 0.1, 0.4])
     pos = a + np.outer(t, b) + np.outer(t**2, c)
-    vel = derive_velocity(identity_gt(t, pos))
+    vel = derive_velocity(t, pos)
     np.testing.assert_allclose(vel, b + 2.0 * np.outer(t, c), atol=1e-12)
 
 
 def test_derive_velocity_tracks_sinusoid():
     t = np.arange(0.0, 4.0, 0.01)
     pos = np.stack([np.sin(np.pi * t), np.zeros_like(t), np.cos(np.pi * t)], axis=1)
-    vel = derive_velocity(identity_gt(t, pos))
+    vel = derive_velocity(t, pos)
     true = np.stack(
         [np.pi * np.cos(np.pi * t), np.zeros_like(t), -np.pi * np.sin(np.pi * t)], axis=1
     )
@@ -351,7 +372,7 @@ def test_derive_velocity_matches_savgol_filter_on_uniform_samples():
     pos = np.stack([2.0 * np.sin(0.5 * t), 1.5 * np.sin(t), 0.3 * np.sin(0.5 * t)], axis=1)
     pos += rng.normal(scale=0.002, size=pos.shape)
     for window, order in ((11, 2), (7, 3), (5, 1)):
-        vel = derive_velocity(identity_gt(t, pos), window, order)
+        vel = derive_velocity(t, pos, window, order)
         ref = savgol_filter(pos, window, order, deriv=1, delta=0.01, axis=0, mode="interp")
         np.testing.assert_allclose(vel, ref, rtol=0.0, atol=1e-11)
 
@@ -361,9 +382,9 @@ def test_derive_velocity_does_not_import_scipy_signal():
     # should not pay for it.
     code = (
         "import sys, numpy as np\n"
-        "from uwbnav.replay import GroundTruthRecord, derive_velocity\n"
+        "from uwbnav.replay import derive_velocity\n"
         "t = np.arange(50) * 0.01\n"
-        "derive_velocity([GroundTruthRecord(x, np.array([1.0, 0, 0, 0]), np.array([x, 0, 0])) for x in t])\n"
+        "derive_velocity(t, np.outer(t, [1.0, 0.0, 0.0]))\n"
         "assert 'scipy.signal' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -373,16 +394,17 @@ def test_derive_velocity_does_not_import_scipy_signal():
 def test_derive_velocity_validates_window_and_data():
     t = np.arange(0.0, 0.2, 0.01)
     pos = np.outer(t, [1.0, 0.0, 0.0])
-    records = identity_gt(t, pos)
     with pytest.raises(ValueError, match="odd"):
-        derive_velocity(records, window=10)
+        derive_velocity(t, pos, window=10)
     with pytest.raises(ValueError, match="too small"):
-        derive_velocity(records, window=3, poly_order=2)
+        derive_velocity(t, pos, window=3, poly_order=2)
+    with pytest.raises(ValueError, match="one position row per time"):
+        derive_velocity(t, pos[:-1])
     with pytest.raises(DataError, match="at least 11"):
-        derive_velocity(records[:5])
-    dup = identity_gt([0.0, 0.01, 0.01, 0.02, 0.03], np.zeros((5, 3)))
+        derive_velocity(t[:5], pos[:5])
+    dup = [0.0, 0.01, 0.01, 0.02, 0.03]
     with pytest.raises(DataError, match="strictly increasing"):
-        derive_velocity(dup, window=3, poly_order=1)
+        derive_velocity(dup, np.zeros((5, 3)), window=3, poly_order=1)
 
 
 # --- run_replay -----------------------------------------------------------------------
