@@ -74,6 +74,43 @@ def _as_vec3(x, name: str = "vector") -> np.ndarray:
     return v
 
 
+def _trusted(cls, **fields):
+    """A frozen dataclass instance made from values that are already checked.
+
+    Sets every field, in declaration order, with ``object.__setattr__`` as the
+    generated ``__init__`` does, and skips ``__post_init__``: for a value built
+    on the hot path from inputs its caller has validated.  Setting the fields
+    in the order of ``__init__`` keeps the instance's ``__dict__`` sharing its
+    keys with the class, so a trusted instance takes the memory a public one
+    does.  Every field must be given.
+    """
+    obj = object.__new__(cls)
+    for name in cls.__dataclass_fields__:
+        object.__setattr__(obj, name, fields[name])
+    return obj
+
+
+def _check_so3(m: np.ndarray) -> None:
+    """Raise ValueError unless the 3x3 float array m is in SO(3) within ``ROTATION_TOL``.
+
+    ``||m^T m - I||_F`` and det(m) from the columns x, y, z of m; a non-finite
+    entry fails the first test.
+    """
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = m.tolist()
+    xx = x0 * x0 + x1 * x1 + x2 * x2 - 1.0
+    yy = y0 * y0 + y1 * y1 + y2 * y2 - 1.0
+    zz = z0 * z0 + z1 * z1 + z2 * z2 - 1.0
+    xy = x0 * y0 + x1 * y1 + x2 * y2
+    xz = x0 * z0 + x1 * z1 + x2 * z2
+    yz = y0 * z0 + y1 * z1 + y2 * z2
+    err = math.sqrt(xx * xx + yy * yy + zz * zz + 2.0 * (xy * xy + xz * xz + yz * yz))
+    if not err <= ROTATION_TOL:
+        raise ValueError(f"matrix is not orthogonal (residual {err:.3e})")
+    det = x0 * (y1 * z2 - y2 * z1) - y0 * (x1 * z2 - x2 * z1) + z0 * (x1 * y2 - x2 * y1)
+    if not abs(det - 1.0) <= ROTATION_TOL:
+        raise ValueError(f"matrix is not a proper rotation (det {det:.12f})")
+
+
 @dataclass(frozen=True)
 class Rotation:
     """A validated member of SO(3).
@@ -93,20 +130,7 @@ class Rotation:
         if m.shape != (3, 3):
             raise ValueError(f"rotation matrix must be 3x3, got {m.shape}")
         object.__setattr__(self, "m", m)
-        # ||m^T m - I||_F and det(m) from the columns x, y, z of m.
-        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = m.tolist()
-        xx = x0 * x0 + x1 * x1 + x2 * x2 - 1.0
-        yy = y0 * y0 + y1 * y1 + y2 * y2 - 1.0
-        zz = z0 * z0 + z1 * z1 + z2 * z2 - 1.0
-        xy = x0 * y0 + x1 * y1 + x2 * y2
-        xz = x0 * z0 + x1 * z1 + x2 * z2
-        yz = y0 * z0 + y1 * z1 + y2 * z2
-        err = math.sqrt(xx * xx + yy * yy + zz * zz + 2.0 * (xy * xy + xz * xz + yz * yz))
-        if not err <= ROTATION_TOL:
-            raise ValueError(f"matrix is not orthogonal (residual {err:.3e})")
-        det = x0 * (y1 * z2 - y2 * z1) - y0 * (x1 * z2 - x2 * z1) + z0 * (x1 * y2 - x2 * y1)
-        if not abs(det - 1.0) <= ROTATION_TOL:
-            raise ValueError(f"matrix is not a proper rotation (det {det:.12f})")
+        _check_so3(m)
 
     @classmethod
     def identity(cls) -> "Rotation":

@@ -25,19 +25,26 @@ dead-reckoning behaviour and is counted, never raised.
 ``step`` runs on the raw blocks of the state: R, P and V are packed into one
 5x5 matrix, both exponentials are built from their (omega, v, a, rho) blocks
 by ``liegroup._se23_exp``, and no ``TangentElement`` or intermediate state is
-made.  Validation sits at the boundary.  On entry: the step length, a frame
-needing an anchor set, and a finite bias-corrected IMU element.  On the
-measurements, the checks of ``TdoaFrame``/``solve_frame`` and of the
-``TriadPair`` that ``build_triads`` returns (unit rows, v3 orthogonal to v1
-and v2, weights non-negative and summing to 3).  On the result, the
-constructors of the returned state: the rotation on SO(3), finite position,
-velocity and biases.  A state that diverges therefore surfaces as a
-ValueError.  The kernel keeps ``liegroup``'s arithmetic contract: each product
-is one BLAS call on the arrays the matrix form multiplies, and the sums,
-differences and scalings between them run on Python floats in its order
-(``p_y - P``, itself a product's operand, stays one numpy subtraction, which
-rounds the same).  Its states are bit-identical to the dataclass composition
-(see tests/test_observer.py).
+made.  Validation sits at the boundary, and each check runs once.  On entry:
+the step length, a frame needing an anchor set, and a finite bias-corrected
+IMU element.  On the measurements: ``TdoaFrame`` checks its differences when
+it is made and ``build_system`` their count and size; ``build_triads`` runs
+``TriadPair``'s checks (unit body rows, v3 orthogonal to v1 and v2, weights
+non-negative and summing to 3) on the floats it computes, while the reference
+rows were checked once, by ``ReferenceVectors``.  On the result: the rotation
+on SO(3) (``liegroup._check_so3``), then one finiteness test over the position,
+velocity and both biases, in the order the public constructors check them
+and with their messages.  The returned ``ObserverState``, its ``NavState``
+and ``Rotation`` are then made from those checked values by
+``liegroup._trusted``, without running the constructors again.  A state that
+diverges therefore surfaces as a ValueError.
+
+The kernel keeps ``liegroup``'s arithmetic contract: each product is one BLAS
+call on the arrays the matrix form multiplies, and the sums, differences and
+scalings between them run on Python floats in its order (``p_y - P``, itself
+a product's operand, stays one numpy subtraction, which rounds the same).
+Its states are bit-identical to the dataclass composition (see
+tests/test_observer.py).
 
 ``_run_stream`` is the one loop over a stream, shared by ``sim`` and
 ``replay``: their inputs are built before it, it records the estimates as
@@ -47,6 +54,7 @@ arrays, and the errors come after it from those arrays (``_nav_errors``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +64,11 @@ from .liegroup import (
     Rotation,
     _ZERO3,
     _all_finite,
+    _as_vec3,
+    _check_so3,
     _pack,
     _se23_exp,
+    _trusted,
     att_dist,
     reorthonormalize,
     se23_exp,  # noqa: F401  step runs _se23_exp; navbench traces calls at this name
@@ -125,10 +136,8 @@ class ObserverState:
     triad_failures: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "b_omega_hat", np.asarray(self.b_omega_hat, dtype=float))
-        object.__setattr__(self, "b_a_hat", np.asarray(self.b_a_hat, dtype=float))
-        if not (_all_finite(self.b_omega_hat) and _all_finite(self.b_a_hat)):
-            raise ValueError("bias estimates must be finite")
+        object.__setattr__(self, "b_omega_hat", _as_vec3(self.b_omega_hat, "b_omega_hat"))
+        object.__setattr__(self, "b_a_hat", _as_vec3(self.b_a_hat, "b_a_hat"))
 
     @classmethod
     def cold_start(cls, pos=(0.0, 0.0, 0.0), vel=(0.0, 0.0, 0.0), rot=None) -> "ObserverState":
@@ -269,10 +278,24 @@ def step(
         Rnew = reorthonormalize(Rnew)
     (b0, b1, b2), (d0, d1, d2) = b_omega_hat.tolist(), b_omega_dot
     (c0, c1, c2), (e0, e1, e2) = b_a_hat.tolist(), b_a_dot
-    return ObserverState(
-        nav=NavState(Rotation(Rnew), X[:3, 3], X[:3, 4]),
-        b_omega_hat=np.array((b0 + dt * d0, b1 + dt * d1, b2 + dt * d2)),
-        b_a_hat=np.array((c0 + dt * e0, c1 + dt * e1, c2 + dt * e2)),
+    b_omega_new = (b0 + dt * d0, b1 + dt * d1, b2 + dt * d2)
+    b_a_new = (c0 + dt * e0, c1 + dt * e1, c2 + dt * e2)
+
+    # The result's checks, in the order its constructors run them: the
+    # rotation on SO(3), then one finiteness test over position, velocity and
+    # both biases.  When that test fails, the public constructors rerun it on
+    # the same values and raise, naming the first non-finite block.
+    _check_so3(Rnew)
+    rot = _trusted(Rotation, m=Rnew)
+    pos, vel = X[:3, 3], X[:3, 4]
+    (p0, v0), (p1, v1), (p2, v2) = X[:3, 3:].tolist()
+    if not all(map(math.isfinite, (p0, p1, p2, v0, v1, v2, *b_omega_new, *b_a_new))):
+        ObserverState(NavState(rot, pos, vel), b_omega_new, b_a_new)
+    return _trusted(
+        ObserverState,
+        nav=_trusted(NavState, rot=rot, pos=pos, vel=vel),
+        b_omega_hat=np.array(b_omega_new),
+        b_a_hat=np.array(b_a_new),
         step_count=count,
         tdoa_failures=tdoa_failures,
         triad_failures=triad_failures,

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.spatial.transform import Rotation as _SpRotation
 from scipy.spatial.transform import Slerp
 
-from .liegroup import Rotation
+from .liegroup import Rotation, _as_vec3, _trusted
 from .observer import Gains, ObserverState, _nav_errors, _norms, _run_stream, step
 from .sensors import ImuSample, ReferenceVectors
 from .sim import SimResult, error_summary
@@ -108,6 +108,8 @@ class LoadedDataset:
     after them.  ``tdoa`` is (m, 1 + N): t, then the N cyclic range
     differences (a range file arrives converted).  ``gt`` is (k, 8): t, qw,
     qx, qy, qz, px, py, pz, and (0, 8) when no ground-truth file was given.
+    Every value is finite: ``run_replay`` builds its IMU samples and TDOA
+    frames from these rows without checking them again.
     """
 
     imu: np.ndarray
@@ -441,11 +443,17 @@ def run_replay(
     # outside (0, 0.1] with its frame.
     steps = np.searchsorted(t_imu, tdoa[:, 0], side="right") - 1
     row_for_step = {k: i for i, k in enumerate(steps.tolist()) if 0 <= k < n_steps}
-    frames = {k: TdoaFrame(tdoa[i, 0], tdoa[i, 1:]) for k, i in row_for_step.items()}
+    # _parse_stream checked every row finite, so the samples and frames are
+    # built from the rows as they are, without re-checking them.
+    frames = {
+        k: _trusted(TdoaFrame, timestamp=float(tdoa[i, 0]), d=tdoa[i, 1:])
+        for k, i in row_for_step.items()
+    }
     dropped_frames = len(tdoa) - len(frames) + sum(1 for k in frames if not 0.0 < dts[k] <= 0.1)
 
     # One sample per step.  A file without a magnetometer gets one synthesised
-    # from the interpolated truth attitude inside the truth range.
+    # from the interpolated truth attitude inside the truth range, checked as
+    # ImuSample would check it.
     if dataset.has_mag:
         mags = imu[:n_steps, 7:10]
     else:
@@ -455,9 +463,9 @@ def run_replay(
             if mag_noise_sd > 0.0:
                 rng = np.random.default_rng((int(seed), _STREAM_MAG, k))
                 mag = mag + rng.normal(0.0, mag_noise_sd, 3)
-            mags[k] = mag
+            mags[k] = _as_vec3(mag, "mag")
     samples = [
-        ImuSample(tk, g, a, m)
+        _trusted(ImuSample, timestamp=tk, gyro=g, accel=a, mag=m)
         for tk, g, a, m in zip(t_imu.tolist(), imu[:, 1:4], imu[:, 4:7], mags)
     ]
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liegroup import _as_vec3
+from .liegroup import _as_vec3, _trusted
 
 __all__ = [
     "ImuSample",
@@ -95,6 +95,7 @@ class ReferenceVectors:
         r2 = m / np.linalg.norm(m)
         cr = np.cross(r1, r2)
         r = np.array([r1, r2, cr / np.linalg.norm(cr)])
+        _check_unit_rows("r", r.tolist())  # TriadPair's check, for every triad built on r
         for arr in (g, m, r):
             arr.setflags(write=False)
         object.__setattr__(self, "triad", r)
@@ -118,23 +119,31 @@ class TriadPair:
         s = np.asarray(self.s, dtype=float).reshape(-1)
         if v.shape != (3, 3) or r.shape != (3, 3):
             raise ValueError("v and r must be (3, 3) arrays of row vectors")
-        weights = s.tolist()
-        # NaN fails every ">=" and inf fails the finite sum.
-        w_ok = len(weights) == 3 and weights[0] >= 0.0 and weights[1] >= 0.0 and weights[2] >= 0.0
-        if not (w_ok and math.isfinite(sum(weights))):
-            raise ValueError(f"s must be 3 finite nonnegative weights, got {weights}")
-        v1, v2, v3 = v.tolist()
-        _check_unit_rows("v", (v1, v2, v3))
+        _check_body_and_weights(v.tolist(), s.tolist())
         _check_unit_rows("r", r.tolist())
-        total = weights[0] + weights[1] + weights[2]
-        if abs(total - 3.0) > 1e-9:
-            raise ValueError(f"confidence weights must sum to 3, got {total}")
-        for vi in (v1, v2):
-            if abs(v3[0] * vi[0] + v3[1] * vi[1] + v3[2] * vi[2]) > 1e-9:
-                raise ValueError("v3 must be orthogonal to v1 and v2")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
+
+
+def _check_body_and_weights(v_rows, weights) -> None:
+    """TriadPair's checks on its body rows v_1..v_3 and weights, all Python floats.
+
+    The weights are three finite non-negative numbers summing to 3, the rows
+    unit vectors, and v_3 orthogonal to v_1 and v_2.
+    """
+    # NaN fails every ">=" and inf fails the finite sum.
+    w_ok = len(weights) == 3 and weights[0] >= 0.0 and weights[1] >= 0.0 and weights[2] >= 0.0
+    if not (w_ok and math.isfinite(sum(weights))):
+        raise ValueError(f"s must be 3 finite nonnegative weights, got {weights}")
+    _check_unit_rows("v", v_rows)
+    total = weights[0] + weights[1] + weights[2]
+    if abs(total - 3.0) > 1e-9:
+        raise ValueError(f"confidence weights must sum to 3, got {total}")
+    v1, v2, v3 = v_rows
+    for vi in (v1, v2):
+        if abs(v3[0] * vi[0] + v3[1] * vi[1] + v3[2] * vi[2]) > 1e-9:
+            raise ValueError("v3 must be orthogonal to v1 and v2")
 
 
 def _check_unit_rows(name: str, rows):
@@ -174,8 +183,13 @@ def build_triads(sample: ImuSample, ref: ReferenceVectors, s=None) -> TriadPair:
     ncv = math.sqrt(cva.dot(cva))
     if ncv <= COLLINEARITY_TOL:
         raise TriadDegenerate(f"accel and mag are collinear (cross norm {ncv:.2e})")
-    v = np.array((*v1, *v2, c0 / ncv, c1 / ncv, c2 / ncv)).reshape(3, 3)
-    return TriadPair(v=v, r=ref.triad, s=_UNIT_WEIGHTS if s is None else s)
+    v3 = (c0 / ncv, c1 / ncv, c2 / ncv)
+    s = _UNIT_WEIGHTS if s is None else np.asarray(s, dtype=float).reshape(-1)
+    # The checks of TriadPair on the floats at hand; ref.triad was checked
+    # once, when the ReferenceVectors was made.
+    _check_body_and_weights((v1, v2, v3), s.tolist())
+    v = np.array((*v1, *v2, *v3)).reshape(3, 3)
+    return _trusted(TriadPair, v=v, r=ref.triad, s=s)
 
 
 def _cross(a, b) -> tuple:

@@ -43,6 +43,7 @@ from .liegroup import (
     _as_vec3,
     _pack,
     _se23_exp,
+    _trusted,
     se23_exp,  # noqa: F401  propagate_truth runs _se23_exp; navbench traces calls at this name
     so3_exp,
 )
@@ -213,9 +214,9 @@ def synthesize_imu(t: TruthModel, time: float, ref: ReferenceVectors | None = No
     return _noisy_imu(
         t.noise,
         t.seed,
-        time,
-        t.omega_fn(time) + t.b_omega,
-        t.accel_fn(time) + t.b_a,
+        float(time),
+        _as_vec3(t.omega_fn(time) + t.b_omega, "gyro"),
+        _as_vec3(t.accel_fn(time) + t.b_a, "accel"),
         t.nav.rot.m.T @ ref.mag_ref,
     )
 
@@ -223,8 +224,10 @@ def synthesize_imu(t: TruthModel, time: float, ref: ReferenceVectors | None = No
 def _noisy_imu(noise: SensorNoise, seed: int, time: float, gyro, accel, mag) -> ImuSample:
     """The IMU sample at ``time``: the biased readings plus their seeded noise.
 
-    One generator keyed by (seed, time in ns) draws the gyro, accel and mag
-    noise in that order, each only when its sd is positive.
+    The readings are float 3-vectors and ``time`` a float.  One generator
+    keyed by (seed, time in ns) draws the gyro, accel and mag noise in that
+    order, each only when its sd is positive.  One finiteness check covers
+    the nine noisy readings, the check ``ImuSample`` would make.
     """
     if noise.gyro_sd > 0.0 or noise.accel_sd > 0.0 or noise.mag_sd > 0.0:
         rng = _call_rng(seed, _STREAM_IMU, round(time * 1e9))
@@ -234,7 +237,9 @@ def _noisy_imu(noise: SensorNoise, seed: int, time: float, gyro, accel, mag) -> 
             accel = accel + rng.normal(0.0, noise.accel_sd, 3)
         if noise.mag_sd > 0.0:
             mag = mag + rng.normal(0.0, noise.mag_sd, 3)
-    return ImuSample(timestamp=time, gyro=gyro, accel=accel, mag=mag)
+    if not all(map(math.isfinite, (*gyro.tolist(), *accel.tolist(), *mag.tolist()))):
+        raise ValueError(f"IMU readings must be finite, got {gyro}, {accel}, {mag}")
+    return _trusted(ImuSample, timestamp=time, gyro=gyro, accel=accel, mag=mag)
 
 
 def default_anchors() -> AnchorSet:
@@ -643,9 +648,10 @@ def run_scenario(
     times = t.tolist()
     truth = sc.truth
     noise = truth.noise
+    b_omega, b_a = _as_vec3(truth.b_omega, "b_omega"), _as_vec3(truth.b_a, "b_a")
     # n + 1 samples: the trailing one lets a dataset export carry the final step length.
     imu_stream = [
-        _noisy_imu(noise, truth.seed, tk, w + truth.b_omega, f + truth.b_a, r.T @ sc.ref.mag_ref)
+        _noisy_imu(noise, truth.seed, tk, w + b_omega, f + b_a, r.T @ sc.ref.mag_ref)
         for tk, w, f, r in zip(times, track.omega, track.accel, track.rot)
     ]
     frames: dict = {}

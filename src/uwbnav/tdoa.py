@@ -112,18 +112,14 @@ class AnchorSet:
         sv = np.linalg.svd(centered, compute_uv=False)
         if not sv[2] > 1e-6 * sv[0]:
             raise ValueError("anchors are coplanar (or collinear); geometry is degenerate")
-        # The geometry every frame is solved against, computed once: squared
-        # norms ||h_k||^2 and ||h_{k+1}||^2, chain differences h_k - h_{k+1}
-        # and the solver's workspace for the N x 4 system.
+        # The geometry every frame is solved against, computed once: per chain
+        # link k, the floats of h_k - h_{k+1}, ||h_k||^2 and ||h_{k+1}||^2, and
+        # the solver's workspace for the N x 4 system.
         norms = np.sum(pos * pos, axis=1)
-        geometry = {
-            "positions": pos,
-            "_norms": norms,
-            "_norms_next": np.roll(norms, -1),
-            "_chain": pos - np.roll(pos, -1, axis=0),
-            "_workspace": _gelsd_workspace(len(anchors), 4),
-        }
-        for name, arr in geometry.items():
+        chain = pos - np.roll(pos, -1, axis=0)
+        links = zip(chain.tolist(), norms.tolist(), np.roll(norms, -1).tolist())
+        object.__setattr__(self, "_links", tuple((*c, nk, nj) for c, nk, nj in links))
+        for name, arr in (("positions", pos), ("_workspace", _gelsd_workspace(len(anchors), 4))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         diameter = np.max(np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2))
@@ -189,7 +185,7 @@ def build_system(anchors: AnchorSet, frame: TdoaFrame):
         B[k] = (d_k^2 + ||h_k||^2 - ||h_j||^2 + 2 d_k * csum_k) / 2
 
     where csum_k is the cumulative sum of d_0..d_{k-1} (empty for k = 0).
-    B is built by exactly this recurrence, row by row on Python floats.
+    A and B are built by exactly these rows, on Python floats.
     """
     n = anchors.n
     d = frame.d
@@ -201,18 +197,16 @@ def build_system(anchors: AnchorSet, frame: TdoaFrame):
         raise ValueError(
             f"range difference exceeds anchor-set diameter + slack ({bound:.3f} m)"
         )
-    A = np.empty((n, 4))
-    A[:, :3] = anchors._chain
-    A[:, 3] = -d
     # dk**2, not dk*dk: it goes through pow(), as the documented row form on
     # numpy scalars does, and differs from dk*dk in the last bit on ~0.1 %
     # of values.
-    B = []
+    A, B = [], []
     csum = 0.0
-    for dk, nk, nj in zip(dl, anchors._norms.tolist(), anchors._norms_next.tolist()):
+    for dk, (c0, c1, c2, nk, nj) in zip(dl, anchors._links):
+        A += (c0, c1, c2, -dk)
         B.append(0.5 * (dk**2 + nk - nj + 2.0 * dk * csum))
         csum += dk
-    return A, np.array(B)
+    return np.array(A).reshape(n, 4), np.array(B)
 
 
 def _lstsq(A, B, workspace):

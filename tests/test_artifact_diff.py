@@ -1,0 +1,56 @@
+"""The comparison and the run list of tools/artifact_diff.py, on temporary directories.
+
+The tool is loaded from its file; no CLI run or git command happens here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_diff.py"
+
+
+@pytest.fixture(scope="module")
+def ad():
+    spec = importlib.util.spec_from_file_location("artifact_diff", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write(root: Path, files: dict):
+    for rel, data in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+
+
+def test_identical_trees_have_no_differences(ad, tmp_path):
+    files = {"a/metrics.csv": b"t,x\n0.0,1.5\n", "a/summary.json": b"{}\n", "run.stdout": b"ok\n"}
+    write(tmp_path / "parent", files)
+    write(tmp_path / "change", files)
+    assert ad.compare_trees(tmp_path / "parent", tmp_path / "change") == ([], 3)
+
+
+def test_every_differing_or_one_sided_file_is_reported(ad, tmp_path):
+    write(tmp_path / "parent", {"same.csv": b"1\n", "last_bit.csv": b"0.30000000000000004\n", "gone.json": b"{}"})
+    write(tmp_path / "change", {"same.csv": b"1\n", "last_bit.csv": b"0.30000000000000009\n", "seed/new.csv": b""})
+    lines, compared = ad.compare_trees(tmp_path / "parent", tmp_path / "change")
+    assert lines == ["only in parent: gone.json", "differs: last_bit.csv", "only in change: seed/new.csv"]
+    assert compared == 4
+
+
+def test_the_set_runs_every_scenario_both_ways_and_replays_its_export(ad):
+    runs = ad.commands()
+    names = [name for name, _ in runs]
+    assert len(set(names)) == len(names) == 8
+    sims = [args for _, args in runs if args[0] == "sim" and "--runs" in args]
+    assert sorted((a[a.index("--scenario") + 1], a[a.index("--jobs") + 1]) for a in sims) == sorted(
+        (s, j) for s in ("static", "yaw_circle", "figure8") for j in ("1", "2")
+    )
+    for args in sims:
+        assert args[args.index("--runs") + 1] == "6" and "sim.duration=20" in args
+    name, replay = runs[-1]
+    assert replay[0] == "replay" and "replay.imu=trial/dataset/imu.csv" in replay
+    assert "sim.duration=60" in runs[-2][1] and "sim.export_dataset=true" in runs[-2][1]

@@ -1,5 +1,8 @@
 """Tests for the SE2(3) observer step, corrections, and the gain certificate."""
 
+import pickle
+import sys
+
 import numpy as np
 import pytest
 
@@ -376,6 +379,62 @@ def test_step_rejects_a_non_finite_bias_corrected_imu_element():
     imu = ImuSample(timestamp=0.0, gyro=[1e308, 0.0, 0.0], accel=[0.0, 0.0, 9.8], mag=[-1.7, 0.0, 1.2])
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
         step(state, imu, None, None, Gains(), 0.01)
+
+
+def test_step_rejects_a_bias_update_that_overflows_while_the_state_stays_finite():
+    # gamma_a only scales the accelerometer-bias update, so X stays finite
+    # and the result's finiteness test must catch the bias on its own, with
+    # the message ObserverState gives.
+    anchors = box_anchors()
+    ref = ReferenceVectors()
+    frame = synthesize_tdoa([1.0, 0.5, 1.2], None, anchors)
+    state = ObserverState.cold_start(pos=(-3.0, -1.0, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="b_a_hat must be finite"):
+        step(state, hover_imu(np.eye(3), ref), frame, anchors, Gains(gamma_a=1e308), 0.01, ref=ref)
+
+
+def test_observer_state_biases_must_be_3_vectors():
+    # A (2,) estimate used to construct and fail inside the next step with a
+    # numpy broadcast error, which the stream loop reported as a divergence.
+    with pytest.raises(ValueError, match="b_omega_hat must have 3 components"):
+        ObserverState(NavState.identity(), [0.0, 0.0], [[0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="b_a_hat must have 3 components"):
+        ObserverState(NavState.identity(), np.zeros(3), np.zeros(4))
+    with pytest.raises(ValueError, match="b_a_hat must be finite"):
+        ObserverState(NavState.identity(), np.zeros(3), [0.0, np.nan, 0.0])
+    state = ObserverState(NavState.identity(), [[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]])
+    assert state.b_omega_hat.shape == state.b_a_hat.shape == (3,)
+    assert step(state, hover_imu(np.eye(3), ReferenceVectors()), None, None, Gains(), 0.01).step_count == 1
+
+
+def test_step_result_is_what_the_public_constructors_build():
+    # step makes its result without running the constructors; rebuilt through
+    # them it must pass and equal itself, survive a pickle round trip, and
+    # hold per-instance dicts of the public size (a dict that stopped sharing
+    # its keys with the class would cost memory on every kept state).
+    rng = np.random.default_rng(57)
+    anchors = box_anchors()
+    ref = ReferenceVectors()
+    state = ObserverState.cold_start(pos=(-3.0, -1.0, 0.5), rot=Rotation(random_rotation(rng)))
+    for k in range(40):
+        frame = synthesize_tdoa(rng.uniform(-3.0, 3.0, 3), None, anchors, noise_sd=0.05, seed=k)
+        state = step(state, hover_imu(random_rotation(rng), ref, t=0.01 * k), frame, anchors, Gains(), 0.01, reorth_every=7)
+        nav = state.nav
+        public = ObserverState(
+            NavState(Rotation(nav.rot.m), nav.pos, nav.vel),
+            state.b_omega_hat,
+            state.b_a_hat,
+            state.step_count,
+            state.tdoa_failures,
+            state.triad_failures,
+        )
+        assert_states_identical(state, public)
+        assert_states_identical(pickle.loads(pickle.dumps(state)), state)
+        for got, want in ((state, public), (nav, public.nav), (nav.rot, public.nav.rot)):
+            assert type(got) is type(want)
+            assert list(vars(got)) == list(vars(want))
+            assert sys.getsizeof(vars(got)) == sys.getsizeof(vars(want))
+    assert state.step_count == 40 and state.tdoa_failures == 0
 
 
 def test_step_divergence_surfaces_as_value_error():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_rotation
 from uwbnav.liegroup import pa, skew, vex
@@ -103,6 +105,72 @@ def test_triad_weights_must_be_finite(s):
     # rejected as a weight, not left to fail later as a non-orthogonal state.
     with pytest.raises(ValueError, match="finite nonnegative weights"):
         build_triads(hover_sample(np.eye(3)), ReferenceVectors(), s=s)
+
+
+_COMPONENT = st.floats(min_value=-1.0, max_value=1.0)
+_DIRECTION = (
+    st.tuples(_COMPONENT, _COMPONENT, _COMPONENT)
+    .filter(lambda x: np.linalg.norm(x) > 0.1)
+    .map(lambda x: np.array(x) / np.linalg.norm(x))
+)
+_WEIGHTS = st.one_of(
+    st.none(),
+    st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 3)
+    .filter(lambda w: sum(w) > 0.1)
+    .map(lambda w: tuple(3.0 * x / sum(w) for x in w)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    u=_DIRECTION,
+    w=_DIRECTION,
+    sin=st.one_of(st.none(), st.floats(min_value=1e-6, max_value=1e-5, exclude_min=True)),
+    scale=st.tuples(st.floats(min_value=0.05, max_value=50.0), st.floats(min_value=0.05, max_value=5.0)),
+    s=_WEIGHTS,
+    custom_ref=st.booleans(),
+)
+def test_build_triads_pair_passes_the_public_constructor_unchanged(u, w, sin, scale, s, custom_ref):
+    # build_triads checks its body rows and weights on floats and skips
+    # TriadPair.__post_init__; the pair it returns must pass that constructor
+    # as it is.  sin=None pairs two free directions; otherwise mag lies at an
+    # angle whose sine is in (1e-6, 1e-5] from accel, next to the collinearity
+    # bound, where the unit-row and orthogonality checks have least margin.
+    if sin is None:
+        m = w
+    else:
+        perp = np.cross(u, w)
+        if np.linalg.norm(perp) < 0.1:
+            perp = np.cross(u, [1.0, 0.0, 0.0] if abs(u[0]) < 0.9 else [0.0, 1.0, 0.0])
+        m = np.sqrt(1.0 - sin * sin) * u + sin * perp / np.linalg.norm(perp)
+    ref = ReferenceVectors(gravity=(0.1, -0.2, -9.81), mag_ref=(0.3, -1.6, 1.1)) if custom_ref else ReferenceVectors()
+    sample = ImuSample(0.0, np.zeros(3), scale[0] * u, scale[1] * m)
+    try:
+        triads = build_triads(sample, ref, s)
+    except TriadDegenerate:
+        # Only a pair no further from collinear than rounding can reach.
+        assert sin is not None and sin < 1.000001e-6 or np.linalg.norm(np.cross(u, w)) <= 1.000001e-6
+        return
+    public = TriadPair(triads.v, triads.r, triads.s)
+    assert triads.r is ref.triad
+    for name in ("v", "r", "s"):
+        assert np.array_equal(getattr(public, name), getattr(triads, name))
+        assert getattr(triads, name).shape == getattr(public, name).shape
+
+
+def test_reference_rows_are_checked_once_when_the_references_are_made(monkeypatch):
+    # ref.triad is frozen at construction, so TriadPair's unit-row check on r
+    # runs there and not on every build_triads call.
+    import uwbnav.sensors as sensors
+
+    checked = []
+    real = sensors._check_unit_rows
+    monkeypatch.setattr(sensors, "_check_unit_rows", lambda name, rows: (checked.append(name), real(name, rows)))
+    ref = ReferenceVectors()
+    assert checked == ["r"]
+    for k in range(20):
+        build_triads(hover_sample(random_rotation(np.random.default_rng(k)), ref), ref)
+    assert checked == ["r"] + ["v"] * 20
 
 
 def test_triadpair_rejects_non_unit_rows():

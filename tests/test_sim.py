@@ -313,6 +313,26 @@ def test_synthesize_noiseless_ignores_seed():
     assert np.array_equal(a.mag, b.mag)
 
 
+def test_synthesized_readings_are_checked_3_vectors():
+    # The samples are built without ImuSample's constructor; its checks run on
+    # the readings: a gyro that is not a 3-vector or not finite, a scenario
+    # bias that is not a 3-vector, and a noisy reading that overflows are all
+    # refused.
+    with pytest.raises(ValueError, match="gyro must have 3 components"):
+        synthesize_imu(hover_model(np.eye(3), omega_fn=lambda _t: np.zeros((2, 3))), 0.0)
+    with pytest.raises(ValueError, match="gyro must be finite"):
+        synthesize_imu(hover_model(np.eye(3), omega_fn=lambda _t: np.array([0.0, np.nan, 0.0])), 0.0)
+    with pytest.raises(ValueError, match="b_a must have 3 components"):
+        run_scenario(preset_scenario("static", duration=0.05, b_a=(0.1, 0.2)), Gains())
+    loud = hover_model(np.eye(3), b_omega=(1.7e308, 0.0, 0.0), noise=SensorNoise(gyro_sd=1e308), seed=3)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="IMU readings must be finite"):
+        for k in range(100):  # a draw that pushes the reading past the largest float
+            synthesize_imu(loud, 0.01 * k)
+    sample = synthesize_imu(hover_model(np.eye(3)), 2)
+    assert type(sample.timestamp) is float
+    assert sample.gyro.shape == sample.accel.shape == sample.mag.shape == (3,)
+
+
 # --- presets -----------------------------------------------------------------------
 
 

@@ -1,0 +1,118 @@
+"""Byte-for-byte comparison of the CLI's artifacts between a parent ref and this tree.
+
+    python3 tools/artifact_diff.py --parent HEAD~1
+
+The parent ref's committed files are exported (``git archive``, as
+``tools/bench_pairs.py`` does) into a temporary directory.  The fixed
+artifact set below then runs there and in this tree, each side with its own
+``src/`` and the same interpreter, and every file the two runs wrote is
+compared byte for byte.  Each file that differs, or that only one side
+wrote, is printed; the exit status is 1 if there is any, else 0.
+
+The artifact set, with every sensor noise on (gyro 0.005, accel 0.02, mag
+0.2, TDOA 0.05), both biases, ``sim.export_dataset=true`` and seed 11:
+
+* ``uwbnav sim --runs 6`` on static, yaw_circle and figure8 for 20 s, once
+  serially and once with ``--jobs 2``;
+* ``uwbnav sim`` on figure8 for 60 s, and ``uwbnav replay`` of its exported
+  dataset.
+
+The standard output of every command is kept next to its artifacts and
+compared with them.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import ROOT, checkout, git  # noqa: E402
+
+SEED = 11
+SETUP = (
+    "sim.noise.gyro_sd=0.005",
+    "sim.noise.accel_sd=0.02",
+    "sim.noise.mag_sd=0.2",
+    "sim.noise.tdoa_sd=0.05",
+    "sim.b_omega=[0.02,-0.01,0.015]",
+    "sim.b_a=[0.1,-0.05,0.08]",
+    "sim.export_dataset=true",
+)
+
+
+def commands() -> list[tuple[str, list[str]]]:
+    """(output directory, CLI arguments) of every run in the set, in order; paths are relative."""
+    sets = [arg for item in SETUP for arg in ("--set", item)]
+    runs = []
+    for scenario in ("static", "yaw_circle", "figure8"):
+        for jobs in (1, 2):
+            out = f"sim-{scenario}-jobs{jobs}"
+            runs.append((out, ["sim", "--scenario", scenario, "--runs", "6", "--seed", str(SEED),
+                               "--jobs", str(jobs), "--set", "sim.duration=20", *sets, "--out", out]))
+    runs.append(("trial", ["sim", "--scenario", "figure8", "--seed", str(SEED),
+                           "--set", "sim.duration=60", *sets, "--out", "trial"]))
+    dataset = "trial/dataset"
+    replay = ["replay", "--seed", str(SEED), "--out", "replay"]
+    for stream in ("imu", "uwb", "gt", "anchors"):
+        suffix = "json" if stream == "anchors" else "csv"
+        replay += ["--set", f"replay.{stream}={dataset}/{stream}.{suffix}"]
+    runs.append(("replay", replay))
+    return runs
+
+
+def run_set(root: Path, out: Path, log=print) -> None:
+    """Run every command of the set with ``root``'s package, writing under ``out``."""
+    out.mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    for name, args in commands():
+        log(f"{root}: uwbnav {' '.join(args)}")
+        proc = subprocess.run([sys.executable, "-m", "uwbnav.cli", *args], cwd=out, env=env,
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"uwbnav {args[0]} exited {proc.returncode} in {root}: {proc.stderr.strip()}")
+        (out / f"{name}.stdout").write_text(proc.stdout)
+
+
+def compare_trees(parent: Path, change: Path) -> tuple[list[str], int]:
+    """A line per relative file path that differs or exists on one side only, sorted,
+    and the number of paths compared."""
+    files = {}
+    for side, top in (("parent", parent), ("change", change)):
+        for path in top.rglob("*"):
+            if path.is_file():
+                files.setdefault(path.relative_to(top).as_posix(), set()).add(side)
+    lines = []
+    for rel in sorted(files):
+        sides = files[rel]
+        if len(sides) == 1:
+            lines.append(f"only in {sides.pop()}: {rel}")
+        elif not filecmp.cmp(parent / rel, change / rel, shallow=False):
+            lines.append(f"differs: {rel}")
+    return lines, len(files)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git ref of the parent commit")
+    args = parser.parse_args(argv)
+    parent_sha = git("rev-parse", args.parent)
+    with tempfile.TemporaryDirectory(prefix="artifact-diff-") as tmp:
+        tmp = Path(tmp)
+        parent_root = checkout(parent_sha, tmp / "parent")
+        run_set(parent_root, tmp / "out-parent")
+        run_set(ROOT, tmp / "out-change")
+        lines, compared = compare_trees(tmp / "out-parent", tmp / "out-change")
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} of {compared} files differ from {parent_sha[:12]}")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

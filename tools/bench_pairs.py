@@ -4,19 +4,19 @@
         --seeds 531-540 --seconds 10 --claim steps_per_s --out BENCH_5.json
 
 For each seed, ``navbench/run.py`` runs once in a checkout of the parent ref
-(a ``git worktree`` in a temporary directory, removed afterwards) and once in
-this tree, alternating which side goes first.  Every run is kept.  The output
-file holds, per metric, each side's median and inclusive quartiles, the pairs
-the change won and, for the claimed metric, the verdict: a gain needs at
-least nine tenths of the pairs won (ties count for neither side) and medians
-that differ by more than the parent's interquartile range.  Every other
-metric is checked against its bound in BENCHMARK.json.  ``--trace 1`` runs
-the traced variant and reports the per-layer metrics the same way.  An
-existing output file keeps its other workloads.  Its ``machine`` line names
-the numpy and scipy versions next to Python's: the step runs its products on
-numpy's BLAS and its TDOA solve on scipy's LAPACK.  Its ``code`` entry gives,
-for the parent and this tree, the ``wc -l src/uwbnav/*.py`` total and the
-number of names in ``uwbnav.__all__``.
+(its committed files, by ``git archive``, in a temporary directory removed
+afterwards) and once in this tree, alternating which side goes first.  Every
+run is kept.  The output file holds, per metric, each side's median and
+inclusive quartiles, the pairs the change won and, for the claimed metric, the
+verdict: a gain needs at least nine tenths of the pairs won (ties count for
+neither side) and medians that differ by more than the parent's interquartile
+range.  Every other metric is checked against its bound in BENCHMARK.json.
+``--trace 1`` runs the traced variant and reports the per-layer metrics the
+same way.  An existing output file keeps its other workloads.  Its ``machine``
+line names the numpy and scipy versions next to Python's: the step runs its
+products on numpy's BLAS and its TDOA solve on scipy's LAPACK.  Its ``code``
+entry gives, for the parent and this tree, the ``wc -l src/uwbnav/*.py`` total
+and the number of names in ``uwbnav.__all__``.
 
 Standard library only.
 """
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import io
 import json
 import math
 import os
@@ -32,6 +33,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from importlib import metadata
 from pathlib import Path
@@ -159,6 +161,17 @@ def git(*args) -> str:
     return proc.stdout.strip()
 
 
+def checkout(ref: str, dest: Path) -> Path:
+    """The files committed at ``ref``, written into the new directory ``dest`` by ``git archive``."""
+    dest.mkdir(parents=True)
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", ref], check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest
+
+
 def run_pairs(parent_root: Path, workload: str, seeds, seconds: float, trace: int, log=print) -> list[dict]:
     """Alternate parent and change over ``seeds``; pair i runs the parent first when i is even."""
     runs = []
@@ -211,14 +224,10 @@ def main(argv=None) -> int:
     declared = {m["name"]: m for m in bench["per_layer" if args.trace else "end_to_end"]}
     parent_sha = git("rev-parse", args.parent)
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        worktree = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(worktree), parent_sha)
-        try:
-            code = {"parent": code_size(worktree), "change": code_size(ROOT)}
-            runs = run_pairs(worktree, args.workload, args.seeds, args.seconds, args.trace,
-                             log=lambda line: print(line, flush=True))
-        finally:
-            git("worktree", "remove", "--force", str(worktree))
+        parent_root = checkout(parent_sha, Path(tmp) / "parent")
+        code = {"parent": code_size(parent_root), "change": code_size(ROOT)}
+        runs = run_pairs(parent_root, args.workload, args.seeds, args.seconds, args.trace,
+                         log=lambda line: print(line, flush=True))
 
     out_path = Path(args.out)
     doc = json.loads(out_path.read_text()) if out_path.exists() else {}
