@@ -419,7 +419,8 @@ def run_replay(
     lands on a step skipped for its dt) counts as dropped.  When the
     dataset has no magnetometer, one is synthesized from the interpolated
     ground-truth attitude with noise `mag_noise_sd` (draws keyed by the seed
-    and sample index, so the replay is deterministic).
+    and sample index, so the replay is deterministic).  ``tag_offset`` is
+    accepted but not yet applied (ROADMAP item 2 plans ``p_y - R_hat @ tag_offset``).
     """
     ref = ReferenceVectors() if ref is None else ref
     tag_offset = np.asarray(tag_offset, dtype=float)

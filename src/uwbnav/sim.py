@@ -22,6 +22,10 @@ is given), adding per seed only what the seed changes: IMU and TDOA noise,
 biases, the magnetometer reading, the observer and its errors.  A seed
 sweep (``uwbnav sim --runs N``) therefore integrates its truth once.
 
+``TruthModel`` and ``Scenario`` check their inputs when built.  One kernel,
+``_truth_step``, makes the sandwich step: ``propagate_truth`` is its public
+one-step form, and ``truth_track`` runs it on raw ``R, P, V`` arrays.
+
 Per seed, ``run_scenario`` builds the whole IMU stream and every TDOA frame
 before the loop, hands them to ``observer._run_stream`` (the loop that
 replay shares), and computes every error series after it, in one pass over
@@ -32,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,11 +43,13 @@ from .liegroup import (
     _ZERO3,
     NavState,
     Rotation,
+    _all_finite,
     _as_vec3,
+    _check_so3,
     _pack,
     _se23_exp,
     _trusted,
-    se23_exp,  # noqa: F401  propagate_truth runs _se23_exp; navbench traces calls at this name
+    se23_exp,  # noqa: F401  _truth_step runs _se23_exp; navbench traces calls at this name
     so3_exp,
 )
 from .observer import Gains, ObserverState, _nav_errors, _norms, _run_stream, step
@@ -103,7 +108,8 @@ class TruthModel:
 
     ``omega_fn(t)`` and ``accel_fn(t)`` give the body-frame angular rate and
     specific force driving the kinematics; ``b_omega``/``b_a`` are the
-    constant sensor biases added to the synthesized measurements.
+    constant sensor biases added to the synthesized measurements.  Both
+    biases and ``gravity`` are checked as finite 3-vectors.
     """
 
     nav: NavState
@@ -117,9 +123,8 @@ class TruthModel:
     gravity: np.ndarray = (0.0, 0.0, -9.8)
 
     def __post_init__(self):
-        object.__setattr__(self, "b_omega", np.asarray(self.b_omega, dtype=float))
-        object.__setattr__(self, "b_a", np.asarray(self.b_a, dtype=float))
-        object.__setattr__(self, "gravity", np.asarray(self.gravity, dtype=float))
+        for name in ("b_omega", "b_a", "gravity"):
+            object.__setattr__(self, name, _as_vec3(getattr(self, name), name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,11 +133,12 @@ class TruthTrack:
 
     ``rot`` (n+1, 3, 3), ``pos`` and ``vel`` (n+1, 3) are the true state, row 0
     the initial one and each later row stepped from the one before by
-    ``propagate_truth``; ``omega`` and ``accel`` (n+1, 3) are ``omega_fn(t_k)``
-    and ``accel_fn(t_k)``.  The arrays are read-only copies.  ``omega_fn``,
-    ``accel_fn``, the initial state, ``gravity``, ``imu_rate`` and ``n`` are
-    the definition the track was built from; ``run_scenario`` refuses a track
-    whose definition differs from its scenario's.
+    ``_truth_step``, the kernel of ``propagate_truth``; ``omega`` and ``accel``
+    (n+1, 3) are ``omega_fn(t_k)`` and ``accel_fn(t_k)``.  The arrays are
+    read-only copies.  ``omega_fn``, ``accel_fn``, the initial state,
+    ``gravity``, ``imu_rate`` and ``n`` are the definition the track was built
+    from; ``run_scenario`` refuses a track whose definition differs from its
+    scenario's.
     """
 
     omega_fn: object
@@ -171,14 +177,13 @@ class TruthTrack:
         return (TruthTrack, tuple(getattr(self, f.name) for f in fields(self)))
 
 
-class _TrackRotation(NamedTuple):
-    """A track rotation read as a ``Rotation`` is, through ``.m``.
-
-    ``propagate_truth`` checked each rotation on SO(3) as it made it, so a
-    seed reads the track without building a ``Rotation`` again.
-    """
-
-    m: np.ndarray
+def _truth_step(R, P, V, omega, accel, gravity, dt: float) -> np.ndarray:
+    """One truth step, exp(-G dt) @ X @ exp(U dt) with X = (R, P, V), on inputs already checked."""
+    return (
+        _se23_exp(_ZERO3, _ZERO3, -gravity, 1.0, -dt)
+        .dot(_pack(R, P, V))
+        .dot(_se23_exp(omega, _ZERO3, accel, 1.0, dt))
+    )
 
 
 def propagate_truth(t: TruthModel, dt: float) -> TruthModel:
@@ -188,19 +193,9 @@ def propagate_truth(t: TruthModel, dt: float) -> TruthModel:
     mid = t.time + 0.5 * dt
     omega = _as_vec3(t.omega_fn(mid), "omega_fn(t)")
     accel = _as_vec3(t.accel_fn(mid), "accel_fn(t)")
-    gravity = _as_vec3(t.gravity, "gravity")
-    # exp(-G dt) X exp(U dt) with U = u([omega]_x, 0, accel, 1), G = u(0, 0, -g, 1).
-    X = (
-        _se23_exp(_ZERO3, _ZERO3, -gravity, 1.0, -dt)
-        .dot(_pack(t.nav.rot.m, t.nav.pos, t.nav.vel))
-        .dot(_se23_exp(omega, _ZERO3, accel, 1.0, dt))
-    )
+    X = _truth_step(t.nav.rot.m, t.nav.pos, t.nav.vel, omega, accel, t.gravity, dt)
     nav = NavState(Rotation(X[:3, :3]), X[:3, 3], X[:3, 4])
     return replace(t, nav=nav, time=t.time + dt)
-
-
-def _call_rng(seed: int, stream: int, key: int) -> np.random.Generator:
-    return np.random.default_rng((int(seed), int(stream), int(key)))
 
 
 def synthesize_imu(t: TruthModel, time: float, ref: ReferenceVectors | None = None) -> ImuSample:
@@ -230,7 +225,7 @@ def _noisy_imu(noise: SensorNoise, seed: int, time: float, gyro, accel, mag) -> 
     the nine noisy readings, the check ``ImuSample`` would make.
     """
     if noise.gyro_sd > 0.0 or noise.accel_sd > 0.0 or noise.mag_sd > 0.0:
-        rng = _call_rng(seed, _STREAM_IMU, round(time * 1e9))
+        rng = np.random.default_rng((int(seed), _STREAM_IMU, round(time * 1e9)))
         if noise.gyro_sd > 0.0:
             gyro = gyro + rng.normal(0.0, noise.gyro_sd, 3)
         if noise.accel_sd > 0.0:
@@ -268,11 +263,11 @@ class Scenario:
     ref: ReferenceVectors = ReferenceVectors()
 
     def __post_init__(self):
-        if not self.duration > 0.0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
-        if not (self.imu_rate > 0.0 and self.tdoa_rate > 0.0):
-            raise ValueError("imu_rate and tdoa_rate must be > 0")
-        self.tag_offset = np.asarray(self.tag_offset, dtype=float)
+        for name in ("duration", "imu_rate", "tdoa_rate"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        self.tag_offset = _as_vec3(self.tag_offset, "tag_offset")
 
 
 # --- preset trajectories ---------------------------------------------------
@@ -571,31 +566,34 @@ def truth_track(sc: Scenario) -> TruthTrack:
     The track depends only on the trajectory (``omega_fn``, ``accel_fn``, the
     initial state, gravity) and the sampling (``imu_rate``, the step count),
     never on the seed, noise or biases, so one track serves every seed of a
-    sweep.  Each step is ``propagate_truth`` over [t_k, t_k+1]; its time
-    stays exactly t_k+1, because t_k+1 - t_k is exact (Sterbenz).
+    sweep.  Each step is bit for bit ``propagate_truth`` over [t_k, t_k+1]
+    (t_k+1 - t_k is exact, Sterbenz), run by ``_truth_step`` on raw arrays
+    with the checks ``propagate_truth`` makes: its midpoint input samples,
+    the new rotation on SO(3), and a finite position and velocity.
     """
     n = _step_count(sc)
     t = np.arange(n + 1) / sc.imu_rate
-    truth = replace(sc.truth, time=0.0)
-    rot = np.empty((n + 1, 3, 3))
-    pos = np.empty((n + 1, 3))
-    vel = np.empty((n + 1, 3))
-    rot[0], pos[0], vel[0] = truth.nav.rot.m, truth.nav.pos, truth.nav.vel
-    for k in range(n):
-        truth = propagate_truth(truth, float(t[k + 1] - t[k]))
-        rot[k + 1], pos[k + 1], vel[k + 1] = truth.nav.rot.m, truth.nav.pos, truth.nav.vel
-    times = t.tolist()
+    times, dts = t.tolist(), np.diff(t).tolist()
+    if not 0.0 < min(dts) <= max(dts) <= 0.1:
+        raise ValueError(f"dt must be in (0, 0.1] s, got {max(dts)}")
+    truth = sc.truth
+    rot, pos, vel = np.empty((n + 1, 3, 3)), np.empty((n + 1, 3)), np.empty((n + 1, 3))
+    R, P, V = truth.nav.rot.m, truth.nav.pos, truth.nav.vel
+    rot[0], pos[0], vel[0] = R, P, V
+    for k, dt in enumerate(dts):
+        mid = times[k] + 0.5 * dt
+        omega = _as_vec3(truth.omega_fn(mid), "omega_fn(t)")
+        accel = _as_vec3(truth.accel_fn(mid), "accel_fn(t)")
+        X = _truth_step(R, P, V, omega, accel, truth.gravity, dt)
+        R, P, V = X[:3, :3], X[:3, 3], X[:3, 4]
+        _check_so3(R)
+        if not _all_finite(X[:3, 3:]):
+            raise ValueError(f"true position and velocity must be finite, got {P}, {V}")
+        rot[k + 1], pos[k + 1], vel[k + 1] = R, P, V
     return TruthTrack(
-        omega_fn=truth.omega_fn,
-        accel_fn=truth.accel_fn,
-        gravity=truth.gravity,
-        imu_rate=sc.imu_rate,
-        n=n,
-        rot=rot,
-        pos=pos,
-        vel=vel,
-        omega=[truth.omega_fn(tk) for tk in times],
-        accel=[truth.accel_fn(tk) for tk in times],
+        omega_fn=truth.omega_fn, accel_fn=truth.accel_fn, gravity=truth.gravity,
+        imu_rate=sc.imu_rate, n=n, rot=rot, pos=pos, vel=vel,
+        omega=[truth.omega_fn(tk) for tk in times], accel=[truth.accel_fn(tk) for tk in times],
     )
 
 
@@ -648,10 +646,9 @@ def run_scenario(
     times = t.tolist()
     truth = sc.truth
     noise = truth.noise
-    b_omega, b_a = _as_vec3(truth.b_omega, "b_omega"), _as_vec3(truth.b_a, "b_a")
     # n + 1 samples: the trailing one lets a dataset export carry the final step length.
     imu_stream = [
-        _noisy_imu(noise, truth.seed, tk, w + b_omega, f + b_a, r.T @ sc.ref.mag_ref)
+        _noisy_imu(noise, truth.seed, tk, w + truth.b_omega, f + truth.b_a, r.T @ sc.ref.mag_ref)
         for tk, w, f, r in zip(times, track.omega, track.accel, track.rot)
     ]
     frames: dict = {}
@@ -660,7 +657,7 @@ def run_scenario(
         if times[k] >= tdoa_next - 1e-9:
             tdoa_next += tdoa_period
             frames[k] = synthesize_tdoa(
-                track.pos[k], _TrackRotation(track.rot[k]), sc.anchors, sc.tag_offset, noise.tdoa_sd,
+                track.pos[k], _trusted(Rotation, m=track.rot[k]), sc.anchors, sc.tag_offset, noise.tdoa_sd,
                 seed=(truth.seed, _STREAM_TDOA, k), timestamp=times[k],
             )
     est, _, (R, P, V, b_omega_hat, b_a_hat, raw_pos) = _run_stream(

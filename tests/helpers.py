@@ -16,6 +16,7 @@ import numpy as np
 from uwbnav.liegroup import NavState, Rotation, TangentElement, _exp_coefficients, reorthonormalize, skew
 from uwbnav.observer import REORTH_INTERVAL, ObserverState
 from uwbnav.sensors import COLLINEARITY_TOL, ReferenceVectors, TriadDegenerate, TriadPair, _cross
+from uwbnav.sim import TruthTrack
 from uwbnav.tdoa import GeometryDegenerate, solve_frame
 
 # --- frozen kernel arithmetic ---------------------------------------------------
@@ -217,6 +218,29 @@ def reference_propagate_truth(truth, dt):
     nav = truth.nav
     X = frozen_exp(G, -dt) @ frozen_pack(nav.rot.m, nav.pos, nav.vel) @ frozen_exp(U, dt)
     return replace(truth, nav=NavState(Rotation(X[:3, :3]), X[:3, 3], X[:3, 4]), time=truth.time + dt)
+
+
+def reference_truth_track(sc):
+    """``sim.truth_track`` as a walk of ``reference_propagate_truth`` over the IMU sample grid."""
+    n = int(round(sc.duration * sc.imu_rate))
+    t = np.arange(n + 1) / sc.imu_rate
+    truth = replace(sc.truth, time=0.0)
+    navs = [truth.nav]
+    for k in range(n):
+        truth = reference_propagate_truth(truth, float(t[k + 1] - t[k]))
+        navs.append(truth.nav)
+    return TruthTrack(
+        omega_fn=truth.omega_fn,
+        accel_fn=truth.accel_fn,
+        gravity=truth.gravity,
+        imu_rate=sc.imu_rate,
+        n=n,
+        rot=[nav.rot.m for nav in navs],
+        pos=[nav.pos for nav in navs],
+        vel=[nav.vel for nav in navs],
+        omega=[truth.omega_fn(tk) for tk in t.tolist()],
+        accel=[truth.accel_fn(tk) for tk in t.tolist()],
+    )
 
 
 def assert_states_identical(a, b):

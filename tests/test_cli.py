@@ -194,26 +194,30 @@ def test_sim_rejects_a_job_count_below_one(capsys, tmp_path, jobs):
 
 def test_sim_sweep_integrates_its_truth_once(capsys, tmp_path, monkeypatch):
     # One track per invocation, shared by every seed and by --jobs workers;
-    # none outlives the call, so a second sweep integrates its own.
+    # none outlives the call, so a second sweep integrates its own.  Tracks
+    # are counted where the CLI builds one and where run_scenario would.
+    import uwbnav.cli as cli_module
     import uwbnav.sim as sim_module
 
     calls = []
-    real = sim_module.propagate_truth
+    real = sim_module.truth_track
 
-    def counting(truth, dt):
-        calls.append(dt)
-        return real(truth, dt)
+    def counting(sc):
+        track = real(sc)
+        calls.append(track.n)
+        return track
 
-    monkeypatch.setattr(sim_module, "propagate_truth", counting)
+    monkeypatch.setattr(cli_module, "truth_track", counting)
+    monkeypatch.setattr(sim_module, "truth_track", counting)
     argv = ["sim", "--scenario", "figure8", "--runs", "3", "--set", "sim.duration=1"]
     for setting in ("sim.noise.tdoa_sd=0.05", "sim.noise.gyro_sd=0.005", "sim.export_dataset=true"):
         argv += ["--set", setting]
     assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
-    assert len(calls) == 100
+    assert calls == [100]
     assert main(argv + ["--out", str(tmp_path / "again")]) == 0
-    assert len(calls) == 200
+    assert calls == [100, 100]
     assert main(argv + ["--jobs", "2", "--out", str(tmp_path / "jobs")]) == 0
-    assert len(calls) == 300
+    assert calls == [100, 100, 100]
     capsys.readouterr()
     serial = sorted(p.relative_to(tmp_path / "serial") for p in (tmp_path / "serial").rglob("*.*"))
     assert len(serial) == 3 * 6 + 1  # per seed metrics, summary and four dataset files; one roll-up
@@ -221,6 +225,20 @@ def test_sim_sweep_integrates_its_truth_once(capsys, tmp_path, monkeypatch):
         want = (tmp_path / "serial" / rel).read_bytes()
         assert (tmp_path / "again" / rel).read_bytes() == want, rel
         assert (tmp_path / "jobs" / rel).read_bytes() == want, rel
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["sim.duration=Infinity", "sim.imu_rate=Infinity", "sim.tdoa_rate=Infinity", "sim.tag_offset=[1,2]"],
+)
+def test_sim_rejects_a_non_finite_rate_or_duration_and_a_bad_lever_arm(capsys, tmp_path, setting):
+    code, out, err = run_cli(
+        capsys, ["sim", "--scenario", "static", "--set", setting, "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+    assert err.startswith("invalid input: ") and "Traceback" not in err
+    assert out == ""
+    assert not tmp_path.joinpath("out").exists()
 
 
 def _reject_constant(token):

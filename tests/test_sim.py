@@ -10,10 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_states_identical, random_rotation, reference_propagate_truth, reference_step
+import uwbnav.sim as sim_module
+from helpers import (
+    assert_states_identical,
+    random_rotation,
+    reference_propagate_truth,
+    reference_step,
+    reference_truth_track,
+)
 from uwbnav.liegroup import NavState, Rotation, att_dist
 from uwbnav.observer import Gains, error_metrics
 from uwbnav.sensors import ReferenceVectors
+from uwbnav.tdoa import synthesize_tdoa
 from uwbnav.sim import (
     PRESET_NAMES,
     Scenario,
@@ -52,6 +60,34 @@ def test_sensor_noise_defaults():
 def test_sensor_noise_rejects_negative(field):
     with pytest.raises(ValueError, match=field):
         SensorNoise(**{field: -0.1})
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("duration", math.inf, "duration must be finite"),
+        ("duration", math.nan, "duration must be finite"),
+        ("imu_rate", math.inf, "imu_rate must be finite"),
+        ("tdoa_rate", math.inf, "tdoa_rate must be finite"),
+        ("tdoa_rate", -1.0, "tdoa_rate must be finite and > 0"),
+        ("tag_offset", (1.0, 2.0), "tag_offset must have 3 components"),
+        ("tag_offset", (0.0, math.nan, 0.0), "tag_offset must be finite"),
+    ],
+)
+def test_scenario_checks_its_rates_duration_and_lever_arm(field, value, match):
+    sc = preset_scenario("static")
+    kwargs = dict(name="x", anchors=sc.anchors, duration=1.0, truth=sc.truth, estimate=sc.estimate)
+    with pytest.raises(ValueError, match=match):
+        Scenario(**{**kwargs, field: value})
+
+
+@pytest.mark.parametrize("field", ["b_omega", "b_a", "gravity"])
+def test_truth_model_checks_its_vectors(field):
+    nav = NavState.identity()
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TruthModel(nav=nav, **{field: (0.0, np.inf, 0.0)})
+    with pytest.raises(ValueError, match=f"{field} must have 3 components"):
+        TruthModel(nav=nav, **{field: (0.1, 0.2)})
 
 
 def test_scenario_rejects_bad_duration_and_rates():
@@ -133,17 +169,15 @@ def test_propagate_rejects_non_finite_inputs():
     )
     with pytest.raises(ValueError, match="finite"):
         propagate_truth(truth, 0.01)
-    truth = TruthModel(nav=NavState(Rotation.identity(), np.zeros(3), np.zeros(3)), gravity=(0.0, np.inf, 0.0))
+    # A non-finite gravity never reaches a step: the model refuses it.
     with pytest.raises(ValueError, match="finite"):
-        propagate_truth(truth, 0.01)
+        TruthModel(nav=NavState(Rotation.identity(), np.zeros(3), np.zeros(3)), gravity=(0.0, np.inf, 0.0))
 
 
 def test_run_scenario_matches_the_dataclass_kernels(monkeypatch):
     # A closed-loop run with noise, biases and a lever arm, once on the lean
-    # kernels and once with sim.step and sim.propagate_truth replaced by the
-    # dataclass compositions: every recorded series is identical.
-    import uwbnav.sim as sim_module
-
+    # kernels and once with sim.step replaced by the dataclass composition and
+    # the truth track walked by it: every recorded series is identical.
     sc = preset_scenario(
         "figure8",
         seed=3,
@@ -155,8 +189,7 @@ def test_run_scenario_matches_the_dataclass_kernels(monkeypatch):
     )
     lean = run_scenario(sc, Gains())
     monkeypatch.setattr(sim_module, "step", reference_step)
-    monkeypatch.setattr(sim_module, "propagate_truth", reference_propagate_truth)
-    ref = run_scenario(sc, Gains())
+    ref = run_scenario(sc, Gains(), track=reference_truth_track(sc))
     for name in ("att_err", "pos_err", "vel_err", "b_omega_err", "b_a_err", "truth_rot", "est_pos", "est_vel"):
         assert np.array_equal(getattr(lean, name), getattr(ref, name)), name
     assert_states_identical(lean.final_state, ref.final_state)
@@ -170,8 +203,6 @@ def test_batched_errors_match_error_metrics_row_by_row(monkeypatch):
     # np.linalg.norm(d, axis=1), which sums the squares in another order,
     # differs on 87 of the 1 001 position rows and 77 velocity rows, and an
     # einsum trace of the stacked products on 264 attitude rows.
-    import uwbnav.sim as sim_module
-
     states = []
     real = sim_module.step
 
@@ -429,6 +460,22 @@ def test_run_scenario_imu_matches_synthesize_imu():
             assert np.array_equal(getattr(got, name), getattr(want, name)), (k, name)
 
 
+def test_run_scenario_frames_see_the_tag_through_the_truth_rotation():
+    # Each frame run_scenario synthesizes puts the tag at P + R l, with R the
+    # track's rotation at that step: the frames match synthesize_tdoa given a
+    # public Rotation, bit for bit, and not a tag at the body origin.
+    sc = sweep_scenario(seed=4)
+    result = run_scenario(sc, Gains())
+    assert len(result.frames) == 20
+    for k, frame in result.frames.items():
+        seed = (sc.truth.seed, sim_module._STREAM_TDOA, k)
+        rest = (sc.anchors, sc.tag_offset, sc.truth.noise.tdoa_sd)
+        want = synthesize_tdoa(result.truth_pos[k], Rotation(result.truth_rot[k]), *rest, seed=seed, timestamp=result.t[k])
+        assert frame.timestamp == want.timestamp and frame.d.tobytes() == want.d.tobytes(), k
+        origin = synthesize_tdoa(result.truth_pos[k], None, *rest, seed=seed)
+        assert not np.array_equal(frame.d, origin.d), k
+
+
 @pytest.mark.parametrize(
     "other, differ",
     [
@@ -467,6 +514,90 @@ def test_truth_track_is_read_only_and_pickles_for_jobs_workers():
     # fits the scenarios a worker builds.
     assert copy.omega_fn == sc.truth.omega_fn and copy.accel_fn == sc.truth.accel_fn
     assert np.array_equal(run_scenario(sc, Gains(), track=copy).est_pos, run_scenario(sc, Gains(), track=track).est_pos)
+
+
+def custom_scenario(**kwargs):
+    # Time-varying inputs, a random initial state and a non-default gravity.
+    rng = np.random.default_rng(63)
+    w, f = rng.normal(size=3), rng.normal(size=3)
+    truth = TruthModel(
+        nav=NavState(Rotation(random_rotation(rng)), rng.normal(size=3), rng.normal(size=3)),
+        omega_fn=lambda t: w * np.cos(t) + 0.1,
+        accel_fn=lambda t: f * np.sin(3.0 * t) + np.array([0.0, 0.0, 9.81]),
+        gravity=(0.1, -0.2, -9.81),
+    )
+    sc = preset_scenario("static")
+    return Scenario(name="custom", anchors=sc.anchors, truth=truth, estimate=sc.estimate, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(lambda name=name: preset_scenario(name, duration=5.0) for name in PRESET_NAMES),
+        lambda: custom_scenario(duration=3.0, imu_rate=250.0),
+    ],
+    ids=[*PRESET_NAMES, "custom-250Hz"],
+)
+def test_truth_track_matches_a_walk_of_the_dataclass_sandwich(make):
+    # truth_track steps raw arrays; the reference walks validated TruthModels
+    # through exp(-G dt) @ X @ exp(U dt) built by the frozen arithmetic in
+    # helpers.py.  Every row and the track's definition agree bit for bit.
+    sc = make()
+    got, want = truth_track(sc), reference_truth_track(sc)
+    assert (got.n, got.imu_rate) == (want.n, want.imu_rate)
+    for name in ("gravity", "rot", "pos", "vel", "omega", "accel"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("fn", ["omega_fn", "accel_fn"])
+def test_truth_track_rejects_non_finite_inputs(fn):
+    sc = custom_scenario(duration=1.0)
+    real = getattr(sc.truth, fn)
+    bad = replace(sc.truth, **{fn: lambda t: real(t) * (np.nan if t > 0.5 else 1.0)})
+    with pytest.raises(ValueError, match=rf"{fn}\(t\) must be finite"):
+        truth_track(replace(sc, truth=bad))
+
+
+def test_truth_track_checks_every_state_it_makes(monkeypatch):
+    # The kernel's output is checked on each step: a rotation off SO(3) and a
+    # non-finite position or velocity are refused, however late they appear.
+    sc = custom_scenario(duration=1.0)
+    real = sim_module._truth_step
+
+    def corrupt(k, fault):
+        calls = []
+
+        def kernel(*args):
+            X = real(*args)
+            calls.append(1)
+            if len(calls) == k:
+                fault(X)
+            return X
+
+        monkeypatch.setattr(sim_module, "_truth_step", kernel)
+
+    def scale_rotation(X):
+        X[:3, :3] *= 1.0 + 1e-8
+
+    def infinite_position(X):
+        X[1, 3] = np.inf
+
+    def nan_velocity(X):
+        X[2, 4] = np.nan
+
+    for fault, match in (
+        (scale_rotation, "not orthogonal"),
+        (infinite_position, "position and velocity must be finite"),
+        (nan_velocity, "position and velocity must be finite"),
+    ):
+        corrupt(57, fault)
+        with pytest.raises(ValueError, match=match):
+            truth_track(sc)
+
+
+def test_truth_track_rejects_a_step_longer_than_a_tenth_of_a_second():
+    with pytest.raises(ValueError, match=r"dt must be in \(0, 0.1\] s"):
+        truth_track(preset_scenario("static", duration=1.0, imu_rate=9.0))
 
 
 @settings(max_examples=60, deadline=None)

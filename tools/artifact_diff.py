@@ -14,6 +14,8 @@ The artifact set, with every sensor noise on (gyro 0.005, accel 0.02, mag
 
 * ``uwbnav sim --runs 6`` on static, yaw_circle and figure8 for 20 s, once
   serially and once with ``--jobs 2``;
+* ``uwbnav sim`` on figure8 at a 250 Hz IMU rate, with gravity (0, 0, -9.81)
+  and a lever arm, the one run whose frames read the truth rotation;
 * ``uwbnav sim`` on figure8 for 60 s, and ``uwbnav replay`` of its exported
   dataset.
 
@@ -55,6 +57,9 @@ def commands() -> list[tuple[str, list[str]]]:
             out = f"sim-{scenario}-jobs{jobs}"
             runs.append((out, ["sim", "--scenario", scenario, "--runs", "6", "--seed", str(SEED),
                                "--jobs", str(jobs), "--set", "sim.duration=20", *sets, "--out", out]))
+    lever = ("sim.imu_rate=250", "ref.gravity=[0,0,-9.81]", "sim.tag_offset=[-0.012,0.001,0.091]")
+    runs.append(("lever-arm", ["sim", "--scenario", "figure8", "--seed", str(SEED), *sets,
+                               *(arg for item in lever for arg in ("--set", item)), "--out", "lever-arm"]))
     runs.append(("trial", ["sim", "--scenario", "figure8", "--seed", str(SEED),
                            "--set", "sim.duration=60", *sets, "--out", "trial"]))
     dataset = "trial/dataset"
