@@ -6,11 +6,14 @@ Commands
     uwbnav tdoa-solve --anchors anchors.json --d 0.1,0.2,...
     uwbnav validate-gains --k-v 2 --k-a 70 --delta 0.01
 
-Configuration is one JSON document (``--config``) merged over built-in
-defaults, with ``--set dotted.key=value`` overrides applied last.  Unknown
-keys are rejected.  Artifacts (metrics.csv, summary.json, exported datasets)
-are written atomically.  Exit codes: 0 success, 2 configuration or usage
-error, 3 runtime/data failure (including a failed gain certificate,
+Configuration is built-in defaults, then a JSON document (``--config``),
+then each ``--set a.b=v`` as the document ``{"a": {"b": v}}``, then the
+subcommand flags, each checked and merged the same way.  An unknown key, an
+object for a plain value and a plain value for a section are refused; each
+value takes its default's kind (a JSON integer is a number); an object merges
+into its section key by key.  Artifacts (metrics.csv, summary.json, exported
+datasets) are written atomically.  Exit codes: 0 success, 2 any configuration
+or usage error, 3 runtime/data failure (including a failed gain certificate,
 degenerate TDOA geometry and an observer that diverges during a run).
 ``replay.tag_offset`` is accepted and not yet applied (ROADMAP item 2).
 
@@ -73,25 +76,26 @@ def _defaults(fn, *names) -> dict:
     return {name: np.asarray(params[name].default).tolist() for name in names}
 
 
+def _pick(section: dict, names) -> dict:
+    return {name: section[name] for name in names}
+
+
+# The keyword parameters a config section passes on by name: the section's
+# defaults are the callee's, and _pick hands the same keys back to it.
+_ESTIMATE_KEYS = ("estimate_pos", "estimate_vel", "estimate_rotvec")
+_SIM_KEYS = ("duration", "imu_rate", "tdoa_rate", "b_omega", "b_a", *_ESTIMATE_KEYS, "tag_offset")
+_REPLAY_KEYS = ("mag_noise_sd", "velocity_window", "velocity_poly_order")
+_SETTLE_KEYS = ("settle_threshold", "settle_dwell")
+
 DEFAULT_CONFIG = {
     "seed": 0,
     "gains": _fields(Gains()),
     "ref": _fields(ReferenceVectors()),
-    **_defaults(run_scenario, "settle_threshold", "settle_dwell"),
+    **_defaults(run_scenario, *_SETTLE_KEYS),
     "sim": {
         "scenario": None,
-        "duration": None,
-        **_defaults(preset_scenario, "imu_rate", "tdoa_rate"),
+        **_defaults(preset_scenario, *_SIM_KEYS),
         "noise": _fields(SensorNoise()),
-        **_defaults(
-            preset_scenario,
-            "b_omega",
-            "b_a",
-            "estimate_pos",
-            "estimate_vel",
-            "estimate_rotvec",
-            "tag_offset",
-        ),
         "anchors": None,
         "runs": 1,
         "export_dataset": False,
@@ -103,40 +107,70 @@ DEFAULT_CONFIG = {
         "anchors": None,
         "column_map": {},
         "tag_offset": [-0.012, 0.001, 0.091],
-        **_defaults(run_replay, "mag_noise_sd", "velocity_window", "velocity_poly_order"),
-        **_defaults(preset_scenario, "estimate_pos", "estimate_vel", "estimate_rotvec"),
+        **_defaults(run_replay, *_REPLAY_KEYS),
+        **_defaults(preset_scenario, *_ESTIMATE_KEYS),
     },
 }
 
-# Subtrees whose keys are free-form (validated downstream, not against defaults).
-_OPAQUE_KEYS = {("replay", "column_map")}
+# A section whose keys are free-form (load_dataset checks them).
+_OPAQUE_KEYS = {"replay.column_map"}
+# The JSON types a leaf takes, by its default's type: a JSON integer is a
+# number, and true and false are not (they are ints to isinstance(), not to type()).
+_NUMBER = (int, float)
+_KINDS = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "a whole number"),
+    float: (_NUMBER, "a number"),
+    type(None): ((str, type(None)), "a string or null"),
+}
+_NUMBER_OR_NULL = ((*_NUMBER, type(None)), "a number or null")  # sim.duration's kind
 
 
-def _check_keys(cfg: dict, defaults: dict, path: tuple = ()):
-    for key, value in cfg.items():
+def _check(doc: dict, defaults: dict, path: str = "") -> None:
+    """Refuse a config document that does not fit the keys, sections and kinds of ``defaults``."""
+    for key, value in doc.items():
+        name = path + key
         if key not in defaults:
-            dotted = ".".join(path + (key,))
-            raise ConfigError(f"unknown config key {dotted!r}")
-        sub_path = path + (key,)
-        if sub_path in _OPAQUE_KEYS:
-            continue
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
-            _check_keys(value, defaults[key], sub_path)
-
-
-def _deep_merge(base: dict, override: dict, path: tuple = ()) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if (
-            key in out
-            and isinstance(out[key], dict)
-            and isinstance(value, dict)
-            and path + (key,) not in _OPAQUE_KEYS
-        ):
-            out[key] = _deep_merge(out[key], value, path + (key,))
+            raise ConfigError(f"unknown config key {name!r}")
+        default = defaults[key]
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{name!r} is a config section; assign an object to it")
+            if name not in _OPAQUE_KEYS:
+                _check(value, default, name + ".")
+        elif isinstance(value, dict):
+            raise ConfigError(f"{name!r} is a plain value; it cannot be assigned an object")
+        elif isinstance(default, list):
+            numbers = type(value) is list and all(type(v) in _NUMBER for v in value)
+            if not numbers or len(value) != len(default):
+                raise ValueError(f"{name} must be {len(default)} numbers, got {json.dumps(value)}")
         else:
-            out[key] = copy.deepcopy(value)
-    return out
+            types, kind = _NUMBER_OR_NULL if name == "sim.duration" else _KINDS[type(default)]
+            if type(value) not in types:
+                raise ValueError(f"{name} must be {kind}, got {json.dumps(value)}")
+
+
+def _merge(cfg: dict, doc: dict) -> dict:
+    """Merge ``doc`` into ``cfg`` in place, object into object, key by key."""
+    for key, value in doc.items():
+        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
+            _merge(cfg[key], value)
+        else:
+            cfg[key] = value
+    return cfg
+
+
+def _apply(cfg: dict, doc: dict) -> dict:
+    """The one way into a config: check ``doc`` against the defaults, then merge it."""
+    _check(doc, DEFAULT_CONFIG)
+    return _merge(cfg, doc)
+
+
+def _document(dotted: str, value) -> dict:
+    """The document ``{"a": {"b": value}}`` of the dotted key ``a.b``."""
+    for key in reversed(dotted.split(".")):
+        value = {key: value}
+    return value
 
 
 def load_config(path: str | None) -> dict:
@@ -153,8 +187,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError(f"config file {p} must contain a JSON object")
-    _check_keys(user, DEFAULT_CONFIG)
-    return _deep_merge(cfg, user)
+    return _apply(cfg, user)
 
 
 def apply_overrides(cfg: dict, overrides) -> dict:
@@ -163,41 +196,21 @@ def apply_overrides(cfg: dict, overrides) -> dict:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
-        keys = tuple(dotted.split("."))
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        # Validate the path against the defaults, stopping at opaque subtrees.
-        defaults = DEFAULT_CONFIG
-        opaque = False
-        for i, key in enumerate(keys):
-            if opaque:
-                break
-            if not isinstance(defaults, dict) or key not in defaults:
-                raise ConfigError(f"unknown config key {dotted!r}")
-            if keys[: i + 1] in _OPAQUE_KEYS:
-                opaque = True
-            defaults = defaults[key]
-        if not opaque and isinstance(defaults, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{dotted!r} is a config section; assign an object to it")
-            _check_keys(value, defaults, keys)
-        node = cfg
-        for key in keys[:-1]:
-            if not isinstance(node.get(key), dict):
-                node[key] = {}
-            node = node[key]
-        node[keys[-1]] = value
+        _apply(cfg, _document(dotted, value))
     return cfg
 
 
-def _gains(cfg: dict) -> Gains:
-    return Gains(**cfg["gains"])
-
-
-def _ref(cfg: dict) -> ReferenceVectors:
-    return ReferenceVectors(gravity=cfg["ref"]["gravity"], mag_ref=cfg["ref"]["mag_ref"])
+def _config(args, flags: dict) -> dict:
+    """The config file, then each --set, then the subcommand flags that were given."""
+    cfg = apply_overrides(load_config(args.config), args.set)
+    for dotted, value in flags.items():
+        if value is not None:
+            _apply(cfg, _document(dotted, value))
+    return cfg
 
 
 def _estimate_state(section: dict) -> ObserverState:
@@ -228,18 +241,10 @@ def _scenario(cfg: dict, seed: int) -> Scenario:
     return preset_scenario(
         sim_cfg["scenario"],
         seed=seed,
-        duration=sim_cfg["duration"],
-        imu_rate=sim_cfg["imu_rate"],
-        tdoa_rate=sim_cfg["tdoa_rate"],
         noise=SensorNoise(**sim_cfg["noise"]),
-        b_omega=sim_cfg["b_omega"],
-        b_a=sim_cfg["b_a"],
-        estimate_pos=sim_cfg["estimate_pos"],
-        estimate_vel=sim_cfg["estimate_vel"],
-        estimate_rotvec=sim_cfg["estimate_rotvec"],
-        tag_offset=sim_cfg["tag_offset"],
         anchors=load_anchors(sim_cfg["anchors"]) if sim_cfg["anchors"] else default_anchors(),
-        ref=_ref(cfg),
+        ref=ReferenceVectors(**cfg["ref"]),
+        **_pick(sim_cfg, _SIM_KEYS),
     )
 
 
@@ -250,10 +255,9 @@ def _run_sim_job(cfg: dict, seed: int, outdir: str, track: TruthTrack) -> dict:
     """
     result = run_scenario(
         _scenario(cfg, seed),
-        _gains(cfg),
+        Gains(**cfg["gains"]),
         track=track,
-        settle_threshold=cfg["settle_threshold"],
-        settle_dwell=cfg["settle_dwell"],
+        **_pick(cfg, _SETTLE_KEYS),
     )
     out = Path(outdir)
     _write_artifacts(out, result)
@@ -264,24 +268,18 @@ def _run_sim_job(cfg: dict, seed: int, outdir: str, track: TruthTrack) -> dict:
 
 
 def cmd_sim(args) -> int:
-    cfg = apply_overrides(load_config(args.config), args.set)
-    if args.scenario:
-        cfg["sim"]["scenario"] = args.scenario
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.runs is not None:
-        cfg["sim"]["runs"] = args.runs
+    cfg = _config(args, {"sim.scenario": args.scenario, "seed": args.seed, "sim.runs": args.runs})
     name = cfg["sim"]["scenario"]
     if not name:
         raise ConfigError("no scenario selected (use --scenario or sim.scenario)")
     if name not in PRESET_NAMES:
         raise ConfigError(f"unknown scenario {name!r}; choose from {PRESET_NAMES}")
-    runs = int(cfg["sim"]["runs"])
+    runs = cfg["sim"]["runs"]
     if runs < 1:
         raise ConfigError(f"sim.runs must be >= 1, got {runs}")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    base_seed = int(cfg["seed"])
+    base_seed = cfg["seed"]
     out = Path(args.out)
     seeds = [base_seed + i for i in range(runs)]
     jobs = [(seed, out if runs == 1 else out / f"seed-{seed:04d}") for seed in seeds]
@@ -309,9 +307,7 @@ def cmd_sim(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    cfg = apply_overrides(load_config(args.config), args.set)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = _config(args, {"seed": args.seed})
     rcfg = cfg["replay"]
     missing = [k for k in ("imu", "uwb", "gt") if not rcfg[k]]
     if missing:
@@ -323,16 +319,13 @@ def cmd_replay(args) -> int:
     result = run_replay(
         dataset,
         anchors,
-        _gains(cfg),
+        Gains(**cfg["gains"]),
         _estimate_state(rcfg),
         tag_offset=rcfg["tag_offset"],
-        ref=_ref(cfg),
-        seed=int(cfg["seed"]),
-        mag_noise_sd=rcfg["mag_noise_sd"],
-        velocity_window=int(rcfg["velocity_window"]),
-        velocity_poly_order=int(rcfg["velocity_poly_order"]),
-        settle_threshold=cfg["settle_threshold"],
-        settle_dwell=cfg["settle_dwell"],
+        ref=ReferenceVectors(**cfg["ref"]),
+        seed=cfg["seed"],
+        **_pick(rcfg, _REPLAY_KEYS),
+        **_pick(cfg, _SETTLE_KEYS),
     )
     out = Path(args.out)
     _write_artifacts(out, result)

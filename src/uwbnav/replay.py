@@ -135,9 +135,14 @@ DEFAULT_COLUMN_MAP = {
 
 def _merge_column_map(column_map: dict | None) -> dict:
     merged = {k: dict(v) for k, v in DEFAULT_COLUMN_MAP.items()}
-    for stream, mapping in (column_map or {}).items():
+    column_map = {} if column_map is None else column_map
+    if not isinstance(column_map, dict):
+        raise ConfigError(f"column_map must be an object, got {column_map!r}")
+    for stream, mapping in column_map.items():
         if stream not in merged:
             raise ConfigError(f"column_map refers to unknown stream {stream!r}")
+        if not isinstance(mapping, dict):
+            raise ConfigError(f"column_map[{stream!r}] must be an object, got {mapping!r}")
         for key, val in mapping.items():
             if key not in merged[stream]:
                 raise ConfigError(f"column_map[{stream!r}] has unknown key {key!r}")

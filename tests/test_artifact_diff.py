@@ -44,7 +44,7 @@ def test_every_differing_or_one_sided_file_is_reported(ad, tmp_path):
 def test_the_set_runs_every_scenario_both_ways_and_replays_its_export(ad):
     runs = ad.commands()
     names = [name for name, _ in runs]
-    assert len(set(names)) == len(names) == 9
+    assert len(set(names)) == len(names) == 10
     sims = [args for _, args in runs if args[0] == "sim" and "--runs" in args]
     assert sorted((a[a.index("--scenario") + 1], a[a.index("--jobs") + 1]) for a in sims) == sorted(
         (s, j) for s in ("static", "yaw_circle", "figure8") for j in ("1", "2")
@@ -56,6 +56,11 @@ def test_the_set_runs_every_scenario_both_ways_and_replays_its_export(ad):
     lever = [args for _, args in runs if any(a.startswith("sim.tag_offset=") for a in args)]
     assert len(lever) == 1
     assert {"sim.imu_rate=250", "ref.gravity=[0,0,-9.81]", "sim.tag_offset=[-0.012,0.001,0.091]"} <= set(lever[0])
+    # One run takes its scenario, noise and biases from the config file, with one leaf set on top.
+    configured = [args for _, args in runs if "--config" in args]
+    assert len(configured) == 1 and configured[0].count("--set") == 1
+    assert configured[0][configured[0].index("--config") + 1] == "config.json"
+    assert set(ad.CONFIG["sim"]) >= {"scenario", "noise", "b_omega", "b_a"}
     name, replay = runs[-1]
     assert replay[0] == "replay" and "replay.imu=trial/dataset/imu.csv" in replay
     assert "sim.duration=60" in runs[-2][1] and "sim.export_dataset=true" in runs[-2][1]

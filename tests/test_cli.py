@@ -344,6 +344,91 @@ def test_config_file_errors_are_usage_errors(capsys, tmp_path, content, fragment
     assert fragment in err
 
 
+@pytest.mark.parametrize(
+    "command, config, override, key",
+    [
+        ("sim", None, 'sim.imu_rate="abc"', "sim.imu_rate"),
+        ("sim", None, "sim.tdoa_rate=null", "sim.tdoa_rate"),
+        ("sim", None, "sim.duration=[1]", "sim.duration"),
+        ("sim", None, "gains.k_v=null", "gains.k_v"),
+        ("sim", None, "gains.k_a=true", "gains.k_a"),
+        ("sim", None, 'settle_dwell="x"', "settle_dwell"),
+        ("sim", None, "settle_threshold=null", "settle_threshold"),
+        ("sim", None, "seed=1.5", "seed"),
+        ("sim", None, "sim.export_dataset=1", "sim.export_dataset"),
+        ("sim", None, "sim.anchors=5", "sim.anchors"),
+        ("sim", None, "sim.noise.gyro_sd.x=1", "'sim.noise.gyro_sd' is a plain value"),
+        ("sim", {"sim": 3}, None, "'sim'"),
+        ("sim", {"gains": []}, None, "'gains'"),
+        ("sim", {"sim": {"noise": 5}}, None, "'sim.noise'"),
+        ("replay", None, "replay.imu=5", "replay.imu"),
+        ("replay", None, "replay.velocity_window=11.5", "replay.velocity_window"),
+        ("replay", None, "replay.column_map.imu=3", "column_map['imu']"),
+    ],
+)
+def test_every_config_error_exits_2_naming_its_key(capsys, tmp_path, request, command, config, override, key):
+    argv = [command, "--out", str(tmp_path / "out")]
+    if command == "sim":
+        argv += ["--scenario", "static", "--set", "sim.duration=0.5"]
+    else:
+        ds = request.getfixturevalue("exported_dataset")
+        capsys.readouterr()
+        argv += [f"--set=replay.{s}={ds}/{s}.csv" for s in ("imu", "uwb", "gt")]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    if override is not None:
+        argv += ["--set", override]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert key in err
+    assert out == ""
+    assert not tmp_path.joinpath("out").exists()
+
+
+def test_an_integer_anchor_path_is_refused_before_it_reaches_open(capsys, tmp_path):
+    # open() takes an int as a file descriptor: it would read this one and close it.
+    held = tmp_path / "held.json"
+    held.write_text('{"anchors": []}')
+    fd = os.open(held, os.O_RDONLY)
+    try:
+        code, _, err = run_cli(
+            capsys, ["sim", "--scenario", "static", "--set", f"sim.anchors={fd}", "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert "sim.anchors must be a string or null" in err
+        assert os.lseek(fd, 0, os.SEEK_CUR) == 0  # still open, and unread
+    finally:
+        os.close(fd)
+
+
+def test_a_section_override_merges_into_the_config_file(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sim": {"noise": {"mag_sd": 0}}}))
+    argv = ["sim", "--scenario", "static", "--set", "sim.duration=2"]
+    section = ["--config", str(cfg), "--set", 'sim.noise={"tdoa_sd":0.05}']
+    leaves = ["--set", "sim.noise.mag_sd=0", "--set", "sim.noise.tdoa_sd=0.05"]
+    assert main(argv + section + ["--out", str(tmp_path / "section")]) == 0
+    assert main(argv + leaves + ["--out", str(tmp_path / "leaves")]) == 0
+    capsys.readouterr()
+    for name in ("metrics.csv", "summary.json"):
+        assert (tmp_path / "section" / name).read_bytes() == (tmp_path / "leaves" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--set", 'sim={"scenario":"static","duration":0.5}'],
+        ["--scenario", "static", "--set", "sim.duration=0.5", "--set", 'ref={"gravity":[0,0,-9.8]}'],
+    ],
+)
+def test_a_section_assignment_keeps_the_keys_it_does_not_name(capsys, tmp_path, argv):
+    code, _, err = run_cli(capsys, ["sim", *argv, "--out", str(tmp_path)])
+    assert code == 0, err
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert (summary["scenario"], summary["steps"]) == ("static", 50)
+
+
 # --- tdoa-solve command ----------------------------------------------------------------
 
 

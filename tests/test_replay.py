@@ -167,6 +167,10 @@ def test_column_map_rejects_unknown_stream_and_key(tmp_path):
         load_dataset(paths, column_map={"lidar": {}})
     with pytest.raises(ConfigError, match="unknown key 'bogus'"):
         load_dataset(paths, column_map={"imu": {"bogus": "x"}})
+    with pytest.raises(ConfigError, match=r"column_map\['imu'\] must be an object, got 3"):
+        load_dataset(paths, column_map={"imu": 3})
+    with pytest.raises(ConfigError, match="column_map must be an object"):
+        load_dataset(paths, column_map=["imu"])
 
 
 def test_column_map_renames_columns(tmp_path):

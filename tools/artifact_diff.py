@@ -16,6 +16,9 @@ The artifact set, with every sensor noise on (gyro 0.005, accel 0.02, mag
   serially and once with ``--jobs 2``;
 * ``uwbnav sim`` on figure8 at a 250 Hz IMU rate, with gravity (0, 0, -9.81)
   and a lever arm, the one run whose frames read the truth rotation;
+* ``uwbnav sim`` on yaw_circle for 20 s whose scenario, noise and biases come
+  from a ``--config`` file (``CONFIG``, written next to the artifacts), with
+  one ``--set`` leaf on top, the one run that reads a config file;
 * ``uwbnav sim`` on figure8 for 60 s, and ``uwbnav replay`` of its exported
   dataset.
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -46,6 +50,15 @@ SETUP = (
     "sim.b_a=[0.1,-0.05,0.08]",
     "sim.export_dataset=true",
 )
+CONFIG = {
+    "sim": {
+        "scenario": "yaw_circle",
+        "duration": 20,
+        "noise": {"gyro_sd": 0.005, "accel_sd": 0.02, "mag_sd": 0.2, "tdoa_sd": 0.05},
+        "b_omega": [0.02, -0.01, 0.015],
+        "b_a": [0.1, -0.05, 0.08],
+    }
+}
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -60,6 +73,8 @@ def commands() -> list[tuple[str, list[str]]]:
     lever = ("sim.imu_rate=250", "ref.gravity=[0,0,-9.81]", "sim.tag_offset=[-0.012,0.001,0.091]")
     runs.append(("lever-arm", ["sim", "--scenario", "figure8", "--seed", str(SEED), *sets,
                                *(arg for item in lever for arg in ("--set", item)), "--out", "lever-arm"]))
+    runs.append(("config", ["sim", "--config", "config.json", "--seed", str(SEED),
+                            "--set", "sim.noise.tdoa_sd=0.1", "--out", "config"]))
     runs.append(("trial", ["sim", "--scenario", "figure8", "--seed", str(SEED),
                            "--set", "sim.duration=60", *sets, "--out", "trial"]))
     dataset = "trial/dataset"
@@ -74,6 +89,7 @@ def commands() -> list[tuple[str, list[str]]]:
 def run_set(root: Path, out: Path, log=print) -> None:
     """Run every command of the set with ``root``'s package, writing under ``out``."""
     out.mkdir(parents=True)
+    (out / "config.json").write_text(json.dumps(CONFIG))
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     for name, args in commands():
         log(f"{root}: uwbnav {' '.join(args)}")
