@@ -58,7 +58,7 @@ from .sim import (
     run_scenario,
     truth_track,
 )
-from .tdoa import GeometryDegenerate, TdoaFrame, load_anchors, solve_frame
+from .tdoa import AnchorSet, GeometryDegenerate, TdoaFrame, load_anchors, solve_frame
 
 __all__ = ["main", "DEFAULT_CONFIG", "load_config", "apply_overrides"]
 
@@ -221,6 +221,15 @@ def _estimate_state(section: dict) -> ObserverState:
     )
 
 
+def _anchors(path: str | None, key: str) -> AnchorSet:
+    """The anchor file the config names at ``key``, or the default anchors when it names none."""
+    if not path:
+        return default_anchors()
+    if not Path(path).exists():
+        raise ConfigError(f"{key}: anchor file not found: {path}")
+    return load_anchors(path)
+
+
 def _write_artifacts(out: Path, result) -> None:
     """metrics.csv and summary.json of one sim or replay run."""
     write_metrics_csv(
@@ -242,7 +251,7 @@ def _scenario(cfg: dict, seed: int) -> Scenario:
         sim_cfg["scenario"],
         seed=seed,
         noise=SensorNoise(**sim_cfg["noise"]),
-        anchors=load_anchors(sim_cfg["anchors"]) if sim_cfg["anchors"] else default_anchors(),
+        anchors=_anchors(sim_cfg["anchors"], "sim.anchors"),
         ref=ReferenceVectors(**cfg["ref"]),
         **_pick(sim_cfg, _SIM_KEYS),
     )
@@ -312,10 +321,10 @@ def cmd_replay(args) -> int:
     missing = [k for k in ("imu", "uwb", "gt") if not rcfg[k]]
     if missing:
         raise ConfigError(f"replay config missing dataset paths: {', '.join(missing)}")
+    anchors = _anchors(rcfg["anchors"], "replay.anchors")
     paths = {k: rcfg[k] for k in ("imu", "uwb", "gt")}
     dataset = load_dataset(paths, rcfg["column_map"])
     print(dataset.report.describe())
-    anchors = load_anchors(rcfg["anchors"]) if rcfg["anchors"] else default_anchors()
     result = run_replay(
         dataset,
         anchors,

@@ -42,7 +42,7 @@ from scipy.spatial.transform import Slerp
 from .liegroup import Rotation, _as_vec3, _trusted
 from .observer import Gains, ObserverState, _nav_errors, _norms, _run_stream, step
 from .sensors import ImuSample, ReferenceVectors
-from .sim import SimResult, error_summary
+from .sim import SimResult, _standard_normals, error_summary
 from .tdoa import TdoaFrame
 from .tdoa import solve_frame  # noqa: F401  _run_stream solves the frames; navbench traces this name
 
@@ -464,11 +464,16 @@ def run_replay(
         mags = imu[:n_steps, 7:10]
     else:
         mags = [None] * n_steps
-        for k in np.flatnonzero(inside[:n_steps]).tolist():
-            mag = truth_rot[k].T @ ref.mag_ref
-            if mag_noise_sd > 0.0:
-                rng = np.random.default_rng((int(seed), _STREAM_MAG, k))
-                mag = mag + rng.normal(0.0, mag_noise_sd, 3)
+        steps_inside = np.flatnonzero(inside[:n_steps]).tolist()
+        synthesised = np.array([truth_rot[k].T @ ref.mag_ref for k in steps_inside]).reshape(-1, 3)
+        if mag_noise_sd > 0.0:
+            # Sample k's noise is normal(0, sd, 3) of default_rng((seed, tag, k)):
+            # 0.0 + sd * z, scaled in C where an overflow is silent.
+            z = _standard_normals([(int(seed), _STREAM_MAG, k) for k in steps_inside], 3)
+            with np.errstate(over="ignore"):
+                z = 0.0 + mag_noise_sd * z
+            synthesised = synthesised + z
+        for k, mag in zip(steps_inside, synthesised):
             mags[k] = _as_vec3(mag, "mag")
     samples = [
         _trusted(ImuSample, timestamp=tk, gyro=g, accel=a, mag=m)
@@ -556,11 +561,12 @@ def write_metrics_csv(path, t, att_err, pos_err, vel_err, truth_pos, est_pos, ra
     ]
     table = np.column_stack([t, att_err, pos_err, vel_err, truth_pos, est_pos, raw_pos])
     with atomic_writer(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        # Row by row, as _fmt writes each cell: shortest round-trip repr, NaN empty.
+        csv.writer(fh).writerow(header)
+        # Row by row, as csv.writer would write _fmt's cells: shortest
+        # round-trip repr, NaN empty ("nan" is in no other float's repr), and
+        # csv's \r\n line ending.
         for row in table:
-            w.writerow(["" if math.isnan(x) else repr(x) for x in row.tolist()])
+            fh.write(",".join(map(repr, row.tolist())).replace("nan", "") + "\r\n")
 
 
 def write_summary_json(path, summary: dict):

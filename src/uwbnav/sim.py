@@ -11,9 +11,13 @@ so the simulator samples Omega and a at the interval midpoint and applies the
 sandwich step: exact for constant inputs, second-order accurate otherwise,
 and SO(3) is preserved to machine precision.
 
-Everything is deterministic: measurement noise is drawn from per-call
-generators seeded by (scenario seed, stream tag, sample time/index), so a
-run, and any CSV export of it, replays bit-identically.
+Everything is deterministic: each sample's measurement noise is what a
+generator seeded by (scenario seed, stream tag, sample time/index) draws, so
+a run, and any CSV export of it, replays bit-identically.  The keys are
+numpy's ``default_rng`` keys; ``_pcg64_states`` derives the generator states
+for a whole stream at once (numpy's SeedSequence hash and PCG64 seeding, on
+arrays), and ``_standard_normals`` draws every sample from one re-seeded
+generator, with the bits ``default_rng(key)`` would give.
 
 The truth depends on the trajectory alone, never on the seed.
 ``truth_track`` steps it once over every IMU sample into a read-only
@@ -26,8 +30,9 @@ sweep (``uwbnav sim --runs N``) therefore integrates its truth once.
 ``_truth_step``, makes the sandwich step: ``propagate_truth`` is its public
 one-step form, and ``truth_track`` runs it on raw ``R, P, V`` arrays.
 
-Per seed, ``run_scenario`` builds the whole IMU stream and every TDOA frame
-before the loop, hands them to ``observer._run_stream`` (the loop that
+Per seed, ``run_scenario`` builds the whole IMU stream (``_imu_stream``, of
+which ``synthesize_imu`` is the one-sample case) and every TDOA frame before
+the loop, hands them to ``observer._run_stream`` (the loop that
 replay shares), and computes every error series after it, in one pass over
 the estimate arrays.
 """
@@ -177,13 +182,17 @@ class TruthTrack:
         return (TruthTrack, tuple(getattr(self, f.name) for f in fields(self)))
 
 
-def _truth_step(R, P, V, omega, accel, gravity, dt: float) -> np.ndarray:
-    """One truth step, exp(-G dt) @ X @ exp(U dt) with X = (R, P, V), on inputs already checked."""
-    return (
-        _se23_exp(_ZERO3, _ZERO3, -gravity, 1.0, -dt)
-        .dot(_pack(R, P, V))
-        .dot(_se23_exp(omega, _ZERO3, accel, 1.0, dt))
-    )
+def _gravity_factor(gravity, dt: float) -> np.ndarray:
+    """exp(-G dt), the step's gravity factor: it depends only on gravity and dt."""
+    return _se23_exp(_ZERO3, _ZERO3, -gravity, 1.0, -dt)
+
+
+def _truth_step(R, P, V, omega, accel, gravity_factor, dt: float) -> np.ndarray:
+    """One truth step, exp(-G dt) @ X @ exp(U dt) with X = (R, P, V), on inputs already checked.
+
+    ``gravity_factor`` is ``_gravity_factor(gravity, dt)``.
+    """
+    return gravity_factor.dot(_pack(R, P, V)).dot(_se23_exp(omega, _ZERO3, accel, 1.0, dt))
 
 
 def propagate_truth(t: TruthModel, dt: float) -> TruthModel:
@@ -193,7 +202,7 @@ def propagate_truth(t: TruthModel, dt: float) -> TruthModel:
     mid = t.time + 0.5 * dt
     omega = _as_vec3(t.omega_fn(mid), "omega_fn(t)")
     accel = _as_vec3(t.accel_fn(mid), "accel_fn(t)")
-    X = _truth_step(t.nav.rot.m, t.nav.pos, t.nav.vel, omega, accel, t.gravity, dt)
+    X = _truth_step(t.nav.rot.m, t.nav.pos, t.nav.vel, omega, accel, _gravity_factor(t.gravity, dt), dt)
     nav = NavState(Rotation(X[:3, :3]), X[:3, 3], X[:3, 4])
     return replace(t, nav=nav, time=t.time + dt)
 
@@ -206,35 +215,159 @@ def synthesize_imu(t: TruthModel, time: float, ref: ReferenceVectors | None = No
     repeated call is bit-identical.
     """
     ref = ReferenceVectors() if ref is None else ref
-    return _noisy_imu(
-        t.noise,
-        t.seed,
-        float(time),
-        _as_vec3(t.omega_fn(time) + t.b_omega, "gyro"),
-        _as_vec3(t.accel_fn(time) + t.b_a, "accel"),
-        t.nav.rot.m.T @ ref.mag_ref,
-    )
+    gyro = _as_vec3(t.omega_fn(time) + t.b_omega, "gyro")
+    accel = _as_vec3(t.accel_fn(time) + t.b_a, "accel")
+    return _imu_stream(t.noise, t.seed, [float(time)], gyro[None], accel[None], [t.nav.rot.m], ref.mag_ref)[0]
 
 
-def _noisy_imu(noise: SensorNoise, seed: int, time: float, gyro, accel, mag) -> ImuSample:
-    """The IMU sample at ``time``: the biased readings plus their seeded noise.
+# SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's
+# 128-bit LCG multiplier.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
-    The readings are float 3-vectors and ``time`` a float.  One generator
-    keyed by (seed, time in ns) draws the gyro, accel and mag noise in that
-    order, each only when its sd is positive.  One finiteness check covers
-    the nine noisy readings, the check ``ImuSample`` would make.
+
+def _entropy_words(keys) -> tuple:
+    """The ints of each key as little-endian uint32 words, as SeedSequence splits them.
+
+    Returns the (m, a, w) words of the (m, a) keys, zero-padded to the most
+    words any int has, and the (m, a) word counts (0 is one word).  A
+    negative int raises the ValueError numpy raises.
     """
-    if noise.gyro_sd > 0.0 or noise.accel_sd > 0.0 or noise.mag_sd > 0.0:
-        rng = np.random.default_rng((int(seed), _STREAM_IMU, round(time * 1e9)))
-        if noise.gyro_sd > 0.0:
-            gyro = gyro + rng.normal(0.0, noise.gyro_sd, 3)
-        if noise.accel_sd > 0.0:
-            accel = accel + rng.normal(0.0, noise.accel_sd, 3)
-        if noise.mag_sd > 0.0:
-            mag = mag + rng.normal(0.0, noise.mag_sd, 3)
-    if not all(map(math.isfinite, (*gyro.tolist(), *accel.tolist(), *mag.tolist()))):
-        raise ValueError(f"IMU readings must be finite, got {gyro}, {accel}, {mag}")
-    return _trusted(ImuSample, timestamp=time, gyro=gyro, accel=accel, mag=mag)
+    try:
+        rest = np.array(keys, dtype=np.int64)
+    except OverflowError:
+        rest = np.array(keys, dtype=object)
+    rest = rest.reshape(len(keys), -1)
+    if (rest < 0).any():
+        raise ValueError("expected non-negative integer")
+    words, counts = [], np.ones(rest.shape, dtype=np.int64)
+    while True:
+        words.append((rest & _MASK32).astype(np.uint32))
+        rest = rest >> 32
+        more = rest > 0
+        if not more.any():
+            return np.stack(words, axis=2), counts
+        counts += more
+
+
+def _generate_state(entropy: np.ndarray) -> list:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for each row of the (m, L) uint32 ``entropy``.
+
+    The pool of 4 words is mixed as SeedSequence mixes it, every row at
+    once; the result is the four uint64 columns.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return out ^ (out >> np.uint32(16))
+
+    n_words = entropy.shape[1]
+    zero = np.zeros(len(entropy), dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < n_words else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, n_words):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    const, state = _INIT_B, []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    # Little-endian pairs of uint32 words make the uint64 words.
+    return [state[2 * i] | state[2 * i + 1] << np.uint64(32) for i in range(4)]
+
+
+def _pcg64_seed(seed_hi: int, seed_lo: int, inc_hi: int, inc_lo: int) -> tuple:
+    """PCG64's set-seed step: the (state, inc) it makes of the four uint64 seed words."""
+    inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+    return ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def _pcg64_states(keys):
+    """The PCG64 ``(state, inc)`` that ``np.random.default_rng(key)`` starts from, for each key, in order.
+
+    A key is a tuple of non-negative ints, every key of one length.  Each
+    int becomes its uint32 words as numpy splits it, and the keys with as
+    many words run SeedSequence's hash together on uint32 columns; a
+    negative int raises the ValueError numpy raises, at the call.  The
+    states come as an iterator: PCG64's set-seed step runs on Python ints,
+    one key at a time, so no stream's worth of 128-bit ints is ever held.
+    """
+    seed_words = np.empty((len(keys), 4), dtype=np.uint64)
+    if len(keys):
+        words, counts = _entropy_words(keys)
+        # Row-major, a key's used words are its entropy: its ints' words in order.
+        used = np.arange(words.shape[2]) < counts[:, :, None]
+        lengths = counts.sum(axis=1)
+        for n_words in set(lengths.tolist()):
+            rows = np.flatnonzero(lengths == n_words)
+            entropy = words[rows][used[rows]].reshape(len(rows), n_words)
+            seed_words[rows] = np.stack(_generate_state(entropy), axis=1)
+    return (_pcg64_seed(*row.tolist()) for row in seed_words)
+
+
+def _standard_normals(keys, width: int) -> np.ndarray:
+    """Row i holds the first ``width`` standard normals of ``np.random.default_rng(keys[i])``.
+
+    One generator is made and re-seeded per key from ``_pcg64_states``.
+    """
+    z = np.empty((len(keys), width))
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for row, (pcg["state"], pcg["inc"]) in zip(z, _pcg64_states(keys)):
+        bits.state = state
+        gen.standard_normal(out=row)
+    return z
+
+
+def _imu_stream(noise: SensorNoise, seed: int, times: list, gyro, accel, rot, mag_ref) -> list:
+    """The IMU samples at ``times``: the biased readings plus their seeded noise.
+
+    ``gyro`` and ``accel`` are the (n, 3) biased readings, ``rot`` the n true
+    rotations and ``times`` n floats.  Sample k's noise is what a generator
+    keyed by (seed, time in ns) draws: gyro, accel and mag noise in that
+    order, each only when its sd is positive, each as ``normal(0, sd)``
+    returns it.  One finiteness check covers every noisy reading, the check
+    ``ImuSample`` would make.
+    """
+    readings = [gyro, accel, np.array([r.T @ mag_ref for r in rot])]
+    sds = (noise.gyro_sd, noise.accel_sd, noise.mag_sd)
+    drawn = [i for i, sd in enumerate(sds) if sd > 0.0]
+    if drawn:
+        z = _standard_normals([(int(seed), _STREAM_IMU, round(tk * 1e9)) for tk in times], 3 * len(drawn))
+        # normal(0, sd) returns 0.0 + sd * z, scaled in C where an overflow is
+        # silent; a reading it spoils is refused below.
+        with np.errstate(over="ignore"):
+            draws = 0.0 + np.repeat([sds[i] for i in drawn], 3) * z
+        for j, i in enumerate(drawn):
+            readings[i] = readings[i] + draws[:, 3 * j : 3 * j + 3]
+    gyro, accel, mag = readings
+    finite = np.isfinite(gyro).all(axis=1) & np.isfinite(accel).all(axis=1) & np.isfinite(mag).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"IMU readings must be finite, got {gyro[k]}, {accel[k]}, {mag[k]} at t = {times[k]}")
+    return [
+        _trusted(ImuSample, timestamp=tk, gyro=g, accel=a, mag=m)
+        for tk, g, a, m in zip(times, gyro, accel, mag)
+    ]
 
 
 def default_anchors() -> AnchorSet:
@@ -580,11 +713,13 @@ def truth_track(sc: Scenario) -> TruthTrack:
     rot, pos, vel = np.empty((n + 1, 3, 3)), np.empty((n + 1, 3)), np.empty((n + 1, 3))
     R, P, V = truth.nav.rot.m, truth.nav.pos, truth.nav.vel
     rot[0], pos[0], vel[0] = R, P, V
+    # dt takes a handful of values on the grid: one gravity factor for each.
+    gravity_factors = {dt: _gravity_factor(truth.gravity, dt) for dt in set(dts)}
     for k, dt in enumerate(dts):
         mid = times[k] + 0.5 * dt
         omega = _as_vec3(truth.omega_fn(mid), "omega_fn(t)")
         accel = _as_vec3(truth.accel_fn(mid), "accel_fn(t)")
-        X = _truth_step(R, P, V, omega, accel, truth.gravity, dt)
+        X = _truth_step(R, P, V, omega, accel, gravity_factors[dt], dt)
         R, P, V = X[:3, :3], X[:3, 3], X[:3, 4]
         _check_so3(R)
         if not _all_finite(X[:3, 3:]):
@@ -647,10 +782,9 @@ def run_scenario(
     truth = sc.truth
     noise = truth.noise
     # n + 1 samples: the trailing one lets a dataset export carry the final step length.
-    imu_stream = [
-        _noisy_imu(noise, truth.seed, tk, w + truth.b_omega, f + truth.b_a, r.T @ sc.ref.mag_ref)
-        for tk, w, f, r in zip(times, track.omega, track.accel, track.rot)
-    ]
+    imu_stream = _imu_stream(
+        noise, truth.seed, times, track.omega + truth.b_omega, track.accel + truth.b_a, track.rot, sc.ref.mag_ref
+    )
     frames: dict = {}
     tdoa_next, tdoa_period = 0.0, 1.0 / sc.tdoa_rate
     for k in range(n):

@@ -44,7 +44,7 @@ def test_every_differing_or_one_sided_file_is_reported(ad, tmp_path):
 def test_the_set_runs_every_scenario_both_ways_and_replays_its_export(ad):
     runs = ad.commands()
     names = [name for name, _ in runs]
-    assert len(set(names)) == len(names) == 10
+    assert len(set(names)) == len(names) == 12
     sims = [args for _, args in runs if args[0] == "sim" and "--runs" in args]
     assert sorted((a[a.index("--scenario") + 1], a[a.index("--jobs") + 1]) for a in sims) == sorted(
         (s, j) for s in ("static", "yaw_circle", "figure8") for j in ("1", "2")
@@ -61,6 +61,14 @@ def test_the_set_runs_every_scenario_both_ways_and_replays_its_export(ad):
     assert len(configured) == 1 and configured[0].count("--set") == 1
     assert configured[0][configured[0].index("--config") + 1] == "config.json"
     assert set(ad.CONFIG["sim"]) >= {"scenario", "noise", "b_omega", "b_a"}
-    name, replay = runs[-1]
-    assert replay[0] == "replay" and "replay.imu=trial/dataset/imu.csv" in replay
-    assert "sim.duration=60" in runs[-2][1] and "sim.export_dataset=true" in runs[-2][1]
+    # One seed of five entropy words: two for the seed, two for a time past 2**32 ns.
+    big = [args for _, args in runs if args[0] == "sim" and int(args[args.index("--seed") + 1]) >= 2**32]
+    assert len(big) == 1 and "sim.noise.gyro_sd=0.005" in big[0]
+    # The 60 s trial is exported, then replayed as written and with its
+    # magnetometer columns mapped away, so that replay synthesises one.
+    assert "sim.duration=60" in runs[-3][1] and "sim.export_dataset=true" in runs[-3][1]
+    for _, replay in runs[-2:]:
+        assert replay[0] == "replay" and "replay.imu=trial/dataset/imu.csv" in replay
+    assert not any("column_map" in a for a in runs[-2][1])
+    mapped = [a for a in runs[-1][1] if a.startswith("replay.column_map.imu=")]
+    assert len(mapped) == 1 and "absent_mx" in mapped[0]

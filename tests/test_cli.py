@@ -364,6 +364,8 @@ def test_config_file_errors_are_usage_errors(capsys, tmp_path, content, fragment
         ("replay", None, "replay.imu=5", "replay.imu"),
         ("replay", None, "replay.velocity_window=11.5", "replay.velocity_window"),
         ("replay", None, "replay.column_map.imu=3", "column_map['imu']"),
+        ("sim", None, 'sim.anchors="absent/anchors.json"', "sim.anchors: anchor file not found"),
+        ("replay", None, 'replay.anchors="absent/anchors.json"', "replay.anchors: anchor file not found"),
     ],
 )
 def test_every_config_error_exits_2_naming_its_key(capsys, tmp_path, request, command, config, override, key):
@@ -384,6 +386,14 @@ def test_every_config_error_exits_2_naming_its_key(capsys, tmp_path, request, co
     assert key in err
     assert out == ""
     assert not tmp_path.joinpath("out").exists()
+
+
+def test_a_negative_seed_exits_2_with_numpy_s_message(capsys, tmp_path):
+    argv = ["sim", "--scenario", "static", "--seed", "-1", "--set", "sim.duration=0.5", "--out", str(tmp_path / "out")]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert err.strip() == "invalid input: expected non-negative integer"
+    assert out == ""
 
 
 def test_an_integer_anchor_path_is_refused_before_it_reaches_open(capsys, tmp_path):

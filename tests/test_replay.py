@@ -26,6 +26,7 @@ from uwbnav.replay import (
     write_metrics_csv,
     write_summary_json,
 )
+from uwbnav.sensors import ReferenceVectors
 from uwbnav.sim import SensorNoise, default_anchors, preset_scenario, run_scenario
 from uwbnav.tdoa import load_anchors, synthesize_tdoa
 
@@ -543,19 +544,22 @@ def test_run_replay_reproduces_exported_simulation_metrics(tmp_path):
     np.testing.assert_allclose(rep.vel_err, sim.vel_err, atol=1e-12)
 
 
+def export_without_magnetometer(sc, tmp_path):
+    """The scenario's exported dataset, loaded with the magnetometer columns stripped, and its anchors."""
+    paths = export_dataset(run_scenario(sc, Gains()), tmp_path)
+    rows = list(csv.reader(open(paths["imu"])))
+    with open(tmp_path / "imu_nomag.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(row[:7] for row in rows)
+    ds = load_dataset(dict(paths, imu=tmp_path / "imu_nomag.csv"))
+    assert ds.has_mag is False
+    return ds, load_anchors(paths["anchors"])
+
+
 def test_run_replay_synthesizes_deterministic_magnetometer(tmp_path):
     sc = preset_scenario(
         "static", duration=1.0, seed=3, noise=SensorNoise(0.0, 0.0, 0.2, 0.05)
     )
-    paths = export_dataset(run_scenario(sc, Gains()), tmp_path)
-    # strip the magnetometer columns so replay has to synthesize one
-    rows = list(csv.reader(open(paths["imu"])))
-    with open(tmp_path / "imu_nomag.csv", "w", newline="") as fh:
-        csv.writer(fh).writerows(row[:7] for row in rows)
-    paths = dict(paths, imu=tmp_path / "imu_nomag.csv")
-    ds = load_dataset(paths)
-    assert ds.has_mag is False
-    anchors = load_anchors(paths["anchors"])
+    ds, anchors = export_without_magnetometer(sc, tmp_path)
 
     def replay(seed):
         return run_replay(
@@ -566,6 +570,34 @@ def test_run_replay_synthesizes_deterministic_magnetometer(tmp_path):
     np.testing.assert_array_equal(a.est_pos, b.est_pos)
     assert not np.array_equal(a.est_pos, c.est_pos)
     assert a.summary["triad_failures"] == 0
+
+
+def test_synthesized_magnetometer_noise_is_each_sample_s_own_generator(tmp_path, monkeypatch):
+    # Sample k's noise is normal(0, sd, 3) of default_rng((seed, 2, k)), bit
+    # for bit, added to the interpolated truth's R^T m_r.
+    sc = preset_scenario("yaw_circle", duration=6.0, seed=3, noise=SensorNoise(0.0, 0.0, 0.2, 0.05))
+    ds, anchors = export_without_magnetometer(sc, tmp_path)
+    real_interpolate = uwbnav.replay._interpolate_truth
+    truth_rot, mags = [], []
+
+    def interpolate(*args):
+        out = real_interpolate(*args)
+        truth_rot.append(out[1])
+        return out
+
+    def recording_step(state, imu, frame, *args, **kwargs):
+        mags.append(imu.mag)
+        return step(state, imu, frame, *args, **kwargs)
+
+    monkeypatch.setattr(uwbnav.replay, "_interpolate_truth", interpolate)
+    monkeypatch.setattr(uwbnav.replay, "step", recording_step)
+    seed = 2**32 + 5
+    run_replay(ds, anchors, Gains(), ObserverState.cold_start(pos=(-3.0, -1.0, 0.0)), seed=seed, mag_noise_sd=0.3)
+    mag_ref = ReferenceVectors().mag_ref
+    assert len(mags) == len(ds.imu) - 1
+    for k, mag in enumerate(mags):
+        noise = np.random.default_rng((seed, 2, k)).normal(0.0, 0.3, 3)
+        assert mag.tobytes() == (truth_rot[0][k].T @ mag_ref + noise).tobytes(), k
 
 
 def test_run_replay_counts_frames_on_skipped_steps_as_dropped(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for truth propagation, measurement synthesis, and closed-loop runs."""
 
+import itertools
 import json
 import math
 import pickle
@@ -7,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uwbnav.sim as sim_module
@@ -362,6 +363,71 @@ def test_synthesized_readings_are_checked_3_vectors():
     sample = synthesize_imu(hover_model(np.eye(3)), 2)
     assert type(sample.timestamp) is float
     assert sample.gyro.shape == sample.accel.shape == sample.mag.shape == (3,)
+
+
+# --- seeded noise streams ----------------------------------------------------------
+
+# Seeds and sample times (ns) at the edges of numpy's 32-bit entropy words.
+WORD_EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 5)
+WORD_EDGE_TICKS = (0, 2**32 - 1, 2**32 + 1)
+
+
+def default_rng_state(key):
+    state = np.random.default_rng(key).bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+@settings(max_examples=60, deadline=None)
+@example(keys=list(itertools.product(WORD_EDGE_SEEDS, range(3), WORD_EDGE_TICKS)))
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(WORD_EDGE_SEEDS) | st.integers(0, 2**100),
+            st.integers(0, 2),
+            st.sampled_from(WORD_EDGE_TICKS) | st.integers(0, 2**70),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_pcg64_states_are_the_states_default_rng_starts_from(keys):
+    # Keys of different word counts in one call, each hashed with its own kind.
+    assert list(sim_module._pcg64_states(keys)) == [default_rng_state(key) for key in keys]
+
+
+def test_pcg64_states_refuse_a_negative_int_as_numpy_does():
+    for key in ((-1, 0, 0), (3, 0, -(2**70))):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            np.random.default_rng(key)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            sim_module._pcg64_states([(1, 0, 0), key])
+    assert list(sim_module._pcg64_states([])) == []
+
+
+@pytest.mark.parametrize("sds", list(itertools.product((0.0, 0.01), (0.0, 0.05), (0.0, 0.2))))
+def test_imu_stream_draws_what_a_generator_per_sample_draws(sds):
+    # Every on/off combination of the three IMU sds: each sample's noise is
+    # default_rng((seed, 0, t in ns)).normal(0, sd, 3) for gyro, accel, mag in
+    # turn, bit for bit.  The times cross 2**32 ns, the seed is two words.
+    gyro_sd, accel_sd, mag_sd = sds
+    noise = SensorNoise(gyro_sd=gyro_sd, accel_sd=accel_sd, mag_sd=mag_sd)
+    rng = np.random.default_rng(5)
+    n, seed = 40, 2**32 + 11
+    times = (4.2 + np.arange(n) / 100.0).tolist()
+    gyro, accel = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+    rot = [random_rotation(rng) for _ in range(n)]
+    mag_ref = ReferenceVectors().mag_ref
+    samples = sim_module._imu_stream(noise, seed, times, gyro, accel, rot, mag_ref)
+    assert len(samples) == n
+    for k, sample in enumerate(samples):
+        gen = np.random.default_rng((seed, 0, round(times[k] * 1e9)))
+        want = [gyro[k], accel[k], rot[k].T @ mag_ref]
+        for i, sd in enumerate(sds):
+            if sd > 0.0:
+                want[i] = want[i] + gen.normal(0.0, sd, 3)
+        assert sample.timestamp == times[k]
+        for name, reading in zip(("gyro", "accel", "mag"), want):
+            assert getattr(sample, name).tobytes() == reading.tobytes(), (k, name)
 
 
 # --- presets -----------------------------------------------------------------------

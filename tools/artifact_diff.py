@@ -19,8 +19,12 @@ The artifact set, with every sensor noise on (gyro 0.005, accel 0.02, mag
 * ``uwbnav sim`` on yaw_circle for 20 s whose scenario, noise and biases come
   from a ``--config`` file (``CONFIG``, written next to the artifacts), with
   one ``--set`` leaf on top, the one run that reads a config file;
+* ``uwbnav sim`` on figure8 for 20 s at seed 2**32 + 11, whose noise keys
+  take five entropy words once the sample time passes 2**32 ns;
 * ``uwbnav sim`` on figure8 for 60 s, and ``uwbnav replay`` of its exported
-  dataset.
+  dataset, once as exported and once with ``replay.column_map.imu`` naming
+  magnetometer columns the file does not have, the one run that synthesises
+  its magnetometer.
 
 The standard output of every command is kept next to its artifacts and
 compared with them.  Standard library only.
@@ -75,14 +79,18 @@ def commands() -> list[tuple[str, list[str]]]:
                                *(arg for item in lever for arg in ("--set", item)), "--out", "lever-arm"]))
     runs.append(("config", ["sim", "--config", "config.json", "--seed", str(SEED),
                             "--set", "sim.noise.tdoa_sd=0.1", "--out", "config"]))
+    runs.append(("big-seed", ["sim", "--scenario", "figure8", "--seed", str(2**32 + SEED),
+                              "--set", "sim.duration=20", *sets, "--out", "big-seed"]))
     runs.append(("trial", ["sim", "--scenario", "figure8", "--seed", str(SEED),
                            "--set", "sim.duration=60", *sets, "--out", "trial"]))
     dataset = "trial/dataset"
-    replay = ["replay", "--seed", str(SEED), "--out", "replay"]
+    replay = ["replay", "--seed", str(SEED)]
     for stream in ("imu", "uwb", "gt", "anchors"):
         suffix = "json" if stream == "anchors" else "csv"
         replay += ["--set", f"replay.{stream}={dataset}/{stream}.{suffix}"]
-    runs.append(("replay", replay))
+    runs.append(("replay", [*replay, "--out", "replay"]))
+    no_mag = json.dumps({c: f"absent_{c}" for c in ("mx", "my", "mz")})
+    runs.append(("replay-no-mag", [*replay, "--set", f"replay.column_map.imu={no_mag}", "--out", "replay-no-mag"]))
     return runs
 
 
