@@ -25,7 +25,6 @@ from .liegroup import (
     pa,
     reorthonormalize,
     se23_exp,
-    skew,
     so3_exp,
     vex,
 )
@@ -43,11 +42,8 @@ from .replay import (
     ConfigError,
     DataError,
     ReplayResult,
-    derive_velocity,
     export_dataset,
     load_dataset,
-    quat_to_rotation,
-    rotation_to_quat,
     run_replay,
 )
 from .sensors import (
@@ -64,13 +60,10 @@ from .sim import (
     Scenario,
     SensorNoise,
     SimResult,
-    TruthModel,
     TruthTrack,
     default_anchors,
     preset_scenario,
-    propagate_truth,
     run_scenario,
-    synthesize_imu,
     truth_track,
 )
 from .tdoa import (
@@ -82,7 +75,6 @@ from .tdoa import (
     build_system,
     load_anchors,
     solve_frame,
-    solve_position,
     synthesize_tdoa,
 )
 
@@ -94,7 +86,6 @@ __all__ = [
     "Rotation",
     "NavState",
     "TangentElement",
-    "skew",
     "vex",
     "pa",
     "att_dist",
@@ -108,7 +99,6 @@ __all__ = [
     "ReconstructedPosition",
     "GeometryDegenerate",
     "build_system",
-    "solve_position",
     "solve_frame",
     "synthesize_tdoa",
     "load_anchors",
@@ -132,13 +122,10 @@ __all__ = [
     "validate_gains",
     # sim
     "SensorNoise",
-    "TruthModel",
     "TruthTrack",
     "Scenario",
     "SimResult",
     "default_anchors",
-    "propagate_truth",
-    "synthesize_imu",
     "preset_scenario",
     "truth_track",
     "run_scenario",
@@ -147,9 +134,6 @@ __all__ = [
     "DataError",
     "ReplayResult",
     "load_dataset",
-    "quat_to_rotation",
-    "rotation_to_quat",
-    "derive_velocity",
     "run_replay",
     "export_dataset",
 ]

@@ -312,15 +312,16 @@ def _run_stream(state, samples, frames, anchors, gains, dts, *, ref, step):
     from ``step`` (a state that diverged) is raised again as a RuntimeError
     naming the step index and the sample's timestamp.  numpy's overflow and
     invalid-value warnings are off for the whole loop: that error is what
-    reports a non-finite state.  Returns the final state, the skipped count
-    and the arrays (R, P, V, b_omega_hat, b_a_hat, fix), one row per sample
-    from the initial state on; ``fix`` is NaN where no frame solved.
+    reports a non-finite state.  Returns the final state, the skipped count,
+    the number of frames handed to ``step`` and the arrays (R, P, V,
+    b_omega_hat, b_a_hat, fix), one row per sample from the initial state on;
+    ``fix`` is NaN where no frame solved.
     """
     m = len(dts) + 1
     R = np.empty((m, 3, 3))
     P, V, b_omega_hat, b_a_hat = np.empty((4, m, 3))
     fix = np.full((m, 3), np.nan)
-    skipped = 0
+    skipped = taken = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(m):
             nav = state.nav
@@ -334,6 +335,7 @@ def _run_stream(state, samples, frames, anchors, gains, dts, *, ref, step):
                 continue
             frame = frames.get(k)
             if frame is not None:
+                taken += 1
                 try:
                     fix[k] = solve_frame(anchors, frame).p
                 except (GeometryDegenerate, ValueError):
@@ -344,7 +346,7 @@ def _run_stream(state, samples, frames, anchors, gains, dts, *, ref, step):
                 raise RuntimeError(
                     f"observer diverged at step {k} (t = {samples[k].timestamp!r} s): {exc}"
                 ) from exc
-    return state, skipped, (R, P, V, b_omega_hat, b_a_hat, fix)
+    return state, skipped, taken, (R, P, V, b_omega_hat, b_a_hat, fix)
 
 
 def _norms(d):

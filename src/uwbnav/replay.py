@@ -22,6 +22,10 @@ File formats (canonical column names; remap via ``column_map``):
 
 When the magnetometer columns are absent, measurements are synthesized from
 the interpolated ground-truth attitude (deterministically, from the seed).
+
+Every CSV this module writes (an exported run's three streams and the
+per-timestamp metrics) goes through one table writer, ``_write_table``: each
+float in its shortest round-trip form, NaN as an empty cell.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ __all__ = [
     "LoadedDataset",
     "ReplayResult",
     "load_dataset",
-    "quat_to_rotation",
     "rotation_to_quat",
     "derive_velocity",
     "run_replay",
@@ -266,25 +269,6 @@ def load_dataset(paths: dict, column_map: dict | None = None) -> LoadedDataset:
     return LoadedDataset(imu=imu, tdoa=tdoa, gt=gt, report=report)
 
 
-def quat_to_rotation(q) -> Rotation:
-    """Convert a Hamilton (w, x, y, z) quaternion to a rotation matrix."""
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if q.shape != (4,):
-        raise ValueError(f"quaternion must have 4 components, got shape {q.shape}")
-    norm = np.linalg.norm(q)
-    if not np.isfinite(norm) or norm < 1e-8:
-        raise DataError(f"quaternion norm {norm} too small to normalize")
-    w, x, y, z = q / norm
-    m = np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-    return Rotation(m)
-
-
 def rotation_to_quat(R) -> np.ndarray:
     """Convert a rotation matrix to a unit Hamilton (w, x, y, z) quaternion, w >= 0."""
     m = R.m if isinstance(R, Rotation) else np.asarray(R, dtype=float)
@@ -455,7 +439,6 @@ def run_replay(
         k: _trusted(TdoaFrame, timestamp=float(tdoa[i, 0]), d=tdoa[i, 1:])
         for k, i in row_for_step.items()
     }
-    dropped_frames = len(tdoa) - len(frames) + sum(1 for k in frames if not 0.0 < dts[k] <= 0.1)
 
     # One sample per step.  A file without a magnetometer gets one synthesised
     # from the interpolated truth attitude inside the truth range, checked as
@@ -480,7 +463,7 @@ def run_replay(
         for tk, g, a, m in zip(t_imu.tolist(), imu[:, 1:4], imu[:, 4:7], mags)
     ]
 
-    state, skipped_steps, (R, P, V, _, _, raw_pos) = _run_stream(
+    state, skipped_steps, taken, (R, P, V, _, _, raw_pos) = _run_stream(
         init, samples, frames, anchors, gains, dts, ref=ref, step=step
     )
     att, pos, vel = _nav_errors(truth_rot, truth_pos, truth_vel, R, P, V)
@@ -493,7 +476,7 @@ def run_replay(
         "skipped_steps": skipped_steps,
         "imu_samples": len(imu),
         "tdoa_frames": len(tdoa),
-        "dropped_tdoa_frames": dropped_frames,
+        "dropped_tdoa_frames": len(tdoa) - taken,
         "gt_records": len(gt),
         **error_summary(t_imu, att, pos, vel, raw_err, duration, settle_threshold, settle_dwell),
         "tdoa_failures": state.tdoa_failures,
@@ -536,10 +519,17 @@ def atomic_writer(path):
         raise
 
 
-def _fmt(x) -> str:
-    """Shortest exact decimal for a float (round-trips bit-for-bit); NaN -> ''."""
-    x = float(x)
-    return "" if math.isnan(x) else repr(x)
+def _write_table(path, header, table):
+    """Write ``header`` and the rows of the float ``table`` as CSV, atomically.
+
+    Each cell is the float's shortest round-trip repr, NaN empty ("nan" is in
+    no other float's repr), and each line ends in csv's \r\n: the bytes
+    csv.writer writes for those cells, so loading the file gives the floats back.
+    """
+    with atomic_writer(path) as fh:
+        csv.writer(fh).writerow(header)
+        for row in table:
+            fh.write(",".join(map(repr, row.tolist())).replace("nan", "") + "\r\n")
 
 
 def write_metrics_csv(path, t, att_err, pos_err, vel_err, truth_pos, est_pos, raw_pos):
@@ -559,14 +549,7 @@ def write_metrics_csv(path, t, att_err, pos_err, vel_err, truth_pos, est_pos, ra
         "py_raw",
         "pz_raw",
     ]
-    table = np.column_stack([t, att_err, pos_err, vel_err, truth_pos, est_pos, raw_pos])
-    with atomic_writer(path) as fh:
-        csv.writer(fh).writerow(header)
-        # Row by row, as csv.writer would write _fmt's cells: shortest
-        # round-trip repr, NaN empty ("nan" is in no other float's repr), and
-        # csv's \r\n line ending.
-        for row in table:
-            fh.write(",".join(map(repr, row.tolist())).replace("nan", "") + "\r\n")
+    _write_table(path, header, np.column_stack([t, att_err, pos_err, vel_err, truth_pos, est_pos, raw_pos]))
 
 
 def write_summary_json(path, summary: dict):
@@ -600,27 +583,14 @@ def export_dataset(result: SimResult, outdir) -> dict:
         "gt": outdir / "gt.csv",
         "anchors": outdir / "anchors.json",
     }
-    with atomic_writer(paths["imu"]) as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "gx", "gy", "gz", "ax", "ay", "az", "mx", "my", "mz"])
-        for s in result.imu:
-            row = [s.timestamp, *s.gyro, *s.accel]
-            row.extend(s.mag if s.mag is not None else [np.nan] * 3)
-            w.writerow([_fmt(v) for v in row])
-    n = result.scenario.anchors.n
-    with atomic_writer(paths["uwb"]) as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"d{i + 1}" for i in range(n)])
-        for k in sorted(result.frames):
-            fr = result.frames[k]
-            w.writerow([_fmt(v) for v in (fr.timestamp, *fr.d)])
-    with atomic_writer(paths["gt"]) as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "qw", "qx", "qy", "qz", "px", "py", "pz"])
-        for k in range(len(result.t)):
-            q = rotation_to_quat(result.truth_rot[k])
-            w.writerow([_fmt(v) for v in (result.t[k], *q, *result.truth_pos[k])])
+    imu = [(s.timestamp, *s.gyro, *s.accel, *s.mag) for s in result.imu]
+    _write_table(paths["imu"], ["t", "gx", "gy", "gz", "ax", "ay", "az", "mx", "my", "mz"], np.array(imu))
     anchors = result.scenario.anchors
+    uwb = [(result.frames[k].timestamp, *result.frames[k].d) for k in sorted(result.frames)]
+    _write_table(paths["uwb"], ["t"] + [f"d{i + 1}" for i in range(anchors.n)], np.array(uwb))
+    quats = [rotation_to_quat(r) for r in result.truth_rot]
+    gt = np.column_stack([result.t, quats, result.truth_pos])
+    _write_table(paths["gt"], ["t", "qw", "qx", "qy", "qz", "px", "py", "pz"], gt)
     payload = {"anchors": [{"id": a.id, "pos": [float(x) for x in a.pos]} for a in anchors.anchors]}
     with atomic_writer(paths["anchors"]) as fh:
         json.dump(payload, fh, indent=2)

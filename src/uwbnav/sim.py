@@ -794,7 +794,7 @@ def run_scenario(
                 track.pos[k], _trusted(Rotation, m=track.rot[k]), sc.anchors, sc.tag_offset, noise.tdoa_sd,
                 seed=(truth.seed, _STREAM_TDOA, k), timestamp=times[k],
             )
-    est, _, (R, P, V, b_omega_hat, b_a_hat, raw_pos) = _run_stream(
+    est, _, _, (R, P, V, b_omega_hat, b_a_hat, raw_pos) = _run_stream(
         sc.estimate, imu_stream, frames, sc.anchors, gains, np.diff(t).tolist(), ref=sc.ref, step=step
     )
     att, pos, vel = _nav_errors(track.rot, track.pos, track.vel, R, P, V)

@@ -36,7 +36,6 @@ __all__ = [
     "ReconstructedPosition",
     "GeometryDegenerate",
     "build_system",
-    "solve_position",
     "solve_frame",
     "synthesize_tdoa",
     "load_anchors",
@@ -160,8 +159,8 @@ class ReconstructedPosition:
     residual : float
         RMS of A @ solution - B (m).
     range_consistency : float
-        |range_to_h1 - ||p - h_1||| when anchors were available to the solver,
-        else NaN.  Large values flag a poor fix.
+        |range_to_h1 - ||p - h_1|||; NaN for the reduced solve.  Large values
+        flag a poor fix.
     negative_range : bool
         True when the solved range came out negative.
     reduced : bool
@@ -214,18 +213,17 @@ def _lstsq(A, B, workspace):
 
     Singular values below ``RANK_TOL`` times the largest count as zero, as in
     ``np.linalg.lstsq(A, B, rcond=RANK_TOL)``, which runs the same routine.
+    A has at least as many rows as columns (a frame's system has N >= 4 rows),
+    so the solution dgelsd writes over B fits in it.
     """
-    m, n = A.shape
-    if m < n:  # dgelsd returns x in B, so B needs max(m, n) rows
-        B = np.concatenate((B, np.zeros(n - m)))
     x, sv, rank, info = dgelsd(A, B, workspace[0], workspace[1], RANK_TOL)
     if info > 0:
         raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-    return x[:n], rank, sv
+    return x[: A.shape[1]], rank, sv
 
 
-def _solve(A, B, workspace, allow_reduced: bool, h1=None) -> ReconstructedPosition:
-    """The fix of ``solve_position``; with the first anchor ``h1`` also its consistency."""
+def _solve(A, B, workspace, allow_reduced: bool, h1) -> ReconstructedPosition:
+    """The fix of the N x 4 system (A, B), and its consistency with the first anchor ``h1``."""
     sol, rank, sv = _lstsq(A, B, workspace)
     if rank < 4:
         if not allow_reduced:
@@ -247,10 +245,8 @@ def _solve(A, B, workspace, allow_reduced: bool, h1=None) -> ReconstructedPositi
     residual = math.sqrt(np.add.reduce(r * r) / r.size)  # the RMS, as np.mean sums it
     p = sol[:3]
     range_to_h1 = float(sol[3])
-    consistency = float("nan")
-    if h1 is not None:
-        offset = p - h1
-        consistency = abs(range_to_h1 - math.sqrt(offset.dot(offset)))
+    offset = p - h1
+    consistency = abs(range_to_h1 - math.sqrt(offset.dot(offset)))
     return ReconstructedPosition(
         p=p,
         range_to_h1=range_to_h1,
@@ -260,8 +256,10 @@ def _solve(A, B, workspace, allow_reduced: bool, h1=None) -> ReconstructedPositi
     )
 
 
-def solve_position(A, B, allow_reduced: bool = False) -> ReconstructedPosition:
-    """Solve the TDOA system by SVD least squares (LAPACK ``dgelsd``).
+def solve_frame(
+    anchors: AnchorSet, frame: TdoaFrame, allow_reduced: bool = False
+) -> ReconstructedPosition:
+    """Build the frame's N x 4 system and solve it by SVD least squares (LAPACK ``dgelsd``).
 
     Raises :class:`GeometryDegenerate` when the 4-column system is rank
     deficient: its rank counts the singular values above 1e-8 of the
@@ -270,16 +268,6 @@ def solve_position(A, B, allow_reduced: bool = False) -> ReconstructedPosition:
     drops the range column (usable when the differences are near zero),
     solved the same way; the fallback cannot report ``range_to_h1``.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    m, n = A.shape  # a ValueError, as from np.linalg.lstsq, unless A is a matrix
-    return _solve(A, B, _gelsd_workspace(m, n), allow_reduced)
-
-
-def solve_frame(
-    anchors: AnchorSet, frame: TdoaFrame, allow_reduced: bool = False
-) -> ReconstructedPosition:
-    """build_system + solve_position, with the h_1 consistency diagnostic filled in."""
     A, B = build_system(anchors, frame)
     return _solve(A, B, anchors._workspace, allow_reduced, anchors.positions[0])
 

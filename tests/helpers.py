@@ -5,7 +5,8 @@ exponential is summed as a plain scaled Taylor series, and random rotations
 are built from axis-angle sampling.  The observer step and the truth
 propagation are also composed here, from validated ``TangentElement``s and
 frozen copies of the kernels' arithmetic, as the references the lean kernels
-must match bit for bit.
+must match bit for bit; ``frozen_fmt`` is the cell format the CSV writers
+must match byte for byte.
 """
 
 import math
@@ -120,6 +121,13 @@ def frozen_correction_terms(R, P, V, triads, p_y, gains):
 def frozen_exp(u: TangentElement, dt):
     """exp(u dt) of a validated element, by the frozen arithmetic."""
     return frozen_se23_exp(u.omega, u.vcol, u.acol, u.rho, dt)
+
+
+def frozen_fmt(x) -> str:
+    """One CSV cell as the per-cell writers formatted it: the shortest repr that
+    round-trips the float, NaN as ''."""
+    x = float(x)
+    return "" if math.isnan(x) else repr(x)
 
 
 def expm_series(A, terms: int = 30) -> np.ndarray:

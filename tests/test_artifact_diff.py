@@ -44,7 +44,7 @@ def test_every_differing_or_one_sided_file_is_reported(ad, tmp_path):
 def test_the_set_runs_every_scenario_both_ways_and_replays_its_export(ad):
     runs = ad.commands()
     names = [name for name, _ in runs]
-    assert len(set(names)) == len(names) == 12
+    assert len(set(names)) == len(names) == 13
     sims = [args for _, args in runs if args[0] == "sim" and "--runs" in args]
     assert sorted((a[a.index("--scenario") + 1], a[a.index("--jobs") + 1]) for a in sims) == sorted(
         (s, j) for s in ("static", "yaw_circle", "figure8") for j in ("1", "2")
@@ -64,11 +64,25 @@ def test_the_set_runs_every_scenario_both_ways_and_replays_its_export(ad):
     # One seed of five entropy words: two for the seed, two for a time past 2**32 ns.
     big = [args for _, args in runs if args[0] == "sim" and int(args[args.index("--seed") + 1]) >= 2**32]
     assert len(big) == 1 and "sim.noise.gyro_sd=0.005" in big[0]
-    # The 60 s trial is exported, then replayed as written and with its
-    # magnetometer columns mapped away, so that replay synthesises one.
-    assert "sim.duration=60" in runs[-3][1] and "sim.export_dataset=true" in runs[-3][1]
-    for _, replay in runs[-2:]:
-        assert replay[0] == "replay" and "replay.imu=trial/dataset/imu.csv" in replay
-    assert not any("column_map" in a for a in runs[-2][1])
-    mapped = [a for a in runs[-1][1] if a.startswith("replay.column_map.imu=")]
+    # The 60 s trial is exported, then replayed as written, with its
+    # magnetometer columns mapped away, so that replay synthesises one, and
+    # with a gap cut into its IMU rows.
+    assert "sim.duration=60" in runs[-4][1] and "sim.export_dataset=true" in runs[-4][1]
+    for _, replay in runs[-3:]:
+        assert replay[0] == "replay" and "replay.uwb=trial/dataset/uwb.csv" in replay
+    for _, replay in runs[-3:-1]:
+        assert "replay.imu=trial/dataset/imu.csv" in replay
+    assert not any("column_map" in a for a in runs[-3][1])
+    mapped = [a for a in runs[-2][1] if a.startswith("replay.column_map.imu=")]
     assert len(mapped) == 1 and "absent_mx" in mapped[0]
+    assert runs[-1][0] == "replay-gap" and f"replay.imu={ad.GAP_IMU}" in runs[-1][1]
+
+
+def test_the_gap_cuts_the_imu_rows_inside_it_and_keeps_the_rest(ad, tmp_path):
+    imu = tmp_path / "imu.csv"
+    times = [f"{k / 100!r}" for k in range(490, 530)]
+    imu.write_bytes(b"t,gx\r\n" + b"".join(f"{t},0.5\r\n".encode() for t in times))
+    ad.cut_gap(imu, tmp_path / "gap.csv")
+    kept = (tmp_path / "gap.csv").read_bytes().split(b"\r\n")[1:-1]
+    assert [row.split(b",")[0].decode() for row in kept] == [t for t in times if not 5.0 <= float(t) < 5.195]
+    assert len(times) - len(kept) == 20 and kept[0] == b"4.9,0.5"

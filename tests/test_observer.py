@@ -455,7 +455,8 @@ def test_step_divergence_surfaces_as_value_error():
 
 def test_run_stream_skips_steps_outside_the_dt_range():
     # A step with dt outside (0, 0.1] keeps the state, is counted, and leaves
-    # its frame unsolved; every other frame is solved for the raw-fix column.
+    # its frame unsolved; every other frame is solved for the raw-fix column
+    # and counted as handed to step.
     anchors = box_anchors()
     ref = ReferenceVectors()
     imu = hover_imu(np.eye(3), ref)
@@ -464,10 +465,17 @@ def test_run_stream_skips_steps_outside_the_dt_range():
     dts = [0.01, 0.0, 0.2, 0.01, float("nan"), 0.01]
     frames = {0: frame, 1: frame, 3: frame, 5: bad}
     state = ObserverState.cold_start()
-    final, skipped, (R, P, V, b_omega_hat, b_a_hat, fix) = _run_stream(
-        state, [imu] * 6, frames, anchors, Gains(), dts, ref=ref, step=step
+    received = []
+
+    def counting_step(state, imu, frame, *args, **kwargs):
+        received.append(frame is not None)
+        return step(state, imu, frame, *args, **kwargs)
+
+    final, skipped, taken, (R, P, V, b_omega_hat, b_a_hat, fix) = _run_stream(
+        state, [imu] * 6, frames, anchors, Gains(), dts, ref=ref, step=counting_step
     )
     assert skipped == 3
+    assert taken == sum(received) == 3  # the frames of steps 0, 3 and 5
     assert final.step_count == 3 and final.tdoa_failures == 1
     assert R.shape == (7, 3, 3) and P.shape == V.shape == b_omega_hat.shape == b_a_hat.shape == (7, 3)
     assert np.array_equal(P[0], state.nav.pos) and np.array_equal(P[6], final.nav.pos)

@@ -8,6 +8,9 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation as SpRotation
+
+from helpers import frozen_fmt
 
 import uwbnav.replay
 from uwbnav.liegroup import so3_exp
@@ -15,12 +18,10 @@ from uwbnav.observer import Gains, ObserverState, step
 from uwbnav.replay import (
     ConfigError,
     DataError,
-    _fmt,
     atomic_writer,
     derive_velocity,
     export_dataset,
     load_dataset,
-    quat_to_rotation,
     rotation_to_quat,
     run_replay,
     write_metrics_csv,
@@ -278,35 +279,9 @@ def test_load_dataset_skips_ground_truth_rows_off_unit_norm_or_malformed(tmp_pat
 # --- quaternion conversions -----------------------------------------------------------
 
 
-def test_quat_to_rotation_identity_and_quarter_turn():
-    np.testing.assert_array_equal(quat_to_rotation([1.0, 0.0, 0.0, 0.0]).m, np.eye(3))
-    h = np.sqrt(0.5)
-    Rz90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    np.testing.assert_allclose(quat_to_rotation([h, 0.0, 0.0, h]).m, Rz90, atol=1e-15)
-
-
-def test_quat_to_rotation_normalizes_input():
-    q = np.array([0.3, -0.5, 0.4, 0.2])
-    np.testing.assert_allclose(
-        quat_to_rotation(2.0 * q).m, quat_to_rotation(q).m, atol=1e-15
-    )
-
-
-def test_quat_to_rotation_matches_axis_angle_exponential():
-    rng = np.random.default_rng(23)
-    for _ in range(100):
-        w = rng.normal(size=3)
-        w = w / np.linalg.norm(w) * rng.uniform(0.0, np.pi - 1e-9)
-        half = np.linalg.norm(w) / 2.0
-        q = np.concatenate([[np.cos(half)], np.sin(half) * w / np.linalg.norm(w)])
-        np.testing.assert_allclose(quat_to_rotation(q).m, so3_exp(w), atol=1e-12)
-
-
-def test_quat_to_rotation_rejects_degenerate_input():
-    with pytest.raises(DataError, match="too small"):
-        quat_to_rotation([1e-9, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="4 components"):
-        quat_to_rotation([1.0, 0.0, 0.0])
+def from_quat(q):
+    """The rotation of a (w, x, y, z) quaternion, read as the replay reader reads gt.csv."""
+    return SpRotation.from_quat(q[[1, 2, 3, 0]]).as_matrix()
 
 
 def test_rotation_to_quat_round_trips_with_nonnegative_scalar():
@@ -318,7 +293,7 @@ def test_rotation_to_quat_round_trips_with_nonnegative_scalar():
         q = rotation_to_quat(R)
         assert q[0] >= 0.0
         assert abs(np.linalg.norm(q) - 1.0) < 1e-12
-        np.testing.assert_allclose(quat_to_rotation(q).m, R, atol=1e-12)
+        np.testing.assert_allclose(from_quat(q), R, atol=1e-12)
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -329,7 +304,7 @@ def test_rotation_to_quat_handles_half_turns(axis):
     R = so3_exp(w)
     q = rotation_to_quat(R)
     assert q[0] >= 0.0
-    np.testing.assert_allclose(quat_to_rotation(q).m, R, atol=1e-12)
+    np.testing.assert_allclose(from_quat(q), R, atol=1e-12)
 
 
 # --- derive_velocity ------------------------------------------------------------------
@@ -659,6 +634,33 @@ def test_export_dataset_writes_canonical_layout(tmp_path):
     np.testing.assert_array_equal(loaded.positions, sc.anchors.positions)
 
 
+def test_export_dataset_matches_the_per_cell_form_byte_for_byte(tmp_path):
+    # The table writer against the form it replaced: every cell through
+    # frozen_fmt, one csv.writer row per sample, frame or truth record.
+    sc = preset_scenario("figure8", duration=20.0, noise=SensorNoise(0.005, 0.02, 0.2, 0.05))
+    result = run_scenario(sc, Gains())
+    paths = export_dataset(result, tmp_path / "dataset")
+    truth = zip(result.t, result.truth_rot, result.truth_pos)
+    reference = {
+        "imu": (IMU_HEADER, [[s.timestamp, *s.gyro, *s.accel, *s.mag] for s in result.imu]),
+        "uwb": (
+            ["t"] + [f"d{i + 1}" for i in range(sc.anchors.n)],
+            [[f.timestamp, *f.d] for _, f in sorted(result.frames.items())],
+        ),
+        "gt": (GT_HEADER, [[t, *rotation_to_quat(r), *p] for t, r, p in truth]),
+    }
+    for stream, (header, rows) in reference.items():
+        path = tmp_path / f"{stream}.csv"
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            for row in rows:
+                w.writerow([frozen_fmt(v) for v in row])
+        assert len(rows) > 100
+        with open(paths[stream], "rb") as fh:
+            assert fh.read() == path.read_bytes(), stream
+
+
 def test_write_metrics_csv_round_trips_floats_and_blanks_nan(tmp_path):
     t = np.array([0.0, 0.1])
     att = np.array([0.123456789012345, np.nan])
@@ -678,7 +680,7 @@ def test_write_metrics_csv_round_trips_floats_and_blanks_nan(tmp_path):
 
 def test_write_metrics_csv_matches_the_per_cell_form_byte_for_byte(tmp_path):
     # The row-streaming writer against the form it replaced: every cell
-    # through _fmt, one csv row per sample.
+    # through frozen_fmt, one csv row per sample.
     rng = np.random.default_rng(71)
     special = [np.nan, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, -np.inf, 0.1, -1.0 / 3.0]
     values = np.concatenate([special, rng.normal(size=8)])
@@ -695,7 +697,7 @@ def test_write_metrics_csv_matches_the_per_cell_form_byte_for_byte(tmp_path):
                     "px_est", "py_est", "pz_est", "px_raw", "py_raw", "pz_raw"])
         for k in range(n):
             row = [t[k], att[k], pos[k], vel[k], *truth_pos[k], *est_pos[k], *raw_pos[k]]
-            w.writerow([_fmt(v) for v in row])
+            w.writerow([frozen_fmt(v) for v in row])
     assert path.read_bytes() == reference.read_bytes()
     text = path.read_text()
     for token in ("-0.0", "5e-324", "1e+300", "-inf", ",,"):

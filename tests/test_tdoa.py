@@ -20,7 +20,6 @@ from uwbnav.tdoa import (
     build_system,
     load_anchors,
     solve_frame,
-    solve_position,
     synthesize_tdoa,
 )
 
@@ -177,7 +176,7 @@ def test_build_system_rejects_out_of_range_difference():
         build_system(anchors, TdoaFrame(timestamp=0.0, d=d))
 
 
-# --- solve_position ---------------------------------------------------------------
+# --- solve_frame ---------------------------------------------------------------
 
 
 def test_solve_recovers_position_in_cube():
@@ -194,9 +193,8 @@ def test_solve_recovers_position_in_cube():
 
 def test_solve_zero_differences_is_degenerate():
     anchors = box_anchors()
-    A, B = build_system(anchors, TdoaFrame(timestamp=0.0, d=np.zeros(8)))
     with pytest.raises(GeometryDegenerate) as exc_info:
-        solve_position(A, B)
+        solve_frame(anchors, TdoaFrame(timestamp=0.0, d=np.zeros(8)))
     assert exc_info.value.rank == 3
 
 
@@ -213,18 +211,17 @@ def test_solve_perturbed_differences_stay_centimeter_scale():
 
 def test_reduced_fallback_solves_equidistant_case():
     anchors = box_anchors()
-    A, B = build_system(anchors, TdoaFrame(timestamp=0.0, d=np.zeros(8)))
-    fix = solve_position(A, B, allow_reduced=True)
+    fix = solve_frame(anchors, TdoaFrame(timestamp=0.0, d=np.zeros(8)), allow_reduced=True)
     assert fix.reduced
-    assert np.isnan(fix.range_to_h1)
+    assert np.isnan(fix.range_to_h1) and np.isnan(fix.range_consistency)
     # All-zero differences mean equidistance: the box center.
     np.testing.assert_allclose(fix.p, [2.0, 2.0, 2.0], atol=1e-9)
 
 
-def lstsq_reference(A, B, allow_reduced, h1=None):
+def lstsq_reference(A, B, allow_reduced, h1):
     """The fix as np.linalg.lstsq computes it, as a (kind, values) pair.
 
-    np.linalg.lstsq runs LAPACK gelsd, the routine solve_position calls
+    np.linalg.lstsq runs LAPACK gelsd, the routine solve_frame calls
     directly, with the same singular value cutoff: the kinds must match
     exactly and the values to rounding.
     """
@@ -236,10 +233,7 @@ def lstsq_reference(A, B, allow_reduced, h1=None):
         if rank3 < 3:
             return "degenerate", [rank3]
         return "reduced", [*sol3, math.sqrt(np.mean((A[:, :3] @ sol3 - B) ** 2))]
-    values = [*sol, math.sqrt(np.mean((A @ sol - B) ** 2))]
-    if h1 is not None:
-        values.append(abs(sol[3] - np.linalg.norm(sol[:3] - h1)))
-    return "fix", values
+    return "fix", [*sol, math.sqrt(np.mean((A @ sol - B) ** 2)), abs(sol[3] - np.linalg.norm(sol[:3] - h1))]
 
 
 def classify(solve):
@@ -253,10 +247,7 @@ def classify(solve):
         assert np.isnan(fix.range_to_h1) and np.isnan(fix.range_consistency)
         return "reduced", [*fix.p, fix.residual]
     assert fix.negative_range == (fix.range_to_h1 < 0.0)
-    values = [*fix.p, fix.range_to_h1, fix.residual]
-    if not np.isnan(fix.range_consistency):
-        values.append(fix.range_consistency)
-    return "fix", values
+    return "fix", [*fix.p, fix.range_to_h1, fix.residual, fix.range_consistency]
 
 
 def assert_same_fix(got, want):
@@ -273,6 +264,8 @@ def random_frames(rng, anchors):
         ranges = np.linalg.norm(rng.uniform(-8.0, 8.0, 3) - pos, axis=1)
         yield np.roll(ranges, -1) - ranges + rng.normal(0.0, 0.05, n)
     yield np.zeros(n)  # rank 3: degenerate, or the reduced fallback
+    # Rank 4 in exact arithmetic, 3 under the 1e-8 cutoff: the range column is ~1e-10.
+    yield 1e-10 * rng.normal(size=n)
     yield np.full(n, anchors.diameter + DIAMETER_SLACK + 0.5) * (-1.0) ** np.arange(n)  # range
     yield np.zeros(n - 1)  # size
 
@@ -297,29 +290,6 @@ def test_solve_frame_matches_numpy_lstsq_on_random_anchor_sets():
                 assert_same_fix(got, want)
                 kinds.add(got[0])
     assert kinds == {"fix", "reduced", "degenerate", "invalid"}
-
-
-def test_solve_position_matches_numpy_lstsq_including_rank_deficient_systems():
-    rng = np.random.default_rng(37)
-    kinds, ranks = set(), set()
-    for k in range(400):
-        n = int(rng.integers(2, 13))  # fewer rows than unknowns too
-        A = rng.normal(size=(n, 4))
-        B = rng.normal(size=n)
-        if k % 4 == 1:
-            A[:, 3] = 0.0  # rank 3: degenerate, or the reduced fallback
-        elif k % 4 == 2:
-            A[:, 2] = A[:, 1]
-            A[:, 3] = 0.0  # rank 2, and rank 2 again without the range column
-        elif k % 4 == 3:
-            A[:, 3] *= 1e-10  # rank 4 in exact arithmetic, 3 under the 1e-8 cutoff
-        for allow_reduced in (False, True):
-            got = classify(lambda: solve_position(A, B, allow_reduced))
-            assert_same_fix(got, lstsq_reference(A, B, allow_reduced))
-            kinds.add(got[0])
-            if got[0] == "degenerate":
-                ranks.add(got[1][0])
-    assert kinds == {"fix", "reduced", "degenerate"} and ranks == {2, 3}
 
 
 # --- synthesize_tdoa ---------------------------------------------------------------

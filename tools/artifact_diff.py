@@ -22,9 +22,11 @@ The artifact set, with every sensor noise on (gyro 0.005, accel 0.02, mag
 * ``uwbnav sim`` on figure8 for 20 s at seed 2**32 + 11, whose noise keys
   take five entropy words once the sample time passes 2**32 ns;
 * ``uwbnav sim`` on figure8 for 60 s, and ``uwbnav replay`` of its exported
-  dataset, once as exported and once with ``replay.column_map.imu`` naming
+  dataset, once as exported, once with ``replay.column_map.imu`` naming
   magnetometer columns the file does not have, the one run that synthesises
-  its magnetometer.
+  its magnetometer, and once with the IMU rows of t in [5.00, 5.195) s cut
+  out (``GAP_IMU``, written next to the artifacts), the one run with a
+  skipped step and dropped TDOA frames.
 
 The standard output of every command is kept next to its artifacts and
 compared with them.  Standard library only.
@@ -33,6 +35,7 @@ compared with them.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
 import json
 import os
@@ -64,6 +67,10 @@ CONFIG = {
     }
 }
 
+# The IMU file of the gap replay: the trial's, without its rows of t in GAP.
+GAP_IMU = "imu_gap.csv"
+GAP = (5.0, 5.195)
+
 
 def commands() -> list[tuple[str, list[str]]]:
     """(output directory, CLI arguments) of every run in the set, in order; paths are relative."""
@@ -83,15 +90,27 @@ def commands() -> list[tuple[str, list[str]]]:
                               "--set", "sim.duration=20", *sets, "--out", "big-seed"]))
     runs.append(("trial", ["sim", "--scenario", "figure8", "--seed", str(SEED),
                            "--set", "sim.duration=60", *sets, "--out", "trial"]))
-    dataset = "trial/dataset"
-    replay = ["replay", "--seed", str(SEED)]
-    for stream in ("imu", "uwb", "gt", "anchors"):
-        suffix = "json" if stream == "anchors" else "csv"
-        replay += ["--set", f"replay.{stream}={dataset}/{stream}.{suffix}"]
-    runs.append(("replay", [*replay, "--out", "replay"]))
+    dataset = {stream: f"trial/dataset/{stream}.csv" for stream in ("imu", "uwb", "gt")}
+    dataset["anchors"] = "trial/dataset/anchors.json"
+
+    def replay(out, *extra, **streams):
+        items = [f"replay.{stream}={path}" for stream, path in {**dataset, **streams}.items()] + list(extra)
+        return out, ["replay", "--seed", str(SEED), *(arg for item in items for arg in ("--set", item)), "--out", out]
+
+    runs.append(replay("replay"))
     no_mag = json.dumps({c: f"absent_{c}" for c in ("mx", "my", "mz")})
-    runs.append(("replay-no-mag", [*replay, "--set", f"replay.column_map.imu={no_mag}", "--out", "replay-no-mag"]))
+    runs.append(replay("replay-no-mag", f"replay.column_map.imu={no_mag}"))
+    runs.append(replay("replay-gap", imu=GAP_IMU))
     return runs
+
+
+def cut_gap(imu: Path, out: Path) -> None:
+    """Write ``imu`` to ``out`` without its rows of t in GAP, as csv.writer writes them."""
+    with open(imu, newline="") as fh:
+        rows = list(csv.reader(fh))
+    kept = [rows[0]] + [row for row in rows[1:] if not GAP[0] <= float(row[0]) < GAP[1]]
+    with open(out, "w", newline="") as fh:
+        csv.writer(fh).writerows(kept)
 
 
 def run_set(root: Path, out: Path, log=print) -> None:
@@ -100,6 +119,8 @@ def run_set(root: Path, out: Path, log=print) -> None:
     (out / "config.json").write_text(json.dumps(CONFIG))
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     for name, args in commands():
+        if name == "replay-gap":
+            cut_gap(out / "trial/dataset/imu.csv", out / GAP_IMU)
         log(f"{root}: uwbnav {' '.join(args)}")
         proc = subprocess.run([sys.executable, "-m", "uwbnav.cli", *args], cwd=out, env=env,
                               capture_output=True, text=True)
