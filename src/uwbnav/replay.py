@@ -22,6 +22,8 @@ File formats (canonical column names; remap via ``column_map``):
 
 When the magnetometer columns are absent, measurements are synthesized from
 the interpolated ground-truth attitude (deterministically, from the seed).
+That attitude is scipy's Slerp, imported inside ``_interpolate_truth``: the
+package's one use of scipy, so only a replay loads it.
 
 Every CSV this module writes (an exported run's three streams and the
 per-timestamp metrics) goes through one table writer, ``_write_table``: each
@@ -40,8 +42,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.transform import Rotation as _SpRotation
-from scipy.spatial.transform import Slerp
 
 from .liegroup import Rotation, _as_vec3, _trusted
 from .observer import Gains, ObserverState, _nav_errors, _norms, _run_stream, step
@@ -368,6 +368,8 @@ def _interpolate_truth(gt, t, window: int, poly_order: int):
     velocity are linear.  Rows outside the ground-truth time range hold NaN —
     the benchmark never extrapolates.  Returns (inside, rot, pos, vel).
     """
+    from scipy.spatial.transform import Rotation as _SpRotation, Slerp
+
     if len(gt) < 2:
         raise DataError("need at least 2 ground-truth records")
     t_gt, pos_gt = gt[:, 0], gt[:, 5:8]

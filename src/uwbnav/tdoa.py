@@ -12,9 +12,10 @@ constant term carries the cumulative sum d_{2,1} + ... + d_{k,k-1}, since
 ||P - h_k|| = ||P - h_1|| + sum of the differences along the chain.
 
 Every system is solved by one call to LAPACK ``dgelsd`` (SVD-based minimum-norm
-least squares) through ``scipy.linalg.lapack``: the routine and the singular
-value cutoff ``RANK_TOL`` that ``np.linalg.lstsq(A, B, rcond=RANK_TOL)`` uses,
-without its wrapper.  The optimal workspace is queried once per system shape.
+least squares) through numpy's own ``lstsq`` gufunc: the routine, workspace
+query and singular value cutoff ``RANK_TOL`` that
+``np.linalg.lstsq(A, B, rcond=RANK_TOL)`` runs, without its wrapper.  Solving
+needs numpy alone; this module imports no scipy.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgelsd, dgelsd_lwork
+from numpy.linalg import _umath_linalg
 
-from .liegroup import Rotation, _as_vec3
+from .liegroup import Rotation, _all_finite, _as_vec3
 
 __all__ = [
     "Anchor",
@@ -47,21 +47,6 @@ RANK_TOL = 1e-8
 # Allowed excess of |d_k| over the anchor-set diameter before a frame is
 # rejected as physically impossible (noise slack, meters).
 DIAMETER_SLACK = 1.0
-
-
-@lru_cache(maxsize=None)
-def _gelsd_workspace(m: int, n: int) -> np.ndarray:
-    """dgelsd's optimal (lwork, liwork) for an m x n system with one right-hand side.
-
-    The query ``np.linalg.lstsq`` makes before each solve, made once per shape;
-    the array is read-only because every caller shares it.
-    """
-    work, iwork, info = dgelsd_lwork(m, n, 1, RANK_TOL)
-    if info != 0:
-        raise ValueError(f"dgelsd workspace query failed (info {info})")
-    workspace = np.array([int(work), iwork])
-    workspace.setflags(write=False)
-    return workspace
 
 
 class GeometryDegenerate(Exception):
@@ -112,15 +97,13 @@ class AnchorSet:
         if not sv[2] > 1e-6 * sv[0]:
             raise ValueError("anchors are coplanar (or collinear); geometry is degenerate")
         # The geometry every frame is solved against, computed once: per chain
-        # link k, the floats of h_k - h_{k+1}, ||h_k||^2 and ||h_{k+1}||^2, and
-        # the solver's workspace for the N x 4 system.
+        # link k, the floats of h_k - h_{k+1}, ||h_k||^2 and ||h_{k+1}||^2.
         norms = np.sum(pos * pos, axis=1)
         chain = pos - np.roll(pos, -1, axis=0)
         links = zip(chain.tolist(), norms.tolist(), np.roll(norms, -1).tolist())
         object.__setattr__(self, "_links", tuple((*c, nk, nj) for c, nk, nj in links))
-        for name, arr in (("positions", pos), ("_workspace", _gelsd_workspace(len(anchors), 4))):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        pos.setflags(write=False)
+        object.__setattr__(self, "positions", pos)
         diameter = np.max(np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2))
         object.__setattr__(self, "diameter", float(diameter))
 
@@ -139,7 +122,7 @@ class TdoaFrame:
     def __post_init__(self):
         object.__setattr__(self, "timestamp", float(self.timestamp))
         d = np.asarray(self.d, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(d)):
+        if not _all_finite(d):
             raise ValueError("range differences must be finite")
         object.__setattr__(self, "d", d)
 
@@ -208,30 +191,31 @@ def build_system(anchors: AnchorSet, frame: TdoaFrame):
     return np.array(A).reshape(n, 4), np.array(B)
 
 
-def _lstsq(A, B, workspace):
+def _lstsq(A, B):
     """Solution, rank and singular values of min ||A x - B|| by one dgelsd call.
 
-    Singular values below ``RANK_TOL`` times the largest count as zero, as in
-    ``np.linalg.lstsq(A, B, rcond=RANK_TOL)``, which runs the same routine.
-    A has at least as many rows as columns (a frame's system has N >= 4 rows),
-    so the solution dgelsd writes over B fits in it.
+    Calls the gufunc ``np.linalg.lstsq(A, B, rcond=RANK_TOL)`` runs, so
+    singular values below ``RANK_TOL`` times the largest count as zero, as
+    there.  A and B are finite (``TdoaFrame`` and ``Anchor`` check them), so
+    no per-call ``np.errstate`` is set; a solve that fails comes back
+    non-finite and raises ``LinAlgError``, as ``np.linalg.lstsq`` does.
     """
-    x, sv, rank, info = dgelsd(A, B, workspace[0], workspace[1], RANK_TOL)
-    if info > 0:
+    x, _, rank, sv = _umath_linalg.lstsq(A, B[:, None], RANK_TOL)
+    if not _all_finite(x):
         raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-    return x[: A.shape[1]], rank, sv
+    return x[:, 0], int(rank), sv
 
 
-def _solve(A, B, workspace, allow_reduced: bool, h1) -> ReconstructedPosition:
+def _solve(A, B, allow_reduced: bool, h1) -> ReconstructedPosition:
     """The fix of the N x 4 system (A, B), and its consistency with the first anchor ``h1``."""
-    sol, rank, sv = _lstsq(A, B, workspace)
+    sol, rank, sv = _lstsq(A, B)
     if rank < 4:
         if not allow_reduced:
             raise GeometryDegenerate(
                 f"TDOA system rank {rank} < 4 (singular values {sv})", rank=rank
             )
         A3 = A[:, :3]
-        sol3, rank3, _ = _lstsq(A3, B, _gelsd_workspace(A.shape[0], 3))
+        sol3, rank3, _ = _lstsq(A3, B)
         if rank3 < 3:
             raise GeometryDegenerate(f"reduced TDOA system rank {rank3} < 3", rank=rank3)
         residual = float(np.sqrt(np.mean((A3 @ sol3 - B) ** 2)))
@@ -269,7 +253,7 @@ def solve_frame(
     solved the same way; the fallback cannot report ``range_to_h1``.
     """
     A, B = build_system(anchors, frame)
-    return _solve(A, B, anchors._workspace, allow_reduced, anchors.positions[0])
+    return _solve(A, B, allow_reduced, anchors.positions[0])
 
 
 def synthesize_tdoa(

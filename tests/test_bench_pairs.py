@@ -92,3 +92,15 @@ def test_code_size_counts_source_lines_and_public_names(bp, tmp_path):
     (tmp_path / "src" / "notes.py").write_text("not in the package\n")
     assert bp.code_size(tmp_path) == {"src_lines": 11, "public_names": 2}
     assert bp.code_size(bp.ROOT)["public_names"] == len(uwbnav.__all__)
+
+
+def test_cli_import_modules_counts_what_the_import_adds(bp, tmp_path):
+    # The package, its cli and the one module the cli imports; nothing the
+    # fresh interpreter had loaded before the import counts.
+    pkg = tmp_path / "src" / "uwbnav"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "a.py").write_text("")
+    (pkg / "cli.py").write_text("from . import a\n")
+    assert bp.cli_import_modules(tmp_path) == 3
+    assert bp.cli_import_modules(bp.ROOT) > 3

@@ -612,6 +612,36 @@ def test_log_level_env_var_is_forgiving(capsys, monkeypatch, level):
     assert "PASS" in out
 
 
+def test_only_replay_loads_scipy(tmp_path):
+    # sim, tdoa-solve and validate-gains run on numpy alone; replay imports
+    # scipy's Slerp when it interpolates the truth, and not before.
+    code = f"""
+import json, sys
+from uwbnav.cli import main
+from uwbnav.sim import default_anchors
+from uwbnav.tdoa import synthesize_tdoa
+out = {str(tmp_path)!r}
+assert main(["sim", "--scenario", "static", "--out", out + "/sim",
+             "--set", "sim.duration=1", "--set", "sim.export_dataset=true"]) == 0
+d = synthesize_tdoa([1.0, 2.0, 0.5], None, default_anchors()).d
+assert main(["tdoa-solve", "--anchors", out + "/sim/dataset/anchors.json",
+             "--d", ",".join(map(repr, d.tolist()))]) == 0
+assert main(["validate-gains", "--delta", "0.01"]) == 0
+loaded = [m for m in sys.modules if m.startswith("scipy")]
+assert not loaded, loaded
+ds = out + "/sim/dataset"
+assert main(["replay", "--out", out + "/replay", "--set", f"replay.imu={{ds}}/imu.csv",
+             "--set", f"replay.uwb={{ds}}/uwb.csv", "--set", f"replay.gt={{ds}}/gt.csv",
+             "--set", f"replay.anchors={{ds}}/anchors.json"]) == 0
+assert "scipy.spatial.transform" in sys.modules
+print(json.load(open(out + "/replay/summary.json"))["steps"])
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "100"
+
+
 @pytest.mark.skipif(
     shutil.which("uwbnav") is None, reason="uwbnav console script not on PATH (pip install -e .)"
 )

@@ -3,12 +3,13 @@
 import json
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgelsd_lwork
 
 from helpers import random_rotation
+from uwbnav import tdoa
 from uwbnav.liegroup import Rotation
 from uwbnav.tdoa import (
     DIAMETER_SLACK,
@@ -77,9 +78,6 @@ def test_anchorset_caches_its_geometry_at_construction():
         assert np.array_equal(a.positions, positions)
         assert a.diameter == diameter
         assert not a.positions.flags.writeable
-        work, iwork, _ = dgelsd_lwork(a.n, 4, 1, RANK_TOL)
-        assert a._workspace.tolist() == [int(work), iwork]
-        assert not a._workspace.flags.writeable
 
 
 def test_anchor_rejects_non_finite_position():
@@ -88,8 +86,11 @@ def test_anchor_rejects_non_finite_position():
 
 
 def test_frame_rejects_non_finite_differences():
-    with pytest.raises(ValueError):
-        TdoaFrame(timestamp=0.0, d=[0.0, np.nan, 0.0, 0.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^range differences must be finite$"):
+            TdoaFrame(timestamp=0.0, d=[0.0, bad, 0.0, 0.0])
+        with pytest.raises(ValueError, match="^range differences must be finite$"):
+            TdoaFrame(timestamp=0.0, d=np.full((2, 2), bad))
 
 
 # --- build_system ----------------------------------------------------------------
@@ -290,6 +291,48 @@ def test_solve_frame_matches_numpy_lstsq_on_random_anchor_sets():
                 assert_same_fix(got, want)
                 kinds.add(got[0])
     assert kinds == {"fix", "reduced", "degenerate", "invalid"}
+
+
+def test_solve_frame_is_bit_exact_with_numpy_lstsq():
+    # The solver calls the gufunc np.linalg.lstsq runs: the same solution,
+    # rank and singular values to the last bit, rank-deficient frames too.
+    rng = np.random.default_rng(37)
+    ranks = set()
+    for _ in range(120):
+        pts = rng.uniform(-5.0, 5.0, (int(rng.integers(4, 13)), 3))
+        anchors = AnchorSet(tuple(Anchor(id=i, pos=p) for i, p in enumerate(pts)))
+        for d in random_frames(rng, anchors):
+            if d.shape != (anchors.n,) or np.abs(d).max() > anchors.diameter + DIAMETER_SLACK:
+                continue
+            frame = TdoaFrame(timestamp=0.0, d=d)
+            A, B = build_system(anchors, frame)
+            x, _, rank, sv = np.linalg.lstsq(A, B, rcond=RANK_TOL)
+            x3, _, rank3, _ = np.linalg.lstsq(A[:, :3], B, rcond=RANK_TOL)
+            got, got_rank, got_sv = tdoa._lstsq(A, B)
+            assert type(got_rank) is int and got_rank == rank
+            assert np.array_equal(got, x) and np.array_equal(got_sv, sv)
+            ranks.add(rank)
+            if rank == 4:
+                fix = solve_frame(anchors, frame)
+                assert np.array_equal(fix.p, x[:3]) and fix.range_to_h1 == x[3]
+                continue
+            with pytest.raises(GeometryDegenerate) as exc:
+                solve_frame(anchors, frame)
+            assert exc.value.rank == rank and str(sv) in str(exc.value)
+            assert rank3 == 3
+            assert np.array_equal(solve_frame(anchors, frame, allow_reduced=True).p, x3)
+    assert ranks == {3, 4}
+
+
+def test_a_non_finite_solve_raises_linalg_error(monkeypatch):
+    def failed(A, B, rcond):
+        n = A.shape[1]
+        return np.full((n, 1), np.nan), np.full(1, np.nan), np.int32(-1), np.full(n, np.nan)
+
+    monkeypatch.setattr(tdoa, "_umath_linalg", SimpleNamespace(lstsq=failed))
+    frame = synthesize_tdoa([1.0, 2.0, 0.5], None, box_anchors())
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        solve_frame(box_anchors(), frame)
 
 
 # --- synthesize_tdoa ---------------------------------------------------------------

@@ -14,9 +14,11 @@ range.  Every other metric is checked against its bound in BENCHMARK.json.
 ``--trace 1`` runs the traced variant and reports the per-layer metrics the
 same way.  An existing output file keeps its other workloads.  Its ``machine``
 line names the numpy and scipy versions next to Python's: the step runs its
-products on numpy's BLAS and its TDOA solve on scipy's LAPACK.  Its ``code``
-entry gives, for the parent and this tree, the ``wc -l src/uwbnav/*.py`` total
-and the number of names in ``uwbnav.__all__``.
+products and its TDOA solve on numpy's BLAS and LAPACK, and replay's truth
+interpolation runs on scipy.  Its ``code`` entry gives, for the parent and this
+tree, the ``wc -l src/uwbnav/*.py`` total, the number of names in
+``uwbnav.__all__`` and the number of modules ``import uwbnav.cli`` loads in a
+fresh interpreter.
 
 Standard library only.
 """
@@ -156,6 +158,14 @@ def code_size(root: Path) -> dict:
     return {"src_lines": lines, "public_names": len(names)}
 
 
+def cli_import_modules(root: Path) -> int:
+    """The modules ``import uwbnav.cli`` adds to ``sys.modules`` in a fresh interpreter, from ``root/src``."""
+    code = "import sys; n = len(sys.modules); sys.path.insert(0, sys.argv[1]); import uwbnav.cli; print(len(sys.modules) - n)"
+    cmd = [sys.executable, "-I", "-c", code, str(root / "src")]
+    proc = subprocess.run(cmd, check=True, capture_output=True, text=True)
+    return int(proc.stdout)
+
+
 def git(*args) -> str:
     proc = subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True)
     return proc.stdout.strip()
@@ -225,7 +235,10 @@ def main(argv=None) -> int:
     parent_sha = git("rev-parse", args.parent)
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_root = checkout(parent_sha, Path(tmp) / "parent")
-        code = {"parent": code_size(parent_root), "change": code_size(ROOT)}
+        code = {
+            side: {**code_size(root), "cli_import_modules": cli_import_modules(root)}
+            for side, root in (("parent", parent_root), ("change", ROOT))
+        }
         runs = run_pairs(parent_root, args.workload, args.seeds, args.seconds, args.trace,
                          log=lambda line: print(line, flush=True))
 
