@@ -22,8 +22,7 @@ File formats (canonical column names; remap via ``column_map``):
 
 When the magnetometer columns are absent, measurements are synthesized from
 the interpolated ground-truth attitude (deterministically, from the seed).
-That attitude is scipy's Slerp, imported inside ``_interpolate_truth``: the
-package's one use of scipy, so only a replay loads it.
+That attitude is a quaternion slerp in numpy, ``_slerp_matrices``.
 
 Every CSV this module writes (an exported run's three streams and the
 per-timestamp metrics) goes through one table writer, ``_write_table``: each
@@ -361,6 +360,27 @@ class ReplayResult:
     summary: dict = field(default_factory=dict)
 
 
+def _slerp_matrices(t_gt, q, t):
+    """Rotation matrices at the times ``t``, inside ``t_gt``, by spherical linear
+    interpolation (Shoemake 1985) of the (w, x, y, z) rows ``q``, each normalised
+    first; every interval takes the short arc."""
+    q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    k = np.clip(np.searchsorted(t_gt, t) - 1, 0, len(t_gt) - 2)
+    q0, q1 = q[k], q[k + 1]
+    q1 = np.where(np.sum(q0 * q1, axis=1, keepdims=True) < 0.0, -q1, q1)
+    a = ((t - t_gt[k]) / (t_gt[k + 1] - t_gt[k]))[:, None]
+    # th is the arc theta = 2 atan2(|q1 - q0|, |q1 + q0|) over pi, so the weight
+    # sin(s theta) / sin(theta) is s sinc(s th) / sinc(th): no theta = 0 branch.
+    th = np.arctan2(np.linalg.norm(q1 - q0, axis=1), np.linalg.norm(q1 + q0, axis=1))[:, None] / (np.pi / 2)
+    q = ((1.0 - a) * np.sinc((1.0 - a) * th) * q0 + a * np.sinc(a * th) * q1) / np.sinc(th)
+    w, x, y, z = (q / np.linalg.norm(q, axis=1, keepdims=True)).T
+    return np.stack([
+        1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
+        2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x),
+        2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y),
+    ], axis=1).reshape(-1, 3, 3)
+
+
 def _interpolate_truth(gt, t, window: int, poly_order: int):
     """Attitude/position/velocity benchmark at the times ``t`` from the gt table.
 
@@ -368,8 +388,6 @@ def _interpolate_truth(gt, t, window: int, poly_order: int):
     velocity are linear.  Rows outside the ground-truth time range hold NaN —
     the benchmark never extrapolates.  Returns (inside, rot, pos, vel).
     """
-    from scipy.spatial.transform import Rotation as _SpRotation, Slerp
-
     if len(gt) < 2:
         raise DataError("need at least 2 ground-truth records")
     t_gt, pos_gt = gt[:, 0], gt[:, 5:8]
@@ -379,8 +397,7 @@ def _interpolate_truth(gt, t, window: int, poly_order: int):
     pos = np.full((len(t), 3), np.nan)
     vel = np.full((len(t), 3), np.nan)
     if inside.any():
-        slerp = Slerp(t_gt, _SpRotation.from_quat(gt[:, [2, 3, 4, 1]]))  # scalar last
-        rot[inside] = slerp(t[inside]).as_matrix()
+        rot[inside] = _slerp_matrices(t_gt, gt[:, 1:5], t[inside])
         for i in range(3):
             pos[inside, i] = np.interp(t[inside], t_gt, pos_gt[:, i])
             vel[inside, i] = np.interp(t[inside], t_gt, vel_gt[:, i])

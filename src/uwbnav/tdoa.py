@@ -14,8 +14,7 @@ constant term carries the cumulative sum d_{2,1} + ... + d_{k,k-1}, since
 Every system is solved by one call to LAPACK ``dgelsd`` (SVD-based minimum-norm
 least squares) through numpy's own ``lstsq`` gufunc: the routine, workspace
 query and singular value cutoff ``RANK_TOL`` that
-``np.linalg.lstsq(A, B, rcond=RANK_TOL)`` runs, without its wrapper.  Solving
-needs numpy alone; this module imports no scipy.
+``np.linalg.lstsq(A, B, rcond=RANK_TOL)`` runs, without its wrapper.
 """
 
 from __future__ import annotations

@@ -41,6 +41,33 @@ def test_every_differing_or_one_sided_file_is_reported(ad, tmp_path):
     assert compared == 4
 
 
+def test_a_differing_csv_file_names_the_largest_difference_of_each_column(ad, tmp_path):
+    write(tmp_path / "parent", {
+        "replay/metrics.csv": b"t,att_err,pos_err\n0.0,0.1,\n0.01,0.2,1.5\n",
+        "gap.csv": b"x,y\n,1.0\n",
+        "rows.csv": b"x\n1.0\n",
+        "run.stdout": b"ok\n",
+    })
+    write(tmp_path / "change", {
+        # NaN (an empty cell) against NaN is equal, and t does not move.
+        "replay/metrics.csv": b"t,att_err,pos_err\n0.0,0.10000000000000002,\n0.01,0.2,1.5000000000000004\n",
+        "gap.csv": b"x,y\n2.0,1.0\n",
+        "rows.csv": b"x\n1.0\n2.0\n",
+        "run.stdout": b"ok.\n",
+    })
+    lines, compared = ad.compare_trees(tmp_path / "parent", tmp_path / "change")
+    assert lines == [
+        "differs: gap.csv",
+        "    x: inf",
+        "differs: replay/metrics.csv",
+        "    att_err: 1.39e-17",
+        "    pos_err: 4.44e-16",
+        "differs: rows.csv",
+        "differs: run.stdout",
+    ]
+    assert compared == 4
+
+
 def test_the_set_runs_every_scenario_both_ways_and_replays_its_export(ad):
     runs = ad.commands()
     names = [name for name, _ in runs]

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.spatial.transform import Rotation as SpRotation
+from scipy.spatial.transform import Rotation as SpRotation, Slerp
 
 from helpers import frozen_fmt
 
@@ -305,6 +305,54 @@ def test_rotation_to_quat_handles_half_turns(axis):
     q = rotation_to_quat(R)
     assert q[0] >= 0.0
     np.testing.assert_allclose(from_quat(q), R, atol=1e-12)
+
+
+# --- truth attitude interpolation ---------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def figure8_gt(tmp_path_factory):
+    """The (t, qw, qx, qy, qz) columns of an exported 20 s figure8 trial's gt.csv."""
+    sim = run_scenario(preset_scenario("figure8", duration=20.0), Gains())
+    gt = load_dataset(export_dataset(sim, tmp_path_factory.mktemp("figure8"))).gt
+    return gt[:, 0], gt[:, 1:5]
+
+
+def scipy_slerp(t_gt, q, t):
+    """The reference: scipy's Slerp of the (w, x, y, z) rows ``q``, as matrices."""
+    return Slerp(t_gt, SpRotation.from_quat(q[:, [1, 2, 3, 0]]))(t).as_matrix()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "as exported",
+        # every other quaternion negated: the same rotations, reached on the short arc
+        "sign flipped",
+        # off unit norm by the loader's tolerance: scipy normalises them
+        "off unit norm",
+    ],
+)
+def test_slerp_matrices_match_scipy_slerp(figure8_gt, case):
+    t_gt, q = figure8_gt
+    if case == "sign flipped":
+        q = q * np.where(np.arange(len(q)) % 2, -1.0, 1.0)[:, None]
+    elif case == "off unit norm":
+        q = q * np.where(np.arange(len(q)) % 2, 1.0 + 1e-6, 1.0 - 1e-6)[:, None]
+    t = np.sort(np.random.default_rng(12).uniform(t_gt[0], t_gt[-1], 5000))
+    t = np.concatenate([t_gt, t])  # on the grid and off it
+    rot = uwbnav.replay._slerp_matrices(t_gt, q, t)
+    np.testing.assert_allclose(rot, scipy_slerp(t_gt, q, t), rtol=0.0, atol=1e-15)
+
+
+def test_slerp_matrices_of_a_static_hover_are_the_identity_exactly():
+    # A zero arc (theta = 0) takes no branch and returns I bit for bit, which
+    # keeps the replay of a static trial bit-identical to its simulation.
+    t_gt = np.arange(201) * 0.01
+    q = np.tile([1.0, 0.0, 0.0, 0.0], (len(t_gt), 1))
+    t = np.concatenate([t_gt, np.random.default_rng(13).uniform(0.0, 2.0, 1000)])
+    rot = uwbnav.replay._slerp_matrices(t_gt, q, t)
+    assert (rot == np.eye(3)).all()
 
 
 # --- derive_velocity ------------------------------------------------------------------

@@ -7,7 +7,10 @@ The parent ref's committed files are exported (``git archive``, as
 artifact set below then runs there and in this tree, each side with its own
 ``src/`` and the same interpreter, and every file the two runs wrote is
 compared byte for byte.  Each file that differs, or that only one side
-wrote, is printed; the exit status is 1 if there is any, else 0.
+wrote, is printed; the exit status is 1 if there is any, else 0.  Under a
+differing CSV file with the same header and row count on both sides, each
+column that differs is printed with its largest absolute difference, so a
+change in the last bits shows its size.
 
 The artifact set, with every sensor noise on (gyro 0.005, accel 0.02, mag
 0.2, TDOA 0.05), both biases, ``sim.export_dataset=true`` and seed 11:
@@ -38,6 +41,7 @@ import argparse
 import csv
 import filecmp
 import json
+import math
 import os
 import subprocess
 import sys
@@ -129,9 +133,34 @@ def run_set(root: Path, out: Path, log=print) -> None:
         (out / f"{name}.stdout").write_text(proc.stdout)
 
 
+def column_diffs(parent: Path, change: Path) -> list[str]:
+    """An indented ``<column>: <largest absolute difference>`` line per column
+    that differs between two CSV files of the same header and row count.
+
+    An empty cell reads as NaN; NaN equals NaN and differs from a number by
+    inf.  No lines when the shapes differ or a cell is not a number.
+    """
+    with open(parent, newline="") as fa, open(change, newline="") as fb:
+        a, b = list(csv.reader(fa)), list(csv.reader(fb))
+    if not a or len(a) != len(b) or a[0] != b[0] or any(len(row) != len(a[0]) for row in a + b):
+        return []
+    largest = [0.0] * len(a[0])
+    try:
+        for ra, rb in zip(a[1:], b[1:]):
+            for j, (x, y) in enumerate(zip(ra, rb)):
+                x, y = (float(cell) if cell else math.nan for cell in (x, y))
+                if x != y and not (math.isnan(x) and math.isnan(y)):
+                    diff = math.inf if math.isnan(x) or math.isnan(y) else abs(x - y)
+                    largest[j] = max(largest[j], diff)
+    except ValueError:
+        return []
+    return [f"    {name}: {diff:.3g}" for name, diff in zip(a[0], largest) if diff]
+
+
 def compare_trees(parent: Path, change: Path) -> tuple[list[str], int]:
     """A line per relative file path that differs or exists on one side only, sorted,
-    and the number of paths compared."""
+    each differing CSV file followed by its ``column_diffs``, and the number of
+    paths compared."""
     files = {}
     for side, top in (("parent", parent), ("change", change)):
         for path in top.rglob("*"):
@@ -144,6 +173,8 @@ def compare_trees(parent: Path, change: Path) -> tuple[list[str], int]:
             lines.append(f"only in {sides.pop()}: {rel}")
         elif not filecmp.cmp(parent / rel, change / rel, shallow=False):
             lines.append(f"differs: {rel}")
+            if rel.endswith(".csv"):
+                lines += column_diffs(parent / rel, change / rel)
     return lines, len(files)
 
 
@@ -160,8 +191,9 @@ def main(argv=None) -> int:
         lines, compared = compare_trees(tmp / "out-parent", tmp / "out-change")
     for line in lines:
         print(line)
-    print(f"{len(lines)} of {compared} files differ from {parent_sha[:12]}")
-    return 1 if lines else 0
+    differing = sum(not line.startswith(" ") for line in lines)
+    print(f"{differing} of {compared} files differ from {parent_sha[:12]}")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

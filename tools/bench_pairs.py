@@ -13,12 +13,12 @@ neither side) and medians that differ by more than the parent's interquartile
 range.  Every other metric is checked against its bound in BENCHMARK.json.
 ``--trace 1`` runs the traced variant and reports the per-layer metrics the
 same way.  An existing output file keeps its other workloads.  Its ``machine``
-line names the numpy and scipy versions next to Python's: the step runs its
-products and its TDOA solve on numpy's BLAS and LAPACK, and replay's truth
-interpolation runs on scipy.  Its ``code`` entry gives, for the parent and this
-tree, the ``wc -l src/uwbnav/*.py`` total, the number of names in
-``uwbnav.__all__`` and the number of modules ``import uwbnav.cli`` loads in a
-fresh interpreter.
+line names the numpy and scipy versions next to Python's: the package runs on
+numpy alone, its step's products and TDOA solve on numpy's BLAS and LAPACK,
+and navbench's replay workload imports ``scipy.signal`` while it sets up.  Its
+``code`` entry gives, for the parent and this tree, the ``wc -l
+src/uwbnav/*.py`` total, the number of names in ``uwbnav.__all__`` and the
+number of modules ``import uwbnav.cli`` loads in a fresh interpreter.
 
 Standard library only.
 """
