@@ -47,9 +47,10 @@ Its states are bit-identical to the dataclass composition (see
 tests/test_observer.py).
 
 ``_run_stream`` is the one loop over a stream, shared by ``sim`` and
-``replay``: their inputs are built before it, it records the estimates as
-arrays, and the errors come after it from those arrays (``_nav_errors``,
-``_norms``; ``error_metrics`` is their one-row form).
+``replay``: both hand it the float tables an exported dataset holds, and it
+maps the frames to steps and records the estimates as arrays.  The errors
+come after it from those arrays (``_nav_errors``, ``_norms``;
+``error_metrics`` is their one-row form).
 """
 
 from __future__ import annotations
@@ -100,6 +101,16 @@ __all__ = [
 REORTH_INTERVAL = 1000
 
 _ZEROS = (0.0, 0.0, 0.0)  # a suspended correction term
+
+
+def _dt_ok(dt: float) -> bool:
+    """A step length in (0, 0.1] s: the range the observer and the truth step over."""
+    return 0.0 < dt <= 0.1
+
+
+def _check_dt(dt: float) -> None:
+    if not _dt_ok(dt):
+        raise ValueError(f"dt must be in (0, 0.1] s, got {dt}")
 
 
 @dataclass(frozen=True)
@@ -224,8 +235,7 @@ def step(
     a result that is not a valid state (rotation off SO(3), non-finite
     position, velocity or bias).
     """
-    if not 0.0 < dt <= 0.1:
-        raise ValueError(f"dt must be in (0, 0.1] s, got {dt}")
+    _check_dt(dt)
     if frame is not None and anchors is None:
         raise ValueError("a TDOA frame was supplied without an anchor set")
     nav = state.nav
@@ -302,50 +312,60 @@ def step(
     )
 
 
-def _run_stream(state, samples, frames, anchors, gains, dts, *, ref, step):
+def _run_stream(state, imu, mags, tdoa, anchors, gains, *, ref, step):
     """Step the observer over a stream: the one loop that calls ``step``.
 
-    Step k takes ``samples[k]``, ``frames.get(k)`` and ``dts[k]``; a dt outside
-    (0, 0.1] keeps the state and is counted as skipped.  A taken step's frame
-    is solved here for the raw-fix column, and again inside ``step``, which is
-    the caller's own binding (the name the benchmark times).  A ValueError
-    from ``step`` (a state that diverged) is raised again as a RuntimeError
-    naming the step index and the sample's timestamp.  numpy's overflow and
-    invalid-value warnings are off for the whole loop: that error is what
-    reports a non-finite state.  Returns the final state, the skipped count,
-    the number of frames handed to ``step`` and the arrays (R, P, V,
-    b_omega_hat, b_a_hat, fix), one row per sample from the initial state on;
-    ``fix`` is NaN where no frame solved.
+    ``imu`` is the (n+1, 7 or 10) table t, gyro, accel[, mag], ``mags`` each
+    sample's magnetometer reading (or None) and ``tdoa`` the (m, 1 + N) table
+    t, differences, all finite.  Step k runs on sample k over t[k+1] - t[k];
+    a dt outside (0, 0.1] keeps the state and counts as skipped.  Each frame
+    goes to the step that starts at or before it, the last of a step winning;
+    a frame no taken step gets is dropped.  Samples and frames are made from
+    their rows, unchecked, as the loop reaches them.  A taken step's frame is
+    solved here for the raw-fix column, and again inside ``step``, the
+    caller's own binding (the name the benchmark times).  A ValueError from
+    ``step`` (a state that diverged) is raised again as a RuntimeError naming
+    the step and its time; numpy's overflow and invalid-value warnings are
+    off for the loop, as that error reports a non-finite state.  Returns the
+    final state, the skipped count, the number of frames handed to ``step``
+    and the arrays (R, P, V, b_omega_hat, b_a_hat, fix), one row per sample
+    from the initial state on; ``fix`` is NaN where no frame solved.
     """
-    m = len(dts) + 1
-    R = np.empty((m, 3, 3))
-    P, V, b_omega_hat, b_a_hat = np.empty((4, m, 3))
-    fix = np.full((m, 3), np.nan)
+    t = imu[:, 0]
+    times, dts = t.tolist(), np.diff(t).tolist()
+    n = len(dts)
+    steps = np.searchsorted(t, tdoa[:, 0], side="right") - 1
+    frame_rows = {k: i for i, k in enumerate(steps.tolist()) if 0 <= k < n}
+    gyro, accel = imu[:, 1:4], imu[:, 4:7]
+    R = np.empty((n + 1, 3, 3))
+    P, V, b_omega_hat, b_a_hat = np.empty((4, n + 1, 3))
+    fix = np.full((n + 1, 3), np.nan)
     skipped = taken = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(m):
+        for k in range(n + 1):
             nav = state.nav
             R[k], P[k], V[k] = nav.rot.m, nav.pos, nav.vel
             b_omega_hat[k], b_a_hat[k] = state.b_omega_hat, state.b_a_hat
-            if k == m - 1:
+            if k == n:
                 break
             dt = dts[k]
-            if not 0.0 < dt <= 0.1:
+            if not _dt_ok(dt):
                 skipped += 1
                 continue
-            frame = frames.get(k)
-            if frame is not None:
+            frame = None
+            i = frame_rows.get(k)
+            if i is not None:
+                frame = _trusted(TdoaFrame, timestamp=float(tdoa[i, 0]), d=tdoa[i, 1:])
                 taken += 1
                 try:
                     fix[k] = solve_frame(anchors, frame).p
                 except (GeometryDegenerate, ValueError):
                     pass
+            sample = _trusted(ImuSample, timestamp=times[k], gyro=gyro[k], accel=accel[k], mag=mags[k])
             try:
-                state = step(state, samples[k], frame, anchors, gains, dt, ref=ref)
+                state = step(state, sample, frame, anchors, gains, dt, ref=ref)
             except ValueError as exc:
-                raise RuntimeError(
-                    f"observer diverged at step {k} (t = {samples[k].timestamp!r} s): {exc}"
-                ) from exc
+                raise RuntimeError(f"observer diverged at step {k} (t = {times[k]!r} s): {exc}") from exc
     return state, skipped, taken, (R, P, V, b_omega_hat, b_a_hat, fix)
 
 

@@ -7,11 +7,11 @@ after), derives a benchmark velocity from the ground-truth positions (local
 least-squares polynomial differentiation), runs the observer sample-by-sample,
 and reports the same error metrics and summary statistics as the simulator,
 so synthetic and recorded runs are directly comparable.  ``run_replay``
-interpolates the truth once from the gt table, maps the frames onto steps
-with one ``searchsorted`` and builds the samples, and a ``TdoaFrame`` for each
-frame a step takes, before the loop; the loop itself is
-``observer._run_stream``, the one ``sim`` uses, and the errors come after it
-from the estimate arrays, NaN outside the truth range.
+interpolates the truth once from the gt table and hands the loaded IMU and
+TDOA tables to ``observer._run_stream``, the loop ``sim`` uses on the same
+tables of its own run; that loop maps the frames onto steps and builds each
+sample and frame from its row.  The errors come after it from the estimate
+arrays, NaN outside the truth range.
 
 File formats (canonical column names; remap via ``column_map``):
 
@@ -42,11 +42,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .liegroup import Rotation, _as_vec3, _trusted
+from .liegroup import Rotation, _as_vec3
 from .observer import Gains, ObserverState, _nav_errors, _norms, _run_stream, step
-from .sensors import ImuSample, ReferenceVectors
-from .sim import SimResult, _standard_normals, error_summary
-from .tdoa import TdoaFrame
+from .sensors import ReferenceVectors
+from .sim import _SETTLE_DWELL, _SETTLE_THRESHOLD, SimResult, _standard_normals, error_summary
 from .tdoa import solve_frame  # noqa: F401  _run_stream solves the frames; navbench traces this name
 
 __all__ = [
@@ -69,6 +68,8 @@ __all__ = [
 _QUAT_NORM_TOL = 1e-6
 _STREAM_MAG = 2  # rng stream tag for synthesized magnetometer noise
 _VELOCITY_CHUNK = 512  # samples per batch of local fits in derive_velocity (bounds memory)
+# The benchmark velocity's local fit: samples per window, polynomial order.
+_VELOCITY_WINDOW, _VELOCITY_POLY_ORDER = 11, 2
 
 
 class ConfigError(Exception):
@@ -110,7 +111,7 @@ class LoadedDataset:
     after them.  ``tdoa`` is (m, 1 + N): t, then the N cyclic range
     differences (a range file arrives converted).  ``gt`` is (k, 8): t, qw,
     qx, qy, qz, px, py, pz, and (0, 8) when no ground-truth file was given.
-    Every value is finite: ``run_replay`` builds its IMU samples and TDOA
+    Every value is finite: the replay loop builds its IMU samples and TDOA
     frames from these rows without checking them again.
     """
 
@@ -297,7 +298,7 @@ def rotation_to_quat(R) -> np.ndarray:
     return q if q[0] >= 0.0 else -q
 
 
-def derive_velocity(t, pos, window: int = 11, poly_order: int = 2) -> np.ndarray:
+def derive_velocity(t, pos, window: int = _VELOCITY_WINDOW, poly_order: int = _VELOCITY_POLY_ORDER) -> np.ndarray:
     """Benchmark velocity from ground-truth positions ``pos`` (n, 3) at times ``t`` (n,).
 
     Each point gets the derivative of a local least-squares polynomial fit
@@ -414,21 +415,23 @@ def run_replay(
     ref: ReferenceVectors | None = None,
     seed: int = 0,
     mag_noise_sd: float = 0.2,
-    velocity_window: int = 11,
-    velocity_poly_order: int = 2,
-    settle_threshold: float = 0.5,
-    settle_dwell: float = 5.0,
+    velocity_window: int = _VELOCITY_WINDOW,
+    velocity_poly_order: int = _VELOCITY_POLY_ORDER,
+    settle_threshold: float = _SETTLE_THRESHOLD,
+    settle_dwell: float = _SETTLE_DWELL,
 ) -> ReplayResult:
     """Replay the observer over a loaded dataset against its ground truth.
 
-    TDOA frames are consumed by the IMU step whose timestamp is closest at or
-    before them; when several frames land in one step the last wins.  A frame
-    that no step consumes (it lands outside the stream, is overwritten, or
-    lands on a step skipped for its dt) counts as dropped.  When the
-    dataset has no magnetometer, one is synthesized from the interpolated
-    ground-truth attitude with noise `mag_noise_sd` (draws keyed by the seed
-    and sample index, so the replay is deterministic).  ``tag_offset`` is
-    accepted but not yet applied (ROADMAP item 2 plans ``p_y - R_hat @ tag_offset``).
+    The IMU and TDOA tables go to ``observer._run_stream`` as loaded, the form
+    ``run_scenario`` gives it: each frame goes to the step that starts at or
+    before it, the last of a step winning, and a frame that no step takes
+    (outside the stream, under a later frame, or on a step skipped for its
+    dt) counts in ``dropped_tdoa_frames``.  Without a magnetometer in the
+    dataset, one is synthesized from the interpolated ground-truth attitude
+    with noise ``mag_noise_sd`` (draws keyed by the seed and sample index);
+    a sample outside the truth range has none.  The velocity and settle
+    defaults are ``derive_velocity``'s and ``run_scenario``'s.  ``tag_offset``
+    is accepted but not yet applied (ROADMAP item 2 plans ``p_y - R_hat @ tag_offset``).
     """
     ref = ReferenceVectors() if ref is None else ref
     tag_offset = np.asarray(tag_offset, dtype=float)
@@ -446,24 +449,10 @@ def run_replay(
         gt, t_imu, velocity_window, velocity_poly_order
     )
     n_steps = len(imu) - 1
-    dts = np.diff(t_imu).tolist()
-    # Map each TDOA frame onto the step that starts at or just before it, the
-    # last frame of a step winning; _run_stream skips a step whose dt is
-    # outside (0, 0.1] with its frame.
-    steps = np.searchsorted(t_imu, tdoa[:, 0], side="right") - 1
-    row_for_step = {k: i for i, k in enumerate(steps.tolist()) if 0 <= k < n_steps}
-    # _parse_stream checked every row finite, so the samples and frames are
-    # built from the rows as they are, without re-checking them.
-    frames = {
-        k: _trusted(TdoaFrame, timestamp=float(tdoa[i, 0]), d=tdoa[i, 1:])
-        for k, i in row_for_step.items()
-    }
-
-    # One sample per step.  A file without a magnetometer gets one synthesised
-    # from the interpolated truth attitude inside the truth range, checked as
-    # ImuSample would check it.
+    # A file without a magnetometer gets one synthesised from the interpolated
+    # truth attitude inside the truth range, checked as ImuSample would check it.
     if dataset.has_mag:
-        mags = imu[:n_steps, 7:10]
+        mags = imu[:, 7:10]
     else:
         mags = [None] * n_steps
         steps_inside = np.flatnonzero(inside[:n_steps]).tolist()
@@ -477,13 +466,8 @@ def run_replay(
             synthesised = synthesised + z
         for k, mag in zip(steps_inside, synthesised):
             mags[k] = _as_vec3(mag, "mag")
-    samples = [
-        _trusted(ImuSample, timestamp=tk, gyro=g, accel=a, mag=m)
-        for tk, g, a, m in zip(t_imu.tolist(), imu[:, 1:4], imu[:, 4:7], mags)
-    ]
-
     state, skipped_steps, taken, (R, P, V, _, _, raw_pos) = _run_stream(
-        init, samples, frames, anchors, gains, dts, ref=ref, step=step
+        init, imu, mags, tdoa, anchors, gains, ref=ref, step=step
     )
     att, pos, vel = _nav_errors(truth_rot, truth_pos, truth_vel, R, P, V)
     raw_err = _norms(raw_pos - truth_pos)
@@ -591,9 +575,10 @@ def write_summary_json(path, summary: dict):
 def export_dataset(result: SimResult, outdir) -> dict:
     """Write a sim run out as a replayable dataset.
 
-    Emits imu.csv / uwb.csv / gt.csv / anchors.json in the canonical layout.
-    All floats are written in shortest round-trip form, so loading the files
-    back reproduces the in-memory run bit-for-bit.
+    Emits imu.csv / uwb.csv / gt.csv / anchors.json in the canonical layout:
+    imu.csv and uwb.csv are the run's ``imu`` and ``tdoa`` tables.  All floats
+    are written in shortest round-trip form, so loading the files back gives
+    those tables, and the in-memory run, bit for bit.
     """
     outdir = Path(outdir)
     paths = {
@@ -602,11 +587,9 @@ def export_dataset(result: SimResult, outdir) -> dict:
         "gt": outdir / "gt.csv",
         "anchors": outdir / "anchors.json",
     }
-    imu = [(s.timestamp, *s.gyro, *s.accel, *s.mag) for s in result.imu]
-    _write_table(paths["imu"], ["t", "gx", "gy", "gz", "ax", "ay", "az", "mx", "my", "mz"], np.array(imu))
+    _write_table(paths["imu"], ["t", "gx", "gy", "gz", "ax", "ay", "az", "mx", "my", "mz"], result.imu)
     anchors = result.scenario.anchors
-    uwb = [(result.frames[k].timestamp, *result.frames[k].d) for k in sorted(result.frames)]
-    _write_table(paths["uwb"], ["t"] + [f"d{i + 1}" for i in range(anchors.n)], np.array(uwb))
+    _write_table(paths["uwb"], ["t"] + [f"d{i + 1}" for i in range(anchors.n)], result.tdoa)
     quats = [rotation_to_quat(r) for r in result.truth_rot]
     gt = np.column_stack([result.t, quats, result.truth_pos])
     _write_table(paths["gt"], ["t", "qw", "qx", "qy", "qz", "px", "py", "pz"], gt)

@@ -30,11 +30,12 @@ sweep (``uwbnav sim --runs N``) therefore integrates its truth once.
 ``_truth_step``, makes the sandwich step: ``propagate_truth`` is its public
 one-step form, and ``truth_track`` runs it on raw ``R, P, V`` arrays.
 
-Per seed, ``run_scenario`` builds the whole IMU stream (``_imu_stream``, of
-which ``synthesize_imu`` is the one-sample case) and every TDOA frame before
-the loop, hands them to ``observer._run_stream`` (the loop that
-replay shares), and computes every error series after it, in one pass over
-the estimate arrays.
+Per seed, ``run_scenario`` builds the IMU table (``_imu_stream``, of which
+``synthesize_imu`` is the one-sample case) and the TDOA table before the
+loop: the tables an export writes and replay loads.  ``observer._run_stream``
+steps over them as over a loaded dataset, and every error series is computed
+after it, in one pass over the estimate arrays.  The presets fly their
+trajectory under the scenario's gravity.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .liegroup import (
     se23_exp,  # noqa: F401  _truth_step runs _se23_exp; navbench traces calls at this name
     so3_exp,
 )
-from .observer import Gains, ObserverState, _nav_errors, _norms, _run_stream, step
+from .observer import Gains, ObserverState, _check_dt, _nav_errors, _norms, _run_stream, step
 from .observer import error_metrics  # noqa: F401  run_scenario batches the errors; navbench traces this name
 from .sensors import ImuSample, ReferenceVectors
 from .tdoa import Anchor, AnchorSet, synthesize_tdoa
@@ -84,6 +85,10 @@ __all__ = [
 # magnetometer streams never collide.
 _STREAM_IMU = 0
 _STREAM_TDOA = 1
+
+# The position-error settling rule a run's summary reports, for sim and replay.
+_SETTLE_THRESHOLD = 0.5  # m
+_SETTLE_DWELL = 5.0  # s
 
 
 @dataclass(frozen=True)
@@ -197,8 +202,7 @@ def _truth_step(R, P, V, omega, accel, gravity_factor, dt: float) -> np.ndarray:
 
 def propagate_truth(t: TruthModel, dt: float) -> TruthModel:
     """One exact Lie-group step of the true kinematics over [time, time+dt]."""
-    if not 0.0 < dt <= 0.1:
-        raise ValueError(f"dt must be in (0, 0.1] s, got {dt}")
+    _check_dt(dt)
     mid = t.time + 0.5 * dt
     omega = _as_vec3(t.omega_fn(mid), "omega_fn(t)")
     accel = _as_vec3(t.accel_fn(mid), "accel_fn(t)")
@@ -217,7 +221,8 @@ def synthesize_imu(t: TruthModel, time: float, ref: ReferenceVectors | None = No
     ref = ReferenceVectors() if ref is None else ref
     gyro = _as_vec3(t.omega_fn(time) + t.b_omega, "gyro")
     accel = _as_vec3(t.accel_fn(time) + t.b_a, "accel")
-    return _imu_stream(t.noise, t.seed, [float(time)], gyro[None], accel[None], [t.nav.rot.m], ref.mag_ref)[0]
+    row = _imu_stream(t.noise, t.seed, [float(time)], gyro[None], accel[None], [t.nav.rot.m], ref.mag_ref)[0]
+    return _trusted(ImuSample, timestamp=float(time), gyro=row[1:4], accel=row[4:7], mag=row[7:10])
 
 
 # SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's
@@ -338,8 +343,8 @@ def _standard_normals(keys, width: int) -> np.ndarray:
     return z
 
 
-def _imu_stream(noise: SensorNoise, seed: int, times: list, gyro, accel, rot, mag_ref) -> list:
-    """The IMU samples at ``times``: the biased readings plus their seeded noise.
+def _imu_stream(noise: SensorNoise, seed: int, times: list, gyro, accel, rot, mag_ref) -> np.ndarray:
+    """The (n, 10) IMU table t, gyro, accel, mag at ``times``: the biased readings plus their seeded noise.
 
     ``gyro`` and ``accel`` are the (n, 3) biased readings, ``rot`` the n true
     rotations and ``times`` n floats.  Sample k's noise is what a generator
@@ -364,10 +369,7 @@ def _imu_stream(noise: SensorNoise, seed: int, times: list, gyro, accel, rot, ma
     if not finite.all():
         k = int(np.argmin(finite))
         raise ValueError(f"IMU readings must be finite, got {gyro[k]}, {accel[k]}, {mag[k]} at t = {times[k]}")
-    return [
-        _trusted(ImuSample, timestamp=tk, gyro=g, accel=a, mag=m)
-        for tk, g, a, m in zip(times, gyro, accel, mag)
-    ]
+    return np.column_stack([times, gyro, accel, mag])
 
 
 def default_anchors() -> AnchorSet:
@@ -405,25 +407,40 @@ class Scenario:
 
 # --- preset trajectories ---------------------------------------------------
 
-_G = np.array([0.0, 0.0, -9.8])
-
 
 class _Preset:
-    """A preset trajectory.  Each preset is one instance, held in ``_PRESETS``.
+    """A preset trajectory flown under one gravity, yawing at ``w`` rad/s.
 
-    So the ``omega``/``accel`` methods bound into every seed's scenario
-    compare equal, and one ``TruthTrack`` fits every seed.  An instance
-    pickles as its preset name, so this holds in a ``--jobs`` worker too.
+    ``_preset(name, gravity)`` makes one instance per preset and gravity (by
+    its bits) and keeps it, so the ``omega``/``accel`` methods bound into every
+    seed's scenario compare equal, and one ``TruthTrack`` fits every seed.  An
+    instance pickles as its name and gravity, so this holds in a ``--jobs``
+    worker too.
     """
 
     name = ""
+    w = 0.0
+
+    def __init__(self, gravity: np.ndarray):
+        self.g = gravity
 
     def __reduce__(self):
-        return (_preset, (self.name,))
+        return (_preset, (self.name, self.g))
+
+    def rot(self, t: float) -> np.ndarray:
+        return so3_exp(np.array([0.0, 0.0, self.w]), t)
+
+    def omega(self, _t: float) -> np.ndarray:
+        return np.array([0.0, 0.0, self.w])
 
 
-def _preset(name: str) -> _Preset:
-    return _PRESETS[name]
+def _preset(name: str, gravity) -> _Preset:
+    gravity = np.array(gravity, dtype=float)
+    key = (name, gravity.tobytes())
+    if key not in _PRESET_INSTANCES:
+        gravity.setflags(write=False)
+        _PRESET_INSTANCES[key] = _PRESETS[name](gravity)
+    return _PRESET_INSTANCES[key]
 
 
 class _StaticHover(_Preset):
@@ -431,28 +448,17 @@ class _StaticHover(_Preset):
 
     name = "static"
 
-    def __init__(self, R0: np.ndarray):
-        self._f = -(R0.T @ _G)
-
-    def omega(self, _t: float) -> np.ndarray:
-        return np.zeros(3)
-
     def accel(self, _t: float) -> np.ndarray:
-        return self._f.copy()
+        return -self.g
 
 
 class _YawCircle(_Preset):
     """Constant-rate yaw while flying a horizontal circle."""
 
     name = "yaw_circle"
-
-    def __init__(self, yaw_rate: float = 0.5, radius: float = 1.5, center=(0.0, 0.0, 1.5)):
-        self.w = yaw_rate
-        self.r = radius
-        self.center = np.asarray(center, dtype=float)
-
-    def rot(self, t: float) -> np.ndarray:
-        return so3_exp(np.array([0.0, 0.0, self.w]), t)
+    w = 0.5
+    r = 1.5  # radius, m
+    center = np.array([0.0, 0.0, 1.5])
 
     def pos(self, t: float) -> np.ndarray:
         a = self.w * t
@@ -462,13 +468,10 @@ class _YawCircle(_Preset):
         a = self.w * t
         return self.r * self.w * np.array([-math.sin(a), math.cos(a), 0.0])
 
-    def omega(self, _t: float) -> np.ndarray:
-        return np.array([0.0, 0.0, self.w])
-
     def accel(self, t: float) -> np.ndarray:
         a = self.w * t
         vdot = -self.r * self.w**2 * np.array([math.cos(a), math.sin(a), 0.0])
-        return self.rot(t).T @ (vdot - _G)
+        return self.rot(t).T @ (vdot - self.g)
 
 
 class _FigureEight(_Preset):
@@ -480,23 +483,10 @@ class _FigureEight(_Preset):
     """
 
     name = "figure8"
-
-    def __init__(
-        self,
-        center=(1.237, 0.124, 1.534),
-        ampl_x: float = 2.0,
-        ampl_y: float = 1.5,
-        ampl_z: float = 0.3,
-        nu: float = 0.5,
-        yaw_rate: float = 0.3,
-    ):
-        self.center = np.asarray(center, dtype=float)
-        self.ax, self.ay, self.az = ampl_x, ampl_y, ampl_z
-        self.nu = nu
-        self.w = yaw_rate
-
-    def rot(self, t: float) -> np.ndarray:
-        return so3_exp(np.array([0.0, 0.0, self.w]), t)
+    w = 0.3
+    center = np.array([1.237, 0.124, 1.534])
+    ax, ay, az = 2.0, 1.5, 0.3  # amplitudes, m
+    nu = 0.5  # x frequency, rad/s
 
     def pos(self, t: float) -> np.ndarray:
         nu = self.nu
@@ -524,14 +514,12 @@ class _FigureEight(_Preset):
             ]
         )
 
-    def omega(self, _t: float) -> np.ndarray:
-        return np.array([0.0, 0.0, self.w])
-
     def accel(self, t: float) -> np.ndarray:
-        return self.rot(t).T @ (self.vdot(t) - _G)
+        return self.rot(t).T @ (self.vdot(t) - self.g)
 
 
-_PRESETS = {p.name: p for p in (_StaticHover(np.eye(3)), _YawCircle(), _FigureEight())}
+_PRESETS = {cls.name: cls for cls in (_StaticHover, _YawCircle, _FigureEight)}
+_PRESET_INSTANCES: dict = {}
 
 PRESET_NAMES = tuple(_PRESETS)
 
@@ -561,7 +549,7 @@ def preset_scenario(
     ref = ReferenceVectors() if ref is None else ref
     noise = SensorNoise() if noise is None else noise
     anchors = default_anchors() if anchors is None else anchors
-    traj = _PRESETS[name]
+    traj = _preset(name, ref.gravity)
     if name == "static":
         nav0 = NavState(Rotation.identity(), np.array([1.237, 0.124, 1.534]), np.zeros(3))
     else:
@@ -598,8 +586,9 @@ class SimResult:
 
     Metric arrays have ``n_steps + 1`` entries (index 0 is the initial
     condition); ``raw_pos``/``raw_err`` are NaN at steps without a TDOA fix.
-    ``imu`` holds one extra trailing sample so an exported dataset carries the
-    step lengths implicitly in its timestamps.
+    ``imu`` (n_steps + 1, 10) and ``tdoa`` (frames, 1 + N) are the tables
+    ``replay.export_dataset`` writes; the trailing IMU sample lets it carry
+    the last step length in its timestamps.
     """
 
     scenario: Scenario
@@ -616,8 +605,8 @@ class SimResult:
     est_vel: np.ndarray
     raw_pos: np.ndarray
     raw_err: np.ndarray
-    imu: list
-    frames: dict
+    imu: np.ndarray
+    tdoa: np.ndarray
     final_state: ObserverState
     summary: dict = field(default_factory=dict)
 
@@ -627,19 +616,24 @@ def settling_time(t, pos_err, threshold: float, dwell: float) -> float:
 
     Returns NaN when the series never settles (a dip must hold until at least
     min(t[-1], t_dip + dwell); a dip too close to the end still counts only if
-    it holds through the end of the series and t[-1] >= t_dip + dwell).
+    it holds through the end of the series and t[-1] >= t_dip + dwell).  ``t``
+    is non-decreasing, and every sample at a dip's time must be below too.
+    One pass: a dip holds when no sample from its time up to t_dip + dwell is
+    at or above the threshold.
     """
     t = np.asarray(t, dtype=float)
-    pos_err = np.asarray(pos_err, dtype=float)
-    below = pos_err < threshold
-    for i in np.flatnonzero(below):
-        end = t[i] + dwell
-        if t[-1] < end:
-            return float("nan")
-        window = (t >= t[i]) & (t <= end)
-        if np.all(below[window]):
-            return float(t[i])
-    return float("nan")
+    below = np.asarray(pos_err, dtype=float) < threshold
+    if not below.any():
+        return float("nan")
+    end = t + dwell
+    # first[i]: the first index at t[i]; next_up[j]: the time of the first sample from j on not below.
+    first = np.maximum.accumulate(np.where(np.r_[True, t[1:] != t[:-1]], np.arange(len(t)), 0))
+    next_up = np.minimum.accumulate(np.where(below, np.inf, t)[::-1])[::-1]
+    late = t[-1] < end
+    # The first dip whose window runs past the end (NaN) or holds decides.
+    stop = below & (late | ~(next_up[first] <= end))
+    i = int(np.argmax(stop))
+    return float(t[i]) if stop[i] and not late[i] else float("nan")
 
 
 def error_summary(
@@ -707,8 +701,8 @@ def truth_track(sc: Scenario) -> TruthTrack:
     n = _step_count(sc)
     t = np.arange(n + 1) / sc.imu_rate
     times, dts = t.tolist(), np.diff(t).tolist()
-    if not 0.0 < min(dts) <= max(dts) <= 0.1:
-        raise ValueError(f"dt must be in (0, 0.1] s, got {max(dts)}")
+    _check_dt(min(dts))
+    _check_dt(max(dts))
     truth = sc.truth
     rot, pos, vel = np.empty((n + 1, 3, 3)), np.empty((n + 1, 3)), np.empty((n + 1, 3))
     R, P, V = truth.nav.rot.m, truth.nav.pos, truth.nav.vel
@@ -759,8 +753,8 @@ def run_scenario(
     gains: Gains,
     *,
     track: TruthTrack | None = None,
-    settle_threshold: float = 0.5,
-    settle_dwell: float = 5.0,
+    settle_threshold: float = _SETTLE_THRESHOLD,
+    settle_dwell: float = _SETTLE_DWELL,
 ) -> SimResult:
     """Run the observer closed-loop against the synthetic truth.
 
@@ -782,20 +776,22 @@ def run_scenario(
     truth = sc.truth
     noise = truth.noise
     # n + 1 samples: the trailing one lets a dataset export carry the final step length.
-    imu_stream = _imu_stream(
+    imu = _imu_stream(
         noise, truth.seed, times, track.omega + truth.b_omega, track.accel + truth.b_a, track.rot, sc.ref.mag_ref
     )
-    frames: dict = {}
+    rows = []
     tdoa_next, tdoa_period = 0.0, 1.0 / sc.tdoa_rate
     for k in range(n):
         if times[k] >= tdoa_next - 1e-9:
             tdoa_next += tdoa_period
-            frames[k] = synthesize_tdoa(
+            frame = synthesize_tdoa(
                 track.pos[k], _trusted(Rotation, m=track.rot[k]), sc.anchors, sc.tag_offset, noise.tdoa_sd,
-                seed=(truth.seed, _STREAM_TDOA, k), timestamp=times[k],
+                seed=(truth.seed, _STREAM_TDOA, k),
             )
+            rows.append([times[k], *frame.d.tolist()])
+    tdoa = np.array(rows)  # the step at t = 0 always takes a frame
     est, _, _, (R, P, V, b_omega_hat, b_a_hat, raw_pos) = _run_stream(
-        sc.estimate, imu_stream, frames, sc.anchors, gains, np.diff(t).tolist(), ref=sc.ref, step=step
+        sc.estimate, imu, imu[:, 7:10], tdoa, sc.anchors, gains, ref=sc.ref, step=step
     )
     att, pos, vel = _nav_errors(track.rot, track.pos, track.vel, R, P, V)
     b_om = _norms(truth.b_omega - b_omega_hat)
@@ -811,7 +807,7 @@ def run_scenario(
         "final_b_a_err": float(b_a[-1]),
         "log_error_slope": _log_error_slope(t, att + pos + vel, 0.5 * sc.duration),
         **error_summary(t, att, pos, vel, raw_err, sc.duration, settle_threshold, settle_dwell),
-        "tdoa_frames": len(frames),
+        "tdoa_frames": len(tdoa),
         "tdoa_failures": est.tdoa_failures,
         "triad_failures": est.triad_failures,
     }
@@ -830,8 +826,8 @@ def run_scenario(
         est_vel=V,
         raw_pos=raw_pos,
         raw_err=raw_err,
-        imu=imu_stream,
-        frames=frames,
+        imu=imu,
+        tdoa=tdoa,
         final_state=est,
         summary=summary,
     )

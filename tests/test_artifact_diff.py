@@ -113,3 +113,27 @@ def test_the_gap_cuts_the_imu_rows_inside_it_and_keeps_the_rest(ad, tmp_path):
     kept = (tmp_path / "gap.csv").read_bytes().split(b"\r\n")[1:-1]
     assert [row.split(b",")[0].decode() for row in kept] == [t for t in times if not 5.0 <= float(t) < 5.195]
     assert len(times) - len(kept) == 20 and kept[0] == b"4.9,0.5"
+
+
+def test_both_sides_run_from_snapshots_as_bench_pairs_makes_them(ad, tmp_path, monkeypatch):
+    # The parent's commit and the change's `git stash create` commit (or
+    # HEAD), each exported to a temporary directory: nothing runs in the repository.
+    exported, roots = [], []
+
+    def checkout(ref, dest):
+        exported.append(ref)
+        dest.mkdir(parents=True)
+        return dest
+
+    def run_set(root, out, log=print):
+        roots.append(root)
+        out.mkdir(parents=True)
+
+    monkeypatch.setattr(ad, "git", lambda *args: f"sha-{args[-1]}")
+    monkeypatch.setattr(ad, "change_ref", lambda: "5ta5h")
+    monkeypatch.setattr(ad, "checkout", checkout)
+    monkeypatch.setattr(ad, "run_set", run_set)
+    assert ad.main(["--parent", "p"]) == 0
+    assert exported == ["sha-p", "5ta5h"]
+    root = Path(__file__).resolve().parents[1]
+    assert len(set(roots)) == 2 and all(r != root and root not in r.parents for r in roots)

@@ -104,3 +104,41 @@ def test_cli_import_modules_counts_what_the_import_adds(bp, tmp_path):
     (pkg / "cli.py").write_text("from . import a\n")
     assert bp.cli_import_modules(tmp_path) == 3
     assert bp.cli_import_modules(bp.ROOT) > 3
+
+
+def fake_git(stash: str):
+    """``git`` answering ``stash create`` with ``stash`` and ``rev-parse R`` with "sha-R"."""
+
+    def git(*args):
+        return stash if args[:2] == ("stash", "create") else f"sha-{args[-1]}"
+
+    return git
+
+
+def test_no_paired_run_executes_in_the_repository_root(bp, tmp_path, monkeypatch):
+    # Both sides run from a snapshot of a commit exported to a temporary
+    # directory: the parent's, and the change's `git stash create` commit,
+    # or HEAD when the tree is clean.
+    exported, roots = [], []
+
+    def checkout(ref, dest):
+        exported.append(ref)
+        dest.mkdir(parents=True)
+        return dest
+
+    def run_side(root, *args):
+        roots.append(root)
+        return {"returncode": 0, "correct": True, "attempted": 1, "failed": 0, "metrics": {}, "stderr_tail": []}
+
+    monkeypatch.setattr(bp, "checkout", checkout)
+    monkeypatch.setattr(bp, "run_side", run_side)
+    monkeypatch.setattr(bp, "code_size", lambda root: {})
+    monkeypatch.setattr(bp, "cli_import_modules", lambda root: 0)
+    for stash, change in (("5ta5h", "5ta5h"), ("", "sha-HEAD")):
+        monkeypatch.setattr(bp, "git", fake_git(stash))
+        exported.clear(), roots.clear()
+        bp.main(["--parent", "p", "--workload", "sim-sweep", "--seeds", "1-2", "--out", str(tmp_path / "b.json")])
+        assert exported == ["sha-p", change]
+        assert len(roots) == 4 and len(set(roots)) == 2
+        for root in roots:
+            assert root != bp.ROOT and bp.ROOT not in root.parents, root

@@ -454,36 +454,51 @@ def test_step_divergence_surfaces_as_value_error():
 
 
 def test_run_stream_skips_steps_outside_the_dt_range():
-    # A step with dt outside (0, 0.1] keeps the state, is counted, and leaves
-    # its frame unsolved; every other frame is solved for the raw-fix column
-    # and counted as handed to step.
+    # On tables: a step with dt outside (0, 0.1] keeps the state, is counted,
+    # and takes no frame; every frame a taken step receives is solved for the
+    # raw-fix column and counted as handed to step.  Each frame goes to the
+    # step starting at or before it, the last of a step winning: a frame
+    # before the first sample, on a skipped step, under a later frame of its
+    # step, or at the last sample reaches no step.
     anchors = box_anchors()
     ref = ReferenceVectors()
-    imu = hover_imu(np.eye(3), ref)
-    frame = synthesize_tdoa([1.0, 0.5, 1.2], None, anchors)
-    bad = TdoaFrame(timestamp=0.0, d=np.zeros(8))  # all anchors equidistant: no fix
-    dts = [0.01, 0.0, 0.2, 0.01, float("nan"), 0.01]
-    frames = {0: frame, 1: frame, 3: frame, 5: bad}
+    hover = hover_imu(np.eye(3), ref)
+    times = [0.0, 0.01, 0.01, 0.21, 0.22, 0.23, 0.24]  # dts 0.01, 0.0, 0.2, 0.01, 0.01, 0.01
+    imu = np.array([[t, *hover.gyro, *hover.accel] for t in times])
+    mags = [hover.mag + k for k in range(len(times))]
+    here = synthesize_tdoa([1.0, 0.5, 1.2], None, anchors).d
+    there = synthesize_tdoa([0.5, -0.3, 1.0], None, anchors).d
+    tdoa = np.array([
+        [-0.005, *here],  # before the first sample
+        [0.0, *here],  # step 0
+        [0.01, *here],  # step 2, skipped for its 0.2 s dt
+        [0.21, *here],  # step 3, under the next frame
+        [0.215, *there],  # step 3: the last of its step wins
+        [0.23, *np.zeros(8)],  # step 5: all anchors equidistant, no fix
+        [0.24, *here],  # the last sample starts no step
+    ])
     state = ObserverState.cold_start()
     received = []
 
     def counting_step(state, imu, frame, *args, **kwargs):
-        received.append(frame is not None)
+        received.append((imu.timestamp, None if frame is None else frame.timestamp))
+        assert imu.mag is mags[times.index(imu.timestamp)]
         return step(state, imu, frame, *args, **kwargs)
 
     final, skipped, taken, (R, P, V, b_omega_hat, b_a_hat, fix) = _run_stream(
-        state, [imu] * 6, frames, anchors, Gains(), dts, ref=ref, step=counting_step
+        state, imu, mags, tdoa, anchors, Gains(), ref=ref, step=counting_step
     )
-    assert skipped == 3
-    assert taken == sum(received) == 3  # the frames of steps 0, 3 and 5
-    assert final.step_count == 3 and final.tdoa_failures == 1
+    assert skipped == 2
+    assert received == [(0.0, 0.0), (0.21, 0.215), (0.22, None), (0.23, 0.23)]
+    assert taken == 3 and len(tdoa) - taken == 4
+    assert final.step_count == 4 and final.tdoa_failures == 1
     assert R.shape == (7, 3, 3) and P.shape == V.shape == b_omega_hat.shape == b_a_hat.shape == (7, 3)
     assert np.array_equal(P[0], state.nav.pos) and np.array_equal(P[6], final.nav.pos)
     for a in (R, P, V, b_omega_hat, b_a_hat):
         assert np.array_equal(a[1], a[2]) and np.array_equal(a[2], a[3])  # kept across the skips
-        assert np.array_equal(a[4], a[5])
     assert np.flatnonzero(np.isfinite(fix[:, 0])).tolist() == [0, 3]
-    assert np.array_equal(fix[0], solve_frame(anchors, frame).p)
+    assert np.array_equal(fix[0], solve_frame(anchors, TdoaFrame(0.0, here)).p)
+    assert np.array_equal(fix[3], solve_frame(anchors, TdoaFrame(0.215, there)).p)
 
 
 def test_error_metrics_zero_for_identical_states():

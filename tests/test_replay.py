@@ -664,13 +664,10 @@ def test_export_dataset_writes_canonical_layout(tmp_path):
     imu_rows = list(csv.reader(open(paths["imu"])))
     assert imu_rows[0] == IMU_HEADER
     assert len(imu_rows) - 1 == len(result.imu)
-    first = result.imu[0]
-    assert [float(x) for x in imu_rows[1][:7]] == [
-        first.timestamp, *first.gyro, *first.accel
-    ]
+    assert [float(x) for x in imu_rows[1]] == result.imu[0].tolist()
 
     uwb_rows = list(csv.reader(open(paths["uwb"])))
-    assert len(uwb_rows) - 1 == len(result.frames)
+    assert len(uwb_rows) - 1 == len(result.tdoa)
 
     gt_rows = list(csv.reader(open(paths["gt"])))
     assert gt_rows[0] == GT_HEADER
@@ -682,6 +679,20 @@ def test_export_dataset_writes_canonical_layout(tmp_path):
     np.testing.assert_array_equal(loaded.positions, sc.anchors.positions)
 
 
+def test_load_dataset_gives_back_the_tables_of_the_exported_run(tmp_path):
+    # A run's imu and tdoa tables are what the export writes, so loading it
+    # gives them back bit for bit: replay steps over the tables sim stepped over.
+    noise = SensorNoise(0.005, 0.02, 0.2, 0.05)
+    sc = preset_scenario("figure8", duration=10.0, seed=7, noise=noise, b_omega=(0.01, -0.02, 0.005), b_a=(0.1, -0.05, 0.2))
+    result = run_scenario(sc, Gains())
+    paths = export_dataset(result, tmp_path)
+    ds = load_dataset({k: paths[k] for k in ("imu", "uwb", "gt")})
+    for name in ("imu", "tdoa"):
+        got, want = getattr(ds, name), getattr(result, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert ds.imu.shape == (1001, 10) and ds.tdoa.shape == (100, 9)
+
+
 def test_export_dataset_matches_the_per_cell_form_byte_for_byte(tmp_path):
     # The table writer against the form it replaced: every cell through
     # frozen_fmt, one csv.writer row per sample, frame or truth record.
@@ -690,11 +701,8 @@ def test_export_dataset_matches_the_per_cell_form_byte_for_byte(tmp_path):
     paths = export_dataset(result, tmp_path / "dataset")
     truth = zip(result.t, result.truth_rot, result.truth_pos)
     reference = {
-        "imu": (IMU_HEADER, [[s.timestamp, *s.gyro, *s.accel, *s.mag] for s in result.imu]),
-        "uwb": (
-            ["t"] + [f"d{i + 1}" for i in range(sc.anchors.n)],
-            [[f.timestamp, *f.d] for _, f in sorted(result.frames.items())],
-        ),
+        "imu": (IMU_HEADER, result.imu.tolist()),
+        "uwb": (["t"] + [f"d{i + 1}" for i in range(sc.anchors.n)], result.tdoa.tolist()),
         "gt": (GT_HEADER, [[t, *rotation_to_quat(r), *p] for t, r, p in truth]),
     }
     for stream, (header, rows) in reference.items():

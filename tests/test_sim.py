@@ -289,6 +289,24 @@ def test_propagate_matches_analytic_trajectory_second_order():
     assert 8.0 < coarse / fine < 32.0
 
 
+def test_presets_fly_their_trajectory_under_the_scenario_gravity():
+    # At g = 9.81 the presets' specific force is what that gravity needs: the
+    # hover holds its position and the others follow their closed form, as
+    # closely as at the default 9.8.  The trajectory still pickles as the one
+    # instance its scenarios bind, so a track fits a --jobs worker's seeds.
+    ref = ReferenceVectors(gravity=(0.0, 0.0, -9.81))
+    hover = truth_track(preset_scenario("static", duration=30.0, ref=ref))
+    assert np.max(np.abs(hover.pos - hover.pos[0])) <= 1e-9
+    for name, tol in (("yaw_circle", 1e-9), ("figure8", 1.1e-5 * 30.0)):
+        sc = preset_scenario(name, duration=30.0, ref=ref)
+        track = truth_track(sc)
+        closed = np.array([sc.truth.accel_fn.__self__.pos(k / 100.0) for k in range(0, 3001, 50)])
+        assert np.max(np.linalg.norm(track.pos[::50] - closed, axis=1)) <= tol, name
+        assert pickle.loads(pickle.dumps(sc.truth.accel_fn)) == sc.truth.accel_fn
+        assert preset_scenario(name, seed=3, ref=ref).truth.accel_fn == sc.truth.accel_fn
+        assert preset_scenario(name, seed=3).truth.accel_fn != sc.truth.accel_fn
+
+
 def test_truth_rotation_stays_orthonormal_over_run():
     sc = preset_scenario("yaw_circle", duration=5.0)
     result = run_scenario(sc, Gains())
@@ -417,17 +435,17 @@ def test_imu_stream_draws_what_a_generator_per_sample_draws(sds):
     gyro, accel = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
     rot = [random_rotation(rng) for _ in range(n)]
     mag_ref = ReferenceVectors().mag_ref
-    samples = sim_module._imu_stream(noise, seed, times, gyro, accel, rot, mag_ref)
-    assert len(samples) == n
-    for k, sample in enumerate(samples):
+    table = sim_module._imu_stream(noise, seed, times, gyro, accel, rot, mag_ref)
+    assert table.shape == (n, 10)
+    for k, row in enumerate(table):
         gen = np.random.default_rng((seed, 0, round(times[k] * 1e9)))
         want = [gyro[k], accel[k], rot[k].T @ mag_ref]
         for i, sd in enumerate(sds):
             if sd > 0.0:
                 want[i] = want[i] + gen.normal(0.0, sd, 3)
-        assert sample.timestamp == times[k]
-        for name, reading in zip(("gyro", "accel", "mag"), want):
-            assert getattr(sample, name).tobytes() == reading.tobytes(), (k, name)
+        assert row[0] == times[k]
+        for name, got, reading in zip(("gyro", "accel", "mag"), (row[1:4], row[4:7], row[7:10]), want):
+            assert got.tobytes() == reading.tobytes(), (k, name)
 
 
 # --- presets -----------------------------------------------------------------------
@@ -463,9 +481,12 @@ def test_run_scenario_shapes_and_frame_count():
     assert r.t.shape == (n + 1,)
     assert r.att_err.shape == (n + 1,)
     assert r.truth_rot.shape == (n + 1, 3, 3)
-    assert len(r.imu) == n + 1  # one trailing sample carries the final dt
+    assert r.imu.shape == (n + 1, 10)  # one trailing sample carries the final dt
+    assert np.array_equal(r.imu[:, 0], r.t)
+    assert r.tdoa.shape == (20, 9)
     assert r.summary["tdoa_frames"] == 20  # 10 Hz over 2 s starting at t=0
-    frame_steps = sorted(r.frames)
+    frame_steps = np.flatnonzero(np.isin(r.t, r.tdoa[:, 0]))  # each frame on a sample's time
+    assert len(frame_steps) == 20
     assert np.all(np.isfinite(r.raw_err[frame_steps]))
     off = np.setdiff1d(np.arange(n + 1), frame_steps)
     assert np.all(np.isnan(r.raw_err[off]))
@@ -479,9 +500,8 @@ def test_run_scenario_is_bit_deterministic():
     for field in ("att_err", "pos_err", "vel_err", "est_pos", "est_vel"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
     assert np.array_equal(a.raw_pos, b.raw_pos, equal_nan=True)
-    assert sorted(a.frames) == sorted(b.frames)
-    for k in a.frames:
-        assert np.array_equal(a.frames[k].d, b.frames[k].d)
+    assert a.imu.tobytes() == b.imu.tobytes()
+    assert a.tdoa.shape == b.tdoa.shape and a.tdoa.tobytes() == b.tdoa.tobytes()
     assert json.dumps(a.summary) == json.dumps(b.summary)
     c = run_scenario(preset_scenario("figure8", **{**kw, "seed": 6}), Gains())
     assert not np.array_equal(a.est_pos, c.est_pos)
@@ -520,10 +540,10 @@ def test_run_scenario_imu_matches_synthesize_imu():
     for k in (0, 1, 77, len(result.imu) - 1):
         nav = NavState(Rotation(result.truth_rot[k]), result.truth_pos[k], result.truth_vel[k])
         want = synthesize_imu(replace(sc.truth, nav=nav), float(result.t[k]), sc.ref)
-        got = result.imu[k]
-        assert got.timestamp == want.timestamp
-        for name in ("gyro", "accel", "mag"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), (k, name)
+        row = result.imu[k]
+        assert row[0] == want.timestamp
+        for name, got in zip(("gyro", "accel", "mag"), (row[1:4], row[4:7], row[7:10])):
+            assert np.array_equal(got, getattr(want, name)), (k, name)
 
 
 def test_run_scenario_frames_see_the_tag_through_the_truth_rotation():
@@ -532,14 +552,16 @@ def test_run_scenario_frames_see_the_tag_through_the_truth_rotation():
     # public Rotation, bit for bit, and not a tag at the body origin.
     sc = sweep_scenario(seed=4)
     result = run_scenario(sc, Gains())
-    assert len(result.frames) == 20
-    for k, frame in result.frames.items():
+    assert len(result.tdoa) == 20
+    for row in result.tdoa:
+        k = int(np.searchsorted(result.t, row[0]))
+        assert result.t[k] == row[0]
         seed = (sc.truth.seed, sim_module._STREAM_TDOA, k)
         rest = (sc.anchors, sc.tag_offset, sc.truth.noise.tdoa_sd)
-        want = synthesize_tdoa(result.truth_pos[k], Rotation(result.truth_rot[k]), *rest, seed=seed, timestamp=result.t[k])
-        assert frame.timestamp == want.timestamp and frame.d.tobytes() == want.d.tobytes(), k
+        want = synthesize_tdoa(result.truth_pos[k], Rotation(result.truth_rot[k]), *rest, seed=seed)
+        assert row[1:].tobytes() == want.d.tobytes(), k
         origin = synthesize_tdoa(result.truth_pos[k], None, *rest, seed=seed)
-        assert not np.array_equal(frame.d, origin.d), k
+        assert not np.array_equal(row[1:], origin.d), k
 
 
 @pytest.mark.parametrize(
@@ -548,7 +570,7 @@ def test_run_scenario_frames_see_the_tag_through_the_truth_rotation():
         (dict(name="yaw_circle"), ": omega_fn, accel_fn, initial position, initial velocity differ"),
         (dict(duration=3.0), ": n differ"),
         (dict(imu_rate=200.0), ": imu_rate, n differ"),
-        (dict(ref=ReferenceVectors(gravity=(0.0, 0.0, -9.81))), ": gravity differ"),
+        (dict(ref=ReferenceVectors(gravity=(0.0, 0.0, -9.81))), ": omega_fn, accel_fn, gravity differ"),
     ],
     ids=["trajectory", "duration", "imu_rate", "gravity"],
 )
@@ -763,3 +785,38 @@ def test_settling_time_dip_too_close_to_end():
     t = np.linspace(0.0, 10.0, 101)
     err = np.where(t < 7.0, 1.0, 0.1)  # only 3 s of dwell available
     assert math.isnan(settling_time(t, err, 0.5, 5.0))
+
+
+def settling_time_per_dip(t, pos_err, threshold, dwell):
+    """settling_time as a loop over the dips, each with its own window mask (the reference)."""
+    t = np.asarray(t, dtype=float)
+    pos_err = np.asarray(pos_err, dtype=float)
+    below = pos_err < threshold
+    for i in np.flatnonzero(below):
+        end = t[i] + dwell
+        if t[-1] < end:
+            return float("nan")
+        window = (t >= t[i]) & (t <= end)
+        if np.all(below[window]):
+            return float(t[i])
+    return float("nan")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    t0=st.floats(-10.0, 10.0),
+    steps=st.lists(st.sampled_from([0.0, 0.01, 0.1]) | st.floats(0.0, 2.0), max_size=60),
+    dwell=st.sampled_from([0.0, 0.01, 0.5, 5.0]) | st.floats(0.0, 20.0),
+    data=st.data(),
+)
+def test_settling_time_matches_the_per_dip_loop(t0, steps, dwell, data):
+    # Non-uniform and repeated times, errors at the threshold, dips near the
+    # end: the same float as the loop, or NaN where it gives NaN.
+    t = t0 + np.cumsum([0.0, *steps])
+    err = data.draw(st.lists(st.sampled_from([0.1, 0.5, 0.9]) | st.floats(0.0, 1.0), min_size=len(t), max_size=len(t)))
+    got, want = settling_time(t, err, 0.5, dwell), settling_time_per_dip(t, err, 0.5, dwell)
+    assert (math.isnan(got) and math.isnan(want)) or np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_settling_time_of_an_empty_series_is_nan():
+    assert math.isnan(settling_time([], [], 0.5, 5.0))

@@ -2,11 +2,13 @@
 
     python3 tools/artifact_diff.py --parent HEAD~1
 
-The parent ref's committed files are exported (``git archive``, as
-``tools/bench_pairs.py`` does) into a temporary directory.  The fixed
-artifact set below then runs there and in this tree, each side with its own
-``src/`` and the same interpreter, and every file the two runs wrote is
-compared byte for byte.  Each file that differs, or that only one side
+Both sides run from snapshots that ``tools/bench_pairs.py`` makes the same
+way, exported by ``git archive`` into a temporary directory: the parent
+ref's commit, and ``git stash create``'s commit of this tree's working tree
+and index (HEAD when the tree is clean; stage a new file for it to count).
+The fixed artifact set below then runs on each side, with its own ``src/``
+and the same interpreter, and every file the two runs wrote is compared byte
+for byte.  Each file that differs, or that only one side
 wrote, is printed; the exit status is 1 if there is any, else 0.  Under a
 differing CSV file with the same header and row count on both sides, each
 column that differs is printed with its largest absolute difference, so a
@@ -49,7 +51,7 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import ROOT, checkout, git  # noqa: E402
+from bench_pairs import change_ref, checkout, git  # noqa: E402
 
 SEED = 11
 SETUP = (
@@ -182,12 +184,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent commit")
     args = parser.parse_args(argv)
-    parent_sha = git("rev-parse", args.parent)
+    parent_sha, change_sha = git("rev-parse", args.parent), change_ref()
     with tempfile.TemporaryDirectory(prefix="artifact-diff-") as tmp:
         tmp = Path(tmp)
-        parent_root = checkout(parent_sha, tmp / "parent")
-        run_set(parent_root, tmp / "out-parent")
-        run_set(ROOT, tmp / "out-change")
+        run_set(checkout(parent_sha, tmp / "parent"), tmp / "out-parent")
+        run_set(checkout(change_sha, tmp / "change"), tmp / "out-change")
         lines, compared = compare_trees(tmp / "out-parent", tmp / "out-change")
     for line in lines:
         print(line)

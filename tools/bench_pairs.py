@@ -3,10 +3,14 @@
     python3 tools/bench_pairs.py --parent 809ef05 --workload sim-sweep \
         --seeds 531-540 --seconds 10 --claim steps_per_s --out BENCH_5.json
 
-For each seed, ``navbench/run.py`` runs once in a checkout of the parent ref
-(its committed files, by ``git archive``, in a temporary directory removed
-afterwards) and once in this tree, alternating which side goes first.  Every
-run is kept.  The output file holds, per metric, each side's median and
+Both sides run from the same kind of snapshot: the files of a commit,
+exported by ``git archive`` into a temporary directory removed afterwards.
+The parent side is the parent ref's commit.  The change side is the commit
+``git stash create`` makes of the working tree and index when they differ
+from HEAD, else HEAD itself; a new file is in it only once it is staged
+(``git add``), and nothing runs in the repository itself.  For each seed,
+``navbench/run.py`` runs once on each side, alternating which goes first.
+Every run is kept.  The output file holds, per metric, each side's median and
 inclusive quartiles, the pairs the change won and, for the claimed metric, the
 verdict: a gain needs at least nine tenths of the pairs won (ties count for
 neither side) and medians that differ by more than the parent's interquartile
@@ -171,6 +175,13 @@ def git(*args) -> str:
     return proc.stdout.strip()
 
 
+def change_ref() -> str:
+    """The commit the change side runs from: ``git stash create``'s snapshot of
+    the working tree and index (tracked and staged files) when either differs
+    from HEAD, else HEAD."""
+    return git("stash", "create") or git("rev-parse", "HEAD")
+
+
 def checkout(ref: str, dest: Path) -> Path:
     """The files committed at ``ref``, written into the new directory ``dest`` by ``git archive``."""
     dest.mkdir(parents=True)
@@ -182,15 +193,14 @@ def checkout(ref: str, dest: Path) -> Path:
     return dest
 
 
-def run_pairs(parent_root: Path, workload: str, seeds, seconds: float, trace: int, log=print) -> list[dict]:
-    """Alternate parent and change over ``seeds``; pair i runs the parent first when i is even."""
+def run_pairs(roots: dict, workload: str, seeds, seconds: float, trace: int, log=print) -> list[dict]:
+    """Alternate the "parent" and "change" roots over ``seeds``; pair i runs the parent first when i is even."""
     runs = []
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for position, side in enumerate(order):
-            root = parent_root if side == "parent" else ROOT
             run = {"seed": seed, "side": side, "first": position == 0}
-            run.update(run_side(root, workload, seed, seconds, trace))
+            run.update(run_side(roots[side], workload, seed, seconds, trace))
             runs.append(run)
             log(f"{workload} seed {seed} {side}: correct={run['correct']} failed={run['failed']}"
                 f" {json.dumps({k: round(v, 3) for k, v in run['metrics'].items()})}")
@@ -232,14 +242,11 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     declared = {m["name"]: m for m in bench["per_layer" if args.trace else "end_to_end"]}
-    parent_sha = git("rev-parse", args.parent)
+    parent_sha, change_sha = git("rev-parse", args.parent), change_ref()
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        parent_root = checkout(parent_sha, Path(tmp) / "parent")
-        code = {
-            side: {**code_size(root), "cli_import_modules": cli_import_modules(root)}
-            for side, root in (("parent", parent_root), ("change", ROOT))
-        }
-        runs = run_pairs(parent_root, args.workload, args.seeds, args.seconds, args.trace,
+        roots = {side: checkout(sha, Path(tmp) / side) for side, sha in (("parent", parent_sha), ("change", change_sha))}
+        code = {side: {**code_size(root), "cli_import_modules": cli_import_modules(root)} for side, root in roots.items()}
+        runs = run_pairs(roots, args.workload, args.seeds, args.seconds, args.trace,
                          log=lambda line: print(line, flush=True))
 
     out_path = Path(args.out)
@@ -247,10 +254,11 @@ def main(argv=None) -> int:
     doc.setdefault("machine", machine())
     doc["method"] = (
         "tools/bench_pairs.py: navbench/run.py --seconds S per seed, parent and change alternating"
-        " which runs first; medians and inclusive quartiles over the seeds both sides completed"
+        " which runs first, each from a git archive snapshot; medians and inclusive quartiles over"
+        " the seeds both sides completed"
     )
     doc["parent"] = parent_sha
-    doc["change"] = f"working tree at {git('rev-parse', 'HEAD')}"
+    doc["change"] = f"{change_sha} (git stash create of the working tree at {git('rev-parse', 'HEAD')}, or HEAD)"
     doc["code"] = code
     section = "per_layer" if args.trace else "end_to_end"
     doc.setdefault(section, {})[args.workload] = {
