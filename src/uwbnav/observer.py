@@ -103,14 +103,13 @@ REORTH_INTERVAL = 1000
 _ZEROS = (0.0, 0.0, 0.0)  # a suspended correction term
 
 
-def _dt_ok(dt: float) -> bool:
-    """A step length in (0, 0.1] s: the range the observer and the truth step over."""
-    return 0.0 < dt <= 0.1
+_DT_MAX = 0.1  # s: every step, observer or truth, is over dt in (0, _DT_MAX]
 
 
 def _check_dt(dt: float) -> None:
-    if not _dt_ok(dt):
-        raise ValueError(f"dt must be in (0, 0.1] s, got {dt}")
+    # ``step`` and ``_run_stream`` test the range inline: no call per step.
+    if not 0.0 < dt <= _DT_MAX:
+        raise ValueError(f"dt must be in (0, {_DT_MAX}] s, got {dt}")
 
 
 @dataclass(frozen=True)
@@ -235,7 +234,8 @@ def step(
     a result that is not a valid state (rotation off SO(3), non-finite
     position, velocity or bias).
     """
-    _check_dt(dt)
+    if not 0.0 < dt <= _DT_MAX:
+        _check_dt(dt)  # raises
     if frame is not None and anchors is None:
         raise ValueError("a TDOA frame was supplied without an anchor set")
     nav = state.nav
@@ -317,19 +317,19 @@ def _run_stream(state, imu, mags, tdoa, anchors, gains, *, ref, step):
 
     ``imu`` is the (n+1, 7 or 10) table t, gyro, accel[, mag], ``mags`` each
     sample's magnetometer reading (or None) and ``tdoa`` the (m, 1 + N) table
-    t, differences, all finite.  Step k runs on sample k over t[k+1] - t[k];
-    a dt outside (0, 0.1] keeps the state and counts as skipped.  Each frame
-    goes to the step that starts at or before it, the last of a step winning;
-    a frame no taken step gets is dropped.  Samples and frames are made from
-    their rows, unchecked, as the loop reaches them.  A taken step's frame is
-    solved here for the raw-fix column, and again inside ``step``, the
-    caller's own binding (the name the benchmark times).  A ValueError from
-    ``step`` (a state that diverged) is raised again as a RuntimeError naming
-    the step and its time; numpy's overflow and invalid-value warnings are
-    off for the loop, as that error reports a non-finite state.  Returns the
-    final state, the skipped count, the number of frames handed to ``step``
-    and the arrays (R, P, V, b_omega_hat, b_a_hat, fix), one row per sample
-    from the initial state on; ``fix`` is NaN where no frame solved.
+    t, differences, each with non-decreasing t.  Step k runs on sample k over
+    t[k+1] - t[k]; a dt outside (0, 0.1], NaN too, keeps the state and counts
+    as skipped.  Each frame goes to the step that starts at or before it, the
+    last of a step winning; a frame no taken step gets is dropped.  Samples
+    and frames are made from their rows, unchecked, as the loop reaches them.
+    A taken step's frame is solved here for the raw-fix column, and again
+    inside ``step``, the caller's own binding (the name the benchmark times).
+    A ValueError from ``step`` (a state that diverged) is raised again as a
+    RuntimeError naming the step and its time; numpy's overflow and
+    invalid-value warnings are off, as that error reports a non-finite state.
+    Returns the final state, the skipped count, the count of frames handed to
+    ``step`` and the arrays (R, P, V, b_omega_hat, b_a_hat, fix), one row per
+    sample from the initial state on; ``fix`` is NaN where no frame solved.
     """
     t = imu[:, 0]
     times, dts = t.tolist(), np.diff(t).tolist()
@@ -349,7 +349,7 @@ def _run_stream(state, imu, mags, tdoa, anchors, gains, *, ref, step):
             if k == n:
                 break
             dt = dts[k]
-            if not _dt_ok(dt):
+            if not 0.0 < dt <= _DT_MAX:
                 skipped += 1
                 continue
             frame = None

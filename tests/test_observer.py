@@ -129,7 +129,7 @@ def test_step_zero_input_integrates_free_fall_exactly():
 def test_step_rejects_bad_dt():
     state = ObserverState.cold_start()
     imu = ImuSample(timestamp=0.0, gyro=np.zeros(3), accel=np.zeros(3))
-    for dt in (0.0, -0.01, 0.11):
+    for dt in (0.0, -0.01, 0.11, float("nan")):
         with pytest.raises(ValueError, match="dt"):
             step(state, imu, None, None, Gains(), dt)
 
@@ -499,6 +499,24 @@ def test_run_stream_skips_steps_outside_the_dt_range():
     assert np.flatnonzero(np.isfinite(fix[:, 0])).tolist() == [0, 3]
     assert np.array_equal(fix[0], solve_frame(anchors, TdoaFrame(0.0, here)).p)
     assert np.array_equal(fix[3], solve_frame(anchors, TdoaFrame(0.215, there)).p)
+
+
+def test_run_stream_skips_a_nan_dt():
+    # Times running to inf give an inf dt and then a NaN one (inf - inf):
+    # both steps are skipped and keep the state, and no frame reaches them.
+    anchors = box_anchors()
+    ref = ReferenceVectors()
+    hover = hover_imu(np.eye(3), ref)
+    imu = np.array([[t, *hover.gyro, *hover.accel] for t in (0.0, 0.01, np.inf, np.inf)])
+    here = synthesize_tdoa([1.0, 0.5, 1.2], None, anchors).d
+    tdoa = np.array([[0.0, *here], [0.01, *here], [np.inf, *here]])
+    with np.errstate(invalid="ignore"):  # inf - inf
+        final, skipped, taken, arrays = _run_stream(
+            ObserverState.cold_start(), imu, [None] * 4, tdoa, anchors, Gains(), ref=ref, step=step
+        )
+    assert skipped == 2 and taken == 1 and final.step_count == 1
+    for a in arrays[:5]:
+        assert np.array_equal(a[1], a[2]) and np.array_equal(a[2], a[3])
 
 
 def test_error_metrics_zero_for_identical_states():

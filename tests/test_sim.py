@@ -134,7 +134,7 @@ def test_propagate_free_fall():
 
 def test_propagate_rejects_bad_dt():
     truth = hover_model(np.eye(3))
-    for dt in (0.0, -0.01, 0.2):
+    for dt in (0.0, -0.01, 0.2, float("nan")):
         with pytest.raises(ValueError, match="dt"):
             propagate_truth(truth, dt)
 
