@@ -4,7 +4,9 @@ One discrete step does:
 
 1.  predict  Xhat+ = Xhat @ exp(Uhat dt) with the bias-corrected IMU element
     Uhat = u([gyro - b_omega_hat]_x, 0, accel - b_a_hat, 1);
-2.  reconstruct the position fix P_y from the TDOA frame, if one arrived;
+2.  reconstruct the position fix P_y from the TDOA frame, if one arrived
+    (or take the fix the caller solved from it: ``_run_stream`` solves each
+    frame once and hands the result to ``step``);
 3.  build the vector triads and form the misalignment innovation
     sum_i s_i (v_i x vhat_i);
 4.  update both bias estimates by explicit Euler and assemble the correction
@@ -101,6 +103,8 @@ __all__ = [
 REORTH_INTERVAL = 1000
 
 _ZEROS = (0.0, 0.0, 0.0)  # a suspended correction term
+
+_SOLVE = object()  # step's default p_y: solve the frame inside the step
 
 
 _DT_MAX = 0.1  # s: every step, observer or truth, is over dt in (0, _DT_MAX]
@@ -213,6 +217,7 @@ def step(
     ref: ReferenceVectors = ReferenceVectors(),
     weights=None,
     reorth_every: int = REORTH_INTERVAL,
+    p_y=_SOLVE,
 ) -> ObserverState:
     """Advance the observer by one IMU period.
 
@@ -226,17 +231,27 @@ def step(
         the attitude innovation.
     dt
         Step length in (0, 0.1] seconds.
+    p_y
+        The fix ``solve_frame(anchors, frame).p`` of this step's frame, when
+        the caller has solved it already, or None when that solve raised
+        ``GeometryDegenerate`` or ValueError (or no frame arrived); the step
+        then uses it instead of solving the frame again.  By default the
+        step solves the frame.
 
     A failed TDOA solve or a degenerate triad never raises; the affected
     correction is suspended for this step and the failure is counted on the
-    returned state.  Raises ValueError for a bad ``dt``, a frame without
-    anchors, invalid ``weights``, a non-finite bias-corrected IMU element, or
+    returned state; a handed None counts as one.  Raises ValueError for a
+    bad ``dt``, a frame without anchors, a fix handed as ``p_y`` without a frame,
+    invalid ``weights``, a non-finite bias-corrected IMU element, or
     a result that is not a valid state (rotation off SO(3), non-finite
     position, velocity or bias).
     """
     if not 0.0 < dt <= _DT_MAX:
         _check_dt(dt)  # raises
-    if frame is not None and anchors is None:
+    if frame is None:
+        if p_y is not None and p_y is not _SOLVE:
+            raise ValueError("a position fix was handed to step without its TDOA frame")
+    elif anchors is None:
         raise ValueError("a TDOA frame was supplied without an anchor set")
     nav = state.nav
     R, P, V = nav.rot.m, nav.pos, nav.vel
@@ -249,13 +264,17 @@ def step(
     # Predict with the bias-corrected IMU element u([omega]_x, 0, acc, 1).
     Xp = _pack(R, P, V).dot(_se23_exp(omega, _ZERO3, acc, 1.0, dt))
 
-    # Position fix, if a frame arrived and solves.
-    p_y = None
+    # Position fix, if a frame arrived and solves: here, or in the caller that handed p_y.
     tdoa_failures = state.tdoa_failures
-    if frame is not None:
-        try:
-            p_y = solve_frame(anchors, frame).p
-        except (GeometryDegenerate, ValueError):
+    if frame is None:
+        p_y = None
+    else:
+        if p_y is _SOLVE:
+            try:
+                p_y = solve_frame(anchors, frame).p
+            except (GeometryDegenerate, ValueError):
+                p_y = None
+        if p_y is None:
             tdoa_failures += 1
 
     triad_failures = state.triad_failures
@@ -322,8 +341,9 @@ def _run_stream(state, imu, mags, tdoa, anchors, gains, *, ref, step):
     as skipped.  Each frame goes to the step that starts at or before it, the
     last of a step winning; a frame no taken step gets is dropped.  Samples
     and frames are made from their rows, unchecked, as the loop reaches them.
-    A taken step's frame is solved here for the raw-fix column, and again
-    inside ``step``, the caller's own binding (the name the benchmark times).
+    A taken step's frame is solved here, once: its fix goes to the raw-fix
+    column and, as ``p_y`` (None if the solve failed), to ``step``, the
+    caller's own binding (the name the benchmark times).
     A ValueError from ``step`` (a state that diverged) is raised again as a
     RuntimeError naming the step and its time; numpy's overflow and
     invalid-value warnings are off, as that error reports a non-finite state.
@@ -352,18 +372,18 @@ def _run_stream(state, imu, mags, tdoa, anchors, gains, *, ref, step):
             if not 0.0 < dt <= _DT_MAX:
                 skipped += 1
                 continue
-            frame = None
+            frame = p_y = None
             i = frame_rows.get(k)
             if i is not None:
                 frame = _trusted(TdoaFrame, timestamp=float(tdoa[i, 0]), d=tdoa[i, 1:])
                 taken += 1
                 try:
-                    fix[k] = solve_frame(anchors, frame).p
+                    p_y = fix[k] = solve_frame(anchors, frame).p
                 except (GeometryDegenerate, ValueError):
                     pass
             sample = _trusted(ImuSample, timestamp=times[k], gyro=gyro[k], accel=accel[k], mag=mags[k])
             try:
-                state = step(state, sample, frame, anchors, gains, dt, ref=ref)
+                state = step(state, sample, frame, anchors, gains, dt, ref=ref, p_y=p_y)
             except ValueError as exc:
                 raise RuntimeError(f"observer diverged at step {k} (t = {times[k]!r} s): {exc}") from exc
     return state, skipped, taken, (R, P, V, b_omega_hat, b_a_hat, fix)

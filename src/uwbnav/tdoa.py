@@ -14,7 +14,10 @@ constant term carries the cumulative sum d_{2,1} + ... + d_{k,k-1}, since
 Every system is solved by one call to LAPACK ``dgelsd`` (SVD-based minimum-norm
 least squares) through numpy's own ``lstsq`` gufunc: the routine, workspace
 query and singular value cutoff ``RANK_TOL`` that
-``np.linalg.lstsq(A, B, rcond=RANK_TOL)`` runs, without its wrapper.
+``np.linalg.lstsq(A, B, rcond=RANK_TOL)`` runs, without its wrapper.  The
+gufunc is private to numpy, so it is chosen once, at import, and only if it
+exists and answers a probe system bit for bit as ``np.linalg.lstsq`` does;
+otherwise every system goes through ``np.linalg.lstsq`` itself.
 """
 
 from __future__ import annotations
@@ -24,7 +27,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+
+try:
+    from numpy.linalg import _umath_linalg
+except ImportError:  # a numpy without the private module: np.linalg.lstsq serves
+    _umath_linalg = None
 
 from .liegroup import Rotation, _all_finite, _as_vec3
 
@@ -190,7 +197,7 @@ def build_system(anchors: AnchorSet, frame: TdoaFrame):
     return np.array(A).reshape(n, 4), np.array(B)
 
 
-def _lstsq(A, B):
+def _gufunc_lstsq(A, B):
     """Solution, rank and singular values of min ||A x - B|| by one dgelsd call.
 
     Calls the gufunc ``np.linalg.lstsq(A, B, rcond=RANK_TOL)`` runs, so
@@ -203,6 +210,33 @@ def _lstsq(A, B):
     if not _all_finite(x):
         raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
     return x[:, 0], int(rank), sv
+
+
+def _numpy_lstsq(A, B):
+    """``_gufunc_lstsq`` through the public ``np.linalg.lstsq``, wrapper included."""
+    x, _, rank, sv = np.linalg.lstsq(A, B, rcond=RANK_TOL)
+    return x, int(rank), sv
+
+
+def _select_lstsq():
+    """``_gufunc_lstsq`` if numpy's private gufunc exists and solves a probe
+    system to the bits of ``np.linalg.lstsq``, else ``_numpy_lstsq``."""
+    A = np.array([[4.0, -1.0, 2.0, 0.5], [1.0, 3.0, -2.0, 1.0], [0.0, 2.0, 5.0, -1.0],
+                  [2.0, 0.0, 1.0, 3.0], [-1.0, 1.0, 0.0, 2.0]])
+    B = np.array([1.0, -2.0, 3.0, 0.25, 5.0])
+    want = _numpy_lstsq(A, B)
+    try:
+        got = _gufunc_lstsq(A, B)
+        same = got[1] == want[1] and all(
+            a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            for a, b in ((got[0], want[0]), (got[2], want[2]))
+        )
+    except (AttributeError, TypeError, ValueError):  # missing, another signature or result form
+        same = False
+    return _gufunc_lstsq if same else _numpy_lstsq
+
+
+_lstsq = _select_lstsq()
 
 
 def _solve(A, B, allow_reduced: bool, h1) -> ReconstructedPosition:

@@ -173,14 +173,20 @@ def random_psd(rng, dim: int = 3, eig_low: float = 0.0, eig_high: float = 2.0) -
     return Q @ np.diag(eigs) @ Q.T
 
 
-def reference_step(state, imu, frame, anchors, gains, dt, *, ref=None, weights=None, reorth_every=None):
+_SOLVE_HERE = object()  # reference_step's default p_y: no fix was handed
+
+
+def reference_step(state, imu, frame, anchors, gains, dt, *, ref=None, weights=None, reorth_every=None,
+                   p_y=_SOLVE_HERE):
     """One observer step composed from the validated public primitives.
 
     This is the dataclass form of ``observer.step``: both exponentials are
     built from validated ``TangentElement``s by the frozen arithmetic above,
     the predicted and corrected states are 5x5 products, and every
     intermediate is validated.  The lean kernel in ``step`` must reproduce it
-    bit for bit.
+    bit for bit.  It always solves the frame itself; a handed ``p_y`` (the
+    caller's fix, or None for a failed solve or no frame) must equal that
+    solve bit for bit, or both must have no fix.
     """
     ref = ReferenceVectors() if ref is None else ref
     reorth_every = REORTH_INTERVAL if reorth_every is None else reorth_every
@@ -188,13 +194,20 @@ def reference_step(state, imu, frame, anchors, gains, dt, *, ref=None, weights=N
     R, P, V = nav.rot.m, nav.pos, nav.vel
     U = TangentElement(imu.gyro - state.b_omega_hat, np.zeros(3), imu.accel - state.b_a_hat, 1.0)
     Xp = frozen_pack(R, P, V) @ frozen_exp(U, dt)
-    p_y = None
+    handed, p_y = p_y, None
     tdoa_failures = state.tdoa_failures
     if frame is not None:
         try:
             p_y = solve_frame(anchors, frame).p
         except (GeometryDegenerate, ValueError):
             tdoa_failures += 1
+    if handed is not _SOLVE_HERE:
+        if p_y is None:
+            assert handed is None, "a fix was handed where no frame solves"
+        else:
+            assert handed is not None, "a failed solve was handed for a frame that solves"
+            assert handed.dtype == p_y.dtype and handed.shape == p_y.shape
+            assert handed.tobytes() == p_y.tobytes(), "the handed fix differs from the frame's solve"
     triad_failures = state.triad_failures
     try:
         triads = frozen_build_triads(imu, ref, weights)

@@ -4,6 +4,7 @@ The tool is loaded from its file; no CLI run or git command happens here.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -71,7 +72,7 @@ def test_a_differing_csv_file_names_the_largest_difference_of_each_column(ad, tm
 def test_the_set_runs_every_scenario_both_ways_and_replays_its_export(ad):
     runs = ad.commands()
     names = [name for name, _ in runs]
-    assert len(set(names)) == len(names) == 13
+    assert len(set(names)) == len(names) == 14
     sims = [args for _, args in runs if args[0] == "sim" and "--runs" in args]
     assert sorted((a[a.index("--scenario") + 1], a[a.index("--jobs") + 1]) for a in sims) == sorted(
         (s, j) for s in ("static", "yaw_circle", "figure8") for j in ("1", "2")
@@ -92,17 +93,20 @@ def test_the_set_runs_every_scenario_both_ways_and_replays_its_export(ad):
     big = [args for _, args in runs if args[0] == "sim" and int(args[args.index("--seed") + 1]) >= 2**32]
     assert len(big) == 1 and "sim.noise.gyro_sd=0.005" in big[0]
     # The 60 s trial is exported, then replayed as written, with its
-    # magnetometer columns mapped away, so that replay synthesises one, and
-    # with a gap cut into its IMU rows.
-    assert "sim.duration=60" in runs[-4][1] and "sim.export_dataset=true" in runs[-4][1]
-    for _, replay in runs[-3:]:
-        assert replay[0] == "replay" and "replay.uwb=trial/dataset/uwb.csv" in replay
-    for _, replay in runs[-3:-1]:
+    # magnetometer columns mapped away, so that replay synthesises one, with
+    # a gap cut into its IMU rows, and with two of its frames broken.
+    assert "sim.duration=60" in runs[-5][1] and "sim.export_dataset=true" in runs[-5][1]
+    for _, replay in runs[-4:]:
+        assert replay[0] == "replay"
+    for _, replay in runs[-4:-1]:
+        assert "replay.uwb=trial/dataset/uwb.csv" in replay
+    for _, replay in runs[-4:-2] + runs[-1:]:
         assert "replay.imu=trial/dataset/imu.csv" in replay
-    assert not any("column_map" in a for a in runs[-3][1])
-    mapped = [a for a in runs[-2][1] if a.startswith("replay.column_map.imu=")]
+    assert not any("column_map" in a for a in runs[-4][1])
+    mapped = [a for a in runs[-3][1] if a.startswith("replay.column_map.imu=")]
     assert len(mapped) == 1 and "absent_mx" in mapped[0]
-    assert runs[-1][0] == "replay-gap" and f"replay.imu={ad.GAP_IMU}" in runs[-1][1]
+    assert runs[-2][0] == "replay-gap" and f"replay.imu={ad.GAP_IMU}" in runs[-2][1]
+    assert runs[-1][0] == "replay-broken" and f"replay.uwb={ad.BROKEN_UWB}" in runs[-1][1]
 
 
 def test_the_gap_cuts_the_imu_rows_inside_it_and_keeps_the_rest(ad, tmp_path):
@@ -113,6 +117,23 @@ def test_the_gap_cuts_the_imu_rows_inside_it_and_keeps_the_rest(ad, tmp_path):
     kept = (tmp_path / "gap.csv").read_bytes().split(b"\r\n")[1:-1]
     assert [row.split(b",")[0].decode() for row in kept] == [t for t in times if not 5.0 <= float(t) < 5.195]
     assert len(times) - len(kept) == 20 and kept[0] == b"4.9,0.5"
+
+
+def test_the_broken_frames_are_a_rank_3_one_and_an_out_of_range_one(ad, tmp_path):
+    # The two rows that stop solving, and only those, change; the rest keep their bytes.
+    anchors = tmp_path / "anchors.json"
+    anchors.write_text(json.dumps({"anchors": [{"id": i, "pos": p} for i, p in enumerate(
+        ([0, 0, 0], [4, 0, 0], [0, 3, 0], [0, 0, 2]))]}))
+    uwb = tmp_path / "uwb.csv"
+    times = [f"{k / 10!r}" for k in range(95, 305)]
+    uwb.write_bytes(b"t,d1,d2,d3,d4\r\n" + b"".join(f"{t},0.25,-0.5,1e-3,0.125\r\n".encode() for t in times))
+    ad.break_frames(uwb, anchors, tmp_path / "broken.csv")
+    before = uwb.read_bytes().split(b"\r\n")
+    after = (tmp_path / "broken.csv").read_bytes().split(b"\r\n")
+    changed = {a.split(b",")[0].decode(): a for a, b in zip(after, before) if a != b}
+    assert len(after) == len(before) and set(changed) == {"10.0", "30.0"}
+    assert changed["10.0"] == b"10.0,0.0,0.0,0.0,0.0"
+    assert changed["30.0"] == b"30.0,6.5,-0.5,1e-3,0.125"  # diameter 5 + slack 1 + 0.5
 
 
 def test_both_sides_run_from_snapshots_as_bench_pairs_makes_them(ad, tmp_path, monkeypatch):

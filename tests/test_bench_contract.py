@@ -86,6 +86,59 @@ def test_run_replay_calls_replay_step_once_per_taken_imu_step(monkeypatch, tmp_p
     assert result.final_state.step_count == 79
 
 
+def count_solves_and_stepped_frames(monkeypatch, step_module):
+    """Lists that fill with each frame ``uwbnav.observer.solve_frame`` is called
+    on, raising or not, and each frame ``step_module.step`` is handed."""
+    import uwbnav.observer as observer_module
+
+    solved, stepped = [], []
+    real_solve, real_step = observer_module.solve_frame, step_module.step
+
+    def counting_solve(anchors, frame, *args):
+        solved.append(frame)
+        return real_solve(anchors, frame, *args)
+
+    def counting_step(*args, **kwargs):
+        if args[2] is not None:
+            stepped.append(args[2])
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(observer_module, "solve_frame", counting_solve)
+    monkeypatch.setattr(step_module, "step", counting_step)
+    return solved, stepped
+
+
+def test_run_scenario_solves_each_taken_frame_once(monkeypatch):
+    import uwbnav.sim as sim_module
+
+    solved, stepped = count_solves_and_stepped_frames(monkeypatch, sim_module)
+    result = run_scenario(preset_scenario("figure8", duration=1.0), Gains())
+    assert result.summary["tdoa_frames"] == 10
+    assert len(stepped) == 10
+    assert len(solved) == len(stepped) and all(a is b for a, b in zip(solved, stepped))
+
+
+def test_run_replay_solves_each_taken_frame_once(monkeypatch, tmp_path):
+    # Over the gap trial of test_run_replay_calls_replay_step_once_per_taken_imu_step,
+    # with one frame's differences zeroed: the two frames on the skipped step
+    # are dropped unsolved, and the frame that fails is solved once and
+    # counted once.
+    import uwbnav.replay as replay_module
+
+    sim = run_scenario(preset_scenario("figure8", duration=1.0), Gains())
+    paths = export_dataset(sim, tmp_path)
+    dataset = load_dataset({k: paths[k] for k in ("imu", "uwb", "gt")})
+    tdoa = dataset.tdoa.copy()
+    tdoa[7, 1:] = 0.0
+    dataset = replace(dataset, imu=np.concatenate([dataset.imu[:40], dataset.imu[60:]]), tdoa=tdoa)
+    solved, stepped = count_solves_and_stepped_frames(monkeypatch, replay_module)
+    result = run_replay(dataset, load_anchors(paths["anchors"]), Gains(), ObserverState.cold_start())
+    summary = result.summary
+    assert (summary["tdoa_frames"], summary["dropped_tdoa_frames"], summary["tdoa_failures"]) == (10, 2, 1)
+    assert len(stepped) == 8
+    assert len(solved) == len(stepped) and all(a is b for a, b in zip(solved, stepped))
+
+
 def test_step_solves_its_frame_through_the_observer_module(monkeypatch):
     # The stream workload's fix statistics come from the solve_frame calls
     # step makes at uwbnav.observer.solve_frame: one per frame.

@@ -20,7 +20,15 @@ from uwbnav.observer import (
     validate_gains,
 )
 from uwbnav.sensors import ImuSample, ReferenceVectors, build_triads, weighted_matrix
-from uwbnav.tdoa import Anchor, AnchorSet, TdoaFrame, solve_frame, synthesize_tdoa
+from uwbnav.tdoa import (
+    DIAMETER_SLACK,
+    Anchor,
+    AnchorSet,
+    GeometryDegenerate,
+    TdoaFrame,
+    solve_frame,
+    synthesize_tdoa,
+)
 
 GRAVITY = np.array([0.0, 0.0, -9.8])
 
@@ -151,6 +159,48 @@ def test_step_degenerate_frame_counts_failure_and_dead_reckons():
     out = step(state, imu, frame, box_anchors(), Gains(), 0.01, ref=ref)
     assert out.tdoa_failures == 1
     np.testing.assert_array_equal(out.b_a_hat, np.zeros(3))
+
+
+@pytest.mark.parametrize("kind", ["solvable", "all-zero", "beyond the diameter"])
+def test_a_handed_fix_steps_as_the_step_s_own_solve(kind):
+    # The fix _run_stream solves once and hands over, or the None of a failed
+    # solve, gives the state step reaches by solving the frame itself; each
+    # failure, rank 3 or out of range, counts once.
+    ref = ReferenceVectors()
+    anchors = box_anchors()
+    rng = np.random.default_rng(57)
+    state = ObserverState.cold_start(pos=(1.0, -0.5, 1.5), rot=Rotation(random_rotation(rng)))
+    d, error = {
+        "solvable": (synthesize_tdoa([1.2, 0.4, 1.1], None, anchors, noise_sd=0.05, seed=1).d, None),
+        "all-zero": (np.zeros(8), GeometryDegenerate),
+        "beyond the diameter": (np.full(8, anchors.diameter + DIAMETER_SLACK + 0.5), ValueError),
+    }[kind]
+    frame = TdoaFrame(timestamp=0.0, d=d)
+    if error is None:
+        p_y = solve_frame(anchors, frame).p
+    else:
+        with pytest.raises(error):
+            solve_frame(anchors, frame)
+        p_y = None
+    imu = hover_imu(random_rotation(rng), ref)
+    got = step(state, imu, frame, anchors, Gains(), 0.01, ref=ref, p_y=p_y)
+    assert_states_identical(got, step(state, imu, frame, anchors, Gains(), 0.01, ref=ref))
+    assert_states_identical(got, reference_step(state, imu, frame, anchors, Gains(), 0.01, ref=ref, p_y=p_y))
+    assert got.tdoa_failures == state.tdoa_failures + (p_y is None)
+
+
+def test_a_handed_fix_without_its_frame_raises():
+    # No frame and no fix is a step without a frame; a fix with no frame is refused.
+    ref = ReferenceVectors()
+    anchors = box_anchors()
+    imu = hover_imu(np.eye(3), ref)
+    state = ObserverState.cold_start()
+    assert_states_identical(
+        step(state, imu, None, anchors, Gains(), 0.01, ref=ref, p_y=None),
+        step(state, imu, None, anchors, Gains(), 0.01, ref=ref),
+    )
+    with pytest.raises(ValueError, match="without its TDOA frame"):
+        step(ObserverState.cold_start(), imu, None, anchors, Gains(), 0.01, ref=ref, p_y=np.array([1.0, 2.0, 0.5]))
 
 
 def test_step_without_frame_leaves_accel_bias_untouched():

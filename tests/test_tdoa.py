@@ -293,9 +293,10 @@ def test_solve_frame_matches_numpy_lstsq_on_random_anchor_sets():
     assert kinds == {"fix", "reduced", "degenerate", "invalid"}
 
 
-def test_solve_frame_is_bit_exact_with_numpy_lstsq():
-    # The solver calls the gufunc np.linalg.lstsq runs: the same solution,
-    # rank and singular values to the last bit, rank-deficient frames too.
+def assert_bit_exact_with_numpy_lstsq():
+    """``tdoa._lstsq`` and ``solve_frame`` against ``np.linalg.lstsq`` on random
+    frames: the same solution, rank and singular values to the last bit, and
+    the same exceptions, rank-deficient frames too."""
     rng = np.random.default_rng(37)
     ranks = set()
     for _ in range(120):
@@ -324,12 +325,39 @@ def test_solve_frame_is_bit_exact_with_numpy_lstsq():
     assert ranks == {3, 4}
 
 
+def test_solve_frame_is_bit_exact_with_numpy_lstsq():
+    # The solver calls the gufunc np.linalg.lstsq runs, chosen at import.
+    assert_bit_exact_with_numpy_lstsq()
+
+
+def _nudged_lstsq(A, B, rcond):
+    """The gufunc's answer through np.linalg.lstsq, its solution one ulp off."""
+    x, residuals, rank, sv = np.linalg.lstsq(A, B, rcond=rcond)
+    return np.nextafter(x, np.inf), residuals, rank, sv
+
+
+@pytest.mark.parametrize(
+    "gufunc",
+    [None, SimpleNamespace(), SimpleNamespace(lstsq=lambda A, B: np.linalg.lstsq(A, B)),
+     SimpleNamespace(lstsq=_nudged_lstsq)],
+    ids=["no module", "no gufunc", "another signature", "other bits"],
+)
+def test_the_numpy_lstsq_fallback_is_bit_exact_with_numpy_lstsq(monkeypatch, gufunc):
+    # A numpy whose private gufunc is missing, called otherwise or answers the
+    # probe with other bits gets np.linalg.lstsq itself, and the same fixes.
+    monkeypatch.setattr(tdoa, "_umath_linalg", gufunc)
+    assert tdoa._select_lstsq() is tdoa._numpy_lstsq
+    monkeypatch.setattr(tdoa, "_lstsq", tdoa._numpy_lstsq)
+    assert_bit_exact_with_numpy_lstsq()
+
+
 def test_a_non_finite_solve_raises_linalg_error(monkeypatch):
     def failed(A, B, rcond):
         n = A.shape[1]
         return np.full((n, 1), np.nan), np.full(1, np.nan), np.int32(-1), np.full(n, np.nan)
 
     monkeypatch.setattr(tdoa, "_umath_linalg", SimpleNamespace(lstsq=failed))
+    monkeypatch.setattr(tdoa, "_lstsq", tdoa._gufunc_lstsq)
     frame = synthesize_tdoa([1.0, 2.0, 0.5], None, box_anchors())
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
         solve_frame(box_anchors(), frame)

@@ -31,7 +31,11 @@ The artifact set, with every sensor noise on (gyro 0.005, accel 0.02, mag
   magnetometer columns the file does not have, the one run that synthesises
   its magnetometer, and once with the IMU rows of t in [5.00, 5.195) s cut
   out (``GAP_IMU``, written next to the artifacts), the one run with a
-  skipped step and dropped TDOA frames.
+  skipped step and dropped TDOA frames, and once with two frames that do
+  not solve (``BROKEN_UWB``, written next to the artifacts: the trial's
+  ``uwb.csv`` with the differences of its frame at t = 10 s set to zero,
+  rank 3, and the first difference at t = 30 s set 0.5 m beyond the anchor
+  set's diameter + 1 m, out of range), the one run with ``tdoa_failures``.
 
 The standard output of every command is kept next to its artifacts and
 compared with them.  Standard library only.
@@ -77,6 +81,12 @@ CONFIG = {
 GAP_IMU = "imu_gap.csv"
 GAP = (5.0, 5.195)
 
+# The UWB file of the failing-frame replay: the trial's, with the frame at
+# ZEROED all zeros and the first difference of the frame at OUT_OF_RANGE past
+# the anchor set's diameter + 1 m (the solver's slack) by 0.5 m.
+BROKEN_UWB = "uwb_broken.csv"
+ZEROED, OUT_OF_RANGE = 10.0, 30.0
+
 
 def commands() -> list[tuple[str, list[str]]]:
     """(output directory, CLI arguments) of every run in the set, in order; paths are relative."""
@@ -107,6 +117,7 @@ def commands() -> list[tuple[str, list[str]]]:
     no_mag = json.dumps({c: f"absent_{c}" for c in ("mx", "my", "mz")})
     runs.append(replay("replay-no-mag", f"replay.column_map.imu={no_mag}"))
     runs.append(replay("replay-gap", imu=GAP_IMU))
+    runs.append(replay("replay-broken", uwb=BROKEN_UWB))
     return runs
 
 
@@ -119,6 +130,23 @@ def cut_gap(imu: Path, out: Path) -> None:
         csv.writer(fh).writerows(kept)
 
 
+def break_frames(uwb: Path, anchors: Path, out: Path) -> None:
+    """Write ``uwb`` to ``out`` with its frames at ZEROED and OUT_OF_RANGE made
+    unsolvable, as csv.writer writes them."""
+    with open(anchors) as fh:
+        pos = [a["pos"] for a in json.load(fh)["anchors"]]
+    diameter = max(math.dist(a, b) for a in pos for b in pos)
+    with open(uwb, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        if float(row[0]) == ZEROED:
+            row[1:] = ["0.0"] * (len(row) - 1)
+        elif float(row[0]) == OUT_OF_RANGE:
+            row[1] = repr(diameter + 1.5)
+    with open(out, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def run_set(root: Path, out: Path, log=print) -> None:
     """Run every command of the set with ``root``'s package, writing under ``out``."""
     out.mkdir(parents=True)
@@ -127,6 +155,8 @@ def run_set(root: Path, out: Path, log=print) -> None:
     for name, args in commands():
         if name == "replay-gap":
             cut_gap(out / "trial/dataset/imu.csv", out / GAP_IMU)
+        elif name == "replay-broken":
+            break_frames(out / "trial/dataset/uwb.csv", out / "trial/dataset/anchors.json", out / BROKEN_UWB)
         log(f"{root}: uwbnav {' '.join(args)}")
         proc = subprocess.run([sys.executable, "-m", "uwbnav.cli", *args], cwd=out, env=env,
                               capture_output=True, text=True)
