@@ -5,12 +5,12 @@ One discrete step does:
 1.  predict  Xhat+ = Xhat @ exp(Uhat dt) with the bias-corrected IMU element
     Uhat = u([gyro - b_omega_hat]_x, 0, accel - b_a_hat, 1);
 2.  reconstruct the position fix P_y from the TDOA frame, if one arrived
-    (or take the fix the caller solved from it: ``_run_stream`` solves each
-    frame once and hands the result to ``step``);
+    (or take the one ``_run_stream`` solved and handed over); only the fix's
+    position is read, so its quality is never computed;
 3.  build the vector triads and form the misalignment innovation
     sum_i s_i (v_i x vhat_i);
-4.  update both bias estimates by explicit Euler and assemble the correction
-    terms w_omega, w_V, w_a;
+4.  form the correction terms w_omega, w_V, w_a and both bias rates on
+    Python floats, and update the bias estimates by explicit Euler;
 5.  correct  Xhat = exp(-u([w_omega]_x, w_V, w_a - g, 1) dt) @ Xhat+.
 
 All correction terms are evaluated at the incoming state, the one the
@@ -102,8 +102,6 @@ __all__ = [
 # How often (in steps) the attitude estimate is projected back onto SO(3).
 REORTH_INTERVAL = 1000
 
-_ZEROS = (0.0, 0.0, 0.0)  # a suspended correction term
-
 _SOLVE = object()  # step's default p_y: solve the frame inside the step
 
 
@@ -173,37 +171,6 @@ class ErrorMetrics:
     vel_err: float
     b_omega_err: float = 0.0
     b_a_err: float = 0.0
-
-
-def _correction_terms(R, P, V, triads: TriadPair | None, p_y, gains: Gains):
-    """Raw correction vectors at the given state, each a 3-tuple of floats.
-
-    ``triads`` may be None (no usable accel/mag pair: attitude correction
-    suspended); ``p_y`` may be None (no position fix: dead reckoning).
-    """
-    if triads is not None:
-        vhat = predicted_body_vectors(R, triads)
-        body_sum, inertial_sum = attitude_innovation(triads, vhat, R)
-        k, (x0, x1, x2) = -0.5 * gains.k_omega, inertial_sum.tolist()
-        w_omega = (k * x0, k * x1, k * x2)
-        k, (x0, x1, x2) = -0.5 * gains.gamma_omega, body_sum.tolist()
-        b_omega_dot = (k * x0, k * x1, k * x2)
-    else:
-        w_omega = b_omega_dot = _ZEROS
-    if p_y is None:
-        return w_omega, _ZEROS, _ZEROS, b_omega_dot, _ZEROS
-    e = p_y - P
-    e0, e1, e2 = e.tolist()
-    x0, x1, x2 = w_omega
-    W = np.array((0.0, -x2, x1, x2, 0.0, -x0, -x1, x0, 0.0)).reshape(3, 3)  # skew(w_omega)
-    k, (x0, x1, x2) = -gains.k_v, W.dot(P).tolist()
-    w_v = (k * e0 - x0, k * e1 - x1, k * e2 - x2)
-    k, (x0, x1, x2) = -gains.k_a, W.dot(V).tolist()
-    w_a = (k * e0 - x0, k * e1 - x1, k * e2 - x2)
-    # R.T @ e, not R.T.dot(e): on a strided R (a view of the last 5x5) they differ.
-    k, (x0, x1, x2) = -gains.gamma_a, (R.T @ e).tolist()
-    b_a_dot = (k * x0, k * x1, k * x2)
-    return w_omega, w_v, w_a, b_omega_dot, b_a_dot
 
 
 def step(
@@ -284,14 +251,34 @@ def step(
         triads = None
         triad_failures += 1
 
-    w_omega, w_v, w_a, b_omega_dot, b_a_dot = _correction_terms(
-        R, P, V, triads, p_y, gains
-    )
+    # The correction terms at the incoming state, on Python floats: w_omega (o)
+    # and the gyro-bias rate (d), suspended without triads; w_V (v), w_a (a) and
+    # the accelerometer-bias rate (f) from e = p_y - P, suspended without a fix.
+    if triads is None:
+        o0 = o1 = o2 = d0 = d1 = d2 = 0.0
+    else:
+        body_sum, inertial_sum = attitude_innovation(triads, predicted_body_vectors(R, triads), R)
+        k, (x0, x1, x2) = -0.5 * gains.k_omega, inertial_sum.tolist()
+        o0, o1, o2 = k * x0, k * x1, k * x2
+        k, (x0, x1, x2) = -0.5 * gains.gamma_omega, body_sum.tolist()
+        d0, d1, d2 = k * x0, k * x1, k * x2
+    if p_y is None:
+        v0 = v1 = v2 = a0 = a1 = a2 = f0 = f1 = f2 = 0.0
+    else:
+        e = p_y - P
+        e0, e1, e2 = e.tolist()
+        W = np.array((0.0, -o2, o1, o2, 0.0, -o0, -o1, o0, 0.0)).reshape(3, 3)  # skew(w_omega)
+        k, (x0, x1, x2) = -gains.k_v, W.dot(P).tolist()
+        v0, v1, v2 = k * e0 - x0, k * e1 - x1, k * e2 - x2
+        k, (x0, x1, x2) = -gains.k_a, W.dot(V).tolist()
+        a0, a1, a2 = k * e0 - x0, k * e1 - x1, k * e2 - x2
+        # R.T @ e, not R.T.dot(e): on a strided R (a view of the last 5x5) they differ.
+        k, (x0, x1, x2) = -gains.gamma_a, (R.T @ e).tolist()
+        f0, f1, f2 = k * x0, k * x1, k * x2
 
     # Correct with u(-[w_omega]_x, -w_V, -(w_a - g), -1); the acceleration
     # column carries g so gravity is always integrated, with or without a
     # position fix.
-    (o0, o1, o2), (v0, v1, v2), (a0, a1, a2) = w_omega, w_v, w_a
     g0, g1, g2 = ref.gravity.tolist()
     X = _se23_exp(
         np.array((-o0, -o1, -o2)),
@@ -305,10 +292,9 @@ def step(
     Rnew = X[:3, :3]
     if reorth_every and count % reorth_every == 0:
         Rnew = reorthonormalize(Rnew)
-    (b0, b1, b2), (d0, d1, d2) = b_omega_hat.tolist(), b_omega_dot
-    (c0, c1, c2), (e0, e1, e2) = b_a_hat.tolist(), b_a_dot
+    (b0, b1, b2), (c0, c1, c2) = b_omega_hat.tolist(), b_a_hat.tolist()
     b_omega_new = (b0 + dt * d0, b1 + dt * d1, b2 + dt * d2)
-    b_a_new = (c0 + dt * e0, c1 + dt * e1, c2 + dt * e2)
+    b_a_new = (c0 + dt * f0, c1 + dt * f1, c2 + dt * f2)
 
     # The result's checks, in the order its constructors run them: the
     # rotation on SO(3), then one finiteness test over position, velocity and

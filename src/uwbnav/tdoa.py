@@ -18,6 +18,10 @@ query and singular value cutoff ``RANK_TOL`` that
 gufunc is private to numpy, so it is chosen once, at import, and only if it
 exists and answers a probe system bit for bit as ``np.linalg.lstsq`` does;
 otherwise every system goes through ``np.linalg.lstsq`` itself.
+
+A fix's quality (range to h_1, residual, range consistency, negative-range
+flag) is computed on read, from the system the fix holds, so the observer,
+which reads only the position, pays for none of it.
 """
 
 from __future__ import annotations
@@ -102,13 +106,15 @@ class AnchorSet:
         sv = np.linalg.svd(centered, compute_uv=False)
         if not sv[2] > 1e-6 * sv[0]:
             raise ValueError("anchors are coplanar (or collinear); geometry is degenerate")
-        # The geometry every frame is solved against, computed once: per chain
-        # link k, the floats of h_k - h_{k+1}, ||h_k||^2 and ||h_{k+1}||^2.
+        # The geometry every frame is solved against, computed once: A's rows
+        # [(h_k - h_{k+1})^T, 0], read-only, and per link k ||h_k||^2, ||h_{k+1}||^2.
         norms = np.sum(pos * pos, axis=1)
-        chain = pos - np.roll(pos, -1, axis=0)
-        links = zip(chain.tolist(), norms.tolist(), np.roll(norms, -1).tolist())
-        object.__setattr__(self, "_links", tuple((*c, nk, nj) for c, nk, nj in links))
-        pos.setflags(write=False)
+        template = np.zeros((len(anchors), 4))
+        template[:, :3] = pos - np.roll(pos, -1, axis=0)
+        object.__setattr__(self, "_links", tuple(zip(norms.tolist(), np.roll(norms, -1).tolist())))
+        for arr in (template, pos):
+            arr.setflags(write=False)
+        object.__setattr__(self, "_template", template)
         object.__setattr__(self, "positions", pos)
         diameter = np.max(np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2))
         object.__setattr__(self, "diameter", float(diameter))
@@ -133,14 +139,19 @@ class TdoaFrame:
         object.__setattr__(self, "d", d)
 
 
-@dataclass(frozen=True)
 class ReconstructedPosition:
     """Least-squares TDOA fix.
+
+    ``p`` and ``reduced`` come from the solve.  The four quality attributes
+    are computed on read: the first read runs ``_fix_quality`` once on the
+    system (A, B) and solution the fix holds, and keeps all four.
 
     Attributes
     ----------
     p : (3,) ndarray
         Reconstructed tag position (m).
+    reduced : bool
+        True when the 3-unknown fallback produced this fix.
     range_to_h1 : float
         The solved fourth unknown ||p - h_1||; NaN for the reduced solve.
         Not clamped: a negative value signals inconsistent measurements and
@@ -152,16 +163,22 @@ class ReconstructedPosition:
         flag a poor fix.
     negative_range : bool
         True when the solved range came out negative.
-    reduced : bool
-        True when the 3-unknown fallback produced this fix.
     """
 
-    p: np.ndarray
-    range_to_h1: float
-    residual: float
-    range_consistency: float = float("nan")
-    negative_range: bool = False
-    reduced: bool = False
+    __slots__ = ("p", "reduced", "_system", "_quality")
+
+    def __init__(self, p, reduced, system):
+        self.p, self.reduced, self._system, self._quality = p, reduced, system, None
+
+    def _read(self, i):
+        if self._quality is None:
+            self._quality = _fix_quality(*self._system)
+        return self._quality[i]
+
+    range_to_h1 = property(lambda self: self._read(0))
+    residual = property(lambda self: self._read(1))
+    range_consistency = property(lambda self: self._read(2))
+    negative_range = property(lambda self: self._read(3))
 
 
 def build_system(anchors: AnchorSet, frame: TdoaFrame):
@@ -173,7 +190,8 @@ def build_system(anchors: AnchorSet, frame: TdoaFrame):
         B[k] = (d_k^2 + ||h_k||^2 - ||h_j||^2 + 2 d_k * csum_k) / 2
 
     where csum_k is the cumulative sum of d_0..d_{k-1} (empty for k = 0).
-    A and B are built by exactly these rows, on Python floats.
+    A is a fresh copy of the anchor set's geometry columns with -d written
+    into the fourth; B is built by exactly these rows, on Python floats.
     """
     n = anchors.n
     d = frame.d
@@ -188,13 +206,14 @@ def build_system(anchors: AnchorSet, frame: TdoaFrame):
     # dk**2, not dk*dk: it goes through pow(), as the documented row form on
     # numpy scalars does, and differs from dk*dk in the last bit on ~0.1 %
     # of values.
-    A, B = [], []
+    A = anchors._template.copy()
+    np.negative(d, out=A[:, 3])
+    B = []
     csum = 0.0
-    for dk, (c0, c1, c2, nk, nj) in zip(dl, anchors._links):
-        A += (c0, c1, c2, -dk)
+    for dk, (nk, nj) in zip(dl, anchors._links):
         B.append(0.5 * (dk**2 + nk - nj + 2.0 * dk * csum))
         csum += dk
-    return np.array(A).reshape(n, 4), np.array(B)
+    return A, np.array(B)
 
 
 def _gufunc_lstsq(A, B):
@@ -240,37 +259,30 @@ _lstsq = _select_lstsq()
 
 
 def _solve(A, B, allow_reduced: bool, h1) -> ReconstructedPosition:
-    """The fix of the N x 4 system (A, B), and its consistency with the first anchor ``h1``."""
+    """The fix of the N x 4 system (A, B); ``h1``, the first anchor, is kept for its quality."""
     sol, rank, sv = _lstsq(A, B)
-    if rank < 4:
-        if not allow_reduced:
-            raise GeometryDegenerate(
-                f"TDOA system rank {rank} < 4 (singular values {sv})", rank=rank
-            )
-        A3 = A[:, :3]
-        sol3, rank3, _ = _lstsq(A3, B)
-        if rank3 < 3:
-            raise GeometryDegenerate(f"reduced TDOA system rank {rank3} < 3", rank=rank3)
-        residual = float(np.sqrt(np.mean((A3 @ sol3 - B) ** 2)))
-        return ReconstructedPosition(
-            p=sol3,
-            range_to_h1=float("nan"),
-            residual=residual,
-            reduced=True,
-        )
+    if rank == 4:
+        return ReconstructedPosition(sol[:3], False, (A, B, sol, h1))
+    if not allow_reduced:
+        raise GeometryDegenerate(f"TDOA system rank {rank} < 4 (singular values {sv})", rank=rank)
+    sol, rank, _ = _lstsq(A[:, :3], B)
+    if rank < 3:
+        raise GeometryDegenerate(f"reduced TDOA system rank {rank} < 3", rank=rank)
+    return ReconstructedPosition(sol, True, (A, B, sol, h1))
+
+
+def _fix_quality(A, B, sol, h1):
+    """(range_to_h1, residual, range_consistency, negative_range) of the solution
+    ``sol`` of the system (A, B): the reduced one, of A's first three columns,
+    when it has three entries."""
+    if sol.size == 3:
+        return math.nan, float(np.sqrt(np.mean((A[:, :3] @ sol - B) ** 2))), math.nan, False
     r = A @ sol - B
     residual = math.sqrt(np.add.reduce(r * r) / r.size)  # the RMS, as np.mean sums it
-    p = sol[:3]
     range_to_h1 = float(sol[3])
-    offset = p - h1
+    offset = sol[:3] - h1
     consistency = abs(range_to_h1 - math.sqrt(offset.dot(offset)))
-    return ReconstructedPosition(
-        p=p,
-        range_to_h1=range_to_h1,
-        residual=residual,
-        range_consistency=consistency,
-        negative_range=range_to_h1 < 0.0,
-    )
+    return range_to_h1, residual, consistency, range_to_h1 < 0.0
 
 
 def solve_frame(

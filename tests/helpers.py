@@ -5,8 +5,9 @@ exponential is summed as a plain scaled Taylor series, and random rotations
 are built from axis-angle sampling.  The observer step and the truth
 propagation are also composed here, from validated ``TangentElement``s and
 frozen copies of the kernels' arithmetic, as the references the lean kernels
-must match bit for bit; ``frozen_fmt`` is the cell format the CSV writers
-must match byte for byte.
+must match bit for bit; ``frozen_solve`` is the TDOA fix with its quality
+computed eagerly, as the solver did before it computed quality on read;
+``frozen_fmt`` is the cell format the CSV writers must match byte for byte.
 """
 
 import math
@@ -18,7 +19,7 @@ from uwbnav.liegroup import NavState, Rotation, TangentElement, _exp_coefficient
 from uwbnav.observer import REORTH_INTERVAL, ObserverState
 from uwbnav.sensors import COLLINEARITY_TOL, ReferenceVectors, TriadDegenerate, TriadPair, _cross
 from uwbnav.sim import TruthTrack
-from uwbnav.tdoa import GeometryDegenerate, solve_frame
+from uwbnav.tdoa import RANK_TOL, GeometryDegenerate, solve_frame
 
 # --- frozen kernel arithmetic ---------------------------------------------------
 #
@@ -26,7 +27,7 @@ from uwbnav.tdoa import GeometryDegenerate, solve_frame
 # arithmetic was unrolled onto Python floats: numpy vector operations, list
 # comprehensions over the 3x3 entries, and the same BLAS products.  The
 # references below are built from these copies and not from the package, so
-# a rewrite of _se23_exp, _correction_terms, build_triads or _pack is
+# a rewrite of _se23_exp, step's correction terms, build_triads or _pack is
 # compared with the arithmetic it replaced, never with itself.
 
 _EYE3 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # row-major entries of I
@@ -116,6 +117,30 @@ def frozen_correction_terms(R, P, V, triads, p_y, gains):
         w_a = np.zeros(3)
         b_a_dot = np.zeros(3)
     return w_omega, w_v, w_a, b_omega_dot, b_a_dot
+
+
+def frozen_solve(A, B, allow_reduced, h1):
+    """(p, range_to_h1, residual, range_consistency, negative_range, reduced)
+    of the system (A, B), every value computed eagerly as ``tdoa._solve`` did
+    before fix quality was computed on read; ``np.linalg.lstsq``, which the
+    solver matches bit for bit, stands for its LAPACK call."""
+    sol, _, rank, sv = np.linalg.lstsq(A, B, rcond=RANK_TOL)
+    if rank < 4:
+        if not allow_reduced:
+            raise GeometryDegenerate(f"TDOA system rank {rank} < 4 (singular values {sv})", rank=rank)
+        A3 = A[:, :3]
+        sol3, _, rank3, _ = np.linalg.lstsq(A3, B, rcond=RANK_TOL)
+        if rank3 < 3:
+            raise GeometryDegenerate(f"reduced TDOA system rank {rank3} < 3", rank=rank3)
+        residual = float(np.sqrt(np.mean((A3 @ sol3 - B) ** 2)))
+        return sol3, float("nan"), residual, float("nan"), False, True
+    r = A @ sol - B
+    residual = math.sqrt(np.add.reduce(r * r) / r.size)
+    p = sol[:3]
+    range_to_h1 = float(sol[3])
+    offset = p - h1
+    consistency = abs(range_to_h1 - math.sqrt(offset.dot(offset)))
+    return p, range_to_h1, residual, consistency, range_to_h1 < 0.0, False
 
 
 def frozen_exp(u: TangentElement, dt):

@@ -72,7 +72,16 @@ def test_a_differing_csv_file_names_the_largest_difference_of_each_column(ad, tm
 def test_the_set_runs_every_scenario_both_ways_and_replays_its_export(ad):
     runs = ad.commands()
     names = [name for name, _ in runs]
-    assert len(set(names)) == len(names) == 14
+    assert len(set(names)) == len(names) == 17
+    # Three tdoa-solve runs open the set, one frame each against the same
+    # anchor file; only the all-zero frame may fall back to the reduced solve.
+    solves = {name: args for name, args in runs if args[0] == "tdoa-solve"}
+    assert list(solves) == names[:3] == list(ad.TDOA_FRAMES)
+    for name, args in solves.items():
+        assert args[args.index("--anchors") + 1] == ad.TDOA_ANCHORS_FILE
+        assert f"--d={ad.TDOA_FRAMES[name]}" in args
+        assert ("--allow-reduced" in args) == (name == "tdoa-reduced")
+    assert len(ad.TDOA_ANCHORS) == len(ad.TDOA_FRAMES["tdoa-full-rank"].split(",")) == 5
     sims = [args for _, args in runs if args[0] == "sim" and "--runs" in args]
     assert sorted((a[a.index("--scenario") + 1], a[a.index("--jobs") + 1]) for a in sims) == sorted(
         (s, j) for s in ("static", "yaw_circle", "figure8") for j in ("1", "2")

@@ -14,12 +14,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from uwbnav.observer import Gains, ObserverState, step
 from uwbnav.replay import export_dataset, load_dataset, run_replay
 from uwbnav.sensors import ImuSample, ReferenceVectors
 from uwbnav.sim import default_anchors, preset_scenario, run_scenario
-from uwbnav.tdoa import load_anchors, synthesize_tdoa
+from uwbnav.tdoa import TdoaFrame, load_anchors, solve_frame, synthesize_tdoa
 
 TRACER = Path(__file__).resolve().parents[1] / "navbench" / "tracer.py"
 
@@ -159,3 +160,29 @@ def test_step_solves_its_frame_through_the_observer_module(monkeypatch):
     state = step(ObserverState.cold_start(), imu, frame, anchors, Gains(), 0.01, ref=ref)
     step(state, imu, None, anchors, Gains(), 0.01, ref=ref)
     assert frames == [frame]
+
+
+def test_the_hot_path_never_computes_fix_quality(monkeypatch, tmp_path):
+    # step and _run_stream read only a fix's position: with the routine that
+    # computes fix quality made to raise, a step with a frame, a sim run and
+    # a replay of its export all complete, and a read of the quality raises.
+    import uwbnav.tdoa as tdoa_module
+
+    def refused(*args):
+        raise AssertionError("fix quality was computed")
+
+    monkeypatch.setattr(tdoa_module, "_fix_quality", refused)
+    anchors = default_anchors()
+    ref = ReferenceVectors()
+    imu = ImuSample(0.0, np.zeros(3), -ref.gravity, ref.mag_ref)
+    frame = synthesize_tdoa([1.0, 0.5, 1.2], None, anchors)
+    assert step(ObserverState.cold_start(), imu, frame, anchors, Gains(), 0.01, ref=ref).tdoa_failures == 0
+    sim = run_scenario(preset_scenario("figure8", duration=1.0), Gains())
+    assert sim.summary["tdoa_frames"] == 10 and sim.final_state.tdoa_failures == 0
+    paths = export_dataset(sim, tmp_path)
+    dataset = load_dataset({k: paths[k] for k in ("imu", "uwb", "gt")})
+    replayed = run_replay(dataset, load_anchors(paths["anchors"]), Gains(), ObserverState.cold_start())
+    assert replayed.summary["tdoa_frames"] == 10 and replayed.final_state.tdoa_failures == 0
+    fix = solve_frame(anchors, TdoaFrame(0.0, frame.d))
+    with pytest.raises(AssertionError, match="fix quality was computed"):
+        fix.residual

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from helpers import assert_states_identical, random_rotation, reference_step
+from uwbnav import observer as observer_module
 from uwbnav.liegroup import NavState, Rotation, att_dist, pa, vex
 from uwbnav.observer import (
     ErrorMetrics,
     Gains,
     ObserverState,
-    _correction_terms,
     _run_stream,
     error_metrics,
     lyapunov_l1,
@@ -65,36 +65,59 @@ def test_gains_must_be_positive(field, bad):
 # --- correction terms -------------------------------------------------------------
 
 
-def correction(state, triads, p_y, gains):
-    """(w_omega, w_v, w_a, b_omega_dot, b_a_dot) at the state's attitude/position/velocity."""
-    nav = state.nav
-    return _correction_terms(nav.rot.m, nav.pos, nav.vel, triads, p_y, gains)
+def correction(monkeypatch, state, imu, p_y, gains, ref=ReferenceVectors(), dt=0.01):
+    """(w_omega, w_v, w_a, b_omega_dot, b_a_dot) of one step from ``state`` on
+    ``imu`` with the handed fix ``p_y`` (None: no fix).
+
+    The first three are read off the step's correcting exponential
+    u(-[w_omega]_x, -w_V, -(w_a - g), -1), its second ``_se23_exp`` call; the
+    bias rates off the change of the bias estimates over ``dt``.
+    """
+    calls, real = [], observer_module._se23_exp
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    frame = None if p_y is None else TdoaFrame(timestamp=0.0, d=np.zeros(8))
+    with monkeypatch.context() as m:
+        m.setattr(observer_module, "_se23_exp", recording)
+        out = step(state, imu, frame, box_anchors(), gains, dt, ref=ref, p_y=p_y)
+    minus_w_omega, minus_w_v, minus_w_a_g, rho, _ = calls[1]
+    assert rho == -1.0
+    return (
+        -minus_w_omega,
+        -minus_w_v,
+        ref.gravity - minus_w_a_g,
+        (out.b_omega_hat - state.b_omega_hat) / dt,
+        (out.b_a_hat - state.b_a_hat) / dt,
+    )
 
 
-def test_correction_zero_at_truth():
+def test_correction_zero_at_truth(monkeypatch):
     ref = ReferenceVectors()
     pos = np.array([1.237, 0.124, 1.534])
     state = ObserverState.cold_start(pos=pos)
-    triads = build_triads(hover_imu(np.eye(3), ref), ref)
-    for term in correction(state, triads, pos, Gains()):
+    for term in correction(monkeypatch, state, hover_imu(np.eye(3), ref), pos, Gains(), ref):
         assert np.max(np.abs(term)) < 1e-13
 
 
-def test_correction_position_terms_scale_with_gains():
+def test_correction_position_terms_scale_with_gains(monkeypatch):
     # Aligned attitude at the origin, fix one metre along x: the velocity and
     # acceleration corrections are -k_v e and -k_a e, and the accelerometer
     # bias rate is -gamma_a R^T e.
     ref = ReferenceVectors()
     state = ObserverState.cold_start()
-    triads = build_triads(hover_imu(np.eye(3), ref), ref)
-    w_omega, w_v, w_a, _, b_a_dot = correction(state, triads, np.array([1.0, 0.0, 0.0]), Gains())
+    w_omega, w_v, w_a, _, b_a_dot = correction(
+        monkeypatch, state, hover_imu(np.eye(3), ref), np.array([1.0, 0.0, 0.0]), Gains(), ref
+    )
     np.testing.assert_allclose(w_omega, np.zeros(3), atol=1e-13)
     np.testing.assert_allclose(w_v, [-2.0, 0.0, 0.0], atol=1e-13)
     np.testing.assert_allclose(w_a, [-70.0, 0.0, 0.0], atol=1e-13)
     np.testing.assert_allclose(b_a_dot, [-2.0, 0.0, 0.0], atol=1e-13)
 
 
-def test_correction_attitude_term_matches_matrix_form():
+def test_correction_attitude_term_matches_matrix_form(monkeypatch):
     # w_omega must equal -k_omega vex(Pa(M_r R Rhat^T)) and the gyro-bias rate
     # -gamma_omega Rhat^T vex(Pa(M_r R Rhat^T)).
     ref = ReferenceVectors()
@@ -104,9 +127,9 @@ def test_correction_attitude_term_matches_matrix_form():
         R = random_rotation(rng)
         Rhat = random_rotation(rng)
         state = ObserverState.cold_start(rot=Rotation(Rhat))
-        triads = build_triads(hover_imu(R, ref), ref)
-        w_omega, w_v, w_a, b_omega_dot, b_a_dot = correction(state, triads, None, gains)
-        axis = vex(pa(weighted_matrix(triads) @ (R @ Rhat.T)))
+        imu = hover_imu(R, ref)
+        w_omega, w_v, w_a, b_omega_dot, b_a_dot = correction(monkeypatch, state, imu, None, gains, ref)
+        axis = vex(pa(weighted_matrix(build_triads(imu, ref)) @ (R @ Rhat.T)))
         np.testing.assert_allclose(w_omega, -gains.k_omega * axis, atol=1e-11)
         np.testing.assert_allclose(b_omega_dot, -gains.gamma_omega * (Rhat.T @ axis), atol=1e-11)
         np.testing.assert_allclose(w_v, np.zeros(3))

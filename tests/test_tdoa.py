@@ -1,14 +1,14 @@
 """Tests for anchor geometry and TDOA least-squares reconstruction."""
 
 import json
-
 import math
+import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from helpers import random_rotation
+from helpers import frozen_solve, random_rotation
 from uwbnav import tdoa
 from uwbnav.liegroup import Rotation
 from uwbnav.tdoa import (
@@ -177,6 +177,25 @@ def test_build_system_rejects_out_of_range_difference():
         build_system(anchors, TdoaFrame(timestamp=0.0, d=d))
 
 
+def test_build_system_returns_a_fresh_a_over_a_read_only_template():
+    # Each system's A is a copy of the anchor set's geometry columns: writing
+    # into one changes neither the next frame's system nor the template, and
+    # the template refuses writes.
+    anchors = box_anchors()
+    first = synthesize_tdoa([1.0, 2.0, 1.0], None, anchors, noise_sd=0.05, seed=1)
+    second = synthesize_tdoa([3.0, 0.5, 2.5], None, anchors, noise_sd=0.05, seed=2)
+    A, _ = build_system(anchors, first)
+    A[:] = np.nan
+    got_A, got_B = build_system(anchors, second)
+    want_A, want_B = build_system_rows(anchors, second)
+    assert np.array_equal(got_A, want_A) and np.array_equal(got_B, want_B)
+    assert got_A.flags.writeable and not np.shares_memory(got_A, anchors._template)
+    assert not anchors._template.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        anchors._template[0, 0] = 1.0
+    assert np.array_equal(anchors._template, np.column_stack([want_A[:, :3], np.zeros(8)]))
+
+
 # --- solve_frame ---------------------------------------------------------------
 
 
@@ -291,6 +310,38 @@ def test_solve_frame_matches_numpy_lstsq_on_random_anchor_sets():
                 assert_same_fix(got, want)
                 kinds.add(got[0])
     assert kinds == {"fix", "reduced", "degenerate", "invalid"}
+
+
+def bits(x):
+    """A quality value's bytes: a float's IEEE double, NaN included, or the bool itself."""
+    return x if isinstance(x, bool) else struct.pack("<d", x)
+
+
+def test_fix_quality_is_computed_on_read_as_the_eager_solve_computed_it():
+    # Every fix that solves, on random anchor sets: its position and reduced
+    # flag, and its quality read twice, bit for bit the frozen eager solve of
+    # helpers.py.  Full-rank, reduced and negative-range fixes all occur.
+    rng = np.random.default_rng(38)
+    kinds = set()
+    for _ in range(60):
+        pts = rng.uniform(-5.0, 5.0, (int(rng.integers(4, 13)), 3))
+        anchors = AnchorSet(tuple(Anchor(id=i, pos=p) for i, p in enumerate(pts)))
+        for d in random_frames(rng, anchors):
+            frame = TdoaFrame(timestamp=0.0, d=d)
+            for allow_reduced in (False, True):
+                try:
+                    fix = solve_frame(anchors, frame, allow_reduced)
+                except (GeometryDegenerate, ValueError):
+                    continue
+                p, *quality, reduced = frozen_solve(*build_system(anchors, frame), allow_reduced, anchors.positions[0])
+                assert fix.reduced is reduced
+                assert fix.p.dtype == p.dtype and fix.p.shape == p.shape and fix.p.tobytes() == p.tobytes()
+                for _ in range(2):
+                    got = (fix.range_to_h1, fix.residual, fix.range_consistency, fix.negative_range)
+                    assert [type(x) for x in got] == [float, float, float, bool]
+                    assert list(map(bits, got)) == list(map(bits, quality))
+                kinds.add("reduced" if reduced else "negative range" if quality[-1] else "full rank")
+    assert kinds == {"full rank", "reduced", "negative range"}
 
 
 def assert_bit_exact_with_numpy_lstsq():

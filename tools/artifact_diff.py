@@ -14,7 +14,14 @@ differing CSV file with the same header and row count on both sides, each
 column that differs is printed with its largest absolute difference, so a
 change in the last bits shows its size.
 
-The artifact set, with every sensor noise on (gyro 0.005, accel 0.02, mag
+The artifact set opens with three ``uwbnav tdoa-solve`` runs against the
+five anchors of ``TDOA_ANCHORS`` (written next to the artifacts as
+``TDOA_ANCHORS_FILE``), one of ``tests/test_tdoa.py``'s random anchor sets:
+a full-rank frame, the all-zero frame with ``--allow-reduced`` and a frame
+whose solved range to the first anchor is negative.  Each prints the fix's
+position and its four quality lines (range to the first anchor, residual,
+range consistency, the negative-range warning), which are computed only
+when read.  Then, with every sensor noise on (gyro 0.005, accel 0.02, mag
 0.2, TDOA 0.05), both biases, ``sim.export_dataset=true`` and seed 11:
 
 * ``uwbnav sim --runs 6`` on static, yaw_circle and figure8 for 20 s, once
@@ -77,6 +84,23 @@ CONFIG = {
     }
 }
 
+# The anchor set of the tdoa-solve runs, and their frames by run name: full
+# rank, all zero (solved by the reduced fallback) and one whose solved range
+# to the first anchor comes out negative.
+TDOA_ANCHORS_FILE = "tdoa_anchors.json"
+TDOA_ANCHORS = (
+    (1.1349169413825466, -1.3314330287277585, -4.221880222254283),
+    (-2.7696405503358656, 3.2185368119591864, 1.9496011301847282),
+    (-0.5929398886111787, -1.5988396891801946, 0.3411169797316571),
+    (-1.6758704177278725, 4.8128246737790175, 3.3516458984814808),
+    (-4.147002931334559, 2.202644524203028, -0.7746894715879469),
+)
+TDOA_FRAMES = {
+    "tdoa-full-rank": "-4.493175829118821,3.933707419695683,-3.0475430817434246,-2.1554771080736312,5.8398351618411795",
+    "tdoa-reduced": "0.0,0.0,0.0,0.0,0.0",
+    "tdoa-negative-range": "1.7862250542911844,-1.035922791435252,2.852956283534032,-4.458564851397486,0.710898617918397",
+}
+
 # The IMU file of the gap replay: the trial's, without its rows of t in GAP.
 GAP_IMU = "imu_gap.csv"
 GAP = (5.0, 5.195)
@@ -92,6 +116,9 @@ def commands() -> list[tuple[str, list[str]]]:
     """(output directory, CLI arguments) of every run in the set, in order; paths are relative."""
     sets = [arg for item in SETUP for arg in ("--set", item)]
     runs = []
+    for name, d in TDOA_FRAMES.items():
+        reduced = ["--allow-reduced"] if name == "tdoa-reduced" else []
+        runs.append((name, ["tdoa-solve", "--anchors", TDOA_ANCHORS_FILE, f"--d={d}", *reduced]))  # d may start with "-"
     for scenario in ("static", "yaw_circle", "figure8"):
         for jobs in (1, 2):
             out = f"sim-{scenario}-jobs{jobs}"
@@ -151,6 +178,8 @@ def run_set(root: Path, out: Path, log=print) -> None:
     """Run every command of the set with ``root``'s package, writing under ``out``."""
     out.mkdir(parents=True)
     (out / "config.json").write_text(json.dumps(CONFIG))
+    anchors = [{"id": i, "pos": list(pos)} for i, pos in enumerate(TDOA_ANCHORS)]
+    (out / TDOA_ANCHORS_FILE).write_text(json.dumps({"anchors": anchors}))
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     for name, args in commands():
         if name == "replay-gap":
