@@ -41,7 +41,6 @@ from .observer import (
 from .replay import (
     ConfigError,
     DataError,
-    ReplayResult,
     export_dataset,
     load_dataset,
     run_replay,
@@ -57,6 +56,7 @@ from .sensors import (
     weighted_matrix,
 )
 from .sim import (
+    RunResult,
     Scenario,
     SensorNoise,
     SimResult,
@@ -124,6 +124,7 @@ __all__ = [
     "SensorNoise",
     "TruthTrack",
     "Scenario",
+    "RunResult",
     "SimResult",
     "default_anchors",
     "preset_scenario",
@@ -132,7 +133,6 @@ __all__ = [
     # replay
     "ConfigError",
     "DataError",
-    "ReplayResult",
     "load_dataset",
     "run_replay",
     "export_dataset",

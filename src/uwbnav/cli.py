@@ -3,7 +3,7 @@
 Commands
     uwbnav sim --scenario figure8 --seed 0 --out out/
     uwbnav replay --config trial.json --out out/
-    uwbnav tdoa-solve --anchors anchors.json --d 0.1,0.2,...
+    uwbnav tdoa-solve --anchors anchors.json --d=0.1,-0.2,...
     uwbnav validate-gains --k-v 2 --k-a 70 --delta 0.01
 
 Configuration is built-in defaults, then a JSON document (``--config``),
@@ -245,6 +245,12 @@ def _write_artifacts(out: Path, result) -> None:
     write_summary_json(out / "summary.json", result.summary)
 
 
+def _settled(summary: dict) -> str:
+    """A run summary's settling time as sim and replay print it: "never" or "x.xx s"."""
+    settle = summary["settling_time"]
+    return "never" if math.isnan(settle) else f"{settle:.2f} s"
+
+
 def _scenario(cfg: dict, seed: int) -> Scenario:
     sim_cfg = cfg["sim"]
     return preset_scenario(
@@ -304,11 +310,9 @@ def cmd_sim(args) -> int:
     else:
         summaries = [_run_sim_job(cfg, s, str(d), track) for s, d in jobs]
     for summary, (seed, outdir) in zip(summaries, jobs):
-        settle = summary["settling_time"]
-        settle_txt = "never" if math.isnan(settle) else f"{settle:.2f} s"
         print(
             f"sim {name} seed={seed}: final pos err {summary['final_pos_err']:.3f} m,"
-            f" settled {settle_txt}, artifacts in {outdir}"
+            f" settled {_settled(summary)}, artifacts in {outdir}"
         )
     if runs > 1:
         write_summary_json(out / "summary.json", {"runs": summaries})
@@ -339,12 +343,10 @@ def cmd_replay(args) -> int:
     out = Path(args.out)
     _write_artifacts(out, result)
     s = result.summary
-    settle = s["settling_time"]
-    settle_txt = "never" if math.isnan(settle) else f"{settle:.2f} s"
     print(
         f"replay: {s['steps']} steps, initial pos err {s['initial_pos_err']:.3f} m,"
         f" steady-state rms {s['ss_pos_rms']:.3f} m (raw {s['raw_pos_rms']:.3f} m),"
-        f" settled {settle_txt}, artifacts in {out}"
+        f" settled {_settled(s)}, artifacts in {out}"
     )
     return 0
 
@@ -417,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_tdoa = sub.add_parser("tdoa-solve", help="solve one TDOA frame against an anchor file")
     p_tdoa.add_argument("--anchors", required=True, help="anchors.json path")
-    p_tdoa.add_argument("--d", required=True, help="comma-separated cyclic range differences")
+    p_tdoa.add_argument("--d", required=True, help="comma-separated cyclic range differences, as --d=-0.1,0.2,...")
     p_tdoa.add_argument(
         "--allow-reduced", action="store_true", help="fall back to a rank-3 solve if degenerate"
     )

@@ -48,11 +48,11 @@ a product's operand, stays one numpy subtraction, which rounds the same).
 Its states are bit-identical to the dataclass composition (see
 tests/test_observer.py).
 
-``_run_stream`` is the one loop over a stream, shared by ``sim`` and
-``replay``: both hand it the float tables an exported dataset holds, and it
-maps the frames to steps and records the estimates as arrays.  The errors
-come after it from those arrays (``_nav_errors``, ``_norms``;
-``error_metrics`` is their one-row form).
+``_run_stream`` is the one loop over a stream.  ``sim._run_and_score``, the
+one run-and-score routine of ``sim`` and ``replay``, hands it the float
+tables an exported dataset holds; it maps the frames to steps and records
+the estimates as arrays, which that routine scores against the truth
+(``_nav_errors``, ``_norms``; ``error_metrics`` is their one-row form).
 """
 
 from __future__ import annotations

@@ -5,13 +5,12 @@ plus an anchor JSON file.  This module parses each stream once into a float
 table sorted by time (validation happens there, row by row, and nowhere
 after), derives a benchmark velocity from the ground-truth positions (local
 least-squares polynomial differentiation), runs the observer sample-by-sample,
-and reports the same error metrics and summary statistics as the simulator,
-so synthetic and recorded runs are directly comparable.  ``run_replay``
-interpolates the truth once from the gt table and hands the loaded IMU and
-TDOA tables to ``observer._run_stream``, the loop ``sim`` uses on the same
-tables of its own run; that loop maps the frames onto steps and builds each
-sample and frame from its row.  The errors come after it from the estimate
-arrays, NaN outside the truth range.
+and scores it into the simulator's record, ``sim.RunResult``, so synthetic
+and recorded runs are directly comparable.  ``run_replay`` interpolates the
+truth once from the gt table (NaN outside its range) and hands it, with the
+loaded IMU and TDOA tables, to ``sim._run_and_score``, the routine
+``run_scenario`` runs and scores its own tables with; it then adds the
+replay's summary keys (skipped steps, sample, dropped frame and gt counts).
 
 File formats (canonical column names; remap via ``column_map``):
 
@@ -43,9 +42,9 @@ from pathlib import Path
 import numpy as np
 
 from .liegroup import Rotation, _as_vec3
-from .observer import Gains, ObserverState, _nav_errors, _norms, _run_stream, step
+from .observer import Gains, ObserverState, step
 from .sensors import ReferenceVectors
-from .sim import _SETTLE_DWELL, _SETTLE_THRESHOLD, SimResult, _standard_normals, error_summary
+from .sim import _SETTLE_DWELL, _SETTLE_THRESHOLD, RunResult, SimResult, _run_and_score, _standard_normals
 from .tdoa import solve_frame  # noqa: F401  _run_stream solves the frames; navbench traces this name
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "DataError",
     "LoadReport",
     "LoadedDataset",
-    "ReplayResult",
     "load_dataset",
     "rotation_to_quat",
     "derive_velocity",
@@ -338,29 +336,6 @@ def derive_velocity(t, pos, window: int = _VELOCITY_WINDOW, poly_order: int = _V
     return vel
 
 
-@dataclass
-class ReplayResult:
-    """Per-timestamp error metrics and summary for one replayed trial.
-
-    Arrays align with the IMU timeline (row 0 = initial state); rows outside
-    the ground-truth time range, or steps without a TDOA fix in the raw
-    columns, hold NaN.
-    """
-
-    t: np.ndarray
-    att_err: np.ndarray
-    pos_err: np.ndarray
-    vel_err: np.ndarray
-    truth_pos: np.ndarray
-    truth_vel: np.ndarray
-    est_pos: np.ndarray
-    est_vel: np.ndarray
-    raw_pos: np.ndarray
-    raw_err: np.ndarray
-    final_state: ObserverState
-    summary: dict = field(default_factory=dict)
-
-
 def _slerp_matrices(t_gt, q, t):
     """Rotation matrices at the times ``t``, inside ``t_gt``, by spherical linear
     interpolation (Shoemake 1985) of the (w, x, y, z) rows ``q``, each normalised
@@ -419,7 +394,7 @@ def run_replay(
     velocity_poly_order: int = _VELOCITY_POLY_ORDER,
     settle_threshold: float = _SETTLE_THRESHOLD,
     settle_dwell: float = _SETTLE_DWELL,
-) -> ReplayResult:
+) -> RunResult:
     """Replay the observer over a loaded dataset against its ground truth.
 
     The IMU and TDOA tables go to ``observer._run_stream`` as loaded, the form
@@ -444,7 +419,7 @@ def run_replay(
         raise ConfigError(
             f"dataset provides {dataset.n_uwb_values} TDOA values but anchor set has {anchors.n}"
         )
-    t_imu = imu[:, 0].copy()
+    t_imu = imu[:, 0]
     inside, truth_rot, truth_pos, truth_vel = _interpolate_truth(
         gt, t_imu, velocity_window, velocity_poly_order
     )
@@ -466,39 +441,14 @@ def run_replay(
             synthesised = synthesised + z
         for k, mag in zip(steps_inside, synthesised):
             mags[k] = _as_vec3(mag, "mag")
-    state, skipped_steps, taken, (R, P, V, _, _, raw_pos) = _run_stream(
-        init, imu, mags, tdoa, anchors, gains, ref=ref, step=step
+    result, skipped_steps, taken, _, _ = _run_and_score(
+        init, imu, mags, tdoa, anchors, gains, (truth_rot, truth_pos, truth_vel),
+        float(t_imu[-1] - t_imu[0]), (settle_threshold, settle_dwell), ref=ref, step=step,
     )
-    att, pos, vel = _nav_errors(truth_rot, truth_pos, truth_vel, R, P, V)
-    raw_err = _norms(raw_pos - truth_pos)
-
-    duration = float(t_imu[-1] - t_imu[0])
-    summary = {
-        "duration": duration,
-        "steps": n_steps,
-        "skipped_steps": skipped_steps,
-        "imu_samples": len(imu),
-        "tdoa_frames": len(tdoa),
-        "dropped_tdoa_frames": len(tdoa) - taken,
-        "gt_records": len(gt),
-        **error_summary(t_imu, att, pos, vel, raw_err, duration, settle_threshold, settle_dwell),
-        "tdoa_failures": state.tdoa_failures,
-        "triad_failures": state.triad_failures,
-    }
-    return ReplayResult(
-        t=t_imu,
-        att_err=att,
-        pos_err=pos,
-        vel_err=vel,
-        truth_pos=truth_pos,
-        truth_vel=truth_vel,
-        est_pos=P,
-        est_vel=V,
-        raw_pos=raw_pos,
-        raw_err=raw_err,
-        final_state=state,
-        summary=summary,
+    result.summary.update(
+        skipped_steps=skipped_steps, imu_samples=len(imu), dropped_tdoa_frames=len(tdoa) - taken, gt_records=len(gt)
     )
+    return result
 
 
 # --- artifact writing -------------------------------------------------------

@@ -32,16 +32,17 @@ one-step form, and ``truth_track`` runs it on raw ``R, P, V`` arrays.
 
 Per seed, ``run_scenario`` builds the IMU table (``_imu_stream``, of which
 ``synthesize_imu`` is the one-sample case) and the TDOA table before the
-loop: the tables an export writes and replay loads.  ``observer._run_stream``
-steps over them as over a loaded dataset, and every error series is computed
-after it, in one pass over the estimate arrays.  The presets fly their
-trajectory under the scenario's gravity.
+loop: the tables an export writes and replay loads.  ``_run_and_score``, which
+``replay.run_replay`` calls too, runs ``observer._run_stream`` over them and
+scores the estimate arrays against the truth in one pass, into a
+``RunResult``; ``SimResult`` extends it with what only a sim has.  The
+presets fly their trajectory under the scenario's gravity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -69,6 +70,7 @@ __all__ = [
     "TruthModel",
     "TruthTrack",
     "Scenario",
+    "RunResult",
     "SimResult",
     "default_anchors",
     "propagate_truth",
@@ -581,34 +583,44 @@ def preset_scenario(
 
 
 @dataclass
-class SimResult:
-    """Time series and summary of one closed-loop run.
+class RunResult:
+    """Error series, tracks and summary of one observer run against its truth.
 
-    Metric arrays have ``n_steps + 1`` entries (index 0 is the initial
-    condition); ``raw_pos``/``raw_err`` are NaN at steps without a TDOA fix.
-    ``imu`` (n_steps + 1, 10) and ``tdoa`` (frames, 1 + N) are the tables
-    ``replay.export_dataset`` writes; the trailing IMU sample lets it carry
-    the last step length in its timestamps.
+    ``run_replay`` returns one; a ``SimResult`` is one.  Arrays have a row per
+    IMU sample (row 0 is the initial condition); rows without a benchmark
+    (outside the ground-truth range), and ``raw_pos``/``raw_err`` at steps
+    without a TDOA fix, hold NaN.
     """
 
-    scenario: Scenario
     t: np.ndarray
     att_err: np.ndarray
     pos_err: np.ndarray
     vel_err: np.ndarray
-    b_omega_err: np.ndarray
-    b_a_err: np.ndarray
-    truth_rot: np.ndarray
     truth_pos: np.ndarray
     truth_vel: np.ndarray
     est_pos: np.ndarray
     est_vel: np.ndarray
     raw_pos: np.ndarray
     raw_err: np.ndarray
+    final_state: ObserverState
+    summary: dict
+
+
+@dataclass
+class SimResult(RunResult):
+    """One closed-loop run: the shared record, plus what only a sim has.
+
+    ``imu`` (n_steps + 1, 10) and ``tdoa`` (frames, 1 + N) are the tables
+    ``replay.export_dataset`` writes; the trailing IMU sample lets it carry
+    the last step length in its timestamps.
+    """
+
+    scenario: Scenario
+    b_omega_err: np.ndarray
+    b_a_err: np.ndarray
+    truth_rot: np.ndarray
     imu: np.ndarray
     tdoa: np.ndarray
-    final_state: ObserverState
-    summary: dict = field(default_factory=dict)
 
 
 def settling_time(t, pos_err, threshold: float, dwell: float) -> float:
@@ -670,6 +682,36 @@ def error_summary(
         "ss_vel_rms": rms(finite(vel_err[ss_mask])),
         "raw_pos_rms": rms(finite(raw_err[ss_mask])),
     }
+
+
+def _run_and_score(init, imu, mags, tdoa, anchors, gains, truth, duration, settle, *, ref, step):
+    """Run ``observer._run_stream`` over the tables and score the estimate against ``truth``.
+
+    The one path of ``run_scenario`` and ``run_replay``.  ``truth`` is (rot,
+    pos, vel), a row per IMU sample, NaN where there is no benchmark; ``step``
+    is the caller's own binding, handed on.  The summary holds the keys every
+    run has: ``duration`` (as given), ``steps``, ``error_summary``'s with
+    ``settle`` as (threshold, dwell), and the TDOA frame and failure counts.
+    Returns the record, the skipped-step and taken-frame counts and the
+    gyro and accelerometer bias estimates.
+    """
+    state, skipped, taken, (R, P, V, b_omega_hat, b_a_hat, raw_pos) = _run_stream(
+        init, imu, mags, tdoa, anchors, gains, ref=ref, step=step
+    )
+    rot, pos, vel = truth
+    t = imu[:, 0].copy()
+    att_err, pos_err, vel_err = _nav_errors(rot, pos, vel, R, P, V)
+    raw_err = _norms(raw_pos - pos)
+    summary = {
+        "duration": duration,
+        "steps": len(t) - 1,
+        **error_summary(t, att_err, pos_err, vel_err, raw_err, duration, *settle),
+        "tdoa_frames": len(tdoa),
+        "tdoa_failures": state.tdoa_failures,
+        "triad_failures": state.triad_failures,
+    }
+    result = RunResult(t, att_err, pos_err, vel_err, pos, vel, P, V, raw_pos, raw_err, state, summary)
+    return result, skipped, taken, b_omega_hat, b_a_hat
 
 
 def _log_error_slope(t, total_err, t_end: float) -> float:
@@ -771,8 +813,7 @@ def run_scenario(
     else:
         _check_track(track, sc)
     n = track.n
-    t = np.arange(n + 1) / sc.imu_rate
-    times = t.tolist()
+    times = (np.arange(n + 1) / sc.imu_rate).tolist()
     truth = sc.truth
     noise = truth.noise
     # n + 1 samples: the trailing one lets a dataset export carry the final step length.
@@ -790,44 +831,18 @@ def run_scenario(
             )
             rows.append([times[k], *frame.d.tolist()])
     tdoa = np.array(rows)  # the step at t = 0 always takes a frame
-    est, _, _, (R, P, V, b_omega_hat, b_a_hat, raw_pos) = _run_stream(
-        sc.estimate, imu, imu[:, 7:10], tdoa, sc.anchors, gains, ref=sc.ref, step=step
+    run, _, _, b_omega_hat, b_a_hat = _run_and_score(
+        sc.estimate, imu, imu[:, 7:10], tdoa, sc.anchors, gains, (track.rot, track.pos, track.vel),
+        sc.duration, (settle_threshold, settle_dwell), ref=sc.ref, step=step,
     )
-    att, pos, vel = _nav_errors(track.rot, track.pos, track.vel, R, P, V)
-    b_om = _norms(truth.b_omega - b_omega_hat)
-    b_a = _norms(truth.b_a - b_a_hat)
-    raw_err = _norms(raw_pos - track.pos)
-
-    summary = {
-        "scenario": sc.name,
-        "seed": sc.truth.seed,
-        "duration": sc.duration,
-        "steps": n,
-        "final_b_omega_err": float(b_om[-1]),
-        "final_b_a_err": float(b_a[-1]),
-        "log_error_slope": _log_error_slope(t, att + pos + vel, 0.5 * sc.duration),
-        **error_summary(t, att, pos, vel, raw_err, sc.duration, settle_threshold, settle_dwell),
-        "tdoa_frames": len(tdoa),
-        "tdoa_failures": est.tdoa_failures,
-        "triad_failures": est.triad_failures,
-    }
+    b_omega_err, b_a_err = _norms(truth.b_omega - b_omega_hat), _norms(truth.b_a - b_a_hat)
+    run.summary.update(
+        scenario=sc.name,
+        seed=truth.seed,
+        final_b_omega_err=float(b_omega_err[-1]),
+        final_b_a_err=float(b_a_err[-1]),
+        log_error_slope=_log_error_slope(run.t, run.att_err + run.pos_err + run.vel_err, 0.5 * sc.duration),
+    )
     return SimResult(
-        scenario=sc,
-        t=t,
-        att_err=att,
-        pos_err=pos,
-        vel_err=vel,
-        b_omega_err=b_om,
-        b_a_err=b_a,
-        truth_rot=track.rot,
-        truth_pos=track.pos,
-        truth_vel=track.vel,
-        est_pos=P,
-        est_vel=V,
-        raw_pos=raw_pos,
-        raw_err=raw_err,
-        imu=imu,
-        tdoa=tdoa,
-        final_state=est,
-        summary=summary,
+        **vars(run), scenario=sc, b_omega_err=b_omega_err, b_a_err=b_a_err, truth_rot=track.rot, imu=imu, tdoa=tdoa
     )

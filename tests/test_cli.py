@@ -462,6 +462,20 @@ def test_tdoa_solve_recovers_a_known_position(capsys, tmp_path):
     assert "residual:" in out
 
 
+def test_tdoa_solve_takes_a_negative_first_difference_after_an_equals_sign(capsys, tmp_path):
+    # Above z = 2 the tag is nearer anchor 2 than anchor 1, so d[0] < 0.  As a
+    # separate argument "-2.1,..." reads as an option to argparse; "--d=" keeps it a value.
+    anchors_path = write_anchor_file(tmp_path / "anchors.json")
+    d = synthesize_tdoa([1.0, 2.0, 3.0], None, default_anchors()).d
+    assert d[0] < 0.0
+    code, out, _ = run_cli(
+        capsys, ["tdoa-solve", "--anchors", str(anchors_path), "--d=" + ",".join(repr(float(x)) for x in d)]
+    )
+    assert code == 0
+    position_line = next(line for line in out.splitlines() if line.startswith("position:"))
+    np.testing.assert_allclose(json.loads(position_line.split(":", 1)[1]), [1.0, 2.0, 3.0], atol=1e-8)
+
+
 def test_tdoa_solve_degenerate_geometry_is_a_runtime_failure(capsys, tmp_path):
     anchors_path = write_anchor_file(tmp_path / "anchors.json")
     code, _, err = run_cli(

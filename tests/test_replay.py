@@ -1,6 +1,7 @@
 """Tests for dataset loading, benchmark derivation, replay, and artifact writing."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -28,7 +29,7 @@ from uwbnav.replay import (
     write_summary_json,
 )
 from uwbnav.sensors import ReferenceVectors
-from uwbnav.sim import SensorNoise, default_anchors, preset_scenario, run_scenario
+from uwbnav.sim import RunResult, SensorNoise, SimResult, default_anchors, preset_scenario, run_scenario
 from uwbnav.tdoa import load_anchors, synthesize_tdoa
 
 MAG_REF = np.array([-1.7, 0.0, 1.2])
@@ -565,6 +566,37 @@ def test_run_replay_reproduces_exported_simulation_metrics(tmp_path):
     np.testing.assert_array_equal(rep.pos_err, sim.pos_err)
     np.testing.assert_array_equal(rep.raw_err, sim.raw_err)
     np.testing.assert_allclose(rep.vel_err, sim.vel_err, atol=1e-12)
+
+
+# The summary keys as run_scenario (one run) and run_replay write them.
+SHARED_SUMMARY_KEYS = {
+    "duration", "steps", "initial_pos_err", "final_att_err", "final_pos_err", "final_vel_err",
+    "settling_time", "settle_threshold", "ss_pos_rms", "ss_vel_rms", "raw_pos_rms",
+    "tdoa_frames", "tdoa_failures", "triad_failures",
+}
+SIM_SUMMARY_KEYS = SHARED_SUMMARY_KEYS | {
+    "scenario", "seed", "final_b_omega_err", "final_b_a_err", "log_error_slope",
+}
+REPLAY_SUMMARY_KEYS = SHARED_SUMMARY_KEYS | {"skipped_steps", "imu_samples", "dropped_tdoa_frames", "gt_records"}
+RUN_FIELDS = [
+    "t", "att_err", "pos_err", "vel_err", "truth_pos", "truth_vel",
+    "est_pos", "est_vel", "raw_pos", "raw_err", "final_state", "summary",
+]
+
+
+def test_sim_and_replay_return_one_record_with_their_own_summary_keys(tmp_path):
+    sim = run_scenario(preset_scenario("figure8", duration=2.0), Gains())
+    paths = export_dataset(sim, tmp_path)
+    rep = run_replay(load_dataset(paths), load_anchors(paths["anchors"]), Gains(), ObserverState.cold_start())
+    assert set(sim.summary) == SIM_SUMMARY_KEYS
+    assert set(rep.summary) == REPLAY_SUMMARY_KEYS
+    assert type(rep) is RunResult and isinstance(sim, RunResult)
+    assert [f.name for f in dataclasses.fields(RunResult)] == RUN_FIELDS
+    assert [f.name for f in dataclasses.fields(SimResult)] == RUN_FIELDS + [
+        "scenario", "b_omega_err", "b_a_err", "truth_rot", "imu", "tdoa",
+    ]
+    for name in RUN_FIELDS[:-2]:
+        assert getattr(rep, name).shape == getattr(sim, name).shape, name
 
 
 def export_without_magnetometer(sc, tmp_path):
