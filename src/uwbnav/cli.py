@@ -3,7 +3,7 @@
 Commands
     uwbnav sim --scenario figure8 --seed 0 --out out/
     uwbnav replay --config trial.json --out out/
-    uwbnav tdoa-solve --anchors anchors.json --d=0.1,-0.2,...
+    uwbnav tdoa-solve --anchors anchors.json --d -0.1,0.2,...
     uwbnav validate-gains --k-v 2 --k-a 70 --delta 0.01
 
 Configuration is built-in defaults, then a JSON document (``--config``),
@@ -29,6 +29,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -230,19 +231,10 @@ def _anchors(path: str | None, key: str) -> AnchorSet:
     return load_anchors(path)
 
 
-def _write_artifacts(out: Path, result) -> None:
-    """metrics.csv and summary.json of one sim or replay run."""
-    write_metrics_csv(
-        out / "metrics.csv",
-        result.t,
-        result.att_err,
-        result.pos_err,
-        result.vel_err,
-        result.truth_pos,
-        result.est_pos,
-        result.raw_pos,
-    )
-    write_summary_json(out / "summary.json", result.summary)
+def _write_artifacts(out: Path, r) -> None:
+    """metrics.csv and summary.json of one sim or replay run ``r``."""
+    write_metrics_csv(out / "metrics.csv", r.t, r.att_err, r.pos_err, r.vel_err, r.truth_pos, r.est_pos, r.raw_pos)
+    write_summary_json(out / "summary.json", r.summary)
 
 
 def _settled(summary: dict) -> str:
@@ -419,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_tdoa = sub.add_parser("tdoa-solve", help="solve one TDOA frame against an anchor file")
     p_tdoa.add_argument("--anchors", required=True, help="anchors.json path")
-    p_tdoa.add_argument("--d", required=True, help="comma-separated cyclic range differences, as --d=-0.1,0.2,...")
+    p_tdoa.add_argument("--d", required=True, help="comma-separated cyclic range differences, e.g. --d -0.1,0.2,...")
     p_tdoa.add_argument(
         "--allow-reduced", action="store_true", help="fall back to a rank-3 solve if degenerate"
     )
@@ -438,6 +430,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_d(argv) -> list:
+    """``tdoa-solve``'s ``--d VALUE`` as ``--d=VALUE`` where VALUE starts like a
+    negative number: argparse would take ``-4.49,3.93,...`` for an option."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 1, -1):
+        if argv[0] == "tdoa-solve" and argv[i - 1] == "--d" and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1 : i + 1] = [f"--d={argv[i]}"]
+    return argv
+
+
 def main(argv=None) -> int:
     level = getattr(logging, os.environ.get("NAV_LOG", "WARNING").upper(), None)
     logging.basicConfig(
@@ -445,7 +447,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_d(argv))
     try:
         return args.func(args)
     except ConfigError as exc:

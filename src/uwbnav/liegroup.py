@@ -24,6 +24,9 @@ operands, shapes and memory layout of the matrix form; everything elementwise
 (sums, differences, scalings) runs on Python floats in the order the matrix
 form evaluates it, with each ``0.0 +`` that fixes the sign of a zero.  No
 product is unrolled: BLAS kernels with FMA round differently from Python.
+One product departs from the matrix form's shapes: ``J @ a`` and ``K @ a`` are
+one product of the stacked 6x3 [J; K], each row the same 3-term dot product
+(tests/test_liegroup.py checks it bit for bit against the two 3x3 products).
 """
 
 from __future__ import annotations
@@ -317,7 +320,8 @@ def _se23_exp(omega, vcol, acol, rho: float, dt: float) -> np.ndarray:
     validated.  Callers on the hot path check their inputs once instead of
     wrapping them in a :class:`TangentElement`.  The arithmetic follows the
     module's contract, so the result is bit for bit that of the matrix
-    expressions.  ``J @ vcol`` is skipped when ``vcol`` is the shared
+    expressions.  One product of the stacked [J; K] gives ``J @ acol`` and
+    ``K @ acol``.  ``J @ vcol`` is skipped when ``vcol`` is the shared
     ``_ZERO3``: that BLAS product is exactly +0.0 for a finite J, and the
     ``0.0 +`` standing for it is kept.
     """
@@ -329,11 +333,9 @@ def _se23_exp(omega, vcol, acol, rho: float, dt: float) -> np.ndarray:
     Sm = np.array(S).reshape(3, 3)
     Q = Sm.dot(Sm).ravel().tolist()
     r0, r1, r2, r3, r4, r5, r6, r7, r8 = _blend(1.0, 1.0, s1, c1, S, Q)
-    J = np.array(_blend(dt, 1.0, c1, c2, S, Q)).reshape(3, 3)
-    K = np.array(_blend(dt * dt, 0.5, c2, d2, S, Q)).reshape(3, 3)
-    j0, j1, j2 = (0.0, 0.0, 0.0) if vcol is _ZERO3 else J.dot(vcol).tolist()
-    k0, k1, k2 = K.dot(acol).tolist()
-    a0, a1, a2 = J.dot(acol).tolist()
+    JK = np.array(_blend(dt, 1.0, c1, c2, S, Q) + _blend(dt * dt, 0.5, c2, d2, S, Q)).reshape(6, 3)
+    j0, j1, j2 = (0.0, 0.0, 0.0) if vcol is _ZERO3 else JK[:3].dot(vcol).tolist()
+    a0, a1, a2, k0, k1, k2 = JK.dot(acol).tolist()
     return np.array((
         r0, r1, r2, j0 + rho * k0, a0,
         r3, r4, r5, j1 + rho * k1, a1,

@@ -24,9 +24,13 @@ keep running (gravity is still integrated through the correction element's
 acceleration column).  A TDOA solve failure degrades to the same
 dead-reckoning behaviour and is counted, never raised.
 
-``step`` runs on the raw blocks of the state: R, P and V are packed into one
-5x5 matrix, both exponentials are built from their (omega, v, a, rho) blocks
-by ``liegroup._se23_exp``, and no ``TangentElement`` or intermediate state is
+``step`` runs on the raw blocks of the state.  It starts from the 5x5 matrix
+of R, P and V that the previous step returned: the state carries it, and its
+``nav`` arrays are views of it (a reorthonormalised R is written back into
+it).  A state made any other way (constructor, ``cold_start``, ``replace``,
+pickle, copy) carries none, and its ``nav`` is packed once.  Both
+exponentials are built from their (omega, v, a, rho) blocks by
+``liegroup._se23_exp``; no ``TangentElement`` or intermediate state is
 made.  Validation sits at the boundary, and each check runs once.  On entry:
 the step length, a frame needing an anchor set, and a finite bias-corrected
 IMU element.  On the measurements: ``TdoaFrame`` checks its differences when
@@ -36,17 +40,13 @@ non-negative and summing to 3) on the floats it computes, while the reference
 rows were checked once, by ``ReferenceVectors``.  On the result: the rotation
 on SO(3) (``liegroup._check_so3``), then one finiteness test over the position,
 velocity and both biases, in the order the public constructors check them
-and with their messages.  The returned ``ObserverState``, its ``NavState``
-and ``Rotation`` are then made from those checked values by
-``liegroup._trusted``, without running the constructors again.  A state that
-diverges therefore surfaces as a ValueError.
+and with their messages.  The result is then made from those checked values
+by ``liegroup._trusted``, without running the constructors again, so a state
+that diverges surfaces as a ValueError.
 
-The kernel keeps ``liegroup``'s arithmetic contract: each product is one BLAS
-call on the arrays the matrix form multiplies, and the sums, differences and
-scalings between them run on Python floats in its order (``p_y - P``, itself
-a product's operand, stays one numpy subtraction, which rounds the same).
-Its states are bit-identical to the dataclass composition (see
-tests/test_observer.py).
+The kernel keeps ``liegroup``'s arithmetic contract (``p_y - P``, itself a
+product's operand, stays one numpy subtraction, which rounds the same); its
+states are bit-identical to the dataclass composition (tests/test_observer.py).
 
 ``_run_stream`` is the one loop over a stream.  ``sim._run_and_score``, the
 one run-and-score routine of ``sim`` and ``replay``, hands it the float
@@ -150,6 +150,10 @@ class ObserverState:
     def __post_init__(self):
         object.__setattr__(self, "b_omega_hat", _as_vec3(self.b_omega_hat, "b_omega_hat"))
         object.__setattr__(self, "b_a_hat", _as_vec3(self.b_a_hat, "b_a_hat"))
+        object.__setattr__(self, "_X", None)  # no carried 5x5: step packs nav once
+
+    def __getstate__(self):
+        return {**vars(self), "_X": None}  # a pickle or copy packs its own nav
 
     @classmethod
     def cold_start(cls, pos=(0.0, 0.0, 0.0), vel=(0.0, 0.0, 0.0), rot=None) -> "ObserverState":
@@ -220,7 +224,7 @@ def step(
             raise ValueError("a position fix was handed to step without its TDOA frame")
     elif anchors is None:
         raise ValueError("a TDOA frame was supplied without an anchor set")
-    nav = state.nav
+    nav, X = state.nav, state._X
     R, P, V = nav.rot.m, nav.pos, nav.vel
     b_omega_hat, b_a_hat = state.b_omega_hat, state.b_a_hat
     omega = imu.gyro - b_omega_hat
@@ -229,7 +233,7 @@ def step(
         raise ValueError(f"bias-corrected IMU element must be finite, got {omega}, {acc}")
 
     # Predict with the bias-corrected IMU element u([omega]_x, 0, acc, 1).
-    Xp = _pack(R, P, V).dot(_se23_exp(omega, _ZERO3, acc, 1.0, dt))
+    Xp = (_pack(R, P, V) if X is None else X).dot(_se23_exp(omega, _ZERO3, acc, 1.0, dt))
 
     # Position fix, if a frame arrived and solves: here, or in the caller that handed p_y.
     tdoa_failures = state.tdoa_failures
@@ -291,7 +295,7 @@ def step(
     count = state.step_count + 1
     Rnew = X[:3, :3]
     if reorth_every and count % reorth_every == 0:
-        Rnew = reorthonormalize(Rnew)
+        Rnew[:] = reorthonormalize(Rnew)
     (b0, b1, b2), (c0, c1, c2) = b_omega_hat.tolist(), b_a_hat.tolist()
     b_omega_new = (b0 + dt * d0, b1 + dt * d1, b2 + dt * d2)
     b_a_new = (c0 + dt * f0, c1 + dt * f1, c2 + dt * f2)
@@ -306,7 +310,7 @@ def step(
     (p0, v0), (p1, v1), (p2, v2) = X[:3, 3:].tolist()
     if not all(map(math.isfinite, (p0, p1, p2, v0, v1, v2, *b_omega_new, *b_a_new))):
         ObserverState(NavState(rot, pos, vel), b_omega_new, b_a_new)
-    return _trusted(
+    out = _trusted(
         ObserverState,
         nav=_trusted(NavState, rot=rot, pos=pos, vel=vel),
         b_omega_hat=np.array(b_omega_new),
@@ -315,6 +319,8 @@ def step(
         tdoa_failures=tdoa_failures,
         triad_failures=triad_failures,
     )
+    object.__setattr__(out, "_X", X)  # the next step starts from X, whose blocks nav views
+    return out
 
 
 def _run_stream(state, imu, mags, tdoa, anchors, gains, *, ref, step):

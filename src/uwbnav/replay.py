@@ -487,21 +487,7 @@ def _write_table(path, header, table):
 
 def write_metrics_csv(path, t, att_err, pos_err, vel_err, truth_pos, est_pos, raw_pos):
     """Plot-ready per-timestamp error and track columns."""
-    header = [
-        "t",
-        "att_err",
-        "pos_err",
-        "vel_err",
-        "px_true",
-        "py_true",
-        "pz_true",
-        "px_est",
-        "py_est",
-        "pz_est",
-        "px_raw",
-        "py_raw",
-        "pz_raw",
-    ]
+    header = ["t", "att_err", "pos_err", "vel_err", *(f"p{a}_{s}" for s in ("true", "est", "raw") for a in "xyz")]
     _write_table(path, header, np.column_stack([t, att_err, pos_err, vel_err, truth_pos, est_pos, raw_pos]))
 
 

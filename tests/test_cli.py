@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import uwbnav
-from uwbnav.cli import DEFAULT_CONFIG, _build_parser, main
+from uwbnav.cli import DEFAULT_CONFIG, _build_parser, _join_d, main
 from uwbnav.observer import Gains
 from uwbnav.sensors import ReferenceVectors
 from uwbnav.replay import run_replay
@@ -463,8 +463,7 @@ def test_tdoa_solve_recovers_a_known_position(capsys, tmp_path):
 
 
 def test_tdoa_solve_takes_a_negative_first_difference_after_an_equals_sign(capsys, tmp_path):
-    # Above z = 2 the tag is nearer anchor 2 than anchor 1, so d[0] < 0.  As a
-    # separate argument "-2.1,..." reads as an option to argparse; "--d=" keeps it a value.
+    # Above z = 2 the tag is nearer anchor 2 than anchor 1, so d[0] < 0.
     anchors_path = write_anchor_file(tmp_path / "anchors.json")
     d = synthesize_tdoa([1.0, 2.0, 3.0], None, default_anchors()).d
     assert d[0] < 0.0
@@ -474,6 +473,35 @@ def test_tdoa_solve_takes_a_negative_first_difference_after_an_equals_sign(capsy
     assert code == 0
     position_line = next(line for line in out.splitlines() if line.startswith("position:"))
     np.testing.assert_allclose(json.loads(position_line.split(":", 1)[1]), [1.0, 2.0, 3.0], atol=1e-8)
+
+
+def test_tdoa_solve_reads_a_negative_first_difference_given_separately(capsys, tmp_path):
+    # "--d -2.1,..." and "--d=-2.1,..." solve the same frame and print the same lines.
+    anchors_path = write_anchor_file(tmp_path / "anchors.json")
+    d = ",".join(repr(float(x)) for x in synthesize_tdoa([1.0, 2.0, 3.0], None, default_anchors()).d)
+    assert d.startswith("-")
+    separate = run_cli(capsys, ["tdoa-solve", "--anchors", str(anchors_path), "--d", d])
+    joined = run_cli(capsys, ["tdoa-solve", "--anchors", str(anchors_path), f"--d={d}"])
+    assert separate == joined and separate[0] == 0 and "position:" in separate[1]
+
+
+@pytest.mark.parametrize("value", ["-0.1,abc,0.3", "-x,0.2,0.3"])
+def test_tdoa_solve_refuses_a_separate_value_that_is_not_numbers(capsys, tmp_path, value):
+    # A value that starts like a negative number reaches the parse of the
+    # differences; "-x,..." is still refused by argparse.  Both exit 2 naming --d.
+    anchors_path = write_anchor_file(tmp_path / "anchors.json")
+    try:
+        code = main(["tdoa-solve", "--anchors", str(anchors_path), "--d", value])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2 and "--d" in capsys.readouterr().err
+
+
+def test_only_tdoa_solve_s_d_takes_a_separate_negative_value():
+    assert _join_d(["tdoa-solve", "--anchors", "a.json", "--d", "-1,2"]) == ["tdoa-solve", "--anchors", "a.json", "--d=-1,2"]
+    assert _join_d(["tdoa-solve", "--anchors", "-1.json", "--d", "-.5,2"]) == ["tdoa-solve", "--anchors", "-1.json", "--d=-.5,2"]
+    assert _join_d(["tdoa-solve", "--d", "1,2"]) == ["tdoa-solve", "--d", "1,2"]
+    assert _join_d(["validate-gains", "--d", "-1"]) == ["validate-gains", "--d", "-1"]
 
 
 def test_tdoa_solve_degenerate_geometry_is_a_runtime_failure(capsys, tmp_path):

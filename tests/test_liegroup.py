@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from helpers import expm_series, random_rotation
+from helpers import expm_series, frozen_se23_exp, random_rotation
 from uwbnav.liegroup import (
+    _EXP_TAYLOR_SWITCH,
+    _ZERO3,
     NavState,
     Rotation,
     TangentElement,
     att_dist,
     _pack,
+    _se23_exp,
     pa,
     reorthonormalize,
     se23_exp,
@@ -331,6 +334,25 @@ def test_se23_exp_matches_the_matrix_form_bit_for_bit():
             u = TangentElement(u.omega, np.zeros(3), u.acol, 1.0)
         dt = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 0.5))
         assert np.array_equal(se23_exp(u, dt), se23_exp_matrix_form(u, dt))
+
+
+def test_se23_exp_takes_j_a_and_k_a_from_one_product_bit_for_bit():
+    # _se23_exp stacks J over K and multiplies the 6x3 array by acol once; the
+    # frozen kernel in helpers.py takes two 3x3 products.  A BLAS whose 6-row
+    # product rounds a row otherwise than its 3-row one fails here.  Both
+    # coefficient branches, vcol the shared zero and not, both signs of dt.
+    rng = np.random.default_rng(29)
+    seen = {}
+    for k in range(4000):
+        omega = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 1.5)
+        dt = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 0.0))
+        vcol = _ZERO3 if k % 2 else rng.normal(size=3) * 10.0 ** rng.uniform(-2.0, 2.0)
+        acol = rng.normal(size=3) * 10.0 ** rng.uniform(-2.0, 2.0)
+        rho = float(rng.choice([1.0, -1.0, rng.normal()]))
+        assert np.array_equal(_se23_exp(omega, vcol, acol, rho, dt), frozen_se23_exp(omega, vcol, acol, rho, dt))
+        key = (np.linalg.norm(omega) * abs(dt) < _EXP_TAYLOR_SWITCH, vcol is _ZERO3)
+        seen[key] = seen.get(key, 0) + 1
+    assert len(seen) == 4 and min(seen.values()) >= 300, seen
 
 
 def test_rotation_check_tolerance():

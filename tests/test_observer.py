@@ -1,7 +1,9 @@
 """Tests for the SE2(3) observer step, corrections, and the gain certificate."""
 
+import copy
 import pickle
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -406,8 +408,8 @@ def test_step_kernel_matches_the_dataclass_composition(reorth_every):
 @pytest.mark.parametrize("with_frames", [True, False])
 def test_step_kernel_matches_the_dataclass_composition_on_a_steady_stream(with_frames):
     # A solvable frame on every step, or none at all, with the default
-    # reference vectors; reorth_every=7 alternates strided and contiguous
-    # rotation matrices in the incoming state.
+    # reference vectors; reorth_every=7 writes a reorthonormalised rotation
+    # back into the carried matrix every seventh step.
     rng = np.random.default_rng(56)
     anchors = box_anchors()
     state = ObserverState.cold_start(pos=(-3.0, -1.0, 0.5), rot=Rotation(random_rotation(rng)))
@@ -419,6 +421,50 @@ def test_step_kernel_matches_the_dataclass_composition_on_a_steady_stream(with_f
         assert_states_identical(got, want)
         state = got
     assert state.tdoa_failures == 0
+
+
+def test_a_state_without_a_carried_matrix_steps_as_its_own_nav_packs():
+    # step starts from the 5x5 the previous step made; a state from the public
+    # constructor, cold_start, replace or a pickle or copy carries none and
+    # packs its own nav.  replace's new nav differs from the stepped state's,
+    # so stepping from the old carried matrix would not match the reference.
+    rng = np.random.default_rng(58)
+    anchors, ref = box_anchors(), ReferenceVectors()
+    stepped = step(ObserverState.cold_start(pos=(1.0, 0.5, 1.0)), hover_imu(np.eye(3), ref), None, None, Gains(), 0.01)
+    X = stepped._X
+    assert X is not None and X.shape == (5, 5)
+    nav = stepped.nav
+    assert all(np.shares_memory(a, X) for a in (nav.rot.m, nav.pos, nav.vel))
+    other = NavState(Rotation(random_rotation(rng)), rng.normal(size=3), rng.normal(size=3))
+    states = {
+        "public": ObserverState(other, rng.normal(scale=0.01, size=3), rng.normal(scale=0.1, size=3), 5, 1, 2),
+        "cold_start": ObserverState.cold_start(pos=other.pos, vel=other.vel, rot=other.rot),
+        "replace": replace(stepped, nav=other),
+        "pickle": pickle.loads(pickle.dumps(stepped)),
+        "copy": copy.copy(stepped),
+        "deepcopy": copy.deepcopy(stepped),
+    }
+    for name, state in states.items():
+        assert state._X is None, name
+        for frame in (None, synthesize_tdoa(rng.uniform(-3.0, 3.0, 3), None, anchors, noise_sd=0.05, seed=1)):
+            imu = hover_imu(random_rotation(rng), ref, t=0.01)
+            got = step(state, imu, frame, anchors, Gains(), 0.01, ref=ref)
+            assert_states_identical(got, reference_step(state, imu, frame, anchors, Gains(), 0.01, ref=ref))
+    assert stepped._X is X
+
+
+def test_a_reorthonormalised_rotation_is_written_back_into_the_carried_matrix():
+    rng = np.random.default_rng(59)
+    ref = ReferenceVectors()
+    state = ObserverState.cold_start(rot=Rotation(random_rotation(rng)))
+    for k in range(3):
+        imu = ImuSample(timestamp=0.01 * k, gyro=rng.normal(scale=0.5, size=3), accel=[0.0, 0.0, 9.8], mag=[-1.7, 0.0, 1.2])
+        want = reference_step(state, imu, None, None, Gains(), 0.01, ref=ref, reorth_every=1)
+        state = step(state, imu, None, None, Gains(), 0.01, ref=ref, reorth_every=1)
+        assert_states_identical(state, want)
+        X, nav = state._X, state.nav
+        assert all(np.shares_memory(a, X) for a in (nav.rot.m, nav.pos, nav.vel))
+        assert np.array_equal(X[:3], np.hstack([want.nav.rot.m, want.nav.pos[:, None], want.nav.vel[:, None]]))
 
 
 def test_step_rejects_a_state_pushed_off_so3():
