@@ -231,10 +231,19 @@ def _anchors(path: str | None, key: str) -> AnchorSet:
     return load_anchors(path)
 
 
-def _write_artifacts(out: Path, r) -> None:
-    """metrics.csv and summary.json of one sim or replay run ``r``."""
-    write_metrics_csv(out / "metrics.csv", r.t, r.att_err, r.pos_err, r.vel_err, r.truth_pos, r.est_pos, r.raw_pos)
-    write_summary_json(out / "summary.json", r.summary)
+def _write_artifacts(out: Path, result) -> None:
+    """metrics.csv and summary.json of one sim or replay run."""
+    write_metrics_csv(
+        out / "metrics.csv",
+        result.t,
+        result.att_err,
+        result.pos_err,
+        result.vel_err,
+        result.truth_pos,
+        result.est_pos,
+        result.raw_pos,
+    )
+    write_summary_json(out / "summary.json", result.summary)
 
 
 def _settled(summary: dict) -> str:
@@ -434,8 +443,10 @@ def _join_d(argv) -> list:
     """``tdoa-solve``'s ``--d VALUE`` as ``--d=VALUE`` where VALUE starts like a
     negative number: argparse would take ``-4.49,3.93,...`` for an option."""
     argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] != ["tdoa-solve"]:
+        return argv
     for i in range(len(argv) - 1, 1, -1):
-        if argv[0] == "tdoa-solve" and argv[i - 1] == "--d" and re.match(r"-\.?\d", argv[i]):
+        if argv[i - 1] == "--d" and re.match(r"-\.?\d", argv[i]):
             argv[i - 1 : i + 1] = [f"--d={argv[i]}"]
     return argv
 

@@ -40,13 +40,17 @@ non-negative and summing to 3) on the floats it computes, while the reference
 rows were checked once, by ``ReferenceVectors``.  On the result: the rotation
 on SO(3) (``liegroup._check_so3``), then one finiteness test over the position,
 velocity and both biases, in the order the public constructors check them
-and with their messages.  The result is then made from those checked values
-by ``liegroup._trusted``, without running the constructors again, so a state
-that diverges surfaces as a ValueError.
+and with their messages.  The returned ``ObserverState``, its ``NavState``
+and ``Rotation`` are then made from those checked values by
+``liegroup._trusted``, without running the constructors again.  A state that
+diverges therefore surfaces as a ValueError.
 
-The kernel keeps ``liegroup``'s arithmetic contract (``p_y - P``, itself a
-product's operand, stays one numpy subtraction, which rounds the same); its
-states are bit-identical to the dataclass composition (tests/test_observer.py).
+The kernel keeps ``liegroup``'s arithmetic contract: each product is one BLAS
+call on the arrays the matrix form multiplies, and the sums, differences and
+scalings between them run on Python floats in its order (``p_y - P``, itself
+a product's operand, stays one numpy subtraction, which rounds the same).
+Its states are bit-identical to the dataclass composition (see
+tests/test_observer.py).
 
 ``_run_stream`` is the one loop over a stream.  ``sim._run_and_score``, the
 one run-and-score routine of ``sim`` and ``replay``, hands it the float

@@ -487,7 +487,21 @@ def _write_table(path, header, table):
 
 def write_metrics_csv(path, t, att_err, pos_err, vel_err, truth_pos, est_pos, raw_pos):
     """Plot-ready per-timestamp error and track columns."""
-    header = ["t", "att_err", "pos_err", "vel_err", *(f"p{a}_{s}" for s in ("true", "est", "raw") for a in "xyz")]
+    header = [
+        "t",
+        "att_err",
+        "pos_err",
+        "vel_err",
+        "px_true",
+        "py_true",
+        "pz_true",
+        "px_est",
+        "py_est",
+        "pz_est",
+        "px_raw",
+        "py_raw",
+        "pz_raw",
+    ]
     _write_table(path, header, np.column_stack([t, att_err, pos_err, vel_err, truth_pos, est_pos, raw_pos]))
 
 

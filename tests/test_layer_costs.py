@@ -34,7 +34,7 @@ def test_each_side_keeps_its_fastest_process_per_layer(lc):
 
 
 def test_the_probe_times_every_layer_of_this_tree():
-    cmd = [sys.executable, str(TOOL), "--probe", str(ROOT), "--number", "2", "--repeat", "1"]
+    cmd = [sys.executable, str(TOOL), "--probe", str(ROOT), "2", "1"]  # 2 calls, 1 timing
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     us = json.loads(proc.stdout.strip().splitlines()[-1])

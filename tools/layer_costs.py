@@ -8,11 +8,16 @@ directory (the change side is ``git stash create``'s commit of the working
 tree and index, else HEAD).  In each snapshot a fresh interpreter, with BLAS
 pinned to one thread, builds navbench's observer-stream inputs for seed 5,
 steps its first flight to step 1500 and times each layer on that state: the
-minimum over ``--repeat`` x ``--number`` ``timeit`` calls, in microseconds
-per call.  ``--processes`` interpreters run per side, alternating which side
-goes first; a side's cost is the minimum over its interpreters, and every
-interpreter's numbers are kept.  The result is the ``layer_costs_us`` entry
-of the output file, whose other entries are kept.
+minimum over 5 x 20 000 ``timeit`` calls, in microseconds per call.  Ten
+interpreters run per side, alternating which side goes first; a side's cost
+is the minimum over its interpreters, and every interpreter's numbers are
+kept.  The result is the ``layer_costs_us`` entry of the output file, whose
+other entries are kept.
+
+On a shared two-CPU machine its readings spread by about a fifth: three runs
+on the same two trees read the parent's frameless step as 60, 49 and 51 µs,
+and single interpreters from 49 to 89 µs.  A change of a few µs is below
+what it resolves.
 
 The layers: ``step`` without a frame, with a frame it solves and with a fix
 handed as ``p_y``; ``solve_frame`` and its ``build_system``; the correction
@@ -38,9 +43,10 @@ from bench_pairs import change_ref, checkout, git, machine  # noqa: E402
 
 STATE_SEED = 5  # navbench observer-stream seed of the timed state
 STATE_STEP = 1500  # steps of its first flight before the timed state
+PROCESSES, NUMBER, REPEAT = 10, 20_000, 5  # interpreters per side; calls per timing; timings per layer
 
 
-def probe(root: Path, number: int, repeat: int) -> dict:
+def probe(root: Path, number: int = NUMBER, repeat: int = REPEAT) -> dict:
     """Microseconds per call of each layer on the fixed state, with ``root``'s code."""
     sys.path[:0] = [str(root / "src"), str(root / "navbench")]
     import worker
@@ -72,11 +78,10 @@ def probe(root: Path, number: int, repeat: int) -> dict:
     return {name: min(timeit.repeat(fn, number=number, repeat=repeat)) / number * 1e6 for name, fn in calls.items()}
 
 
-def run_probe(root: Path, number: int, repeat: int) -> dict:
+def run_probe(root: Path) -> dict:
     """``probe`` in a fresh interpreter, BLAS on one thread, as navbench runs its workers."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     cmd = [sys.executable, str(Path(__file__).resolve()), "--probe", str(root)]
-    cmd += ["--number", str(number), "--repeat", str(repeat)]
     proc = subprocess.run(cmd, cwd=root, env=env, check=True, capture_output=True, text=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -92,27 +97,23 @@ def combine(runs: list[dict]) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", help="git ref of the parent commit")
-    parser.add_argument("--out", help="BENCH_<n>.json to write or update")
-    parser.add_argument("--processes", type=int, default=3, help="interpreters per side (default 3)")
-    parser.add_argument("--number", type=int, default=20_000, help="calls per timing (default 20000)")
-    parser.add_argument("--repeat", type=int, default=5, help="timings per layer (default 5)")
-    parser.add_argument("--probe", type=Path, help=argparse.SUPPRESS)  # the child: time one tree
-    args = parser.parse_args(argv)
-    if args.probe is not None:
-        print(json.dumps(probe(args.probe, args.number, args.repeat)))
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--probe"]:  # the child: --probe ROOT [NUMBER REPEAT] times one tree
+        root, *counts = argv[1:]
+        print(json.dumps(probe(Path(root), *map(int, counts))))
         return 0
-    if args.parent is None or args.out is None:
-        parser.error("--parent and --out are required")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git ref of the parent commit")
+    parser.add_argument("--out", required=True, help="BENCH_<n>.json to write or update")
+    args = parser.parse_args(argv)
 
     parent_sha, change_sha = git("rev-parse", args.parent), change_ref()
     runs = []
     with tempfile.TemporaryDirectory(prefix="layer-costs-") as tmp:
         roots = {side: checkout(sha, Path(tmp) / side) for side, sha in (("parent", parent_sha), ("change", change_sha))}
-        for i in range(args.processes):
+        for i in range(PROCESSES):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                us = run_probe(roots[side], args.number, args.repeat)
+                us = run_probe(roots[side])
                 runs.append({"process": i, "side": side, "us": us})
                 print(f"process {i} {side}: " + json.dumps({k: round(v, 2) for k, v in us.items()}), flush=True)
 
@@ -121,8 +122,8 @@ def main(argv=None) -> int:
     doc.setdefault("machine", machine())
     doc["layer_costs_us"] = {
         "method": (
-            f"tools/layer_costs.py: min over {args.repeat} x {args.number} timeit calls on one fixed"
-            f" observer-stream state (seed {STATE_SEED}, step {STATE_STEP}), min over {args.processes}"
+            f"tools/layer_costs.py: min over {REPEAT} x {NUMBER} timeit calls on one fixed"
+            f" observer-stream state (seed {STATE_SEED}, step {STATE_STEP}), min over {PROCESSES}"
             " interleaved processes per side, each side from a git archive snapshot; raw microseconds"
         ),
         "parent_ref": parent_sha,
