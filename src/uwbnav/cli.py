@@ -31,7 +31,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -264,22 +263,18 @@ def _scenario(cfg: dict, seed: int) -> Scenario:
     )
 
 
-def _run_sim_job(cfg: dict, seed: int, outdir: str, track: TruthTrack) -> dict:
-    """Run one sim seed on the sweep's truth track and write its artifacts.
-
-    Top-level so that --jobs can send it to a worker process.
-    """
+def _run_sim_job(cfg: dict, seed: int, outdir: Path, track: TruthTrack) -> dict:
+    """Run one sim seed on the sweep's truth track and write its artifacts."""
     result = run_scenario(
         _scenario(cfg, seed),
         Gains(**cfg["gains"]),
         track=track,
         **_pick(cfg, _SETTLE_KEYS),
     )
-    out = Path(outdir)
-    _write_artifacts(out, result)
+    _write_artifacts(outdir, result)
     if cfg["sim"]["export_dataset"]:
-        export_dataset(result, out / "dataset")
-    log.info("wrote %s and summary.json", out / "metrics.csv")
+        export_dataset(result, outdir / "dataset")
+    log.info("wrote %s and summary.json", outdir / "metrics.csv")
     return result.summary
 
 
@@ -293,24 +288,15 @@ def cmd_sim(args) -> int:
     runs = cfg["sim"]["runs"]
     if runs < 1:
         raise ConfigError(f"sim.runs must be >= 1, got {runs}")
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     base_seed = cfg["seed"]
     out = Path(args.out)
-    seeds = [base_seed + i for i in range(runs)]
-    jobs = [(seed, out if runs == 1 else out / f"seed-{seed:04d}") for seed in seeds]
     # The truth does not depend on the seed: integrate it once for the sweep.
     track = truth_track(_scenario(cfg, base_seed))
-    # A pool forks all its workers at the first submit: never more than there
-    # are seeds to run or CPUs to run them on.
-    workers = min(args.jobs, runs, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_sim_job, cfg, s, str(d), track) for s, d in jobs]
-            summaries = [f.result() for f in futures]
-    else:
-        summaries = [_run_sim_job(cfg, s, str(d), track) for s, d in jobs]
-    for summary, (seed, outdir) in zip(summaries, jobs):
+    summaries = []
+    for seed in range(base_seed, base_seed + runs):
+        outdir = out if runs == 1 else out / f"seed-{seed:04d}"
+        summary = _run_sim_job(cfg, seed, outdir, track)
+        summaries.append(summary)
         print(
             f"sim {name} seed={seed}: final pos err {summary['final_pos_err']:.3f} m,"
             f" settled {_settled(summary)}, artifacts in {outdir}"
@@ -411,7 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_sim)
     p_sim.add_argument("--scenario", choices=PRESET_NAMES, help="scenario preset")
     p_sim.add_argument("--runs", type=int, help="number of consecutive seeds to run")
-    p_sim.add_argument("--jobs", type=int, default=1, help="parallel workers for multi-run sims")
     p_sim.set_defaults(func=cmd_sim)
 
     p_rep = sub.add_parser("replay", help="replay the observer over a recorded dataset")

@@ -34,10 +34,10 @@ exponentials are built from their (omega, v, a, rho) blocks by
 made.  Validation sits at the boundary, and each check runs once.  On entry:
 the step length, a frame needing an anchor set, and a finite bias-corrected
 IMU element.  On the measurements: ``TdoaFrame`` checks its differences when
-it is made and ``build_system`` their count and size; ``build_triads`` runs
-``TriadPair``'s checks (unit body rows, v3 orthogonal to v1 and v2, weights
-non-negative and summing to 3) on the floats it computes, while the reference
-rows were checked once, by ``ReferenceVectors``.  On the result: the rotation
+it is made and ``build_system`` their count and size; ``build_triads``
+checks the caller's weights (non-negative, summing to 3), its own unit body
+rows and orthogonal v3 hold by construction, and the reference rows were
+checked once, by ``ReferenceVectors``.  On the result: the rotation
 on SO(3) (``liegroup._check_so3``), then one finiteness test over the position,
 velocity and both biases, in the order the public constructors check them
 and with their messages.  The returned ``ObserverState``, its ``NavState``

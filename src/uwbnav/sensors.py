@@ -119,31 +119,27 @@ class TriadPair:
         s = np.asarray(self.s, dtype=float).reshape(-1)
         if v.shape != (3, 3) or r.shape != (3, 3):
             raise ValueError("v and r must be (3, 3) arrays of row vectors")
-        _check_body_and_weights(v.tolist(), s.tolist())
+        _check_weights(s.tolist())
+        v1, v2, v3 = v_rows = v.tolist()
+        _check_unit_rows("v", v_rows)
+        for vi in (v1, v2):
+            if abs(v3[0] * vi[0] + v3[1] * vi[1] + v3[2] * vi[2]) > 1e-9:
+                raise ValueError("v3 must be orthogonal to v1 and v2")
         _check_unit_rows("r", r.tolist())
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
 
 
-def _check_body_and_weights(v_rows, weights) -> None:
-    """TriadPair's checks on its body rows v_1..v_3 and weights, all Python floats.
-
-    The weights are three finite non-negative numbers summing to 3, the rows
-    unit vectors, and v_3 orthogonal to v_1 and v_2.
-    """
+def _check_weights(weights) -> None:
+    """TriadPair's check on its weights, as Python floats: three finite non-negative numbers summing to 3."""
     # NaN fails every ">=" and inf fails the finite sum.
     w_ok = len(weights) == 3 and weights[0] >= 0.0 and weights[1] >= 0.0 and weights[2] >= 0.0
     if not (w_ok and math.isfinite(sum(weights))):
         raise ValueError(f"s must be 3 finite nonnegative weights, got {weights}")
-    _check_unit_rows("v", v_rows)
     total = weights[0] + weights[1] + weights[2]
     if abs(total - 3.0) > 1e-9:
         raise ValueError(f"confidence weights must sum to 3, got {total}")
-    v1, v2, v3 = v_rows
-    for vi in (v1, v2):
-        if abs(v3[0] * vi[0] + v3[1] * vi[1] + v3[2] * vi[2]) > 1e-9:
-            raise ValueError("v3 must be orthogonal to v1 and v2")
 
 
 def _check_unit_rows(name: str, rows):
@@ -184,10 +180,15 @@ def build_triads(sample: ImuSample, ref: ReferenceVectors, s=None) -> TriadPair:
     if ncv <= COLLINEARITY_TOL:
         raise TriadDegenerate(f"accel and mag are collinear (cross norm {ncv:.2e})")
     v3 = (c0 / ncv, c1 / ncv, c2 / ncv)
-    s = _UNIT_WEIGHTS if s is None else np.asarray(s, dtype=float).reshape(-1)
-    # The checks of TriadPair on the floats at hand; ref.triad was checked
-    # once, when the ReferenceVectors was made.
-    _check_body_and_weights((v1, v2, v3), s.tolist())
+    if s is None:
+        s = _UNIT_WEIGHTS
+    else:
+        s = np.asarray(s, dtype=float).reshape(-1)
+        _check_weights(s.tolist())
+    # Only the weights come from the caller.  The body rows are unit and v3 is
+    # orthogonal to v1 and v2 by construction, within TriadPair's tolerances
+    # even next to the collinearity bound; ref.triad was checked once, when
+    # the ReferenceVectors was made.
     v = np.array((*v1, *v2, *v3)).reshape(3, 3)
     return _trusted(TriadPair, v=v, r=ref.triad, s=s)
 

@@ -42,7 +42,7 @@ presets fly their trajectory under the scenario's gravity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -182,11 +182,6 @@ class TruthTrack:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "imu_rate", float(self.imu_rate))
         object.__setattr__(self, "n", int(self.n))
-
-    def __reduce__(self):
-        # Unpickle through __init__, so that the copy a --jobs worker receives
-        # is read-only as well.
-        return (TruthTrack, tuple(getattr(self, f.name) for f in fields(self)))
 
 
 def _gravity_factor(gravity, dt: float) -> np.ndarray:
@@ -415,9 +410,7 @@ class _Preset:
 
     ``_preset(name, gravity)`` makes one instance per preset and gravity (by
     its bits) and keeps it, so the ``omega``/``accel`` methods bound into every
-    seed's scenario compare equal, and one ``TruthTrack`` fits every seed.  An
-    instance pickles as its name and gravity, so this holds in a ``--jobs``
-    worker too.
+    seed's scenario compare equal, and one ``TruthTrack`` fits every seed.
     """
 
     name = ""
@@ -425,9 +418,6 @@ class _Preset:
 
     def __init__(self, gravity: np.ndarray):
         self.g = gravity
-
-    def __reduce__(self):
-        return (_preset, (self.name, self.g))
 
     def rot(self, t: float) -> np.ndarray:
         return so3_exp(np.array([0.0, 0.0, self.w]), t)

@@ -129,73 +129,10 @@ def test_sim_artifacts_are_bit_reproducible(capsys, tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_sim_parallel_runs_match_serial_runs(capsys, tmp_path):
-    base = ["sim", "--scenario", "static", "--runs", "3", "--set", "sim.duration=2"]
-    assert main(base + ["--out", str(tmp_path / "serial")]) == 0
-    assert main(base + ["--jobs", "3", "--out", str(tmp_path / "parallel")]) == 0
-    capsys.readouterr()
-    for seed in range(3):
-        sub = f"seed-{seed:04d}"
-        assert (tmp_path / "serial" / sub / "metrics.csv").read_bytes() == (
-            tmp_path / "parallel" / sub / "metrics.csv"
-        ).read_bytes()
-    # the multi-run roll-up summary is identical too
-    assert (tmp_path / "serial" / "summary.json").read_bytes() == (
-        tmp_path / "parallel" / "summary.json"
-    ).read_bytes()
-
-
-@pytest.mark.parametrize(
-    "runs, jobs, cpus, workers",
-    [(2, 100000, 8, 2), (6, 100000, 4, 4), (6, 3, 8, 3), (3, 2, None, None), (1, 5, 8, None)],
-)
-def test_sim_jobs_are_bounded_by_runs_and_cpus(capsys, tmp_path, monkeypatch, runs, jobs, cpus, workers):
-    # A pool forks all max_workers at its first submit, so --jobs must never
-    # reach it unbounded.  A stand-in pool records max_workers and runs the
-    # tasks inline; no process is started.  None: the sweep runs serially.
-    import concurrent.futures
-
-    import uwbnav.cli as cli_module
-
-    pools = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: cpus)
-    argv = ["sim", "--scenario", "static", "--runs", str(runs), "--set", "sim.duration=0.5"]
-    assert main(argv + ["--jobs", str(jobs), "--out", str(tmp_path)]) == 0
-    assert pools == ([] if workers is None else [workers])
-    assert len(list(tmp_path.rglob("metrics.csv"))) == runs
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_sim_rejects_a_job_count_below_one(capsys, tmp_path, jobs):
-    code, _, err = run_cli(
-        capsys, ["sim", "--scenario", "static", "--jobs", jobs, "--out", str(tmp_path)]
-    )
-    assert code == 2
-    assert "--jobs must be >= 1" in err
-    assert not tmp_path.joinpath("metrics.csv").exists()
-
-
 def test_sim_sweep_integrates_its_truth_once(capsys, tmp_path, monkeypatch):
-    # One track per invocation, shared by every seed and by --jobs workers;
-    # none outlives the call, so a second sweep integrates its own.  Tracks
-    # are counted where the CLI builds one and where run_scenario would.
+    # One track per invocation, shared by every seed; none outlives the
+    # call, so a second sweep integrates its own.  Tracks are counted where
+    # the CLI builds one and where run_scenario would.
     import uwbnav.cli as cli_module
     import uwbnav.sim as sim_module
 
@@ -212,19 +149,16 @@ def test_sim_sweep_integrates_its_truth_once(capsys, tmp_path, monkeypatch):
     argv = ["sim", "--scenario", "figure8", "--runs", "3", "--set", "sim.duration=1"]
     for setting in ("sim.noise.tdoa_sd=0.05", "sim.noise.gyro_sd=0.005", "sim.export_dataset=true"):
         argv += ["--set", setting]
-    assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "first")]) == 0
     assert calls == [100]
     assert main(argv + ["--out", str(tmp_path / "again")]) == 0
     assert calls == [100, 100]
-    assert main(argv + ["--jobs", "2", "--out", str(tmp_path / "jobs")]) == 0
-    assert calls == [100, 100, 100]
     capsys.readouterr()
-    serial = sorted(p.relative_to(tmp_path / "serial") for p in (tmp_path / "serial").rglob("*.*"))
-    assert len(serial) == 3 * 6 + 1  # per seed metrics, summary and four dataset files; one roll-up
-    for rel in serial:
-        want = (tmp_path / "serial" / rel).read_bytes()
+    first = sorted(p.relative_to(tmp_path / "first") for p in (tmp_path / "first").rglob("*.*"))
+    assert len(first) == 3 * 6 + 1  # per seed metrics, summary and four dataset files; one roll-up
+    for rel in first:
+        want = (tmp_path / "first" / rel).read_bytes()
         assert (tmp_path / "again" / rel).read_bytes() == want, rel
-        assert (tmp_path / "jobs" / rel).read_bytes() == want, rel
 
 
 @pytest.mark.parametrize(
@@ -610,11 +544,14 @@ def test_replay_cli_runs_an_exported_dataset(capsys, tmp_path, exported_dataset)
     assert summary["gt_records"] == 201
 
 
-def test_replay_cli_has_no_jobs_flag(capsys, tmp_path):
+@pytest.mark.parametrize("argv", [["sim", "--scenario", "static", "--runs", "2"], ["replay"]], ids=["sim", "replay"])
+def test_cli_has_no_jobs_flag(capsys, tmp_path, argv):
+    # Every seed of a sweep runs in the CLI's own process.
     with pytest.raises(SystemExit) as exc:
-        main(["replay", "--jobs", "2", "--out", str(tmp_path)])
+        main(argv + ["--jobs", "2", "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_replay_cli_requires_dataset_paths(capsys, tmp_path):

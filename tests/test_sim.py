@@ -3,7 +3,6 @@
 import itertools
 import json
 import math
-import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -292,8 +291,8 @@ def test_propagate_matches_analytic_trajectory_second_order():
 def test_presets_fly_their_trajectory_under_the_scenario_gravity():
     # At g = 9.81 the presets' specific force is what that gravity needs: the
     # hover holds its position and the others follow their closed form, as
-    # closely as at the default 9.8.  The trajectory still pickles as the one
-    # instance its scenarios bind, so a track fits a --jobs worker's seeds.
+    # closely as at the default 9.8.  Every seed binds the one instance per
+    # preset and gravity, so one track fits every seed of a sweep.
     ref = ReferenceVectors(gravity=(0.0, 0.0, -9.81))
     hover = truth_track(preset_scenario("static", duration=30.0, ref=ref))
     assert np.max(np.abs(hover.pos - hover.pos[0])) <= 1e-9
@@ -302,7 +301,6 @@ def test_presets_fly_their_trajectory_under_the_scenario_gravity():
         track = truth_track(sc)
         closed = np.array([sc.truth.accel_fn.__self__.pos(k / 100.0) for k in range(0, 3001, 50)])
         assert np.max(np.linalg.norm(track.pos[::50] - closed, axis=1)) <= tol, name
-        assert pickle.loads(pickle.dumps(sc.truth.accel_fn)) == sc.truth.accel_fn
         assert preset_scenario(name, seed=3, ref=ref).truth.accel_fn == sc.truth.accel_fn
         assert preset_scenario(name, seed=3).truth.accel_fn != sc.truth.accel_fn
 
@@ -589,19 +587,12 @@ def test_run_scenario_refuses_a_track_from_another_initial_state():
         run_scenario(moved, Gains(), track=track)
 
 
-def test_truth_track_is_read_only_and_pickles_for_jobs_workers():
-    sc = sweep_scenario(seed=0)
-    track = truth_track(sc)
-    copy = pickle.loads(pickle.dumps(track))
-    for tr in (track, copy):
-        for name in ("gravity", "rot", "pos", "vel", "omega", "accel"):
-            assert not getattr(tr, name).flags.writeable, name
+def test_truth_track_is_read_only():
+    track = truth_track(sweep_scenario(seed=0))
+    for name in ("gravity", "rot", "pos", "vel", "omega", "accel"):
+        assert not getattr(track, name).flags.writeable, name
     with pytest.raises(ValueError, match="read-only"):
         track.pos[0, 0] = 1.0
-    # A preset trajectory unpickles as the same instance, so the copy still
-    # fits the scenarios a worker builds.
-    assert copy.omega_fn == sc.truth.omega_fn and copy.accel_fn == sc.truth.accel_fn
-    assert np.array_equal(run_scenario(sc, Gains(), track=copy).est_pos, run_scenario(sc, Gains(), track=track).est_pos)
 
 
 def custom_scenario(**kwargs):

@@ -24,8 +24,7 @@ range consistency, the negative-range warning), which are computed only
 when read.  Then, with every sensor noise on (gyro 0.005, accel 0.02, mag
 0.2, TDOA 0.05), both biases, ``sim.export_dataset=true`` and seed 11:
 
-* ``uwbnav sim --runs 6`` on static, yaw_circle and figure8 for 20 s, once
-  serially and once with ``--jobs 2``;
+* ``uwbnav sim --runs 6`` on static, yaw_circle and figure8 for 20 s;
 * ``uwbnav sim`` on figure8 at a 250 Hz IMU rate, with gravity (0, 0, -9.81)
   and a lever arm, the one run whose frames read the truth rotation;
 * ``uwbnav sim`` on yaw_circle for 20 s whose scenario, noise and biases come
@@ -120,10 +119,9 @@ def commands() -> list[tuple[str, list[str]]]:
         reduced = ["--allow-reduced"] if name == "tdoa-reduced" else []
         runs.append((name, ["tdoa-solve", "--anchors", TDOA_ANCHORS_FILE, f"--d={d}", *reduced]))  # d may start with "-"
     for scenario in ("static", "yaw_circle", "figure8"):
-        for jobs in (1, 2):
-            out = f"sim-{scenario}-jobs{jobs}"
-            runs.append((out, ["sim", "--scenario", scenario, "--runs", "6", "--seed", str(SEED),
-                               "--jobs", str(jobs), "--set", "sim.duration=20", *sets, "--out", out]))
+        out = f"sim-{scenario}"
+        runs.append((out, ["sim", "--scenario", scenario, "--runs", "6", "--seed", str(SEED),
+                           "--set", "sim.duration=20", *sets, "--out", out]))
     lever = ("sim.imu_rate=250", "ref.gravity=[0,0,-9.81]", "sim.tag_offset=[-0.012,0.001,0.091]")
     runs.append(("lever-arm", ["sim", "--scenario", "figure8", "--seed", str(SEED), *sets,
                                *(arg for item in lever for arg in ("--set", item)), "--out", "lever-arm"]))
