@@ -18,12 +18,14 @@ The scalar ``rho`` couples the velocity column into the position column
 (it is what turns "P-dot = V" into a group operation).  Everything here is a
 pure function of its inputs; no mutable state.
 
-Arithmetic contract of the hot-path kernels (``_se23_exp``, ``_pack``): every
-matrix or vector product is one numpy ``dot``/``@`` call, through BLAS, on the
-operands, shapes and memory layout of the matrix form; everything elementwise
-(sums, differences, scalings) runs on Python floats in the order the matrix
-form evaluates it, with each ``0.0 +`` that fixes the sign of a zero.  No
-product is unrolled: BLAS kernels with FMA round differently from Python.
+Arithmetic contract of the hot-path kernels (``_se23_exp``, ``_pack`` and
+``observer.step``): every matrix or vector product is one numpy ``dot``/``@``
+call, through BLAS, on the operands, shapes and memory layout of the matrix
+form; everything elementwise (sums, differences, scalings) runs on Python
+floats in the order the matrix form evaluates it, with each ``0.0 +`` that
+fixes the sign of a zero.  A kernel unpacks each operand to floats once and
+writes every entry of its result in its own body, with no helper per block.
+No product is unrolled: BLAS kernels with FMA round differently from Python.
 One product departs from the matrix form's shapes: ``J @ a`` and ``K @ a`` are
 one product of the stacked 6x3 [J; K], each row the same 3-term dot product
 (tests/test_liegroup.py checks it bit for bit against the two 3x3 products).
@@ -61,6 +63,7 @@ SMALL_ANGLE = 1e-8
 
 _ZERO3 = np.zeros(3)
 _ZERO3.setflags(write=False)
+_FLOAT = _ZERO3.dtype
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -69,10 +72,12 @@ def _all_finite(a: np.ndarray) -> bool:
 
 
 def _as_vec3(x, name: str = "vector") -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(-1)
+    as_is = type(x) is np.ndarray and x.shape == (3,) and x.dtype is _FLOAT  # a float 3-vector: no conversion
+    v = x if as_is else np.asarray(x, dtype=float).reshape(-1)
     if v.shape != (3,):
         raise ValueError(f"{name} must have 3 components, got shape {np.shape(x)}")
-    if not _all_finite(v):
+    a, b, c = v.tolist()
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValueError(f"{name} must be finite, got {v}")
     return v
 
@@ -93,13 +98,13 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _check_so3(m: np.ndarray) -> None:
-    """Raise ValueError unless the 3x3 float array m is in SO(3) within ``ROTATION_TOL``.
+def _check_so3(x0, y0, z0, x1, y1, z1, x2, y2, z2) -> None:
+    """Raise ValueError unless the matrix of rows (x0, y0, z0), (x1, y1, z1),
+    (x2, y2, z2) is in SO(3) within ``ROTATION_TOL``.
 
     ``||m^T m - I||_F`` and det(m) from the columns x, y, z of m; a non-finite
     entry fails the first test.
     """
-    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = m.tolist()
     xx = x0 * x0 + x1 * x1 + x2 * x2 - 1.0
     yy = y0 * y0 + y1 * y1 + y2 * y2 - 1.0
     zz = z0 * z0 + z1 * z1 + z2 * z2 - 1.0
@@ -133,7 +138,7 @@ class Rotation:
         if m.shape != (3, 3):
             raise ValueError(f"rotation matrix must be 3x3, got {m.shape}")
         object.__setattr__(self, "m", m)
-        _check_so3(m)
+        _check_so3(*m.ravel().tolist())
 
     @classmethod
     def identity(cls) -> "Rotation":
@@ -320,44 +325,38 @@ def _se23_exp(omega, vcol, acol, rho: float, dt: float) -> np.ndarray:
     validated.  Callers on the hot path check their inputs once instead of
     wrapping them in a :class:`TangentElement`.  The arithmetic follows the
     module's contract, so the result is bit for bit that of the matrix
-    expressions.  One product of the stacked [J; K] gives ``J @ acol`` and
+    expressions: with S = [omega dt]_x (diagonal z) and Q = S @ S, each entry
+    of R, J and K is summed left to right, the identity's zeros included.
+    One product of the stacked [J; K] gives ``J @ acol`` and
     ``K @ acol``.  ``J @ vcol`` is skipped when ``vcol`` is the shared
     ``_ZERO3``: that BLAS product is exactly +0.0 for a finite J, and the
     ``0.0 +`` standing for it is kept.
     """
     w0, w1, w2 = omega.tolist()
     z = 0.0 * dt
-    S = (z, -w2 * dt, w1 * dt, w2 * dt, z, -w0 * dt, -w1 * dt, w0 * dt, z)
+    x1, x2, x3, x5, x6, x7 = -w2 * dt, w1 * dt, w2 * dt, -w0 * dt, -w1 * dt, w0 * dt
     theta = math.sqrt(omega.dot(omega)) * abs(dt)
     s1, c1, c2, d2 = _exp_coefficients(theta)
-    Sm = np.array(S).reshape(3, 3)
-    Q = Sm.dot(Sm).ravel().tolist()
-    r0, r1, r2, r3, r4, r5, r6, r7, r8 = _blend(1.0, 1.0, s1, c1, S, Q)
-    JK = np.array(_blend(dt, 1.0, c1, c2, S, Q) + _blend(dt * dt, 0.5, c2, d2, S, Q)).reshape(6, 3)
+    S = np.array((z, x1, x2, x3, z, x5, x6, x7, z)).reshape(3, 3)
+    (q0, q1, q2), (q3, q4, q5), (q6, q7, q8) = S.dot(S).tolist()
+    rz, jz, kz, h = s1 * z, c1 * z, c2 * z, dt * dt
+    JK = np.array((
+        dt * (1.0 + jz + c2 * q0), dt * (0.0 + c1 * x1 + c2 * q1), dt * (0.0 + c1 * x2 + c2 * q2),
+        dt * (0.0 + c1 * x3 + c2 * q3), dt * (1.0 + jz + c2 * q4), dt * (0.0 + c1 * x5 + c2 * q5),
+        dt * (0.0 + c1 * x6 + c2 * q6), dt * (0.0 + c1 * x7 + c2 * q7), dt * (1.0 + jz + c2 * q8),
+        h * (0.5 + kz + d2 * q0), h * (0.0 + c2 * x1 + d2 * q1), h * (0.0 + c2 * x2 + d2 * q2),
+        h * (0.0 + c2 * x3 + d2 * q3), h * (0.5 + kz + d2 * q4), h * (0.0 + c2 * x5 + d2 * q5),
+        h * (0.0 + c2 * x6 + d2 * q6), h * (0.0 + c2 * x7 + d2 * q7), h * (0.5 + kz + d2 * q8),
+    )).reshape(6, 3)
     j0, j1, j2 = (0.0, 0.0, 0.0) if vcol is _ZERO3 else JK[:3].dot(vcol).tolist()
     a0, a1, a2, k0, k1, k2 = JK.dot(acol).tolist()
     return np.array((
-        r0, r1, r2, j0 + rho * k0, a0,
-        r3, r4, r5, j1 + rho * k1, a1,
-        r6, r7, r8, j2 + rho * k2, a2,
+        1.0 + rz + c1 * q0, 0.0 + s1 * x1 + c1 * q1, 0.0 + s1 * x2 + c1 * q2, j0 + rho * k0, a0,
+        0.0 + s1 * x3 + c1 * q3, 1.0 + rz + c1 * q4, 0.0 + s1 * x5 + c1 * q5, j1 + rho * k1, a1,
+        0.0 + s1 * x6 + c1 * q6, 0.0 + s1 * x7 + c1 * q7, 1.0 + rz + c1 * q8, j2 + rho * k2, a2,
         0.0, 0.0, 0.0, 1.0, 0.0,
         0.0, 0.0, 0.0, rho * dt, 1.0,
     )).reshape(5, 5)
-
-
-def _blend(h: float, d: float, u: float, v: float, S, Q) -> tuple:
-    """Row-major entries of h (d I + u S + v Q) for row-major 9-tuples S and Q.
-
-    Summed left to right as the matrix form sums them, the zeros of d I
-    included (``0.0 + u s`` turns -0.0 into +0.0).  h = 1.0 scales exactly.
-    """
-    s0, s1, s2, s3, s4, s5, s6, s7, s8 = S
-    q0, q1, q2, q3, q4, q5, q6, q7, q8 = Q
-    return (
-        h * (d + u * s0 + v * q0), h * (0.0 + u * s1 + v * q1), h * (0.0 + u * s2 + v * q2),
-        h * (0.0 + u * s3 + v * q3), h * (d + u * s4 + v * q4), h * (0.0 + u * s5 + v * q5),
-        h * (0.0 + u * s6 + v * q6), h * (0.0 + u * s7 + v * q7), h * (d + u * s8 + v * q8),
-    )
 
 
 def reorthonormalize(R) -> np.ndarray:

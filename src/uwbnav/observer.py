@@ -7,8 +7,9 @@ One discrete step does:
 2.  reconstruct the position fix P_y from the TDOA frame, if one arrived
     (or take the one ``_run_stream`` solved and handed over); only the fix's
     position is read, so its quality is never computed;
-3.  build the vector triads and form the misalignment innovation
-    sum_i s_i (v_i x vhat_i);
+3.  form the triads' body rows v_i (``sensors._body_rows``, as
+    ``build_triads``) and the misalignment innovation sum_i s_i (v_i x vhat_i)
+    in one pass, without a ``TriadPair``;
 4.  form the correction terms w_omega, w_V, w_a and both bias rates on
     Python floats, and update the bias estimates by explicit Euler;
 5.  correct  Xhat = exp(-u([w_omega]_x, w_V, w_a - g, 1) dt) @ Xhat+.
@@ -31,18 +32,18 @@ it).  A state made any other way (constructor, ``cold_start``, ``replace``,
 pickle, copy) carries none, and its ``nav`` is packed once.  Both
 exponentials are built from their (omega, v, a, rho) blocks by
 ``liegroup._se23_exp``; no ``TangentElement`` or intermediate state is
-made.  Validation sits at the boundary, and each check runs once.  On entry:
-the step length, a frame needing an anchor set, and a finite bias-corrected
-IMU element.  On the measurements: ``TdoaFrame`` checks its differences when
-it is made and ``build_system`` their count and size; ``build_triads``
-checks the caller's weights (non-negative, summing to 3), its own unit body
-rows and orthogonal v3 hold by construction, and the reference rows were
-checked once, by ``ReferenceVectors``.  On the result: the rotation
-on SO(3) (``liegroup._check_so3``), then one finiteness test over the position,
-velocity and both biases, in the order the public constructors check them
-and with their messages.  The returned ``ObserverState``, its ``NavState``
-and ``Rotation`` are then made from those checked values by
-``liegroup._trusted``, without running the constructors again.  A state that
+made.  Validation sits at the boundary, and each check runs once.  On entry,
+before any measurement is read: the step length, a frame needing an anchor
+set, the caller's triad weights (non-negative, summing to 3) and a finite
+bias-corrected IMU element.  On the measurements: ``TdoaFrame`` checks its
+differences when it is made and ``build_system`` their count and size; the
+body rows are unit and v3 orthogonal by construction, and the reference rows
+were checked once, by ``ReferenceVectors``.  On the result, from one
+``X[:3].tolist()``: the rotation on SO(3) (``liegroup._check_so3``), then one
+finiteness test over the position, velocity and both biases, in the order
+the public constructors check them and with their messages.  The returned
+``ObserverState``, its ``NavState`` and ``Rotation`` are then made from those
+checked values without running the constructors again.  A state that
 diverges therefore surfaces as a ValueError.
 
 The kernel keeps ``liegroup``'s arithmetic contract: each product is one BLAS
@@ -54,9 +55,9 @@ tests/test_observer.py).
 
 ``_run_stream`` is the one loop over a stream.  ``sim._run_and_score``, the
 one run-and-score routine of ``sim`` and ``replay``, hands it the float
-tables an exported dataset holds; it maps the frames to steps and records
-the estimates as arrays, which that routine scores against the truth
-(``_nav_errors``, ``_norms``; ``error_metrics`` is their one-row form).
+tables an exported dataset holds; it maps the frames to steps and stacks
+the estimates into arrays after the loop, which that routine scores against
+the truth (``_nav_errors``, ``_norms``; ``error_metrics`` is their one-row form).
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from .liegroup import (
     NavState,
     Rotation,
     _ZERO3,
-    _all_finite,
     _as_vec3,
     _check_so3,
     _pack,
@@ -85,9 +85,11 @@ from .sensors import (
     ReferenceVectors,
     TriadDegenerate,
     TriadPair,
-    attitude_innovation,
-    build_triads,
-    predicted_body_vectors,
+    _UNIT_WEIGHTS,
+    _body_rows,
+    _check_weights,
+    _cross,
+    build_triads,  # noqa: F401  step runs _body_rows; navbench traces calls at this name
     weighted_matrix,
 )
 from .tdoa import AnchorSet, GeometryDegenerate, TdoaFrame, solve_frame
@@ -228,12 +230,13 @@ def step(
             raise ValueError("a position fix was handed to step without its TDOA frame")
     elif anchors is None:
         raise ValueError("a TDOA frame was supplied without an anchor set")
+    s = _UNIT_WEIGHTS if weights is None else _check_weights(weights)
     nav, X = state.nav, state._X
     R, P, V = nav.rot.m, nav.pos, nav.vel
     b_omega_hat, b_a_hat = state.b_omega_hat, state.b_a_hat
     omega = imu.gyro - b_omega_hat
     acc = imu.accel - b_a_hat
-    if not (_all_finite(omega) and _all_finite(acc)):
+    if not all(map(math.isfinite, omega.tolist() + acc.tolist())):
         raise ValueError(f"bias-corrected IMU element must be finite, got {omega}, {acc}")
 
     # Predict with the bias-corrected IMU element u([omega]_x, 0, acc, 1).
@@ -252,21 +255,21 @@ def step(
         if p_y is None:
             tdoa_failures += 1
 
+    # The correction terms at the incoming state, on Python floats: w_omega (o)
+    # and the gyro-bias rate (d) from attitude_innovation's sum, suspended without
+    # triads; w_V (v), w_a (a) and the accelerometer-bias rate (f) from
+    # e = p_y - P, suspended without a fix.
     triad_failures = state.triad_failures
     try:
-        triads = build_triads(imu, ref, weights)
+        t1, t2, t3 = _body_rows(imu)  # the body rows v_i
     except TriadDegenerate:
-        triads = None
         triad_failures += 1
-
-    # The correction terms at the incoming state, on Python floats: w_omega (o)
-    # and the gyro-bias rate (d), suspended without triads; w_V (v), w_a (a) and
-    # the accelerometer-bias rate (f) from e = p_y - P, suspended without a fix.
-    if triads is None:
         o0 = o1 = o2 = d0 = d1 = d2 = 0.0
     else:
-        body_sum, inertial_sum = attitude_innovation(triads, predicted_body_vectors(R, triads), R)
-        k, (x0, x1, x2) = -0.5 * gains.k_omega, inertial_sum.tolist()
+        h1, h2, h3 = ref.triad.dot(R).tolist()  # vhat_i = R^T r_i
+        crosses = np.array((*_cross(t1, h1), *_cross(t2, h2), *_cross(t3, h3))).reshape(3, 3)
+        body_sum = crosses.T.dot(s)
+        k, (x0, x1, x2) = -0.5 * gains.k_omega, R.dot(body_sum).tolist()
         o0, o1, o2 = k * x0, k * x1, k * x2
         k, (x0, x1, x2) = -0.5 * gains.gamma_omega, body_sum.tolist()
         d0, d1, d2 = k * x0, k * x1, k * x2
@@ -304,26 +307,31 @@ def step(
     b_omega_new = (b0 + dt * d0, b1 + dt * d1, b2 + dt * d2)
     b_a_new = (c0 + dt * f0, c1 + dt * f1, c2 + dt * f2)
 
-    # The result's checks, in the order its constructors run them: the
-    # rotation on SO(3), then one finiteness test over position, velocity and
-    # both biases.  When that test fails, the public constructors rerun it on
-    # the same values and raise, naming the first non-finite block.
-    _check_so3(Rnew)
-    rot = _trusted(Rotation, m=Rnew)
+    # The result's checks on one unpacking of X, in its constructors' order: the
+    # rotation on SO(3), then one finiteness test over position, velocity and both
+    # biases (on failure the public constructors rerun it and raise with their message).
+    (r0, r1, r2, p0, v0), (r3, r4, r5, p1, v1), (r6, r7, r8, p2, v2) = X[:3].tolist()
+    _check_so3(r0, r1, r2, r3, r4, r5, r6, r7, r8)
     pos, vel = X[:3, 3], X[:3, 4]
-    (p0, v0), (p1, v1), (p2, v2) = X[:3, 3:].tolist()
     if not all(map(math.isfinite, (p0, p1, p2, v0, v1, v2, *b_omega_new, *b_a_new))):
-        ObserverState(NavState(rot, pos, vel), b_omega_new, b_a_new)
-    out = _trusted(
-        ObserverState,
-        nav=_trusted(NavState, rot=rot, pos=pos, vel=vel),
-        b_omega_hat=np.array(b_omega_new),
-        b_a_hat=np.array(b_a_new),
-        step_count=count,
-        tdoa_failures=tdoa_failures,
-        triad_failures=triad_failures,
-    )
-    object.__setattr__(out, "_X", X)  # the next step starts from X, whose blocks nav views
+        ObserverState(NavState(Rotation(Rnew), pos, vel), b_omega_new, b_a_new)
+    # Each field set in declaration order, as __init__ sets it, so that every
+    # instance dict keeps sharing its keys with its class.
+    put = object.__setattr__
+    rot = object.__new__(Rotation)
+    put(rot, "m", Rnew)
+    nav = object.__new__(NavState)
+    put(nav, "rot", rot)
+    put(nav, "pos", pos)
+    put(nav, "vel", vel)
+    out = object.__new__(ObserverState)
+    put(out, "nav", nav)
+    put(out, "b_omega_hat", np.array(b_omega_new))
+    put(out, "b_a_hat", np.array(b_a_new))
+    put(out, "step_count", count)
+    put(out, "tdoa_failures", tdoa_failures)
+    put(out, "triad_failures", triad_failures)
+    put(out, "_X", X)  # the next step starts from X, whose blocks nav views
     return out
 
 
@@ -345,7 +353,8 @@ def _run_stream(state, imu, mags, tdoa, anchors, gains, *, ref, step):
     invalid-value warnings are off, as that error reports a non-finite state.
     Returns the final state, the skipped count, the count of frames handed to
     ``step`` and the arrays (R, P, V, b_omega_hat, b_a_hat, fix), one row per
-    sample from the initial state on; ``fix`` is NaN where no frame solved.
+    sample from the initial state on, stacked once, after the loop, from each
+    state's 5x5 and biases; ``fix`` is NaN where no frame solved.
     """
     t = imu[:, 0]
     times, dts = t.tolist(), np.diff(t).tolist()
@@ -353,20 +362,19 @@ def _run_stream(state, imu, mags, tdoa, anchors, gains, *, ref, step):
     steps = np.searchsorted(t, tdoa[:, 0], side="right") - 1
     frame_rows = {k: i for i, k in enumerate(steps.tolist()) if 0 <= k < n}
     gyro, accel = imu[:, 1:4], imu[:, 4:7]
-    R = np.empty((n + 1, 3, 3))
-    P, V, b_omega_hat, b_a_hat = np.empty((4, n + 1, 3))
     fix = np.full((n + 1, 3), np.nan)
+
+    def row(state):  # its 5x5 (packed if it carries none) and biases: one row of the arrays
+        nav = state.nav
+        return _pack(nav.rot.m, nav.pos, nav.vel) if state._X is None else state._X, state.b_omega_hat, state.b_a_hat
+
+    rows = [row(state)]
     skipped = taken = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n + 1):
-            nav = state.nav
-            R[k], P[k], V[k] = nav.rot.m, nav.pos, nav.vel
-            b_omega_hat[k], b_a_hat[k] = state.b_omega_hat, state.b_a_hat
-            if k == n:
-                break
-            dt = dts[k]
+        for k, dt in enumerate(dts):
             if not 0.0 < dt <= _DT_MAX:
                 skipped += 1
+                rows.append(rows[-1])
                 continue
             frame = p_y = None
             i = frame_rows.get(k)
@@ -382,6 +390,10 @@ def _run_stream(state, imu, mags, tdoa, anchors, gains, *, ref, step):
                 state = step(state, sample, frame, anchors, gains, dt, ref=ref, p_y=p_y)
             except ValueError as exc:
                 raise RuntimeError(f"observer diverged at step {k} (t = {times[k]!r} s): {exc}") from exc
+            rows.append(row(state))
+    # R, P and V contiguous: a strided R can round differently in _nav_errors.
+    X, b_omega_hat, b_a_hat = (np.array(a) for a in zip(*rows))
+    R, P, V = (np.ascontiguousarray(a) for a in (X[:, :3, :3], X[:, :3, 3], X[:, :3, 4]))
     return state, skipped, taken, (R, P, V, b_omega_hat, b_a_hat, fix)
 
 

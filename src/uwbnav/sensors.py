@@ -116,10 +116,9 @@ class TriadPair:
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float)
         r = np.asarray(self.r, dtype=float)
-        s = np.asarray(self.s, dtype=float).reshape(-1)
         if v.shape != (3, 3) or r.shape != (3, 3):
             raise ValueError("v and r must be (3, 3) arrays of row vectors")
-        _check_weights(s.tolist())
+        s = _check_weights(self.s)
         v1, v2, v3 = v_rows = v.tolist()
         _check_unit_rows("v", v_rows)
         for vi in (v1, v2):
@@ -131,8 +130,10 @@ class TriadPair:
         object.__setattr__(self, "s", s)
 
 
-def _check_weights(weights) -> None:
-    """TriadPair's check on its weights, as Python floats: three finite non-negative numbers summing to 3."""
+def _check_weights(s) -> np.ndarray:
+    """TriadPair's weights s as a float array, checked: three finite non-negative numbers summing to 3."""
+    s = np.asarray(s, dtype=float).reshape(-1)
+    weights = s.tolist()
     # NaN fails every ">=" and inf fails the finite sum.
     w_ok = len(weights) == 3 and weights[0] >= 0.0 and weights[1] >= 0.0 and weights[2] >= 0.0
     if not (w_ok and math.isfinite(sum(weights))):
@@ -140,6 +141,7 @@ def _check_weights(weights) -> None:
     total = weights[0] + weights[1] + weights[2]
     if abs(total - 3.0) > 1e-9:
         raise ValueError(f"confidence weights must sum to 3, got {total}")
+    return s
 
 
 def _check_unit_rows(name: str, rows):
@@ -159,10 +161,24 @@ def build_triads(sample: ImuSample, ref: ReferenceVectors, s=None) -> TriadPair:
 
     Raises
     ------
+    ValueError
+        If the weights ``s`` are invalid; they are checked before the sample.
     TriadDegenerate
         If the accelerometer or magnetometer norm is ~0, the magnetometer is
         missing, or v1 and v2 are collinear (cross-product norm <= 1e-6).
     """
+    # Only the weights come from the caller: ref.triad was checked once, when made.
+    s = _UNIT_WEIGHTS if s is None else _check_weights(s)
+    v1, v2, v3 = _body_rows(sample)
+    v = np.array((*v1, *v2, *v3)).reshape(3, 3)
+    return _trusted(TriadPair, v=v, r=ref.triad, s=s)
+
+
+def _body_rows(sample: ImuSample) -> tuple:
+    """``build_triads``' body rows v1, v2, v3 as float 3-tuples, or TriadDegenerate.
+
+    Unit, and v3 orthogonal to v1 and v2, by construction: within TriadPair's
+    tolerances even next to the collinearity bound."""
     if sample.mag is None:
         raise TriadDegenerate("sample has no magnetometer reading")
     accel, mag = sample.accel, sample.mag
@@ -179,18 +195,7 @@ def build_triads(sample: ImuSample, ref: ReferenceVectors, s=None) -> TriadPair:
     ncv = math.sqrt(cva.dot(cva))
     if ncv <= COLLINEARITY_TOL:
         raise TriadDegenerate(f"accel and mag are collinear (cross norm {ncv:.2e})")
-    v3 = (c0 / ncv, c1 / ncv, c2 / ncv)
-    if s is None:
-        s = _UNIT_WEIGHTS
-    else:
-        s = np.asarray(s, dtype=float).reshape(-1)
-        _check_weights(s.tolist())
-    # Only the weights come from the caller.  The body rows are unit and v3 is
-    # orthogonal to v1 and v2 by construction, within TriadPair's tolerances
-    # even next to the collinearity bound; ref.triad was checked once, when
-    # the ReferenceVectors was made.
-    v = np.array((*v1, *v2, *v3)).reshape(3, 3)
-    return _trusted(TriadPair, v=v, r=ref.triad, s=s)
+    return v1, v2, (c0 / ncv, c1 / ncv, c2 / ncv)
 
 
 def _cross(a, b) -> tuple:

@@ -747,7 +747,7 @@ def truth_track(sc: Scenario) -> TruthTrack:
         accel = _as_vec3(truth.accel_fn(mid), "accel_fn(t)")
         X = _truth_step(R, P, V, omega, accel, gravity_factors[dt], dt)
         R, P, V = X[:3, :3], X[:3, 3], X[:3, 4]
-        _check_so3(R)
+        _check_so3(*R.ravel().tolist())
         if not _all_finite(X[:3, 3:]):
             raise ValueError(f"true position and velocity must be finite, got {P}, {V}")
         rot[k + 1], pos[k + 1], vel[k + 1] = R, P, V

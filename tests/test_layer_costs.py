@@ -1,4 +1,4 @@
-"""tools/layer_costs.py: the per-side minimum, and one probe of this tree.
+"""tools/layer_costs.py: the per-layer summary over rounds, and one probe of this tree against itself.
 
 The harness is loaded from its file; only the probe test starts a process.
 """
@@ -23,23 +23,30 @@ def lc():
     return module
 
 
-def test_each_side_keeps_its_fastest_process_per_layer(lc):
-    runs = [
-        {"process": 0, "side": "parent", "us": {"step": 50.004, "pack": 2.0}},
-        {"process": 0, "side": "change", "us": {"step": 47.0, "pack": 1.9}},
-        {"process": 1, "side": "change", "us": {"step": 46.996, "pack": 2.2}},
-        {"process": 1, "side": "parent", "us": {"step": 51.0, "pack": 1.8}},
+def test_each_layer_reports_both_sides_over_the_rounds_and_the_rounds_the_change_won(lc):
+    rounds = [
+        {"parent": {"step": 50.004, "pack": 2.0}, "change": {"step": 47.0, "pack": 2.0}},
+        {"parent": {"step": 51.0, "pack": 1.8}, "change": {"step": 46.996, "pack": 2.2}},
+        {"parent": {"step": 49.0, "pack": 1.9}, "change": {"step": 49.5, "pack": 1.7}},
     ]
-    assert lc.combine(runs) == {"parent": {"step": 50.0, "pack": 1.8}, "change": {"step": 47.0, "pack": 1.9}}
+    assert lc.summarise(rounds) == {
+        "step": {"parent": {"min": 49.0, "median": 50.0}, "change": {"min": 47.0, "median": 47.0}, "change_faster": 2},
+        "pack": {"parent": {"min": 1.8, "median": 1.9}, "change": {"min": 1.7, "median": 2.0}, "change_faster": 1},
+    }
 
 
 def test_the_probe_times_every_layer_of_this_tree():
-    cmd = [sys.executable, str(TOOL), "--probe", str(ROOT), "2", "1"]  # 2 calls, 1 timing
+    # This tree on both sides, each imported as its own set of modules: 2 rounds of 1 timing of 2 calls.
+    cmd = [sys.executable, str(TOOL), "--probe", str(ROOT), str(ROOT), "2", "2", "1"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    us = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert set(us) == {
-        "step_no_frame", "step_frame", "step_handed_fix", "solve_frame", "build_system",
-        "se23_exp", "se23_exp_zero_v", "build_triads", "pack",
-    }
-    assert all(v > 0.0 for v in us.values())
+    rounds = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(rounds) == 2
+    for row in rounds:
+        assert set(row) == {"parent", "change"}
+        for us in row.values():
+            assert set(us) == {
+                "step_no_frame", "step_frame", "step_handed_fix", "solve_frame", "build_system",
+                "se23_exp", "se23_exp_zero_v", "build_triads", "pack",
+            }
+            assert all(v > 0.0 for v in us.values())

@@ -8,6 +8,7 @@ from uwbnav.liegroup import (
     _EXP_TAYLOR_SWITCH,
     _ZERO3,
     NavState,
+    _as_vec3,
     Rotation,
     TangentElement,
     att_dist,
@@ -20,6 +21,43 @@ from uwbnav.liegroup import (
     so3_exp,
     vex,
 )
+
+
+# --- the boundary check ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.array([1.0, -2.0, 3.0]),
+        np.arange(12.0).reshape(3, 4)[:, 1],  # strided
+        np.array([1.0, -2.0, 3.0], dtype=">f8"),
+        np.array([[1.0], [-2.0], [3.0]]),
+        np.array([[1.0, -2.0, 3.0]]),
+        np.array([1, -2, 3]),
+        [1, -2, 3],
+    ],
+)
+def test_as_vec3_takes_every_finite_3_vector_as_a_float_3_vector(x):
+    v = _as_vec3(x, "x")
+    assert type(v) is np.ndarray and v.shape == (3,) and v.dtype == np.float64
+    assert np.array_equal(v, np.asarray(x, dtype=float).reshape(-1))
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        (np.array([1.0, np.nan, 3.0]), "x must be finite, got [ 1. nan  3.]"),
+        (np.array([np.inf, 0.0, 0.0]), "x must be finite, got [inf  0.  0.]"),
+        ([[0.0], [0.0], [-np.inf]], "x must be finite, got [  0.   0. -inf]"),
+        (np.zeros(4), "x must have 3 components, got shape (4,)"),
+        (np.zeros((3, 3)), "x must have 3 components, got shape (3, 3)"),
+    ],
+)
+def test_as_vec3_refuses_with_its_message(x, message):
+    with pytest.raises(ValueError) as info:
+        _as_vec3(x, "x")
+    assert str(info.value) == message
 
 
 # --- skew / vex / pa ---------------------------------------------------------
@@ -353,6 +391,20 @@ def test_se23_exp_takes_j_a_and_k_a_from_one_product_bit_for_bit():
         key = (np.linalg.norm(omega) * abs(dt) < _EXP_TAYLOR_SWITCH, vcol is _ZERO3)
         seen[key] = seen.get(key, 0) + 1
     assert len(seen) == 4 and min(seen.values()) >= 300, seen
+
+
+def test_se23_exp_keeps_the_sign_of_every_zero_of_the_frozen_arithmetic():
+    # Each entry of R, J and K adds the identity's entry first ("0.0 +" off
+    # the diagonal), which turns a -0.0 sum into +0.0.  Blocks with zero
+    # components of both signs, both signs of dt: every bit, zeros included.
+    rng = np.random.default_rng(30)
+    for k in range(600):
+        omega = np.where(rng.random(3) < 0.5, rng.choice([0.0, -0.0], 3), rng.normal(size=3))
+        acol = np.where(rng.random(3) < 0.5, rng.choice([0.0, -0.0], 3), rng.normal(size=3))
+        vcol = _ZERO3 if k % 2 else np.where(rng.random(3) < 0.5, -0.0, rng.normal(size=3))
+        dt, rho = float(rng.choice([-0.01, 0.01])), float(rng.choice([1.0, -1.0, 0.0]))
+        got, want = _se23_exp(omega, vcol, acol, rho, dt), frozen_se23_exp(omega, vcol, acol, rho, dt)
+        assert got.tobytes() == want.tobytes(), (omega, vcol, acol, rho, dt)
 
 
 def test_rotation_check_tolerance():

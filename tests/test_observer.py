@@ -492,6 +492,43 @@ def test_step_rejects_invalid_weights(weights, message):
         step(state, imu, None, None, Gains(), 0.01, weights=weights)
 
 
+@pytest.mark.parametrize("mag", [None, [0.0, 0.0, 2.0]], ids=["no magnetometer", "collinear"])
+def test_invalid_weights_are_refused_before_a_degenerate_triad_is_read(mag):
+    # The weights are the caller's parameter, so they are checked before any
+    # measurement: a sample that forms no triad must not hide them.
+    imu = ImuSample(timestamp=0.0, gyro=np.zeros(3), accel=[0.0, 0.0, 9.8], mag=mag)
+    with pytest.raises(ValueError, match="nonnegative"):
+        step(ObserverState.cold_start(), imu, None, None, Gains(), 0.01, weights=(5.0, -2.0, 0.0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_triads(imu, ReferenceVectors(), s=(5.0, -2.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "accel, mag",
+    [([0.0, 0.0, 9.8], None), ([0.0, 0.0, 0.0], [-1.7, 0.0, 1.2]), ([0.0, 0.0, 9.8], [0.0, 0.0, 0.0]),
+     ([0.3, -0.2, 9.8], [0.06, -0.04, 1.96])],
+    ids=["no magnetometer", "zero accelerometer", "zero magnetometer", "collinear"],
+)
+def test_a_degenerate_triad_steps_as_the_composition_and_counts_one_failure(accel, mag):
+    # step forms the triad rows itself, without build_triads; on each way a
+    # sample can fail to form them it must dead-reckon the attitude as the
+    # dataclass composition does, frame or no frame, and count one failure.
+    rng = np.random.default_rng(60)
+    anchors, ref = box_anchors(), ReferenceVectors()
+    state = ObserverState(
+        NavState(Rotation(random_rotation(rng)), rng.normal(size=3), rng.normal(size=3)),
+        rng.normal(scale=0.01, size=3),
+        rng.normal(scale=0.1, size=3),
+        3, 1, 2,
+    )
+    imu = ImuSample(timestamp=0.0, gyro=rng.normal(scale=0.3, size=3), accel=accel, mag=mag)
+    for frame in (None, synthesize_tdoa(rng.uniform(-3.0, 3.0, 3), None, anchors, noise_sd=0.05, seed=2)):
+        got = step(state, imu, frame, anchors, Gains(), 0.01, ref=ref)
+        assert_states_identical(got, reference_step(state, imu, frame, anchors, Gains(), 0.01, ref=ref))
+        assert got.triad_failures == state.triad_failures + 1
+        assert got.tdoa_failures == state.tdoa_failures
+
+
 def test_step_rejects_a_non_finite_bias_corrected_imu_element():
     # Gyro and bias estimate are each finite; their difference overflows.
     state = ObserverState(NavState(Rotation.identity(), np.zeros(3), np.zeros(3)), [-1e308, 0.0, 0.0], np.zeros(3))

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_rotation
+from helpers import frozen_build_triads, random_rotation
 from uwbnav.liegroup import pa, skew, vex
 from uwbnav.sensors import (
     ImuSample,
     ReferenceVectors,
     TriadDegenerate,
     TriadPair,
+    _body_rows,
     attitude_innovation,
     build_triads,
     predicted_body_vectors,
@@ -121,8 +122,10 @@ _WEIGHTS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+# The drawn pairs: sin=None pairs two free directions; otherwise mag lies at
+# an angle whose sine is in (1e-6, 1e-5] from accel, next to the collinearity
+# bound, where the unit-row and orthogonality checks have least margin.
+_DRAWN_PAIRS = given(
     u=_DIRECTION,
     w=_DIRECTION,
     sin=st.one_of(st.none(), st.floats(min_value=1e-6, max_value=1e-5, exclude_min=True)),
@@ -130,14 +133,10 @@ _WEIGHTS = st.one_of(
     s=_WEIGHTS,
     custom_ref=st.booleans(),
 )
-def test_build_triads_pair_passes_the_public_constructor_unchanged(u, w, sin, scale, s, custom_ref):
-    # build_triads checks only the weights it is given and skips
-    # TriadPair.__post_init__: its unit body rows and orthogonal v3 hold by
-    # construction.  This is the guard that they do, so the pair it returns
-    # must pass that constructor as it is.  sin=None pairs two free
-    # directions; otherwise mag lies at an angle whose sine is in
-    # (1e-6, 1e-5] from accel, next to the collinearity bound, where the
-    # unit-row and orthogonality checks have least margin.
+
+
+def _drawn_sample(u, w, sin, scale, custom_ref):
+    """The sample and references of one drawn pair."""
     if sin is None:
         m = w
     else:
@@ -146,7 +145,17 @@ def test_build_triads_pair_passes_the_public_constructor_unchanged(u, w, sin, sc
             perp = np.cross(u, [1.0, 0.0, 0.0] if abs(u[0]) < 0.9 else [0.0, 1.0, 0.0])
         m = np.sqrt(1.0 - sin * sin) * u + sin * perp / np.linalg.norm(perp)
     ref = ReferenceVectors(gravity=(0.1, -0.2, -9.81), mag_ref=(0.3, -1.6, 1.1)) if custom_ref else ReferenceVectors()
-    sample = ImuSample(0.0, np.zeros(3), scale[0] * u, scale[1] * m)
+    return ImuSample(0.0, np.zeros(3), scale[0] * u, scale[1] * m), ref
+
+
+@settings(max_examples=300, deadline=None)
+@_DRAWN_PAIRS
+def test_build_triads_pair_passes_the_public_constructor_unchanged(u, w, sin, scale, s, custom_ref):
+    # build_triads checks only the weights it is given and skips
+    # TriadPair.__post_init__: its unit body rows and orthogonal v3 hold by
+    # construction.  This is the guard that they do, so the pair it returns
+    # must pass that constructor as it is.
+    sample, ref = _drawn_sample(u, w, sin, scale, custom_ref)
     try:
         triads = build_triads(sample, ref, s)
     except TriadDegenerate:
@@ -158,6 +167,26 @@ def test_build_triads_pair_passes_the_public_constructor_unchanged(u, w, sin, sc
     for name in ("v", "r", "s"):
         assert np.array_equal(getattr(public, name), getattr(triads, name))
         assert getattr(triads, name).shape == getattr(public, name).shape
+
+
+@settings(max_examples=300, deadline=None)
+@_DRAWN_PAIRS
+def test_the_body_rows_step_forms_are_build_triads_rows_bit_for_bit(u, w, sin, scale, s, custom_ref):
+    # observer.step forms its triad from _body_rows without making the pair;
+    # the rows must be the pair's v, as float 3-tuples, or raise alike, and
+    # both must be the rows of the frozen arithmetic in helpers.py.
+    sample, ref = _drawn_sample(u, w, sin, scale, custom_ref)
+    try:
+        rows = _body_rows(sample)
+    except TriadDegenerate:
+        for build in (build_triads, frozen_build_triads):
+            with pytest.raises(TriadDegenerate):
+                build(sample, ref, s)
+        return
+    assert [len(row) for row in rows] == [3, 3, 3]
+    assert all(type(x) is float for row in rows for x in row)
+    assert np.array(rows).tobytes() == build_triads(sample, ref, s).v.tobytes()
+    assert np.array(rows).tobytes() == frozen_build_triads(sample, ref, s).v.tobytes()
 
 
 def test_reference_rows_are_checked_once_when_the_references_are_made(monkeypatch):

@@ -1,30 +1,33 @@
-"""Layer costs: one fixed observer state, each layer timed alone, parent against this tree.
+"""Layer costs: one fixed observer state, each layer timed alone, parent against this tree in one interpreter.
 
-    python3 tools/layer_costs.py --parent 46ad722 --out BENCH_21.json
+    python3 tools/layer_costs.py --parent f47e4cd --out BENCH_23.json
 
 Both sides run from the same kind of snapshot as ``tools/bench_pairs.py``
 makes: the files of a commit exported by ``git archive`` into a temporary
 directory (the change side is ``git stash create``'s commit of the working
-tree and index, else HEAD).  In each snapshot a fresh interpreter, with BLAS
-pinned to one thread, builds navbench's observer-stream inputs for seed 5,
-steps its first flight to step 1500 and times each layer on that state: the
-minimum over 5 x 20 000 ``timeit`` calls, in microseconds per call.  Ten
-interpreters run per side, alternating which side goes first; a side's cost
-is the minimum over its interpreters, and every interpreter's numbers are
-kept.  The result is the ``layer_costs_us`` entry of the output file, whose
-other entries are kept.
+tree and index, else HEAD).  One fresh interpreter, with BLAS pinned to one
+thread, imports both snapshots' ``uwbnav`` and navbench ``worker``, each as
+its own set of modules.  In each it builds navbench's observer-stream inputs
+for seed 5, steps the first flight to step 1500 and takes each layer's call
+on that state.  It then runs 40 rounds.  In each round every layer is timed
+on both sides, the side that goes first alternating from round to round: the
+minimum of 3 ``timeit`` runs of 1 000 calls, in microseconds per call.  For
+each layer the result gives each side's minimum and median over the rounds
+and the number of rounds in which the change was faster; every round's
+numbers are kept.  It is the ``layer_costs_us`` entry of the output file,
+whose other entries are kept.
 
-On a shared two-CPU machine its readings spread by about a fifth: three runs
-on the same two trees read the parent's frameless step as 60, 49 and 51 µs,
-and single interpreters from 49 to 89 µs.  A change of a few µs is below
-what it resolves.
+Both trees are timed in one interpreter, round by round, because separate
+interpreters do not agree to a few µs on a shared two-CPU machine: the
+minimum over ten interpreters per side read the same parent's frameless step
+as 60, 49 and 51 µs in three runs, and single interpreters from 49 to 89 µs.
 
 The layers: ``step`` without a frame, with a frame it solves and with a fix
 handed as ``p_y``; ``solve_frame`` and its ``build_system``; the correction
 step's ``_se23_exp`` (all blocks non-zero) and the prediction's (``vcol`` the
 shared zero); ``build_triads``; and ``_pack`` of the state's R, P and V.
 
-Standard library only (the probe imports the snapshot's numpy code).
+Standard library only (the probe imports the snapshots' numpy code).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -43,19 +47,30 @@ from bench_pairs import change_ref, checkout, git, machine  # noqa: E402
 
 STATE_SEED = 5  # navbench observer-stream seed of the timed state
 STATE_STEP = 1500  # steps of its first flight before the timed state
-PROCESSES, NUMBER, REPEAT = 10, 20_000, 5  # interpreters per side; calls per timing; timings per layer
+ROUNDS, NUMBER, REPEAT = 40, 1_000, 3  # alternating rounds; calls per timing; timings per layer, side and round
+SNAPSHOT_MODULES = ("uwbnav", "worker", "checks", "speed", "tracer")  # what importing a snapshot loads
 
 
-def probe(root: Path, number: int = NUMBER, repeat: int = REPEAT) -> dict:
-    """Microseconds per call of each layer on the fixed state, with ``root``'s code."""
+def layers(root: Path) -> dict:
+    """Each layer's call on the fixed state, with ``root``'s code.
+
+    The snapshot's modules are imported afresh, apart from those of any
+    snapshot imported before; its calls keep their own modules alive.
+    """
+    for name in [m for m in sys.modules if m.partition(".")[0] in SNAPSHOT_MODULES]:
+        del sys.modules[name]
+    path = sys.path[:]
     sys.path[:0] = [str(root / "src"), str(root / "navbench")]
-    import worker
-    from uwbnav import liegroup, observer, sensors, tdoa
+    try:
+        import worker
+        from uwbnav import liegroup, observer, sensors, tdoa
 
-    stream = worker.ObserverStream(STATE_SEED, False, None)
-    stream.flights = 1  # flight 0's noise does not depend on the flight count
-    stream.make_inputs()
-    stream.prepare()
+        stream = worker.ObserverStream(STATE_SEED, False, None)
+        stream.flights = 1  # flight 0's noise does not depend on the flight count
+        stream.make_inputs()
+        stream.prepare()
+    finally:
+        sys.path[:] = path
     samples, frames = stream.inputs[0]
     anchors, gains, ref, dt = stream.anchor_set, stream.gains, stream.ref, worker.DT
     state = stream.init
@@ -64,7 +79,7 @@ def probe(root: Path, number: int = NUMBER, repeat: int = REPEAT) -> dict:
     sample, frame, nav = samples[STATE_STEP], frames[STATE_STEP], state.nav
     omega, acc = sample.gyro - state.b_omega_hat, sample.accel - state.b_a_hat
     p_y = tdoa.solve_frame(anchors, frame).p
-    calls = {
+    return {
         "step_no_frame": lambda: observer.step(state, sample, None, anchors, gains, dt, ref=ref),
         "step_frame": lambda: observer.step(state, sample, frame, anchors, gains, dt, ref=ref),
         "step_handed_fix": lambda: observer.step(state, sample, frame, anchors, gains, dt, ref=ref, p_y=p_y),
@@ -75,32 +90,49 @@ def probe(root: Path, number: int = NUMBER, repeat: int = REPEAT) -> dict:
         "build_triads": lambda: sensors.build_triads(sample, ref),
         "pack": lambda: liegroup._pack(nav.rot.m, nav.pos, nav.vel),
     }
-    return {name: min(timeit.repeat(fn, number=number, repeat=repeat)) / number * 1e6 for name, fn in calls.items()}
 
 
-def run_probe(root: Path) -> dict:
+def probe(roots: dict, rounds: int = ROUNDS, number: int = NUMBER, repeat: int = REPEAT) -> list[dict]:
+    """Per round, each side's microseconds per call of each layer; ``roots`` maps side to snapshot."""
+    calls = {side: layers(root) for side, root in roots.items()}
+    sides = list(roots)
+    out = []
+    for i in range(rounds):
+        row = {side: {} for side in sides}
+        for name in calls[sides[0]]:
+            for side in sides if i % 2 == 0 else sides[::-1]:
+                row[side][name] = min(timeit.repeat(calls[side][name], number=number, repeat=repeat)) / number * 1e6
+        out.append(row)
+        print(f"round {i + 1} of {rounds}", file=sys.stderr, flush=True)
+    return out
+
+
+def summarise(rounds: list[dict]) -> dict:
+    """Per layer: each side's minimum and median over the rounds, rounded to
+    0.01 us, and the number of rounds in which the change was faster."""
+    out = {}
+    for name in rounds[0]["parent"]:
+        us = {side: [r[side][name] for r in rounds] for side in ("parent", "change")}
+        out[name] = {
+            side: {"min": round(min(xs), 2), "median": round(statistics.median(xs), 2)} for side, xs in us.items()
+        }
+        out[name]["change_faster"] = sum(c < p for p, c in zip(us["parent"], us["change"]))
+    return out
+
+
+def run_probe(roots: dict) -> list[dict]:
     """``probe`` in a fresh interpreter, BLAS on one thread, as navbench runs its workers."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--probe", str(root)]
-    proc = subprocess.run(cmd, cwd=root, env=env, check=True, capture_output=True, text=True)
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--probe", str(roots["parent"]), str(roots["change"])]
+    proc = subprocess.run(cmd, cwd=roots["parent"].parent, env=env, check=True, stdout=subprocess.PIPE, text=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def combine(runs: list[dict]) -> dict:
-    """Per side, each layer's minimum over that side's processes, rounded to 0.01 us."""
-    out = {}
-    for run in runs:
-        side = out.setdefault(run["side"], {})
-        for name, us in run["us"].items():
-            side[name] = min(side.get(name, us), us)
-    return {side: {name: round(us, 2) for name, us in costs.items()} for side, costs in out.items()}
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv[:1] == ["--probe"]:  # the child: --probe ROOT [NUMBER REPEAT] times one tree
-        root, *counts = argv[1:]
-        print(json.dumps(probe(Path(root), *map(int, counts))))
+    if argv[:1] == ["--probe"]:  # the child: --probe PARENT CHANGE [ROUNDS NUMBER REPEAT] times both trees
+        parent, change, *counts = argv[1:]
+        print(json.dumps(probe({"parent": Path(parent), "change": Path(change)}, *map(int, counts))))
         return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent commit")
@@ -108,33 +140,33 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     parent_sha, change_sha = git("rev-parse", args.parent), change_ref()
-    runs = []
     with tempfile.TemporaryDirectory(prefix="layer-costs-") as tmp:
         roots = {side: checkout(sha, Path(tmp) / side) for side, sha in (("parent", parent_sha), ("change", change_sha))}
-        for i in range(PROCESSES):
-            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                us = run_probe(roots[side])
-                runs.append({"process": i, "side": side, "us": us})
-                print(f"process {i} {side}: " + json.dumps({k: round(v, 2) for k, v in us.items()}), flush=True)
+        rounds = run_probe(roots)
 
     out_path = Path(args.out)
     doc = json.loads(out_path.read_text()) if out_path.exists() else {}
     doc.setdefault("machine", machine())
+    costs = summarise(rounds)
     doc["layer_costs_us"] = {
         "method": (
-            f"tools/layer_costs.py: min over {REPEAT} x {NUMBER} timeit calls on one fixed"
-            f" observer-stream state (seed {STATE_SEED}, step {STATE_STEP}), min over {PROCESSES}"
-            " interleaved processes per side, each side from a git archive snapshot; raw microseconds"
+            f"tools/layer_costs.py: both trees imported into one interpreter, BLAS on one thread;"
+            f" {ROUNDS} rounds, each timing every layer on both sides in turn (first side alternating),"
+            f" min of {REPEAT} x {NUMBER} timeit calls; one fixed observer-stream state"
+            f" (seed {STATE_SEED}, step {STATE_STEP}); min and median over rounds, raw microseconds"
         ),
         "parent_ref": parent_sha,
         "change_ref": change_sha,
-        **combine(runs),
-        "runs": runs,
+        "layers": costs,
+        "rounds": rounds,
     }
     out_path.write_text(json.dumps(doc, indent=1) + "\n")
-    costs = doc["layer_costs_us"]
-    for name in costs["parent"]:
-        print(f"{name}: {costs['parent'][name]} -> {costs['change'][name]} us")
+    for name, c in costs.items():
+        print(
+            f"{name}: min {c['parent']['min']} -> {c['change']['min']} us,"
+            f" median {c['parent']['median']} -> {c['change']['median']} us,"
+            f" change faster in {c['change_faster']} of {len(rounds)} rounds"
+        )
     return 0
 
 
