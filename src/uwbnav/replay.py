@@ -1,15 +1,15 @@
 """Dataset ingestion, ground-truth benchmarks, and observer replay.
 
 A recorded trial arrives as three CSV streams — IMU, UWB, and ground truth —
-plus an anchor JSON file.  This module parses each stream once into a float
-table sorted by time (validation happens there, row by row, and nowhere
-after), derives a benchmark velocity from the ground-truth positions (local
-least-squares polynomial differentiation), runs the observer sample-by-sample,
-and scores it into the simulator's record, ``sim.RunResult``, so synthetic
-and recorded runs are directly comparable.  ``run_replay`` interpolates the
-truth once from the gt table (NaN outside its range) and hands it, with the
-loaded IMU and TDOA tables, to ``sim._run_and_score``, the routine
-``run_scenario`` runs and scores its own tables with; it then adds the
+plus an anchor JSON file.  This module converts each stream once into a float
+table sorted by time (validation happens there, on the whole table, and
+nowhere after), derives a benchmark velocity from the ground-truth positions
+(local least-squares polynomial differentiation), runs the observer
+sample-by-sample, and scores it into the simulator's record, ``sim.RunResult``,
+so synthetic and recorded runs are directly comparable.  ``run_replay``
+interpolates the truth once from the gt table (NaN outside its range) and
+hands it, with the loaded IMU and TDOA tables, to ``sim._run_and_score``, the
+routine ``run_scenario`` runs and scores its own tables with; it then adds the
 replay's summary keys (skipped steps, sample, dropped frame and gt counts).
 
 File formats (canonical column names; remap via ``column_map``):
@@ -37,12 +37,13 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .liegroup import Rotation, _as_vec3
-from .observer import Gains, ObserverState, step
+from .observer import Gains, ObserverState, _norms, step
 from .sensors import ReferenceVectors
 from .sim import _SETTLE_DWELL, _SETTLE_THRESHOLD, RunResult, SimResult, _run_and_score, _standard_normals
 from .tdoa import solve_frame  # noqa: F401  _run_stream solves the frames; navbench traces this name
@@ -158,13 +159,10 @@ def _read_rows(path) -> tuple[list, list]:
     if not path.exists():
         raise ConfigError(f"dataset file not found: {path}")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path} is empty") from None
-        rows = list(reader)
-    return header, rows
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise DataError(f"{path} is empty")
+    return [h.strip() for h in rows[0]], rows[1:]
 
 
 def _column_indices(header, names, path):
@@ -174,42 +172,50 @@ def _column_indices(header, names, path):
     return [header.index(name) for name in names]
 
 
-def _unit_quaternion(v):
-    """Row check of gt.csv: the quaternion (v[1:5]) has norm 1 +/- _QUAT_NORM_TOL."""
-    norm = np.linalg.norm(v[1:5])
-    if abs(norm - 1.0) > _QUAT_NORM_TOL:
-        raise ValueError(f"quaternion norm {norm:.8f} is not 1 +/- {_QUAT_NORM_TOL}")
-    return v
+def _unit_quaternion(table):
+    """Table check of gt.csv: each quaternion (columns 1-4) has norm 1 +/- _QUAT_NORM_TOL."""
+    norm = _norms(table[:, 1:5])  # inf where it overflows
+    off = np.flatnonzero(np.abs(norm - 1.0) > _QUAT_NORM_TOL).tolist()
+    return table, {k: f"quaternion norm {norm[k]:.8f} is not 1 +/- {_QUAT_NORM_TOL}" for k in off}
 
 
-def _range_differences(v):
-    """Row conversion of a range file: t, then the cyclic differences r[k+1] - r[k]."""
-    r = v[1:]
-    d = [b - a for a, b in zip(r, r[1:] + r[:1])]
-    if not all(map(math.isfinite, d)):
-        raise ValueError("range differences must be finite")
-    return v[:1] + d
+def _range_differences(table):
+    """Table conversion of a range file: t, then each row's cyclic differences r[k+1] - r[k]."""
+    r = table[:, 1:]
+    table = np.column_stack([table[:, :1], np.roll(r, -1, axis=1) - r])
+    off = np.flatnonzero(~np.isfinite(table).all(axis=1)).tolist()
+    return table, dict.fromkeys(off, "range differences must be finite")
 
 
 def _parse_stream(path, rows, indices, stream, report, check=None) -> np.ndarray:
     """The rows' ``indices`` columns as one float table, sorted by time (column 0).
 
-    A row is skipped, and logged with its line number, when a column is missing
-    or not a finite number, or when ``check`` (given the row's floats, it
-    returns them, converted if need be) raises ValueError.
+    One ``np.array(cells, dtype=float)`` reads the cells as ``float()`` does.  A row
+    is skipped, and logged with its line number, when a column is missing or not
+    a finite number (only then are the rows read with ``float()``, to name them),
+    or when ``check`` fails it: ``check(table)`` returns it, converted if need be,
+    and a message per failing row.
     """
-    table = []
-    for row_no, row in enumerate(rows, start=2):  # header is line 1
-        try:
-            values = [float(row[i]) for i in indices]
-            if not all(map(math.isfinite, values)):
-                raise ValueError("non-finite value")
-            table.append(values if check is None else check(values))
-        except (ValueError, IndexError) as exc:
-            report.skipped_rows.append(f"{Path(path).name} row {row_no}: {exc}")
-    report.rows_read[stream] = len(rows)
-    report.rows_skipped[stream] = len(rows) - len(table)
-    table = np.array(table, dtype=float).reshape(len(table), len(indices))
+    pick, errors, taken = itemgetter(*indices), {}, range(len(rows))
+    try:
+        table = np.array(list(map(pick, rows)), dtype=float).reshape(-1, len(indices))
+    except (ValueError, IndexError):
+        for k in taken:
+            try:
+                [float(rows[k][i]) for i in indices]
+            except (ValueError, IndexError) as exc:
+                errors[k] = str(exc)
+        taken = [k for k in taken if k not in errors]
+        table = np.array([pick(rows[k]) for k in taken], dtype=float).reshape(-1, len(indices))
+    non_finite = dict.fromkeys(np.flatnonzero(~np.isfinite(table).all(axis=1)).tolist(), "non-finite value")
+    with np.errstate(over="ignore", invalid="ignore"):  # a check fails what overflows or is not finite
+        table, failed = (table, {}) if check is None else check(table)
+    failed |= non_finite  # a non-finite row is reported as such
+    errors.update((taken[k], msg) for k, msg in failed.items())
+    table = np.delete(table, list(failed), axis=0)
+    name = Path(path).name
+    report.skipped_rows.extend(f"{name} row {k + 2}: {errors[k]}" for k in sorted(errors))  # header is line 1
+    report.rows_read[stream], report.rows_skipped[stream] = len(rows), len(errors)
     times = table[:, 0]
     report.reordered[stream] = int(np.sum(np.diff(times) < 0))
     return table[np.argsort(times, kind="stable")]
@@ -220,10 +226,10 @@ def load_dataset(paths: dict, column_map: dict | None = None) -> LoadedDataset:
 
     ``paths`` maps stream names ("imu", "uwb", "gt") to file paths; "gt" is
     optional at load time (replay will refuse to run without it).  Each file
-    is parsed once, row by row; malformed rows (a missing or non-finite value,
-    a gt quaternion off unit norm, range differences that overflow) are
-    skipped and counted in the report rather than aborting the load.  See
-    ``LoadedDataset`` for the table layouts.
+    is converted once into one table and checked as a whole; malformed rows
+    (a missing or non-finite value, a gt quaternion off unit norm, range
+    differences that overflow) are skipped and counted in the report rather
+    than aborting the load.  See ``LoadedDataset`` for the table layouts.
     """
     cmap = _merge_column_map(column_map)
     if "imu" not in paths or "uwb" not in paths:
@@ -238,8 +244,7 @@ def load_dataset(paths: dict, column_map: dict | None = None) -> LoadedDataset:
     n_mag = sum(name in header for name in mag_names)
     if n_mag not in (0, 3):
         raise ConfigError(f"{Path(paths['imu']).name}: magnetometer columns incomplete")
-    if n_mag:
-        idx += _column_indices(header, mag_names, paths["imu"])
+    idx += _column_indices(header, mag_names[:n_mag], paths["imu"])
     imu = _parse_stream(paths["imu"], rows, idx, "imu", report)
 
     uwb_map = cmap["uwb"]

@@ -277,6 +277,110 @@ def test_load_dataset_skips_ground_truth_rows_off_unit_norm_or_malformed(tmp_pat
     ]
 
 
+def test_a_short_row_is_reported_at_its_first_failing_column_in_column_map_order(tmp_path):
+    # The file's columns run px, py, pz, t, qw, qx, qy, qz; the map reads t,
+    # qw, qx, qy, qz, px, py, pz.  A short row whose earlier column (in map
+    # order) does not convert is reported with float()'s message.
+    paths = hover_dataset(tmp_path, imu_times=(0.0, 0.01))
+    header = ["px", "py", "pz", "t", "qw", "qx", "qy", "qz"]
+    rows = [
+        ["1.0", "2.0", "3.0", "0.0", "1.0", "0.0", "0.0", "0.0"],
+        ["bad", "2.0", "3.0", "0.01", "1.0", "0.0", "0.0"],  # qz missing before px is read
+        ["1.0", "2.0", "3.0", "x", "1.0", "0.0"],  # t fails before qy is missing
+        ["bad", "2.0", "3.0", "0.03", "worse", "0.0", "0.0", "0.0"],  # qw fails before px
+        ["1.0", "2.0", "3.0", "0.04", "1.0", "0.0", "0.0", "nope", "extra"],
+        ["1.0", "2.0", "3.0", "0.05", "1.0", "0.0", "0.0", "0.0"],
+    ]
+    write_csv(tmp_path / "gt.csv", header, rows)
+    ds = load_dataset(paths)
+    assert ds.report.rows_read["gt"] == 6
+    assert ds.report.rows_skipped["gt"] == 4
+    assert ds.gt[:, 0].tolist() == [0.0, 0.05]
+    assert [m for m in ds.report.skipped_rows if m.startswith("gt.csv")] == [
+        "gt.csv row 3: list index out of range",
+        "gt.csv row 4: could not convert string to float: 'x'",
+        "gt.csv row 5: could not convert string to float: 'worse'",
+        "gt.csv row 6: could not convert string to float: 'nope'",
+    ]
+
+
+def row_by_row_stream(path, names, check=None):
+    """The rows of one CSV stream, read as ``load_dataset`` read them before it
+    converted whole tables: ``float()`` per cell, each row checked alone, then
+    sorted by time.  Returns (table, rows read, skipped, messages)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        rows = list(reader)
+    indices = [header.index(name) for name in names]
+    table, messages = [], []
+    for row_no, row in enumerate(rows, start=2):
+        try:
+            values = [float(row[i]) for i in indices]
+            if not all(map(np.isfinite, values)):
+                raise ValueError("non-finite value")
+            table.append(values if check is None else check(values))
+        except (ValueError, IndexError) as exc:
+            messages.append(f"{path.name} row {row_no}: {exc}")
+    table = np.array(table, dtype=float).reshape(len(table), len(indices))
+    return table[np.argsort(table[:, 0], kind="stable")], len(rows), len(rows) - len(table), messages
+
+
+def row_unit_quaternion(v):
+    with np.errstate(over="ignore"):  # a norm that overflows is inf, and off
+        norm = np.linalg.norm(v[1:5])
+    if abs(norm - 1.0) > 1e-6:
+        raise ValueError(f"quaternion norm {norm:.8f} is not 1 +/- 1e-06")
+    return v
+
+
+def row_range_differences(v):
+    r = v[1:]
+    d = [b - a for a, b in zip(r, r[1:] + r[:1])]
+    if not all(map(np.isfinite, d)):
+        raise ValueError("range differences must be finite")
+    return v[:1] + d
+
+
+def test_every_float_spelling_loads_as_the_row_by_row_read_gives_it(tmp_path):
+    # float() takes underscores, any Unicode digits, surrounding whitespace,
+    # "infinity" and overflowing exponents, and keeps -0's sign; it refuses
+    # hex.  The tables, counts and messages are those of a float() per cell.
+    spellings = ["1_0", "١٢", " 1.5 ", "-0", "infinity", "1e400", "0x10", "-0.0", "\t2e-3\n", "1e-400"]
+    rng = np.random.default_rng(24)
+
+    def cells(k, width, base):
+        row = [repr(base + 0.01 * k)] + [repr(float(x)) for x in rng.normal(size=width - 1)]
+        row[1 + k % (width - 1)] = spellings[k % len(spellings)]
+        return row
+
+    write_csv(tmp_path / "imu.csv", IMU_HEADER, [cells(k, 10, 0.0) for k in range(40)])
+    write_csv(tmp_path / "uwb.csv", ["t", "r1", "r2", "r3", "r4"], [cells(k, 5, 0.0) for k in range(40)])
+    gt = [["٠.0" if k == 3 else repr(0.01 * k), "1.0", "0.0", "-0", "0.0", *cells(k, 4, 0.0)[1:]] for k in range(30)]
+    gt += [[repr(0.01 * k), s, "0.0", "0.0", "0.0", "1.0", "2.0", "3.0"] for k, s in enumerate(spellings, start=30)]
+    gt.append(["0.5", "1e200", "1e200", "0.0", "0.0", "1.0", "2.0", "3.0"])  # its norm overflows
+    gt.append(["0.6", "0.6", "0.8", "0.0", " -0 ", "1", "2", "3"])
+    write_csv(tmp_path / "gt.csv", GT_HEADER, gt)
+    paths = {k: tmp_path / f"{k}.csv" for k in ("imu", "uwb", "gt")}
+    ds = load_dataset(paths, column_map={"uwb": {"mode": "range"}})
+
+    want = {
+        "imu": row_by_row_stream(paths["imu"], IMU_HEADER),
+        "uwb": row_by_row_stream(paths["uwb"], ["t", "r1", "r2", "r3", "r4"], row_range_differences),
+        "gt": row_by_row_stream(paths["gt"], GT_HEADER, row_unit_quaternion),
+    }
+    messages = []
+    for stream, got in (("imu", ds.imu), ("uwb", ds.tdoa), ("gt", ds.gt)):
+        table, read, skipped, stream_messages = want[stream]
+        assert got.shape == table.shape and got.tobytes() == table.tobytes(), stream
+        assert (ds.report.rows_read[stream], ds.report.rows_skipped[stream]) == (read, skipped), stream
+        assert 0 < skipped < read, stream
+        messages += stream_messages
+    assert ds.report.skipped_rows == messages
+    assert "gt.csv row 38: could not convert string to float: '0x10'" in messages
+    assert (ds.gt[:, 3] == 0.0).all() and np.signbit(ds.gt[:, 3]).any()
+
+
 # --- quaternion conversions -----------------------------------------------------------
 
 
@@ -404,6 +508,43 @@ def test_derive_velocity_matches_savgol_filter_on_uniform_samples():
         vel = derive_velocity(t, pos, window, order)
         ref = savgol_filter(pos, window, order, deriv=1, delta=0.01, axis=0, mode="interp")
         np.testing.assert_allclose(vel, ref, rtol=0.0, atol=1e-11)
+
+
+def chunked_fit_velocity(t, pos, window=11, poly_order=2, chunk=512):
+    """derive_velocity's arithmetic written out: a pseudo-inverse per sample,
+    ``chunk`` samples at a time.  A faster form must keep every bit of it."""
+    n = len(t)
+    lo = np.clip(np.arange(n) - window // 2, 0, n - window)
+    powers = np.arange(poly_order + 1)
+    vel = np.empty_like(pos)
+    for start in range(0, n, chunk):
+        i = np.arange(start, min(start + chunk, n))
+        idx = lo[i, None] + np.arange(window)
+        span = t[idx[:, -1]] - t[idx[:, 0]]
+        local = (t[idx] - t[i, None]) / span[:, None]
+        slope = np.linalg.pinv(local[..., None] ** powers)[:, 1, :] / span[:, None]
+        vel[i] = np.einsum("mw,mwk->mk", slope, pos[idx])
+    return vel
+
+
+@pytest.mark.parametrize("series", ["uniform", "jittered", "chunks"])
+def test_derive_velocity_is_the_per_sample_fit_bit_for_bit(series):
+    rng = np.random.default_rng(24)
+    if series == "uniform":  # a 60 s trial's gt times: few distinct windows
+        t = np.arange(6001) / 100
+    elif series == "jittered":  # no window repeats
+        t = np.cumsum(rng.uniform(0.005, 0.015, 1500))
+    else:  # across the chunk boundaries and both clamped ends, a few windows jittered
+        n = 2 * uwbnav.replay._VELOCITY_CHUNK + 7
+        t = np.arange(n) / 100
+        t[[3, 511, 512, 700, n - 2]] += 0.003
+    pos = np.stack([np.sin(t), np.cos(0.5 * t), 0.1 * t], axis=1) + rng.normal(scale=1e-3, size=(len(t), 3))
+    want = chunked_fit_velocity(t, pos, chunk=uwbnav.replay._VELOCITY_CHUNK)
+    got = derive_velocity(t, pos)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for window, order in ((7, 3), (5, 1)):
+        want = chunked_fit_velocity(t, pos, window, order, uwbnav.replay._VELOCITY_CHUNK)
+        assert derive_velocity(t, pos, window, order).tobytes() == want.tobytes()
 
 
 def test_derive_velocity_does_not_import_scipy_signal():

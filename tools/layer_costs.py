@@ -1,6 +1,6 @@
-"""Layer costs: one fixed observer state, each layer timed alone, parent against this tree in one interpreter.
+"""Layer costs: each layer timed alone on one state or replay trial, parent against this tree in one interpreter.
 
-    python3 tools/layer_costs.py --parent f47e4cd --out BENCH_23.json
+    python3 tools/layer_costs.py --parent 24171ba --out BENCH_24.json
 
 Both sides run from the same kind of snapshot as ``tools/bench_pairs.py``
 makes: the files of a commit exported by ``git archive`` into a temporary
@@ -9,9 +9,12 @@ tree and index, else HEAD).  One fresh interpreter, with BLAS pinned to one
 thread, imports both snapshots' ``uwbnav`` and navbench ``worker``, each as
 its own set of modules.  In each it builds navbench's observer-stream inputs
 for seed 5, steps the first flight to step 1500 and takes each layer's call
-on that state.  It then runs 40 rounds.  In each round every layer is timed
+on that state.  The replay input stage's layers read one 60 s figure-eight
+trial, exported once, as navbench's replay-trial exports it (its seed 5,
+first trial).  It then runs 40 rounds.  In each round every layer is timed
 on both sides, the side that goes first alternating from round to round: the
-minimum of 3 ``timeit`` runs of 1 000 calls, in microseconds per call.  For
+minimum of 3 ``timeit`` runs of 1 000 calls (1 call for an input-stage
+layer, each tens of milliseconds), in microseconds per call.  For
 each layer the result gives each side's minimum and median over the rounds
 and the number of rounds in which the change was faster; every round's
 numbers are kept.  It is the ``layer_costs_us`` entry of the output file,
@@ -25,7 +28,10 @@ as 60, 49 and 51 µs in three runs, and single interpreters from 49 to 89 µs.
 The layers: ``step`` without a frame, with a frame it solves and with a fix
 handed as ``p_y``; ``solve_frame`` and its ``build_system``; the correction
 step's ``_se23_exp`` (all blocks non-zero) and the prediction's (``vcol`` the
-shared zero); ``build_triads``; and ``_pack`` of the state's R, P and V.
+shared zero); ``build_triads``; ``_pack`` of the state's R, P and V; and
+the replay input stage: ``load_dataset`` of the trial's three CSV files, and
+``derive_velocity`` on its gt table and on a copy whose times are jittered
+by up to 2 ms, so that no fit window repeats.
 
 Standard library only (the probe imports the snapshots' numpy code).
 """
@@ -49,28 +55,40 @@ STATE_SEED = 5  # navbench observer-stream seed of the timed state
 STATE_STEP = 1500  # steps of its first flight before the timed state
 ROUNDS, NUMBER, REPEAT = 40, 1_000, 3  # alternating rounds; calls per timing; timings per layer, side and round
 SNAPSHOT_MODULES = ("uwbnav", "worker", "checks", "speed", "tracer")  # what importing a snapshot loads
+INPUT_LAYERS = ("load_dataset", "derive_velocity", "derive_velocity_jittered")  # timed one call at a time
+JITTER_S = 0.002  # largest shift of a gt time in the jittered copy (the gt step is 10 ms)
 
 
-def layers(root: Path) -> dict:
-    """Each layer's call on the fixed state, with ``root``'s code.
+def layers(root: Path, trial: Path) -> dict:
+    """Each layer's call on the fixed state and the replay trial, with ``root``'s code.
 
     The snapshot's modules are imported afresh, apart from those of any
-    snapshot imported before; its calls keep their own modules alive.
+    snapshot imported before; its calls keep their own modules alive.  The
+    trial is exported into ``trial`` by the first snapshot that finds it empty.
     """
     for name in [m for m in sys.modules if m.partition(".")[0] in SNAPSHOT_MODULES]:
         del sys.modules[name]
     path = sys.path[:]
     sys.path[:0] = [str(root / "src"), str(root / "navbench")]
     try:
+        import numpy as np
         import worker
-        from uwbnav import liegroup, observer, sensors, tdoa
+        from uwbnav import liegroup, observer, replay, sensors, tdoa
 
         stream = worker.ObserverStream(STATE_SEED, False, None)
         stream.flights = 1  # flight 0's noise does not depend on the flight count
         stream.make_inputs()
         stream.prepare()
+        bench = worker.ReplayTrial(STATE_SEED, False, trial, trial)
+        bench.seeds, bench.inputs = bench.seeds[:1], bench.inputs[:1]
+        if not bench.inputs[0].exists():
+            bench.export_trials()
     finally:
         sys.path[:] = path
+    csvs = {k: bench.inputs[0] / f"{k}.csv" for k in ("imu", "uwb", "gt")}
+    gt = replay.load_dataset(csvs).gt
+    t, gt_pos = gt[:, 0], gt[:, 5:8]
+    t_jittered = t + np.random.default_rng(STATE_SEED).uniform(-JITTER_S, JITTER_S, len(t))
     samples, frames = stream.inputs[0]
     anchors, gains, ref, dt = stream.anchor_set, stream.gains, stream.ref, worker.DT
     state = stream.init
@@ -89,21 +107,26 @@ def layers(root: Path) -> dict:
         "se23_exp_zero_v": lambda: liegroup._se23_exp(omega, liegroup._ZERO3, acc, 1.0, dt),
         "build_triads": lambda: sensors.build_triads(sample, ref),
         "pack": lambda: liegroup._pack(nav.rot.m, nav.pos, nav.vel),
+        "load_dataset": lambda: replay.load_dataset(csvs),
+        "derive_velocity": lambda: replay.derive_velocity(t, gt_pos),
+        "derive_velocity_jittered": lambda: replay.derive_velocity(t_jittered, gt_pos),
     }
 
 
 def probe(roots: dict, rounds: int = ROUNDS, number: int = NUMBER, repeat: int = REPEAT) -> list[dict]:
     """Per round, each side's microseconds per call of each layer; ``roots`` maps side to snapshot."""
-    calls = {side: layers(root) for side, root in roots.items()}
     sides = list(roots)
     out = []
-    for i in range(rounds):
-        row = {side: {} for side in sides}
-        for name in calls[sides[0]]:
-            for side in sides if i % 2 == 0 else sides[::-1]:
-                row[side][name] = min(timeit.repeat(calls[side][name], number=number, repeat=repeat)) / number * 1e6
-        out.append(row)
-        print(f"round {i + 1} of {rounds}", file=sys.stderr, flush=True)
+    with tempfile.TemporaryDirectory(prefix="layer-costs-trial-") as trial:
+        calls = {side: layers(root, Path(trial)) for side, root in roots.items()}
+        for i in range(rounds):
+            row = {side: {} for side in sides}
+            for name in calls[sides[0]]:
+                n = 1 if name in INPUT_LAYERS else number
+                for side in sides if i % 2 == 0 else sides[::-1]:
+                    row[side][name] = min(timeit.repeat(calls[side][name], number=n, repeat=repeat)) / n * 1e6
+            out.append(row)
+            print(f"round {i + 1} of {rounds}", file=sys.stderr, flush=True)
     return out
 
 
@@ -152,8 +175,9 @@ def main(argv=None) -> int:
         "method": (
             f"tools/layer_costs.py: both trees imported into one interpreter, BLAS on one thread;"
             f" {ROUNDS} rounds, each timing every layer on both sides in turn (first side alternating),"
-            f" min of {REPEAT} x {NUMBER} timeit calls; one fixed observer-stream state"
-            f" (seed {STATE_SEED}, step {STATE_STEP}); min and median over rounds, raw microseconds"
+            f" min of {REPEAT} x {NUMBER} timeit calls (x 1 for {', '.join(INPUT_LAYERS)});"
+            f" one fixed observer-stream state (seed {STATE_SEED}, step {STATE_STEP}) and one exported"
+            f" 60 s replay trial (seed {STATE_SEED}); min and median over rounds, raw microseconds"
         ),
         "parent_ref": parent_sha,
         "change_ref": change_sha,
