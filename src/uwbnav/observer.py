@@ -398,7 +398,7 @@ def _run_stream(state, imu, mags, tdoa, anchors, gains, *, ref, step):
 
 
 def _norms(d):
-    """Row norms of d (m, 3), bit for bit those of ``np.linalg.norm`` on each row.
+    """Row norms of d (m, k), bit for bit those of ``np.linalg.norm`` on each row.
 
     ``np.linalg.norm(d, axis=1)`` sums the squares in another order.
     """

@@ -42,10 +42,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .liegroup import Rotation, _as_vec3
+from .liegroup import Rotation
 from .observer import Gains, ObserverState, _norms, step
 from .sensors import ReferenceVectors
-from .sim import _SETTLE_DWELL, _SETTLE_THRESHOLD, RunResult, SimResult, _run_and_score, _standard_normals
+from .sim import _SETTLE_DWELL, _SETTLE_THRESHOLD, _STREAM_MAG, RunResult, SimResult, _noisy_table, _run_and_score
 from .tdoa import solve_frame  # noqa: F401  _run_stream solves the frames; navbench traces this name
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
 ]
 
 _QUAT_NORM_TOL = 1e-6
-_STREAM_MAG = 2  # rng stream tag for synthesized magnetometer noise
 _VELOCITY_CHUNK = 512  # samples per batch of local fits in derive_velocity (bounds memory)
 # The benchmark velocity's local fit: samples per window, polynomial order.
 _VELOCITY_WINDOW, _VELOCITY_POLY_ORDER = 11, 2
@@ -272,33 +271,34 @@ def load_dataset(paths: dict, column_map: dict | None = None) -> LoadedDataset:
     return LoadedDataset(imu=imu, tdoa=tdoa, gt=gt, report=report)
 
 
+# Shepperd's method, per case (the largest of trace, m00, m11, m22): each
+# component's numerator in (m21 - m12, m02 - m20, m10 - m01, m01 + m10,
+# m02 + m20, m12 + m21); component ``case`` is 0.25 s instead.
+_SHEPPERD = np.array([[0, 0, 1, 2], [0, 0, 3, 4], [1, 3, 0, 5], [2, 4, 5, 0]])
+
+
+def _quaternions(m) -> np.ndarray:
+    """The unit Hamilton (w, x, y, z) quaternions, w >= 0, of the (n, 3, 3) rotation matrices ``m``.
+
+    Shepperd's method: each row picks the largest of (trace, m00, m11, m22)
+    for stability, with every row's arithmetic that of the one-matrix form.
+    """
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = np.reshape(m, (-1, 9)).T
+    tr = m00 + m11 + m22
+    case = np.argmax(np.stack([tr, m00, m11, m22], axis=1), axis=1)  # ties go to the first, as in the one-matrix form
+    radicand = np.choose(case, [tr + 1.0, 1.0 + m00 - m11 - m22, 1.0 + m11 - m00 - m22, 1.0 + m22 - m00 - m11])
+    s = np.sqrt(np.maximum(radicand, 0.0)) * 2.0
+    pairs = np.stack([m21 - m12, m02 - m20, m10 - m01, m01 + m10, m02 + m20, m12 + m21], axis=1)
+    q = np.take_along_axis(pairs, _SHEPPERD[case], axis=1) / s[:, None]
+    q[np.arange(len(q)), case] = 0.25 * s
+    q /= _norms(q)[:, None]
+    return np.where(q[:, :1] >= 0.0, q, -q)
+
+
 def rotation_to_quat(R) -> np.ndarray:
     """Convert a rotation matrix to a unit Hamilton (w, x, y, z) quaternion, w >= 0."""
     m = R.m if isinstance(R, Rotation) else np.asarray(R, dtype=float)
-    # Shepperd's method: pick the largest of (trace, m00, m11, m22) for stability.
-    tr = np.trace(m)
-    if tr >= max(m[0, 0], m[1, 1], m[2, 2]):
-        s = math.sqrt(max(tr + 1.0, 0.0)) * 2.0
-        q = np.array(
-            [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
-        )
-    elif m[0, 0] >= max(m[1, 1], m[2, 2]):
-        s = math.sqrt(max(1.0 + m[0, 0] - m[1, 1] - m[2, 2], 0.0)) * 2.0
-        q = np.array(
-            [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
-        )
-    elif m[1, 1] >= m[2, 2]:
-        s = math.sqrt(max(1.0 + m[1, 1] - m[0, 0] - m[2, 2], 0.0)) * 2.0
-        q = np.array(
-            [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
-        )
-    else:
-        s = math.sqrt(max(1.0 + m[2, 2] - m[0, 0] - m[1, 1], 0.0)) * 2.0
-        q = np.array(
-            [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
-        )
-    q /= np.linalg.norm(q)
-    return q if q[0] >= 0.0 else -q
+    return _quaternions(m[None])[0]
 
 
 def derive_velocity(t, pos, window: int = _VELOCITY_WINDOW, poly_order: int = _VELOCITY_POLY_ORDER) -> np.ndarray:
@@ -437,15 +437,11 @@ def run_replay(
         mags = [None] * n_steps
         steps_inside = np.flatnonzero(inside[:n_steps]).tolist()
         synthesised = np.array([truth_rot[k].T @ ref.mag_ref for k in steps_inside]).reshape(-1, 3)
-        if mag_noise_sd > 0.0:
-            # Sample k's noise is normal(0, sd, 3) of default_rng((seed, tag, k)):
-            # 0.0 + sd * z, scaled in C where an overflow is silent.
-            z = _standard_normals([(int(seed), _STREAM_MAG, k) for k in steps_inside], 3)
-            with np.errstate(over="ignore"):
-                z = 0.0 + mag_noise_sd * z
-            synthesised = synthesised + z
-        for k, mag in zip(steps_inside, synthesised):
-            mags[k] = _as_vec3(mag, "mag")
+        table = _noisy_table(
+            t_imu[steps_inside], [synthesised], [mag_noise_sd], seed, _STREAM_MAG, steps_inside, "synthesized mag"
+        )
+        for k, mag in zip(steps_inside, table[:, 1:]):
+            mags[k] = mag
     result, skipped_steps, taken, _, _ = _run_and_score(
         init, imu, mags, tdoa, anchors, gains, (truth_rot, truth_pos, truth_vel),
         float(t_imu[-1] - t_imu[0]), (settle_threshold, settle_dwell), ref=ref, step=step,
@@ -545,8 +541,7 @@ def export_dataset(result: SimResult, outdir) -> dict:
     _write_table(paths["imu"], ["t", "gx", "gy", "gz", "ax", "ay", "az", "mx", "my", "mz"], result.imu)
     anchors = result.scenario.anchors
     _write_table(paths["uwb"], ["t"] + [f"d{i + 1}" for i in range(anchors.n)], result.tdoa)
-    quats = [rotation_to_quat(r) for r in result.truth_rot]
-    gt = np.column_stack([result.t, quats, result.truth_pos])
+    gt = np.column_stack([result.t, _quaternions(result.truth_rot), result.truth_pos])
     _write_table(paths["gt"], ["t", "qw", "qx", "qy", "qz", "px", "py", "pz"], gt)
     payload = {"anchors": [{"id": a.id, "pos": [float(x) for x in a.pos]} for a in anchors.anchors]}
     with atomic_writer(paths["anchors"]) as fh:

@@ -17,7 +17,8 @@ a run, and any CSV export of it, replays bit-identically.  The keys are
 numpy's ``default_rng`` keys; ``_pcg64_states`` derives the generator states
 for a whole stream at once (numpy's SeedSequence hash and PCG64 seeding, on
 arrays), and ``_standard_normals`` draws every sample from one re-seeded
-generator, with the bits ``default_rng(key)`` would give.
+generator, with the bits ``default_rng(key)`` would give.  ``_noisy_table``
+adds that noise to the sim's IMU readings and replay's synthesized magnetometer.
 
 The truth depends on the trajectory alone, never on the seed.
 ``truth_track`` steps it once over every IMU sample into a read-only
@@ -26,9 +27,9 @@ is given), adding per seed only what the seed changes: IMU and TDOA noise,
 biases, the magnetometer reading, the observer and its errors.  A seed
 sweep (``uwbnav sim --runs N``) therefore integrates its truth once.
 
-``TruthModel`` and ``Scenario`` check their inputs when built.  One kernel,
-``_truth_step``, makes the sandwich step: ``propagate_truth`` is its public
-one-step form, and ``truth_track`` runs it on raw ``R, P, V`` arrays.
+``TruthModel`` and ``Scenario`` check their inputs when built.  One checked
+walk, ``_walk_truth``, makes the sandwich steps: ``truth_track`` runs it over
+the IMU grid, and ``propagate_truth`` is its one-step case.
 
 Per seed, ``run_scenario`` builds the IMU table (``_imu_stream``, of which
 ``synthesize_imu`` is the one-sample case) and the TDOA table before the
@@ -56,7 +57,7 @@ from .liegroup import (
     _pack,
     _se23_exp,
     _trusted,
-    se23_exp,  # noqa: F401  _truth_step runs _se23_exp; navbench traces calls at this name
+    se23_exp,  # noqa: F401  _walk_truth runs _se23_exp; navbench traces calls at this name
     so3_exp,
 )
 from .observer import Gains, ObserverState, _check_dt, _nav_errors, _norms, _run_stream, step
@@ -87,6 +88,7 @@ __all__ = [
 # magnetometer streams never collide.
 _STREAM_IMU = 0
 _STREAM_TDOA = 1
+_STREAM_MAG = 2
 
 # The position-error settling rule a run's summary reports, for sim and replay.
 _SETTLE_THRESHOLD = 0.5  # m
@@ -145,12 +147,12 @@ class TruthTrack:
 
     ``rot`` (n+1, 3, 3), ``pos`` and ``vel`` (n+1, 3) are the true state, row 0
     the initial one and each later row stepped from the one before by
-    ``_truth_step``, the kernel of ``propagate_truth``; ``omega`` and ``accel``
-    (n+1, 3) are ``omega_fn(t_k)`` and ``accel_fn(t_k)``.  The arrays are
-    read-only copies.  ``omega_fn``, ``accel_fn``, the initial state,
-    ``gravity``, ``imu_rate`` and ``n`` are the definition the track was built
-    from; ``run_scenario`` refuses a track whose definition differs from its
-    scenario's.
+    ``_walk_truth``, of which ``propagate_truth`` is the one-step case;
+    ``omega`` and ``accel`` (n+1, 3) are ``omega_fn(t_k)`` and
+    ``accel_fn(t_k)``.  The arrays are read-only copies.  ``omega_fn``,
+    ``accel_fn``, the initial state, ``gravity``, ``imu_rate`` and ``n`` are
+    the definition the track was built from; ``run_scenario`` refuses a track
+    whose definition differs from its scenario's.
     """
 
     omega_fn: object
@@ -184,27 +186,39 @@ class TruthTrack:
         object.__setattr__(self, "n", int(self.n))
 
 
-def _gravity_factor(gravity, dt: float) -> np.ndarray:
-    """exp(-G dt), the step's gravity factor: it depends only on gravity and dt."""
-    return _se23_exp(_ZERO3, _ZERO3, -gravity, 1.0, -dt)
+def _walk_truth(nav: NavState, time: float, dts: list, omega_fn, accel_fn, gravity) -> np.ndarray:
+    """The truth stepped from ``nav`` at ``time`` over each step length of ``dts``.
 
-
-def _truth_step(R, P, V, omega, accel, gravity_factor, dt: float) -> np.ndarray:
-    """One truth step, exp(-G dt) @ X @ exp(U dt) with X = (R, P, V), on inputs already checked.
-
-    ``gravity_factor`` is ``_gravity_factor(gravity, dt)``.
+    Returns the (len(dts) + 1, 3, 5) stack of [R P V], row 0 ``nav``.  Each
+    step is exp(-G dt) @ X @ exp(U dt) on the 5x5 X carried from the step
+    before, U from the ``omega_fn``/``accel_fn`` samples at the step's
+    midpoint; the gravity factor exp(-G dt) is built once per distinct dt.
+    It checks what it takes in and makes: every dt, each midpoint sample,
+    each new rotation on SO(3) and each new position and velocity.
     """
-    return gravity_factor.dot(_pack(R, P, V)).dot(_se23_exp(omega, _ZERO3, accel, 1.0, dt))
+    _check_dt(min(dts))
+    _check_dt(max(dts))
+    gravity_factors = {dt: _se23_exp(_ZERO3, _ZERO3, -gravity, 1.0, -dt) for dt in set(dts)}
+    out = np.empty((len(dts) + 1, 3, 5))
+    X = _pack(nav.rot.m, nav.pos, nav.vel)
+    out[0] = X[:3]
+    for k, dt in enumerate(dts, 1):
+        mid = time + 0.5 * dt
+        omega = _as_vec3(omega_fn(mid), "omega_fn(t)")
+        accel = _as_vec3(accel_fn(mid), "accel_fn(t)")
+        X = gravity_factors[dt].dot(X).dot(_se23_exp(omega, _ZERO3, accel, 1.0, dt))
+        _check_so3(*X[:3, :3].ravel().tolist())
+        if not _all_finite(X[:3, 3:]):
+            raise ValueError(f"true position and velocity must be finite, got {X[:3, 3]}, {X[:3, 4]}")
+        out[k] = X[:3]
+        time += dt
+    return out
 
 
 def propagate_truth(t: TruthModel, dt: float) -> TruthModel:
-    """One exact Lie-group step of the true kinematics over [time, time+dt]."""
-    _check_dt(dt)
-    mid = t.time + 0.5 * dt
-    omega = _as_vec3(t.omega_fn(mid), "omega_fn(t)")
-    accel = _as_vec3(t.accel_fn(mid), "accel_fn(t)")
-    X = _truth_step(t.nav.rot.m, t.nav.pos, t.nav.vel, omega, accel, _gravity_factor(t.gravity, dt), dt)
-    nav = NavState(Rotation(X[:3, :3]), X[:3, 3], X[:3, 4])
+    """One exact Lie-group step of the true kinematics over [time, time+dt]: the walk's one-step case."""
+    X = _walk_truth(t.nav, t.time, [dt], t.omega_fn, t.accel_fn, t.gravity)[1]
+    nav = _trusted(NavState, rot=_trusted(Rotation, m=X[:, :3]), pos=X[:, 3], vel=X[:, 4])
     return replace(t, nav=nav, time=t.time + dt)
 
 
@@ -340,33 +354,43 @@ def _standard_normals(keys, width: int) -> np.ndarray:
     return z
 
 
-def _imu_stream(noise: SensorNoise, seed: int, times: list, gyro, accel, rot, mag_ref) -> np.ndarray:
-    """The (n, 10) IMU table t, gyro, accel, mag at ``times``: the biased readings plus their seeded noise.
+def _noisy_table(times, readings: list, sds, seed: int, stream: int, ticks, what: str) -> np.ndarray:
+    """The table t, readings at ``times``: each (n, 3) reading plus its seeded noise.
 
-    ``gyro`` and ``accel`` are the (n, 3) biased readings, ``rot`` the n true
-    rotations and ``times`` n floats.  Sample k's noise is what a generator
-    keyed by (seed, time in ns) draws: gyro, accel and mag noise in that
-    order, each only when its sd is positive, each as ``normal(0, sd)``
-    returns it.  One finiteness check covers every noisy reading, the check
-    ``ImuSample`` would make.
+    Sample i's noise is what a generator keyed by (seed, stream, tick i)
+    draws, ``ticks`` read only when a sd is positive: for each reading in
+    turn whose sd is positive, as ``normal(0, sd, 3)`` returns it.  A sample
+    with a reading that is not finite raises ValueError naming ``what``.
     """
-    readings = [gyro, accel, np.array([r.T @ mag_ref for r in rot])]
-    sds = (noise.gyro_sd, noise.accel_sd, noise.mag_sd)
+    readings = list(readings)
     drawn = [i for i, sd in enumerate(sds) if sd > 0.0]
     if drawn:
-        z = _standard_normals([(int(seed), _STREAM_IMU, round(tk * 1e9)) for tk in times], 3 * len(drawn))
+        z = _standard_normals([(int(seed), stream, tick) for tick in ticks], 3 * len(drawn))
         # normal(0, sd) returns 0.0 + sd * z, scaled in C where an overflow is
         # silent; a reading it spoils is refused below.
         with np.errstate(over="ignore"):
             draws = 0.0 + np.repeat([sds[i] for i in drawn], 3) * z
         for j, i in enumerate(drawn):
             readings[i] = readings[i] + draws[:, 3 * j : 3 * j + 3]
-    gyro, accel, mag = readings
-    finite = np.isfinite(gyro).all(axis=1) & np.isfinite(accel).all(axis=1) & np.isfinite(mag).all(axis=1)
+    table = np.column_stack([times, *readings])
+    finite = np.isfinite(table[:, 1:]).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))
-        raise ValueError(f"IMU readings must be finite, got {gyro[k]}, {accel[k]}, {mag[k]} at t = {times[k]}")
-    return np.column_stack([times, gyro, accel, mag])
+        raise ValueError(f"{what} must be finite, got {', '.join(str(r[k]) for r in readings)} at t = {times[k]}")
+    return table
+
+
+def _imu_stream(noise: SensorNoise, seed: int, times: list, gyro, accel, rot, mag_ref) -> np.ndarray:
+    """The (n, 10) IMU table t, gyro, accel, mag at ``times``: the biased readings plus their seeded noise.
+
+    ``gyro`` and ``accel`` are the (n, 3) biased readings, ``rot`` the n true
+    rotations and ``times`` n floats.  Sample k's noise is keyed by (seed,
+    time in ns); the finiteness check is the one ``ImuSample`` would make.
+    """
+    mag = np.array([r.T @ mag_ref for r in rot])
+    sds = (noise.gyro_sd, noise.accel_sd, noise.mag_sd)
+    ticks = (round(tk * 1e9) for tk in times)
+    return _noisy_table(times, [gyro, accel, mag], sds, seed, _STREAM_IMU, ticks, "IMU readings")
 
 
 def default_anchors() -> AnchorSet:
@@ -725,35 +749,17 @@ def truth_track(sc: Scenario) -> TruthTrack:
     The track depends only on the trajectory (``omega_fn``, ``accel_fn``, the
     initial state, gravity) and the sampling (``imu_rate``, the step count),
     never on the seed, noise or biases, so one track serves every seed of a
-    sweep.  Each step is bit for bit ``propagate_truth`` over [t_k, t_k+1]
-    (t_k+1 - t_k is exact, Sterbenz), run by ``_truth_step`` on raw arrays
-    with the checks ``propagate_truth`` makes: its midpoint input samples,
-    the new rotation on SO(3), and a finite position and velocity.
+    sweep.  It is ``_walk_truth`` over the steps t_k+1 - t_k, each exact
+    (Sterbenz), so every row is bit for bit a ``propagate_truth`` walk.
     """
     n = _step_count(sc)
     t = np.arange(n + 1) / sc.imu_rate
-    times, dts = t.tolist(), np.diff(t).tolist()
-    _check_dt(min(dts))
-    _check_dt(max(dts))
     truth = sc.truth
-    rot, pos, vel = np.empty((n + 1, 3, 3)), np.empty((n + 1, 3)), np.empty((n + 1, 3))
-    R, P, V = truth.nav.rot.m, truth.nav.pos, truth.nav.vel
-    rot[0], pos[0], vel[0] = R, P, V
-    # dt takes a handful of values on the grid: one gravity factor for each.
-    gravity_factors = {dt: _gravity_factor(truth.gravity, dt) for dt in set(dts)}
-    for k, dt in enumerate(dts):
-        mid = times[k] + 0.5 * dt
-        omega = _as_vec3(truth.omega_fn(mid), "omega_fn(t)")
-        accel = _as_vec3(truth.accel_fn(mid), "accel_fn(t)")
-        X = _truth_step(R, P, V, omega, accel, gravity_factors[dt], dt)
-        R, P, V = X[:3, :3], X[:3, 3], X[:3, 4]
-        _check_so3(*R.ravel().tolist())
-        if not _all_finite(X[:3, 3:]):
-            raise ValueError(f"true position and velocity must be finite, got {P}, {V}")
-        rot[k + 1], pos[k + 1], vel[k + 1] = R, P, V
+    X = _walk_truth(truth.nav, 0.0, np.diff(t).tolist(), truth.omega_fn, truth.accel_fn, truth.gravity)
+    times = t.tolist()
     return TruthTrack(
         omega_fn=truth.omega_fn, accel_fn=truth.accel_fn, gravity=truth.gravity,
-        imu_rate=sc.imu_rate, n=n, rot=rot, pos=pos, vel=vel,
+        imu_rate=sc.imu_rate, n=n, rot=X[:, :, :3], pos=X[:, :, 3], vel=X[:, :, 4],
         omega=[truth.omega_fn(tk) for tk in times], accel=[truth.accel_fn(tk) for tk in times],
     )
 

@@ -322,14 +322,10 @@ def synthesize_tdoa(
     eff = P if R is None else P + R.m @ offset
     pos = anchors.positions
     ranges = np.linalg.norm(eff - pos, axis=1)
-    n = anchors.n
-    d = np.empty(n)
-    for k in range(n):
-        j = (k + 1) % n
-        d[k] = ranges[j] - ranges[k]
+    d = np.concatenate((ranges[1:], ranges[:1])) - ranges
     if noise_sd > 0.0:
         rng = np.random.default_rng(seed)
-        d = d + rng.normal(0.0, noise_sd, n)
+        d = d + rng.normal(0.0, noise_sd, anchors.n)
     return TdoaFrame(timestamp=timestamp, d=d)
 
 

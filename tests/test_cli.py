@@ -580,6 +580,24 @@ def test_replay_cli_rejects_unknown_column_map_key(capsys, tmp_path, exported_da
     assert "bogus" in err
 
 
+def test_replay_cli_exits_2_on_a_synthesized_magnetometer_that_is_not_finite(capsys, tmp_path, exported_dataset):
+    ds = exported_dataset
+    no_mag = json.dumps({c: f"absent_{c}" for c in ("mx", "my", "mz")})
+    argv = ["replay", "--out", str(tmp_path)]
+    for item in (
+        *(f"replay.{stream}={ds}/{stream}.csv" for stream in ("imu", "uwb", "gt")),
+        f"replay.anchors={ds}/anchors.json",
+        f"replay.column_map.imu={no_mag}",
+        "replay.mag_noise_sd=1e308",
+    ):
+        argv += ["--set", item]
+    with np.errstate(over="ignore"):
+        code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert err.startswith("invalid input: ") and "mag must be finite" in err
+    assert not (tmp_path / "summary.json").exists()
+
+
 # --- environment / entry point -------------------------------------------------------------
 
 

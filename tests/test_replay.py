@@ -796,6 +796,16 @@ def test_synthesized_magnetometer_noise_is_each_sample_s_own_generator(tmp_path,
         assert mag.tobytes() == (truth_rot[0][k].T @ mag_ref + noise).tobytes(), k
 
 
+def test_a_synthesized_magnetometer_that_is_not_finite_is_refused(tmp_path):
+    # An sd of 1e308 pushes some sample's draw past the largest float: that
+    # reading is refused as ImuSample would refuse it, not handed to the step.
+    sc = preset_scenario("static", duration=1.0, seed=3, noise=SensorNoise(0.0, 0.0, 0.2, 0.05))
+    ds, anchors = export_without_magnetometer(sc, tmp_path)
+    init = ObserverState.cold_start(pos=(-3.0, -1.0, 0.0))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="mag must be finite"):
+        run_replay(ds, anchors, Gains(), init, seed=3, mag_noise_sd=1e308)
+
+
 def test_run_replay_counts_frames_on_skipped_steps_as_dropped(tmp_path, monkeypatch):
     # Cutting the IMU rows of t = 5.00 .. 5.19 s leaves one 0.21 s step, which
     # is skipped; the frames at 5.0 and 5.1 s both land on it: one is

@@ -638,31 +638,36 @@ def test_truth_track_rejects_non_finite_inputs(fn):
 
 
 def test_truth_track_checks_every_state_it_makes(monkeypatch):
-    # The kernel's output is checked on each step: a rotation off SO(3) and a
+    # The walk checks the state of each step: a rotation off SO(3) and a
     # non-finite position or velocity are refused, however late they appear.
+    # The fault enters through the step's input exponential exp(U dt) (the
+    # gravity factors are built at -dt), so it is in the state of step k and
+    # no later step runs.
     sc = custom_scenario(duration=1.0)
-    real = sim_module._truth_step
+    real = sim_module._se23_exp
+    calls = []
 
     def corrupt(k, fault):
-        calls = []
+        calls.clear()
 
-        def kernel(*args):
-            X = real(*args)
-            calls.append(1)
-            if len(calls) == k:
-                fault(X)
-            return X
+        def exponential(omega, vcol, acol, rho, dt):
+            E = real(omega, vcol, acol, rho, dt)
+            if dt > 0.0:
+                calls.append(1)
+                if len(calls) == k:
+                    fault(E)
+            return E
 
-        monkeypatch.setattr(sim_module, "_truth_step", kernel)
+        monkeypatch.setattr(sim_module, "_se23_exp", exponential)
 
-    def scale_rotation(X):
-        X[:3, :3] *= 1.0 + 1e-8
+    def scale_rotation(E):
+        E[:3, :3] *= 1.0 + 1e-8
 
-    def infinite_position(X):
-        X[1, 3] = np.inf
+    def infinite_position(E):
+        E[1, 3] = np.inf
 
-    def nan_velocity(X):
-        X[2, 4] = np.nan
+    def nan_velocity(E):
+        E[2, 4] = np.nan
 
     for fault, match in (
         (scale_rotation, "not orthogonal"),
@@ -670,8 +675,9 @@ def test_truth_track_checks_every_state_it_makes(monkeypatch):
         (nan_velocity, "position and velocity must be finite"),
     ):
         corrupt(57, fault)
-        with pytest.raises(ValueError, match=match):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=match):  # inf * 0 in the products
             truth_track(sc)
+        assert len(calls) == 57
 
 
 def test_truth_track_rejects_a_step_longer_than_a_tenth_of_a_second():
