@@ -18,8 +18,8 @@ The scalar ``rho`` couples the velocity column into the position column
 (it is what turns "P-dot = V" into a group operation).  Everything here is a
 pure function of its inputs; no mutable state.
 
-Arithmetic contract of the hot-path kernels (``_se23_exp``, ``_pack`` and
-``observer.step``): every matrix or vector product is one numpy ``dot``/``@``
+Arithmetic contract of the hot-path kernels (``_se23_exp``, ``so3_exp``, ``_pack``
+and ``observer.step``): every matrix or vector product is one numpy ``dot``/``@``
 call, through BLAS, on the operands, shapes and memory layout of the matrix
 form; everything elementwise (sums, differences, scalings) runs on Python
 floats in the order the matrix form evaluates it, with each ``0.0 +`` that
@@ -253,18 +253,25 @@ def so3_exp(omega, dt: float = 1.0) -> np.ndarray:
     """Rodrigues' rotation formula: exp([omega]_x * dt).
 
     For total angle ||omega||*dt below ``SMALL_ANGLE`` the closed form is
-    replaced by the second-order Taylor expansion I + S + S^2/2.
+    replaced by the second-order Taylor expansion I + S + S^2/2.  By the module's
+    contract, entry ij is (I_ij + a S_ij) + c (S @ S)_ij with (a, c) = (1, 1/2)
+    in the Taylor form, as a S_ij is then S_ij itself.
     """
     omega = np.asarray(omega, dtype=float)
-    S = skew(omega) * dt
-    theta = np.linalg.norm(omega) * abs(dt)
-    if theta < SMALL_ANGLE:
-        return np.eye(3) + S + 0.5 * (S @ S)
-    return (
-        np.eye(3)
-        + (np.sin(theta) / theta) * S
-        + ((1.0 - np.cos(theta)) / theta**2) * (S @ S)
-    )
+    w0, w1, w2 = omega.tolist()
+    z, x1, x2, x3, x5, x6, x7 = 0.0 * dt, -w2 * dt, w1 * dt, w2 * dt, -w0 * dt, -w1 * dt, w0 * dt
+    theta = math.sqrt(omega.dot(omega)) * abs(dt)
+    S = np.array((z, x1, x2, x3, z, x5, x6, x7, z)).reshape(3, 3)
+    (q0, q1, q2), (q3, q4, q5), (q6, q7, q8) = S.dot(S).tolist()
+    a, c = 1.0, 0.5
+    if not theta < SMALL_ANGLE:
+        # numpy's theta**2 (libm pow, as Python's), which overflows to inf where Python's raises.
+        a, c = float(np.sin(theta) / theta), float((1.0 - np.cos(theta)) / np.float64(theta) ** 2)
+    return np.array((
+        1.0 + a * z + c * q0, 0.0 + a * x1 + c * q1, 0.0 + a * x2 + c * q2,
+        0.0 + a * x3 + c * q3, 1.0 + a * z + c * q4, 0.0 + a * x5 + c * q5,
+        0.0 + a * x6 + c * q6, 0.0 + a * x7 + c * q7, 1.0 + a * z + c * q8,
+    )).reshape(3, 3)
 
 
 # Switch point for the Taylor branch of the se23_exp coefficients.  The direct

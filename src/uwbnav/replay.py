@@ -436,7 +436,7 @@ def run_replay(
     else:
         mags = [None] * n_steps
         steps_inside = np.flatnonzero(inside[:n_steps]).tolist()
-        synthesised = np.array([truth_rot[k].T @ ref.mag_ref for k in steps_inside]).reshape(-1, 3)
+        synthesised = truth_rot[steps_inside].transpose(0, 2, 1) @ ref.mag_ref
         table = _noisy_table(
             t_imu[steps_inside], [synthesised], [mag_noise_sd], seed, _STREAM_MAG, steps_inside, "synthesized mag"
         )

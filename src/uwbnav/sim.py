@@ -32,8 +32,11 @@ walk, ``_walk_truth``, makes the sandwich steps: ``truth_track`` runs it over
 the IMU grid, and ``propagate_truth`` is its one-step case.
 
 Per seed, ``run_scenario`` builds the IMU table (``_imu_stream``, of which
-``synthesize_imu`` is the one-sample case) and the TDOA table before the
-loop: the tables an export writes and replay loads.  ``_run_and_score``, which
+``synthesize_imu`` is the one-sample case) and the TDOA table
+(``_tdoa_table``: every frame in one pass, with ``synthesize_tdoa``'s range
+differences and frame k's noise keyed (seed, 1, k), the bits
+``default_rng((seed, 1, k)).normal`` draws) before the loop: the tables an
+export writes and replay loads.  ``_run_and_score``, which
 ``replay.run_replay`` calls too, runs ``observer._run_stream`` over them and
 scores the estimate arrays against the truth in one pass, into a
 ``RunResult``; ``SimResult`` extends it with what only a sim has.  The
@@ -51,7 +54,6 @@ from .liegroup import (
     _ZERO3,
     NavState,
     Rotation,
-    _all_finite,
     _as_vec3,
     _check_so3,
     _pack,
@@ -63,7 +65,8 @@ from .liegroup import (
 from .observer import Gains, ObserverState, _check_dt, _nav_errors, _norms, _run_stream, step
 from .observer import error_metrics  # noqa: F401  run_scenario batches the errors; navbench traces this name
 from .sensors import ImuSample, ReferenceVectors
-from .tdoa import Anchor, AnchorSet, synthesize_tdoa
+from .tdoa import Anchor, AnchorSet, _range_differences
+from .tdoa import synthesize_tdoa  # noqa: F401  _tdoa_table makes the frames; navbench traces this name
 from .tdoa import solve_frame  # noqa: F401  _run_stream solves the frames; navbench traces this name
 
 __all__ = [
@@ -207,8 +210,9 @@ def _walk_truth(nav: NavState, time: float, dts: list, omega_fn, accel_fn, gravi
         omega = _as_vec3(omega_fn(mid), "omega_fn(t)")
         accel = _as_vec3(accel_fn(mid), "accel_fn(t)")
         X = gravity_factors[dt].dot(X).dot(_se23_exp(omega, _ZERO3, accel, 1.0, dt))
-        _check_so3(*X[:3, :3].ravel().tolist())
-        if not _all_finite(X[:3, 3:]):
+        (r0, r1, r2, p0, v0), (r3, r4, r5, p1, v1), (r6, r7, r8, p2, v2) = X[:3].tolist()
+        _check_so3(r0, r1, r2, r3, r4, r5, r6, r7, r8)
+        if not all(map(math.isfinite, (p0, p1, p2, v0, v1, v2))):
             raise ValueError(f"true position and velocity must be finite, got {X[:3, 3]}, {X[:3, 4]}")
         out[k] = X[:3]
         time += dt
@@ -355,23 +359,24 @@ def _standard_normals(keys, width: int) -> np.ndarray:
 
 
 def _noisy_table(times, readings: list, sds, seed: int, stream: int, ticks, what: str) -> np.ndarray:
-    """The table t, readings at ``times``: each (n, 3) reading plus its seeded noise.
+    """The table t, readings at ``times``: each (n, w) reading plus its seeded noise.
 
     Sample i's noise is what a generator keyed by (seed, stream, tick i)
     draws, ``ticks`` read only when a sd is positive: for each reading in
-    turn whose sd is positive, as ``normal(0, sd, 3)`` returns it.  A sample
+    turn whose sd is positive, as ``normal(0, sd, w)`` returns it.  A sample
     with a reading that is not finite raises ValueError naming ``what``.
     """
     readings = list(readings)
     drawn = [i for i, sd in enumerate(sds) if sd > 0.0]
     if drawn:
-        z = _standard_normals([(int(seed), stream, tick) for tick in ticks], 3 * len(drawn))
+        widths = [readings[i].shape[1] for i in drawn]
+        z = _standard_normals([(int(seed), stream, tick) for tick in ticks], sum(widths))
         # normal(0, sd) returns 0.0 + sd * z, scaled in C where an overflow is
         # silent; a reading it spoils is refused below.
         with np.errstate(over="ignore"):
-            draws = 0.0 + np.repeat([sds[i] for i in drawn], 3) * z
-        for j, i in enumerate(drawn):
-            readings[i] = readings[i] + draws[:, 3 * j : 3 * j + 3]
+            draws = 0.0 + np.repeat([sds[i] for i in drawn], widths) * z
+        for i, part in zip(drawn, np.split(draws, np.cumsum(widths)[:-1], axis=1)):
+            readings[i] = readings[i] + part
     table = np.column_stack([times, *readings])
     finite = np.isfinite(table[:, 1:]).all(axis=1)
     if not finite.all():
@@ -387,7 +392,7 @@ def _imu_stream(noise: SensorNoise, seed: int, times: list, gyro, accel, rot, ma
     rotations and ``times`` n floats.  Sample k's noise is keyed by (seed,
     time in ns); the finiteness check is the one ``ImuSample`` would make.
     """
-    mag = np.array([r.T @ mag_ref for r in rot])
+    mag = np.transpose(rot, (0, 2, 1)) @ mag_ref  # every R^T m_r in one stacked product
     sds = (noise.gyro_sd, noise.accel_sd, noise.mag_sd)
     ticks = (round(tk * 1e9) for tk in times)
     return _noisy_table(times, [gyro, accel, mag], sds, seed, _STREAM_IMU, ticks, "IMU readings")
@@ -764,6 +769,19 @@ def truth_track(sc: Scenario) -> TruthTrack:
     )
 
 
+def _tdoa_table(sc: Scenario, track: TruthTrack, times: list) -> np.ndarray:
+    """The TDOA table t, d: a frame at each step that reaches the next 1 / tdoa_rate
+    tick (the step at t = 0 always does), the tag at P + R l on the track."""
+    ks, tdoa_next, tdoa_period = [], 0.0, 1.0 / sc.tdoa_rate
+    for k in range(track.n):
+        if times[k] >= tdoa_next - 1e-9:
+            tdoa_next += tdoa_period
+            ks.append(k)
+    d = _range_differences(track.pos[ks] + track.rot[ks] @ sc.tag_offset, sc.anchors.positions)
+    sd, seed = sc.truth.noise.tdoa_sd, sc.truth.seed
+    return _noisy_table([times[k] for k in ks], [d], [sd], seed, _STREAM_TDOA, ks, "range differences")
+
+
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -808,25 +826,13 @@ def run_scenario(
         track = truth_track(sc)
     else:
         _check_track(track, sc)
-    n = track.n
-    times = (np.arange(n + 1) / sc.imu_rate).tolist()
+    times = (np.arange(track.n + 1) / sc.imu_rate).tolist()
     truth = sc.truth
-    noise = truth.noise
     # n + 1 samples: the trailing one lets a dataset export carry the final step length.
     imu = _imu_stream(
-        noise, truth.seed, times, track.omega + truth.b_omega, track.accel + truth.b_a, track.rot, sc.ref.mag_ref
+        truth.noise, truth.seed, times, track.omega + truth.b_omega, track.accel + truth.b_a, track.rot, sc.ref.mag_ref
     )
-    rows = []
-    tdoa_next, tdoa_period = 0.0, 1.0 / sc.tdoa_rate
-    for k in range(n):
-        if times[k] >= tdoa_next - 1e-9:
-            tdoa_next += tdoa_period
-            frame = synthesize_tdoa(
-                track.pos[k], _trusted(Rotation, m=track.rot[k]), sc.anchors, sc.tag_offset, noise.tdoa_sd,
-                seed=(truth.seed, _STREAM_TDOA, k),
-            )
-            rows.append([times[k], *frame.d.tolist()])
-    tdoa = np.array(rows)  # the step at t = 0 always takes a frame
+    tdoa = _tdoa_table(sc, track, times)
     run, _, _, b_omega_hat, b_a_hat = _run_and_score(
         sc.estimate, imu, imu[:, 7:10], tdoa, sc.anchors, gains, (track.rot, track.pos, track.vel),
         sc.duration, (settle_threshold, settle_dwell), ref=sc.ref, step=step,

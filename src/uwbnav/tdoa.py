@@ -301,6 +301,12 @@ def solve_frame(
     return _solve(A, B, allow_reduced, anchors.positions[0])
 
 
+def _range_differences(tags, positions) -> np.ndarray:
+    """The cyclic range differences from each tag position (last axis) to the (N, 3) anchor ``positions``."""
+    ranges = np.linalg.norm(tags[..., None, :] - positions, axis=-1)
+    return np.concatenate((ranges[..., 1:], ranges[..., :1]), axis=-1) - ranges
+
+
 def synthesize_tdoa(
     P,
     R: Rotation | None,
@@ -320,9 +326,7 @@ def synthesize_tdoa(
     P = _as_vec3(P, "P")
     offset = _as_vec3(tag_offset, "tag_offset")
     eff = P if R is None else P + R.m @ offset
-    pos = anchors.positions
-    ranges = np.linalg.norm(eff - pos, axis=1)
-    d = np.concatenate((ranges[1:], ranges[:1])) - ranges
+    d = _range_differences(eff, anchors.positions)
     if noise_sd > 0.0:
         rng = np.random.default_rng(seed)
         d = d + rng.normal(0.0, noise_sd, anchors.n)

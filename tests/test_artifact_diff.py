@@ -72,7 +72,7 @@ def test_a_differing_csv_file_names_the_largest_difference_of_each_column(ad, tm
 def test_the_set_runs_every_scenario_both_ways_and_replays_its_export(ad):
     runs = ad.commands()
     names = [name for name, _ in runs]
-    assert len(set(names)) == len(names) == 14
+    assert len(set(names)) == len(names) == 15
     # Three tdoa-solve runs open the set, one frame each against the same
     # anchor file; only the all-zero frame may fall back to the reduced solve.
     solves = {name: args for name, args in runs if args[0] == "tdoa-solve"}
@@ -100,6 +100,10 @@ def test_the_set_runs_every_scenario_both_ways_and_replays_its_export(ad):
     # One seed of five entropy words: two for the seed, two for a time past 2**32 ns.
     big = [args for _, args in runs if args[0] == "sim" and int(args[args.index("--seed") + 1]) >= 2**32]
     assert len(big) == 1 and "sim.noise.gyro_sd=0.005" in big[0]
+    # One run takes noiseless frames at a rate that does not divide the IMU's, from a turned start.
+    rate_7 = [args for _, args in runs if "sim.tdoa_rate=7" in args]
+    assert len(rate_7) == 1 and {"sim.noise.tdoa_sd=0", "sim.estimate_rotvec=[0.3,-0.2,1.0]"} <= set(rate_7[0])
+    assert rate_7[0].index("sim.noise.tdoa_sd=0") > rate_7[0].index("sim.noise.tdoa_sd=0.05")
     # The 60 s trial is exported, then replayed as written, with its
     # magnetometer columns mapped away, so that replay synthesises one, with
     # a gap cut into its IMU rows, and with two of its frames broken.

@@ -10,6 +10,7 @@ from uwbnav.liegroup import (
     NavState,
     _as_vec3,
     Rotation,
+    SMALL_ANGLE,
     TangentElement,
     att_dist,
     _pack,
@@ -260,6 +261,35 @@ def test_so3_exp_stays_orthogonal():
         R = so3_exp(omega, dt)
         assert np.linalg.norm(R.T @ R - np.eye(3)) <= 1e-12
         assert abs(np.linalg.det(R) - 1.0) <= 1e-12
+
+
+def so3_exp_matrix_form(omega, dt):
+    """The matrix expression so3_exp evaluates on floats, entry by entry."""
+    S = skew(omega) * dt
+    theta = np.linalg.norm(omega) * abs(dt)
+    if theta < SMALL_ANGLE:
+        return np.eye(3) + S + 0.5 * (S @ S)
+    return np.eye(3) + (np.sin(theta) / theta) * S + ((1.0 - np.cos(theta)) / theta**2) * (S @ S)
+
+
+def test_so3_exp_matches_the_matrix_form_bit_for_bit():
+    # Random axes, angles from 1e-12 to 30 rad (both sides of SMALL_ANGLE),
+    # both signs of dt, the zero vector and the switch point itself: every
+    # bit, the sign of each zero included.  Rotation.from_rotvec is the dt = 1 case.
+    rng = np.random.default_rng(31)
+    below = np.nextafter(SMALL_ANGLE, 0.0)
+    cases = [(np.zeros(3), 1.0), (np.zeros(3), -1.0), (np.array([0.0, SMALL_ANGLE, 0.0]), 1.0),
+             (np.array([0.0, 0.0, below]), -1.0)]
+    for _ in range(4000):
+        axis = rng.normal(size=3)
+        omega = axis / np.linalg.norm(axis) * 10.0 ** rng.uniform(-12.0, 1.5)
+        cases.append((omega, float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 0.0))))
+    small = 0
+    for omega, dt in cases:
+        assert so3_exp(omega, dt).tobytes() == so3_exp_matrix_form(omega, dt).tobytes(), (omega, dt)
+        small += np.linalg.norm(omega) * abs(dt) < SMALL_ANGLE
+        assert Rotation.from_rotvec(omega).m.tobytes() == so3_exp_matrix_form(omega, 1.0).tobytes()
+    assert 200 <= small <= len(cases) - 200, small
 
 
 def test_so3_exp_handles_negative_dt():

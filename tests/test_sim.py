@@ -514,6 +514,18 @@ def sweep_scenario(seed=0, **kwargs):
     return preset_scenario(kwargs.pop("name", "figure8"), seed=seed, **kwargs)
 
 
+def test_the_stacked_magnetometer_rows_are_the_per_row_products_bit_for_bit():
+    # _imu_stream takes every R^T m_r in one stacked product; each row is the
+    # one 3x3 product R.T @ m_r, bit for bit.
+    rng = np.random.default_rng(41)
+    rot = np.array([random_rotation(rng) for _ in range(400)])
+    mag_ref = rng.normal(size=3)
+    zeros = np.zeros((len(rot), 3))
+    table = sim_module._imu_stream(SensorNoise(mag_sd=0.0), 0, [0.01 * k for k in range(len(rot))], zeros, zeros,
+                                   rot, mag_ref)
+    assert table[:, 7:10].tobytes() == np.array([r.T @ mag_ref for r in rot]).tobytes()
+
+
 def test_one_truth_track_serves_every_seed():
     # A track built from seed 0's scenario: seeds with their own noise draws,
     # biases and initial estimates run on it exactly as on a track of their own.
@@ -548,9 +560,29 @@ def test_run_scenario_frames_see_the_tag_through_the_truth_rotation():
     # Each frame run_scenario synthesizes puts the tag at P + R l, with R the
     # track's rotation at that step: the frames match synthesize_tdoa given a
     # public Rotation, bit for bit, and not a tag at the body origin.
-    sc = sweep_scenario(seed=4)
+    _check_frames_against_synthesize_tdoa(sweep_scenario(seed=4), 20)
+
+
+@pytest.mark.parametrize(
+    "kwargs, frames",
+    [
+        (dict(noise=SensorNoise(gyro_sd=0.005, accel_sd=0.02, mag_sd=0.2, tdoa_sd=0.0)), 20),
+        (dict(tag_offset=(0.31, -0.22, 0.15), estimate_rotvec=(0.2, -0.1, 0.4)), 20),
+        (dict(seed=2**32 + 4), 20),
+        (dict(tdoa_rate=7.0), 14),
+    ],
+    ids=["tdoa_sd_0", "lever_arm", "big_seed", "rate_7"],
+)
+def test_run_scenario_frames_see_the_tag_through_the_truth_rotation_in_every_set_up(kwargs, frames):
+    # The one-pass table against the one-frame forward model: no TDOA noise,
+    # another lever arm, a seed of two entropy words, and a frame rate that
+    # does not divide the IMU rate (frames 0.15 s and 0.14 s apart).
+    _check_frames_against_synthesize_tdoa(sweep_scenario(**{"seed": 4, **kwargs}), frames)
+
+
+def _check_frames_against_synthesize_tdoa(sc, frames):
     result = run_scenario(sc, Gains())
-    assert len(result.tdoa) == 20
+    assert len(result.tdoa) == frames
     for row in result.tdoa:
         k = int(np.searchsorted(result.t, row[0]))
         assert result.t[k] == row[0]

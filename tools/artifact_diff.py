@@ -32,6 +32,9 @@ when read.  Then, with every sensor noise on (gyro 0.005, accel 0.02, mag
   one ``--set`` leaf on top, the one run that reads a config file;
 * ``uwbnav sim`` on figure8 for 20 s at seed 2**32 + 11, whose noise keys
   take five entropy words once the sample time passes 2**32 ns;
+* ``uwbnav sim`` on figure8 for 20 s with TDOA frames at 7 Hz, a rate that
+  does not divide the IMU's, no TDOA noise and an initial attitude error
+  (``sim.estimate_rotvec``), the one run whose frames are noiseless;
 * ``uwbnav sim`` on figure8 for 60 s, and ``uwbnav replay`` of its exported
   dataset, once as exported, once with ``replay.column_map.imu`` naming
   magnetometer columns the file does not have, the one run that synthesises
@@ -129,6 +132,9 @@ def commands() -> list[tuple[str, list[str]]]:
                             "--set", "sim.noise.tdoa_sd=0.1", "--out", "config"]))
     runs.append(("big-seed", ["sim", "--scenario", "figure8", "--seed", str(2**32 + SEED),
                               "--set", "sim.duration=20", *sets, "--out", "big-seed"]))
+    rate_7 = ("sim.duration=20", "sim.tdoa_rate=7", "sim.noise.tdoa_sd=0", "sim.estimate_rotvec=[0.3,-0.2,1.0]")
+    runs.append(("rate-7", ["sim", "--scenario", "figure8", "--seed", str(SEED), *sets,
+                            *(arg for item in rate_7 for arg in ("--set", item)), "--out", "rate-7"]))
     runs.append(("trial", ["sim", "--scenario", "figure8", "--seed", str(SEED),
                            "--set", "sim.duration=60", *sets, "--out", "trial"]))
     dataset = {stream: f"trial/dataset/{stream}.csv" for stream in ("imu", "uwb", "gt")}

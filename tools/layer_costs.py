@@ -11,14 +11,15 @@ its own set of modules.  In each it builds navbench's observer-stream inputs
 for seed 5, steps the first flight to step 1500 and takes each layer's call
 on that state.  The replay input stage's layers read one 60 s figure-eight
 trial, exported once, as navbench's replay-trial exports it (its seed 5,
-first trial).  It then runs 40 rounds.  In each round every layer is timed
-on both sides, the side that goes first alternating from round to round: the
-minimum of 3 ``timeit`` runs of 1 000 calls (1 call for an input-stage
-layer, each tens of milliseconds), in microseconds per call.  For
-each layer the result gives each side's minimum and median over the rounds
-and the number of rounds in which the change was faster; every round's
-numbers are kept.  It is the ``layer_costs_us`` entry of the output file,
-whose other entries are kept.
+first trial).  The sim's synthesis layers run on one 30 s figure8 seed (5) with
+navbench's sensor noise (``NOISE``) and biases.  It then runs 40
+rounds.  In each round every layer is timed on both sides, the side that
+goes first alternating from round to round: the minimum of 3 ``timeit`` runs
+of 1 000 calls (1 call for a layer that takes milliseconds), in microseconds
+per call.  For each layer the result gives each side's minimum and median
+over the rounds and the number of rounds in which the change was faster;
+every round's numbers are kept.  It is the ``layer_costs_us`` entry of the
+output file, whose other entries are kept.
 
 Both trees are timed in one interpreter, round by round, because separate
 interpreters do not agree to a few µs on a shared two-CPU machine: the
@@ -31,7 +32,12 @@ step's ``_se23_exp`` (all blocks non-zero) and the prediction's (``vcol`` the
 shared zero); ``build_triads``; ``_pack`` of the state's R, P and V; and
 the replay input stage: ``load_dataset`` of the trial's three CSV files, and
 ``derive_velocity`` on its gt table and on a copy whose times are jittered
-by up to 2 ms, so that no fit window repeats.
+by up to 2 ms, so that no fit window repeats; and the sim's synthesis stage:
+``truth_track`` of the sweep scenario, ``_imu_stream`` and the TDOA table of
+its seed, and ``so3_exp`` as the presets call it for their attitude.  The
+TDOA table is ``sim._tdoa_table``; a tree without it (``156e371`` and
+before) builds it in ``run_scenario`` frame by frame, and that loop, copied
+here, is what is timed for such a tree.
 
 Standard library only (the probe imports the snapshots' numpy code).
 """
@@ -55,7 +61,10 @@ STATE_SEED = 5  # navbench observer-stream seed of the timed state
 STATE_STEP = 1500  # steps of its first flight before the timed state
 ROUNDS, NUMBER, REPEAT = 40, 1_000, 3  # alternating rounds; calls per timing; timings per layer, side and round
 SNAPSHOT_MODULES = ("uwbnav", "worker", "checks", "speed", "tracer")  # what importing a snapshot loads
-INPUT_LAYERS = ("load_dataset", "derive_velocity", "derive_velocity_jittered")  # timed one call at a time
+# Layers of milliseconds, timed one call at a time.
+ONE_CALL_LAYERS = (
+    "load_dataset", "derive_velocity", "derive_velocity_jittered", "truth_track", "imu_stream", "tdoa_table",
+)
 JITTER_S = 0.002  # largest shift of a gt time in the jittered copy (the gt step is 10 ms)
 
 
@@ -73,7 +82,7 @@ def layers(root: Path, trial: Path) -> dict:
     try:
         import numpy as np
         import worker
-        from uwbnav import liegroup, observer, replay, sensors, tdoa
+        from uwbnav import liegroup, observer, replay, sensors, sim, tdoa
 
         stream = worker.ObserverStream(STATE_SEED, False, None)
         stream.flights = 1  # flight 0's noise does not depend on the flight count
@@ -97,6 +106,14 @@ def layers(root: Path, trial: Path) -> dict:
     sample, frame, nav = samples[STATE_STEP], frames[STATE_STEP], state.nav
     omega, acc = sample.gyro - state.b_omega_hat, sample.accel - state.b_a_hat
     p_y = tdoa.solve_frame(anchors, frame).p
+    sweep = sim.preset_scenario(
+        "figure8", seed=STATE_SEED, duration=30.0, noise=sim.SensorNoise(**worker.NOISE),
+        b_omega=worker.checks.GYRO_BIAS, b_a=worker.checks.ACCEL_BIAS,
+    )
+    truth, track = sweep.truth, sim.truth_track(sweep)
+    times = (np.arange(track.n + 1) / sweep.imu_rate).tolist()
+    gyro, accel = track.omega + truth.b_omega, track.accel + truth.b_a
+    yaw = np.array([0.0, 0.0, 0.3])
     return {
         "step_no_frame": lambda: observer.step(state, sample, None, anchors, gains, dt, ref=ref),
         "step_frame": lambda: observer.step(state, sample, frame, anchors, gains, dt, ref=ref),
@@ -110,7 +127,31 @@ def layers(root: Path, trial: Path) -> dict:
         "load_dataset": lambda: replay.load_dataset(csvs),
         "derive_velocity": lambda: replay.derive_velocity(t, gt_pos),
         "derive_velocity_jittered": lambda: replay.derive_velocity(t_jittered, gt_pos),
+        "truth_track": lambda: sim.truth_track(sweep),
+        "imu_stream": lambda: sim._imu_stream(truth.noise, truth.seed, times, gyro, accel, track.rot, ref.mag_ref),
+        "tdoa_table": tdoa_table(sim, sweep, track, times),
+        "so3_exp": lambda: liegroup.so3_exp(yaw, 12.34),
     }
+
+
+def tdoa_table(sim, sc, track, times):
+    """The call that builds the TDOA table of ``sc`` on ``track`` with the tree's ``sim``."""
+    if hasattr(sim, "_tdoa_table"):
+        return lambda: sim._tdoa_table(sc, track, times)
+
+    def per_frame():  # run_scenario's loop before sim._tdoa_table
+        rows, tdoa_next, period, noise = [], 0.0, 1.0 / sc.tdoa_rate, sc.truth.noise
+        for k in range(track.n):
+            if times[k] >= tdoa_next - 1e-9:
+                tdoa_next += period
+                frame = sim.synthesize_tdoa(
+                    track.pos[k], sim._trusted(sim.Rotation, m=track.rot[k]), sc.anchors, sc.tag_offset,
+                    noise.tdoa_sd, seed=(sc.truth.seed, sim._STREAM_TDOA, k),
+                )
+                rows.append([times[k], *frame.d.tolist()])
+        return sim.np.array(rows)
+
+    return per_frame
 
 
 def probe(roots: dict, rounds: int = ROUNDS, number: int = NUMBER, repeat: int = REPEAT) -> list[dict]:
@@ -122,7 +163,7 @@ def probe(roots: dict, rounds: int = ROUNDS, number: int = NUMBER, repeat: int =
         for i in range(rounds):
             row = {side: {} for side in sides}
             for name in calls[sides[0]]:
-                n = 1 if name in INPUT_LAYERS else number
+                n = 1 if name in ONE_CALL_LAYERS else number
                 for side in sides if i % 2 == 0 else sides[::-1]:
                     row[side][name] = min(timeit.repeat(calls[side][name], number=n, repeat=repeat)) / n * 1e6
             out.append(row)
@@ -175,9 +216,10 @@ def main(argv=None) -> int:
         "method": (
             f"tools/layer_costs.py: both trees imported into one interpreter, BLAS on one thread;"
             f" {ROUNDS} rounds, each timing every layer on both sides in turn (first side alternating),"
-            f" min of {REPEAT} x {NUMBER} timeit calls (x 1 for {', '.join(INPUT_LAYERS)});"
-            f" one fixed observer-stream state (seed {STATE_SEED}, step {STATE_STEP}) and one exported"
-            f" 60 s replay trial (seed {STATE_SEED}); min and median over rounds, raw microseconds"
+            f" min of {REPEAT} x {NUMBER} timeit calls (x 1 for {', '.join(ONE_CALL_LAYERS)});"
+            f" one fixed observer-stream state (seed {STATE_SEED}, step {STATE_STEP}), one exported"
+            f" 60 s replay trial (seed {STATE_SEED}) and one 30 s figure8 seed ({STATE_SEED}) with navbench's"
+            f" noise and biases; min and median over rounds, raw microseconds"
         ),
         "parent_ref": parent_sha,
         "change_ref": change_sha,
