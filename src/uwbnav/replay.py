@@ -2,7 +2,8 @@
 
 A recorded trial arrives as three CSV streams — IMU, UWB, and ground truth —
 plus an anchor JSON file.  This module converts each stream once into a float
-table sorted by time (validation happens there, on the whole table, and
+table sorted by time (numpy's C text reader parses a file, csv one it cannot
+take, see ``_parse_stream``; validation happens there, on the whole table, and
 nowhere after), derives a benchmark velocity from the ground-truth positions
 (local least-squares polynomial differentiation), runs the observer
 sample-by-sample, and scores it into the simulator's record, ``sim.RunResult``,
@@ -31,11 +32,12 @@ float in its shortest round-trip form, NaN as an empty cell.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -153,15 +155,17 @@ def _merge_column_map(column_map: dict | None) -> dict:
     return merged
 
 
-def _read_rows(path) -> tuple[list, list]:
+def _read_rows(path) -> tuple[list, str]:
+    """A CSV file's header cells, as csv reads them, and its body: the text after the header."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"dataset file not found: {path}")
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+        header = next(csv.reader(fh), None)
+        body = fh.read()
+    if header is None:
         raise DataError(f"{path} is empty")
-    return [h.strip() for h in rows[0]], rows[1:]
+    return [h.strip() for h in header], body
 
 
 def _column_indices(header, names, path):
@@ -186,18 +190,31 @@ def _range_differences(table):
     return table, dict.fromkeys(off, "range differences must be finite")
 
 
-def _parse_stream(path, rows, indices, stream, report, check=None) -> np.ndarray:
-    """The rows' ``indices`` columns as one float table, sorted by time (column 0).
+def _text_table(body, indices):
+    """``body``'s ``indices`` columns by numpy's C text reader, or None unless it reads each line as one row."""
+    if body[:1] in "\r\n" or '"' in body:  # empty or a blank first line (it warns or skips); quoting is csv's
+        return None
+    with suppress(ValueError):  # a cell it cannot read (float() may), a short row, a lone CR
+        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, quotechar=None, usecols=indices, ndmin=2)
+        return table if len(table) == body.count("\n") + (body[-1] != "\n") else None  # it skips blank lines
+    return None
 
-    One ``np.array(cells, dtype=float)`` reads the cells as ``float()`` does.  A row
-    is skipped, and logged with its line number, when a column is missing or not
-    a finite number (only then are the rows read with ``float()``, to name them),
-    or when ``check`` fails it: ``check(table)`` returns it, converted if need be,
-    and a message per failing row.
+
+def _parse_stream(path, body, indices, stream, report, check=None) -> np.ndarray:
+    """The ``indices`` columns of the CSV ``body`` as one float table, sorted by time (column 0).
+
+    numpy's C text reader parses the body; csv reads its rows instead when it holds quotes, a blank
+    line, a CR line end, a short row or a cell that reader refuses (``float()`` takes ``1_0``), and
+    one ``np.array(cells, dtype=float)`` converts them as ``float()`` does.  A row is skipped, and
+    logged with its line number, when a column is missing or not a finite number (only then are the
+    rows read with ``float()``, to name them), or when ``check`` fails it: ``check(table)`` returns
+    it, converted if need be, and a message per failing row.
     """
+    table = _text_table(body, indices)
+    rows = range(len(table)) if table is not None else list(csv.reader(io.StringIO(body, newline="")))
     pick, errors, taken = itemgetter(*indices), {}, range(len(rows))
     try:
-        table = np.array(list(map(pick, rows)), dtype=float).reshape(-1, len(indices))
+        table = np.array(list(map(pick, rows)), dtype=float).reshape(-1, len(indices)) if table is None else table
     except (ValueError, IndexError):
         for k in taken:
             try:
@@ -236,7 +253,7 @@ def load_dataset(paths: dict, column_map: dict | None = None) -> LoadedDataset:
     report = LoadReport()
 
     imu_map = cmap["imu"]
-    header, rows = _read_rows(paths["imu"])
+    header, body = _read_rows(paths["imu"])
     names = [imu_map[c] for c in ("t", "gx", "gy", "gz", "ax", "ay", "az")]
     idx = _column_indices(header, names, paths["imu"])
     mag_names = [imu_map[c] for c in ("mx", "my", "mz")]
@@ -244,10 +261,10 @@ def load_dataset(paths: dict, column_map: dict | None = None) -> LoadedDataset:
     if n_mag not in (0, 3):
         raise ConfigError(f"{Path(paths['imu']).name}: magnetometer columns incomplete")
     idx += _column_indices(header, mag_names[:n_mag], paths["imu"])
-    imu = _parse_stream(paths["imu"], rows, idx, "imu", report)
+    imu = _parse_stream(paths["imu"], body, idx, "imu", report)
 
     uwb_map = cmap["uwb"]
-    header, rows = _read_rows(paths["uwb"])
+    header, body = _read_rows(paths["uwb"])
     idx = _column_indices(header, [uwb_map["t"]], paths["uwb"])
     value_names = uwb_map["values"]
     if value_names is None:
@@ -256,15 +273,15 @@ def load_dataset(paths: dict, column_map: dict | None = None) -> LoadedDataset:
         raise ConfigError(f"{Path(paths['uwb']).name}: no UWB value columns")
     idx += _column_indices(header, value_names, paths["uwb"])
     check = _range_differences if uwb_map["mode"] == "range" else None
-    tdoa = _parse_stream(paths["uwb"], rows, idx, "uwb", report, check)
+    tdoa = _parse_stream(paths["uwb"], body, idx, "uwb", report, check)
 
     gt = np.empty((0, 8))
     if "gt" in paths:
         gt_map = cmap["gt"]
-        header, rows = _read_rows(paths["gt"])
+        header, body = _read_rows(paths["gt"])
         names = [gt_map[c] for c in ("t", "qw", "qx", "qy", "qz", "px", "py", "pz")]
         idx = _column_indices(header, names, paths["gt"])
-        gt = _parse_stream(paths["gt"], rows, idx, "gt", report, _unit_quaternion)
+        gt = _parse_stream(paths["gt"], body, idx, "gt", report, _unit_quaternion)
 
     if not (len(imu) or len(tdoa) or len(gt)):
         raise DataError("dataset contains no usable rows")
@@ -310,9 +327,12 @@ def derive_velocity(t, pos, window: int = _VELOCITY_WINDOW, poly_order: int = _V
     to the first or last ``window`` samples.  On uniform timestamps this is
     the Savitzky-Golay derivative with ``mode="interp"``; the timestamps need
     not be uniform.  Exact on position series that are polynomials of degree
-    <= poly_order.
+    <= poly_order.  Its columns j >= 2 are numpy's pow of an exponent array, not the
+    ``x * x`` of a scalar exponent 2, which differs in 2-5 % of a trial's entries.
     """
-    if window % 2 == 0 or window < 3:
+    if not isinstance(poly_order, (int, np.integer)) or poly_order < 1:
+        raise ValueError(f"poly_order must be an integer >= 1, got {poly_order!r}")
+    if not isinstance(window, (int, np.integer)) or window % 2 == 0 or window < 3:
         raise ValueError(f"window must be an odd integer >= 3, got {window}")
     if window < poly_order + 2:
         raise ValueError(f"window {window} too small for poly_order {poly_order}")
@@ -326,17 +346,17 @@ def derive_velocity(t, pos, window: int = _VELOCITY_WINDOW, poly_order: int = _V
     if np.any(np.diff(t) <= 0.0):
         raise DataError("ground-truth timestamps must be strictly increasing")
     lo = np.clip(np.arange(n) - window // 2, 0, n - window)
-    powers = np.arange(poly_order + 1)
     vel = np.empty_like(pos)
     for start in range(0, n, _VELOCITY_CHUNK):
         i = np.arange(start, min(start + _VELOCITY_CHUNK, n))
         idx = lo[i, None] + np.arange(window)
         span = t[idx[:, -1]] - t[idx[:, 0]]
         # Vandermonde rows in the local time (t - t_i) / span, one matrix per
-        # sample; row 1 of its pseudo-inverse maps the window's positions to
-        # the fitted slope at t_i.
+        # sample (pow(x, 0) is 1 and pow(x, 1) is x); row 1 of its
+        # pseudo-inverse maps the window's positions to the fitted slope at t_i.
         local = (t[idx] - t[i, None]) / span[:, None]
-        slope = np.linalg.pinv(local[..., None] ** powers)[:, 1, :] / span[:, None]
+        high = [np.power(local, np.full(local.shape, float(j))) for j in range(2, poly_order + 1)]
+        slope = np.linalg.pinv(np.stack([np.ones_like(local), local, *high], axis=-1))[:, 1, :] / span[:, None]
         vel[i] = np.einsum("mw,mwk->mk", slope, pos[idx])
     return vel
 

@@ -3,6 +3,7 @@
 The tool is loaded from its file; no CLI run or git command happens here.
 """
 
+import csv
 import importlib.util
 import json
 from pathlib import Path
@@ -72,7 +73,7 @@ def test_a_differing_csv_file_names_the_largest_difference_of_each_column(ad, tm
 def test_the_set_runs_every_scenario_both_ways_and_replays_its_export(ad):
     runs = ad.commands()
     names = [name for name, _ in runs]
-    assert len(set(names)) == len(names) == 15
+    assert len(set(names)) == len(names) == 16
     # Three tdoa-solve runs open the set, one frame each against the same
     # anchor file; only the all-zero frame may fall back to the reduced solve.
     solves = {name: args for name, args in runs if args[0] == "tdoa-solve"}
@@ -106,19 +107,22 @@ def test_the_set_runs_every_scenario_both_ways_and_replays_its_export(ad):
     assert rate_7[0].index("sim.noise.tdoa_sd=0") > rate_7[0].index("sim.noise.tdoa_sd=0.05")
     # The 60 s trial is exported, then replayed as written, with its
     # magnetometer columns mapped away, so that replay synthesises one, with
-    # a gap cut into its IMU rows, and with two of its frames broken.
-    assert "sim.duration=60" in runs[-5][1] and "sim.export_dataset=true" in runs[-5][1]
-    for _, replay in runs[-4:]:
+    # a gap cut into its IMU rows, with two of its frames broken, and from
+    # its three files messed up.
+    assert "sim.duration=60" in runs[-6][1] and "sim.export_dataset=true" in runs[-6][1]
+    for _, replay in runs[-5:]:
         assert replay[0] == "replay"
-    for _, replay in runs[-4:-1]:
+    for _, replay in runs[-5:-2]:
         assert "replay.uwb=trial/dataset/uwb.csv" in replay
-    for _, replay in runs[-4:-2] + runs[-1:]:
+    for _, replay in runs[-5:-3] + runs[-2:-1]:
         assert "replay.imu=trial/dataset/imu.csv" in replay
-    assert not any("column_map" in a for a in runs[-4][1])
-    mapped = [a for a in runs[-3][1] if a.startswith("replay.column_map.imu=")]
+    assert not any("column_map" in a for a in runs[-5][1])
+    mapped = [a for a in runs[-4][1] if a.startswith("replay.column_map.imu=")]
     assert len(mapped) == 1 and "absent_mx" in mapped[0]
-    assert runs[-2][0] == "replay-gap" and f"replay.imu={ad.GAP_IMU}" in runs[-2][1]
-    assert runs[-1][0] == "replay-broken" and f"replay.uwb={ad.BROKEN_UWB}" in runs[-1][1]
+    assert runs[-3][0] == "replay-gap" and f"replay.imu={ad.GAP_IMU}" in runs[-3][1]
+    assert runs[-2][0] == "replay-broken" and f"replay.uwb={ad.BROKEN_UWB}" in runs[-2][1]
+    assert runs[-1][0] == "replay-messy"
+    assert {f"replay.{stream}={messy}" for stream, messy in ad.MESSY.items()} <= set(runs[-1][1])
 
 
 def test_the_gap_cuts_the_imu_rows_inside_it_and_keeps_the_rest(ad, tmp_path):
@@ -146,6 +150,23 @@ def test_the_broken_frames_are_a_rank_3_one_and_an_out_of_range_one(ad, tmp_path
     assert len(after) == len(before) and set(changed) == {"10.0", "30.0"}
     assert changed["10.0"] == b"10.0,0.0,0.0,0.0,0.0"
     assert changed["30.0"] == b"30.0,6.5,-0.5,1e-3,0.125"  # diameter 5 + slack 1 + 0.5
+
+
+def test_the_messy_files_hold_lf_line_ends_a_blank_line_a_quoted_cell_and_one_that_is_no_number(ad, tmp_path):
+    # Every other row keeps its cells; a csv read of the file gives them back.
+    path = tmp_path / "gt.csv"
+    rows = [["t", "qw", "px"]] + [[f"{k / 100!r}", "1.0", f"{k / 8!r}"] for k in range(11)]
+    path.write_bytes(b"".join(",".join(row).encode() + b"\r\n" for row in rows))
+    ad.mess_up(path, tmp_path / "messy.csv")
+    text = (tmp_path / "messy.csv").read_bytes()
+    assert b"\r" not in text and text.endswith(b"\n")
+    lines = text.decode().split("\n")[:-1]
+    assert len(lines) == len(rows) + 1 and lines[3] == ""
+    assert lines[7] == '0.05,"1.0",0.625' and lines[10] == "0.08,n/a,1.0"
+    with open(tmp_path / "messy.csv", newline="") as fh:
+        read = list(csv.reader(fh))
+    rows[9][1] = "n/a"
+    assert read == rows[:3] + [[]] + rows[3:]
 
 
 def test_both_sides_run_from_snapshots_as_bench_pairs_makes_them(ad, tmp_path, monkeypatch):

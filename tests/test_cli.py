@@ -598,6 +598,22 @@ def test_replay_cli_exits_2_on_a_synthesized_magnetometer_that_is_not_finite(cap
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize("order", ["0", "-2"])
+def test_replay_cli_exits_2_on_a_velocity_poly_order_below_1(capsys, tmp_path, exported_dataset, order):
+    ds = exported_dataset
+    argv = ["replay", "--out", str(tmp_path)]
+    for item in (
+        *(f"replay.{stream}={ds}/{stream}.csv" for stream in ("imu", "uwb", "gt")),
+        f"replay.anchors={ds}/anchors.json",
+        f"replay.velocity_poly_order={order}",
+    ):
+        argv += ["--set", item]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert err.strip() == f"invalid input: poly_order must be an integer >= 1, got {order}"
+    assert not (tmp_path / "summary.json").exists()
+
+
 # --- environment / entry point -------------------------------------------------------------
 
 

@@ -48,7 +48,7 @@ def test_the_probe_times_every_layer_of_this_tree():
             assert set(us) == {
                 "step_no_frame", "step_frame", "step_handed_fix", "solve_frame", "build_system",
                 "se23_exp", "se23_exp_zero_v", "build_triads", "pack",
-                "load_dataset", "derive_velocity", "derive_velocity_jittered",
+                "load_dataset", "load_dataset_messy", "derive_velocity", "derive_velocity_jittered",
                 "truth_track", "imu_stream", "tdoa_table", "so3_exp",
             }
             assert all(v > 0.0 for v in us.values())

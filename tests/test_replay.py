@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -381,6 +383,114 @@ def test_every_float_spelling_loads_as_the_row_by_row_read_gives_it(tmp_path):
     assert (ds.gt[:, 3] == 0.0).all() and np.signbit(ds.gt[:, 3]).any()
 
 
+def csv_rows_built(monkeypatch):
+    """The list of every row replay's csv readers yield from here on."""
+    built = []
+
+    def reader(lines):
+        for row in csv.reader(lines):
+            built.append(row)
+            yield row
+
+    monkeypatch.setattr(uwbnav.replay, "csv", SimpleNamespace(reader=reader))
+    return built
+
+
+def messy_csv(path, header, rows, case):
+    """Write ``header`` and ``rows`` to ``path`` with the irregularity ``case``."""
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    middle = len(lines) // 2
+    if case == "blank line in the middle":
+        lines.insert(middle, "")
+    elif case == "blank line at the end":
+        lines.append("")
+    elif case == "whitespace-only line":
+        lines.insert(middle, " \t ")
+    elif case == "quoted numeric cells":
+        lines[middle] = ",".join(f'"{cell}"' for cell in lines[middle].split(","))
+    elif case == "extra trailing columns":
+        lines[1:] = [line + ",7.5,note" for line in lines[1:]]
+    end = {"LF line ends": "\n", "CR line ends": "\r"}.get(case, "\r\n")
+    text = end.join(lines) + ("" if case == "last line without a newline" else end)
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
+# The layouts numpy's text reader parses; csv reads the rows of the others.
+BY_NUMPY = ("LF line ends", "last line without a newline", "extra trailing columns", "a file column named twice")
+BLANK = ("blank line in the middle", "blank line at the end", "whitespace-only line")
+
+
+@pytest.mark.parametrize("case", BY_NUMPY + BLANK + ("CR line ends", "quoted numeric cells"))
+def test_each_file_layout_loads_as_the_row_by_row_read_gives_it(tmp_path, monkeypatch, case):
+    # Whichever reader parses a file, the tables, counts and messages are those of a float() per cell.
+    rng = np.random.default_rng(27)
+    q = rng.normal(size=(30, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    names = {"imu": IMU_HEADER, "uwb": ["t", "r1", "r2", "r3", "r4"], "gt": GT_HEADER}
+    cells = {
+        "imu": lambda k: [0.01 * k, *rng.normal(size=9).tolist()],
+        "uwb": lambda k: [0.1 * k, *rng.uniform(1.0, 9.0, 4).tolist()],
+        "gt": lambda k: [0.01 * k, *q[k].tolist(), *rng.normal(size=3).tolist()],
+    }
+    paths = {stream: tmp_path / f"{stream}.csv" for stream in names}
+    for stream, header in names.items():
+        messy_csv(paths[stream], header, [list(map(repr, cells[stream](k))) for k in range(30)], case)
+    column_map = {"uwb": {"mode": "range"}}
+    if case == "a file column named twice":
+        column_map |= {"imu": {"gy": "gx"}, "gt": {"pz": "px"}}
+        names |= {"imu": [n if n != "gy" else "gx" for n in IMU_HEADER], "gt": GT_HEADER[:-1] + ["px"]}
+    built = csv_rows_built(monkeypatch)
+    ds = load_dataset(paths, column_map=column_map)
+
+    assert (built == [IMU_HEADER, names["uwb"], GT_HEADER]) == (case in BY_NUMPY)
+    messages = []
+    checks = {"imu": None, "uwb": row_range_differences, "gt": row_unit_quaternion}
+    for stream, got in (("imu", ds.imu), ("uwb", ds.tdoa), ("gt", ds.gt)):
+        table, read, skipped, stream_messages = row_by_row_stream(paths[stream], names[stream], checks[stream])
+        assert got.shape == table.shape and got.tobytes() == table.tobytes(), stream
+        assert (ds.report.rows_read[stream], ds.report.rows_skipped[stream]) == (read, skipped), stream
+        messages += stream_messages
+    assert ds.report.skipped_rows == messages
+    assert ds.report.rows_read == dict.fromkeys(names, 31 if case in BLANK else 30)
+    assert ds.report.rows_skipped == dict.fromkeys(names, 1 if case in BLANK else 0)
+    if case == "a file column named twice":
+        assert (ds.imu[:, 1] == ds.imu[:, 2]).all() and (ds.gt[:, 5] == ds.gt[:, 7]).all()
+
+
+def test_a_quoted_comma_is_read_as_csv_reads_it(tmp_path):
+    # Split at its commas, the row's columns 0 and 2 would read 0.1 and 0.7.
+    paths = hover_dataset(tmp_path, imu_times=(0.0, 0.01))
+    paths["uwb"].write_text('t,note,d1\r\n0.1,"a,0.7,b",0.3\r\n', newline="")
+    ds = load_dataset(paths, column_map={"uwb": {"values": ["d1"]}})
+    assert ds.tdoa.tolist() == [[0.1, 0.3]]
+
+
+def test_a_header_only_file_loads_as_an_empty_table_without_a_warning(tmp_path):
+    # numpy's text reader warns on a body without rows; such a body never reaches it.
+    paths = hover_dataset(tmp_path, imu_times=(0.0, 0.01), uwb_times=(0.005,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for body in ("", "\r\n", "\n\n"):
+            paths["uwb"].write_text(",".join(UWB_HEADER) + "\r\n" + body, newline="")
+            ds = load_dataset(paths)
+            assert ds.tdoa.shape == (0, 9)
+            blank_lines = body.count("\n")  # each is a row csv reports, and skipped
+            assert (ds.report.rows_read["uwb"], ds.report.rows_skipped["uwb"]) == (blank_lines, blank_lines)
+
+
+def test_a_clean_export_builds_no_csv_rows_past_its_headers(tmp_path, monkeypatch):
+    # numpy's text reader parses every body of an exported run; csv reads only the headers.
+    noise = SensorNoise(0.005, 0.02, 0.2, 0.05)
+    result = run_scenario(preset_scenario("figure8", seed=3, duration=2.0, noise=noise), Gains())
+    paths = export_dataset(result, tmp_path)
+    built = csv_rows_built(monkeypatch)
+    ds = load_dataset(paths)
+    assert built == [IMU_HEADER, UWB_HEADER, GT_HEADER]
+    assert ds.imu.tobytes() == result.imu.tobytes() and ds.tdoa.tobytes() == result.tdoa.tobytes()
+    assert ds.report.rows_read == {"imu": len(result.imu), "uwb": len(result.tdoa), "gt": len(result.t)}
+
+
 # --- quaternion conversions -----------------------------------------------------------
 
 
@@ -568,6 +678,13 @@ def test_derive_velocity_validates_window_and_data():
         derive_velocity(t, pos, window=10)
     with pytest.raises(ValueError, match="too small"):
         derive_velocity(t, pos, window=3, poly_order=2)
+    # An order below 1 has no slope, and a float order or window would be fitted as another integer.
+    for order in (0, -1, 1.5, 2.0):
+        with pytest.raises(ValueError, match=rf"poly_order must be an integer >= 1, got {order!r}"):
+            derive_velocity(t, pos, poly_order=order)
+    with pytest.raises(ValueError, match="odd integer"):
+        derive_velocity(t, pos, window=11.0)
+    np.testing.assert_array_equal(derive_velocity(t, pos, np.int64(5), np.int64(1)), derive_velocity(t, pos, 5, 1))
     with pytest.raises(ValueError, match="one position row per time"):
         derive_velocity(t, pos[:-1])
     with pytest.raises(DataError, match="at least 11"):

@@ -44,7 +44,11 @@ when read.  Then, with every sensor noise on (gyro 0.005, accel 0.02, mag
   not solve (``BROKEN_UWB``, written next to the artifacts: the trial's
   ``uwb.csv`` with the differences of its frame at t = 10 s set to zero,
   rank 3, and the first difference at t = 30 s set 0.5 m beyond the anchor
-  set's diameter + 1 m, out of range), the one run with ``tdoa_failures``.
+  set's diameter + 1 m, out of range), the one run with ``tdoa_failures``,
+  and once from its three files rewritten by ``mess_up`` (``MESSY``, written
+  next to the artifacts: LF line ends, a blank line, a quoted cell and a cell
+  that is not a number in each), the one run whose files numpy's text reader
+  leaves to csv, so that path's tables and load report are compared too.
 
 The standard output of every command is kept next to its artifacts and
 compared with them.  Standard library only.
@@ -113,6 +117,9 @@ GAP = (5.0, 5.195)
 BROKEN_UWB = "uwb_broken.csv"
 ZEROED, OUT_OF_RANGE = 10.0, 30.0
 
+# The files of the messy replay: the trial's three, each rewritten by mess_up.
+MESSY = {stream: f"{stream}_messy.csv" for stream in ("imu", "uwb", "gt")}
+
 
 def commands() -> list[tuple[str, list[str]]]:
     """(output directory, CLI arguments) of every run in the set, in order; paths are relative."""
@@ -149,6 +156,7 @@ def commands() -> list[tuple[str, list[str]]]:
     runs.append(replay("replay-no-mag", f"replay.column_map.imu={no_mag}"))
     runs.append(replay("replay-gap", imu=GAP_IMU))
     runs.append(replay("replay-broken", uwb=BROKEN_UWB))
+    runs.append(replay("replay-messy", **MESSY))
     return runs
 
 
@@ -178,6 +186,21 @@ def break_frames(uwb: Path, anchors: Path, out: Path) -> None:
         csv.writer(fh).writerows(rows)
 
 
+def mess_up(path: Path, out: Path) -> None:
+    """Write the CSV file ``path`` to ``out`` with LF line ends, a blank line
+    before its row a quarter of the way in, the second cell of its middle row
+    quoted and that of its row three quarters in replaced by "n/a"."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    n = len(rows)
+    rows[n // 2][1] = f'"{rows[n // 2][1]}"'
+    rows[3 * n // 4][1] = "n/a"
+    lines = [",".join(row) for row in rows]
+    lines.insert(n // 4, "")
+    with open(out, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def run_set(root: Path, out: Path, log=print) -> None:
     """Run every command of the set with ``root``'s package, writing under ``out``."""
     out.mkdir(parents=True)
@@ -190,6 +213,9 @@ def run_set(root: Path, out: Path, log=print) -> None:
             cut_gap(out / "trial/dataset/imu.csv", out / GAP_IMU)
         elif name == "replay-broken":
             break_frames(out / "trial/dataset/uwb.csv", out / "trial/dataset/anchors.json", out / BROKEN_UWB)
+        elif name == "replay-messy":
+            for stream, messy in MESSY.items():
+                mess_up(out / f"trial/dataset/{stream}.csv", out / messy)
         log(f"{root}: uwbnav {' '.join(args)}")
         proc = subprocess.run([sys.executable, "-m", "uwbnav.cli", *args], cwd=out, env=env,
                               capture_output=True, text=True)

@@ -30,11 +30,15 @@ The layers: ``step`` without a frame, with a frame it solves and with a fix
 handed as ``p_y``; ``solve_frame`` and its ``build_system``; the correction
 step's ``_se23_exp`` (all blocks non-zero) and the prediction's (``vcol`` the
 shared zero); ``build_triads``; ``_pack`` of the state's R, P and V; and
-the replay input stage: ``load_dataset`` of the trial's three CSV files, and
-``derive_velocity`` on its gt table and on a copy whose times are jittered
-by up to 2 ms, so that no fit window repeats; and the sim's synthesis stage:
-``truth_track`` of the sweep scenario, ``_imu_stream`` and the TDOA table of
-its seed, and ``so3_exp`` as the presets call it for their attitude.  The
+the replay input stage: ``load_dataset`` of the trial's three CSV files,
+``load_dataset_messy`` of the same files as ``tools/artifact_diff.py``'s
+``mess_up`` rewrites them (LF line ends, a blank line, a quoted cell and a
+cell that is not a number in each: what a file costs that numpy's text
+reader leaves to csv), and ``derive_velocity`` on its gt table and on a copy
+whose times are jittered by up to 2 ms, so that no fit window repeats; and
+the sim's synthesis stage: ``truth_track`` of the sweep scenario,
+``_imu_stream`` and the TDOA table of its seed, and ``so3_exp`` as the
+presets call it for their attitude.  The
 TDOA table is ``sim._tdoa_table``; a tree without it (``156e371`` and
 before) builds it in ``run_scenario`` frame by frame, and that loop, copied
 here, is what is timed for such a tree.
@@ -55,6 +59,7 @@ import timeit
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+from artifact_diff import mess_up  # noqa: E402
 from bench_pairs import change_ref, checkout, git, machine  # noqa: E402
 
 STATE_SEED = 5  # navbench observer-stream seed of the timed state
@@ -63,7 +68,8 @@ ROUNDS, NUMBER, REPEAT = 40, 1_000, 3  # alternating rounds; calls per timing; t
 SNAPSHOT_MODULES = ("uwbnav", "worker", "checks", "speed", "tracer")  # what importing a snapshot loads
 # Layers of milliseconds, timed one call at a time.
 ONE_CALL_LAYERS = (
-    "load_dataset", "derive_velocity", "derive_velocity_jittered", "truth_track", "imu_stream", "tdoa_table",
+    "load_dataset", "load_dataset_messy", "derive_velocity", "derive_velocity_jittered",
+    "truth_track", "imu_stream", "tdoa_table",
 )
 JITTER_S = 0.002  # largest shift of a gt time in the jittered copy (the gt step is 10 ms)
 
@@ -95,6 +101,10 @@ def layers(root: Path, trial: Path) -> dict:
     finally:
         sys.path[:] = path
     csvs = {k: bench.inputs[0] / f"{k}.csv" for k in ("imu", "uwb", "gt")}
+    messy = {k: trial / f"{k}_messy.csv" for k in csvs}
+    for k, path in messy.items():
+        if not path.exists():
+            mess_up(csvs[k], path)
     gt = replay.load_dataset(csvs).gt
     t, gt_pos = gt[:, 0], gt[:, 5:8]
     t_jittered = t + np.random.default_rng(STATE_SEED).uniform(-JITTER_S, JITTER_S, len(t))
@@ -125,6 +135,7 @@ def layers(root: Path, trial: Path) -> dict:
         "build_triads": lambda: sensors.build_triads(sample, ref),
         "pack": lambda: liegroup._pack(nav.rot.m, nav.pos, nav.vel),
         "load_dataset": lambda: replay.load_dataset(csvs),
+        "load_dataset_messy": lambda: replay.load_dataset(messy),
         "derive_velocity": lambda: replay.derive_velocity(t, gt_pos),
         "derive_velocity_jittered": lambda: replay.derive_velocity(t_jittered, gt_pos),
         "truth_track": lambda: sim.truth_track(sweep),
