@@ -5,8 +5,8 @@ One discrete step does:
 1.  predict  Xhat+ = Xhat @ exp(Uhat dt) with the bias-corrected IMU element
     Uhat = u([gyro - b_omega_hat]_x, 0, accel - b_a_hat, 1);
 2.  reconstruct the position fix P_y from the TDOA frame, if one arrived
-    (or take the one ``_run_stream`` solved and handed over); only the fix's
-    position is read, so its quality is never computed;
+    (or take the one the caller solved and handed over as ``p_y``); only the
+    fix's position is read, so its quality is never computed;
 3.  form the triads' body rows v_i (``sensors._body_rows``, as
     ``build_triads``) and the misalignment innovation sum_i s_i (v_i x vhat_i)
     in one pass, without a ``TriadPair``;
@@ -53,11 +53,11 @@ a product's operand, stays one numpy subtraction, which rounds the same).
 Its states are bit-identical to the dataclass composition (see
 tests/test_observer.py).
 
-``_run_stream`` is the one loop over a stream.  ``sim._run_and_score``, the
-one run-and-score routine of ``sim`` and ``replay``, hands it the float
-tables an exported dataset holds; it maps the frames to steps and stacks
-the estimates into arrays after the loop, which that routine scores against
-the truth (``_nav_errors``, ``_norms``; ``error_metrics`` is their one-row form).
+This module holds the online step, the gains, the error kernels and the
+gain certificate.  The loop over a stream is ``sim._run_and_score``, the one
+run-and-score routine of ``sim`` and ``replay``: it hands ``step`` each
+taken frame's fix and scores the stacked estimates with ``_nav_errors`` and
+``_norms`` (``error_metrics`` is their one-row form).
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from .liegroup import (
     _check_so3,
     _pack,
     _se23_exp,
-    _trusted,
     att_dist,
     reorthonormalize,
     se23_exp,  # noqa: F401  step runs _se23_exp; navbench traces calls at this name
@@ -115,7 +114,7 @@ _DT_MAX = 0.1  # s: every step, observer or truth, is over dt in (0, _DT_MAX]
 
 
 def _check_dt(dt: float) -> None:
-    # ``step`` and ``_run_stream`` test the range inline: no call per step.
+    # ``step`` and ``sim._run_and_score`` test the range inline: no call per step.
     if not 0.0 < dt <= _DT_MAX:
         raise ValueError(f"dt must be in (0, {_DT_MAX}] s, got {dt}")
 
@@ -333,68 +332,6 @@ def step(
     put(out, "triad_failures", triad_failures)
     put(out, "_X", X)  # the next step starts from X, whose blocks nav views
     return out
-
-
-def _run_stream(state, imu, mags, tdoa, anchors, gains, *, ref, step):
-    """Step the observer over a stream: the one loop that calls ``step``.
-
-    ``imu`` is the (n+1, 7 or 10) table t, gyro, accel[, mag], ``mags`` each
-    sample's magnetometer reading (or None) and ``tdoa`` the (m, 1 + N) table
-    t, differences, each with non-decreasing t.  Step k runs on sample k over
-    t[k+1] - t[k]; a dt outside (0, 0.1], NaN too, keeps the state and counts
-    as skipped.  Each frame goes to the step that starts at or before it, the
-    last of a step winning; a frame no taken step gets is dropped.  Samples
-    and frames are made from their rows, unchecked, as the loop reaches them.
-    A taken step's frame is solved here, once: its fix goes to the raw-fix
-    column and, as ``p_y`` (None if the solve failed), to ``step``, the
-    caller's own binding (the name the benchmark times).
-    A ValueError from ``step`` (a state that diverged) is raised again as a
-    RuntimeError naming the step and its time; numpy's overflow and
-    invalid-value warnings are off, as that error reports a non-finite state.
-    Returns the final state, the skipped count, the count of frames handed to
-    ``step`` and the arrays (R, P, V, b_omega_hat, b_a_hat, fix), one row per
-    sample from the initial state on, stacked once, after the loop, from each
-    state's 5x5 and biases; ``fix`` is NaN where no frame solved.
-    """
-    t = imu[:, 0]
-    times, dts = t.tolist(), np.diff(t).tolist()
-    n = len(dts)
-    steps = np.searchsorted(t, tdoa[:, 0], side="right") - 1
-    frame_rows = {k: i for i, k in enumerate(steps.tolist()) if 0 <= k < n}
-    gyro, accel = imu[:, 1:4], imu[:, 4:7]
-    fix = np.full((n + 1, 3), np.nan)
-
-    def row(state):  # its 5x5 (packed if it carries none) and biases: one row of the arrays
-        nav = state.nav
-        return _pack(nav.rot.m, nav.pos, nav.vel) if state._X is None else state._X, state.b_omega_hat, state.b_a_hat
-
-    rows = [row(state)]
-    skipped = taken = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, dt in enumerate(dts):
-            if not 0.0 < dt <= _DT_MAX:
-                skipped += 1
-                rows.append(rows[-1])
-                continue
-            frame = p_y = None
-            i = frame_rows.get(k)
-            if i is not None:
-                frame = _trusted(TdoaFrame, timestamp=float(tdoa[i, 0]), d=tdoa[i, 1:])
-                taken += 1
-                try:
-                    p_y = fix[k] = solve_frame(anchors, frame).p
-                except (GeometryDegenerate, ValueError):
-                    pass
-            sample = _trusted(ImuSample, timestamp=times[k], gyro=gyro[k], accel=accel[k], mag=mags[k])
-            try:
-                state = step(state, sample, frame, anchors, gains, dt, ref=ref, p_y=p_y)
-            except ValueError as exc:
-                raise RuntimeError(f"observer diverged at step {k} (t = {times[k]!r} s): {exc}") from exc
-            rows.append(row(state))
-    # R, P and V contiguous: a strided R can round differently in _nav_errors.
-    X, b_omega_hat, b_a_hat = (np.array(a) for a in zip(*rows))
-    R, P, V = (np.ascontiguousarray(a) for a in (X[:, :3, :3], X[:, :3, 3], X[:, :3, 4]))
-    return state, skipped, taken, (R, P, V, b_omega_hat, b_a_hat, fix)
 
 
 def _norms(d):

@@ -9,8 +9,8 @@ nowhere after), derives a benchmark velocity from the ground-truth positions
 sample-by-sample, and scores it into the simulator's record, ``sim.RunResult``,
 so synthetic and recorded runs are directly comparable.  ``run_replay``
 interpolates the truth once from the gt table (NaN outside its range) and
-hands it, with the loaded IMU and TDOA tables, to ``sim._run_and_score``, the
-routine ``run_scenario`` runs and scores its own tables with; it then adds the
+hands it, with the loaded IMU and TDOA tables, to ``sim._run_and_score``,
+which steps and scores ``run_scenario``'s tables too; it then adds the
 replay's summary keys (skipped steps, sample, dropped frame and gt counts).
 
 File formats (canonical column names; remap via ``column_map``):
@@ -48,7 +48,8 @@ from .liegroup import Rotation
 from .observer import Gains, ObserverState, _norms, step
 from .sensors import ReferenceVectors
 from .sim import _SETTLE_DWELL, _SETTLE_THRESHOLD, _STREAM_MAG, RunResult, SimResult, _noisy_table, _run_and_score
-from .tdoa import solve_frame  # noqa: F401  _run_stream solves the frames; navbench traces this name
+from .tdoa import _cyclic_differences
+from .tdoa import solve_frame  # noqa: F401  sim._run_and_score solves the frames; navbench traces this name
 
 __all__ = [
     "ConfigError",
@@ -161,7 +162,10 @@ def _read_rows(path) -> tuple[list, str]:
     if not path.exists():
         raise ConfigError(f"dataset file not found: {path}")
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        try:
+            header = next(csv.reader(fh), None)
+        except csv.Error as exc:
+            raise DataError(f"{path}: {exc}") from exc
         body = fh.read()
     if header is None:
         raise DataError(f"{path} is empty")
@@ -184,8 +188,7 @@ def _unit_quaternion(table):
 
 def _range_differences(table):
     """Table conversion of a range file: t, then each row's cyclic differences r[k+1] - r[k]."""
-    r = table[:, 1:]
-    table = np.column_stack([table[:, :1], np.roll(r, -1, axis=1) - r])
+    table = np.column_stack([table[:, :1], _cyclic_differences(table[:, 1:])])
     off = np.flatnonzero(~np.isfinite(table).all(axis=1)).tolist()
     return table, dict.fromkeys(off, "range differences must be finite")
 
@@ -207,22 +210,27 @@ def _parse_stream(path, body, indices, stream, report, check=None) -> np.ndarray
     line, a CR line end, a short row or a cell that reader refuses (``float()`` takes ``1_0``), and
     one ``np.array(cells, dtype=float)`` converts them as ``float()`` does.  A row is skipped, and
     logged with its line number, when a column is missing or not a finite number (only then are the
-    rows read with ``float()``, to name them), or when ``check`` fails it: ``check(table)`` returns
-    it, converted if need be, and a message per failing row.
+    rows read with ``float()``, in one pass that names the failing rows and converts the others), or
+    when ``check`` fails it: ``check(table)`` returns it, converted if need be, and a message per
+    failing row.  A file csv cannot read (a cell over its field limit) raises ``DataError``.
     """
     table = _text_table(body, indices)
-    rows = range(len(table)) if table is not None else list(csv.reader(io.StringIO(body, newline="")))
-    pick, errors, taken = itemgetter(*indices), {}, range(len(rows))
     try:
-        table = np.array(list(map(pick, rows)), dtype=float).reshape(-1, len(indices)) if table is None else table
+        rows = range(len(table)) if table is not None else list(csv.reader(io.StringIO(body, newline="")))
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    errors, taken = {}, range(len(rows))
+    try:
+        table = np.array(list(map(itemgetter(*indices), rows)), dtype=float) if table is None else table
     except (ValueError, IndexError):
+        table = []
         for k in taken:
             try:
-                [float(rows[k][i]) for i in indices]
+                table.append([float(rows[k][i]) for i in indices])
             except (ValueError, IndexError) as exc:
                 errors[k] = str(exc)
         taken = [k for k in taken if k not in errors]
-        table = np.array([pick(rows[k]) for k in taken], dtype=float).reshape(-1, len(indices))
+    table = np.asarray(table, dtype=float).reshape(-1, len(indices))
     non_finite = dict.fromkeys(np.flatnonzero(~np.isfinite(table).all(axis=1)).tolist(), "non-finite value")
     with np.errstate(over="ignore", invalid="ignore"):  # a check fails what overflows or is not finite
         table, failed = (table, {}) if check is None else check(table)
@@ -422,7 +430,7 @@ def run_replay(
 ) -> RunResult:
     """Replay the observer over a loaded dataset against its ground truth.
 
-    The IMU and TDOA tables go to ``observer._run_stream`` as loaded, the form
+    The IMU and TDOA tables go to ``sim._run_and_score`` as loaded, the form
     ``run_scenario`` gives it: each frame goes to the step that starts at or
     before it, the last of a step winning, and a frame that no step takes
     (outside the stream, under a later frame, or on a step skipped for its

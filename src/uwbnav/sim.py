@@ -37,8 +37,8 @@ Per seed, ``run_scenario`` builds the IMU table (``_imu_stream``, of which
 differences and frame k's noise keyed (seed, 1, k), the bits
 ``default_rng((seed, 1, k)).normal`` draws) before the loop: the tables an
 export writes and replay loads.  ``_run_and_score``, which
-``replay.run_replay`` calls too, runs ``observer._run_stream`` over them and
-scores the estimate arrays against the truth in one pass, into a
+``replay.run_replay`` calls too, steps the observer over them (the one loop
+over a stream) and scores the stacked estimates against the truth, into a
 ``RunResult``; ``SimResult`` extends it with what only a sim has.  The
 presets fly their trajectory under the scenario's gravity.
 """
@@ -62,12 +62,11 @@ from .liegroup import (
     se23_exp,  # noqa: F401  _walk_truth runs _se23_exp; navbench traces calls at this name
     so3_exp,
 )
-from .observer import Gains, ObserverState, _check_dt, _nav_errors, _norms, _run_stream, step
+from .observer import _DT_MAX, Gains, ObserverState, _check_dt, _nav_errors, _norms, step
 from .observer import error_metrics  # noqa: F401  run_scenario batches the errors; navbench traces this name
 from .sensors import ImuSample, ReferenceVectors
-from .tdoa import Anchor, AnchorSet, _range_differences
+from .tdoa import Anchor, AnchorSet, GeometryDegenerate, TdoaFrame, _range_differences, solve_frame
 from .tdoa import synthesize_tdoa  # noqa: F401  _tdoa_table makes the frames; navbench traces this name
-from .tdoa import solve_frame  # noqa: F401  _run_stream solves the frames; navbench traces this name
 
 __all__ = [
     "SensorNoise",
@@ -703,27 +702,72 @@ def error_summary(
     }
 
 
-def _run_and_score(init, imu, mags, tdoa, anchors, gains, truth, duration, settle, *, ref, step):
-    """Run ``observer._run_stream`` over the tables and score the estimate against ``truth``.
+def _run_and_score(state, imu, mags, tdoa, anchors, gains, truth, duration, settle, *, ref, step):
+    """Step the observer over a stream and score the estimate against ``truth``.
 
-    The one path of ``run_scenario`` and ``run_replay``.  ``truth`` is (rot,
-    pos, vel), a row per IMU sample, NaN where there is no benchmark; ``step``
-    is the caller's own binding, handed on.  The summary holds the keys every
-    run has: ``duration`` (as given), ``steps``, ``error_summary``'s with
-    ``settle`` as (threshold, dwell), and the TDOA frame and failure counts.
-    Returns the record, the skipped-step and taken-frame counts and the
-    gyro and accelerometer bias estimates.
+    The one loop that calls ``step`` (the caller's binding, the name the
+    benchmark times), for ``run_scenario`` and ``run_replay``.  ``imu`` is the
+    (n+1, 7 or 10) table t, gyro, accel[, mag], ``mags`` each sample's
+    magnetometer (or None), ``tdoa`` the (m, 1 + N) table t, differences, both
+    with non-decreasing t, and ``truth`` (rot, pos, vel) a row per sample, NaN
+    where there is no benchmark.  Step k runs on sample k over t[k+1] - t[k];
+    a dt outside (0, 0.1], NaN too, keeps the state and counts as skipped.
+    Each frame goes to the step that starts at or before it, the last of a
+    step winning; one no taken step gets is dropped.  Rows become samples and
+    frames unchecked.  A taken frame is solved once, for the raw-fix column
+    and ``step``'s ``p_y`` (None if the solve failed).  A ValueError from
+    ``step`` (a diverged state) is raised again as a RuntimeError naming the
+    step and its time, so numpy's overflow and invalid-value warnings are off.
+    The states are stacked after the loop and scored in one pass; the summary
+    holds ``duration`` (as given), ``steps``, ``error_summary``'s keys with
+    ``settle`` as (threshold, dwell) and the TDOA frame and failure counts.
+    Returns the record, the skipped-step and taken-frame counts and the gyro
+    and accelerometer bias estimates, a row per sample.
     """
-    state, skipped, taken, (R, P, V, b_omega_hat, b_a_hat, raw_pos) = _run_stream(
-        init, imu, mags, tdoa, anchors, gains, ref=ref, step=step
-    )
-    rot, pos, vel = truth
     t = imu[:, 0].copy()
+    times, dts = t.tolist(), np.diff(t).tolist()
+    n = len(dts)
+    steps = np.searchsorted(t, tdoa[:, 0], side="right") - 1
+    frame_rows = {k: i for i, k in enumerate(steps.tolist()) if 0 <= k < n}
+    gyro, accel = imu[:, 1:4], imu[:, 4:7]
+    raw_pos = np.full((n + 1, 3), np.nan)
+
+    def row(state):  # its 5x5 (packed if it carries none) and biases: one row of the arrays
+        nav = state.nav
+        return _pack(nav.rot.m, nav.pos, nav.vel) if state._X is None else state._X, state.b_omega_hat, state.b_a_hat
+
+    rows = [row(state)]
+    skipped = taken = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, dt in enumerate(dts):
+            if not 0.0 < dt <= _DT_MAX:
+                skipped += 1
+                rows.append(rows[-1])
+                continue
+            frame = p_y = None
+            i = frame_rows.get(k)
+            if i is not None:
+                frame = _trusted(TdoaFrame, timestamp=float(tdoa[i, 0]), d=tdoa[i, 1:])
+                taken += 1
+                try:
+                    p_y = raw_pos[k] = solve_frame(anchors, frame).p
+                except (GeometryDegenerate, ValueError):
+                    pass
+            sample = _trusted(ImuSample, timestamp=times[k], gyro=gyro[k], accel=accel[k], mag=mags[k])
+            try:
+                state = step(state, sample, frame, anchors, gains, dt, ref=ref, p_y=p_y)
+            except ValueError as exc:
+                raise RuntimeError(f"observer diverged at step {k} (t = {times[k]!r} s): {exc}") from exc
+            rows.append(row(state))
+    # R, P and V contiguous: a strided R can round differently in _nav_errors.
+    X, b_omega_hat, b_a_hat = (np.array(a) for a in zip(*rows))
+    R, P, V = (np.ascontiguousarray(a) for a in (X[:, :3, :3], X[:, :3, 3], X[:, :3, 4]))
+    rot, pos, vel = truth
     att_err, pos_err, vel_err = _nav_errors(rot, pos, vel, R, P, V)
     raw_err = _norms(raw_pos - pos)
     summary = {
         "duration": duration,
-        "steps": len(t) - 1,
+        "steps": n,
         **error_summary(t, att_err, pos_err, vel_err, raw_err, duration, *settle),
         "tdoa_frames": len(tdoa),
         "tdoa_failures": state.tdoa_failures,

@@ -301,10 +301,14 @@ def solve_frame(
     return _solve(A, B, allow_reduced, anchors.positions[0])
 
 
+def _cyclic_differences(r) -> np.ndarray:
+    """The cyclic differences r[k+1] - r[k] along the last axis of the range array ``r``: the chain order."""
+    return np.concatenate((r[..., 1:], r[..., :1]), axis=-1) - r
+
+
 def _range_differences(tags, positions) -> np.ndarray:
     """The cyclic range differences from each tag position (last axis) to the (N, 3) anchor ``positions``."""
-    ranges = np.linalg.norm(tags[..., None, :] - positions, axis=-1)
-    return np.concatenate((ranges[..., 1:], ranges[..., :1]), axis=-1) - ranges
+    return _cyclic_differences(np.linalg.norm(tags[..., None, :] - positions, axis=-1))
 
 
 def synthesize_tdoa(

@@ -19,7 +19,7 @@ from uwbnav.liegroup import NavState, Rotation, TangentElement, _exp_coefficient
 from uwbnav.observer import REORTH_INTERVAL, ObserverState
 from uwbnav.sensors import COLLINEARITY_TOL, ReferenceVectors, TriadDegenerate, TriadPair, _cross
 from uwbnav.sim import TruthTrack
-from uwbnav.tdoa import RANK_TOL, GeometryDegenerate, solve_frame
+from uwbnav.tdoa import RANK_TOL, Anchor, AnchorSet, GeometryDegenerate, solve_frame
 
 # --- frozen kernel arithmetic ---------------------------------------------------
 #
@@ -189,6 +189,17 @@ def random_rotation(rng) -> np.ndarray:
         ]
     )
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+
+
+def box_anchors():
+    """Eight anchors on the vertices of the box [-4, 4] x [-4, 4] x [0, 4]."""
+    verts = [
+        np.array([x, y, z])
+        for x in (-4.0, 4.0)
+        for y in (-4.0, 4.0)
+        for z in (0.0, 4.0)
+    ]
+    return AnchorSet(tuple(Anchor(id=i + 1, pos=v) for i, v in enumerate(verts)))
 
 
 def random_psd(rng, dim: int = 3, eig_low: float = 0.0, eig_high: float = 2.0) -> np.ndarray:

@@ -1,9 +1,10 @@
 """The names the benchmark's tracer and latency shims look up in the package.
 
 navbench/tracer.py wraps functions at the module attributes their callers
-bind (``uwbnav.observer.solve_frame``, ``uwbnav.sim.step``, ...), and the
-benchmark times ``uwbnav.sim.step`` / ``uwbnav.replay.step`` once per IMU
-step.  A refactor that moves a call away from one of these names would make
+bind (``uwbnav.sim.solve_frame`` for a run's frames,
+``uwbnav.observer.solve_frame`` for a frame ``step`` solves itself,
+``uwbnav.sim.step``, ...), and the benchmark times ``uwbnav.sim.step`` /
+``uwbnav.replay.step`` once per IMU step.  A refactor that moves a call away from one of these names would make
 a traced run fail with a KeyError, or time nothing; these tests catch it
 first.  The tracer is imported from its file and not modified.
 """
@@ -88,12 +89,12 @@ def test_run_replay_calls_replay_step_once_per_taken_imu_step(monkeypatch, tmp_p
 
 
 def count_solves_and_stepped_frames(monkeypatch, step_module):
-    """Lists that fill with each frame ``uwbnav.observer.solve_frame`` is called
+    """Lists that fill with each frame ``uwbnav.sim.solve_frame`` is called
     on, raising or not, and each frame ``step_module.step`` is handed."""
-    import uwbnav.observer as observer_module
+    import uwbnav.sim as sim_module
 
     solved, stepped = [], []
-    real_solve, real_step = observer_module.solve_frame, step_module.step
+    real_solve, real_step = sim_module.solve_frame, step_module.step
 
     def counting_solve(anchors, frame, *args):
         solved.append(frame)
@@ -104,7 +105,7 @@ def count_solves_and_stepped_frames(monkeypatch, step_module):
             stepped.append(args[2])
         return real_step(*args, **kwargs)
 
-    monkeypatch.setattr(observer_module, "solve_frame", counting_solve)
+    monkeypatch.setattr(sim_module, "solve_frame", counting_solve)
     monkeypatch.setattr(step_module, "step", counting_step)
     return solved, stepped
 
@@ -163,7 +164,7 @@ def test_step_solves_its_frame_through_the_observer_module(monkeypatch):
 
 
 def test_the_hot_path_never_computes_fix_quality(monkeypatch, tmp_path):
-    # step and _run_stream read only a fix's position: with the routine that
+    # step and sim._run_and_score read only a fix's position: with the routine that
     # computes fix quality made to raise, a step with a frame, a sim run and
     # a replay of its export all complete, and a read of the quality raises.
     import uwbnav.tdoa as tdoa_module

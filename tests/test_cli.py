@@ -614,6 +614,26 @@ def test_replay_cli_exits_2_on_a_velocity_poly_order_below_1(capsys, tmp_path, e
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_replay_cli_exits_3_naming_a_file_whose_cell_is_over_csv_s_field_limit(capsys, tmp_path, exported_dataset):
+    # A quoted 200 000-character note: csv refuses the file, and the run ends with a data error.
+    ds = exported_dataset
+    header, *rows = (ds / "uwb.csv").read_text().splitlines()
+    uwb = tmp_path / "uwb.csv"
+    note = '"' + "x" * 200_000 + '"'
+    uwb.write_text("\n".join([header + ",note"] + [row + "," + note for row in rows]) + "\n")
+    values = json.dumps({"values": header.split(",")[1:]})
+    argv = ["replay", "--out", str(tmp_path / "out")]
+    for item in (
+        f"replay.imu={ds}/imu.csv", f"replay.uwb={uwb}", f"replay.gt={ds}/gt.csv",
+        f"replay.anchors={ds}/anchors.json", f"replay.column_map.uwb={values}",
+    ):
+        argv += ["--set", item]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 3
+    assert err.startswith("data error: ") and str(uwb) in err and "field larger than field limit" in err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 # --- environment / entry point -------------------------------------------------------------
 
 

@@ -8,14 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import assert_states_identical, random_rotation, reference_step
+from helpers import assert_states_identical, box_anchors, random_rotation, reference_step
 from uwbnav import observer as observer_module
 from uwbnav.liegroup import NavState, Rotation, att_dist, pa, vex
 from uwbnav.observer import (
     ErrorMetrics,
     Gains,
     ObserverState,
-    _run_stream,
     error_metrics,
     lyapunov_l1,
     step,
@@ -24,8 +23,6 @@ from uwbnav.observer import (
 from uwbnav.sensors import ImuSample, ReferenceVectors, build_triads, weighted_matrix
 from uwbnav.tdoa import (
     DIAMETER_SLACK,
-    Anchor,
-    AnchorSet,
     GeometryDegenerate,
     TdoaFrame,
     solve_frame,
@@ -37,16 +34,6 @@ GRAVITY = np.array([0.0, 0.0, -9.8])
 
 def hover_imu(R, ref, t=0.0):
     return ImuSample(timestamp=t, gyro=np.zeros(3), accel=-R.T @ ref.gravity, mag=R.T @ ref.mag_ref)
-
-
-def box_anchors():
-    verts = [
-        np.array([x, y, z])
-        for x in (-4.0, 4.0)
-        for y in (-4.0, 4.0)
-        for z in (0.0, 4.0)
-    ]
-    return AnchorSet(tuple(Anchor(id=i + 1, pos=v) for i, v in enumerate(verts)))
 
 
 # --- gains ----------------------------------------------------------------------
@@ -188,7 +175,7 @@ def test_step_degenerate_frame_counts_failure_and_dead_reckons():
 
 @pytest.mark.parametrize("kind", ["solvable", "all-zero", "beyond the diameter"])
 def test_a_handed_fix_steps_as_the_step_s_own_solve(kind):
-    # The fix _run_stream solves once and hands over, or the None of a failed
+    # The fix sim._run_and_score solves once and hands over, or the None of a failed
     # solve, gives the state step reaches by solving the frame itself; each
     # failure, rank 3 or out of range, counts once.
     ref = ReferenceVectors()
@@ -607,72 +594,6 @@ def test_step_divergence_surfaces_as_value_error():
 
 
 # --- metrics and Lyapunov value ------------------------------------------------------
-
-
-def test_run_stream_skips_steps_outside_the_dt_range():
-    # On tables: a step with dt outside (0, 0.1] keeps the state, is counted,
-    # and takes no frame; every frame a taken step receives is solved for the
-    # raw-fix column and counted as handed to step.  Each frame goes to the
-    # step starting at or before it, the last of a step winning: a frame
-    # before the first sample, on a skipped step, under a later frame of its
-    # step, or at the last sample reaches no step.
-    anchors = box_anchors()
-    ref = ReferenceVectors()
-    hover = hover_imu(np.eye(3), ref)
-    times = [0.0, 0.01, 0.01, 0.21, 0.22, 0.23, 0.24]  # dts 0.01, 0.0, 0.2, 0.01, 0.01, 0.01
-    imu = np.array([[t, *hover.gyro, *hover.accel] for t in times])
-    mags = [hover.mag + k for k in range(len(times))]
-    here = synthesize_tdoa([1.0, 0.5, 1.2], None, anchors).d
-    there = synthesize_tdoa([0.5, -0.3, 1.0], None, anchors).d
-    tdoa = np.array([
-        [-0.005, *here],  # before the first sample
-        [0.0, *here],  # step 0
-        [0.01, *here],  # step 2, skipped for its 0.2 s dt
-        [0.21, *here],  # step 3, under the next frame
-        [0.215, *there],  # step 3: the last of its step wins
-        [0.23, *np.zeros(8)],  # step 5: all anchors equidistant, no fix
-        [0.24, *here],  # the last sample starts no step
-    ])
-    state = ObserverState.cold_start()
-    received = []
-
-    def counting_step(state, imu, frame, *args, **kwargs):
-        received.append((imu.timestamp, None if frame is None else frame.timestamp))
-        assert imu.mag is mags[times.index(imu.timestamp)]
-        return step(state, imu, frame, *args, **kwargs)
-
-    final, skipped, taken, (R, P, V, b_omega_hat, b_a_hat, fix) = _run_stream(
-        state, imu, mags, tdoa, anchors, Gains(), ref=ref, step=counting_step
-    )
-    assert skipped == 2
-    assert received == [(0.0, 0.0), (0.21, 0.215), (0.22, None), (0.23, 0.23)]
-    assert taken == 3 and len(tdoa) - taken == 4
-    assert final.step_count == 4 and final.tdoa_failures == 1
-    assert R.shape == (7, 3, 3) and P.shape == V.shape == b_omega_hat.shape == b_a_hat.shape == (7, 3)
-    assert np.array_equal(P[0], state.nav.pos) and np.array_equal(P[6], final.nav.pos)
-    for a in (R, P, V, b_omega_hat, b_a_hat):
-        assert np.array_equal(a[1], a[2]) and np.array_equal(a[2], a[3])  # kept across the skips
-    assert np.flatnonzero(np.isfinite(fix[:, 0])).tolist() == [0, 3]
-    assert np.array_equal(fix[0], solve_frame(anchors, TdoaFrame(0.0, here)).p)
-    assert np.array_equal(fix[3], solve_frame(anchors, TdoaFrame(0.215, there)).p)
-
-
-def test_run_stream_skips_a_nan_dt():
-    # Times running to inf give an inf dt and then a NaN one (inf - inf):
-    # both steps are skipped and keep the state, and no frame reaches them.
-    anchors = box_anchors()
-    ref = ReferenceVectors()
-    hover = hover_imu(np.eye(3), ref)
-    imu = np.array([[t, *hover.gyro, *hover.accel] for t in (0.0, 0.01, np.inf, np.inf)])
-    here = synthesize_tdoa([1.0, 0.5, 1.2], None, anchors).d
-    tdoa = np.array([[0.0, *here], [0.01, *here], [np.inf, *here]])
-    with np.errstate(invalid="ignore"):  # inf - inf
-        final, skipped, taken, arrays = _run_stream(
-            ObserverState.cold_start(), imu, [None] * 4, tdoa, anchors, Gains(), ref=ref, step=step
-        )
-    assert skipped == 2 and taken == 1 and final.step_count == 1
-    for a in arrays[:5]:
-        assert np.array_equal(a[1], a[2]) and np.array_equal(a[2], a[3])
 
 
 def test_error_metrics_zero_for_identical_states():

@@ -491,6 +491,58 @@ def test_a_clean_export_builds_no_csv_rows_past_its_headers(tmp_path, monkeypatc
     assert ds.report.rows_read == {"imu": len(result.imu), "uwb": len(result.tdoa), "gt": len(result.t)}
 
 
+def test_a_bad_cell_converts_no_cell_twice(tmp_path, monkeypatch):
+    # After numpy's one-pass conversion fails on the bad cell, one float() pass
+    # names the failing row and converts the others: every other cell once, the
+    # bad row up to its bad cell, and no string array is converted again.
+    paths = hover_dataset(tmp_path, imu_times=(0.0, 0.01))
+    rows = [[repr(0.01 * k), *(repr(k + 0.001 * j) for j in range(1, 10))] for k in range(6)]
+    rows[3][4] = "n/a"
+    write_csv(paths["imu"], IMU_HEADER, rows)
+    converted, string_tables = [], []
+
+    class CountingFloat:
+        dtype = np.dtype(float)  # what numpy reads from a dtype=float argument
+
+        def __call__(self, cell):
+            converted.append(cell)
+            return float(cell)
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def array(self, obj, *args, **kwargs):
+            first = obj[0] if isinstance(obj, list) and obj else None
+            if isinstance(first, (tuple, list)):
+                first = first[0]
+            if isinstance(first, str):
+                string_tables.append(len(obj))
+            return np.array(obj, *args, **kwargs)
+
+    monkeypatch.setattr(uwbnav.replay, "float", CountingFloat(), raising=False)
+    monkeypatch.setattr(uwbnav.replay, "np", CountingNumpy())
+    ds = load_dataset({"imu": paths["imu"], "uwb": paths["uwb"]})
+    assert string_tables == [6]
+    assert len(converted) == len(set(converted)) == 5 * 10 + 5
+    assert sorted(converted) == sorted(cell for k, row in enumerate(rows) for cell in (row if k != 3 else row[:5]))
+    want, read, skipped, messages = row_by_row_stream(paths["imu"], IMU_HEADER)
+    assert ds.imu.tobytes() == want.tobytes() and (read, skipped) == (6, 1)
+    assert ds.report.skipped_rows == messages == ["imu.csv row 5: could not convert string to float: 'n/a'"]
+
+
+@pytest.mark.parametrize("where", ["header", "body"])
+def test_a_cell_over_csv_s_field_limit_is_a_data_error_naming_its_file(tmp_path, where):
+    paths = hover_dataset(tmp_path, imu_times=(0.0, 0.01), uwb_times=(0.005,))
+    header, row = paths["uwb"].read_text().splitlines()
+    note = '"' + "x" * 200_000 + '"'
+    text = f"{header},{note}\n{row},1\n" if where == "header" else f"{header},note\n{row},{note}\n"
+    paths["uwb"].write_text(text)
+    with pytest.raises(DataError, match="field larger than field limit") as exc:
+        load_dataset(paths)
+    assert str(paths["uwb"]) in str(exc.value)
+
+
 # --- quaternion conversions -----------------------------------------------------------
 
 

@@ -13,15 +13,16 @@ from hypothesis import strategies as st
 import uwbnav.sim as sim_module
 from helpers import (
     assert_states_identical,
+    box_anchors,
     random_rotation,
     reference_propagate_truth,
     reference_step,
     reference_truth_track,
 )
 from uwbnav.liegroup import NavState, Rotation, att_dist
-from uwbnav.observer import Gains, error_metrics
-from uwbnav.sensors import ReferenceVectors
-from uwbnav.tdoa import synthesize_tdoa
+from uwbnav.observer import Gains, ObserverState, error_metrics, step
+from uwbnav.sensors import ImuSample, ReferenceVectors
+from uwbnav.tdoa import TdoaFrame, solve_frame, synthesize_tdoa
 from uwbnav.sim import (
     PRESET_NAMES,
     Scenario,
@@ -246,6 +247,82 @@ def test_batched_errors_match_error_metrics_row_by_row(monkeypatch):
         assert np.array_equal(getattr(res, name), plain[name]), name
     assert np.count_nonzero(np.isfinite(raw_err)) == 100
     assert np.array_equal(res.raw_err, raw_err, equal_nan=True)
+
+
+def hover_sample(ref):
+    return ImuSample(timestamp=0.0, gyro=np.zeros(3), accel=-ref.gravity, mag=ref.mag_ref)
+
+
+def run_without_truth(state, imu, mags, tdoa, anchors, ref, step):
+    """``_run_and_score`` over the tables against an all-NaN truth: the run, unscored."""
+    n = len(imu)
+    truth = (np.full((n, 3, 3), np.nan), np.full((n, 3), np.nan), np.full((n, 3), np.nan))
+    return sim_module._run_and_score(state, imu, mags, tdoa, anchors, Gains(), truth, 1.0, (0.5, 5.0), ref=ref, step=step)
+
+
+def test_run_and_score_skips_steps_outside_the_dt_range():
+    # On tables: a step with dt outside (0, 0.1] keeps the state, is counted,
+    # and takes no frame; every frame a taken step receives is solved for the
+    # raw-fix column and counted as handed to step.  Each frame goes to the
+    # step starting at or before it, the last of a step winning: a frame
+    # before the first sample, on a skipped step, under a later frame of its
+    # step, or at the last sample reaches no step.
+    anchors = box_anchors()
+    ref = ReferenceVectors()
+    hover = hover_sample(ref)
+    times = [0.0, 0.01, 0.01, 0.21, 0.22, 0.23, 0.24]  # dts 0.01, 0.0, 0.2, 0.01, 0.01, 0.01
+    imu = np.array([[t, *hover.gyro, *hover.accel] for t in times])
+    mags = [hover.mag + k for k in range(len(times))]
+    here = synthesize_tdoa([1.0, 0.5, 1.2], None, anchors).d
+    there = synthesize_tdoa([0.5, -0.3, 1.0], None, anchors).d
+    tdoa = np.array([
+        [-0.005, *here],  # before the first sample
+        [0.0, *here],  # step 0
+        [0.01, *here],  # step 2, skipped for its 0.2 s dt
+        [0.21, *here],  # step 3, under the next frame
+        [0.215, *there],  # step 3: the last of its step wins
+        [0.23, *np.zeros(8)],  # step 5: all anchors equidistant, no fix
+        [0.24, *here],  # the last sample starts no step
+    ])
+    state = ObserverState.cold_start()
+    received = []
+
+    def counting_step(state, imu, frame, *args, **kwargs):
+        received.append((imu.timestamp, None if frame is None else frame.timestamp))
+        assert imu.mag is mags[times.index(imu.timestamp)]
+        return step(state, imu, frame, *args, **kwargs)
+
+    run, skipped, taken, b_omega_hat, b_a_hat = run_without_truth(state, imu, mags, tdoa, anchors, ref, counting_step)
+    final, P, V, fix = run.final_state, run.est_pos, run.est_vel, run.raw_pos
+    assert skipped == 2
+    assert received == [(0.0, 0.0), (0.21, 0.215), (0.22, None), (0.23, 0.23)]
+    assert taken == 3 and len(tdoa) - taken == 4
+    assert final.step_count == 4 and final.tdoa_failures == 1
+    assert P.shape == V.shape == b_omega_hat.shape == b_a_hat.shape == (7, 3)
+    assert np.array_equal(P[0], state.nav.pos) and np.array_equal(P[6], final.nav.pos)
+    for a in (P, V, b_omega_hat, b_a_hat):
+        assert np.array_equal(a[1], a[2]) and np.array_equal(a[2], a[3])  # kept across the skips
+    assert np.flatnonzero(np.isfinite(fix[:, 0])).tolist() == [0, 3]
+    assert np.array_equal(fix[0], solve_frame(anchors, TdoaFrame(0.0, here)).p)
+    assert np.array_equal(fix[3], solve_frame(anchors, TdoaFrame(0.215, there)).p)
+
+
+def test_run_and_score_skips_a_nan_dt():
+    # Times running to inf give an inf dt and then a NaN one (inf - inf):
+    # both steps are skipped and keep the state, and no frame reaches them.
+    anchors = box_anchors()
+    ref = ReferenceVectors()
+    hover = hover_sample(ref)
+    imu = np.array([[t, *hover.gyro, *hover.accel] for t in (0.0, 0.01, np.inf, np.inf)])
+    here = synthesize_tdoa([1.0, 0.5, 1.2], None, anchors).d
+    tdoa = np.array([[0.0, *here], [0.01, *here], [np.inf, *here]])
+    with np.errstate(invalid="ignore"):  # inf - inf
+        run, skipped, taken, b_omega_hat, b_a_hat = run_without_truth(
+            ObserverState.cold_start(), imu, [None] * 4, tdoa, anchors, ref, step
+        )
+    assert skipped == 2 and taken == 1 and run.final_state.step_count == 1
+    for a in (run.est_pos, run.est_vel, b_omega_hat, b_a_hat):
+        assert np.array_equal(a[1], a[2]) and np.array_equal(a[2], a[3])
 
 
 def test_propagate_matches_analytic_trajectory_second_order():

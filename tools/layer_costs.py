@@ -37,11 +37,8 @@ cell that is not a number in each: what a file costs that numpy's text
 reader leaves to csv), and ``derive_velocity`` on its gt table and on a copy
 whose times are jittered by up to 2 ms, so that no fit window repeats; and
 the sim's synthesis stage: ``truth_track`` of the sweep scenario,
-``_imu_stream`` and the TDOA table of its seed, and ``so3_exp`` as the
-presets call it for their attitude.  The
-TDOA table is ``sim._tdoa_table``; a tree without it (``156e371`` and
-before) builds it in ``run_scenario`` frame by frame, and that loop, copied
-here, is what is timed for such a tree.
+``_imu_stream`` and ``_tdoa_table`` of its seed, and ``so3_exp`` as the
+presets call it for their attitude.
 
 Standard library only (the probe imports the snapshots' numpy code).
 """
@@ -140,29 +137,9 @@ def layers(root: Path, trial: Path) -> dict:
         "derive_velocity_jittered": lambda: replay.derive_velocity(t_jittered, gt_pos),
         "truth_track": lambda: sim.truth_track(sweep),
         "imu_stream": lambda: sim._imu_stream(truth.noise, truth.seed, times, gyro, accel, track.rot, ref.mag_ref),
-        "tdoa_table": tdoa_table(sim, sweep, track, times),
+        "tdoa_table": lambda: sim._tdoa_table(sweep, track, times),
         "so3_exp": lambda: liegroup.so3_exp(yaw, 12.34),
     }
-
-
-def tdoa_table(sim, sc, track, times):
-    """The call that builds the TDOA table of ``sc`` on ``track`` with the tree's ``sim``."""
-    if hasattr(sim, "_tdoa_table"):
-        return lambda: sim._tdoa_table(sc, track, times)
-
-    def per_frame():  # run_scenario's loop before sim._tdoa_table
-        rows, tdoa_next, period, noise = [], 0.0, 1.0 / sc.tdoa_rate, sc.truth.noise
-        for k in range(track.n):
-            if times[k] >= tdoa_next - 1e-9:
-                tdoa_next += period
-                frame = sim.synthesize_tdoa(
-                    track.pos[k], sim._trusted(sim.Rotation, m=track.rot[k]), sc.anchors, sc.tag_offset,
-                    noise.tdoa_sd, seed=(sc.truth.seed, sim._STREAM_TDOA, k),
-                )
-                rows.append([times[k], *frame.d.tolist()])
-        return sim.np.array(rows)
-
-    return per_frame
 
 
 def probe(roots: dict, rounds: int = ROUNDS, number: int = NUMBER, repeat: int = REPEAT) -> list[dict]:
