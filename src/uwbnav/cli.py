@@ -210,6 +210,8 @@ def _config(args, flags: dict) -> dict:
     for dotted, value in flags.items():
         if value is not None:
             _apply(cfg, _document(dotted, value))
+    if cfg["seed"] < 0:  # numpy refuses it only where it draws noise
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     return cfg
 
 

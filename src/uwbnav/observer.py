@@ -34,9 +34,10 @@ exponentials are built from their (omega, v, a, rho) blocks by
 ``liegroup._se23_exp``; no ``TangentElement`` or intermediate state is
 made.  Validation sits at the boundary, and each check runs once.  On entry,
 before any measurement is read: the step length, a frame needing an anchor
-set, the caller's triad weights (non-negative, summing to 3) and a finite
-bias-corrected IMU element.  On the measurements: ``TdoaFrame`` checks its
-differences when it is made and ``build_system`` their count and size; the
+set, a handed fix being a finite 3-vector, the caller's triad weights
+(non-negative, summing to 3) and a finite bias-corrected IMU element.  On the
+measurements: ``TdoaFrame`` checks its differences when it is made and
+``solve_frame``, as it builds the frame's system, their count and size; the
 body rows are unit and v3 orthogonal by construction, and the reference rows
 were checked once, by ``ReferenceVectors``.  On the result, from one
 ``X[:3].tolist()``: the rotation on SO(3) (``liegroup._check_so3``), then one
@@ -218,9 +219,9 @@ def step(
     correction is suspended for this step and the failure is counted on the
     returned state; a handed None counts as one.  Raises ValueError for a
     bad ``dt``, a frame without anchors, a fix handed as ``p_y`` without a frame,
-    invalid ``weights``, a non-finite bias-corrected IMU element, or
-    a result that is not a valid state (rotation off SO(3), non-finite
-    position, velocity or bias).
+    a handed ``p_y`` that is not a finite 3-vector, invalid ``weights``, a
+    non-finite bias-corrected IMU element, or a result that is not a valid
+    state (rotation off SO(3), non-finite position, velocity or bias).
     """
     if not 0.0 < dt <= _DT_MAX:
         _check_dt(dt)  # raises
@@ -229,6 +230,8 @@ def step(
             raise ValueError("a position fix was handed to step without its TDOA frame")
     elif anchors is None:
         raise ValueError("a TDOA frame was supplied without an anchor set")
+    elif p_y is not _SOLVE and p_y is not None:
+        p_y = _as_vec3(p_y, "p_y")  # a float 3-vector comes back as it is
     s = _UNIT_WEIGHTS if weights is None else _check_weights(weights)
     nav, X = state.nav, state._X
     R, P, V = nav.rot.m, nav.pos, nav.vel

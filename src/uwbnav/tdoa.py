@@ -11,13 +11,14 @@ solution is the reconstructed position.  The chain structure means row k's
 constant term carries the cumulative sum d_{2,1} + ... + d_{k,k-1}, since
 ||P - h_k|| = ||P - h_1|| + sum of the differences along the chain.
 
-Every system is solved by one call to LAPACK ``dgelsd`` (SVD-based minimum-norm
-least squares) through numpy's own ``lstsq`` gufunc: the routine, workspace
-query and singular value cutoff ``RANK_TOL`` that
+``solve_frame`` is one flat function over ``build_system``, which alone
+assembles and checks a frame's system: one call to LAPACK ``dgelsd`` (SVD-based
+minimum-norm least squares) through numpy's own ``lstsq`` gufunc, the
+routine, workspace query and singular value cutoff ``RANK_TOL`` that
 ``np.linalg.lstsq(A, B, rcond=RANK_TOL)`` runs, without its wrapper.  The
 gufunc is private to numpy, so it is chosen once, at import, and only if it
-exists and answers a probe system bit for bit as ``np.linalg.lstsq`` does;
-otherwise every system goes through ``np.linalg.lstsq`` itself.
+answers a probe system bit for bit as ``np.linalg.lstsq`` does; otherwise
+every system goes through ``np.linalg.lstsq`` itself.
 
 A fix's quality (range to h_1, residual, range consistency, negative-range
 flag) is computed on read, from the system the fix holds, so the observer,
@@ -53,6 +54,8 @@ __all__ = [
 
 # sigma_4 / sigma_1 below this means the 4-unknown system is rank deficient.
 RANK_TOL = 1e-8
+_RCOND = np.array(RANK_TOL)  # RANK_TOL as the gufunc takes it: converted once, not per call
+_RCOND.setflags(write=False)
 
 # Allowed excess of |d_k| over the anchor-set diameter before a frame is
 # rejected as physically impossible (noise slack, meters).
@@ -75,6 +78,9 @@ class Anchor:
     pos: np.ndarray
 
     def __post_init__(self):
+        i = self.id
+        if not (isinstance(i, (int, np.integer)) or isinstance(i, (float, np.floating)) and i.is_integer()):
+            raise ValueError(f"anchor id must be a whole number, got {i!r}")  # 1.7, "1", NaN
         object.__setattr__(self, "id", int(self.id))
         object.__setattr__(self, "pos", _as_vec3(self.pos, "anchor pos"))
 
@@ -87,8 +93,9 @@ class AnchorSet:
     (smallest singular value of the centered position matrix must exceed
     1e-6 of the largest), otherwise 3-D positioning is impossible.
 
-    ``positions`` ((N, 3), chain order) and ``diameter`` (the largest
-    anchor-to-anchor distance) are computed once, at construction.
+    ``positions`` ((N, 3), chain order), ``diameter`` (the largest
+    anchor-to-anchor distance) and what each frame's solve reads are computed
+    once, at construction.
     """
 
     anchors: tuple
@@ -116,8 +123,10 @@ class AnchorSet:
             arr.setflags(write=False)
         object.__setattr__(self, "_template", template)
         object.__setattr__(self, "positions", pos)
-        diameter = np.max(np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2))
-        object.__setattr__(self, "diameter", float(diameter))
+        diameter = float(np.max(np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)))
+        object.__setattr__(self, "diameter", diameter)
+        object.__setattr__(self, "_bound", diameter + DIAMETER_SLACK)
+        object.__setattr__(self, "_h1", pos[0])
 
     @property
     def n(self) -> int:
@@ -192,22 +201,19 @@ def build_system(anchors: AnchorSet, frame: TdoaFrame):
     where csum_k is the cumulative sum of d_0..d_{k-1} (empty for k = 0).
     A is a fresh copy of the anchor set's geometry columns with -d written
     into the fourth; B is built by exactly these rows, on Python floats.
+    Raises ValueError for a count other than N or a |d_k| over the diameter + slack.
     """
-    n = anchors.n
     d = frame.d
+    n = len(anchors.anchors)
     if d.shape != (n,):
         raise ValueError(f"frame has {d.shape[0]} differences for {n} anchors")
     dl = d.tolist()
-    bound = anchors.diameter + DIAMETER_SLACK
-    if max(map(abs, dl)) > bound:
-        raise ValueError(
-            f"range difference exceeds anchor-set diameter + slack ({bound:.3f} m)"
-        )
-    # dk**2, not dk*dk: it goes through pow(), as the documented row form on
-    # numpy scalars does, and differs from dk*dk in the last bit on ~0.1 %
-    # of values.
+    if max(map(abs, dl)) > anchors._bound:
+        raise ValueError(f"range difference exceeds anchor-set diameter + slack ({anchors._bound:.3f} m)")
     A = anchors._template.copy()
     np.negative(d, out=A[:, 3])
+    # dk**2, not dk*dk: it goes through pow(), as the documented row form on numpy
+    # scalars does, and differs from dk*dk in the last bit on ~0.1 % of values.
     B = []
     csum = 0.0
     for dk, (nk, nj) in zip(dl, anchors._links):
@@ -217,18 +223,19 @@ def build_system(anchors: AnchorSet, frame: TdoaFrame):
 
 
 def _gufunc_lstsq(A, B):
-    """Solution, rank and singular values of min ||A x - B|| by one dgelsd call.
+    """Solution (1-D), rank and singular values of min ||A x - B|| by one dgelsd call.
 
-    Calls the gufunc ``np.linalg.lstsq(A, B, rcond=RANK_TOL)`` runs, so
-    singular values below ``RANK_TOL`` times the largest count as zero, as
-    there.  A and B are finite (``TdoaFrame`` and ``Anchor`` check them), so
-    no per-call ``np.errstate`` is set; a solve that fails comes back
-    non-finite and raises ``LinAlgError``, as ``np.linalg.lstsq`` does.
+    Calls the gufunc ``np.linalg.lstsq(A, B, rcond=RANK_TOL)`` runs on A of 4
+    columns, or 3 (reduced), so singular values below ``RANK_TOL`` times the
+    largest count as zero, as there.  A and B are finite (``TdoaFrame`` and
+    ``Anchor`` check them), so no per-call ``np.errstate`` is set; a solve that
+    fails comes back non-finite and raises ``LinAlgError``, as ``np.linalg.lstsq`` does.
     """
-    x, _, rank, sv = _umath_linalg.lstsq(A, B[:, None], RANK_TOL)
-    if not _all_finite(x):
+    x, _, rank, sv = _umath_linalg.lstsq(A, B[:, None], _RCOND)
+    x = x.ravel()  # the (n, 1) solution as a 1-D view
+    if not all(map(math.isfinite, x.tolist())):
         raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-    return x[:, 0], int(rank), sv
+    return x, int(rank), sv
 
 
 def _numpy_lstsq(A, B):
@@ -258,19 +265,6 @@ def _select_lstsq():
 _lstsq = _select_lstsq()
 
 
-def _solve(A, B, allow_reduced: bool, h1) -> ReconstructedPosition:
-    """The fix of the N x 4 system (A, B); ``h1``, the first anchor, is kept for its quality."""
-    sol, rank, sv = _lstsq(A, B)
-    if rank == 4:
-        return ReconstructedPosition(sol[:3], False, (A, B, sol, h1))
-    if not allow_reduced:
-        raise GeometryDegenerate(f"TDOA system rank {rank} < 4 (singular values {sv})", rank=rank)
-    sol, rank, _ = _lstsq(A[:, :3], B)
-    if rank < 3:
-        raise GeometryDegenerate(f"reduced TDOA system rank {rank} < 3", rank=rank)
-    return ReconstructedPosition(sol, True, (A, B, sol, h1))
-
-
 def _fix_quality(A, B, sol, h1):
     """(range_to_h1, residual, range_consistency, negative_range) of the solution
     ``sol`` of the system (A, B): the reduced one, of A's first three columns,
@@ -290,15 +284,23 @@ def solve_frame(
 ) -> ReconstructedPosition:
     """Build the frame's N x 4 system and solve it by SVD least squares (LAPACK ``dgelsd``).
 
-    Raises :class:`GeometryDegenerate` when the 4-column system is rank
-    deficient: its rank counts the singular values above 1e-8 of the
-    largest, so all-zero differences, for one, give rank 3.  With
+    Raises ValueError when ``build_system`` refuses the frame, and :class:`GeometryDegenerate`
+    when the 4-column system is rank deficient: its rank counts the singular values
+    above 1e-8 of the largest, so all-zero differences, for one, give rank 3.  With
     ``allow_reduced=True`` such frames fall back to the 3-unknown system that
     drops the range column (usable when the differences are near zero),
     solved the same way; the fallback cannot report ``range_to_h1``.
     """
     A, B = build_system(anchors, frame)
-    return _solve(A, B, allow_reduced, anchors.positions[0])
+    sol, rank, sv = _lstsq(A, B)
+    if rank == 4:
+        return ReconstructedPosition(sol[:3], False, (A, B, sol, anchors._h1))
+    if not allow_reduced:
+        raise GeometryDegenerate(f"TDOA system rank {rank} < 4 (singular values {sv})", rank=rank)
+    sol, rank, _ = _lstsq(A[:, :3], B)
+    if rank < 3:
+        raise GeometryDegenerate(f"reduced TDOA system rank {rank} < 3", rank=rank)
+    return ReconstructedPosition(sol, True, (A, B, sol, anchors._h1))
 
 
 def _cyclic_differences(r) -> np.ndarray:
@@ -340,10 +342,8 @@ def synthesize_tdoa(
 def load_anchors(path) -> AnchorSet:
     """Read an AnchorSet from a JSON document {"anchors": [{"id", "pos"}, ...]}."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        entries = doc["anchors"]
-        anchors = tuple(Anchor(id=e["id"], pos=e["pos"]) for e in entries)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed anchor document {path}: {exc}") from exc
-    return AnchorSet(anchors)
+        try:
+            doc = json.load(fh)  # a JSONDecodeError is a ValueError
+            return AnchorSet(tuple(Anchor(id=e["id"], pos=e["pos"]) for e in doc["anchors"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed anchor document {path}: {exc}") from exc

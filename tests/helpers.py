@@ -121,8 +121,8 @@ def frozen_correction_terms(R, P, V, triads, p_y, gains):
 
 def frozen_solve(A, B, allow_reduced, h1):
     """(p, range_to_h1, residual, range_consistency, negative_range, reduced)
-    of the system (A, B), every value computed eagerly as ``tdoa._solve`` did
-    before fix quality was computed on read; ``np.linalg.lstsq``, which the
+    of the system (A, B), every value computed eagerly as ``tdoa.solve_frame``
+    did before fix quality was computed on read; ``np.linalg.lstsq``, which the
     solver matches bit for bit, stands for its LAPACK call."""
     sol, _, rank, sv = np.linalg.lstsq(A, B, rcond=RANK_TOL)
     if rank < 4:

@@ -322,12 +322,26 @@ def test_every_config_error_exits_2_naming_its_key(capsys, tmp_path, request, co
     assert not tmp_path.joinpath("out").exists()
 
 
-def test_a_negative_seed_exits_2_with_numpy_s_message(capsys, tmp_path):
-    argv = ["sim", "--scenario", "static", "--seed", "-1", "--set", "sim.duration=0.5", "--out", str(tmp_path / "out")]
+@pytest.mark.parametrize(
+    "command, settings",
+    [("sim", []), ("sim", ["--set", "sim.noise.mag_sd=0"]), ("replay", [])],
+    ids=["sim", "sim without noise", "replay"],
+)
+def test_a_negative_seed_is_refused_at_the_config_boundary(capsys, tmp_path, request, command, settings):
+    # Numpy refused it only where noise is drawn, after the truth walk; a sim
+    # without noise, or a replay of a dataset with a magnetometer, used it.
+    argv = [command, "--seed", "-3", "--out", str(tmp_path / "out"), *settings]
+    if command == "sim":
+        argv += ["--scenario", "static", "--set", "sim.duration=0.5"]
+    else:
+        ds = request.getfixturevalue("exported_dataset")
+        capsys.readouterr()
+        argv += [f"--set=replay.{s}={ds}/{s}.csv" for s in ("imu", "uwb", "gt")]
     code, out, err = run_cli(capsys, argv)
     assert code == 2
-    assert err.strip() == "invalid input: expected non-negative integer"
+    assert err.strip() == "configuration error: seed must be >= 0, got -3"
     assert out == ""
+    assert not tmp_path.joinpath("out").exists()
 
 
 def test_an_integer_anchor_path_is_refused_before_it_reaches_open(capsys, tmp_path):

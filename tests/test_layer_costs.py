@@ -46,7 +46,7 @@ def test_the_probe_times_every_layer_of_this_tree():
         assert set(row) == {"parent", "change"}
         for us in row.values():
             assert set(us) == {
-                "step_no_frame", "step_frame", "step_handed_fix", "solve_frame", "build_system",
+                "step_no_frame", "step_frame", "step_handed_fix", "solve_frame", "build_system", "solve_stream",
                 "se23_exp", "se23_exp_zero_v", "build_triads", "pack",
                 "load_dataset", "load_dataset_messy", "derive_velocity", "derive_velocity_jittered",
                 "truth_track", "imu_stream", "tdoa_table", "so3_exp",

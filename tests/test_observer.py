@@ -3,6 +3,7 @@
 import copy
 import pickle
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -213,6 +214,27 @@ def test_a_handed_fix_without_its_frame_raises():
     )
     with pytest.raises(ValueError, match="without its TDOA frame"):
         step(ObserverState.cold_start(), imu, None, anchors, Gains(), 0.01, ref=ref, p_y=np.array([1.0, 2.0, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "p_y, message",
+    [
+        (np.array([5.0]), r"p_y must have 3 components, got shape \(1,\)"),
+        (5.0, r"p_y must have 3 components, got shape \(\)"),
+        (np.array([np.nan, 1.0, 0.5]), r"p_y must be finite"),
+    ],
+    ids=["one component", "a scalar", "NaN"],
+)
+def test_a_malformed_handed_fix_is_refused_on_entry(p_y, message):
+    # The first two would broadcast into a wrong correction; a NaN would fail only
+    # on the result's SO(3) check, after a numpy RuntimeWarning.
+    ref = ReferenceVectors()
+    imu = hover_imu(np.eye(3), ref)
+    frame = TdoaFrame(timestamp=0.0, d=np.zeros(8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            step(ObserverState.cold_start(), imu, frame, box_anchors(), Gains(), 0.01, ref=ref, p_y=p_y)
 
 
 def test_step_without_frame_leaves_accel_bias_untouched():

@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import struct
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -78,6 +80,22 @@ def test_anchorset_caches_its_geometry_at_construction():
         assert np.array_equal(a.positions, positions)
         assert a.diameter == diameter
         assert not a.positions.flags.writeable
+        # What each frame's solve reads: the range bound and the first anchor's row.
+        assert a._bound == diameter + DIAMETER_SLACK
+        assert a._h1.tobytes() == positions[0].tobytes() and not a._h1.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [1.7, "1", None, float("nan"), float("inf"), [1]])
+def test_anchor_refuses_an_id_that_is_not_a_whole_number(bad):
+    # 1.7 was truncated to 1, silently.
+    with pytest.raises(ValueError, match=re.escape(f"anchor id must be a whole number, got {bad!r}")):
+        Anchor(id=bad, pos=np.zeros(3))
+
+
+def test_anchor_keeps_a_whole_number_id_as_an_int():
+    for whole in (3, 3.0, np.int64(3), np.float32(3.0), True):
+        anchor = Anchor(id=whole, pos=np.zeros(3))
+        assert type(anchor.id) is int and anchor.id == int(whole)
 
 
 def test_anchor_rejects_non_finite_position():
@@ -414,6 +432,112 @@ def test_a_non_finite_solve_raises_linalg_error(monkeypatch):
         solve_frame(box_anchors(), frame)
 
 
+GUFUNCS = np.linalg._linalg._umath_linalg  # numpy's own, which FailingGufuncs wraps
+
+
+class FailingGufuncs:
+    """numpy's private linalg gufuncs, ``lstsq`` failing on systems of
+    ``columns`` columns as it does when LAPACK's SVD does not converge: a NaN
+    solution and the floating-point invalid flag, which ``np.linalg.lstsq``
+    turns into its LinAlgError."""
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def __getattr__(self, name):
+        return getattr(GUFUNCS, name)
+
+    def lstsq(self, A, B, rcond, **kwargs):
+        x, residuals, rank, sv = GUFUNCS.lstsq(A, B, rcond, **kwargs)
+        if A.shape[1] == self.columns:
+            np.multiply(np.inf, 0.0)  # the invalid flag
+            x = np.full_like(x, np.nan)
+        return x, residuals, rank, sv
+
+
+def numpy_solve(anchors, frame, allow_reduced):
+    """(p, reduced) of the frame by the documented checks, rows and ``np.linalg.lstsq``."""
+    d, n, bound = frame.d, anchors.n, anchors.diameter + DIAMETER_SLACK
+    if d.shape != (n,):
+        raise ValueError(f"frame has {d.shape[0]} differences for {n} anchors")
+    if np.abs(d).max() > bound:
+        raise ValueError(f"range difference exceeds anchor-set diameter + slack ({bound:.3f} m)")
+    p, *_, reduced = frozen_solve(*build_system_rows(anchors, frame), allow_reduced, anchors.positions[0])
+    return p, reduced
+
+
+def outcome(solve):
+    """A refused solve's exception type, message and rank, or a fix's position bits and reduced flag.
+
+    The invalid flag is ignored outside ``np.linalg.lstsq``, which sets its own
+    handling of it: a failed solve is caught by its non-finite solution there.
+    """
+    with np.errstate(invalid="ignore"):
+        try:
+            got = solve()
+        except (GeometryDegenerate, ValueError) as exc:
+            return type(exc), str(exc), getattr(exc, "rank", None)
+    p, reduced = (got.p, got.reduced) if isinstance(got, tdoa.ReconstructedPosition) else got
+    return "fix", p.dtype, p.shape, p.tobytes(), reduced
+
+
+@pytest.fixture(scope="module")
+def zigzag_anchors():
+    """1 000 anchors that are not coplanar but whose 3-column system has rank 2
+    under ``RANK_TOL``: a zigzag in x and y and an 8 um slow wave in z, which
+    the chain's differences attenuate about 300-fold."""
+    k = np.arange(1000)
+    z = 8e-6 * np.cos(2 * np.pi * k / 1000)
+    pts = np.column_stack([np.where(k % 2, -4.0, 4.0), np.where(k // 2 % 2, -4.0, 4.0), z])
+    return AnchorSet(tuple(Anchor(id=i, pos=p) for i, p in enumerate(pts)))
+
+
+LinAlgError = np.linalg.LinAlgError
+FLAT_SOLVE_CASES = {
+    # name: (anchor set, differences, allow_reduced, failing solve's column count, outcome kind)
+    "full rank": ("box", "noisy", False, None, "fix"),
+    "wrong count": ("box", np.zeros(7), False, None, ValueError),
+    "out of range": ("box", "beyond", False, None, ValueError),
+    "rank 3": ("box", np.zeros(8), False, None, GeometryDegenerate),
+    "rank 3, reduced": ("box", np.zeros(8), True, None, "fix"),
+    "rank 2": ("zigzag", np.zeros(1000), False, None, GeometryDegenerate),
+    "rank 2, reduced rank 2": ("zigzag", np.zeros(1000), True, None, GeometryDegenerate),
+    "non-finite, 4 columns": ("box", "noisy", False, 4, LinAlgError),
+    "non-finite, 3 columns": ("box", np.zeros(8), True, 3, LinAlgError),
+}
+
+
+@pytest.mark.parametrize("selection", ["gufunc", "numpy"])
+@pytest.mark.parametrize("case", list(FLAT_SOLVE_CASES))
+def test_the_flat_solve_refuses_and_solves_as_numpy_lstsq(monkeypatch, request, selection, case):
+    # The same exception type, message and rank, or the same position bits, as the
+    # documented checks and rows with np.linalg.lstsq, with either selected _lstsq;
+    # a fix holds build_system's A and B, bit for bit, and the first anchor's row.
+    if selection == "gufunc" and tdoa._umath_linalg is None:
+        pytest.skip("this numpy has no private lstsq gufunc")
+    anchor_name, d, allow_reduced, failing, kind = FLAT_SOLVE_CASES[case]
+    anchors = box_anchors() if anchor_name == "box" else request.getfixturevalue("zigzag_anchors")
+    if isinstance(d, str):
+        sign = (-1.0) ** np.arange(anchors.n)
+        d = {
+            "noisy": synthesize_tdoa([1.0, 2.5, 1.5], None, anchors, noise_sd=0.05, seed=4).d,
+            "beyond": (anchors.diameter + DIAMETER_SLACK + 0.5) * sign,
+        }[d]
+    frame = TdoaFrame(timestamp=0.0, d=d)
+    monkeypatch.setattr(tdoa, "_lstsq", tdoa._gufunc_lstsq if selection == "gufunc" else tdoa._numpy_lstsq)
+    if failing is not None:
+        monkeypatch.setattr(tdoa, "_umath_linalg", FailingGufuncs(failing))
+        monkeypatch.setattr(np.linalg._linalg, "_umath_linalg", FailingGufuncs(failing))
+    got = outcome(lambda: solve_frame(anchors, frame, allow_reduced))
+    assert got == outcome(lambda: numpy_solve(anchors, frame, allow_reduced))
+    assert got[0] == kind
+    if kind == "fix":
+        A, B, _, h1 = solve_frame(anchors, frame, allow_reduced)._system
+        want_A, want_B = build_system(anchors, frame)
+        for have, want in ((A, want_A), (B, want_B), (h1, anchors.positions[0])):
+            assert have.dtype == want.dtype and have.shape == want.shape and have.tobytes() == want.tobytes()
+
+
 # --- synthesize_tdoa ---------------------------------------------------------------
 
 
@@ -493,4 +617,28 @@ def test_load_anchors_rejects_malformed_document(tmp_path):
     path = tmp_path / "anchors.json"
     path.write_text(json.dumps({"sites": []}))
     with pytest.raises(ValueError, match="malformed"):
+        load_anchors(path)
+
+
+FOUR = [[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 4.0]]
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("{not json", "Expecting property name"),
+        (json.dumps({"sites": []}), "'anchors'"),
+        (json.dumps({"anchors": 5}), "not iterable"),
+        (json.dumps({"anchors": [{"id": 1.7, "pos": p} for p in FOUR]}), "anchor id must be a whole number, got 1.7"),
+        (json.dumps({"anchors": [{"id": i, "pos": [0.0, 0.0]} for i in range(4)]}), "anchor pos must have 3 components"),
+        (json.dumps({"anchors": [{"id": i, "pos": p} for i, p in enumerate(FOUR[:3])]}), "need at least 4 anchors"),
+        (json.dumps({"anchors": [{"id": 1, "pos": p} for p in FOUR]}), "anchor ids are not unique"),
+        (json.dumps({"anchors": [{"id": i, "pos": [p[0], p[1], 0.0]} for i, p in enumerate(FOUR)]}), "coplanar"),
+    ],
+    ids=["not JSON", "no anchors", "not a list", "fractional id", "short pos", "three anchors", "same ids", "coplanar"],
+)
+def test_load_anchors_names_the_file_in_every_refusal(tmp_path, text, reason):
+    path = tmp_path / "anchors.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^malformed anchor document {re.escape(str(path))}: .*{re.escape(reason)}"):
         load_anchors(path)

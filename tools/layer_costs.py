@@ -27,7 +27,10 @@ minimum over ten interpreters per side read the same parent's frameless step
 as 60, 49 and 51 µs in three runs, and single interpreters from 49 to 89 µs.
 
 The layers: ``step`` without a frame, with a frame it solves and with a fix
-handed as ``p_y``; ``solve_frame`` and its ``build_system``; the correction
+handed as ``p_y``; ``solve_frame`` of the timed state's frame, repeated, and
+its ``build_system``; ``solve_stream``, ``solve_frame`` over each of the first
+flight's 6 000 frames in turn (one call per timing, so its figure is the
+microseconds of all 6 000 solves: real inputs, none cached); the correction
 step's ``_se23_exp`` (all blocks non-zero) and the prediction's (``vcol`` the
 shared zero); ``build_triads``; ``_pack`` of the state's R, P and V; and
 the replay input stage: ``load_dataset`` of the trial's three CSV files,
@@ -65,7 +68,7 @@ ROUNDS, NUMBER, REPEAT = 40, 1_000, 3  # alternating rounds; calls per timing; t
 SNAPSHOT_MODULES = ("uwbnav", "worker", "checks", "speed", "tracer")  # what importing a snapshot loads
 # Layers of milliseconds, timed one call at a time.
 ONE_CALL_LAYERS = (
-    "load_dataset", "load_dataset_messy", "derive_velocity", "derive_velocity_jittered",
+    "solve_stream", "load_dataset", "load_dataset_messy", "derive_velocity", "derive_velocity_jittered",
     "truth_track", "imu_stream", "tdoa_table",
 )
 JITTER_S = 0.002  # largest shift of a gt time in the jittered copy (the gt step is 10 ms)
@@ -121,12 +124,18 @@ def layers(root: Path, trial: Path) -> dict:
     times = (np.arange(track.n + 1) / sweep.imu_rate).tolist()
     gyro, accel = track.omega + truth.b_omega, track.accel + truth.b_a
     yaw = np.array([0.0, 0.0, 0.3])
+
+    def solve_stream():
+        for f in frames:
+            tdoa.solve_frame(anchors, f)
+
     return {
         "step_no_frame": lambda: observer.step(state, sample, None, anchors, gains, dt, ref=ref),
         "step_frame": lambda: observer.step(state, sample, frame, anchors, gains, dt, ref=ref),
         "step_handed_fix": lambda: observer.step(state, sample, frame, anchors, gains, dt, ref=ref, p_y=p_y),
         "solve_frame": lambda: tdoa.solve_frame(anchors, frame),
         "build_system": lambda: tdoa.build_system(anchors, frame),
+        "solve_stream": solve_stream,
         "se23_exp": lambda: liegroup._se23_exp(omega, nav.vel, acc, -1.0, dt),
         "se23_exp_zero_v": lambda: liegroup._se23_exp(omega, liegroup._ZERO3, acc, 1.0, dt),
         "build_triads": lambda: sensors.build_triads(sample, ref),
