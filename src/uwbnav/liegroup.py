@@ -71,6 +71,14 @@ def _all_finite(a: np.ndarray) -> bool:
     return all(map(math.isfinite, a.ravel().tolist()))
 
 
+def _norms(d):
+    """Row norms of d (m, k), bit for bit those of ``np.linalg.norm`` on each row.
+
+    ``np.linalg.norm(d, axis=1)`` sums the squares in another order.
+    """
+    return np.sqrt((d[:, None, :] @ d[:, :, None]).reshape(-1))
+
+
 def _as_vec3(x, name: str = "vector") -> np.ndarray:
     as_is = type(x) is np.ndarray and x.shape == (3,) and x.dtype is _FLOAT  # a float 3-vector: no conversion
     v = x if as_is else np.asarray(x, dtype=float).reshape(-1)
@@ -119,7 +127,7 @@ def _check_so3(x0, y0, z0, x1, y1, z1, x2, y2, z2) -> None:
         raise ValueError(f"matrix is not a proper rotation (det {det:.12f})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rotation:
     """A validated member of SO(3).
 
@@ -150,7 +158,7 @@ class Rotation:
         return cls(so3_exp(_as_vec3(rotvec, "rotvec"), dt))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NavState:
     """Attitude, inertial-frame position (m) and velocity (m/s)."""
 
@@ -167,7 +175,7 @@ class NavState:
         return cls(Rotation.identity(), np.zeros(3), np.zeros(3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TangentElement:
     """Element of the tangent-like space: ([omega]_x, v-column, a-column, rho)."""
 
@@ -337,7 +345,9 @@ def _se23_exp(omega, vcol, acol, rho: float, dt: float) -> np.ndarray:
     One product of the stacked [J; K] gives ``J @ acol`` and
     ``K @ acol``.  ``J @ vcol`` is skipped when ``vcol`` is the shared
     ``_ZERO3``: that BLAS product is exactly +0.0 for a finite J, and the
-    ``0.0 +`` standing for it is kept.
+    ``0.0 +`` standing for it is kept.  The prediction passes ``_ZERO3``, and
+    so does ``observer.step``'s correction without a fix, where -w_V is
+    (-0, -0, -0): its product with J is +0.0 too.
     """
     w0, w1, w2 = omega.tolist()
     z = 0.0 * dt

@@ -8,8 +8,11 @@ One discrete step does:
     (or take the one the caller solved and handed over as ``p_y``); only the
     fix's position is read, so its quality is never computed;
 3.  form the triads' body rows v_i (``sensors._body_rows``, as
-    ``build_triads``) and the misalignment innovation sum_i s_i (v_i x vhat_i)
-    in one pass, without a ``TriadPair``;
+    ``build_triads``), or take the nine floats the caller formed already and
+    handed over as ``body_rows`` (``sim._run_and_score`` forms a stream's
+    with ``sensors._body_rows_table`` before its loop), and the misalignment
+    innovation sum_i s_i (v_i x vhat_i) in one pass, its three crosses
+    written out, without a ``TriadPair``;
 4.  form the correction terms w_omega, w_V, w_a and both bias rates on
     Python floats, and update the bias estimates by explicit Euler;
 5.  correct  Xhat = exp(-u([w_omega]_x, w_V, w_a - g, 1) dt) @ Xhat+.
@@ -34,7 +37,8 @@ exponentials are built from their (omega, v, a, rho) blocks by
 ``liegroup._se23_exp``; no ``TangentElement`` or intermediate state is
 made.  Validation sits at the boundary, and each check runs once.  On entry,
 before any measurement is read: the step length, a frame needing an anchor
-set, a handed fix being a finite 3-vector, the caller's triad weights
+set, a handed fix being a finite 3-vector, handed body rows needing an IMU
+sample and being nine finite numbers, the caller's triad weights
 (non-negative, summing to 3) and a finite bias-corrected IMU element.  On the
 measurements: ``TdoaFrame`` checks its differences when it is made and
 ``solve_frame``, as it builds the frame's system, their count and size; the
@@ -57,8 +61,9 @@ tests/test_observer.py).
 This module holds the online step, the gains, the error kernels and the
 gain certificate.  The loop over a stream is ``sim._run_and_score``, the one
 run-and-score routine of ``sim`` and ``replay``: it hands ``step`` each
-taken frame's fix and scores the stacked estimates with ``_nav_errors`` and
-``_norms`` (``error_metrics`` is their one-row form).
+taken frame's fix and each sample's body rows, and scores the stacked
+estimates with ``_nav_errors`` and ``_norms`` (``error_metrics`` is their
+one-row form).
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ from .liegroup import (
     _ZERO3,
     _as_vec3,
     _check_so3,
+    _norms,
     _pack,
     _se23_exp,
     att_dist,
@@ -88,7 +94,6 @@ from .sensors import (
     _UNIT_WEIGHTS,
     _body_rows,
     _check_weights,
-    _cross,
     build_triads,  # noqa: F401  step runs _body_rows; navbench traces calls at this name
     weighted_matrix,
 )
@@ -109,9 +114,20 @@ __all__ = [
 REORTH_INTERVAL = 1000
 
 _SOLVE = object()  # step's default p_y: solve the frame inside the step
+_FORM = object()  # step's default body_rows: form them from the sample inside the step
 
 
 _DT_MAX = 0.1  # s: every step, observer or truth, is over dt in (0, _DT_MAX]
+
+
+def _check_body_rows(rows) -> None:
+    # The check ``step`` runs on handed body rows: nine finite numbers.
+    try:
+        ok = len(rows) == 9 and all(map(math.isfinite, rows))
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"body_rows must be 9 finite numbers, got {rows!r}")
 
 
 def _check_dt(dt: float) -> None:
@@ -138,7 +154,7 @@ class Gains:
             object.__setattr__(self, name, val)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObserverState:
     """Estimated navigation state plus the two bias estimates.
 
@@ -195,6 +211,7 @@ def step(
     weights=None,
     reorth_every: int = REORTH_INTERVAL,
     p_y=_SOLVE,
+    body_rows=_FORM,
 ) -> ObserverState:
     """Advance the observer by one IMU period.
 
@@ -214,12 +231,22 @@ def step(
         ``GeometryDegenerate`` or ValueError (or no frame arrived); the step
         then uses it instead of solving the frame again.  By default the
         step solves the frame.
+    body_rows
+        The triad body rows v1, v2, v3 of ``imu`` as nine floats, as
+        ``sensors._body_rows(imu)`` gives them, when the caller has formed
+        them already (``sensors._body_rows_table`` forms a stream's at once),
+        or None when ``_body_rows`` raises ``TriadDegenerate`` for the sample;
+        the step then uses them instead of forming them again.  By default
+        the step forms them.  They are trusted to be that sample's rows: only
+        their count and finiteness are checked.
 
     A failed TDOA solve or a degenerate triad never raises; the affected
     correction is suspended for this step and the failure is counted on the
-    returned state; a handed None counts as one.  Raises ValueError for a
-    bad ``dt``, a frame without anchors, a fix handed as ``p_y`` without a frame,
-    a handed ``p_y`` that is not a finite 3-vector, invalid ``weights``, a
+    returned state; a handed None counts as one, for ``p_y`` and
+    ``body_rows`` alike.  Raises ValueError for a bad ``dt``, a frame without
+    anchors, a fix handed as ``p_y`` without a frame, a handed ``p_y`` that is
+    not a finite 3-vector, ``body_rows`` handed without an IMU sample or
+    handed as anything but nine finite numbers, invalid ``weights``, a
     non-finite bias-corrected IMU element, or a result that is not a valid
     state (rotation off SO(3), non-finite position, velocity or bias).
     """
@@ -232,6 +259,11 @@ def step(
         raise ValueError("a TDOA frame was supplied without an anchor set")
     elif p_y is not _SOLVE and p_y is not None:
         p_y = _as_vec3(p_y, "p_y")  # a float 3-vector comes back as it is
+    if body_rows is not _FORM:
+        if imu is None:
+            raise ValueError("triad body rows were handed to step without an IMU sample")
+        if body_rows is not None:
+            _check_body_rows(body_rows)
     s = _UNIT_WEIGHTS if weights is None else _check_weights(weights)
     nav, X = state.nav, state._X
     R, P, V = nav.rot.m, nav.pos, nav.vel
@@ -262,14 +294,23 @@ def step(
     # triads; w_V (v), w_a (a) and the accelerometer-bias rate (f) from
     # e = p_y - P, suspended without a fix.
     triad_failures = state.triad_failures
-    try:
-        t1, t2, t3 = _body_rows(imu)  # the body rows v_i
-    except TriadDegenerate:
+    if body_rows is _FORM:
+        try:
+            body_rows = _body_rows(imu)  # the body rows v_i
+        except TriadDegenerate:
+            body_rows = None
+    if body_rows is None:
         triad_failures += 1
         o0 = o1 = o2 = d0 = d1 = d2 = 0.0
     else:
-        h1, h2, h3 = ref.triad.dot(R).tolist()  # vhat_i = R^T r_i
-        crosses = np.array((*_cross(t1, h1), *_cross(t2, h2), *_cross(t3, h3))).reshape(3, 3)
+        u0, u1, u2, u3, u4, u5, u6, u7, u8 = body_rows
+        (h0, h1, h2), (h3, h4, h5), (h6, h7, h8) = ref.triad.dot(R).tolist()  # vhat_i = R^T r_i
+        # v_i x vhat_i, with the operations of sensors._cross.
+        crosses = np.array((
+            u1 * h2 - u2 * h1, u2 * h0 - u0 * h2, u0 * h1 - u1 * h0,
+            u4 * h5 - u5 * h4, u5 * h3 - u3 * h5, u3 * h4 - u4 * h3,
+            u7 * h8 - u8 * h7, u8 * h6 - u6 * h8, u6 * h7 - u7 * h6,
+        )).reshape(3, 3)
         body_sum = crosses.T.dot(s)
         k, (x0, x1, x2) = -0.5 * gains.k_omega, R.dot(body_sum).tolist()
         o0, o1, o2 = k * x0, k * x1, k * x2
@@ -291,11 +332,12 @@ def step(
 
     # Correct with u(-[w_omega]_x, -w_V, -(w_a - g), -1); the acceleration
     # column carries g so gravity is always integrated, with or without a
-    # position fix.
+    # position fix.  Without one, -w_V is (-0, -0, -0), whose product with J
+    # is +0.0, the zero _se23_exp stands in for _ZERO3's.
     g0, g1, g2 = ref.gravity.tolist()
     X = _se23_exp(
         np.array((-o0, -o1, -o2)),
-        np.array((-v0, -v1, -v2)),
+        _ZERO3 if p_y is None else np.array((-v0, -v1, -v2)),
         np.array((-(a0 - g0), -(a1 - g1), -(a2 - g2))),
         -1.0,
         dt,
@@ -337,14 +379,6 @@ def step(
     return out
 
 
-def _norms(d):
-    """Row norms of d (m, k), bit for bit those of ``np.linalg.norm`` on each row.
-
-    ``np.linalg.norm(d, axis=1)`` sums the squares in another order.
-    """
-    return np.sqrt((d[:, None, :] @ d[:, :, None]).reshape(-1))
-
-
 def _nav_errors(rot, pos, vel, R, P, V):
     """Per-row attitude, position and velocity errors of (R, P, V) against truth.
 
@@ -374,7 +408,7 @@ def lyapunov_l1(triads: TriadPair, Rtilde, b_omega_err, gains: Gains) -> float:
     return 2.0 * float(att_dist(Rtilde, M)) + float(b @ b) / (2.0 * gains.gamma_omega)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GainReport:
     """Result of the quadratic-form gain certificate."""
 

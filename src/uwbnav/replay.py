@@ -44,8 +44,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .liegroup import Rotation
-from .observer import Gains, ObserverState, _norms, step
+from .liegroup import Rotation, _norms
+from .observer import Gains, ObserverState, step
 from .sensors import ReferenceVectors
 from .sim import _SETTLE_DWELL, _SETTLE_THRESHOLD, _STREAM_MAG, RunResult, SimResult, _noisy_table, _run_and_score
 from .tdoa import _cyclic_differences
@@ -104,7 +104,7 @@ class LoadReport:
         return "\n".join(lines)
 
 
-@dataclass
+@dataclass(eq=False)
 class LoadedDataset:
     """The three streams as float tables, each sorted by time, plus the ingestion report.
 

@@ -10,6 +10,11 @@ gravity and earth-field references).  The misalignment signal
 equals, in matrix form, 2 vex(Pa(M_r Rtilde)) rotated into the body frame,
 where M_r = sum_i s_i r_i r_i^T and Rtilde = R Rhat^T.  Both computations are
 provided and cross-checked in the tests.
+
+The body rows v_1, v_2, v_3 of one sample are ``_body_rows``' nine floats,
+which ``build_triads`` and ``observer.step`` use; ``_body_rows_table`` forms
+them for a whole stream at once, bit for bit, and ``sim._run_and_score``
+hands each step its sample's row.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liegroup import _as_vec3, _trusted
+from .liegroup import _ZERO3, _as_vec3, _norms, _trusted
 
 __all__ = [
     "ImuSample",
@@ -44,7 +49,7 @@ class TriadDegenerate(Exception):
     """Measurements cannot form a non-collinear triad."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImuSample:
     """One IMU epoch: body-frame angular rate, specific force, magnetic field.
 
@@ -65,7 +70,7 @@ class ImuSample:
             object.__setattr__(self, "mag", _as_vec3(self.mag, "mag"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceVectors:
     """Known inertial-frame directions: gravity and the local magnetic field.
 
@@ -101,7 +106,7 @@ class ReferenceVectors:
         object.__setattr__(self, "triad", r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriadPair:
     """Three matched unit vectors in body (v) and inertial (r) frames.
 
@@ -169,13 +174,12 @@ def build_triads(sample: ImuSample, ref: ReferenceVectors, s=None) -> TriadPair:
     """
     # Only the weights come from the caller: ref.triad was checked once, when made.
     s = _UNIT_WEIGHTS if s is None else _check_weights(s)
-    v1, v2, v3 = _body_rows(sample)
-    v = np.array((*v1, *v2, *v3)).reshape(3, 3)
+    v = np.array(_body_rows(sample)).reshape(3, 3)
     return _trusted(TriadPair, v=v, r=ref.triad, s=s)
 
 
 def _body_rows(sample: ImuSample) -> tuple:
-    """``build_triads``' body rows v1, v2, v3 as float 3-tuples, or TriadDegenerate.
+    """``build_triads``' body rows v1, v2, v3 as nine floats, or TriadDegenerate.
 
     Unit, and v3 orthogonal to v1 and v2, by construction: within TriadPair's
     tolerances even next to the collinearity bound."""
@@ -195,7 +199,33 @@ def _body_rows(sample: ImuSample) -> tuple:
     ncv = math.sqrt(cva.dot(cva))
     if ncv <= COLLINEARITY_TOL:
         raise TriadDegenerate(f"accel and mag are collinear (cross norm {ncv:.2e})")
-    return v1, v2, (c0 / ncv, c1 / ncv, c2 / ncv)
+    return (*v1, *v2, c0 / ncv, c1 / ncv, c2 / ncv)
+
+
+def _body_rows_table(accel, mags) -> tuple:
+    """``_body_rows`` of every sample of a stream at once: an (n, 9) array and n flags.
+
+    ``accel`` is an (n, 3) array; ``mags`` an (n, 3) array, or a sequence of
+    3-vectors with None for a sample without a magnetometer.  Row k holds
+    ``_body_rows``' nine floats for sample k, bit for bit, where flag k is
+    True; a False flag marks a sample for which ``_body_rows`` raises
+    TriadDegenerate (its row is then meaningless).  The operations are
+    ``_body_rows``' own: each norm is one BLAS dot product of the row with
+    itself (``_norms``), then the elementwise divisions and the ``_cross``
+    expression, and the same ``<=`` tests, so a NaN norm passes them as it
+    does there.  A missing magnetometer stands as a zero row, which the norm
+    test refuses.
+    """
+    if not isinstance(mags, np.ndarray):
+        mags = np.array([_ZERO3 if m is None else m for m in mags], dtype=float).reshape(-1, 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        na, nm = _norms(accel), _norms(mags)
+        v1, v2 = accel / na[:, None], mags / nm[:, None]
+        cv = np.stack(_cross(v1.T, v2.T), axis=1)
+        ncv = _norms(cv)
+        rows = np.concatenate((v1, v2, cv / ncv[:, None]), axis=1)
+    degenerate = (na <= 1e-9) | (nm <= 1e-9) | (ncv <= COLLINEARITY_TOL)
+    return rows, (~degenerate).tolist()
 
 
 def _cross(a, b) -> tuple:

@@ -56,15 +56,16 @@ from .liegroup import (
     Rotation,
     _as_vec3,
     _check_so3,
+    _norms,
     _pack,
     _se23_exp,
     _trusted,
     se23_exp,  # noqa: F401  _walk_truth runs _se23_exp; navbench traces calls at this name
     so3_exp,
 )
-from .observer import _DT_MAX, Gains, ObserverState, _check_dt, _nav_errors, _norms, step
+from .observer import _DT_MAX, Gains, ObserverState, _check_dt, _nav_errors, step
 from .observer import error_metrics  # noqa: F401  run_scenario batches the errors; navbench traces this name
-from .sensors import ImuSample, ReferenceVectors
+from .sensors import ImuSample, ReferenceVectors, _body_rows_table
 from .tdoa import Anchor, AnchorSet, GeometryDegenerate, TdoaFrame, _range_differences, solve_frame
 from .tdoa import synthesize_tdoa  # noqa: F401  _tdoa_table makes the frames; navbench traces this name
 
@@ -118,7 +119,7 @@ def _zero3(_t: float) -> np.ndarray:
     return np.zeros(3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruthModel:
     """Exact vehicle state plus the measurement imperfections.
 
@@ -408,7 +409,7 @@ def default_anchors() -> AnchorSet:
     return AnchorSet(tuple(Anchor(id=i + 1, pos=np.array(v)) for i, v in enumerate(verts)))
 
 
-@dataclass
+@dataclass(eq=False)
 class Scenario:
     """A closed-loop experiment: truth model, sensors, observer initialization."""
 
@@ -600,7 +601,7 @@ def preset_scenario(
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class RunResult:
     """Error series, tracks and summary of one observer run against its truth.
 
@@ -624,7 +625,7 @@ class RunResult:
     summary: dict
 
 
-@dataclass
+@dataclass(eq=False)
 class SimResult(RunResult):
     """One closed-loop run: the shared record, plus what only a sim has.
 
@@ -715,7 +716,11 @@ def _run_and_score(state, imu, mags, tdoa, anchors, gains, truth, duration, sett
     Each frame goes to the step that starts at or before it, the last of a
     step winning; one no taken step gets is dropped.  Rows become samples and
     frames unchecked.  A taken frame is solved once, for the raw-fix column
-    and ``step``'s ``p_y`` (None if the solve failed).  A ValueError from
+    and ``step``'s ``p_y`` (None if the solve failed).  Every sample's triad
+    body rows are formed once, before the loop, by
+    ``sensors._body_rows_table``, and each step is handed its sample's as
+    ``body_rows`` (None where they do not form, which counts one triad
+    failure, as in ``step``).  A ValueError from
     ``step`` (a diverged state) is raised again as a RuntimeError naming the
     step and its time, so numpy's overflow and invalid-value warnings are off.
     The states are stacked after the loop and scored in one pass; the summary
@@ -730,6 +735,7 @@ def _run_and_score(state, imu, mags, tdoa, anchors, gains, truth, duration, sett
     steps = np.searchsorted(t, tdoa[:, 0], side="right") - 1
     frame_rows = {k: i for i, k in enumerate(steps.tolist()) if 0 <= k < n}
     gyro, accel = imu[:, 1:4], imu[:, 4:7]
+    body, formed = _body_rows_table(accel[:n], mags[:n])
     raw_pos = np.full((n + 1, 3), np.nan)
 
     def row(state):  # its 5x5 (packed if it carries none) and biases: one row of the arrays
@@ -754,8 +760,9 @@ def _run_and_score(state, imu, mags, tdoa, anchors, gains, truth, duration, sett
                 except (GeometryDegenerate, ValueError):
                     pass
             sample = _trusted(ImuSample, timestamp=times[k], gyro=gyro[k], accel=accel[k], mag=mags[k])
+            body_rows = body[k].tolist() if formed[k] else None
             try:
-                state = step(state, sample, frame, anchors, gains, dt, ref=ref, p_y=p_y)
+                state = step(state, sample, frame, anchors, gains, dt, ref=ref, p_y=p_y, body_rows=body_rows)
             except ValueError as exc:
                 raise RuntimeError(f"observer diverged at step {k} (t = {times[k]!r} s): {exc}") from exc
             rows.append(row(state))

@@ -70,7 +70,7 @@ class GeometryDegenerate(Exception):
         self.rank = rank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Anchor:
     """A fixed UWB base station with a known inertial-frame position."""
 
@@ -85,7 +85,7 @@ class Anchor:
         object.__setattr__(self, "pos", _as_vec3(self.pos, "anchor pos"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnchorSet:
     """Ordered anchors; the TDOA chain follows this order cyclically.
 
@@ -133,7 +133,7 @@ class AnchorSet:
         return len(self.anchors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TdoaFrame:
     """One epoch of cyclic range differences (meters)."""
 

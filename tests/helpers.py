@@ -209,11 +209,11 @@ def random_psd(rng, dim: int = 3, eig_low: float = 0.0, eig_high: float = 2.0) -
     return Q @ np.diag(eigs) @ Q.T
 
 
-_SOLVE_HERE = object()  # reference_step's default p_y: no fix was handed
+_SOLVE_HERE = object()  # reference_step's default p_y and body_rows: nothing was handed
 
 
 def reference_step(state, imu, frame, anchors, gains, dt, *, ref=None, weights=None, reorth_every=None,
-                   p_y=_SOLVE_HERE):
+                   p_y=_SOLVE_HERE, body_rows=_SOLVE_HERE):
     """One observer step composed from the validated public primitives.
 
     This is the dataclass form of ``observer.step``: both exponentials are
@@ -222,7 +222,9 @@ def reference_step(state, imu, frame, anchors, gains, dt, *, ref=None, weights=N
     intermediate is validated.  The lean kernel in ``step`` must reproduce it
     bit for bit.  It always solves the frame itself; a handed ``p_y`` (the
     caller's fix, or None for a failed solve or no frame) must equal that
-    solve bit for bit, or both must have no fix.
+    solve bit for bit, or both must have no fix.  It always forms the triad
+    itself too; handed ``body_rows`` (nine floats, or None for a degenerate
+    triad) must equal its body rows bit for bit, or both must have no triad.
     """
     ref = ReferenceVectors() if ref is None else ref
     reorth_every = REORTH_INTERVAL if reorth_every is None else reorth_every
@@ -250,6 +252,13 @@ def reference_step(state, imu, frame, anchors, gains, dt, *, ref=None, weights=N
     except TriadDegenerate:
         triads = None
         triad_failures += 1
+    if body_rows is not _SOLVE_HERE:
+        if triads is None:
+            assert body_rows is None, "body rows were handed where the sample forms no triad"
+        else:
+            assert body_rows is not None, "no body rows were handed for a sample that forms a triad"
+            assert len(body_rows) == 9 and all(type(x) is float for x in body_rows)
+            assert np.array(body_rows).tobytes() == triads.v.tobytes(), "the handed rows differ from the triad's"
     w_omega, w_v, w_a, b_omega_dot, b_a_dot = frozen_correction_terms(R, P, V, triads, p_y, gains)
     W = TangentElement(-w_omega, -w_v, -(w_a - ref.gravity), -1.0)
     X = frozen_exp(W, dt) @ Xp

@@ -6,7 +6,9 @@ bind (``uwbnav.sim.solve_frame`` for a run's frames,
 ``uwbnav.sim.step``, ...), and the benchmark times ``uwbnav.sim.step`` /
 ``uwbnav.replay.step`` once per IMU step.  A refactor that moves a call away from one of these names would make
 a traced run fail with a KeyError, or time nothing; these tests catch it
-first.  The tracer is imported from its file and not modified.
+first.  The tracer is imported from its file and not modified.  The timed
+calls are handed each sample's triad body rows; two tests check that those
+are the rows the step would form, None included.
 """
 
 import importlib
@@ -17,9 +19,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import assert_states_identical
+
 from uwbnav.observer import Gains, ObserverState, step
 from uwbnav.replay import export_dataset, load_dataset, run_replay
-from uwbnav.sensors import ImuSample, ReferenceVectors
+from uwbnav.sensors import ImuSample, ReferenceVectors, TriadDegenerate, _body_rows
 from uwbnav.sim import default_anchors, preset_scenario, run_scenario
 from uwbnav.tdoa import TdoaFrame, load_anchors, solve_frame, synthesize_tdoa
 
@@ -139,6 +143,69 @@ def test_run_replay_solves_each_taken_frame_once(monkeypatch, tmp_path):
     assert (summary["tdoa_frames"], summary["dropped_tdoa_frames"], summary["tdoa_failures"]) == (10, 2, 1)
     assert len(stepped) == 8
     assert len(solved) == len(stepped) and all(a is b for a, b in zip(solved, stepped))
+
+
+def record_body_rows(monkeypatch, step_module):
+    """A list that fills with (sample, handed body rows) for each ``step_module.step`` call."""
+    handed = []
+    real = step_module.step
+
+    def recording(*args, **kwargs):
+        handed.append((args[1], kwargs["body_rows"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(step_module, "step", recording)
+    return handed
+
+
+def sample_rows(sample):
+    try:
+        return _body_rows(sample)
+    except TriadDegenerate:
+        return None
+
+
+def test_run_scenario_hands_every_step_its_sample_s_body_rows(monkeypatch):
+    import uwbnav.sim as sim_module
+
+    handed = record_body_rows(monkeypatch, sim_module)
+    result = run_scenario(preset_scenario("figure8", duration=1.0), Gains())
+    assert len(handed) == 100 and result.final_state.triad_failures == 0
+    for sample, rows in handed:
+        assert type(rows) is list and np.array(rows).tobytes() == np.array(_body_rows(sample)).tobytes()
+
+
+def test_a_replay_without_a_magnetometer_hands_none_outside_the_truth_range(monkeypatch, tmp_path):
+    # The magnetometer is synthesised from the truth attitude inside the truth
+    # range only: outside it each step is handed None and counts one triad
+    # failure, as forming the rows from the sample (no magnetometer) does.
+    import uwbnav.replay as replay_module
+
+    sim = run_scenario(preset_scenario("figure8", duration=1.0), Gains())
+    paths = export_dataset(sim, tmp_path)
+    dataset = load_dataset({k: paths[k] for k in ("imu", "uwb", "gt")})
+    dataset = replace(dataset, imu=dataset.imu[:, :7], gt=dataset.gt[20:80])
+    anchors = load_anchors(paths["anchors"])
+    real = replay_module.step
+
+    def forming(*args, body_rows, **kwargs):  # the rows formed from each sample, in step
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(replay_module, "step", forming)
+    formed = run_replay(dataset, anchors, Gains(), ObserverState.cold_start())
+    monkeypatch.setattr(replay_module, "step", real)
+    handed = record_body_rows(monkeypatch, replay_module)
+    result = run_replay(dataset, anchors, Gains(), ObserverState.cold_start())
+    assert len(handed) == 100
+    outside = [k for k, (sample, _) in enumerate(handed) if not 0.2 <= sample.timestamp <= 0.79]
+    assert outside == list(range(20)) + list(range(80, 100))
+    for k, (sample, rows) in enumerate(handed):
+        assert (rows is None) == (k in outside) == (sample.mag is None)
+        want = sample_rows(sample)
+        assert rows is want is None or np.array(rows).tobytes() == np.array(want).tobytes()
+    assert result.final_state.triad_failures == result.summary["triad_failures"] == 40
+    assert formed.summary["triad_failures"] == 40
+    assert_states_identical(result.final_state, formed.final_state)
 
 
 def test_step_solves_its_frame_through_the_observer_module(monkeypatch):

@@ -46,8 +46,8 @@ def test_the_probe_times_every_layer_of_this_tree():
         assert set(row) == {"parent", "change"}
         for us in row.values():
             assert set(us) == {
-                "step_no_frame", "step_frame", "step_handed_fix", "solve_frame", "build_system", "solve_stream",
-                "se23_exp", "se23_exp_zero_v", "build_triads", "pack",
+                "step_no_frame", "step_frame", "step_handed_fix", "step_handed_rows", "solve_frame", "build_system",
+                "solve_stream", "se23_exp", "se23_exp_zero_v", "build_triads", "body_rows_table", "pack",
                 "load_dataset", "load_dataset_messy", "derive_velocity", "derive_velocity_jittered",
                 "truth_track", "imu_stream", "tdoa_table", "so3_exp",
             }

@@ -437,6 +437,24 @@ def test_se23_exp_keeps_the_sign_of_every_zero_of_the_frozen_arithmetic():
         assert got.tobytes() == want.tobytes(), (omega, vcol, acol, rho, dt)
 
 
+def test_se23_exp_with_an_all_negative_zero_vcol_is_the_shared_zero_call_bit_for_bit():
+    # A step without a fix passes _ZERO3 as the correction's vcol where it
+    # formed (-0, -0, -0): J's product with it must come out of BLAS as +0.0,
+    # the zero the skipped product stands for.  Both coefficient branches, a
+    # zero omega of either sign, both signs of dt and of rho.
+    rng = np.random.default_rng(31)
+    minus_zero = np.array((-0.0, -0.0, -0.0))
+    for k in range(2000):
+        if k % 4 == 0:
+            omega = rng.choice([0.0, -0.0], 3)
+        else:
+            omega = rng.normal(size=3) * 10.0 ** rng.uniform(-9.0, 1.5)
+        acol = np.where(rng.random(3) < 0.2, rng.choice([0.0, -0.0], 3), rng.normal(size=3))
+        dt, rho = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, -1.0)), float(rng.choice([1.0, -1.0]))
+        got = _se23_exp(omega, minus_zero, acol, rho, dt)
+        assert got.tobytes() == _se23_exp(omega, _ZERO3, acol, rho, dt).tobytes(), (omega, acol, rho, dt)
+
+
 def test_rotation_check_tolerance():
     rng = np.random.default_rng(28)
     R = random_rotation(rng)

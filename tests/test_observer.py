@@ -21,7 +21,7 @@ from uwbnav.observer import (
     step,
     validate_gains,
 )
-from uwbnav.sensors import ImuSample, ReferenceVectors, build_triads, weighted_matrix
+from uwbnav.sensors import ImuSample, ReferenceVectors, _body_rows, build_triads, weighted_matrix
 from uwbnav.tdoa import (
     DIAMETER_SLACK,
     GeometryDegenerate,
@@ -235,6 +235,61 @@ def test_a_malformed_handed_fix_is_refused_on_entry(p_y, message):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             step(ObserverState.cold_start(), imu, frame, box_anchors(), Gains(), 0.01, ref=ref, p_y=p_y)
+
+
+@pytest.mark.parametrize("kind", ["no frame", "a handed fix", "a failed solve"])
+def test_handed_body_rows_step_as_the_step_s_own_rows(kind):
+    # The rows sim._run_and_score forms for a whole stream and hands over give
+    # the state step reaches by forming them itself, with or without a fix.
+    ref = ReferenceVectors()
+    anchors = box_anchors()
+    rng = np.random.default_rng(58)
+    state = ObserverState.cold_start(pos=(1.0, -0.5, 1.5), rot=Rotation(random_rotation(rng)))
+    frame = {
+        "no frame": None,
+        "a handed fix": TdoaFrame(0.0, synthesize_tdoa([1.2, 0.4, 1.1], None, anchors, noise_sd=0.05, seed=1).d),
+        "a failed solve": TdoaFrame(0.0, np.zeros(8)),
+    }[kind]
+    p_y = None if kind != "a handed fix" else solve_frame(anchors, frame).p
+    imu = ImuSample(0.0, rng.normal(scale=0.2, size=3), rng.normal(size=3) + (0.0, 0.0, 9.8), rng.normal(size=3))
+    rows = list(_body_rows(imu))
+    got = step(state, imu, frame, anchors, Gains(), 0.01, ref=ref, p_y=p_y, body_rows=rows)
+    assert_states_identical(got, step(state, imu, frame, anchors, Gains(), 0.01, ref=ref))
+    assert_states_identical(
+        got, reference_step(state, imu, frame, anchors, Gains(), 0.01, ref=ref, p_y=p_y, body_rows=rows)
+    )
+    assert (got.triad_failures, got.tdoa_failures) == (0, kind == "a failed solve")
+
+
+def test_handed_none_body_rows_count_one_triad_failure():
+    # None stands for a sample whose rows do not form: the step dead-reckons
+    # the attitude as it does on a sample without a magnetometer.
+    ref = ReferenceVectors()
+    rng = np.random.default_rng(59)
+    state = ObserverState.cold_start(rot=Rotation(random_rotation(rng)))
+    imu = hover_imu(random_rotation(rng), ref)
+    no_mag = ImuSample(0.0, imu.gyro, imu.accel, None)
+    got = step(state, imu, None, None, Gains(), 0.01, ref=ref, body_rows=None)
+    assert got.triad_failures == state.triad_failures + 1
+    assert_states_identical(got, step(state, no_mag, None, None, Gains(), 0.01, ref=ref))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[0.0] * 8, [0.0] * 10, [float("nan")] + [0.0] * 8, [float("inf")] * 9, [[1.0, 0.0, 0.0]] * 3, "123456789", 9.0],
+    ids=["eight", "ten", "NaN", "inf", "three rows", "a string", "a number"],
+)
+def test_malformed_handed_body_rows_are_refused_on_entry(rows):
+    ref = ReferenceVectors()
+    with pytest.raises(ValueError, match="body_rows must be 9 finite numbers"):
+        step(ObserverState.cold_start(), hover_imu(np.eye(3), ref), None, None, Gains(), 0.01, ref=ref, body_rows=rows)
+
+
+def test_body_rows_handed_without_an_imu_sample_are_refused():
+    rows = list(_body_rows(hover_imu(np.eye(3), ReferenceVectors())))
+    for handed in (rows, None):
+        with pytest.raises(ValueError, match="without an IMU sample"):
+            step(ObserverState.cold_start(), None, None, None, Gains(), 0.01, body_rows=handed)
 
 
 def test_step_without_frame_leaves_accel_bias_untouched():

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import frozen_build_triads, random_rotation
-from uwbnav.liegroup import pa, skew, vex
+from uwbnav.liegroup import _trusted, pa, skew, vex
 from uwbnav.sensors import (
     ImuSample,
     ReferenceVectors,
     TriadDegenerate,
     TriadPair,
     _body_rows,
+    _body_rows_table,
     attitude_innovation,
     build_triads,
     predicted_body_vectors,
@@ -173,7 +174,7 @@ def test_build_triads_pair_passes_the_public_constructor_unchanged(u, w, sin, sc
 @_DRAWN_PAIRS
 def test_the_body_rows_step_forms_are_build_triads_rows_bit_for_bit(u, w, sin, scale, s, custom_ref):
     # observer.step forms its triad from _body_rows without making the pair;
-    # the rows must be the pair's v, as float 3-tuples, or raise alike, and
+    # the rows must be the pair's v, as nine floats, or raise alike, and
     # both must be the rows of the frozen arithmetic in helpers.py.
     sample, ref = _drawn_sample(u, w, sin, scale, custom_ref)
     try:
@@ -183,10 +184,90 @@ def test_the_body_rows_step_forms_are_build_triads_rows_bit_for_bit(u, w, sin, s
             with pytest.raises(TriadDegenerate):
                 build(sample, ref, s)
         return
-    assert [len(row) for row in rows] == [3, 3, 3]
-    assert all(type(x) is float for row in rows for x in row)
+    assert len(rows) == 9
+    assert all(type(x) is float for x in rows)
     assert np.array(rows).tobytes() == build_triads(sample, ref, s).v.tobytes()
     assert np.array(rows).tobytes() == frozen_build_triads(sample, ref, s).v.tobytes()
+
+
+def _per_sample_rows(accel, mags):
+    """``_body_rows`` of each row pair, as the table form reports it: (rows or None) per sample."""
+    out = []
+    for a, m in zip(accel, mags):
+        try:
+            out.append(_body_rows(_trusted(ImuSample, timestamp=0.0, gyro=np.zeros(3), accel=a, mag=m)))
+        except TriadDegenerate:
+            out.append(None)
+    return out
+
+
+def _assert_table_is_per_sample(rows, formed, want):
+    assert rows.shape == (len(want), 9) and len(formed) == len(want)
+    assert all(type(f) is bool for f in formed)
+    for k, w in enumerate(want):
+        assert formed[k] == (w is not None), k
+        if w is not None:
+            assert rows[k].tobytes() == np.array(w).tobytes(), k
+
+
+def test_the_table_form_is_body_rows_bit_for_bit():
+    # 12 000 random rows over six decades of scale, with a sixth of the
+    # magnetometer rows next to collinear and some norms near the 1e-9 bound.
+    rng = np.random.default_rng(71)
+    n = 12_000
+    accel = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    mag = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    near = rng.random(n) < 1 / 6
+    mag[near] = accel[near] * rng.uniform(0.1, 10.0, (near.sum(), 1)) + rng.normal(scale=1e-6, size=(near.sum(), 3))
+    tiny = rng.random(n) < 0.01
+    accel[tiny] *= 1e-9 / np.linalg.norm(accel[tiny], axis=1, keepdims=True) * rng.uniform(0.5, 2.0, (tiny.sum(), 1))
+    want = _per_sample_rows(accel, mag)
+    assert 0 < sum(w is None for w in want) < n // 5
+    _assert_table_is_per_sample(*_body_rows_table(accel, mag), want)
+
+
+def test_the_table_form_is_body_rows_bit_for_bit_on_strided_views():
+    # The loop hands it imu[:, 4:7] and imu[:, 7:10], views into the IMU table,
+    # and formed each sample's rows from row views of the same table.
+    rng = np.random.default_rng(72)
+    imu = rng.normal(size=(3_000, 10)) * 10.0 ** rng.uniform(-2.0, 2.0, (3_000, 1))
+    accel, mag = imu[:, 4:7], imu[:, 7:10]
+    assert not accel.flags.c_contiguous and not mag.flags.c_contiguous
+    want = _per_sample_rows(accel, mag)
+    rows, formed = _body_rows_table(accel, mag)
+    _assert_table_is_per_sample(rows, formed, want)
+    copied, formed_copied = _body_rows_table(accel.copy(), mag.copy())
+    assert copied.tobytes() == rows.tobytes() and formed_copied == formed
+
+
+@pytest.mark.parametrize(
+    "accel, mag",
+    [([0.0, 0.0, 9.8], None), ([0.0, 0.0, 0.0], [-1.7, 0.0, 1.2]), ([0.0, 0.0, 9.8], [0.0, 0.0, 0.0]),
+     ([0.3, -0.2, 9.8], [0.06, -0.04, 1.96]), ([0.0, 0.0, 5e-10], [-1.7, 0.0, 1.2])],
+    ids=["no magnetometer", "zero accelerometer", "zero magnetometer", "collinear", "accel norm below 1e-9"],
+)
+def test_the_table_form_flags_each_degenerate_sample(accel, mag):
+    # Between two good samples, as a list with None for the missing magnetometer.
+    good = hover_sample(np.eye(3))
+    accels = np.array([good.accel, accel, good.accel])
+    mags = [good.mag, None if mag is None else np.array(mag, dtype=float), good.mag]
+    with pytest.raises(TriadDegenerate):
+        _body_rows(_trusted(ImuSample, timestamp=0.0, gyro=np.zeros(3), accel=accels[1], mag=mags[1]))
+    rows, formed = _body_rows_table(accels, mags)
+    assert formed == [True, False, True]
+    assert rows[0].tobytes() == rows[2].tobytes() == np.array(_body_rows(good)).tobytes()
+
+
+def test_the_table_form_passes_a_nan_norm_as_body_rows_does():
+    # A NaN fails every "<=" test in both forms, so the rows come out NaN, not flagged.
+    accel = np.array([[0.0, 0.0, 9.8], [np.nan, 0.0, 9.8]])
+    mag = np.array([[np.nan, 0.0, 1.2], [-1.7, 0.0, 1.2]])
+    want = _per_sample_rows(accel, mag)
+    rows, formed = _body_rows_table(accel, mag)
+    assert formed == [True, True]
+    for k in range(2):
+        assert np.array_equal(rows[k], np.array(want[k]), equal_nan=True)
+    assert np.isnan(rows).any(axis=1).all()
 
 
 def test_reference_rows_are_checked_once_when_the_references_are_made(monkeypatch):

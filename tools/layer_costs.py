@@ -26,13 +26,17 @@ interpreters do not agree to a few µs on a shared two-CPU machine: the
 minimum over ten interpreters per side read the same parent's frameless step
 as 60, 49 and 51 µs in three runs, and single interpreters from 49 to 89 µs.
 
-The layers: ``step`` without a frame, with a frame it solves and with a fix
-handed as ``p_y``; ``solve_frame`` of the timed state's frame, repeated, and
+The layers: ``step`` without a frame, with a frame it solves, with a fix
+handed as ``p_y`` and, without a frame, with its triad body rows handed as
+``body_rows`` (a tree without the keyword runs its frameless step);
+``solve_frame`` of the timed state's frame, repeated, and
 its ``build_system``; ``solve_stream``, ``solve_frame`` over each of the first
 flight's 6 000 frames in turn (one call per timing, so its figure is the
 microseconds of all 6 000 solves: real inputs, none cached); the correction
 step's ``_se23_exp`` (all blocks non-zero) and the prediction's (``vcol`` the
-shared zero); ``build_triads``; ``_pack`` of the state's R, P and V; and
+shared zero); ``build_triads``; ``body_rows_table``, ``sensors._body_rows_table``
+over the first flight's 6 000 samples (one call per timing; a tree without it
+runs ``_body_rows`` on each sample in turn); ``_pack`` of the state's R, P and V; and
 the replay input stage: ``load_dataset`` of the trial's three CSV files,
 ``load_dataset_messy`` of the same files as ``tools/artifact_diff.py``'s
 ``mess_up`` rewrites them (LF line ends, a blank line, a quoted cell and a
@@ -68,8 +72,8 @@ ROUNDS, NUMBER, REPEAT = 40, 1_000, 3  # alternating rounds; calls per timing; t
 SNAPSHOT_MODULES = ("uwbnav", "worker", "checks", "speed", "tracer")  # what importing a snapshot loads
 # Layers of milliseconds, timed one call at a time.
 ONE_CALL_LAYERS = (
-    "solve_stream", "load_dataset", "load_dataset_messy", "derive_velocity", "derive_velocity_jittered",
-    "truth_track", "imu_stream", "tdoa_table",
+    "solve_stream", "body_rows_table", "load_dataset", "load_dataset_messy", "derive_velocity",
+    "derive_velocity_jittered", "truth_track", "imu_stream", "tdoa_table",
 )
 JITTER_S = 0.002  # largest shift of a gt time in the jittered copy (the gt step is 10 ms)
 
@@ -129,16 +133,39 @@ def layers(root: Path, trial: Path) -> dict:
         for f in frames:
             tdoa.solve_frame(anchors, f)
 
+    accels, mags = np.array([s.accel for s in samples]), np.array([s.mag for s in samples])
+    if hasattr(sensors, "_body_rows_table"):
+        rows = list(sensors._body_rows(sample))
+
+        def step_handed_rows():
+            return observer.step(state, sample, None, anchors, gains, dt, ref=ref, body_rows=rows)
+
+        def body_rows_table():
+            return sensors._body_rows_table(accels, mags)
+    else:  # a tree without the table form: its frameless step, and _body_rows over each sample
+
+        def step_handed_rows():
+            return observer.step(state, sample, None, anchors, gains, dt, ref=ref)
+
+        def body_rows_table():
+            for s in samples:
+                try:
+                    sensors._body_rows(s)
+                except sensors.TriadDegenerate:
+                    pass
+
     return {
         "step_no_frame": lambda: observer.step(state, sample, None, anchors, gains, dt, ref=ref),
         "step_frame": lambda: observer.step(state, sample, frame, anchors, gains, dt, ref=ref),
         "step_handed_fix": lambda: observer.step(state, sample, frame, anchors, gains, dt, ref=ref, p_y=p_y),
+        "step_handed_rows": step_handed_rows,
         "solve_frame": lambda: tdoa.solve_frame(anchors, frame),
         "build_system": lambda: tdoa.build_system(anchors, frame),
         "solve_stream": solve_stream,
         "se23_exp": lambda: liegroup._se23_exp(omega, nav.vel, acc, -1.0, dt),
         "se23_exp_zero_v": lambda: liegroup._se23_exp(omega, liegroup._ZERO3, acc, 1.0, dt),
         "build_triads": lambda: sensors.build_triads(sample, ref),
+        "body_rows_table": body_rows_table,
         "pack": lambda: liegroup._pack(nav.rot.m, nav.pos, nav.vel),
         "load_dataset": lambda: replay.load_dataset(csvs),
         "load_dataset_messy": lambda: replay.load_dataset(messy),
