@@ -15,7 +15,7 @@ into its section key by key.  Artifacts (metrics.csv, summary.json, exported
 datasets) are written atomically.  Exit codes: 0 success, 2 any configuration
 or usage error, 3 runtime/data failure (including a failed gain certificate,
 degenerate TDOA geometry and an observer that diverges during a run).
-``replay.tag_offset`` is accepted and not yet applied (ROADMAP item 2).
+``replay.tag_offset`` is checked (3 finite numbers) and not yet applied (ROADMAP item 2).
 
 The environment variable NAV_LOG sets the log level (DEBUG, INFO, ...).
 """

@@ -18,17 +18,17 @@ The scalar ``rho`` couples the velocity column into the position column
 (it is what turns "P-dot = V" into a group operation).  Everything here is a
 pure function of its inputs; no mutable state.
 
-Arithmetic contract of the hot-path kernels (``_se23_exp``, ``so3_exp``, ``_pack``
-and ``observer.step``): every matrix or vector product is one numpy ``dot``/``@``
-call, through BLAS, on the operands, shapes and memory layout of the matrix
-form; everything elementwise (sums, differences, scalings) runs on Python
-floats in the order the matrix form evaluates it, with each ``0.0 +`` that
-fixes the sign of a zero.  A kernel unpacks each operand to floats once and
-writes every entry of its result in its own body, with no helper per block.
-No product is unrolled: BLAS kernels with FMA round differently from Python.
-One product departs from the matrix form's shapes: ``J @ a`` and ``K @ a`` are
-one product of the stacked 6x3 [J; K], each row the same 3-term dot product
-(tests/test_liegroup.py checks it bit for bit against the two 3x3 products).
+Arithmetic contract of the hot-path kernels (``_se23_exp``, ``_compose``,
+``so3_exp`` and ``observer.step``'s own terms): they run on Python floats, no
+BLAS call per step, so their bits depend on IEEE arithmetic and libm, not on
+the BLAS build.  A top block [R P V] is 15 floats: R row-major, then P and V.
+Each entry of a product sums its terms in index order, left to right; a term
+with a structural zero of the matrix form (the diagonal of [omega]_x, the
+bottom rows' zeros) is left out, and every other term stays, so a product's
+P column takes V_a times b's rho dt entry even when that is 0.0.  ``1.0 +``,
+``0.5 +`` or ``0.0 +`` (the identity's entry) leads each entry of R, J and K,
+and ``0.0 +`` leads J v, so a zero entry is +0.0 whatever the signs of the
+zeros it sums, and a v column of zeros of either sign gives what None gives.
 """
 
 from __future__ import annotations
@@ -244,41 +244,25 @@ def att_dist(R, M=None) -> float:
     return 0.25 * np.trace(M - M @ R)
 
 
-def _pack(R: np.ndarray, P: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """The 5x5 homogeneous matrix of attitude R, position P and velocity V (arrays)."""
-    (r0, r1, r2), (r3, r4, r5), (r6, r7, r8) = R.tolist()
-    (p0, p1, p2), (v0, v1, v2) = P.tolist(), V.tolist()
-    return np.array((
-        r0, r1, r2, p0, v0,
-        r3, r4, r5, p1, v1,
-        r6, r7, r8, p2, v2,
-        0.0, 0.0, 0.0, 1.0, 0.0,
-        0.0, 0.0, 0.0, 0.0, 1.0,
-    )).reshape(5, 5)
-
-
 def so3_exp(omega, dt: float = 1.0) -> np.ndarray:
     """Rodrigues' rotation formula: exp([omega]_x * dt).
 
     For total angle ||omega||*dt below ``SMALL_ANGLE`` the closed form is
     replaced by the second-order Taylor expansion I + S + S^2/2.  By the module's
-    contract, entry ij is (I_ij + a S_ij) + c (S @ S)_ij with (a, c) = (1, 1/2)
+    contract, entry ij is (I_ij + a S_ij) + c (S S)_ij with (a, c) = (1, 1/2)
     in the Taylor form, as a S_ij is then S_ij itself.
     """
-    omega = np.asarray(omega, dtype=float)
-    w0, w1, w2 = omega.tolist()
-    z, x1, x2, x3, x5, x6, x7 = 0.0 * dt, -w2 * dt, w1 * dt, w2 * dt, -w0 * dt, -w1 * dt, w0 * dt
-    theta = math.sqrt(omega.dot(omega)) * abs(dt)
-    S = np.array((z, x1, x2, x3, z, x5, x6, x7, z)).reshape(3, 3)
-    (q0, q1, q2), (q3, q4, q5), (q6, q7, q8) = S.dot(S).tolist()
+    w0, w1, w2 = np.asarray(omega, dtype=float).tolist()
+    x1, x2, x3, x5, x6, x7 = -w2 * dt, w1 * dt, w2 * dt, -w0 * dt, -w1 * dt, w0 * dt
+    theta = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2) * abs(dt)
     a, c = 1.0, 0.5
     if not theta < SMALL_ANGLE:
         # numpy's theta**2 (libm pow, as Python's), which overflows to inf where Python's raises.
-        a, c = float(np.sin(theta) / theta), float((1.0 - np.cos(theta)) / np.float64(theta) ** 2)
+        a, c = math.sin(theta) / theta, float((1.0 - math.cos(theta)) / np.float64(theta) ** 2)
     return np.array((
-        1.0 + a * z + c * q0, 0.0 + a * x1 + c * q1, 0.0 + a * x2 + c * q2,
-        0.0 + a * x3 + c * q3, 1.0 + a * z + c * q4, 0.0 + a * x5 + c * q5,
-        0.0 + a * x6 + c * q6, 0.0 + a * x7 + c * q7, 1.0 + a * z + c * q8,
+        1.0 + c * (x1 * x3 + x2 * x6), 0.0 + a * x1 + c * (x2 * x7), 0.0 + a * x2 + c * (x1 * x5),
+        0.0 + a * x3 + c * (x5 * x6), 1.0 + c * (x3 * x1 + x5 * x7), 0.0 + a * x5 + c * (x3 * x2),
+        0.0 + a * x6 + c * (x7 * x3), 0.0 + a * x7 + c * (x6 * x1), 1.0 + c * (x6 * x2 + x7 * x5),
     )).reshape(3, 3)
 
 
@@ -298,8 +282,8 @@ def _exp_coefficients(theta: float):
         c2 = (theta - sin(theta))/theta^3
         d2 = (cos(theta) - 1 + theta^2/2)/theta^4
     """
+    t2 = theta * theta
     if theta < _EXP_TAYLOR_SWITCH:
-        t2 = theta * theta
         t4 = t2 * t2
         t6 = t4 * t2
         s1 = 1.0 - t2 / 6.0 + t4 / 120.0 - t6 / 5040.0
@@ -307,8 +291,7 @@ def _exp_coefficients(theta: float):
         c2 = 1.0 / 6.0 - t2 / 120.0 + t4 / 5040.0 - t6 / 362880.0
         d2 = 1.0 / 24.0 - t2 / 720.0 + t4 / 40320.0 - t6 / 3628800.0
         return s1, c1, c2, d2
-    t2 = theta * theta
-    sin, cos = float(np.sin(theta)), float(np.cos(theta))
+    sin, cos = math.sin(theta), math.cos(theta)
     s1 = sin / theta
     c1 = (1.0 - cos) / t2
     c2 = (theta - sin) / (t2 * theta)
@@ -330,50 +313,67 @@ def se23_exp(u: TangentElement, dt: float = 1.0) -> np.ndarray:
     with J = dt (I + c1 S' + c2 S'^2), K = dt^2 (I/2 + c2 S' + d2 S'^2) and
     S' = S dt.  Validated against a 30-term scaled power series (see tests).
     """
-    return _se23_exp(u.omega, u.vcol, u.acol, u.rho, dt)
+    top = np.array(_se23_exp(u.omega.tolist(), u.vcol.tolist(), u.acol.tolist(), u.rho, dt))
+    E = np.eye(5)
+    E[:3, :3], E[:3, 3], E[:3, 4], E[4, 3] = top[:9].reshape(3, 3), top[9:12], top[12:], u.rho * dt
+    return E
 
 
-def _se23_exp(omega, vcol, acol, rho: float, dt: float) -> np.ndarray:
-    """:func:`se23_exp` of the element (omega, vcol, acol, rho), built from its blocks.
+def _se23_exp(omega, vcol, acol, rho: float, dt: float) -> tuple:
+    """The top block [R P V] of :func:`se23_exp` of (omega, vcol, acol, rho), as 15 floats.
 
-    The blocks are float 3-vectors and ``rho`` a float; nothing is
-    validated.  Callers on the hot path check their inputs once instead of
-    wrapping them in a :class:`TangentElement`.  The arithmetic follows the
-    module's contract, so the result is bit for bit that of the matrix
-    expressions: with S = [omega dt]_x (diagonal z) and Q = S @ S, each entry
-    of R, J and K is summed left to right, the identity's zeros included.
-    One product of the stacked [J; K] gives ``J @ acol`` and
-    ``K @ acol``.  ``J @ vcol`` is skipped when ``vcol`` is the shared
-    ``_ZERO3``: that BLAS product is exactly +0.0 for a finite J, and the
-    ``0.0 +`` standing for it is kept.  The prediction passes ``_ZERO3``, and
-    so does ``observer.step``'s correction without a fix, where -w_V is
-    (-0, -0, -0): its product with J is +0.0 too.
+    The blocks are 3-sequences of floats, ``vcol`` None for no v column, and
+    nothing is validated: hot-path callers check their inputs once.  By the
+    module's contract, with S = [omega dt]_x and Q = S S: R = (I + s1 S) + c1 Q,
+    J = dt ((I + c1 S) + c2 Q), K = dt^2 ((I/2 + c2 S) + d2 Q), entry by
+    entry, then P = (0.0 + J v) + rho (K a) and V = J a.
     """
-    w0, w1, w2 = omega.tolist()
-    z = 0.0 * dt
+    w0, w1, w2 = omega
+    a0, a1, a2 = acol
     x1, x2, x3, x5, x6, x7 = -w2 * dt, w1 * dt, w2 * dt, -w0 * dt, -w1 * dt, w0 * dt
-    theta = math.sqrt(omega.dot(omega)) * abs(dt)
-    s1, c1, c2, d2 = _exp_coefficients(theta)
-    S = np.array((z, x1, x2, x3, z, x5, x6, x7, z)).reshape(3, 3)
-    (q0, q1, q2), (q3, q4, q5), (q6, q7, q8) = S.dot(S).tolist()
-    rz, jz, kz, h = s1 * z, c1 * z, c2 * z, dt * dt
-    JK = np.array((
-        dt * (1.0 + jz + c2 * q0), dt * (0.0 + c1 * x1 + c2 * q1), dt * (0.0 + c1 * x2 + c2 * q2),
-        dt * (0.0 + c1 * x3 + c2 * q3), dt * (1.0 + jz + c2 * q4), dt * (0.0 + c1 * x5 + c2 * q5),
-        dt * (0.0 + c1 * x6 + c2 * q6), dt * (0.0 + c1 * x7 + c2 * q7), dt * (1.0 + jz + c2 * q8),
-        h * (0.5 + kz + d2 * q0), h * (0.0 + c2 * x1 + d2 * q1), h * (0.0 + c2 * x2 + d2 * q2),
-        h * (0.0 + c2 * x3 + d2 * q3), h * (0.5 + kz + d2 * q4), h * (0.0 + c2 * x5 + d2 * q5),
-        h * (0.0 + c2 * x6 + d2 * q6), h * (0.0 + c2 * x7 + d2 * q7), h * (0.5 + kz + d2 * q8),
-    )).reshape(6, 3)
-    j0, j1, j2 = (0.0, 0.0, 0.0) if vcol is _ZERO3 else JK[:3].dot(vcol).tolist()
-    a0, a1, a2, k0, k1, k2 = JK.dot(acol).tolist()
-    return np.array((
-        1.0 + rz + c1 * q0, 0.0 + s1 * x1 + c1 * q1, 0.0 + s1 * x2 + c1 * q2, j0 + rho * k0, a0,
-        0.0 + s1 * x3 + c1 * q3, 1.0 + rz + c1 * q4, 0.0 + s1 * x5 + c1 * q5, j1 + rho * k1, a1,
-        0.0 + s1 * x6 + c1 * q6, 0.0 + s1 * x7 + c1 * q7, 1.0 + rz + c1 * q8, j2 + rho * k2, a2,
-        0.0, 0.0, 0.0, 1.0, 0.0,
-        0.0, 0.0, 0.0, rho * dt, 1.0,
-    )).reshape(5, 5)
+    s1, c1, c2, d2 = _exp_coefficients(math.sqrt(w0 * w0 + w1 * w1 + w2 * w2) * abs(dt))
+    q0, q1, q2 = x1 * x3 + x2 * x6, x2 * x7, x1 * x5
+    q3, q4, q5 = x5 * x6, x3 * x1 + x5 * x7, x3 * x2
+    q6, q7, q8 = x7 * x3, x6 * x1, x6 * x2 + x7 * x5
+    j0, j1, j2 = dt * (1.0 + c2 * q0), dt * (0.0 + c1 * x1 + c2 * q1), dt * (0.0 + c1 * x2 + c2 * q2)
+    j3, j4, j5 = dt * (0.0 + c1 * x3 + c2 * q3), dt * (1.0 + c2 * q4), dt * (0.0 + c1 * x5 + c2 * q5)
+    j6, j7, j8 = dt * (0.0 + c1 * x6 + c2 * q6), dt * (0.0 + c1 * x7 + c2 * q7), dt * (1.0 + c2 * q8)
+    h = dt * dt
+    k0, k1, k2 = h * (0.5 + d2 * q0), h * (0.0 + c2 * x1 + d2 * q1), h * (0.0 + c2 * x2 + d2 * q2)
+    k3, k4, k5 = h * (0.0 + c2 * x3 + d2 * q3), h * (0.5 + d2 * q4), h * (0.0 + c2 * x5 + d2 * q5)
+    k6, k7, k8 = h * (0.0 + c2 * x6 + d2 * q6), h * (0.0 + c2 * x7 + d2 * q7), h * (0.5 + d2 * q8)
+    u0 = u1 = u2 = 0.0  # J v without a v column
+    if vcol is not None:
+        b0, b1, b2 = vcol
+        u0, u1 = 0.0 + j0 * b0 + j1 * b1 + j2 * b2, 0.0 + j3 * b0 + j4 * b1 + j5 * b2
+        u2 = 0.0 + j6 * b0 + j7 * b1 + j8 * b2
+    return (
+        1.0 + c1 * q0, 0.0 + s1 * x1 + c1 * q1, 0.0 + s1 * x2 + c1 * q2,
+        0.0 + s1 * x3 + c1 * q3, 1.0 + c1 * q4, 0.0 + s1 * x5 + c1 * q5,
+        0.0 + s1 * x6 + c1 * q6, 0.0 + s1 * x7 + c1 * q7, 1.0 + c1 * q8,
+        u0 + rho * (k0 * a0 + k1 * a1 + k2 * a2), u1 + rho * (k3 * a0 + k4 * a1 + k5 * a2),
+        u2 + rho * (k6 * a0 + k7 * a1 + k8 * a2),
+        j0 * a0 + j1 * a1 + j2 * a2, j3 * a0 + j4 * a1 + j5 * a2, j6 * a0 + j7 * a1 + j8 * a2,
+    )
+
+
+def _compose(a, b, c: float) -> tuple:
+    """The top block [R P V] of the product a b of two SE2(3) elements, as 15 floats.
+
+    ``a`` and ``b`` are top blocks and ``c`` is b's rho dt entry (0.0 for a
+    state); the product's own, a's plus c, is the caller's to know.  By the
+    module's contract: R_a R_b, R_a P_b + P_a + V_a c and R_a V_b + V_a.
+    """
+    r0, r1, r2, r3, r4, r5, r6, r7, r8, p0, p1, p2, v0, v1, v2 = a
+    s0, s1, s2, s3, s4, s5, s6, s7, s8, q0, q1, q2, u0, u1, u2 = b
+    return (
+        r0 * s0 + r1 * s3 + r2 * s6, r0 * s1 + r1 * s4 + r2 * s7, r0 * s2 + r1 * s5 + r2 * s8,
+        r3 * s0 + r4 * s3 + r5 * s6, r3 * s1 + r4 * s4 + r5 * s7, r3 * s2 + r4 * s5 + r5 * s8,
+        r6 * s0 + r7 * s3 + r8 * s6, r6 * s1 + r7 * s4 + r8 * s7, r6 * s2 + r7 * s5 + r8 * s8,
+        r0 * q0 + r1 * q1 + r2 * q2 + p0 + v0 * c, r3 * q0 + r4 * q1 + r5 * q2 + p1 + v1 * c,
+        r6 * q0 + r7 * q1 + r8 * q2 + p2 + v2 * c,
+        r0 * u0 + r1 * u1 + r2 * u2 + v0, r3 * u0 + r4 * u1 + r5 * u2 + v1, r6 * u0 + r7 * u1 + r8 * u2 + v2,
+    )
 
 
 def reorthonormalize(R) -> np.ndarray:

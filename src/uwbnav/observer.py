@@ -28,13 +28,14 @@ keep running (gravity is still integrated through the correction element's
 acceleration column).  A TDOA solve failure degrades to the same
 dead-reckoning behaviour and is counted, never raised.
 
-``step`` runs on the raw blocks of the state.  It starts from the 5x5 matrix
-of R, P and V that the previous step returned: the state carries it, and its
-``nav`` arrays are views of it (a reorthonormalised R is written back into
-it).  A state made any other way (constructor, ``cold_start``, ``replace``,
-pickle, copy) carries none, and its ``nav`` is packed once.  Both
-exponentials are built from their (omega, v, a, rho) blocks by
-``liegroup._se23_exp``; no ``TangentElement`` or intermediate state is
+``step`` runs on Python floats.  It starts from the 21 floats of R
+(row-major), P, V and both biases that the previous step returned: the state
+carries them as one array, of which its arrays are views (a reorthonormalised
+R is written into it), read with one ``tolist()``.  A state made any other
+way (constructor, ``cold_start``, ``replace``, pickle, copy) carries none,
+and its fields are unpacked once.  Both exponentials are built from their
+(omega, v, a, rho) blocks by ``liegroup._se23_exp`` and multiplied in by
+``liegroup._compose``; no ``TangentElement``, 5x5 or intermediate state is
 made.  Validation sits at the boundary, and each check runs once.  On entry,
 before any measurement is read: the step length, a frame needing an anchor
 set, a handed fix being a finite 3-vector, handed body rows needing an IMU
@@ -43,20 +44,20 @@ sample and being nine finite numbers, the caller's triad weights
 measurements: ``TdoaFrame`` checks its differences when it is made and
 ``solve_frame``, as it builds the frame's system, their count and size; the
 body rows are unit and v3 orthogonal by construction, and the reference rows
-were checked once, by ``ReferenceVectors``.  On the result, from one
-``X[:3].tolist()``: the rotation on SO(3) (``liegroup._check_so3``), then one
-finiteness test over the position, velocity and both biases, in the order
-the public constructors check them and with their messages.  The returned
-``ObserverState``, its ``NavState`` and ``Rotation`` are then made from those
-checked values without running the constructors again.  A state that
-diverges therefore surfaces as a ValueError.
+were checked once, by ``ReferenceVectors``.  On the result's floats: the
+rotation on SO(3) (``liegroup._check_so3``), then one finiteness test over
+the position, velocity and both biases, in the order the public
+constructors check them and with their messages.  The returned
+``ObserverState``, its ``NavState`` and ``Rotation`` are then made from one
+array of them without running the constructors again.  A state that diverges
+therefore surfaces as a ValueError.
 
-The kernel keeps ``liegroup``'s arithmetic contract: each product is one BLAS
-call on the arrays the matrix form multiplies, and the sums, differences and
-scalings between them run on Python floats in its order (``p_y - P``, itself
-a product's operand, stays one numpy subtraction, which rounds the same).
-Its states are bit-identical to the dataclass composition (see
-tests/test_observer.py).
+Between reading its inputs and building that array the step keeps
+``liegroup``'s arithmetic contract and makes no numpy call (R^T r_i, the
+crosses, their weighted sum, [w_omega]_x P and V as crosses, R^T e are
+written out in the matrix form's order); its states are bit for bit those of
+the dataclass composition on that contract (tests/test_observer.py).  The
+body rows, the frame's solve and each reorthonormalisation run on numpy.
 
 This module holds the online step, the gains, the error kernels and the
 gain certificate.  The loop over a stream is ``sim._run_and_score``, the one
@@ -76,11 +77,10 @@ import numpy as np
 from .liegroup import (
     NavState,
     Rotation,
-    _ZERO3,
     _as_vec3,
     _check_so3,
+    _compose,
     _norms,
-    _pack,
     _se23_exp,
     att_dist,
     reorthonormalize,
@@ -91,7 +91,6 @@ from .sensors import (
     ReferenceVectors,
     TriadDegenerate,
     TriadPair,
-    _UNIT_WEIGHTS,
     _body_rows,
     _check_weights,
     build_triads,  # noqa: F401  step runs _body_rows; navbench traces calls at this name
@@ -128,6 +127,14 @@ def _check_body_rows(rows) -> None:
         ok = False
     if not ok:
         raise ValueError(f"body_rows must be 9 finite numbers, got {rows!r}")
+
+
+def _carried(state) -> list:
+    """The 21 floats ``step`` carries: R (row-major), P, V, b_omega_hat and b_a_hat."""
+    if state._x is not None:
+        return state._x.tolist()
+    nav = state.nav
+    return np.concatenate((nav.rot.m.ravel(), nav.pos, nav.vel, state.b_omega_hat, state.b_a_hat)).tolist()
 
 
 def _check_dt(dt: float) -> None:
@@ -172,10 +179,10 @@ class ObserverState:
     def __post_init__(self):
         object.__setattr__(self, "b_omega_hat", _as_vec3(self.b_omega_hat, "b_omega_hat"))
         object.__setattr__(self, "b_a_hat", _as_vec3(self.b_a_hat, "b_a_hat"))
-        object.__setattr__(self, "_X", None)  # no carried 5x5: step packs nav once
+        object.__setattr__(self, "_x", None)  # no carried array: step unpacks nav once
 
     def __getstate__(self):
-        return {**vars(self), "_X": None}  # a pickle or copy packs its own nav
+        return {**vars(self), "_x": None}  # a pickle or copy unpacks its own nav
 
     @classmethod
     def cold_start(cls, pos=(0.0, 0.0, 0.0), vel=(0.0, 0.0, 0.0), rot=None) -> "ObserverState":
@@ -264,17 +271,15 @@ def step(
             raise ValueError("triad body rows were handed to step without an IMU sample")
         if body_rows is not None:
             _check_body_rows(body_rows)
-    s = _UNIT_WEIGHTS if weights is None else _check_weights(weights)
-    nav, X = state.nav, state._X
-    R, P, V = nav.rot.m, nav.pos, nav.vel
-    b_omega_hat, b_a_hat = state.b_omega_hat, state.b_a_hat
-    omega = imu.gyro - b_omega_hat
-    acc = imu.accel - b_a_hat
-    if not all(map(math.isfinite, omega.tolist() + acc.tolist())):
-        raise ValueError(f"bias-corrected IMU element must be finite, got {omega}, {acc}")
+    s0, s1, s2 = (1.0, 1.0, 1.0) if weights is None else _check_weights(weights).tolist()
+    r0, r1, r2, r3, r4, r5, r6, r7, r8, P0, P1, P2, V0, V1, V2, b0, b1, b2, c0, c1, c2 = carry = _carried(state)
+    (g0, g1, g2), (f0, f1, f2) = imu.gyro.tolist(), imu.accel.tolist()
+    omega, acc = (g0 - b0, g1 - b1, g2 - b2), (f0 - c0, f1 - c1, f2 - c2)
+    if not all(map(math.isfinite, omega + acc)):
+        raise ValueError(f"bias-corrected IMU element must be finite, got {np.array(omega)}, {np.array(acc)}")
 
-    # Predict with the bias-corrected IMU element u([omega]_x, 0, acc, 1).
-    Xp = (_pack(R, P, V) if X is None else X).dot(_se23_exp(omega, _ZERO3, acc, 1.0, dt))
+    # Predict with the bias-corrected IMU element u([omega]_x, 0, acc, 1): X+ = X exp(U dt).
+    Xp = _compose(carry[:15], _se23_exp(omega, None, acc, 1.0, dt), dt)
 
     # Position fix, if a frame arrived and solves: here, or in the caller that handed p_y.
     tdoa_failures = state.tdoa_failures
@@ -289,10 +294,10 @@ def step(
         if p_y is None:
             tdoa_failures += 1
 
-    # The correction terms at the incoming state, on Python floats: w_omega (o)
-    # and the gyro-bias rate (d) from attitude_innovation's sum, suspended without
-    # triads; w_V (v), w_a (a) and the accelerometer-bias rate (f) from
-    # e = p_y - P, suspended without a fix.
+    # The correction terms at the incoming state: w_omega (o) and the gyro-bias
+    # rate (d) from attitude_innovation's sum, suspended without triads; -w_V
+    # (v), w_a - g (a) and the accelerometer-bias rate (f) from e = p_y - P,
+    # with w_V = w_a = 0 and no v column without a fix.
     triad_failures = state.triad_failures
     if body_rows is _FORM:
         try:
@@ -304,78 +309,72 @@ def step(
         o0 = o1 = o2 = d0 = d1 = d2 = 0.0
     else:
         u0, u1, u2, u3, u4, u5, u6, u7, u8 = body_rows
-        (h0, h1, h2), (h3, h4, h5), (h6, h7, h8) = ref.triad.dot(R).tolist()  # vhat_i = R^T r_i
-        # v_i x vhat_i, with the operations of sensors._cross.
-        crosses = np.array((
-            u1 * h2 - u2 * h1, u2 * h0 - u0 * h2, u0 * h1 - u1 * h0,
-            u4 * h5 - u5 * h4, u5 * h3 - u3 * h5, u3 * h4 - u4 * h3,
-            u7 * h8 - u8 * h7, u8 * h6 - u6 * h8, u6 * h7 - u7 * h6,
-        )).reshape(3, 3)
-        body_sum = crosses.T.dot(s)
-        k, (x0, x1, x2) = -0.5 * gains.k_omega, R.dot(body_sum).tolist()
-        o0, o1, o2 = k * x0, k * x1, k * x2
-        k, (x0, x1, x2) = -0.5 * gains.gamma_omega, body_sum.tolist()
+        t0, t1, t2, t3, t4, t5, t6, t7, t8 = ref._triad_floats
+        # vhat_i = R^T r_i, the rows of triad R; then v_i x vhat_i, as sensors._cross,
+        # and body_sum = sum_i s_i (v_i x vhat_i).
+        h0, h1, h2 = t0 * r0 + t1 * r3 + t2 * r6, t0 * r1 + t1 * r4 + t2 * r7, t0 * r2 + t1 * r5 + t2 * r8
+        h3, h4, h5 = t3 * r0 + t4 * r3 + t5 * r6, t3 * r1 + t4 * r4 + t5 * r7, t3 * r2 + t4 * r5 + t5 * r8
+        h6, h7, h8 = t6 * r0 + t7 * r3 + t8 * r6, t6 * r1 + t7 * r4 + t8 * r7, t6 * r2 + t7 * r5 + t8 * r8
+        e0, e1, e2 = u1 * h2 - u2 * h1, u2 * h0 - u0 * h2, u0 * h1 - u1 * h0
+        e3, e4, e5 = u4 * h5 - u5 * h4, u5 * h3 - u3 * h5, u3 * h4 - u4 * h3
+        e6, e7, e8 = u7 * h8 - u8 * h7, u8 * h6 - u6 * h8, u6 * h7 - u7 * h6
+        x0, x1, x2 = e0 * s0 + e3 * s1 + e6 * s2, e1 * s0 + e4 * s1 + e7 * s2, e2 * s0 + e5 * s1 + e8 * s2
+        k = -0.5 * gains.k_omega  # w_omega = k R body_sum
+        o0, o1, o2 = (k * (r0 * x0 + r1 * x1 + r2 * x2), k * (r3 * x0 + r4 * x1 + r5 * x2),
+                      k * (r6 * x0 + r7 * x1 + r8 * x2))
+        k = -0.5 * gains.gamma_omega
         d0, d1, d2 = k * x0, k * x1, k * x2
+    g0, g1, g2 = ref._gravity_floats
     if p_y is None:
-        v0 = v1 = v2 = a0 = a1 = a2 = f0 = f1 = f2 = 0.0
+        v = None
+        a0, a1, a2 = 0.0 - g0, 0.0 - g1, 0.0 - g2
+        f0 = f1 = f2 = 0.0
     else:
-        e = p_y - P
-        e0, e1, e2 = e.tolist()
-        W = np.array((0.0, -o2, o1, o2, 0.0, -o0, -o1, o0, 0.0)).reshape(3, 3)  # skew(w_omega)
-        k, (x0, x1, x2) = -gains.k_v, W.dot(P).tolist()
-        v0, v1, v2 = k * e0 - x0, k * e1 - x1, k * e2 - x2
-        k, (x0, x1, x2) = -gains.k_a, W.dot(V).tolist()
-        a0, a1, a2 = k * e0 - x0, k * e1 - x1, k * e2 - x2
-        # R.T @ e, not R.T.dot(e): on a strided R (a view of the last 5x5) they differ.
-        k, (x0, x1, x2) = -gains.gamma_a, (R.T @ e).tolist()
-        f0, f1, f2 = k * x0, k * x1, k * x2
+        y0, y1, y2 = p_y.tolist()
+        e0, e1, e2 = y0 - P0, y1 - P1, y2 - P2
+        # [w_omega]_x P and [w_omega]_x V are the crosses w_omega x P and w_omega x V.
+        k = -gains.k_v
+        v = -(k * e0 - (o1 * P2 - o2 * P1)), -(k * e1 - (o2 * P0 - o0 * P2)), -(k * e2 - (o0 * P1 - o1 * P0))
+        k = -gains.k_a
+        a0, a1, a2 = (k * e0 - (o1 * V2 - o2 * V1) - g0, k * e1 - (o2 * V0 - o0 * V2) - g1,
+                      k * e2 - (o0 * V1 - o1 * V0) - g2)
+        k = -gains.gamma_a  # times R^T e
+        f0, f1, f2 = (k * (r0 * e0 + r3 * e1 + r6 * e2), k * (r1 * e0 + r4 * e1 + r7 * e2),
+                      k * (r2 * e0 + r5 * e1 + r8 * e2))
 
-    # Correct with u(-[w_omega]_x, -w_V, -(w_a - g), -1); the acceleration
-    # column carries g so gravity is always integrated, with or without a
-    # position fix.  Without one, -w_V is (-0, -0, -0), whose product with J
-    # is +0.0, the zero _se23_exp stands in for _ZERO3's.
-    g0, g1, g2 = ref.gravity.tolist()
-    X = _se23_exp(
-        np.array((-o0, -o1, -o2)),
-        _ZERO3 if p_y is None else np.array((-v0, -v1, -v2)),
-        np.array((-(a0 - g0), -(a1 - g1), -(a2 - g2))),
-        -1.0,
-        dt,
-    ).dot(Xp)
-
+    # Correct with u(-[w_omega]_x, -w_V, -(w_a - g), -1): X = exp(-u dt) X+, X+'s
+    # rho dt entry dt.  The a column carries g: gravity is integrated with or without a fix.
+    X = _compose(_se23_exp((-o0, -o1, -o2), v, (-a0, -a1, -a2), -1.0, dt), Xp, dt)
     count = state.step_count + 1
-    Rnew = X[:3, :3]
     if reorth_every and count % reorth_every == 0:
-        Rnew[:] = reorthonormalize(Rnew)
-    (b0, b1, b2), (c0, c1, c2) = b_omega_hat.tolist(), b_a_hat.tolist()
-    b_omega_new = (b0 + dt * d0, b1 + dt * d1, b2 + dt * d2)
-    b_a_new = (c0 + dt * f0, c1 + dt * f1, c2 + dt * f2)
+        X = (*reorthonormalize(np.array(X[:9]).reshape(3, 3)).ravel().tolist(), *X[9:])
+    b = b0 + dt * d0, b1 + dt * d1, b2 + dt * d2, c0 + dt * f0, c1 + dt * f1, c2 + dt * f2  # both biases
 
-    # The result's checks on one unpacking of X, in its constructors' order: the
-    # rotation on SO(3), then one finiteness test over position, velocity and both
-    # biases (on failure the public constructors rerun it and raise with their message).
-    (r0, r1, r2, p0, v0), (r3, r4, r5, p1, v1), (r6, r7, r8, p2, v2) = X[:3].tolist()
-    _check_so3(r0, r1, r2, r3, r4, r5, r6, r7, r8)
-    pos, vel = X[:3, 3], X[:3, 4]
-    if not all(map(math.isfinite, (p0, p1, p2, v0, v1, v2, *b_omega_new, *b_a_new))):
-        ObserverState(NavState(Rotation(Rnew), pos, vel), b_omega_new, b_a_new)
+    # The result's checks, in its constructors' order: the rotation on SO(3),
+    # then one finiteness test over position, velocity and both biases (on
+    # failure the public constructors rerun it and raise with their message).
+    _check_so3(*X[:9])
+    x = np.array((*X, *b))
+    R, pos, vel, b_omega_hat, b_a_hat = x[:9].reshape(3, 3), x[9:12], x[12:15], x[15:18], x[18:]
+    if not all(map(math.isfinite, (*X[9:], *b))):
+        ObserverState(NavState(Rotation(R), pos, vel), b_omega_hat, b_a_hat)
     # Each field set in declaration order, as __init__ sets it, so that every
     # instance dict keeps sharing its keys with its class.
     put = object.__setattr__
     rot = object.__new__(Rotation)
-    put(rot, "m", Rnew)
+    put(rot, "m", R)
     nav = object.__new__(NavState)
     put(nav, "rot", rot)
     put(nav, "pos", pos)
     put(nav, "vel", vel)
     out = object.__new__(ObserverState)
     put(out, "nav", nav)
-    put(out, "b_omega_hat", np.array(b_omega_new))
-    put(out, "b_a_hat", np.array(b_a_new))
+    put(out, "b_omega_hat", b_omega_hat)
+    put(out, "b_a_hat", b_a_hat)
     put(out, "step_count", count)
     put(out, "tdoa_failures", tdoa_failures)
     put(out, "triad_failures", triad_failures)
-    put(out, "_X", X)  # the next step starts from X, whose blocks nav views
+    put(out, "_x", x)  # the next step starts from x, of which every array field is a view
     return out
 
 

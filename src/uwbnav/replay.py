@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .liegroup import Rotation, _norms
+from .liegroup import Rotation, _as_vec3, _norms
 from .observer import Gains, ObserverState, step
 from .sensors import ReferenceVectors
 from .sim import _SETTLE_DWELL, _SETTLE_THRESHOLD, _STREAM_MAG, RunResult, SimResult, _noisy_table, _run_and_score
@@ -439,10 +439,11 @@ def run_replay(
     with noise ``mag_noise_sd`` (draws keyed by the seed and sample index);
     a sample outside the truth range has none.  The velocity and settle
     defaults are ``derive_velocity``'s and ``run_scenario``'s.  ``tag_offset``
-    is accepted but not yet applied (ROADMAP item 2 plans ``p_y - R_hat @ tag_offset``).
+    is checked as a finite 3-vector (ValueError) but not yet applied (ROADMAP
+    item 2 plans ``p_y - R_hat @ tag_offset``).
     """
+    _as_vec3(tag_offset, "tag_offset")
     ref = ReferenceVectors() if ref is None else ref
-    tag_offset = np.asarray(tag_offset, dtype=float)
     imu, tdoa, gt = dataset.imu, dataset.tdoa, dataset.gt
     if len(imu) < 2:
         raise DataError(f"need at least 2 IMU samples to step, got {len(imu)}")

@@ -75,7 +75,8 @@ class ReferenceVectors:
     """Known inertial-frame directions: gravity and the local magnetic field.
 
     ``triad`` holds the reference rows r_1..r_3 that :func:`build_triads`
-    pairs with every measurement, computed once here.
+    pairs with every measurement, computed once here, as do the float tuples
+    ``_triad_floats`` and ``_gravity_floats`` that ``observer.step`` reads.
     """
 
     gravity: np.ndarray = (0.0, 0.0, -9.8)
@@ -104,6 +105,8 @@ class ReferenceVectors:
         for arr in (g, m, r):
             arr.setflags(write=False)
         object.__setattr__(self, "triad", r)
+        object.__setattr__(self, "_triad_floats", tuple(r.ravel().tolist()))
+        object.__setattr__(self, "_gravity_floats", tuple(g.tolist()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -51,19 +51,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .liegroup import (
-    _ZERO3,
     NavState,
     Rotation,
     _as_vec3,
     _check_so3,
+    _compose,
     _norms,
-    _pack,
     _se23_exp,
     _trusted,
     se23_exp,  # noqa: F401  _walk_truth runs _se23_exp; navbench traces calls at this name
     so3_exp,
 )
-from .observer import _DT_MAX, Gains, ObserverState, _check_dt, _nav_errors, step
+from .observer import _DT_MAX, Gains, ObserverState, _carried, _check_dt, _nav_errors, step
 from .observer import error_metrics  # noqa: F401  run_scenario batches the errors; navbench traces this name
 from .sensors import ImuSample, ReferenceVectors, _body_rows_table
 from .tdoa import Anchor, AnchorSet, GeometryDegenerate, TdoaFrame, _range_differences, solve_frame
@@ -192,29 +191,29 @@ class TruthTrack:
 def _walk_truth(nav: NavState, time: float, dts: list, omega_fn, accel_fn, gravity) -> np.ndarray:
     """The truth stepped from ``nav`` at ``time`` over each step length of ``dts``.
 
-    Returns the (len(dts) + 1, 3, 5) stack of [R P V], row 0 ``nav``.  Each
-    step is exp(-G dt) @ X @ exp(U dt) on the 5x5 X carried from the step
-    before, U from the ``omega_fn``/``accel_fn`` samples at the step's
-    midpoint; the gravity factor exp(-G dt) is built once per distinct dt.
-    It checks what it takes in and makes: every dt, each midpoint sample,
-    each new rotation on SO(3) and each new position and velocity.
+    Returns the (len(dts) + 1, 15) stack of top blocks [R P V] (R row-major,
+    then P and V), row 0 ``nav``.  Each step is (exp(-G dt) X) exp(U dt), two
+    ``liegroup._compose`` products on the floats carried from the step before,
+    U from the ``omega_fn``/``accel_fn`` samples at the step's midpoint; the
+    gravity factor exp(-G dt) is built once per distinct dt.  It checks what it
+    takes in and makes: every dt, each midpoint sample, each new rotation on
+    SO(3) and each new position and velocity.
     """
     _check_dt(min(dts))
     _check_dt(max(dts))
-    gravity_factors = {dt: _se23_exp(_ZERO3, _ZERO3, -gravity, 1.0, -dt) for dt in set(dts)}
-    out = np.empty((len(dts) + 1, 3, 5))
-    X = _pack(nav.rot.m, nav.pos, nav.vel)
-    out[0] = X[:3]
+    gravity_factors = {dt: _se23_exp((0.0, 0.0, 0.0), None, (-gravity).tolist(), 1.0, -dt) for dt in set(dts)}
+    X = (*nav.rot.m.ravel().tolist(), *nav.pos.tolist(), *nav.vel.tolist())
+    out = np.empty((len(dts) + 1, 15))
+    out[0] = X
     for k, dt in enumerate(dts, 1):
         mid = time + 0.5 * dt
-        omega = _as_vec3(omega_fn(mid), "omega_fn(t)")
-        accel = _as_vec3(accel_fn(mid), "accel_fn(t)")
-        X = gravity_factors[dt].dot(X).dot(_se23_exp(omega, _ZERO3, accel, 1.0, dt))
-        (r0, r1, r2, p0, v0), (r3, r4, r5, p1, v1), (r6, r7, r8, p2, v2) = X[:3].tolist()
-        _check_so3(r0, r1, r2, r3, r4, r5, r6, r7, r8)
-        if not all(map(math.isfinite, (p0, p1, p2, v0, v1, v2))):
-            raise ValueError(f"true position and velocity must be finite, got {X[:3, 3]}, {X[:3, 4]}")
-        out[k] = X[:3]
+        omega = _as_vec3(omega_fn(mid), "omega_fn(t)").tolist()
+        accel = _as_vec3(accel_fn(mid), "accel_fn(t)").tolist()
+        X = _compose(_compose(gravity_factors[dt], X, 0.0), _se23_exp(omega, None, accel, 1.0, dt), dt)
+        _check_so3(*X[:9])
+        if not all(map(math.isfinite, X[9:])):
+            raise ValueError(f"true position and velocity must be finite, got {np.array(X[9:12])}, {np.array(X[12:])}")
+        out[k] = X
         time += dt
     return out
 
@@ -222,7 +221,7 @@ def _walk_truth(nav: NavState, time: float, dts: list, omega_fn, accel_fn, gravi
 def propagate_truth(t: TruthModel, dt: float) -> TruthModel:
     """One exact Lie-group step of the true kinematics over [time, time+dt]: the walk's one-step case."""
     X = _walk_truth(t.nav, t.time, [dt], t.omega_fn, t.accel_fn, t.gravity)[1]
-    nav = _trusted(NavState, rot=_trusted(Rotation, m=X[:, :3]), pos=X[:, 3], vel=X[:, 4])
+    nav = _trusted(NavState, rot=_trusted(Rotation, m=X[:9].reshape(3, 3)), pos=X[9:12], vel=X[12:])
     return replace(t, nav=nav, time=t.time + dt)
 
 
@@ -723,7 +722,8 @@ def _run_and_score(state, imu, mags, tdoa, anchors, gains, truth, duration, sett
     failure, as in ``step``).  A ValueError from
     ``step`` (a diverged state) is raised again as a RuntimeError naming the
     step and its time, so numpy's overflow and invalid-value warnings are off.
-    The states are stacked after the loop and scored in one pass; the summary
+    Each state's 21 carried floats (``observer._carried``) go into one
+    preallocated (n+1, 21) array, scored in one pass after the loop; the summary
     holds ``duration`` (as given), ``steps``, ``error_summary``'s keys with
     ``settle`` as (threshold, dwell) and the TDOA frame and failure counts.
     Returns the record, the skipped-step and taken-frame counts and the gyro
@@ -737,18 +737,14 @@ def _run_and_score(state, imu, mags, tdoa, anchors, gains, truth, duration, sett
     gyro, accel = imu[:, 1:4], imu[:, 4:7]
     body, formed = _body_rows_table(accel[:n], mags[:n])
     raw_pos = np.full((n + 1, 3), np.nan)
-
-    def row(state):  # its 5x5 (packed if it carries none) and biases: one row of the arrays
-        nav = state.nav
-        return _pack(nav.rot.m, nav.pos, nav.vel) if state._X is None else state._X, state.b_omega_hat, state.b_a_hat
-
-    rows = [row(state)]
+    states = np.empty((n + 1, 21))  # row k: the 21 floats step carries after step k
+    states[0] = _carried(state)
     skipped = taken = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k, dt in enumerate(dts):
             if not 0.0 < dt <= _DT_MAX:
                 skipped += 1
-                rows.append(rows[-1])
+                states[k + 1] = states[k]
                 continue
             frame = p_y = None
             i = frame_rows.get(k)
@@ -765,10 +761,11 @@ def _run_and_score(state, imu, mags, tdoa, anchors, gains, truth, duration, sett
                 state = step(state, sample, frame, anchors, gains, dt, ref=ref, p_y=p_y, body_rows=body_rows)
             except ValueError as exc:
                 raise RuntimeError(f"observer diverged at step {k} (t = {times[k]!r} s): {exc}") from exc
-            rows.append(row(state))
+            x = state._x  # None from a step binding that returns a public state
+            states[k + 1] = _carried(state) if x is None else x
     # R, P and V contiguous: a strided R can round differently in _nav_errors.
-    X, b_omega_hat, b_a_hat = (np.array(a) for a in zip(*rows))
-    R, P, V = (np.ascontiguousarray(a) for a in (X[:, :3, :3], X[:, :3, 3], X[:, :3, 4]))
+    R, P, V = (np.ascontiguousarray(a) for a in (states[:, :9].reshape(-1, 3, 3), states[:, 9:12], states[:, 12:15]))
+    b_omega_hat, b_a_hat = states[:, 15:18], states[:, 18:]
     rot, pos, vel = truth
     att_err, pos_err, vel_err = _nav_errors(rot, pos, vel, R, P, V)
     raw_err = _norms(raw_pos - pos)
@@ -815,7 +812,7 @@ def truth_track(sc: Scenario) -> TruthTrack:
     times = t.tolist()
     return TruthTrack(
         omega_fn=truth.omega_fn, accel_fn=truth.accel_fn, gravity=truth.gravity,
-        imu_rate=sc.imu_rate, n=n, rot=X[:, :, :3], pos=X[:, :, 3], vel=X[:, :, 4],
+        imu_rate=sc.imu_rate, n=n, rot=X[:, :9].reshape(-1, 3, 3), pos=X[:, 9:12], vel=X[:, 12:],
         omega=[truth.omega_fn(tk) for tk in times], accel=[truth.accel_fn(tk) for tk in times],
     )
 

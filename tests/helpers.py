@@ -4,18 +4,26 @@ These deliberately avoid the closed-form code paths under test: the matrix
 exponential is summed as a plain scaled Taylor series, and random rotations
 are built from axis-angle sampling.  The observer step and the truth
 propagation are also composed here, from validated ``TangentElement``s and
-frozen copies of the kernels' arithmetic, as the references the lean kernels
-must match bit for bit; ``frozen_solve`` is the TDOA fix with its quality
+5x5 matrices, as the references the lean kernels must match bit for bit: on
+``liegroup``'s float contract, written entry by entry from the matrix
+expressions with no numpy product (``reference_step``,
+``reference_propagate_truth``), and on the BLAS arithmetic of the kernels
+before that contract (``blas_reference_step``, and the truth references
+given ``BLAS``), the matrix-form oracle the float kernels are held to within
+rounding; ``frozen_solve`` is the TDOA fix with its quality
 computed eagerly, as the solver did before it computed quality on read;
 ``frozen_fmt`` is the cell format the CSV writers must match byte for byte.
 """
 
+import functools
 import math
+import operator
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
-from uwbnav.liegroup import NavState, Rotation, TangentElement, _exp_coefficients, reorthonormalize, skew
+from uwbnav.liegroup import SMALL_ANGLE, NavState, Rotation, TangentElement, _exp_coefficients, reorthonormalize, skew
 from uwbnav.observer import REORTH_INTERVAL, ObserverState
 from uwbnav.sensors import COLLINEARITY_TOL, ReferenceVectors, TriadDegenerate, TriadPair, _cross
 from uwbnav.sim import TruthTrack
@@ -23,16 +31,25 @@ from uwbnav.tdoa import RANK_TOL, Anchor, AnchorSet, GeometryDegenerate, solve_f
 
 # --- frozen kernel arithmetic ---------------------------------------------------
 #
-# Verbatim copies of the kernels as they computed before their entrywise
-# arithmetic was unrolled onto Python floats: numpy vector operations, list
-# comprehensions over the 3x3 entries, and the same BLAS products.  The
-# references below are built from these copies and not from the package, so
-# a rewrite of _se23_exp, step's correction terms, build_triads or _pack is
-# compared with the arithmetic it replaced, never with itself.
+# Two frozen forms of the step's and the truth's arithmetic, built here and
+# not from the package, so that a rewrite of a kernel is compared with an
+# independent composition and never with itself.
+#
+# The float contract (liegroup's module docstring): every entry of a product
+# is the sum of its terms in index order, left to right, on Python floats;
+# a term with a structural zero of the matrix form is left out, and the
+# identity's entry leads each entry of R, J and K.  These are written as
+# generic loops over the entries of the matrix expressions, not as the
+# kernels' unrolled sums.
+#
+# The BLAS arithmetic: copies of the kernels as they computed before they
+# moved onto that contract, with every product one numpy/BLAS call.
 
 _EYE3 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # row-major entries of I
 _UNIT_WEIGHTS = np.ones(3)
 _UNIT_WEIGHTS.setflags(write=False)
+# Entries of a 5x5 SE2(3) matrix that are zero by its structure.
+_SE23_ZEROS = {(3, 0), (3, 1), (3, 2), (3, 4), (4, 0), (4, 1), (4, 2)}
 
 
 def frozen_pack(R, P, V):
@@ -43,7 +60,90 @@ def frozen_pack(R, P, V):
     return X
 
 
+def _sum(terms):
+    """The terms summed left to right; 0.0 for none."""
+    terms = list(terms)
+    return functools.reduce(operator.add, terms) if terms else 0.0
+
+
+def _skew_rows(w0, w1, w2):
+    """[w]_x as rows, None on its structurally zero diagonal."""
+    return [[None, -w2, w1], [w2, None, -w0], [-w1, w0, None]]
+
+
+def _skew_dot(S, x):
+    """S x for rows S from ``_skew_rows``, the diagonal's terms left out."""
+    return [_sum(S[i][k] * x[k] for k in range(3) if S[i][k] is not None) for i in range(3)]
+
+
+def _rodrigues(w0, w1, w2, dt):
+    """S = [omega dt]_x as rows (None on its diagonal) and Q = S S, each entry
+    of Q the sum of its terms in index order, the diagonal's left out."""
+    S = _skew_rows(w0 * dt, w1 * dt, w2 * dt)
+    Q = [[_sum(S[i][k] * S[k][j] for k in range(3) if S[i][k] is not None and S[k][j] is not None)
+          for j in range(3)] for i in range(3)]
+    return S, Q
+
+
+def _block(S, Q, eye, s_coef, q_coef):
+    """(eye I + s_coef S) + q_coef Q entry by entry, as rows; eye S_ii is left out."""
+    return [[(eye if i == j else 0.0 + s_coef * S[i][j]) + q_coef * Q[i][j] for j in range(3)] for i in range(3)]
+
+
+def frozen_so3_exp(omega, dt):
+    """so3_exp on the float contract: (I + a S) + c S^2 entry by entry, with
+    (a, c) = (sin(theta)/theta, (1 - cos(theta))/theta^2), or (1, 1/2) below SMALL_ANGLE."""
+    w0, w1, w2 = [float(x) for x in omega]
+    theta = math.sqrt(_sum(x * x for x in (w0, w1, w2))) * abs(dt)
+    a, c = 1.0, 0.5
+    if not theta < SMALL_ANGLE:
+        a, c = math.sin(theta) / theta, float((1.0 - math.cos(theta)) / np.float64(theta) ** 2)
+    return np.array(_block(*_rodrigues(w0, w1, w2, dt), 1.0, a, c))
+
+
 def frozen_se23_exp(omega, vcol, acol, rho, dt):
+    """exp(u dt) on the float contract: the 5x5 from the matrix expressions
+    R = (I + s1 S) + c1 S^2, (0 + J v) + rho K a and J a, entry by entry;
+    ``vcol`` None for no v column."""
+    w0, w1, w2 = [float(x) for x in omega]
+    a = [float(x) for x in acol]
+    theta = math.sqrt(_sum(x * x for x in (w0, w1, w2))) * abs(dt)
+    s1, c1, c2, d2 = _exp_coefficients(theta)
+    S, Q = _rodrigues(w0, w1, w2, dt)
+    R = _block(S, Q, 1.0, s1, c1)
+    J = [[dt * x for x in row] for row in _block(S, Q, 1.0, c1, c2)]
+    K = [[dt * dt * x for x in row] for row in _block(S, Q, 0.5, c2, d2)]
+    Jv = [0.0] * 3 if vcol is None else [_sum([0.0, *(J[i][k] * float(vcol[k]) for k in range(3))]) for i in range(3)]
+    Ka = [_sum(K[i][k] * a[k] for k in range(3)) for i in range(3)]
+    Ja = [_sum(J[i][k] * a[k] for k in range(3)) for i in range(3)]
+    return np.array(
+        [
+            [*R[0], Jv[0] + rho * Ka[0], Ja[0]],
+            [*R[1], Jv[1] + rho * Ka[1], Ja[1]],
+            [*R[2], Jv[2] + rho * Ka[2], Ja[2]],
+            [0.0, 0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, rho * dt, 1.0],
+        ]
+    )
+
+
+def frozen_product(A, B):
+    """A B of two 5x5 SE2(3) matrices on the float contract: each entry the sum
+    of its terms in index order, the terms with a structural zero left out."""
+    a, b = A.tolist(), B.tolist()
+    return np.array(
+        [
+            [
+                _sum(a[i][k] * b[k][j] for k in range(5) if (i, k) not in _SE23_ZEROS and (k, j) not in _SE23_ZEROS)
+                for j in range(5)
+            ]
+            for i in range(5)
+        ]
+    )
+
+
+def blas_se23_exp(omega, vcol, acol, rho, dt):
+    """exp(u dt) by the BLAS arithmetic: S @ S and J, K products through numpy."""
     w0, w1, w2 = omega.tolist()
     z = 0.0 * dt
     S = (z, -w2 * dt, w1 * dt, w2 * dt, z, -w0 * dt, -w1 * dt, w0 * dt, z)
@@ -87,21 +187,40 @@ def frozen_build_triads(sample, ref, s=None):
     return TriadPair(v=v, r=ref.triad, s=_UNIT_WEIGHTS if s is None else s)
 
 
-def frozen_predicted_body_vectors(Rhat, triads):
-    return triads.r @ Rhat
-
-
-def frozen_attitude_innovation(triads, vhat, Rhat):
-    crosses = [c for a, b in zip(triads.v.tolist(), vhat.tolist()) for c in _cross(a, b)]
-    body_sum = np.array(crosses).reshape(3, 3).T.dot(triads.s)
-    return body_sum, Rhat @ body_sum
-
-
 def frozen_correction_terms(R, P, V, triads, p_y, gains):
+    """w_omega, w_V, w_a and both bias rates on the float contract, as lists."""
+    R, P, V = R.tolist(), P.tolist(), V.tolist()
     if triads is not None:
-        vhat = frozen_predicted_body_vectors(R, triads)
-        body_sum, inertial_sum = frozen_attitude_innovation(triads, vhat, R)
-        w_omega = -0.5 * gains.k_omega * inertial_sum
+        r, v, s = triads.r.tolist(), triads.v.tolist(), triads.s.tolist()
+        vhat = [[_sum(r[i][k] * R[k][j] for k in range(3)) for j in range(3)] for i in range(3)]  # r R
+        crosses = [_cross(v[i], vhat[i]) for i in range(3)]
+        body_sum = [_sum(crosses[i][j] * s[i] for i in range(3)) for j in range(3)]
+        inertial_sum = [_sum(R[i][k] * body_sum[k] for k in range(3)) for i in range(3)]
+        w_omega = [-0.5 * gains.k_omega * x for x in inertial_sum]
+        b_omega_dot = [-0.5 * gains.gamma_omega * x for x in body_sum]
+    else:
+        w_omega = [0.0] * 3
+        b_omega_dot = [0.0] * 3
+    if p_y is not None:
+        e = [y - q for y, q in zip(p_y.tolist(), P)]
+        W = _skew_rows(*w_omega)
+        w_v = [-gains.k_v * x - y for x, y in zip(e, _skew_dot(W, P))]
+        w_a = [-gains.k_a * x - y for x, y in zip(e, _skew_dot(W, V))]
+        b_a_dot = [-gains.gamma_a * _sum(R[k][j] * e[k] for k in range(3)) for j in range(3)]
+    else:
+        w_v = [0.0] * 3
+        w_a = [0.0] * 3
+        b_a_dot = [0.0] * 3
+    return w_omega, w_v, w_a, b_omega_dot, b_a_dot
+
+
+def blas_correction_terms(R, P, V, triads, p_y, gains):
+    """The correction terms by the BLAS arithmetic, as arrays."""
+    if triads is not None:
+        vhat = triads.r @ R
+        crosses = [c for a, b in zip(triads.v.tolist(), vhat.tolist()) for c in _cross(a, b)]
+        body_sum = np.array(crosses).reshape(3, 3).T.dot(triads.s)
+        w_omega = -0.5 * gains.k_omega * (R @ body_sum)
         b_omega_dot = -0.5 * gains.gamma_omega * body_sum
     else:
         w_omega = np.zeros(3)
@@ -117,6 +236,12 @@ def frozen_correction_terms(R, P, V, triads, p_y, gains):
         w_a = np.zeros(3)
         b_a_dot = np.zeros(3)
     return w_omega, w_v, w_a, b_omega_dot, b_a_dot
+
+
+# The two arithmetics the references compose with: each one's exponential
+# (omega, vcol, acol, rho, dt), 5x5 product and correction terms.
+FLOAT = SimpleNamespace(exp=frozen_se23_exp, product=frozen_product, terms=frozen_correction_terms)
+BLAS = SimpleNamespace(exp=blas_se23_exp, product=np.dot, terms=blas_correction_terms)
 
 
 def frozen_solve(A, B, allow_reduced, h1):
@@ -141,11 +266,6 @@ def frozen_solve(A, B, allow_reduced, h1):
     offset = p - h1
     consistency = abs(range_to_h1 - math.sqrt(offset.dot(offset)))
     return p, range_to_h1, residual, consistency, range_to_h1 < 0.0, False
-
-
-def frozen_exp(u: TangentElement, dt):
-    """exp(u dt) of a validated element, by the frozen arithmetic."""
-    return frozen_se23_exp(u.omega, u.vcol, u.acol, u.rho, dt)
 
 
 def frozen_fmt(x) -> str:
@@ -213,25 +333,27 @@ _SOLVE_HERE = object()  # reference_step's default p_y and body_rows: nothing wa
 
 
 def reference_step(state, imu, frame, anchors, gains, dt, *, ref=None, weights=None, reorth_every=None,
-                   p_y=_SOLVE_HERE, body_rows=_SOLVE_HERE):
+                   p_y=_SOLVE_HERE, body_rows=_SOLVE_HERE, arithmetic=FLOAT):
     """One observer step composed from the validated public primitives.
 
     This is the dataclass form of ``observer.step``: both exponentials are
-    built from validated ``TangentElement``s by the frozen arithmetic above,
-    the predicted and corrected states are 5x5 products, and every
-    intermediate is validated.  The lean kernel in ``step`` must reproduce it
-    bit for bit.  It always solves the frame itself; a handed ``p_y`` (the
-    caller's fix, or None for a failed solve or no frame) must equal that
-    solve bit for bit, or both must have no fix.  It always forms the triad
-    itself too; handed ``body_rows`` (nine floats, or None for a degenerate
-    triad) must equal its body rows bit for bit, or both must have no triad.
+    built from validated ``TangentElement``s, the predicted and corrected
+    states are 5x5 products, all by ``arithmetic`` (``FLOAT``, the float
+    contract, or ``BLAS``), and every intermediate is validated.  The lean
+    kernel in ``step`` must reproduce the ``FLOAT`` composition bit for bit.
+    It always solves the frame itself; a handed ``p_y`` (the caller's fix, or
+    None for a failed solve or no frame) must equal that solve bit for bit,
+    or both must have no fix.  It always forms the triad itself too; handed
+    ``body_rows`` (nine floats, or None for a degenerate triad) must equal
+    its body rows bit for bit, or both must have no triad.
     """
     ref = ReferenceVectors() if ref is None else ref
     reorth_every = REORTH_INTERVAL if reorth_every is None else reorth_every
+    exp, product = arithmetic.exp, arithmetic.product
     nav = state.nav
     R, P, V = nav.rot.m, nav.pos, nav.vel
     U = TangentElement(imu.gyro - state.b_omega_hat, np.zeros(3), imu.accel - state.b_a_hat, 1.0)
-    Xp = frozen_pack(R, P, V) @ frozen_exp(U, dt)
+    Xp = product(frozen_pack(R, P, V), exp(U.omega, U.vcol, U.acol, U.rho, dt))
     handed, p_y = p_y, None
     tdoa_failures = state.tdoa_failures
     if frame is not None:
@@ -259,9 +381,10 @@ def reference_step(state, imu, frame, anchors, gains, dt, *, ref=None, weights=N
             assert body_rows is not None, "no body rows were handed for a sample that forms a triad"
             assert len(body_rows) == 9 and all(type(x) is float for x in body_rows)
             assert np.array(body_rows).tobytes() == triads.v.tobytes(), "the handed rows differ from the triad's"
-    w_omega, w_v, w_a, b_omega_dot, b_a_dot = frozen_correction_terms(R, P, V, triads, p_y, gains)
+    terms = arithmetic.terms(R, P, V, triads, p_y, gains)
+    w_omega, w_v, w_a, b_omega_dot, b_a_dot = (np.array(x, dtype=float) for x in terms)
     W = TangentElement(-w_omega, -w_v, -(w_a - ref.gravity), -1.0)
-    X = frozen_exp(W, dt) @ Xp
+    X = product(exp(W.omega, W.vcol, W.acol, W.rho, dt), Xp)
     count = state.step_count + 1
     Rnew = X[:3, :3]
     if reorth_every and count % reorth_every == 0:
@@ -276,24 +399,31 @@ def reference_step(state, imu, frame, anchors, gains, dt, *, ref=None, weights=N
     )
 
 
-def reference_propagate_truth(truth, dt):
-    """``sim.propagate_truth`` as the sandwich exp(-G dt) @ X @ exp(U dt) of validated elements."""
+blas_reference_step = functools.partial(reference_step, arithmetic=BLAS)
+
+
+def reference_propagate_truth(truth, dt, arithmetic=FLOAT):
+    """``sim.propagate_truth`` as the sandwich (exp(-G dt) X) exp(U dt) of validated elements."""
+    exp, product = arithmetic.exp, arithmetic.product
     mid = truth.time + 0.5 * dt
     U = TangentElement(truth.omega_fn(mid), np.zeros(3), truth.accel_fn(mid), 1.0)
     G = TangentElement(np.zeros(3), np.zeros(3), -truth.gravity, 1.0)
     nav = truth.nav
-    X = frozen_exp(G, -dt) @ frozen_pack(nav.rot.m, nav.pos, nav.vel) @ frozen_exp(U, dt)
+    X = product(
+        product(exp(G.omega, G.vcol, G.acol, G.rho, -dt), frozen_pack(nav.rot.m, nav.pos, nav.vel)),
+        exp(U.omega, U.vcol, U.acol, U.rho, dt),
+    )
     return replace(truth, nav=NavState(Rotation(X[:3, :3]), X[:3, 3], X[:3, 4]), time=truth.time + dt)
 
 
-def reference_truth_track(sc):
+def reference_truth_track(sc, arithmetic=FLOAT):
     """``sim.truth_track`` as a walk of ``reference_propagate_truth`` over the IMU sample grid."""
     n = int(round(sc.duration * sc.imu_rate))
     t = np.arange(n + 1) / sc.imu_rate
     truth = replace(sc.truth, time=0.0)
     navs = [truth.nav]
     for k in range(n):
-        truth = reference_propagate_truth(truth, float(t[k + 1] - t[k]))
+        truth = reference_propagate_truth(truth, float(t[k + 1] - t[k]), arithmetic)
         navs.append(truth.nav)
     return TruthTrack(
         omega_fn=truth.omega_fn,
@@ -310,12 +440,13 @@ def reference_truth_track(sc):
 
 
 def assert_states_identical(a, b):
-    """Bit-for-bit equality of two observer states, counters included."""
-    assert np.array_equal(a.nav.rot.m, b.nav.rot.m)
-    assert np.array_equal(a.nav.pos, b.nav.pos)
-    assert np.array_equal(a.nav.vel, b.nav.vel)
-    assert np.array_equal(a.b_omega_hat, b.b_omega_hat)
-    assert np.array_equal(a.b_a_hat, b.b_a_hat)
+    """Bit-for-bit equality of two observer states, the signs of zeros and the counters included."""
+    pairs = zip(
+        (a.nav.rot.m, a.nav.pos, a.nav.vel, a.b_omega_hat, a.b_a_hat),
+        (b.nav.rot.m, b.nav.pos, b.nav.vel, b.b_omega_hat, b.b_a_hat),
+    )
+    for x, y in pairs:
+        assert x.shape == y.shape and np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes(), (x, y)
     assert (a.step_count, a.tdoa_failures, a.triad_failures) == (
         b.step_count,
         b.tdoa_failures,

@@ -558,6 +558,20 @@ def test_replay_cli_runs_an_exported_dataset(capsys, tmp_path, exported_dataset)
     assert summary["gt_records"] == 201
 
 
+@pytest.mark.parametrize("setting", ["replay.tag_offset=[1e400,0,0]", "replay.tag_offset=[0,-1e400,0]"])
+def test_replay_refuses_a_lever_arm_that_overflows_to_inf(capsys, tmp_path, exported_dataset, setting):
+    # JSON reads 1e400 as inf, which passes the config's "3 numbers" check;
+    # run_replay refuses it before it steps, naming the key.
+    ds = exported_dataset
+    argv = ["replay", "--out", str(tmp_path / "out")]
+    for key in ("imu", "uwb", "gt"):
+        argv += ["--set", f"replay.{key}={ds}/{key}.csv"]
+    code, _, err = run_cli(capsys, argv + ["--set", f"replay.anchors={ds}/anchors.json", "--set", setting])
+    assert code == 2
+    assert err.startswith("invalid input: tag_offset must be finite") and "Traceback" not in err
+    assert not tmp_path.joinpath("out").exists()
+
+
 @pytest.mark.parametrize("argv", [["sim", "--scenario", "static", "--runs", "2"], ["replay"]], ids=["sim", "replay"])
 def test_cli_has_no_jobs_flag(capsys, tmp_path, argv):
     # Every seed of a sweep runs in the CLI's own process.

@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from helpers import expm_series, frozen_se23_exp, random_rotation
+from helpers import blas_se23_exp, expm_series, frozen_product, frozen_se23_exp, frozen_so3_exp, random_rotation
 from uwbnav.liegroup import (
     _EXP_TAYLOR_SWITCH,
-    _ZERO3,
     NavState,
     _as_vec3,
     Rotation,
     SMALL_ANGLE,
     TangentElement,
     att_dist,
-    _pack,
+    _compose,
     _se23_exp,
     pa,
     reorthonormalize,
@@ -172,36 +171,76 @@ def test_att_dist_weighted_form():
         assert att_dist(R, M) == pytest.approx(0.25 * np.trace(M - M @ R), abs=1e-12)
 
 
-# --- packing ------------------------------------------------------------------
+# --- the float layout -------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+_IDENTITY_BLOCK = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def test_pack_identity_state_is_identity_matrix():
-    s = NavState.identity()
-    assert np.array_equal(_pack(s.rot.m, s.pos, s.vel), np.eye(5))
+def top(E) -> tuple:
+    """The top block [R P V] of a 5x5 in the kernels' layout: R row-major, then P and V."""
+    E = np.asarray(E)
+    return (*E[:3, :3].ravel().tolist(), *E[:3, 3].tolist(), *E[:3, 4].tolist())
 
 
-def test_pack_layout_and_bottom_rows():
+def element(block, c=0.0) -> np.ndarray:
+    """The 5x5 of a top block, its rho dt entry ``c``."""
+    E = np.eye(5)
+    E[:3, :3] = np.reshape(block[:9], (3, 3))
+    E[:3, 3], E[:3, 4], E[4, 3] = block[9:12], block[12:], c
+    return E
+
+
+def bits(block) -> bytes:
+    return np.array(block, dtype=float).tobytes()
+
+
+def test_compose_with_the_identity_block_is_the_identity():
     rng = np.random.default_rng(17)
-    R = random_rotation(rng)
-    P = rng.normal(size=3)
-    V = rng.normal(size=3)
-    X = _pack(R, P, V)
-    assert np.array_equal(X[:3, :3], R)
-    assert np.array_equal(X[:3, 3], P)
-    assert np.array_equal(X[:3, 4], V)
-    assert np.array_equal(X[3], [0.0, 0.0, 0.0, 1.0, 0.0])
-    assert np.array_equal(X[4], [0.0, 0.0, 0.0, 0.0, 1.0])
+    for _ in range(20):
+        a = top(element((*random_rotation(rng).ravel(), *rng.normal(size=6))))
+        assert bits(_compose(_IDENTITY_BLOCK, a, 0.0)) == bits(a)
+        assert bits(_compose(a, _IDENTITY_BLOCK, 0.0)) == bits(a)
 
 
-def test_pack_unpack_round_trip_is_bit_identical():
+def test_se23_exp_lays_out_the_top_block_and_the_bottom_rows():
     rng = np.random.default_rng(18)
     for _ in range(20):
-        s = NavState(Rotation(random_rotation(rng)), rng.normal(size=3), rng.normal(size=3))
-        X = _pack(s.rot.m, s.pos, s.vel)
-        back = NavState(Rotation(X[:3, :3]), X[:3, 3], X[:3, 4])
-        assert np.array_equal(back.rot.m, s.rot.m)
-        assert np.array_equal(back.pos, s.pos)
-        assert np.array_equal(back.vel, s.vel)
+        u = _random_tangent(rng)
+        dt = float(rng.uniform(-0.1, 0.1))
+        X = se23_exp(u, dt)
+        assert bits(top(X)) == bits(_se23_exp(u.omega.tolist(), u.vcol.tolist(), u.acol.tolist(), u.rho, dt))
+        assert np.array_equal(X[3], [0.0, 0.0, 0.0, 1.0, 0.0])
+        assert np.array_equal(X[4], [0.0, 0.0, 0.0, u.rho * dt, 1.0])
+
+
+def test_compose_matches_the_float_product_bit_for_bit():
+    # Each entry the sum of its terms in index order, the bottom rows'
+    # structural zeros left out: against the generic 5x5 product in helpers.py,
+    # with b's rho dt entry 0, +-dt and random, every bit.
+    rng = np.random.default_rng(32)
+    for _ in range(2000):
+        a = (*random_rotation(rng).ravel(), *(rng.normal(size=6) * 10.0 ** rng.uniform(-2.0, 2.0)))
+        b = (*random_rotation(rng).ravel(), *(rng.normal(size=6) * 10.0 ** rng.uniform(-2.0, 2.0)))
+        c = float(rng.choice([0.0, 0.01, -0.01, rng.normal()]))
+        want = top(frozen_product(element(a, float(rng.normal())), element(b, c)))
+        assert bits(_compose(a, b, c)) == bits(want)
+
+
+def test_compose_matches_the_blas_product_within_rounding():
+    # The matrix form's 5x5 @, summed in BLAS's order: each entry within
+    # 3 eps of the sum of its terms' magnitudes (1.9 eps at most measured
+    # over 20 000 products; any two orders of a 5-term sum stay within 8 eps).
+    rng = np.random.default_rng(33)
+    worst = 0.0
+    for _ in range(4000):
+        a = (*random_rotation(rng).ravel(), *(rng.normal(size=6) * 10.0 ** rng.uniform(-2.0, 2.0)))
+        A, c = element(a, float(rng.normal())), float(rng.choice([0.0, 0.01, -0.01, rng.normal()]))
+        B = element((*random_rotation(rng).ravel(), *(rng.normal(size=6) * 10.0 ** rng.uniform(-2.0, 2.0))), c)
+        got = np.array(_compose(top(A), top(B), c))
+        err = np.abs(got - np.array(top(A @ B))) / (_EPS * np.array(top(np.abs(A) @ np.abs(B))))
+        worst = max(worst, float(err.max()))
+    assert worst <= 3.0, worst
 
 
 # --- rotation / state validation ---------------------------------------------
@@ -264,7 +303,7 @@ def test_so3_exp_stays_orthogonal():
 
 
 def so3_exp_matrix_form(omega, dt):
-    """The matrix expression so3_exp evaluates on floats, entry by entry."""
+    """The matrix expression so3_exp evaluates, with whole 3x3 matrices through numpy."""
     S = skew(omega) * dt
     theta = np.linalg.norm(omega) * abs(dt)
     if theta < SMALL_ANGLE:
@@ -273,9 +312,11 @@ def so3_exp_matrix_form(omega, dt):
 
 
 def test_so3_exp_matches_the_matrix_form_bit_for_bit():
-    # Random axes, angles from 1e-12 to 30 rad (both sides of SMALL_ANGLE),
-    # both signs of dt, the zero vector and the switch point itself: every
-    # bit, the sign of each zero included.  Rotation.from_rotvec is the dt = 1 case.
+    # Against the matrix expression written entry by entry on the float
+    # contract (helpers.frozen_so3_exp).  Random axes, angles from 1e-12 to
+    # 30 rad (both sides of SMALL_ANGLE), both signs of dt, the zero vector and
+    # the switch point itself: every bit, the sign of each zero included.
+    # Rotation.from_rotvec is the dt = 1 case.
     rng = np.random.default_rng(31)
     below = np.nextafter(SMALL_ANGLE, 0.0)
     cases = [(np.zeros(3), 1.0), (np.zeros(3), -1.0), (np.array([0.0, SMALL_ANGLE, 0.0]), 1.0),
@@ -286,10 +327,27 @@ def test_so3_exp_matches_the_matrix_form_bit_for_bit():
         cases.append((omega, float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 0.0))))
     small = 0
     for omega, dt in cases:
-        assert so3_exp(omega, dt).tobytes() == so3_exp_matrix_form(omega, dt).tobytes(), (omega, dt)
+        assert so3_exp(omega, dt).tobytes() == frozen_so3_exp(omega, dt).tobytes(), (omega, dt)
         small += np.linalg.norm(omega) * abs(dt) < SMALL_ANGLE
-        assert Rotation.from_rotvec(omega).m.tobytes() == so3_exp_matrix_form(omega, 1.0).tobytes()
+        assert Rotation.from_rotvec(omega).m.tobytes() == frozen_so3_exp(omega, 1.0).tobytes()
     assert 200 <= small <= len(cases) - 200, small
+
+
+def test_so3_exp_matches_the_blas_matrix_form_within_rounding():
+    # The matrix expression through numpy (S @ S, np.linalg.norm, np.sin), as
+    # so3_exp computed it before the float contract: every entry within
+    # 3 eps max(1, theta) (1.9 at most measured over 20 000 random inputs;
+    # an angle's rounding grows with the angle).
+    rng = np.random.default_rng(36)
+    worst = 0.0
+    for _ in range(4000):
+        axis = rng.normal(size=3)
+        omega = axis / np.linalg.norm(axis) * 10.0 ** rng.uniform(-12.0, 1.5)
+        dt = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 0.0))
+        theta = np.linalg.norm(omega) * abs(dt)
+        diff = np.abs(so3_exp(omega, dt) - so3_exp_matrix_form(omega, dt)).max()
+        worst = max(worst, diff / (_EPS * max(1.0, theta)))
+    assert worst <= 3.0, worst
 
 
 def test_so3_exp_handles_negative_dt():
@@ -363,96 +421,96 @@ def test_se23_exp_negative_dt_inverts():
         np.testing.assert_allclose(X, np.eye(5), atol=1e-13)
 
 
-def se23_exp_matrix_form(u, dt):
-    """The closed form written with whole 3x3 matrices, as documented in se23_exp."""
-    S = skew(u.omega) * dt
-    theta = float(np.linalg.norm(u.omega)) * abs(dt)
-    if theta < 0.1:
-        t2 = theta * theta
-        t4 = t2 * t2
-        t6 = t4 * t2
-        s1 = 1.0 - t2 / 6.0 + t4 / 120.0 - t6 / 5040.0
-        c1 = 0.5 - t2 / 24.0 + t4 / 720.0 - t6 / 40320.0
-        c2 = 1.0 / 6.0 - t2 / 120.0 + t4 / 5040.0 - t6 / 362880.0
-        d2 = 1.0 / 24.0 - t2 / 720.0 + t4 / 40320.0 - t6 / 3628800.0
-    else:
-        t2 = theta * theta
-        s1 = np.sin(theta) / theta
-        c1 = (1.0 - np.cos(theta)) / t2
-        c2 = (theta - np.sin(theta)) / (t2 * theta)
-        d2 = (np.cos(theta) - 1.0 + 0.5 * t2) / (t2 * t2)
-    S2 = S @ S
-    I3 = np.eye(3)
-    E = np.eye(5)
-    E[:3, :3] = I3 + s1 * S + c1 * S2
-    J = dt * (I3 + c1 * S + c2 * S2)
-    K = dt * dt * (0.5 * I3 + c2 * S + d2 * S2)
-    E[:3, 3] = J @ u.vcol + u.rho * (K @ u.acol)
-    E[:3, 4] = J @ u.acol
-    E[4, 3] = u.rho * dt
-    return E
-
-
 def test_se23_exp_matches_the_matrix_form_bit_for_bit():
-    # Both coefficient branches, negative steps and zero blocks.
+    # Both coefficient branches, negative steps and zero blocks, against the
+    # matrix expressions written entry by entry on the float contract.
     rng = np.random.default_rng(27)
     for k in range(600):
         u = _random_tangent(rng)
         if k % 4 == 0:
             u = TangentElement(u.omega, np.zeros(3), u.acol, 1.0)
         dt = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 0.5))
-        assert np.array_equal(se23_exp(u, dt), se23_exp_matrix_form(u, dt))
+        assert se23_exp(u, dt).tobytes() == frozen_se23_exp(u.omega, u.vcol, u.acol, u.rho, dt).tobytes()
 
 
 def test_se23_exp_takes_j_a_and_k_a_from_one_product_bit_for_bit():
-    # _se23_exp stacks J over K and multiplies the 6x3 array by acol once; the
-    # frozen kernel in helpers.py takes two 3x3 products.  A BLAS whose 6-row
-    # product rounds a row otherwise than its 3-row one fails here.  Both
-    # coefficient branches, vcol the shared zero and not, both signs of dt.
+    # _se23_exp sums J a and K a from the same J and K entries in one pass;
+    # the float reference in helpers.py forms J and K as 3x3 rows and takes
+    # each product apart.  Both coefficient branches, no v column and one,
+    # both signs of dt: the top block, every bit.
     rng = np.random.default_rng(29)
     seen = {}
     for k in range(4000):
         omega = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 1.5)
         dt = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 0.0))
-        vcol = _ZERO3 if k % 2 else rng.normal(size=3) * 10.0 ** rng.uniform(-2.0, 2.0)
+        vcol = None if k % 2 else (rng.normal(size=3) * 10.0 ** rng.uniform(-2.0, 2.0)).tolist()
         acol = rng.normal(size=3) * 10.0 ** rng.uniform(-2.0, 2.0)
         rho = float(rng.choice([1.0, -1.0, rng.normal()]))
-        assert np.array_equal(_se23_exp(omega, vcol, acol, rho, dt), frozen_se23_exp(omega, vcol, acol, rho, dt))
-        key = (np.linalg.norm(omega) * abs(dt) < _EXP_TAYLOR_SWITCH, vcol is _ZERO3)
+        got = _se23_exp(omega.tolist(), vcol, acol.tolist(), rho, dt)
+        assert bits(got) == bits(top(frozen_se23_exp(omega, vcol, acol, rho, dt)))
+        key = (np.linalg.norm(omega) * abs(dt) < _EXP_TAYLOR_SWITCH, vcol is None)
         seen[key] = seen.get(key, 0) + 1
     assert len(seen) == 4 and min(seen.values()) >= 300, seen
 
 
 def test_se23_exp_keeps_the_sign_of_every_zero_of_the_frozen_arithmetic():
     # Each entry of R, J and K adds the identity's entry first ("0.0 +" off
-    # the diagonal), which turns a -0.0 sum into +0.0.  Blocks with zero
-    # components of both signs, both signs of dt: every bit, zeros included.
+    # the diagonal), and J v adds to 0.0, which turns a -0.0 sum into +0.0.
+    # Blocks with zero components of both signs, both signs of dt: every
+    # bit, zeros included.
     rng = np.random.default_rng(30)
     for k in range(600):
         omega = np.where(rng.random(3) < 0.5, rng.choice([0.0, -0.0], 3), rng.normal(size=3))
         acol = np.where(rng.random(3) < 0.5, rng.choice([0.0, -0.0], 3), rng.normal(size=3))
-        vcol = _ZERO3 if k % 2 else np.where(rng.random(3) < 0.5, -0.0, rng.normal(size=3))
+        vcol = None if k % 2 else np.where(rng.random(3) < 0.5, -0.0, rng.normal(size=3)).tolist()
         dt, rho = float(rng.choice([-0.01, 0.01])), float(rng.choice([1.0, -1.0, 0.0]))
-        got, want = _se23_exp(omega, vcol, acol, rho, dt), frozen_se23_exp(omega, vcol, acol, rho, dt)
-        assert got.tobytes() == want.tobytes(), (omega, vcol, acol, rho, dt)
+        got = _se23_exp(omega.tolist(), vcol, acol.tolist(), rho, dt)
+        want = top(frozen_se23_exp(omega, vcol, acol, rho, dt))
+        assert bits(got) == bits(want), (omega, vcol, acol, rho, dt)
 
 
 def test_se23_exp_with_an_all_negative_zero_vcol_is_the_shared_zero_call_bit_for_bit():
-    # A step without a fix passes _ZERO3 as the correction's vcol where it
-    # formed (-0, -0, -0): J's product with it must come out of BLAS as +0.0,
-    # the zero the skipped product stands for.  Both coefficient branches, a
-    # zero omega of either sign, both signs of dt and of rho.
+    # A step without a fix passes no v column (None) where the matrix form has
+    # -w_V = (-0, -0, -0): J v's leading 0.0 makes that product +0.0, the
+    # zero None stands for.  Both coefficient branches, a zero omega of either
+    # sign, both signs of dt and of rho.
     rng = np.random.default_rng(31)
-    minus_zero = np.array((-0.0, -0.0, -0.0))
+    minus_zero = [-0.0, -0.0, -0.0]
     for k in range(2000):
         if k % 4 == 0:
             omega = rng.choice([0.0, -0.0], 3)
         else:
             omega = rng.normal(size=3) * 10.0 ** rng.uniform(-9.0, 1.5)
-        acol = np.where(rng.random(3) < 0.2, rng.choice([0.0, -0.0], 3), rng.normal(size=3))
+        acol = np.where(rng.random(3) < 0.2, rng.choice([0.0, -0.0], 3), rng.normal(size=3)).tolist()
         dt, rho = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, -1.0)), float(rng.choice([1.0, -1.0]))
-        got = _se23_exp(omega, minus_zero, acol, rho, dt)
-        assert got.tobytes() == _se23_exp(omega, _ZERO3, acol, rho, dt).tobytes(), (omega, acol, rho, dt)
+        got = _se23_exp(omega.tolist(), minus_zero, acol, rho, dt)
+        assert bits(got) == bits(_se23_exp(omega.tolist(), None, acol, rho, dt)), (omega, acol, rho, dt)
+
+
+def test_se23_exp_kernel_matches_the_blas_kernel_within_rounding():
+    # _se23_exp against the kernel's BLAS arithmetic before the float
+    # contract (helpers.blas_se23_exp): both coefficient branches, omega = 0
+    # of either sign, no v column and an all -0.0 one.  R within 6 eps per
+    # entry, P and V within 16 eps of |dt| |v| + |rho| dt^2 |a| and 4 eps of
+    # |dt| |a| (4, 9.8 and 1.9 eps at most measured over 20 000 inputs).
+    rng = np.random.default_rng(35)
+    worst, seen = {"R": 0.0, "P": 0.0, "V": 0.0}, set()
+    for k in range(6000):
+        omega = rng.choice([0.0, -0.0], 3) if k % 5 == 0 else rng.normal(size=3) * 10.0 ** rng.uniform(-9.0, 1.5)
+        dt = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, -1.0))
+        vcol = (None, np.array((-0.0, -0.0, -0.0)), rng.normal(size=3) * 10.0 ** rng.uniform(-2.0, 2.0))[k % 3]
+        acol = rng.normal(size=3) * 10.0 ** rng.uniform(-2.0, 2.0)
+        rho = float(rng.choice([1.0, -1.0, rng.normal()]))
+        got = np.array(_se23_exp(omega.tolist(), None if vcol is None else vcol.tolist(), acol.tolist(), rho, dt))
+        diff = np.abs(got - top(blas_se23_exp(omega, np.zeros(3) if vcol is None else vcol, acol, rho, dt)))
+        v_scale = abs(dt) * np.linalg.norm(acol)
+        p_scale = (0.0 if vcol is None else abs(dt) * np.linalg.norm(vcol)) + abs(rho) * dt * dt * np.linalg.norm(acol)
+        worst["R"] = max(worst["R"], diff[:9].max() / _EPS)
+        worst["P"] = max(worst["P"], diff[9:12].max() / (_EPS * p_scale))
+        worst["V"] = max(worst["V"], diff[12:].max() / (_EPS * v_scale))
+        seen.add((np.linalg.norm(omega) * abs(dt) < _EXP_TAYLOR_SWITCH, not omega.any(), k % 3))
+    assert worst["R"] <= 6.0 and worst["P"] <= 16.0 and worst["V"] <= 4.0, worst
+    assert len(seen) == 9, seen  # the zero omega only on the series branch
 
 
 def test_rotation_check_tolerance():

@@ -73,8 +73,10 @@ def correction(monkeypatch, state, imu, p_y, gains, ref=ReferenceVectors(), dt=0
     with monkeypatch.context() as m:
         m.setattr(observer_module, "_se23_exp", recording)
         out = step(state, imu, frame, box_anchors(), gains, dt, ref=ref, p_y=p_y)
-    minus_w_omega, minus_w_v, minus_w_a_g, rho, _ = calls[1]
+    *blocks, rho, _ = calls[1]
     assert rho == -1.0
+    # Float 3-sequences; no v column (None) without a fix.
+    minus_w_omega, minus_w_v, minus_w_a_g = (np.zeros(3) if b is None else np.array(b) for b in blocks)
     return (
         -minus_w_omega,
         -minus_w_v,
@@ -439,7 +441,7 @@ def _random_step_inputs(rng, k, anchors, ref):
 @pytest.mark.parametrize("reorth_every", [1, 1000])
 def test_step_kernel_matches_the_dataclass_composition(reorth_every):
     # The lean kernel against the step composed from validated TangentElements,
-    # solve_frame and the frozen copies of the kernels' earlier arithmetic in
+    # solve_frame and 5x5 products written on the float contract in
     # helpers.py: bit for bit on R, P, V and both biases, and equal failure
     # counters, at every step.
     rng = np.random.default_rng(55)
@@ -473,7 +475,7 @@ def test_step_kernel_matches_the_dataclass_composition(reorth_every):
 def test_step_kernel_matches_the_dataclass_composition_on_a_steady_stream(with_frames):
     # A solvable frame on every step, or none at all, with the default
     # reference vectors; reorth_every=7 writes a reorthonormalised rotation
-    # back into the carried matrix every seventh step.
+    # back into the carried floats every seventh step.
     rng = np.random.default_rng(56)
     anchors = box_anchors()
     state = ObserverState.cold_start(pos=(-3.0, -1.0, 0.5), rot=Rotation(random_rotation(rng)))
@@ -487,37 +489,62 @@ def test_step_kernel_matches_the_dataclass_composition_on_a_steady_stream(with_f
     assert state.tdoa_failures == 0
 
 
-def test_a_state_without_a_carried_matrix_steps_as_its_own_nav_packs():
-    # step starts from the 5x5 the previous step made; a state from the public
-    # constructor, cold_start, replace or a pickle or copy carries none and
-    # packs its own nav.  replace's new nav differs from the stepped state's,
-    # so stepping from the old carried matrix would not match the reference.
+def test_a_state_without_carried_floats_steps_as_its_own_fields_unpack():
+    # step starts from the 21 floats the previous step carried, one array of
+    # which the state's arrays are views; a state from the public constructor,
+    # cold_start, replace or a pickle or copy carries none and unpacks its own
+    # fields.  replace's new nav and biases differ from the stepped state's,
+    # so stepping from the old carried floats would not match the reference.
     rng = np.random.default_rng(58)
     anchors, ref = box_anchors(), ReferenceVectors()
     stepped = step(ObserverState.cold_start(pos=(1.0, 0.5, 1.0)), hover_imu(np.eye(3), ref), None, None, Gains(), 0.01)
-    X = stepped._X
-    assert X is not None and X.shape == (5, 5)
+    x = stepped._x
+    assert x is not None and x.shape == (21,)
     nav = stepped.nav
-    assert all(np.shares_memory(a, X) for a in (nav.rot.m, nav.pos, nav.vel))
+    fields = (nav.rot.m, nav.pos, nav.vel, stepped.b_omega_hat, stepped.b_a_hat)
+    assert all(np.shares_memory(a, x) for a in fields)
+    assert x.tobytes() == np.concatenate([a.ravel() for a in fields]).tobytes()
     other = NavState(Rotation(random_rotation(rng)), rng.normal(size=3), rng.normal(size=3))
     states = {
         "public": ObserverState(other, rng.normal(scale=0.01, size=3), rng.normal(scale=0.1, size=3), 5, 1, 2),
         "cold_start": ObserverState.cold_start(pos=other.pos, vel=other.vel, rot=other.rot),
         "replace": replace(stepped, nav=other),
+        "replace biases": replace(stepped, b_omega_hat=rng.normal(scale=0.01, size=3), b_a_hat=rng.normal(size=3)),
         "pickle": pickle.loads(pickle.dumps(stepped)),
         "copy": copy.copy(stepped),
         "deepcopy": copy.deepcopy(stepped),
     }
     for name, state in states.items():
-        assert state._X is None, name
+        assert state._x is None, name
         for frame in (None, synthesize_tdoa(rng.uniform(-3.0, 3.0, 3), None, anchors, noise_sd=0.05, seed=1)):
             imu = hover_imu(random_rotation(rng), ref, t=0.01)
             got = step(state, imu, frame, anchors, Gains(), 0.01, ref=ref)
             assert_states_identical(got, reference_step(state, imu, frame, anchors, Gains(), 0.01, ref=ref))
-    assert stepped._X is X
+    assert stepped._x is x
 
 
-def test_a_reorthonormalised_rotation_is_written_back_into_the_carried_matrix():
+def test_the_carried_floats_round_trip_a_state_bit_for_bit():
+    # What step carries is the state's fields unpacked, R row-major, then P,
+    # V and both biases; a state written in place through its views is read
+    # back as written.
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        nav = NavState(Rotation(random_rotation(rng)), rng.normal(size=3), rng.normal(size=3))
+        state = ObserverState(nav, rng.normal(size=3), rng.normal(size=3))
+        floats = observer_module._carried(state)
+        x = np.array(floats)
+        assert [type(f) for f in floats] == [float] * 21
+        for got, want in zip((x[:9].reshape(3, 3), x[9:12], x[12:15], x[15:18], x[18:]),
+                             (nav.rot.m, nav.pos, nav.vel, state.b_omega_hat, state.b_a_hat)):
+            assert got.tobytes() == want.tobytes()
+        stepped = step(state, hover_imu(nav.rot.m, ReferenceVectors()), None, None, Gains(), 0.01)
+        assert observer_module._carried(stepped) == stepped._x.tolist()
+        stepped.nav.pos[:] = rng.normal(size=3)
+        stepped.b_a_hat[1] = 0.25
+        assert observer_module._carried(stepped) == observer_module._carried(replace(stepped))
+
+
+def test_a_reorthonormalised_rotation_is_written_back_into_the_carried_floats():
     rng = np.random.default_rng(59)
     ref = ReferenceVectors()
     state = ObserverState.cold_start(rot=Rotation(random_rotation(rng)))
@@ -526,9 +553,9 @@ def test_a_reorthonormalised_rotation_is_written_back_into_the_carried_matrix():
         want = reference_step(state, imu, None, None, Gains(), 0.01, ref=ref, reorth_every=1)
         state = step(state, imu, None, None, Gains(), 0.01, ref=ref, reorth_every=1)
         assert_states_identical(state, want)
-        X, nav = state._X, state.nav
-        assert all(np.shares_memory(a, X) for a in (nav.rot.m, nav.pos, nav.vel))
-        assert np.array_equal(X[:3], np.hstack([want.nav.rot.m, want.nav.pos[:, None], want.nav.vel[:, None]]))
+        x, nav = state._x, state.nav
+        assert all(np.shares_memory(a, x) for a in (nav.rot.m, nav.pos, nav.vel))
+        assert x[:15].tobytes() == np.concatenate([want.nav.rot.m.ravel(), want.nav.pos, want.nav.vel]).tobytes()
 
 
 def test_step_rejects_a_state_pushed_off_so3():

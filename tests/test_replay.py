@@ -776,6 +776,40 @@ def test_run_replay_rejects_anchor_count_mismatch(tmp_path):
         run_replay(ds, default_anchors(), Gains(), ObserverState.cold_start(pos=HOVER_POS))
 
 
+@pytest.mark.parametrize(
+    "tag_offset, message",
+    [
+        ([1.0, 2.0], r"tag_offset must have 3 components, got shape \(2,\)"),
+        ([np.nan, 0.0, 0.0], "tag_offset must be finite"),
+        ([np.inf, 0.0, 0.0], "tag_offset must be finite"),
+        ([0.0, 0.0, -np.inf], "tag_offset must be finite"),
+    ],
+    ids=["two numbers", "nan", "inf", "-inf"],
+)
+def test_run_replay_refuses_a_lever_arm_that_is_not_a_finite_3_vector(tmp_path, tag_offset, message):
+    # The lever arm is checked at the boundary, before anything is read.
+    paths = hover_dataset(tmp_path, imu_times=(0.0, 0.01, 0.02))
+    ds = load_dataset(paths)
+    with pytest.raises(ValueError, match=message):
+        run_replay(ds, default_anchors(), Gains(), ObserverState.cold_start(pos=HOVER_POS), tag_offset)
+
+
+def test_run_replay_takes_every_finite_lever_arm_as_before(tmp_path):
+    # A valid lever arm of any spelling replays as the default one, byte for byte.
+    paths = hover_dataset(tmp_path, imu_times=(0.0, 0.01, 0.02))
+    ds = load_dataset(paths)
+    runs = [
+        run_replay(
+            ds, default_anchors(), Gains(), ObserverState.cold_start(pos=HOVER_POS), offset,
+            velocity_window=3, velocity_poly_order=1,
+        )
+        for offset in ((0.0, 0.0, 0.0), [-0.012, 0.001, 0.091], np.array([[1], [2], [3]]), (1, 2, 3))
+    ]
+    for run in runs[1:]:
+        assert json.dumps(run.summary) == json.dumps(runs[0].summary)  # NaN entries too
+        assert run.est_pos.tobytes() == runs[0].est_pos.tobytes()
+
+
 def test_run_replay_consumes_last_frame_per_step_and_counts_drops(tmp_path):
     # Two frames land in step 0 (last wins), one is before the first IMU
     # sample, one after the last step: three of four frames are dropped.

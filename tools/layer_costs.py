@@ -33,10 +33,13 @@ handed as ``p_y`` and, without a frame, with its triad body rows handed as
 its ``build_system``; ``solve_stream``, ``solve_frame`` over each of the first
 flight's 6 000 frames in turn (one call per timing, so its figure is the
 microseconds of all 6 000 solves: real inputs, none cached); the correction
-step's ``_se23_exp`` (all blocks non-zero) and the prediction's (``vcol`` the
-shared zero); ``build_triads``; ``body_rows_table``, ``sensors._body_rows_table``
+step's ``_se23_exp`` (all blocks non-zero) and the prediction's (no v
+column); ``compose``, the prediction's product of the state and its
+exponential (``liegroup._compose`` on floats; a tree without it multiplies
+the 5x5s of ``_pack`` and ``_se23_exp``, whose inputs are arrays, with one
+``dot``); ``build_triads``; ``body_rows_table``, ``sensors._body_rows_table``
 over the first flight's 6 000 samples (one call per timing; a tree without it
-runs ``_body_rows`` on each sample in turn); ``_pack`` of the state's R, P and V; and
+runs ``_body_rows`` on each sample in turn); and
 the replay input stage: ``load_dataset`` of the trial's three CSV files,
 ``load_dataset_messy`` of the same files as ``tools/artifact_diff.py``'s
 ``mess_up`` rewrites them (LF line ends, a blank line, a quoted cell and a
@@ -133,6 +136,32 @@ def layers(root: Path, trial: Path) -> dict:
         for f in frames:
             tdoa.solve_frame(anchors, f)
 
+    if hasattr(liegroup, "_compose"):  # the float kernels: 3-sequences in, the top block's 15 floats out
+        w, a, v = omega.tolist(), acc.tolist(), nav.vel.tolist()
+        X = (*nav.rot.m.ravel().tolist(), *nav.pos.tolist(), *v)
+        E = liegroup._se23_exp(w, None, a, 1.0, dt)
+
+        def se23_exp():
+            return liegroup._se23_exp(w, v, a, -1.0, dt)
+
+        def se23_exp_zero_v():
+            return liegroup._se23_exp(w, None, a, 1.0, dt)
+
+        def compose():
+            return liegroup._compose(X, E, dt)
+    else:  # a tree on BLAS products: float arrays in, a 5x5 out, and the 5x5 product
+
+        def se23_exp():
+            return liegroup._se23_exp(omega, nav.vel, acc, -1.0, dt)
+
+        def se23_exp_zero_v():
+            return liegroup._se23_exp(omega, liegroup._ZERO3, acc, 1.0, dt)
+
+        X5, E5 = liegroup._pack(nav.rot.m, nav.pos, nav.vel), se23_exp_zero_v()
+
+        def compose():
+            return X5.dot(E5)
+
     accels, mags = np.array([s.accel for s in samples]), np.array([s.mag for s in samples])
     if hasattr(sensors, "_body_rows_table"):
         rows = list(sensors._body_rows(sample))
@@ -162,11 +191,11 @@ def layers(root: Path, trial: Path) -> dict:
         "solve_frame": lambda: tdoa.solve_frame(anchors, frame),
         "build_system": lambda: tdoa.build_system(anchors, frame),
         "solve_stream": solve_stream,
-        "se23_exp": lambda: liegroup._se23_exp(omega, nav.vel, acc, -1.0, dt),
-        "se23_exp_zero_v": lambda: liegroup._se23_exp(omega, liegroup._ZERO3, acc, 1.0, dt),
+        "se23_exp": se23_exp,
+        "se23_exp_zero_v": se23_exp_zero_v,
+        "compose": compose,
         "build_triads": lambda: sensors.build_triads(sample, ref),
         "body_rows_table": body_rows_table,
-        "pack": lambda: liegroup._pack(nav.rot.m, nav.pos, nav.vel),
         "load_dataset": lambda: replay.load_dataset(csvs),
         "load_dataset_messy": lambda: replay.load_dataset(messy),
         "derive_velocity": lambda: replay.derive_velocity(t, gt_pos),
