@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liegroup import _ZERO3, _as_vec3, _norms, _trusted
+from .liegroup import _ZERO3, _as_vec3, _trusted
 
 __all__ = [
     "ImuSample",
@@ -188,18 +188,16 @@ def _body_rows(sample: ImuSample) -> tuple:
     tolerances even next to the collinearity bound."""
     if sample.mag is None:
         raise TriadDegenerate("sample has no magnetometer reading")
-    accel, mag = sample.accel, sample.mag
-    na = math.sqrt(accel.dot(accel))
-    nm = math.sqrt(mag.dot(mag))
+    a0, a1, a2 = sample.accel.tolist()
+    m0, m1, m2 = sample.mag.tolist()
+    na = math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+    nm = math.sqrt(m0 * m0 + m1 * m1 + m2 * m2)
     if na <= 1e-9 or nm <= 1e-9:
         raise TriadDegenerate(f"accel/mag norm too small ({na:.2e}, {nm:.2e})")
-    a0, a1, a2 = accel.tolist()
-    m0, m1, m2 = mag.tolist()
     v1 = (a0 / na, a1 / na, a2 / na)
     v2 = (m0 / nm, m1 / nm, m2 / nm)
-    c0, c1, c2 = cv = _cross(v1, v2)
-    cva = np.array(cv)
-    ncv = math.sqrt(cva.dot(cva))
+    c0, c1, c2 = _cross(v1, v2)
+    ncv = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
     if ncv <= COLLINEARITY_TOL:
         raise TriadDegenerate(f"accel and mag are collinear (cross norm {ncv:.2e})")
     return (*v1, *v2, c0 / ncv, c1 / ncv, c2 / ncv)
@@ -213,22 +211,28 @@ def _body_rows_table(accel, mags) -> tuple:
     ``_body_rows``' nine floats for sample k, bit for bit, where flag k is
     True; a False flag marks a sample for which ``_body_rows`` raises
     TriadDegenerate (its row is then meaningless).  The operations are
-    ``_body_rows``' own: each norm is one BLAS dot product of the row with
-    itself (``_norms``), then the elementwise divisions and the ``_cross``
-    expression, and the same ``<=`` tests, so a NaN norm passes them as it
-    does there.  A missing magnetometer stands as a zero row, which the norm
-    test refuses.
+    ``_body_rows``' own, elementwise on whole columns, each correctly rounded
+    as its float form is: each norm is ``sqrt(x0*x0 + x1*x1 + x2*x2)``, then
+    the divisions and the ``_cross`` expression, and the same ``<=`` tests,
+    so a NaN norm passes them as it does there.  A missing magnetometer
+    stands as a zero row, which the norm test refuses.
     """
     if not isinstance(mags, np.ndarray):
         mags = np.array([_ZERO3 if m is None else m for m in mags], dtype=float).reshape(-1, 3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        na, nm = _norms(accel), _norms(mags)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        na, nm = _column_norms(accel.T), _column_norms(mags.T)
         v1, v2 = accel / na[:, None], mags / nm[:, None]
-        cv = np.stack(_cross(v1.T, v2.T), axis=1)
-        ncv = _norms(cv)
-        rows = np.concatenate((v1, v2, cv / ncv[:, None]), axis=1)
+        cv = _cross(v1.T, v2.T)
+        ncv = _column_norms(cv)
+        rows = np.column_stack((v1, v2, *(c / ncv for c in cv)))
     degenerate = (na <= 1e-9) | (nm <= 1e-9) | (ncv <= COLLINEARITY_TOL)
     return rows, (~degenerate).tolist()
+
+
+def _column_norms(x):
+    """``_body_rows``' norm ``sqrt(x0*x0 + x1*x1 + x2*x2)`` of three columns ``x``, elementwise."""
+    x0, x1, x2 = x
+    return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
 
 
 def _cross(a, b) -> tuple:

@@ -171,16 +171,15 @@ def blas_se23_exp(omega, vcol, acol, rho, dt):
 def frozen_build_triads(sample, ref, s=None):
     if sample.mag is None:
         raise TriadDegenerate("sample has no magnetometer reading")
-    accel, mag = sample.accel, sample.mag
-    na = math.sqrt(accel.dot(accel))
-    nm = math.sqrt(mag.dot(mag))
+    accel, mag = sample.accel.tolist(), sample.mag.tolist()
+    na = math.sqrt(_sum(x * x for x in accel))
+    nm = math.sqrt(_sum(x * x for x in mag))
     if na <= 1e-9 or nm <= 1e-9:
         raise TriadDegenerate(f"accel/mag norm too small ({na:.2e}, {nm:.2e})")
-    v1 = [x / na for x in accel.tolist()]
-    v2 = [x / nm for x in mag.tolist()]
+    v1 = [x / na for x in accel]
+    v2 = [x / nm for x in mag]
     cv = _cross(v1, v2)
-    cva = np.array(cv)
-    ncv = math.sqrt(cva.dot(cva))
+    ncv = math.sqrt(_sum(x * x for x in cv))
     if ncv <= COLLINEARITY_TOL:
         raise TriadDegenerate(f"accel and mag are collinear (cross norm {ncv:.2e})")
     v = np.array([*v1, *v2, cv[0] / ncv, cv[1] / ncv, cv[2] / ncv]).reshape(3, 3)

@@ -298,9 +298,14 @@ def test_triadpair_requires_orthogonal_third_vector():
 
 
 def test_triads_and_innovation_match_the_np_cross_forms_bit_for_bit():
-    # The triad is built with written-out cross products and the reference
-    # rows are cached on ReferenceVectors; both must equal the np.cross forms.
+    # The triad is built with written-out cross products and norms, and the
+    # reference rows are cached on ReferenceVectors; both must equal the
+    # np.cross forms, the body rows' norms summed elementwise (no BLAS dot).
     rng = np.random.default_rng(43)
+
+    def norm(x):
+        return np.sqrt(np.sum(x * x))
+
     ref = ReferenceVectors(gravity=(0.1, -0.2, -9.81), mag_ref=(0.3, -1.6, 1.1))
     g = ref.gravity
     r1 = -g / np.linalg.norm(g)
@@ -310,10 +315,10 @@ def test_triads_and_innovation_match_the_np_cross_forms_bit_for_bit():
     for _ in range(500):
         sample = ImuSample(0.0, np.zeros(3), rng.normal(scale=5.0, size=3), rng.normal(size=3))
         triads = build_triads(sample, ref)
-        v1 = sample.accel / np.linalg.norm(sample.accel)
-        v2 = sample.mag / np.linalg.norm(sample.mag)
+        v1 = sample.accel / norm(sample.accel)
+        v2 = sample.mag / norm(sample.mag)
         cv = np.cross(v1, v2)
-        assert np.array_equal(triads.v, np.array([v1, v2, cv / np.linalg.norm(cv)]))
+        assert np.array_equal(triads.v, np.array([v1, v2, cv / norm(cv)]))
         assert np.array_equal(triads.r, r)
         Rhat = random_rotation(rng)
         vhat = predicted_body_vectors(Rhat, triads)
