@@ -42,7 +42,7 @@ set, a handed fix being a finite 3-vector, handed body rows needing an IMU
 sample and being nine finite numbers, the caller's triad weights
 (non-negative, summing to 3) and a finite bias-corrected IMU element.  On the
 measurements: ``TdoaFrame`` checks its differences when it is made and
-``solve_frame``, as it builds the frame's system, their count and size; the
+``solve_frame``, as it reads the frame, their count and size; the
 body rows are unit and v3 orthogonal by construction, and the reference rows
 were checked once, by ``ReferenceVectors``.  On the result's floats: the
 rotation on SO(3) (``liegroup._check_so3``), then one finiteness test over
@@ -56,8 +56,9 @@ Between reading its inputs and building that array the step keeps
 ``liegroup``'s arithmetic contract and makes no numpy call (R^T r_i, the
 crosses, their weighted sum, [w_omega]_x P and V as crosses, R^T e are
 written out in the matrix form's order); its states are bit for bit those of
-the dataclass composition on that contract (tests/test_observer.py).  The
-body rows, the frame's solve and each reorthonormalisation run on numpy.
+the dataclass composition on that contract (tests/test_observer.py).  The body
+rows and the frame's solve run on Python floats too, and only a
+reorthonormalisation on numpy.
 
 This module holds the online step, the gains, the error kernels and the
 gain certificate.  The loop over a stream is ``sim._run_and_score``, the one

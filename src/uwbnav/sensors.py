@@ -220,19 +220,13 @@ def _body_rows_table(accel, mags) -> tuple:
     if not isinstance(mags, np.ndarray):
         mags = np.array([_ZERO3 if m is None else m for m in mags], dtype=float).reshape(-1, 3)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        na, nm = _column_norms(accel.T), _column_norms(mags.T)
+        na, nm = (np.sqrt(x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1] + x[:, 2] * x[:, 2]) for x in (accel, mags))
         v1, v2 = accel / na[:, None], mags / nm[:, None]
-        cv = _cross(v1.T, v2.T)
-        ncv = _column_norms(cv)
-        rows = np.column_stack((v1, v2, *(c / ncv for c in cv)))
+        c0, c1, c2 = _cross(v1.T, v2.T)
+        ncv = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+        rows = np.column_stack((v1, v2, c0 / ncv, c1 / ncv, c2 / ncv))
     degenerate = (na <= 1e-9) | (nm <= 1e-9) | (ncv <= COLLINEARITY_TOL)
     return rows, (~degenerate).tolist()
-
-
-def _column_norms(x):
-    """``_body_rows``' norm ``sqrt(x0*x0 + x1*x1 + x2*x2)`` of three columns ``x``, elementwise."""
-    x0, x1, x2 = x
-    return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
 
 
 def _cross(a, b) -> tuple:

@@ -5,24 +5,26 @@ differences
 
     d = [d_{2,1}, d_{3,2}, ..., d_{N,N-1}, d_{1,N}],   d_{j,i} = ||P-h_j|| - ||P-h_i||.
 
-Stacking one linear equation per consecutive pair and treating the range to
-the first anchor as a fourth unknown gives an N x 4 least-squares system whose
-solution is the reconstructed position.  The chain structure means row k's
-constant term carries the cumulative sum d_{2,1} + ... + d_{k,k-1}, since
-||P - h_k|| = ||P - h_1|| + sum of the differences along the chain.
+With the range r = ||P - h_1|| as a fourth unknown, one linear equation per
+consecutive pair gives the N x 4 least-squares system G P - d r = B (rows in
+``build_system``), G's rows being the chain geometry h_k - h_{k+1}.
 
-``solve_frame`` is one flat function over ``build_system``, which alone
-assembles and checks a frame's system: one call to LAPACK ``dgelsd`` (SVD-based
-minimum-norm least squares) through numpy's own ``lstsq`` gufunc, the
-routine, workspace query and singular value cutoff ``RANK_TOL`` that
-``np.linalg.lstsq(A, B, rcond=RANK_TOL)`` runs, without its wrapper.  The
-gufunc is private to numpy, so it is chosen once, at import, and only if it
-answers a probe system bit for bit as ``np.linalg.lstsq`` does; otherwise
-every system goes through ``np.linalg.lstsq`` itself.
+``solve_frame`` solves it in closed form, the linear TDOA least squares of
+Chan & Ho (IEEE TSP 42(8), 1994), on the thin SVD G = U S V^T that
+``AnchorSet`` takes once.  With x_perp = x - U U^T x, the part of x off G's
+columns, r = -<d_perp, B_perp> / ||d_perp||^2 and P = V ((U^T B + r U^T d) / S):
+a few length-N sums on Python floats per frame and no LAPACK call.  The rank
+rule: rank 4 when ||d_perp|| exceeds ``RANK_TOL`` times G's largest singular
+value, else rank 3 (all-zero differences, for one): refused, or, with
+``allow_reduced``, P = V (U^T B / S).  ``AnchorSet`` refuses a G of rank < 3
+under the same cutoff.  Stability: B is projected off U before its product
+with d_perp; <d_perp, B>, equal in exact arithmetic, cancels on an
+ill-conditioned set far beyond lstsq's error, while the projected form agrees
+with ``np.linalg.lstsq`` to a few cond(A) eps (tests/test_tdoa.py).
 
 A fix's quality (range to h_1, residual, range consistency, negative-range
-flag) is computed on read, from the system the fix holds, so the observer,
-which reads only the position, pays for none of it.
+flag) is computed on read, from the system ``build_system`` rebuilds, so the
+observer, which reads only the position, pays for none of it.
 """
 
 from __future__ import annotations
@@ -32,11 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-try:
-    from numpy.linalg import _umath_linalg
-except ImportError:  # a numpy without the private module: np.linalg.lstsq serves
-    _umath_linalg = None
 
 from .liegroup import Rotation, _all_finite, _as_vec3
 
@@ -52,10 +49,9 @@ __all__ = [
     "load_anchors",
 ]
 
-# sigma_4 / sigma_1 below this means the 4-unknown system is rank deficient.
+# The rank cutoff, relative to the chain geometry's largest singular value:
+# for G's own smallest one, and for ||d_perp|| of each frame.
 RANK_TOL = 1e-8
-_RCOND = np.array(RANK_TOL)  # RANK_TOL as the gufunc takes it: converted once, not per call
-_RCOND.setflags(write=False)
 
 # Allowed excess of |d_k| over the anchor-set diameter before a frame is
 # rejected as physically impossible (noise slack, meters).
@@ -91,11 +87,12 @@ class AnchorSet:
 
     Requires N >= 4 anchors with unique ids that are not all coplanar
     (smallest singular value of the centered position matrix must exceed
-    1e-6 of the largest), otherwise 3-D positioning is impossible.
+    1e-6 of the largest), otherwise 3-D positioning is impossible, and whose
+    chain geometry G (rows h_k - h_{k+1}) has rank 3 under ``RANK_TOL``.
 
     ``positions`` ((N, 3), chain order), ``diameter`` (the largest
-    anchor-to-anchor distance) and what each frame's solve reads are computed
-    once, at construction.
+    anchor-to-anchor distance) and what each frame's solve reads (G's thin
+    SVD, the c_k, the rank cutoff) are computed once, at construction.
     """
 
     anchors: tuple
@@ -114,11 +111,19 @@ class AnchorSet:
         if not sv[2] > 1e-6 * sv[0]:
             raise ValueError("anchors are coplanar (or collinear); geometry is degenerate")
         # The geometry every frame is solved against, computed once: A's rows
-        # [(h_k - h_{k+1})^T, 0], read-only, and per link k ||h_k||^2, ||h_{k+1}||^2.
-        norms = np.sum(pos * pos, axis=1)
+        # [(h_k - h_{k+1})^T, 0], read-only, G = U S V^T with the rows of U and
+        # of V^T and S as float tuples, the cutoff, and per link k the c_k.
         template = np.zeros((len(anchors), 4))
         template[:, :3] = pos - np.roll(pos, -1, axis=0)
-        object.__setattr__(self, "_links", tuple(zip(norms.tolist(), np.roll(norms, -1).tolist())))
+        u, sv, vt = np.linalg.svd(template[:, :3], full_matrices=False)
+        if not sv[2] > RANK_TOL * sv[0]:
+            raise ValueError(f"anchor chain geometry has rank < 3 (singular values {sv}); geometry is degenerate")
+        norms = np.sum(pos * pos, axis=1)
+        object.__setattr__(self, "_c", tuple((norms - np.roll(norms, -1)).tolist()))
+        object.__setattr__(self, "_u", tuple(map(tuple, u.tolist())))
+        object.__setattr__(self, "_s", tuple(sv.tolist()))
+        object.__setattr__(self, "_vt", tuple(map(tuple, vt.tolist())))
+        object.__setattr__(self, "_tol", RANK_TOL * float(sv[0]))
         for arr in (template, pos):
             arr.setflags(write=False)
         object.__setattr__(self, "_template", template)
@@ -152,8 +157,9 @@ class ReconstructedPosition:
     """Least-squares TDOA fix.
 
     ``p`` and ``reduced`` come from the solve.  The four quality attributes
-    are computed on read: the first read runs ``_fix_quality`` once on the
-    system (A, B) and solution the fix holds, and keeps all four.
+    are computed on read: the first read runs ``_fix_quality`` once on what
+    the fix holds (the anchor set, the solve's own float lists of d and B,
+    and the solution) and keeps all four.
 
     Attributes
     ----------
@@ -174,14 +180,14 @@ class ReconstructedPosition:
         True when the solved range came out negative.
     """
 
-    __slots__ = ("p", "reduced", "_system", "_quality")
+    __slots__ = ("p", "reduced", "_solved", "_quality")
 
-    def __init__(self, p, reduced, system):
-        self.p, self.reduced, self._system, self._quality = p, reduced, system, None
+    def __init__(self, p, reduced, solved):
+        self.p, self.reduced, self._solved, self._quality = p, reduced, solved, None
 
     def _read(self, i):
         if self._quality is None:
-            self._quality = _fix_quality(*self._system)
+            self._quality = _fix_quality(*self._solved)
         return self._quality[i]
 
     range_to_h1 = property(lambda self: self._read(0))
@@ -190,19 +196,8 @@ class ReconstructedPosition:
     negative_range = property(lambda self: self._read(3))
 
 
-def build_system(anchors: AnchorSet, frame: TdoaFrame):
-    """Assemble the N x 4 linear system (A, B) for one TDOA frame.
-
-    Row k (0-based, cyclic successor j = k+1 mod N):
-
-        A[k] = [(h_k - h_j)^T, -d_k]
-        B[k] = (d_k^2 + ||h_k||^2 - ||h_j||^2 + 2 d_k * csum_k) / 2
-
-    where csum_k is the cumulative sum of d_0..d_{k-1} (empty for k = 0).
-    A is a fresh copy of the anchor set's geometry columns with -d written
-    into the fourth; B is built by exactly these rows, on Python floats.
-    Raises ValueError for a count other than N or a |d_k| over the diameter + slack.
-    """
+def _rows(anchors: AnchorSet, frame: TdoaFrame):
+    """The frame's d and B as float lists, after ``build_system``'s count and range checks."""
     d = frame.d
     n = len(anchors.anchors)
     if d.shape != (n,):
@@ -210,71 +205,52 @@ def build_system(anchors: AnchorSet, frame: TdoaFrame):
     dl = d.tolist()
     if max(map(abs, dl)) > anchors._bound:
         raise ValueError(f"range difference exceeds anchor-set diameter + slack ({anchors._bound:.3f} m)")
-    A = anchors._template.copy()
-    np.negative(d, out=A[:, 3])
     # dk**2, not dk*dk: it goes through pow(), as the documented row form on numpy
     # scalars does, and differs from dk*dk in the last bit on ~0.1 % of values.
     B = []
     csum = 0.0
-    for dk, (nk, nj) in zip(dl, anchors._links):
-        B.append(0.5 * (dk**2 + nk - nj + 2.0 * dk * csum))
+    for dk, ck in zip(dl, anchors._c):
+        B.append(0.5 * (dk**2 + ck) + dk * csum)
         csum += dk
+    return dl, B
+
+
+def build_system(anchors: AnchorSet, frame: TdoaFrame):
+    """Assemble the N x 4 linear system (A, B) for one TDOA frame.
+
+    Row k (0-based, cyclic successor j = k+1 mod N):
+
+        A[k] = [(h_k - h_j)^T, -d_k]
+        B[k] = (d_k^2 + c_k) / 2 + d_k * csum_k,   c_k = ||h_k||^2 - ||h_j||^2
+
+    where csum_k is the cumulative sum of d_0..d_{k-1} (empty for k = 0).
+    A is a fresh copy of the anchor set's geometry columns with -d written
+    into the fourth; B is built by exactly these rows, on Python floats, as
+    ``solve_frame`` builds them.  Raises ValueError for a count other than N
+    or a |d_k| over the diameter + slack.
+    """
+    return _system(anchors, *_rows(anchors, frame))
+
+
+def _system(anchors, dl, B):
+    """(A, B) of the rows ``_rows`` gave: A a fresh copy of the geometry columns with -d in the fourth."""
+    A = anchors._template.copy()
+    A[:, 3] = dl
+    np.negative(A[:, 3], out=A[:, 3])
     return A, np.array(B)
 
 
-def _gufunc_lstsq(A, B):
-    """Solution (1-D), rank and singular values of min ||A x - B|| by one dgelsd call.
-
-    Calls the gufunc ``np.linalg.lstsq(A, B, rcond=RANK_TOL)`` runs on A of 4
-    columns, or 3 (reduced), so singular values below ``RANK_TOL`` times the
-    largest count as zero, as there.  A and B are finite (``TdoaFrame`` and
-    ``Anchor`` check them), so no per-call ``np.errstate`` is set; a solve that
-    fails comes back non-finite and raises ``LinAlgError``, as ``np.linalg.lstsq`` does.
-    """
-    x, _, rank, sv = _umath_linalg.lstsq(A, B[:, None], _RCOND)
-    x = x.ravel()  # the (n, 1) solution as a 1-D view
-    if not all(map(math.isfinite, x.tolist())):
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-    return x, int(rank), sv
-
-
-def _numpy_lstsq(A, B):
-    """``_gufunc_lstsq`` through the public ``np.linalg.lstsq``, wrapper included."""
-    x, _, rank, sv = np.linalg.lstsq(A, B, rcond=RANK_TOL)
-    return x, int(rank), sv
-
-
-def _select_lstsq():
-    """``_gufunc_lstsq`` if numpy's private gufunc exists and solves a probe
-    system to the bits of ``np.linalg.lstsq``, else ``_numpy_lstsq``."""
-    A = np.array([[4.0, -1.0, 2.0, 0.5], [1.0, 3.0, -2.0, 1.0], [0.0, 2.0, 5.0, -1.0],
-                  [2.0, 0.0, 1.0, 3.0], [-1.0, 1.0, 0.0, 2.0]])
-    B = np.array([1.0, -2.0, 3.0, 0.25, 5.0])
-    want = _numpy_lstsq(A, B)
-    try:
-        got = _gufunc_lstsq(A, B)
-        same = got[1] == want[1] and all(
-            a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-            for a, b in ((got[0], want[0]), (got[2], want[2]))
-        )
-    except (AttributeError, TypeError, ValueError):  # missing, another signature or result form
-        same = False
-    return _gufunc_lstsq if same else _numpy_lstsq
-
-
-_lstsq = _select_lstsq()
-
-
-def _fix_quality(A, B, sol, h1):
+def _fix_quality(anchors, dl, B, sol):
     """(range_to_h1, residual, range_consistency, negative_range) of the solution
-    ``sol`` of the system (A, B): the reduced one, of A's first three columns,
-    when it has three entries."""
+    ``sol`` of the system of the rows ``dl``, ``B`` that ``_rows`` gave: the
+    reduced one, of A's first three columns, when it has three entries."""
+    A, B = _system(anchors, dl, B)
     if sol.size == 3:
         return math.nan, float(np.sqrt(np.mean((A[:, :3] @ sol - B) ** 2))), math.nan, False
     r = A @ sol - B
     residual = math.sqrt(np.add.reduce(r * r) / r.size)  # the RMS, as np.mean sums it
     range_to_h1 = float(sol[3])
-    offset = sol[:3] - h1
+    offset = sol[:3] - anchors._h1
     consistency = abs(range_to_h1 - math.sqrt(offset.dot(offset)))
     return range_to_h1, residual, consistency, range_to_h1 < 0.0
 
@@ -282,25 +258,46 @@ def _fix_quality(A, B, sol, h1):
 def solve_frame(
     anchors: AnchorSet, frame: TdoaFrame, allow_reduced: bool = False
 ) -> ReconstructedPosition:
-    """Build the frame's N x 4 system and solve it by SVD least squares (LAPACK ``dgelsd``).
+    """Solve the frame's N x 4 system in closed form on the anchor set's SVD.
 
-    Raises ValueError when ``build_system`` refuses the frame, and :class:`GeometryDegenerate`
-    when the 4-column system is rank deficient: its rank counts the singular values
-    above 1e-8 of the largest, so all-zero differences, for one, give rank 3.  With
-    ``allow_reduced=True`` such frames fall back to the 3-unknown system that
-    drops the range column (usable when the differences are near zero),
-    solved the same way; the fallback cannot report ``range_to_h1``.
+    Raises ValueError when ``build_system`` would refuse the frame, and
+    :class:`GeometryDegenerate` (rank 3) when the system is rank deficient:
+    ||d_perp||, the part of the differences off the chain geometry's
+    columns, at or below ``RANK_TOL`` times its largest singular value, so
+    all-zero differences, for one, give rank 3.  With ``allow_reduced=True``
+    such frames fall back to the 3-unknown system that drops the range
+    column (usable when the differences are near zero); the fallback cannot
+    report ``range_to_h1``.  A solution that is not finite raises
+    ``np.linalg.LinAlgError``.
     """
-    A, B = build_system(anchors, frame)
-    sol, rank, sv = _lstsq(A, B)
-    if rank == 4:
-        return ReconstructedPosition(sol[:3], False, (A, B, sol, anchors._h1))
-    if not allow_reduced:
-        raise GeometryDegenerate(f"TDOA system rank {rank} < 4 (singular values {sv})", rank=rank)
-    sol, rank, _ = _lstsq(A[:, :3], B)
-    if rank < 3:
-        raise GeometryDegenerate(f"reduced TDOA system rank {rank} < 3", rank=rank)
-    return ReconstructedPosition(sol, True, (A, B, sol, anchors._h1))
+    dl, B = _rows(anchors, frame)
+    # U^T d and U^T B, then, with d_perp = d - U U^T d and B_perp = B - U U^T B,
+    # ||d_perp||^2 and <d_perp, B_perp>; each sum taken in row order from 0.0.
+    ud0 = ud1 = ud2 = ub0 = ub1 = ub2 = 0.0
+    for dk, bk, (a0, a1, a2) in zip(dl, B, anchors._u):
+        ud0, ud1, ud2 = ud0 + a0 * dk, ud1 + a1 * dk, ud2 + a2 * dk
+        ub0, ub1, ub2 = ub0 + a0 * bk, ub1 + a1 * bk, ub2 + a2 * bk
+    dd = db = 0.0
+    for dk, bk, (a0, a1, a2) in zip(dl, B, anchors._u):
+        x = dk - (a0 * ud0 + a1 * ud1 + a2 * ud2)
+        dd += x * x
+        db += x * (bk - (a0 * ub0 + a1 * ub1 + a2 * ub2))
+    off = math.sqrt(dd)
+    reduced = off <= anchors._tol
+    if reduced and not allow_reduced:
+        cutoff = f"||d_perp|| {off:.3e} m at or below the cutoff {anchors._tol:.3e} m"
+        raise GeometryDegenerate(f"TDOA system rank 3 < 4 ({cutoff})", rank=3)
+    if not reduced:  # the range r, and U^T (B + r d) in place of U^T B
+        r = -db / dd
+        ub0, ub1, ub2 = ub0 + r * ud0, ub1 + r * ud1, ub2 + r * ud2
+    s0, s1, s2 = anchors._s
+    q0, q1, q2 = ub0 / s0, ub1 / s1, ub2 / s2
+    (w0, w1, w2), (x0, x1, x2), (y0, y1, y2) = anchors._vt
+    p = w0 * q0 + x0 * q1 + y0 * q2, w1 * q0 + x1 * q1 + y1 * q2, w2 * q0 + x2 * q1 + y2 * q2
+    if not all(map(math.isfinite, p)):
+        raise np.linalg.LinAlgError(f"TDOA solve gave a non-finite position {p}")
+    sol = np.array(p if reduced else (*p, r))
+    return ReconstructedPosition(sol[:3], reduced, (anchors, dl, B, sol))
 
 
 def _cyclic_differences(r) -> np.ndarray:

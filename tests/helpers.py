@@ -10,8 +10,9 @@ expressions with no numpy product (``reference_step``,
 ``reference_propagate_truth``), and on the BLAS arithmetic of the kernels
 before that contract (``blas_reference_step``, and the truth references
 given ``BLAS``), the matrix-form oracle the float kernels are held to within
-rounding; ``frozen_solve`` is the TDOA fix with its quality
-computed eagerly, as the solver did before it computed quality on read;
+rounding; ``frozen_solve`` is the TDOA fix, its closed-form solve written
+as loops over the entries, with its quality computed eagerly, as the solver
+did before it computed quality on read;
 ``frozen_fmt`` is the cell format the CSV writers must match byte for byte.
 """
 
@@ -243,23 +244,46 @@ FLOAT = SimpleNamespace(exp=frozen_se23_exp, product=frozen_product, terms=froze
 BLAS = SimpleNamespace(exp=blas_se23_exp, product=np.dot, terms=blas_correction_terms)
 
 
+def _dot(x, y):
+    """sum x_k y_k in index order, from 0.0."""
+    total = 0.0
+    for a, b in zip(x, y):
+        total += a * b
+    return total
+
+
 def frozen_solve(A, B, allow_reduced, h1):
     """(p, range_to_h1, residual, range_consistency, negative_range, reduced)
     of the system (A, B), every value computed eagerly as ``tdoa.solve_frame``
-    did before fix quality was computed on read; ``np.linalg.lstsq``, which the
-    solver matches bit for bit, stands for its LAPACK call."""
-    sol, _, rank, sv = np.linalg.lstsq(A, B, rcond=RANK_TOL)
-    if rank < 4:
+    did before fix quality was computed on read.  The solve is the closed
+    form on the SVD G = U S V^T of A's geometry columns, written as generic
+    loops over the entries on Python floats: with x_perp = x - U U^T x, the
+    range r = -<d_perp, B_perp> / ||d_perp||^2 and p = V ((U^T B + r U^T d) / S),
+    rank 3 when ||d_perp|| is at most ``RANK_TOL`` S_1, and p = V (U^T B / S)
+    for the reduced fallback."""
+    U, S, Vt = (x.tolist() for x in np.linalg.svd(A[:, :3], full_matrices=False))
+    d, b = (-A[:, 3]).tolist(), B.tolist()
+    columns = [[row[j] for row in U] for j in range(3)]
+    ud = [_dot(u, d) for u in columns]
+    ub = [_dot(u, b) for u in columns]
+    d_perp = [dk - _sum(row[j] * ud[j] for j in range(3)) for dk, row in zip(d, U)]
+    b_perp = [bk - _sum(row[j] * ub[j] for j in range(3)) for bk, row in zip(b, U)]
+    dd = _dot(d_perp, d_perp)
+    off, cutoff = math.sqrt(dd), RANK_TOL * S[0]
+    if off <= cutoff:
         if not allow_reduced:
-            raise GeometryDegenerate(f"TDOA system rank {rank} < 4 (singular values {sv})", rank=rank)
-        A3 = A[:, :3]
-        sol3, _, rank3, _ = np.linalg.lstsq(A3, B, rcond=RANK_TOL)
-        if rank3 < 3:
-            raise GeometryDegenerate(f"reduced TDOA system rank {rank3} < 3", rank=rank3)
-        residual = float(np.sqrt(np.mean((A3 @ sol3 - B) ** 2)))
-        return sol3, float("nan"), residual, float("nan"), False, True
-    r = A @ sol - B
-    residual = math.sqrt(np.add.reduce(r * r) / r.size)
+            raise GeometryDegenerate(
+                f"TDOA system rank 3 < 4 (||d_perp|| {off:.3e} m at or below the cutoff {cutoff:.3e} m)", rank=3
+            )
+        q = [ub[j] / S[j] for j in range(3)]
+        p = np.array([_sum(Vt[j][i] * q[j] for j in range(3)) for i in range(3)])
+        residual = float(np.sqrt(np.mean((A[:, :3] @ p - B) ** 2)))
+        return p, float("nan"), residual, float("nan"), False, True
+    r = -_dot(d_perp, b_perp) / dd
+    q = [(ub[j] + r * ud[j]) / S[j] for j in range(3)]
+    sol = np.array([*(_sum(Vt[j][i] * q[j] for j in range(3)) for i in range(3)), r])
+    res = A @ sol - B
+    residual = math.sqrt(np.add.reduce(res * res) / res.size)
     p = sol[:3]
     range_to_h1 = float(sol[3])
     offset = p - h1

@@ -37,7 +37,8 @@ step's ``_se23_exp`` (all blocks non-zero) and the prediction's (no v
 column); ``compose``, the prediction's product of the state and its
 exponential (``liegroup._compose`` on floats; a tree without it multiplies
 the 5x5s of ``_pack`` and ``_se23_exp``, whose inputs are arrays, with one
-``dot``); ``build_triads``; ``body_rows_table``, ``sensors._body_rows_table``
+``dot``); ``build_triads``; ``body_rows``, ``sensors._body_rows`` of the
+timed sample, the triad rows the online step forms; ``body_rows_table``, ``sensors._body_rows_table``
 over the first flight's 6 000 samples (one call per timing; a tree without it
 runs ``_body_rows`` on each sample in turn); and
 the replay input stage: ``load_dataset`` of the trial's three CSV files,
@@ -195,6 +196,7 @@ def layers(root: Path, trial: Path) -> dict:
         "se23_exp_zero_v": se23_exp_zero_v,
         "compose": compose,
         "build_triads": lambda: sensors.build_triads(sample, ref),
+        "body_rows": lambda: sensors._body_rows(sample),
         "body_rows_table": body_rows_table,
         "load_dataset": lambda: replay.load_dataset(csvs),
         "load_dataset_messy": lambda: replay.load_dataset(messy),
