@@ -252,6 +252,13 @@ def _dot(x, y):
     return total
 
 
+def _finite(p):
+    """``p``, or the LinAlgError ``solve_frame`` raises for a non-finite position."""
+    if not np.isfinite(p).all():
+        raise np.linalg.LinAlgError(f"TDOA solve gave a non-finite position {tuple(p.tolist())}")
+    return p
+
+
 def frozen_solve(A, B, allow_reduced, h1):
     """(p, range_to_h1, residual, range_consistency, negative_range, reduced)
     of the system (A, B), every value computed eagerly as ``tdoa.solve_frame``
@@ -260,7 +267,7 @@ def frozen_solve(A, B, allow_reduced, h1):
     loops over the entries on Python floats: with x_perp = x - U U^T x, the
     range r = -<d_perp, B_perp> / ||d_perp||^2 and p = V ((U^T B + r U^T d) / S),
     rank 3 when ||d_perp|| is at most ``RANK_TOL`` S_1, and p = V (U^T B / S)
-    for the reduced fallback."""
+    for the reduced fallback; a non-finite p raises ``np.linalg.LinAlgError``."""
     U, S, Vt = (x.tolist() for x in np.linalg.svd(A[:, :3], full_matrices=False))
     d, b = (-A[:, 3]).tolist(), B.tolist()
     columns = [[row[j] for row in U] for j in range(3)]
@@ -276,12 +283,13 @@ def frozen_solve(A, B, allow_reduced, h1):
                 f"TDOA system rank 3 < 4 (||d_perp|| {off:.3e} m at or below the cutoff {cutoff:.3e} m)", rank=3
             )
         q = [ub[j] / S[j] for j in range(3)]
-        p = np.array([_sum(Vt[j][i] * q[j] for j in range(3)) for i in range(3)])
+        p = _finite(np.array([_sum(Vt[j][i] * q[j] for j in range(3)) for i in range(3)]))
         residual = float(np.sqrt(np.mean((A[:, :3] @ p - B) ** 2)))
         return p, float("nan"), residual, float("nan"), False, True
     r = -_dot(d_perp, b_perp) / dd
     q = [(ub[j] + r * ud[j]) / S[j] for j in range(3)]
     sol = np.array([*(_sum(Vt[j][i] * q[j] for j in range(3)) for i in range(3)), r])
+    _finite(sol[:3])
     res = A @ sol - B
     residual = math.sqrt(np.add.reduce(res * res) / res.size)
     p = sol[:3]

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -282,16 +283,33 @@ def test_reduced_fallback_solves_equidistant_case():
     np.testing.assert_allclose(fix.p, [2.0, 2.0, 2.0], atol=1e-9)
 
 
-def lstsq_reference(A, B, allow_reduced):
-    """The fix as ``np.linalg.lstsq`` (LAPACK gelsd) solves the system, with the
-    condition number of the matrix it solves: (kind, values, cond)."""
-    sol, _, rank, sv = np.linalg.lstsq(A, B, rcond=RANK_TOL)
+def lstsq_reference(A, B, allow_reduced, lstsq=np.linalg.lstsq):
+    """The fix as ``lstsq`` (by default ``np.linalg.lstsq``, LAPACK gelsd) solves
+    the system, with the condition number of the matrix it solves: (kind, values, cond)."""
+    sol, _, rank, sv = lstsq(A, B, rcond=RANK_TOL)
     if rank == 4:
         return "fix", list(sol), sv[0] / sv[-1]
     if not allow_reduced:
         return "degenerate", [rank], None
-    sol3, _, _, sv3 = np.linalg.lstsq(A[:, :3], B, rcond=RANK_TOL)
+    sol3, _, rank3, sv3 = lstsq(A[:, :3], B, rcond=RANK_TOL)
+    if rank3 < 3:
+        return "degenerate", [rank3], None
     return "reduced", list(sol3), sv3[0] / sv3[-1]
+
+
+def svd_lstsq(A, B, rcond):
+    """``np.linalg.lstsq``'s (x, residuals, rank, sv), residuals left out, by
+    numpy's SVD gufunc (LAPACK gesdd) and the pseudo-inverse, with lstsq's rank
+    rule: the singular values above ``rcond`` times the largest."""
+    U, sv, Vt = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.count_nonzero(sv > rcond * sv[0]))
+    return Vt[:rank].T @ ((U[:, :rank].T @ B) / sv[:rank]), None, rank, sv
+
+
+def within_lstsq_bound(got, want, cond):
+    """``got`` within 64 cond eps of max(1, ||p||_inf) of ``want``, p its position."""
+    bound = 64.0 * cond * np.finfo(float).eps * max(1.0, np.abs(want[:3]).max())
+    return np.abs(np.subtract(got, want)).max() <= bound
 
 
 def classify(solve):
@@ -327,7 +345,6 @@ def test_solve_frame_matches_numpy_lstsq_on_random_anchor_sets():
     # solution within 64 cond(A) eps of max(1, ||p||_inf), A the matrix solved.
     rng = np.random.default_rng(36)
     kinds = set()
-    eps = np.finfo(float).eps
     for _ in range(120):
         pts = rng.uniform(-5.0, 5.0, (int(rng.integers(4, 13)), 3))
         anchors = AnchorSet(tuple(Anchor(id=i, pos=p) for i, p in enumerate(pts)))
@@ -343,8 +360,7 @@ def test_solve_frame_matches_numpy_lstsq_on_random_anchor_sets():
                 if cond is None:
                     assert got[1] == want
                 else:
-                    bound = 64.0 * cond * eps * max(1.0, np.abs(want[:3]).max())
-                    assert np.abs(np.subtract(got[1], want)).max() <= bound
+                    assert within_lstsq_bound(got[1], want, cond)
                 kinds.add(kind)
     assert kinds == {"fix", "reduced", "degenerate", "invalid"}
 
@@ -431,38 +447,86 @@ def outcome(solve):
     return "fix", p.dtype, p.shape, p.tobytes(), reduced
 
 
+# The least-squares oracles a case is held to, both with the RANK_TOL cutoff.
+ORACLES = {"gufunc": svd_lstsq, "numpy": np.linalg.lstsq}
+# A box of side 6e153 m from (6e153, 6e153, 6e153): its diameter and its first
+# anchor's squared norm are finite, the other squared norms overflow, so every
+# c_k, and with it B, is non-finite while A is not.
+OVERFLOW = 6e153
+ANCHOR_SETS = {
+    "box": (box_anchors, 1.0),
+    "overflowing": (lambda: box_anchors(OVERFLOW, OVERFLOW, (OVERFLOW,) * 3), OVERFLOW / 4.0),
+}
+LinAlgError = np.linalg.LinAlgError
 FLAT_SOLVE_CASES = {
-    # name: (differences, allow_reduced, outcome kind), on the box anchors
-    "full rank": ("noisy", False, "fix"),
-    "wrong count": (np.zeros(7), False, ValueError),
-    "out of range": ("beyond", False, ValueError),
-    "rank 3": (np.zeros(8), False, GeometryDegenerate),
-    "rank 3, reduced": (np.zeros(8), True, "fix"),
+    # name: (anchor set, differences, allow_reduced, outcome kind)
+    "full rank": ("box", "noisy", False, "fix"),
+    "wrong count": ("box", np.zeros(7), False, ValueError),
+    "out of range": ("box", "beyond", False, ValueError),
+    "rank 3": ("box", np.zeros(8), False, GeometryDegenerate),
+    "rank 3, reduced": ("box", np.zeros(8), True, "fix"),
+    # zigzag_points: refused when the AnchorSet is made, not per frame.
+    "rank 2": ("zigzag", np.zeros(1000), False, ValueError),
+    "rank 2, reduced rank 2": ("zigzag", np.zeros(1000), True, ValueError),
+    "non-finite, 4 columns": ("overflowing", "noisy", False, LinAlgError),
+    "non-finite, 3 columns": ("overflowing", np.zeros(8), True, LinAlgError),
 }
 
 
+@pytest.mark.parametrize("oracle", list(ORACLES))
 @pytest.mark.parametrize("case", list(FLAT_SOLVE_CASES))
-def test_the_flat_solve_refuses_and_solves_as_the_frozen_solve(case):
+def test_the_flat_solve_refuses_and_solves_as_numpy_lstsq(oracle, case):
     # The same exception type, message and rank, or the same position bits, as the
-    # documented checks and rows with helpers.frozen_solve; a fix holds its anchor
-    # set, its own copies of build_system's d and B and the solution whose first
-    # three entries are its position, so a later write into the caller's array of
+    # documented checks and rows with helpers.frozen_solve; and, on a frame that
+    # passes the checks, the oracle's outcome: its rank where the solve refuses
+    # the frame, a non-finite solution where it raises LinAlgError, and a fix
+    # within 64 cond(A) eps otherwise.  A fix holds its anchor set, its own
+    # copies of build_system's d and B and the solution whose first three
+    # entries are its position, so a later write into the caller's array of
     # differences changes none of its quality.
-    d, allow_reduced, kind = FLAT_SOLVE_CASES[case]
-    anchors = box_anchors()
+    anchor_name, d, allow_reduced, kind = FLAT_SOLVE_CASES[case]
+    lstsq = ORACLES[oracle]
+    if anchor_name == "zigzag":
+        # The oracle finds rank 2 in the frame's system, of 4 columns and of 3;
+        # the anchor set that every such frame would be solved against is refused.
+        points = tuple(Anchor(id=i, pos=p) for i, p in enumerate(zigzag_points()))
+        A, B = build_system_rows(SimpleNamespace(anchors=points), TdoaFrame(timestamp=0.0, d=d))
+        assert lstsq_reference(A, B, allow_reduced, lstsq)[:2] == ("degenerate", [2])
+        with pytest.raises(kind, match=r"^anchor chain geometry has rank < 3 "):
+            AnchorSet(points)
+        return
+    make, scale = ANCHOR_SETS[anchor_name]
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflowing set's c_k
+        anchors = make()
     if isinstance(d, str):
         sign = (-1.0) ** np.arange(anchors.n)
         d = {
-            "noisy": synthesize_tdoa([1.0, 2.5, 1.5], None, anchors, noise_sd=0.05, seed=4).d,
+            "noisy": synthesize_tdoa(
+                anchors.positions[0] + scale * np.array([1.0, 2.5, 1.5]), None, anchors, noise_sd=0.05 * scale, seed=4
+            ).d,
             "beyond": (anchors.diameter + DIAMETER_SLACK + 0.5) * sign,
         }[d]
     frame = TdoaFrame(timestamp=0.0, d=d)
     got = outcome(lambda: solve_frame(anchors, frame, allow_reduced))
-    assert got == outcome(lambda: documented_solve(anchors, frame, allow_reduced))
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflowing set's rows
+        assert got == outcome(lambda: documented_solve(anchors, frame, allow_reduced))
     assert got[0] == kind
-    if kind == "fix":
+    if kind is ValueError:
+        return  # the documented count and range checks, ahead of any solve
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want_kind, want, cond = lstsq_reference(*build_system_rows(anchors, frame), allow_reduced, lstsq)
+        except LinAlgError:
+            want_kind = "failed"
+    if kind is GeometryDegenerate:
+        assert (want_kind, want) == ("degenerate", [got[2]])
+    elif kind is LinAlgError:
+        assert want_kind == "failed" or not np.isfinite(want).all()
+    else:
         d = np.array(d)
         fix = solve_frame(anchors, TdoaFrame(timestamp=0.0, d=d), allow_reduced)
+        assert want_kind == ("reduced" if fix.reduced else "fix")
+        assert within_lstsq_bound([*fix.p] if fix.reduced else [*fix.p, fix.range_to_h1], want, cond)
         held_anchors, dl, B, sol = fix._solved
         A, want_B = build_system(anchors, frame)
         assert held_anchors is anchors and np.array(dl).tobytes() == (-A[:, 3]).tobytes()
